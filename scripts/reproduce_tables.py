@@ -24,7 +24,7 @@ def main():
     os.makedirs(args.output_dir, exist_ok=True)
     quad = QuadSpec()
 
-    rows = mean_moment_rows(moment_table_params(), quad)
+    rows = mean_moment_rows(moment_table_params())
     header = moment_rows_header()
     text = rows_to_csv_text(header, [[r[k] for k in header] for r in rows])
     path = os.path.join(args.output_dir, "moment_table.csv")

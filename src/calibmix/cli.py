@@ -207,10 +207,9 @@ def _cmd_density(args):
 
 
 def _cmd_moments(args):
-    quad = _quad_from_args(args)
     p, _ = _params_from_args(args)
-    cfg = {"params": _params_dict(p), "quadrature": _quad_dict(quad)}
-    s = mean_moments(p, quad)
+    cfg = {"params": _params_dict(p)}
+    s = mean_moments(p)
     es2, bias = expected_sample_variance(p)
     d = derive_params(p)
     result = {
@@ -407,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("moments", help="moment summary of the calibrated mean")
     _add_param_args(sp)
-    _add_quad_args(sp)
     _add_output_args(sp)
 
     sp = sub.add_parser("region", help="equal-tail probability region")

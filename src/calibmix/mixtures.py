@@ -9,30 +9,33 @@
 * SignedTMixture: law of t0; noncentral t(nu, delta0/s) mixed over
   s = sqrt(w) ~ |N(lambda0, 1)|.
 
-Mixing integrals run on cached Gauss-Legendre panels over analytically
+Every law is a weighted set of mixing nodes plus a conditional pdf/CDF kernel
+pair.  The nodes come from cached Gauss-Legendre panels over analytically
 bounded windows (the Gaussian mixing variable over beta1 +/- k sigma1, the
 chi-squared one over [0, quantile(1 - 1e-12)], substituted w = s^2 so the
 w^{-1/2} weight is smooth).  CDFs mix the conditional CDFs over the same
-cached panels, which equals integrating the mixture pdf from the support
-edge (Tonelli) but stays smooth where near-degenerate mixing components
-make the pointwise pdf too spiky to quadrate; the signed-t law, whose
-components never narrow, integrates its own pdf outward from 0 on cached
-panels.  Series kernels honor the fixed minimum term counts, then escalate
-until a computable tail bound drops below abs_tol; exceeding the hard cap
-raises AccuracyError, never truncating silently.
+nodes, which equals integrating the mixture pdf from the support edge
+(Tonelli) but stays smooth where near-degenerate mixing components make the
+pointwise pdf too spiky to quadrate.  The t^2 and signed-t laws collapse the
+mixing into their series coefficients first, so each evaluation is a single
+series in j over the points.  Series kernels honor the fixed minimum term
+counts, then escalate until a computable tail bound drops below abs_tol;
+exceeding the hard cap raises AccuracyError, never truncating silently.
 
 With delta > 0 the t^2 / signed-t laws have genuinely heavy far tails (slope
 draws near zero inflate the conditional noncentrality, and
 P[t0^2 > T] decays only like 1/sqrt(T)).  Mixing nodes with noncentralities
-beyond the series budget therefore evaluate their conditional kernels in
-exact integral form: the signed-t law through the chi-squared integral of
-the conditional density, the t^2 law through the Gaussian-root identity
-u = nu (g + sqrt(phi))^2 / W on log-graded panels, both smooth at any
-parameter point where the series would need j ~ noncentrality terms.
+beyond the series budget therefore sit on log-graded panels and evaluate
+their conditional kernel in one exact form that both laws share, the
+Gaussian-root identity u = nu (g + sqrt(phi))^2 / W, smooth at any parameter
+point where the series would need j ~ noncentrality terms.  The signed law
+reads that t^2 kernel at u^2: its extreme nodes put less than Phi(-20) of
+their mass below 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,63 +49,7 @@ from . import special as ser
 
 _Z_SUPPORT = 8.5       # Gaussian component half-width; Phi(-8.5) ~ 1e-17
 _MAX_J_TERMS = 120_000
-_NCT_SERIES_PHI_MAX = 20.0   # beyond this the chi2-integral kernel takes over
-
-
-class _CdfCache:
-    """Cumulative integrals of a vectorized integrand on panels grown outward
-    from an origin; panel sets are cached and reused across calls."""
-
-    def __init__(self, integrand, origin, quad, first_width, direction=+1):
-        self._f = integrand
-        self._origin = float(origin)
-        self._quad = quad
-        self._dir = 1 if direction >= 0 else -1
-        self._width = float(first_width)
-        self._edges = [0.0]        # outward distance from origin
-        self._cums = [0.0]
-
-    def _seg_f(self, x_out):
-        return self._f(self._origin + self._dir * np.asarray(x_out, dtype=float))
-
-    def _extend_to(self, span):
-        while self._edges[-1] < span:
-            a = self._edges[-1]
-            b = a + self._width
-            self._width *= 2.0
-            rule = refine_panels(self._seg_f, a, b, self._quad, initial_panels=8)
-            base = self._cums[-1]
-            parts = np.cumsum(rule.panel_integrals(self._seg_f(rule.nodes)))
-            for edge, part in zip(rule.edges[1:], parts):
-                self._edges.append(float(edge))
-                self._cums.append(base + float(part))
-
-    def cum(self, x):
-        """Integral of the integrand from the origin out to x (vectorized)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        span = np.maximum(self._dir * (x - self._origin), 0.0)
-        if span.size and float(np.max(span)) > self._edges[-1]:
-            self._extend_to(float(np.max(span)))
-        edges = np.asarray(self._edges)
-        cums = np.asarray(self._cums)
-        idx = np.clip(np.searchsorted(edges, span, side="right") - 1,
-                      0, len(edges) - 2)
-        out = cums[idx].copy()
-        frac = span - edges[idx]
-        active = frac > 0
-        if np.any(active):
-            gx, gw = np.polynomial.legendre.leggauss(12)
-            a = edges[idx[active]]
-            half = 0.5 * frac[active]
-            nodes = a[:, None] + half[:, None] * (gx[None, :] + 1.0)
-            vals = self._seg_f(nodes.ravel()).reshape(nodes.shape)
-            out[active] += half * (vals * gw[None, :]).sum(axis=1)
-        return out
-
-    def grid(self):
-        """(abscissae, cumulative) at all cached panel edges, in real coords."""
-        e = np.asarray(self._edges)
-        return self._origin + self._dir * e, np.asarray(self._cums)
+_NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
 
 
 def _as_batch(u):
@@ -110,11 +57,40 @@ def _as_batch(u):
     return (u.ndim == 0), np.atleast_1d(u).astype(float)
 
 
+class _MixtureLaw:
+    """What the four laws share: scalar/array wrapping, CDF clipping,
+    interval probabilities and CDF inversion.  Each law supplies ``_pdf`` and
+    ``_cdf`` on 1-d float arrays and ``_bracket()``, the (lo, hi, expand)
+    start of the bisection."""
+
+    def pdf(self, u):
+        scalar, u = _as_batch(u)
+        out = self._pdf(u)
+        return float(out[0]) if scalar else out
+
+    def cdf(self, u):
+        scalar, u = _as_batch(u)
+        out = np.clip(self._cdf(u), 0.0, 1.0)
+        return float(out[0]) if scalar else out
+
+    def interval_prob(self, lo, hi):
+        if hi < lo:
+            raise ValueError("interval bounds out of order")
+        return float(self.cdf(hi) - self.cdf(lo))
+
+    def ppf(self, prob):
+        if not 0.0 < prob < 1.0:
+            raise ValueError("probability must be in (0, 1)")
+        lo, hi, expand = self._bracket()
+        return bisect_cdf(lambda x: float(self.cdf(x)), prob, lo, hi,
+                          xtol=1e-8, expand=expand)
+
+
 # ----------------------------------------------------------------------
 # mean mixture
 # ----------------------------------------------------------------------
 
-class MeanMixture:
+class MeanMixture(_MixtureLaw):
     """Density/CDF evaluator of the calibrated sample mean (an exact
     translation-scale Gaussian mixture over the slope draw).
 
@@ -165,30 +141,17 @@ class MeanMixture:
         hi = float(np.max(self._cond_mean + _Z_SUPPORT * self._cond_sd))
         return lo, hi
 
-    def pdf(self, u):
-        scalar, u = _as_batch(u)
+    def _pdf(self, u):
         z = (u[None, :] - self._cond_mean[:, None]) / self._cond_sd[:, None]
         dens = np.exp(-0.5 * z * z) / (self._cond_sd[:, None] * math.sqrt(2.0 * math.pi))
-        out = self._w @ dens
-        return float(out[0]) if scalar else out
+        return self._w @ dens
 
-    def cdf(self, u):
-        scalar, u = _as_batch(u)
+    def _cdf(self, u):
         z = (u[None, :] - self._cond_mean[:, None]) / self._cond_sd[:, None]
-        out = np.clip(self._w @ sp.ndtr(z), 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        return self._w @ sp.ndtr(z)
 
-    def interval_prob(self, lo, hi):
-        if hi < lo:
-            raise ValueError("interval bounds out of order")
-        return float(self.cdf(hi) - self.cdf(lo))
-
-    def ppf(self, prob):
-        if not 0.0 < prob < 1.0:
-            raise ValueError("probability must be in (0, 1)")
-        lo, hi = self.support()
-        return bisect_cdf(lambda x: float(self.cdf(x)), prob, lo, hi,
-                          xtol=1e-8, expand="both")
+    def _bracket(self):
+        return (*self.support(), "both")
 
 
 def mean_mixture(p: MixtureParams, quad: QuadSpec = QuadSpec()) -> MeanMixture:
@@ -209,65 +172,27 @@ def _mixing_density(lam: float, quad: QuadSpec):
     return mixdens
 
 
-def _sqrt_mixing_rule(lam: float, quad: QuadSpec, probe_fn, *, s_lo: float = 0.0):
-    """Panel rule over s = sqrt(w) on [s_lo, upper window]; returns
-    (nodes, weights) with weights already multiplied by the mixing density."""
-    lam0 = math.sqrt(lam)
-    s_hi = ser.sqrt_mixing_upper(lam0)
-    mixdens = _mixing_density(lam, quad)
-    rule = refine_panels(mixdens, s_lo, s_hi, quad, initial_panels=32,
-                         split_at=(lam0,) if lam0 > s_lo else (),
-                         probe=probe_fn)
+def _sqrt_mixing_rule(mixdens, lam0: float, quad: QuadSpec, probe_fn=None, *,
+                      s_lo: float = 0.0):
+    """Panel rule for the density ``mixdens`` of s = sqrt(w), w ~
+    chi2_1(lam0^2), on [s_lo, upper window]; returns (nodes, weights) with
+    weights already multiplied by the mixing density."""
+    rule = refine_panels(mixdens, s_lo, ser.sqrt_mixing_upper(lam0), quad,
+                         initial_panels=32, split_at=(lam0,), probe=probe_fn)
     return rule.nodes, rule.weights * mixdens(rule.nodes)
 
 
-def _log_graded_rule(lam: float, quad: QuadSpec, s_hi: float, *,
-                     decades: float = 6.0, panels_per_decade: int = 6):
+def _log_graded_rule(mixdens, s_hi: float, *, decades: float = 6.0,
+                     panels_per_decade: int = 6):
     """Log-graded panel rule on (0, s_hi] for the near-zero slope region;
     the conditional-law transitions span ~2 decades in log(s), so modest
     log-uniform panels resolve them at any target point."""
     edges = s_hi * np.logspace(-decades, 0.0, int(decades * panels_per_decade) + 1)
     nodes, weights = gauss_legendre_nodes(edges, 12)
-    mixdens = _mixing_density(lam, quad)
     return nodes, weights * mixdens(nodes)
 
 
-_CHI2_RULES: dict = {}
-
-
-def _chi2_rule(nu: float, quad: QuadSpec):
-    """Cached panel rule with weights for the chi-squared(nu) density."""
-    key = (nu, quad)
-    if key not in _CHI2_RULES:
-        w_lo = 2.0 * float(sp.gammaincinv(nu / 2.0, 1e-15))
-        w_hi = 2.0 * float(sp.gammaincinv(nu / 2.0, 1.0 - 1e-15))
-
-        def chi2_pdf(w):
-            w = np.asarray(w, dtype=float)
-            return np.exp((nu / 2.0 - 1.0) * np.log(w) - 0.5 * w
-                          - (nu / 2.0) * math.log(2.0) - sp.gammaln(nu / 2.0))
-
-        rule = refine_panels(chi2_pdf, w_lo, w_hi, quad, initial_panels=32)
-        _CHI2_RULES[key] = (rule.nodes, rule.weights * chi2_pdf(rule.nodes))
-    return _CHI2_RULES[key]
-
-
-_GAUSS_RULE: dict = {}
-
-
-def _std_gaussian_rule(half_width: float = 8.6, panels: int = 16,
-                       order: int = 10):
-    """Cached panel rule with standard-normal weights on [-hw, hw]."""
-    key = (half_width, panels, order)
-    if key not in _GAUSS_RULE:
-        nodes, weights = gauss_legendre_nodes(
-            np.linspace(-half_width, half_width, panels + 1), order)
-        dens = np.exp(-0.5 * nodes * nodes) / math.sqrt(2.0 * math.pi)
-        _GAUSS_RULE[key] = (nodes, weights * dens)
-    return _GAUSS_RULE[key]
-
-
-class VarianceMixture:
+class VarianceMixture(_MixtureLaw):
     """Evaluator of u = nu S_Y^2 / (sigma1^2 sigma_z^2): a gamma(nu/2, 2w)
     scale mixture over w ~ chi2_1(lambda).  Mean is nu (1 + lambda)."""
 
@@ -287,7 +212,8 @@ class VarianceMixture:
                 min_terms=quad.series_terms_inner)
             return w @ self._kernel(rule.nodes, probe_u)
 
-        self._s, self._w = _sqrt_mixing_rule(self.lam, quad, probe)
+        self._s, self._w = _sqrt_mixing_rule(_mixing_density(self.lam, quad),
+                                             math.sqrt(self.lam), quad, probe)
 
     def _kernel(self, s, u):
         """gamma(nu/2, scale 2 s^2) densities, shape (len(s), len(u))."""
@@ -304,37 +230,130 @@ class VarianceMixture:
         u_hi = 2.0 * w_hi * float(sp.gammaincinv(self.nu / 2.0, 1.0 - 1e-14))
         return 0.0, u_hi
 
-    def pdf(self, u):
-        scalar, u = _as_batch(u)
-        out = self._w @ self._kernel(self._s, u)
-        return float(out[0]) if scalar else out
+    def _pdf(self, u):
+        return self._w @ self._kernel(self._s, u)
 
-    def cdf(self, u):
-        scalar, u = _as_batch(u)
+    def _cdf(self, u):
         # conditional-CDF mixture: sum_s w_s P[gamma(nu/2, 2 s^2) <= u]
         pos = np.clip(u, 0.0, None)
         with np.errstate(divide="ignore", invalid="ignore"):
             arg = pos[None, :] / (2.0 * self._s[:, None] ** 2)
         out = self._w @ sp.gammainc(self.nu / 2.0, arg)
-        out = np.clip(np.where(u <= 0, 0.0, out), 0.0, 1.0)
-        return float(out[0]) if scalar else out
+        return np.where(u <= 0, 0.0, out)
 
-    def interval_prob(self, lo, hi):
-        if hi < lo:
-            raise ValueError("interval bounds out of order")
-        return float(self.cdf(hi) - self.cdf(lo))
-
-    def ppf(self, prob):
-        if not 0.0 < prob < 1.0:
-            raise ValueError("probability must be in (0, 1)")
-        hi = self.nu * (1.0 + self.lam)
-        return bisect_cdf(lambda x: float(self.cdf(x)), prob, 0.0, hi,
-                          xtol=1e-8, expand="up")
+    def _bracket(self):
+        return 0.0, self.nu * (1.0 + self.lam), "up"
 
 
 def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> VarianceMixture:
     """Evaluator of the scaled sample-variance mixture law."""
     return VarianceMixture(nu, lam, quad)
+
+
+# ----------------------------------------------------------------------
+# series and extreme-node kernels shared by the t^2 and signed-t laws
+# ----------------------------------------------------------------------
+
+@functools.cache
+def _std_gaussian_rule():
+    """Panel rule with standard-normal weights on [-8.6, 8.6]."""
+    nodes, weights = gauss_legendre_nodes(np.linspace(-8.6, 8.6, 17), 10)
+    dens = np.exp(-0.5 * nodes * nodes) / math.sqrt(2.0 * math.pi)
+    return nodes, weights * dens
+
+
+# u = nu X / W with X = (g + sqrt(phi))^2, g ~ N(0,1), W ~ chi2_nu, so
+#   F_cond(u) = E_g[ Q_nu( nu X / (2u) ) ],  Q_nu = regularized upper gamma
+#   f_cond(u) = E_g[ y^{nu/2} e^{-y} ] / (u Gamma(nu/2)),  y = nu X/(2u);
+# the g-integrand is smooth at every (u, phi), unlike the W-form whose
+# transition sharpens like sqrt(u).
+def _gaussian_root_parts(u, nu, weights, root_phi, want_pdf):
+    """Mixed t^2(nu, phi) pdf or CDF at u > 0 over mixing nodes of large
+    noncentrality (weights, sqrt(phi) = root_phi), each node banded to the
+    u-range where its conditional law transitions."""
+    out = np.zeros_like(u)
+    if weights.size == 0:
+        return out
+    order = np.argsort(u)
+    us = u[order]
+    res = np.zeros_like(us)
+    g, gw = _std_gaussian_rule()
+    snap = 1e-13
+    y_lo = float(sp.gammainccinv(nu / 2.0, 1.0 - snap))   # Q >= 1 - snap
+    y_hi = float(sp.gammainccinv(nu / 2.0, snap))          # Q <= snap
+    lg = float(sp.gammaln(nu / 2.0))
+    for w_i, sq_i in zip(weights, root_phi):
+        v = g + sq_i
+        x_lo = max(sq_i - 8.6, 0.0) ** 2
+        x_hi = (sq_i + 8.6) ** 2
+        lo_u = nu * x_lo / (2.0 * y_hi)
+        hi_u = nu * x_hi / (2.0 * y_lo)
+        a = np.searchsorted(us, lo_u, side="left")
+        b = np.searchsorted(us, hi_u, side="right")
+        if a < b:
+            y = (0.5 * nu) * (v * v)[:, None] / us[None, a:b]   # (G, band)
+            if want_pdf:
+                kern = np.exp(0.5 * nu * np.log(y) - y - lg) / us[None, a:b]
+                res[a:b] += w_i * (gw @ kern)
+            else:
+                res[a:b] += w_i * (gw @ sp.gammaincc(nu / 2.0, y))
+        if not want_pdf:
+            res[b:] += w_i  # conditional CDF within snap of 1 above band
+    out[order] = res
+    return out
+
+
+class _SeriesCoefs:
+    """Mixed series coefficients c_j = sum_s w_s k_j(s) over the series
+    nodes, extended on demand by ``block(j)``.  ``mass`` is sum_j c_j, so the
+    mass not yet reached bounds what the rest of the series can add."""
+
+    def __init__(self, block, mass):
+        self._block = block
+        self.mass = float(mass)
+        self._c = np.zeros(0)
+
+    def upto(self, j_hi):
+        if j_hi > self._c.size:
+            new = self._block(np.arange(self._c.size, j_hi))
+            self._c = np.concatenate([self._c, new])
+        return self._c[:j_hi]
+
+    def left_after(self, j_hi):
+        return max(self.mass - float(self.upto(j_hi).sum()), 0.0)
+
+
+def _poisson_coefs(phi, w):
+    """m_j = sum_s w_s pois(j; phi_s^2/2), the Poisson mixture shared by the
+    t^2 and signed-t series."""
+    means = 0.5 * phi ** 2
+    return _SeriesCoefs(lambda j: np.exp(ser.poisson_log_pmf(j, means)) @ w,
+                        np.sum(w))
+
+
+def _beta_series(coefs, a, b, x, tol, j_hi, law):
+    """sum_j c_j I_x(j + a, b) per x, certified to tol: I_x falls as j grows,
+    so the coefficient mass not yet reached times the next I_x bounds the
+    tail."""
+    out = np.zeros_like(x)
+    active = np.ones(x.size, dtype=bool)
+    j_done = 0
+    while True:
+        c = coefs.upto(j_hi)
+        j = np.arange(j_done, j_hi)
+        xa = x[active]
+        out[active] += c[j_done:] @ sp.betainc(j[:, None] + a, b, xa[None, :])
+        bound = sp.betainc(j_hi + a, b, xa) * coefs.left_after(j_hi)
+        idx = np.where(active)[0]
+        active[idx[bound <= tol]] = False
+        if not np.any(active):
+            return out
+        j_done = j_hi
+        j_hi = min(2 * j_hi, j_hi + 4096)
+        if j_hi > _MAX_J_TERMS:
+            raise AccuracyError(
+                "%s CDF series exceeded %d terms without certifying "
+                "abs_tol=%g" % (law, _MAX_J_TERMS, tol))
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +364,7 @@ _TSQ_SERIES_PHI_MAX = 4000.0  # larger conditional noncentralities use the
                               # exact Gaussian-root integral kernel
 
 
-class TsqMixture:
+class TsqMixture(_MixtureLaw):
     """Evaluator of the t0^2 mixture: noncentral t^2(nu, delta/w) over
     w ~ chi2_1(lambda).
 
@@ -379,100 +398,43 @@ class TsqMixture:
             means = self.delta / (2.0 * rule.nodes ** 2)
             return np.exp(ser.poisson_log_pmf(np.arange(6), means)) @ w
 
-        s_hi = ser.sqrt_mixing_upper(math.sqrt(lam))
+        mixdens = _mixing_density(self.lam, quad)
+        lam0 = math.sqrt(self.lam)
+        s_hi = ser.sqrt_mixing_upper(lam0)
         s_split = (min(math.sqrt(self.delta / _TSQ_SERIES_PHI_MAX), s_hi / 2.0)
                    if self.delta > 0 else 0.0)
-        self._s_ser, self._w_ser = _sqrt_mixing_rule(self.lam, quad, probe,
-                                                     s_lo=s_split)
+        s_ser, w_ser = _sqrt_mixing_rule(mixdens, lam0, quad, probe, s_lo=s_split)
+        self._m = _poisson_coefs(math.sqrt(self.delta) / s_ser, w_ser)
         if s_split > 0.0:
-            s_ext, self._w_ext = _log_graded_rule(self.lam, quad, s_split)
+            s_ext, self._w_ext = _log_graded_rule(mixdens, s_split)
             self._sqrtphi_ext = math.sqrt(self.delta) / s_ext
         else:
             self._w_ext = np.zeros(0)
             self._sqrtphi_ext = np.zeros(0)
-        self._mass_ser = float(np.sum(self._w_ser))
-        self._mj = np.zeros(0)
 
-    # -- Poisson-mixture coefficients over the series nodes ----------------
-    def _extend_mj(self, j_hi):
-        j_have = self._mj.size
-        if j_hi <= j_have:
-            return
-        j_new = np.arange(j_have, j_hi)
-        if self.delta == 0.0:
-            block = np.zeros(j_new.size)
-            if j_have == 0:
-                block[0] = self._mass_ser
-        else:
-            means = self.delta / (2.0 * self._s_ser ** 2)
-            block = np.exp(ser.poisson_log_pmf(j_new, means)) @ self._w_ser
-        self._mj = np.concatenate([self._mj, block])
-
-    # -- exact kernel for extreme nodes -------------------------------------
-    # u = nu X / W with X = (g + sqrt(phi))^2, g ~ N(0,1), W ~ chi2_nu, so
-    #   F_cond(u) = E_g[ Q_nu( nu X / (2u) ) ],  Q_nu = regularized upper gamma
-    #   f_cond(u) = E_g[ y^{nu/2} e^{-y} ] / (u Gamma(nu/2)),  y = nu X/(2u);
-    # the g-integrand is smooth at every (u, phi), unlike the W-form whose
-    # transition sharpens like sqrt(u).
-    def _extreme_parts(self, u, want_pdf):
-        """Contribution of nodes beyond the series budget, banded per node to
-        the u-range where the conditional law transitions."""
-        out = np.zeros_like(u)
-        if self._w_ext.size == 0:
-            return out
-        order = np.argsort(u)
-        us = u[order]
-        res = np.zeros_like(us)
-        nu = self.nu
-        g, gw = _std_gaussian_rule()
-        snap = 1e-13
-        y_lo = float(sp.gammainccinv(nu / 2.0, 1.0 - snap))   # Q >= 1 - snap
-        y_hi = float(sp.gammainccinv(nu / 2.0, snap))          # Q <= snap
-        lg = float(sp.gammaln(nu / 2.0))
-        for w_i, sq_i in zip(self._w_ext, self._sqrtphi_ext):
-            v = g + sq_i
-            x_lo = max(sq_i - 8.6, 0.0) ** 2
-            x_hi = (sq_i + 8.6) ** 2
-            lo_u = nu * x_lo / (2.0 * y_hi)
-            hi_u = nu * x_hi / (2.0 * y_lo)
-            a = np.searchsorted(us, lo_u, side="left")
-            b = np.searchsorted(us, hi_u, side="right")
-            if a < b:
-                y = (0.5 * nu) * (v * v)[:, None] / us[None, a:b]   # (G, band)
-                if want_pdf:
-                    kern = np.exp(0.5 * nu * np.log(y) - y - lg) / us[None, a:b]
-                    res[a:b] += w_i * (gw @ kern)
-                else:
-                    res[a:b] += w_i * (gw @ sp.gammaincc(nu / 2.0, y))
-            if not want_pdf:
-                res[b:] += w_i  # conditional CDF within snap of 1 above band
-        out[order] = res
-        return out
-
-    def pdf(self, u):
-        scalar, u = _as_batch(u)
+    def _pdf(self, u):
         out = np.zeros_like(u)
         pos = u > 0
         if np.any(pos):
             out[pos] = self._pdf_pos(u[pos])
-        return float(out[0]) if scalar else out
+        return out
 
     def _pdf_pos(self, u):
         tol = self.quad.abs_tol
         j_hi = max(self.quad.series_terms_outer, 16)
-        total = self._extreme_parts(u, want_pdf=True)
+        total = _gaussian_root_parts(u, self.nu, self._w_ext,
+                                     self._sqrtphi_ext, want_pdf=True)
         j_done = 0
         mode = ser.tsq_fj_mode(u, self.nu)
         # the largest central-component value at each u bounds the mass route
-        f_mode = np.exp(ser.tsq_log_fj_aligned(np.ceil(mode), u, self.nu))
+        f_mode = np.exp(ser.tsq_log_fj(np.ceil(mode), u, self.nu))
         while True:
-            self._extend_mj(j_hi)
+            mj = self._m.upto(j_hi)
             j = np.arange(j_done, j_hi)
-            fj = np.exp(ser.tsq_log_fj(j, u, self.nu))
-            total += self._mj[j_done:j_hi] @ fj
+            fj = np.exp(ser.tsq_log_fj(j[:, None], u, self.nu))
+            total += mj[j_done:] @ fj
             decay_bound = ser.tsq_fj_tail_bound(j_hi, u, self.nu)
-            remaining = max(self._mass_ser - float(self._mj[:j_hi].sum()), 0.0)
-            mass_bound = remaining * f_mode
+            mass_bound = self._m.left_after(j_hi) * f_mode
             if np.all(np.minimum(decay_bound, mass_bound) < tol):
                 return total
             j_done = j_hi
@@ -483,56 +445,24 @@ class TsqMixture:
                     "abs_tol=%g (u up to %g)"
                     % (_MAX_J_TERMS, tol, float(np.max(u))))
 
-    def cdf(self, u):
-        scalar, u = _as_batch(u)
+    def _cdf(self, u):
+        """Conditional-CDF mixture at u > 0: over the series nodes
+        sum_j m_j I_x(j+1/2, nu/2) with x = u/(u+nu), plus the banded
+        Gaussian-root contribution of the extreme nodes."""
         out = np.zeros_like(u)
         pos = u > 0
         if np.any(pos):
-            out[pos] = self._cdf_pos(u[pos])
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
+            up = u[pos]
+            out[pos] = (_gaussian_root_parts(up, self.nu, self._w_ext,
+                                             self._sqrtphi_ext, want_pdf=False)
+                        + _beta_series(self._m, 0.5, self.nu / 2.0,
+                                       up / (up + self.nu), self.quad.abs_tol,
+                                       max(self.quad.series_terms_outer, 16),
+                                       "t^2 mixture"))
+        return out
 
-    def _cdf_pos(self, u):
-        """Conditional-CDF mixture over the series nodes,
-        F_ser(u) = sum_j m_j I_x(j+1/2, nu/2) with x = u/(u+nu), plus the
-        banded chi-squared integral contribution of the extreme nodes.  The
-        incomplete-beta factor is decreasing in j and the series nodes'
-        Poisson mass is exhausted by bounded j, which closes the tail bound."""
-        tol = self.quad.abs_tol
-        x = u / (u + self.nu)
-        out = self._extreme_parts(u, want_pdf=False)
-        active = np.ones(u.size, dtype=bool)
-        j_done = 0
-        j_hi = max(self.quad.series_terms_outer, 16)
-        while True:
-            self._extend_mj(j_hi)
-            j = np.arange(j_done, j_hi)
-            ib = sp.betainc(j[:, None] + 0.5, self.nu / 2.0, x[None, active])
-            out[active] += self._mj[j_done:j_hi] @ ib
-            remaining = max(self._mass_ser - float(self._mj[:j_hi].sum()), 0.0)
-            bound = sp.betainc(j_hi + 1.5, self.nu / 2.0, x[active]) * remaining
-            idx = np.where(active)[0]
-            active[idx[bound <= tol]] = False
-            if not np.any(active):
-                return out
-            j_done = j_hi
-            j_hi = min(2 * j_hi, j_hi + 4096)
-            if j_hi > _MAX_J_TERMS:
-                raise AccuracyError(
-                    "t^2 mixture CDF series exceeded %d terms without "
-                    "certifying abs_tol=%g" % (_MAX_J_TERMS, tol))
-
-    def interval_prob(self, lo, hi):
-        if hi < lo:
-            raise ValueError("interval bounds out of order")
-        return float(self.cdf(hi) - self.cdf(lo))
-
-    def ppf(self, prob):
-        if not 0.0 < prob < 1.0:
-            raise ValueError("probability must be in (0, 1)")
-        hi = 3.0 * self.nu + self.delta * (1.0 + self.lam)
-        return bisect_cdf(lambda x: float(self.cdf(x)), prob, 0.0, hi,
-                          xtol=1e-8, expand="up")
+    def _bracket(self):
+        return 0.0, 3.0 * self.nu + self.delta * (1.0 + self.lam), "up"
 
 
 def tsq_mixture(nu: int, delta: float, lam: float,
@@ -545,14 +475,20 @@ def tsq_mixture(nu: int, delta: float, lam: float,
 # signed-t mixture
 # ----------------------------------------------------------------------
 
-class SignedTMixture:
+class SignedTMixture(_MixtureLaw):
     """Evaluator of the t0 mixture: noncentral t(nu, delta0/s) mixed over the
     shifted half-normal law of s.
 
-    Mixing nodes with delta0/s below the series budget use the signed series
-    (minimum 20 terms, escalated under a geometric tail bound); more extreme
-    noncentralities are evaluated through the exact chi-squared integral form
-    of the same conditional density.  Negative delta0 mirrors the law.
+    Mixing nodes with phi = |delta0|/s inside the series budget collapse
+    into series coefficients.  The CDF is, with x = u^2/(u^2+nu),
+    A + sgn(u)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2),
+    where A = E_s[Phi(-phi)], m_j = E_s[pois(j; phi^2/2)] and
+    n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))]; the pdf
+    is the signed series (minimum 20 terms, escalated under a geometric tail
+    bound) with the mixing summed into each coefficient.  Nodes of larger
+    noncentrality sit on log-graded panels near s = 0 and add the
+    Gaussian-root t^2 kernel at u^2 for u > 0.  Negative delta0 mirrors the
+    law.
     """
 
     def __init__(self, nu: int, delta0: float, lambda0: float,
@@ -567,94 +503,98 @@ class SignedTMixture:
         self.quad = quad
         self._mirror = self.delta0 < 0
         self._d0 = abs(self.delta0)
-        s_hi = ser.sqrt_mixing_upper(lambda0)
+        self._min_terms = max(20, quad.series_terms_outer)
 
         def mixdens(s):
             return ser.sqrt_ncchisq1_pdf(s, lambda0)
 
-        rule = refine_panels(mixdens, 0.0, s_hi, quad, initial_panels=32,
-                             split_at=(lambda0,) if lambda0 > 0 else ())
-        self._s = rule.nodes
-        self._w = rule.weights * mixdens(self._s)
-        if self._d0 > 0.0:
-            self._series_sel = (self._d0 / self._s) <= _NCT_SERIES_PHI_MAX
-        else:
-            self._series_sel = np.ones_like(self._s, dtype=bool)
-        self._cdf_right = None
-        self._cdf_left = None
-        self._left_mass = None
-        self._min_terms = max(20, quad.series_terms_outer)
+        s_split = min(self._d0 / _NCT_SERIES_PHI_MAX,
+                      ser.sqrt_mixing_upper(lambda0) / 2.0)
+        s_ser, self._w = _sqrt_mixing_rule(mixdens, lambda0, quad, s_lo=s_split)
+        self._phi = self._d0 / s_ser
+        half_sq = 0.5 * self._phi ** 2
+        self._a = float(self._w @ sp.ndtr(-self._phi))
+        self._m = _poisson_coefs(self._phi, self._w)
 
-    # -- conditional-density kernels ---------------------------------------
-    def _series_matrix(self, phi, u):
-        """Conditional noncentral-t densities by the signed series; returns
-        the (len(phi), len(u)) matrix.  All phi must be <= the series budget."""
+        def n_block(j):
+            log_k = (-half_sq[None, :] + sp.xlogy(j[:, None], half_sq[None, :])
+                     - sp.gammaln(j + 1.5)[:, None])
+            return np.exp(log_k) @ (self._w * self._phi) / math.sqrt(2.0)
+
+        self._n = _SeriesCoefs(
+            n_block, self._w @ sp.erf(self._phi / math.sqrt(2.0)))
+        if s_split > 0.0:
+            s_ext, self._w_ext = _log_graded_rule(mixdens, s_split)
+            self._phi_ext = self._d0 / s_ext
+        else:
+            self._w_ext = np.zeros(0)
+            self._phi_ext = np.zeros(0)
+
+    def _series_pdf(self, u):
+        """Mixed conditional noncentral-t densities of the series nodes:
+        A(u) sum_j a_j g^j with g = u/sqrt(nu+u^2) and
+        a_j = c_j E_s[e^{-phi^2/2} (sqrt(2) phi)^j]."""
         nu = self.nu
         tol = self.quad.abs_tol
         g = u / np.sqrt(nu + u * u)
-        amax = float(np.max(np.abs(g))) if u.size else 0.0
-        pmax = float(np.max(phi)) if phi.size else 0.0
-        qmax = math.sqrt(2.0) * pmax * amax
-        acc = np.zeros((phi.size, u.size))
-        j_done, j_hi = 0, max(self._min_terms, 16)
+        amax = float(np.max(np.abs(g), initial=0.0))
+        qmax = math.sqrt(2.0) * float(np.max(self._phi)) * amax
+        acc = np.zeros_like(u)
+        j_done, j_hi = 0, self._min_terms
         while True:
             j = np.arange(j_done, j_hi, dtype=float)
-            if pmax > 0:
-                log_node = (-0.5 * phi[None, :] ** 2
-                            + j[:, None] * np.log(math.sqrt(2.0) * phi)[None, :]
-                            + ser.nct_log_cj(j, nu)[:, None])
-                node = np.exp(log_node)                    # (B, M)
-            else:
-                node = np.zeros((j.size, phi.size))
-                if j_done == 0:
-                    node[0, :] = 1.0
-            sign = np.where((j[:, None] % 2.0) == 0.0, 1.0, np.sign(g)[None, :])
-            gpow = sign * np.abs(g[None, :]) ** j[:, None]  # (B, K)
-            acc += node.T @ gpow
-            if pmax == 0.0 or amax == 0.0:
+            log_node = (-0.5 * self._phi[None, :] ** 2
+                        + sp.xlogy(j[:, None], math.sqrt(2.0) * self._phi[None, :])
+                        + ser.nct_log_cj(j, nu)[:, None])
+            coef = np.exp(log_node) @ self._w                 # (B,)
+            acc += g ** j_done * np.polynomial.polynomial.polyval(g, coef)
+            if qmax == 0.0:
                 break
-            r = qmax * math.sqrt((nu + j_hi + 2.0) / 2.0) / (j_hi + 1.0)
+            # every node's terms past j_hi - 1 fall by at least r per step
+            r = qmax * math.sqrt((nu + j_hi + 1.0) / 2.0) / j_hi
             if r < 0.9 and j_hi > 0.5 * qmax * qmax + 2.0 * qmax + nu:
-                block_max = float(np.max(node[-1])) * amax ** (j_hi - 1.0)
-                if block_max * r / (1.0 - r) < tol:
+                if coef[-1] * amax ** (j_hi - 1.0) * r / (1.0 - r) < tol:
                     break
             j_done, j_hi = j_hi, min(2 * j_hi, j_hi + 4096)
             if j_hi > _MAX_J_TERMS:
                 raise AccuracyError(
                     "signed-t series exceeded %d terms without certifying "
                     "abs_tol=%g" % (_MAX_J_TERMS, tol))
-        return acc * np.exp(ser.nct_log_prefactor(u, nu))[None, :]
-
-    def _chi2_matrix(self, phi, u):
-        """Exact conditional noncentral-t densities via
-        f(u) = E_W[ sqrt(W/nu) phi_N(u sqrt(W/nu) - phi) ], W ~ chi2_nu."""
-        wn, ww = _chi2_rule(self.nu, self.quad)
-        root = np.sqrt(wn / self.nu)
-        c = 1.0 / math.sqrt(2.0 * math.pi)
-        out = np.empty((phi.size, u.size))
-        for i, ph in enumerate(phi):
-            z = root[:, None] * u[None, :] - ph
-            out[i] = (ww * root) @ (c * np.exp(-0.5 * z * z))
-        return out
+        return acc * np.exp(ser.nct_log_prefactor(u, nu))
 
     def _pdf_base(self, u):
         """pdf of the law with noncentrality |delta0| (pre-mirror)."""
-        if self._d0 == 0.0:
-            cond = self._series_matrix(np.zeros(1), u)
-            return float(np.sum(self._w)) * cond[0]
-        phi = self._d0 / self._s
-        sel = self._series_sel
-        out = np.zeros_like(u)
-        if np.any(sel):
-            out += self._w[sel] @ self._series_matrix(phi[sel], u)
-        if np.any(~sel):
-            out += self._w[~sel] @ self._chi2_matrix(phi[~sel], u)
+        out = self._series_pdf(u)
+        up = u[u > 0]
+        out[u > 0] += 2.0 * up * _gaussian_root_parts(
+            up * up, self.nu, self._w_ext, self._phi_ext, want_pdf=True)
         return out
 
-    def pdf(self, u):
-        scalar, u = _as_batch(u)
-        out = self._pdf_base(-u if self._mirror else u)
-        return float(out[0]) if scalar else out
+    def _cdf_base(self, u):
+        """CDF of the law with noncentrality |delta0| (pre-mirror)."""
+        nu = self.nu
+        # phi <= 20 keeps both series short, so certifying them 1e-3 below
+        # abs_tol is cheap; it holds interval probabilities to the t^2
+        # route far inside abs_tol
+        tol = 1e-3 * self.quad.abs_tol
+        x = u * u / (u * u + nu)
+        out = (self._a
+               + 0.5 * np.sign(u) * _beta_series(self._m, 0.5, nu / 2.0, x, tol,
+                                                 self._min_terms, "signed-t")
+               + 0.5 * _beta_series(self._n, 1.0, nu / 2.0, x, tol,
+                                    self._min_terms, "signed-t"))
+        up = u[u > 0]
+        out[u > 0] += _gaussian_root_parts(up * up, nu, self._w_ext,
+                                           self._phi_ext, want_pdf=False)
+        return out
+
+    def _pdf(self, u):
+        return self._pdf_base(-u if self._mirror else u)
+
+    def _cdf(self, u):
+        if self._mirror:
+            return 1.0 - self._cdf_base(-u)
+        return self._cdf_base(u)
 
     def support(self):
         # the left (non-spike) edge is bounded by the central-t tail; the
@@ -664,53 +604,9 @@ class SignedTMixture:
         lo, hi = -half, half + self._d0 * ser.sqrt_mixing_upper(0.0)
         return (-hi, -lo) if self._mirror else (lo, hi)
 
-    def _ensure_caches(self):
-        if self._cdf_right is None:
-            w0 = math.sqrt(self.nu)
-            self._cdf_right = _CdfCache(self._pdf_base, 0.0, self.quad,
-                                        first_width=w0)
-            self._cdf_left = _CdfCache(self._pdf_base, 0.0, self.quad,
-                                       first_width=w0, direction=-1)
-            half = math.sqrt(self.nu) * (1e14) ** (1.0 / self.nu)
-            self._left_mass = float(self._cdf_left.cum(-half)[0])
-
-    def _cdf_base(self, u):
-        self._ensure_caches()
-        return np.clip(np.where(
-            u >= 0,
-            self._left_mass + self._cdf_right.cum(np.maximum(u, 0.0)),
-            self._left_mass - self._cdf_left.cum(np.minimum(u, 0.0)),
-        ), 0.0, 1.0)
-
-    def cdf(self, u):
-        scalar, u = _as_batch(u)
-        if self._mirror:
-            out = 1.0 - self._cdf_base(-u)
-        else:
-            out = self._cdf_base(u)
-        return float(out[0]) if scalar else out
-
-    def interval_prob(self, lo, hi):
-        """P[lo <= t0 <= hi] by direct integration (no absolute-tail terms)."""
-        if hi < lo:
-            raise ValueError("interval bounds out of order")
-        if self._mirror:
-            lo, hi = -hi, -lo
-        self._ensure_caches()
-
-        def signed_cum(x):
-            if x >= 0:
-                return float(self._cdf_right.cum(x)[0])
-            return -float(self._cdf_left.cum(x)[0])
-
-        return signed_cum(hi) - signed_cum(lo)
-
-    def ppf(self, prob):
-        if not 0.0 < prob < 1.0:
-            raise ValueError("probability must be in (0, 1)")
+    def _bracket(self):
         half = math.sqrt(self.nu) + self._d0
-        return bisect_cdf(lambda x: float(self.cdf(x)), prob, -half, half,
-                          xtol=1e-8, expand="both")
+        return -half, half, "both"
 
 
 def signed_t_mixture(nu: int, delta0: float, lambda0: float,

@@ -1,25 +1,21 @@
 """Moments of calibrated sample statistics and corrected probability regions.
 
-The mean and variance of the calibrated sample mean are closed form
-(beta0 + beta1 mu_z and kappa2 sigma_z^2/n + sigma0^2 + sigma1^2 mu_z^2);
-skewness and kurtosis come from quadrature of the mean-mixture density, with
-the closed-form variance doubling as an internal accuracy check.  The sample
-variance S_Y^2 has expectation kappa2 sigma_z^2, short of the true
+All four moments of the calibrated sample mean are closed form: with
+e0 ~ N(0, sigma0^2), e1 ~ N(0, sigma1^2) and e2 ~ N(0, v), v = sigma_z^2/n,
+all independent, Ybar - E(Ybar) = e0 + beta1 e2 + mu_z e1 + e1 e2.  The
+sample variance S_Y^2 has expectation kappa2 sigma_z^2, short of the true
 measurement variance by sigma0^2 + sigma1^2 mu_z^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AccuracyError
-from .mixtures import MeanMixture, mean_mixture
 from .model import MixtureParams, derive_params
-from .quadrature import QuadSpec, refine_panels
 
 
 @dataclass(frozen=True)
@@ -52,48 +48,26 @@ class ProbRegion:
             raise ValueError("region bounds out of order")
 
 
-def mean_moments(p: MixtureParams, quad: QuadSpec = QuadSpec()) -> MomentSummary:
-    """Moment summary of the calibrated sample mean.
+def mean_moments(p: MixtureParams) -> MomentSummary:
+    """Moment summary of the calibrated sample mean, all in closed form.
 
-    Mean and variance are closed form; gamma and kappa integrate the mixture
-    density over a window wide enough for fourth moments.  Disagreement
-    between the closed-form and quadrature variance beyond tolerance raises
-    AccuracyError.
+    Mean beta0 + beta1 mu_z and variance m2 = kappa2 sigma_z^2/n + sigma0^2
+    + sigma1^2 mu_z^2; only the e1 e2 cross terms of the centred mean are
+    non-Gaussian, which gives gamma = 6 beta1 mu_z sigma1^2 v / m2^{3/2} and
+    kappa = 3 + [6 sigma1^4 v^2 + 12 sigma1^2 v (beta1^2 v + mu_z^2 sigma1^2)]
+    / m2^2 with v = sigma_z^2/n.
     """
     d = derive_params(p)
-    mm = mean_mixture(p, quad)
-    m1, m2, m3, m4 = _central_moments(mm, d.mu_y, quad)
-    var_tol = 200.0 * (quad.abs_tol + quad.rel_tol * d.var_ybar) + 1e-10
-    if abs(m2 - d.var_ybar) > var_tol or abs(m1) > var_tol:
-        raise AccuracyError(
-            "mean-mixture quadrature variance %.12g disagrees with closed form "
-            "%.12g beyond %.3g" % (m2, d.var_ybar, var_tol))
+    m2 = d.var_ybar
+    v = p.sigma_z ** 2 / p.n
+    s1sq = p.sigma1 ** 2
     return MomentSummary(
         mean=d.mu_y,
-        variance=d.var_ybar,
-        skewness=m3 / m2 ** 1.5,
-        kurtosis=m4 / m2 ** 2,
+        variance=m2,
+        skewness=6.0 * p.beta1 * p.mu_z * s1sq * v / m2 ** 1.5,
+        kurtosis=3.0 + (6.0 * s1sq ** 2 * v ** 2 + 12.0 * s1sq * v * (
+            p.beta1 ** 2 * v + p.mu_z ** 2 * s1sq)) / m2 ** 2,
     )
-
-
-def _central_moments(mm: MeanMixture, center: float, quad: QuadSpec):
-    """First four central moments of a mean-mixture law by panel quadrature."""
-    p = mm.params
-    k = quad.mixing_range_sigmas
-    ts = (p.beta1 - k * p.sigma1, 0.0, p.beta1 + k * p.sigma1)
-    sd = lambda t: math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
-    lo = min(p.beta0 + t * p.mu_z - 9.5 * sd(t) for t in ts)
-    hi = max(p.beta0 + t * p.mu_z + 9.5 * sd(t) for t in ts)
-
-    def probe(rule):
-        f = mm.pdf(rule.nodes)
-        d = rule.nodes - center
-        return np.array([rule.integrate(f * d ** r) for r in (1, 2, 3, 4)])
-
-    rule = refine_panels(mm.pdf, lo, hi, quad, initial_panels=32, probe=probe)
-    f = mm.pdf(rule.nodes)
-    d = rule.nodes - center
-    return tuple(rule.integrate(f * d ** r) for r in (1, 2, 3, 4))
 
 
 class SampleVarianceMoments(NamedTuple):
@@ -142,12 +116,12 @@ _ROW_HEADER = ("n", "beta0", "sigma0", "mu_z", "sigma_z", "beta1", "sigma1",
                "E", "Var", "gamma", "kappa")
 
 
-def mean_moment_rows(params_list, quad: QuadSpec = QuadSpec()):
+def mean_moment_rows(params_list):
     """Moment-table rows (one per parameter bundle) with the columns
     n, beta0, sigma0, mu_z, sigma_z, beta1, sigma1, E, Var, gamma, kappa."""
     rows = []
     for p in params_list:
-        s = mean_moments(p, quad)
+        s = mean_moments(p)
         rows.append({
             "n": p.n, "beta0": p.beta0, "sigma0": p.sigma0, "mu_z": p.mu_z,
             "sigma_z": p.sigma_z, "beta1": p.beta1, "sigma1": p.sigma1,

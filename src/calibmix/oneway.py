@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special as sp
 
 from .errors import DataError, ParamError
 from .model import MixtureParams
@@ -136,7 +136,7 @@ def f_power(design: OneWayDesign, alpha: float, *, tol: float = 1e-8) -> FPower:
     mubar = float(np.sum(ns * mus) / np.sum(ns))
     lam_f = float(np.sum(ns * (mus - mubar) ** 2) / omega ** 2)
     d1, d2 = design.k - 1, design.n - design.k
-    crit = float(stats.f.ppf(1.0 - alpha, d1, d2))
+    crit = float(sp.fdtri(d1, d2, 1.0 - alpha))
     power = 1.0 - float(ncf_cdf(crit, d1, d2, lam_f, tol=tol))
     return FPower(lambda_f=lam_f, power=power, critical=crit)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special as sp
 
 from .mixtures import tsq_mixture, variance_mixture
 from .quadrature import QuadSpec
@@ -43,7 +43,7 @@ def tsq_critical(nu: int, alpha: float) -> float:
     """(1 - alpha) quantile of central F(1, nu) = t^2(nu, 0)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    return float(stats.f.ppf(1.0 - alpha, 1, nu))
+    return float(sp.fdtri(1, nu, 1.0 - alpha))
 
 
 def operating_characteristics(nu: int, delta: float, lam: float, alpha: float,

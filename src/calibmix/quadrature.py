@@ -60,19 +60,14 @@ def gauss_legendre_nodes(edges: np.ndarray, order: int = _GL_ORDER):
 
 
 class PanelRule:
-    """A cached panel rule: nodes, weights and per-panel slices."""
+    """A panel rule: its edges, nodes and weights."""
 
     def __init__(self, edges: np.ndarray, order: int = _GL_ORDER):
         self.edges = np.asarray(edges, dtype=float)
-        self.order = order
         self.nodes, self.weights = gauss_legendre_nodes(self.edges, order)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
-
-    def panel_integrals(self, values: np.ndarray) -> np.ndarray:
-        prods = self.weights * values
-        return prods.reshape(-1, self.order).sum(axis=1)
 
 
 def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
@@ -150,9 +145,9 @@ def bisect_cdf(cdf, target: float, lo: float, hi: float, *,
                 % target)
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if (cdf(mid) - target) * flo <= 0:
+        fmid = cdf(mid) - target
+        if fmid * flo <= 0:
             hi = mid
         else:
-            lo = mid
-            flo = cdf(lo) - target
+            lo, flo = mid, fmid
     return 0.5 * (lo + hi)

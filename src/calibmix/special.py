@@ -88,21 +88,10 @@ def sqrt_mixing_upper(lambda0: float, eps: float = 1e-12) -> float:
 # ----------------------------------------------------------------------
 
 def tsq_log_fj(j, u, nu):
-    """log f_j(u) for the central component of index j; j (B,), u (K,) -> (B, K)."""
-    j = np.asarray(j, dtype=float)[:, None]
-    u = np.asarray(u, dtype=float)[None, :]
-    t = u / nu
-    log_betainv = (sp.gammaln(j + 0.5 + nu / 2.0) - sp.gammaln(j + 0.5)
-                   - sp.gammaln(nu / 2.0))
-    return (-np.log(nu) + (j - 0.5) * np.log(t)
-            - (j + 0.5 * (nu + 1.0)) * np.log1p(t) + log_betainv)
-
-
-def tsq_log_fj_aligned(j, u, nu):
-    """log f_j(u) with j and u aligned elementwise (both shape (K,))."""
+    """log f_j(u) for the central component of index j; j and u broadcast
+    (pass j[:, None] against u (K,) for a (B, K) table)."""
     j = np.asarray(j, dtype=float)
-    u = np.asarray(u, dtype=float)
-    t = u / nu
+    t = np.asarray(u, dtype=float) / nu
     log_betainv = (sp.gammaln(j + 0.5 + nu / 2.0) - sp.gammaln(j + 0.5)
                    - sp.gammaln(nu / 2.0))
     return (-np.log(nu) + (j - 0.5) * np.log(t)
@@ -121,7 +110,7 @@ def tsq_fj_tail_bound(j_next, u, nu):
     u = np.asarray(u, dtype=float)
     x = (u / nu) / (1.0 + u / nu)
     r = x * (j_next + 0.5 + nu / 2.0) / (j_next + 0.5)
-    f_next = np.exp(tsq_log_fj(np.array([j_next]), u, nu))[0]
+    f_next = np.exp(tsq_log_fj(j_next, u, nu))
     bound = np.where(r < 1.0, f_next / np.maximum(1.0 - r, 1e-300), np.inf)
     return np.where(j_next > tsq_fj_mode(u, nu), bound, np.inf)
 
@@ -169,11 +158,6 @@ def ncf_cdf(x, d1, d2, nc, *, tol: float = 1e-10):
         out[mask] = w @ ib
     out = np.clip(out, 0.0, 1.0)
     return float(out[0]) if scalar else out
-
-
-def nct2_cdf(x, nu, phi, *, tol: float = 1e-10):
-    """CDF of the noncentral t^2(nu, phi) law, i.e. noncentral F(1, nu, phi)."""
-    return ncf_cdf(x, 1.0, nu, phi, tol=tol)
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,14 @@ class TestRegion:
     def test_missing_dist_params_exits_1(self, capsys):
         assert run(["region", "--dist", "variance", "--coverage", "0.9"]) == 1
 
+    def test_signed_t_region_at_nu_one(self, capsys):
+        payload = run_json(["region", "--dist", "signed-t", "--nu", "1",
+                            "--delta0", "1", "--lambda0", "1",
+                            "--coverage", "0.95"], capsys)
+        res = payload["result"]
+        assert res["lower"] < 0.0 < res["upper"]
+        assert res["achieved"] == pytest.approx(0.95, abs=1e-7)
+
 
 class TestPowerTable:
     def test_grid_values(self, capsys):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from calibmix import (AccuracyError, DistSpec, MixtureParams, ParamError,
                       QuadSpec, mean_mixture, signed_t_mixture, tsq_mixture,
                       variance_mixture)
 from calibmix.casestudy import octane_params
+from calibmix import mixtures as mx
+from calibmix import special as ser
 from calibmix.quadrature import gauss_legendre_nodes
 
 CRIT = 4.9646027437307145  # F(1,10) 0.95 quantile
@@ -259,15 +261,84 @@ class TestSignedTMixture:
         assert np.max(np.abs(neg.pdf(u) - pos.pdf(-u))) < 1e-12
         assert neg.cdf(-1.0) == pytest.approx(1.0 - pos.cdf(1.0), abs=1e-9)
 
-    def test_chi2_integral_fallback_consistent_with_series(self):
-        # conditional density evaluated both ways at a noncentrality inside
-        # the series budget
-        st_ = signed_t_mixture(10, 1.0, 3.0)
-        phi = np.array([6.0, 15.0])
-        u = np.linspace(-2.0, 8.0, 33)
-        a = st_._series_matrix(phi, u)
-        b = st_._chi2_matrix(phi, u)
-        assert np.max(np.abs(a - b)) < 1e-9
+    def test_gaussian_root_kernel_consistent_with_series(self):
+        # the extreme-node kernel against the t^2 series at noncentralities
+        # inside the series budget: pdf against sum_j pois(j; phi^2/2) f_j,
+        # CDF against the noncentral-F series, and 2u f_t2(u^2) against the
+        # signed series f_t(u) + f_t(-u).  At phi = 6 the root g + phi
+        # crosses 0 inside the g-rule, so u starts where that stays resolved
+        # (in use the kernel serves only phi >= 20).
+        nu = 10.0
+        u = np.linspace(0.5, 8.0, 31)
+        y = u * u
+        j = np.arange(0, 1200)
+        for phi in (6.0, 15.0):
+            one = np.ones(1)
+            root = np.array([phi])
+            pdf_k = mx._gaussian_root_parts(y, nu, one, root, want_pdf=True)
+            cdf_k = mx._gaussian_root_parts(y, nu, one, root, want_pdf=False)
+            pois = np.exp(ser.poisson_log_pmf(j, np.array([phi * phi / 2.0])))[:, 0]
+            tsq_pdf = pois @ np.exp(ser.tsq_log_fj(j[:, None], y, nu))
+            assert np.max(np.abs(pdf_k - tsq_pdf)) < 1e-9
+            assert np.max(np.abs(cdf_k - ser.ncf_cdf(y, 1.0, nu, phi * phi))) < 1e-9
+
+            def signed_series(v):
+                g = v / np.sqrt(nu + v * v)
+                terms = np.exp(-0.5 * phi * phi + j * np.log(np.sqrt(2.0) * phi)
+                               + ser.nct_log_cj(j, nu))
+                return (terms @ (g[None, :] ** j[:, None])
+                        * np.exp(ser.nct_log_prefactor(v, nu)))
+
+            both = signed_series(u) + signed_series(-u)
+            assert np.max(np.abs(2.0 * u * pdf_k - both)) < 1e-9
+
+    @pytest.mark.parametrize("nu,d0,l0", [(10, 1.0, 1.0), (6, -1.5, 2.0),
+                                           (8, 1.2, 6.0)])
+    def test_cdf_difference_matches_integrated_pdf(self, nu, d0, l0):
+        # the CDF series against a Gauss-Legendre integral of the pdf series,
+        # out to a right-tail interval ending at 1e3 (log-graded there)
+        st_ = signed_t_mixture(nu, d0, l0)
+        lin = lambda a, b: np.linspace(a, b, 201)
+        for edges in (lin(-6.0, -1.0), lin(-1.0, 0.5), lin(0.5, 6.0),
+                      np.logspace(np.log10(6.0), 3.0, 401)):
+            nodes, weights = gauss_legendre_nodes(edges, 16)
+            integral = float(np.dot(weights, st_.pdf(nodes)))
+            diff = st_.cdf(edges[-1]) - st_.cdf(edges[0])
+            assert diff == pytest.approx(integral, abs=1e-9)
+
+    def test_far_tail_matches_tsq(self):
+        # P[|t0| > U] both ways, where the extreme nodes carry the tail
+        st_ = signed_t_mixture(10, 1.0, 1.0)
+        tm = tsq_mixture(10, 1.0, 1.0)
+        for big in (1e4, 1e6):
+            signed = 1.0 - st_.cdf(big) + st_.cdf(-big)
+            assert signed == pytest.approx(1.0 - tm.cdf(big * big), abs=1e-9)
+
+    def test_nu_one_interval_matches_tsq(self):
+        # the w^{-1/2}-weighted chi-squared(1) case; both routes are
+        # certified to abs_tol
+        st_ = signed_t_mixture(1, 1.0, 1.0)
+        tm = tsq_mixture(1, 1.0, 1.0)
+        for c in (0.5, 4.0, 161.4476):
+            got = st_.interval_prob(-np.sqrt(c), np.sqrt(c))
+            assert got == pytest.approx(tm.cdf(c), abs=1e-9)
+
+    def test_conditional_cdf_oracle(self):
+        # F(u) = sum_s w_s E_W[Phi(u sqrt(W/nu) - delta0/s)], W ~ chi2_nu,
+        # on a tensor Gauss-Legendre rule of its own (log-graded in s)
+        nu, d0, l0 = 10, 1.0, 1.0
+        s_edges = np.concatenate([np.logspace(-9, -1, 81)[:-1],
+                                  np.linspace(0.1, l0 + 9.0, 81)])
+        s, ws = gauss_legendre_nodes(s_edges, 12)
+        ws = ws * (stats.norm.pdf(s - l0) + stats.norm.pdf(s + l0))
+        w_edges = np.linspace(stats.chi2.ppf(1e-15, nu),
+                              stats.chi2.ppf(1.0 - 1e-15, nu), 41)
+        w, ww = gauss_legendre_nodes(w_edges, 12)
+        ww = ww * stats.chi2.pdf(w, nu)
+        st_ = signed_t_mixture(nu, d0, l0)
+        for u in (-2.5, -0.3, 0.0, 1.1, 4.0, 30.0):
+            cond = special.ndtr(u * np.sqrt(w / nu)[None, :] - d0 / s[:, None])
+            assert st_.cdf(u) == pytest.approx(ws @ cond @ ww, abs=1e-9)
 
 
 class TestNormalizationGrid:

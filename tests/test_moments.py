@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from calibmix import (AccuracyError, MixtureParams, MomentSummary, ProbRegion,
@@ -6,6 +7,7 @@ from calibmix import (AccuracyError, MixtureParams, MomentSummary, ProbRegion,
                       variance_mixture, mean_mixture)
 from calibmix.casestudy import octane_params
 from calibmix.moments import moment_rows_header
+from calibmix.quadrature import QuadSpec, refine_panels
 
 
 def gaussian_raw_moments(m, v):
@@ -35,6 +37,27 @@ def closed_form_moment_oracle(p: MixtureParams):
     m3 = d3
     m4 = 3 * s0sq ** 2 + 6 * s0sq * d2 + d4
     return {"mean": p.mu_y, "variance": m2, "skewness": m3 / m2 ** 1.5,
+            "kurtosis": m4 / m2 ** 2}
+
+
+def quadrature_moments(p: MixtureParams, quad: QuadSpec = QuadSpec()):
+    """Central moments 2-4 of Ybar as gamma/kappa by panel quadrature of the
+    mean-mixture density (a route independent of both closed forms)."""
+    mm = mean_mixture(p, quad)
+    k = quad.mixing_range_sigmas
+    ts = (p.beta1 - k * p.sigma1, 0.0, p.beta1 + k * p.sigma1)
+    sd = lambda t: (t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2) ** 0.5
+    lo = min(p.beta0 + t * p.mu_z - 9.5 * sd(t) for t in ts)
+    hi = max(p.beta0 + t * p.mu_z + 9.5 * sd(t) for t in ts)
+
+    def probe(rule):
+        f = mm.pdf(rule.nodes)
+        d = rule.nodes - p.mu_y
+        return np.array([rule.integrate(f * d ** r) for r in (1, 2, 3, 4)])
+
+    rule = refine_panels(mm.pdf, lo, hi, quad, initial_panels=32, probe=probe)
+    m1, m2, m3, m4 = probe(rule)
+    return {"variance": m2, "skewness": m3 / m2 ** 1.5,
             "kurtosis": m4 / m2 ** 2}
 
 
@@ -77,11 +100,12 @@ class TestMeanMoments:
                           mu_z=args[3], sigma_z=args[4], beta1=args[5],
                           sigma1=args[6])
         oracle = closed_form_moment_oracle(p)
+        quad = quadrature_moments(p)
         s = mean_moments(p)
         assert s.mean == pytest.approx(oracle["mean"], abs=1e-9)
-        assert s.variance == pytest.approx(oracle["variance"], rel=1e-9)
-        assert s.skewness == pytest.approx(oracle["skewness"], abs=1e-7)
-        assert s.kurtosis == pytest.approx(oracle["kurtosis"], abs=1e-7)
+        for key in ("variance", "skewness", "kurtosis"):
+            assert getattr(s, key) == pytest.approx(oracle[key], abs=1e-12)
+            assert getattr(s, key) == pytest.approx(quad[key], abs=1e-7)
 
     def test_moment_summary_invariant(self):
         with pytest.raises(ValueError):
@@ -180,14 +204,11 @@ class TestMomentRows:
     def test_quadrature_failure_surfaces(self):
         # an absurd tolerance cannot be certified: explicit error, not junk
         import calibmix.quadrature as q
-        import calibmix.moments as momod
-        from calibmix import QuadSpec
         tight = QuadSpec(abs_tol=1e-16, rel_tol=1e-16)
         saved = q._MAX_PANELS
         try:
             q._MAX_PANELS = 64
-            momod.refine_panels  # module uses the shared refine machinery
             with pytest.raises(AccuracyError):
-                mean_moments(UNIT, tight)
+                mean_mixture(UNIT, tight)
         finally:
             q._MAX_PANELS = saved

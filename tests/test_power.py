@@ -26,6 +26,18 @@ class TestTsqCritical:
         inv = bisect_cdf(lambda c: tm.cdf(c), 0.95, 0.0, 30.0, xtol=1e-9)
         assert inv == pytest.approx(4.9646, abs=1e-3)
 
+    def test_bisection_evaluates_each_abscissa_once(self):
+        tm = tsq_mixture(10, 0.0, 7.0)
+        seen = []
+
+        def cdf(c):
+            seen.append(c)
+            return tm.cdf(c)
+
+        inv = bisect_cdf(cdf, 0.95, 0.0, 30.0, xtol=1e-9)
+        assert len(seen) == len(set(seen))
+        assert inv == pytest.approx(tsq_critical(10, 0.05), abs=1e-8)
+
     def test_alpha_to_one_gives_zero(self):
         assert tsq_critical(10, 0.999999) == pytest.approx(0.0, abs=1e-3)
 

@@ -78,7 +78,7 @@ class TestTsqKernel:
         u = np.linspace(0.1, 40.0, 41)
         j = np.arange(0, 400)
         pois = np.exp(ser.poisson_log_pmf(j, np.array([phi / 2.0])))[:, 0]
-        fj = np.exp(ser.tsq_log_fj(j, u, nu))
+        fj = np.exp(ser.tsq_log_fj(j[:, None], u, nu))
         mine = pois @ fj
         ref = stats.ncf.pdf(u, 1, nu, phi)
         assert np.max(np.abs(mine - ref)) < 1e-12
@@ -89,7 +89,7 @@ class TestTsqKernel:
         j_next = 200
         bound = ser.tsq_fj_tail_bound(j_next, u, nu)
         j = np.arange(j_next, j_next + 4000)
-        tail = np.exp(ser.tsq_log_fj(j, u, nu)).sum(axis=0)
+        tail = np.exp(ser.tsq_log_fj(j[:, None], u, nu)).sum(axis=0)
         assert np.all(tail <= bound + 1e-300)
 
 
