@@ -10,6 +10,7 @@ it and intentionally not substituted for it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .model import MixtureParams, CalibrationData, fit_calibration, derive_params
@@ -136,12 +137,7 @@ def case_study_report(quad: QuadSpec = QuadSpec(), alpha: float = 0.05,
             "nonrejection_prob": oc.nonrejection_prob,
             "rejection_prob": oc.rejection_prob,
         },
-        "quadrature": {
-            "abs_tol": quad.abs_tol, "rel_tol": quad.rel_tol,
-            "mixing_range_sigmas": quad.mixing_range_sigmas,
-            "series_terms_outer": quad.series_terms_outer,
-            "series_terms_inner": quad.series_terms_inner,
-        },
+        "quadrature": dataclasses.asdict(quad),
     }
 
 

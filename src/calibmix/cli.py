@@ -10,6 +10,7 @@ fully resolved configuration into the output for provenance.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import casestudy
 from .errors import AccuracyError, DataError, ParamError
 from .io import mapping_to_csv_text, payload_to_json_text, rows_to_csv_text, write_text
-from .mixtures import mean_mixture, signed_t_mixture, tsq_mixture, variance_mixture
+from .mixtures import DistSpec
 from .model import (MixtureParams, calibration_data_from_csv, derive_params,
                     fit_calibration)
 from .moments import (expected_sample_variance, mean_moments,
@@ -50,8 +51,6 @@ def _add_quad_args(sp):
     sp.add_argument("--abs-tol", type=float)
     sp.add_argument("--rel-tol", type=float)
     sp.add_argument("--mixing-range-sigmas", type=float)
-    sp.add_argument("--series-terms-outer", type=int)
-    sp.add_argument("--series-terms-inner", type=int)
 
 
 def _add_param_args(sp):
@@ -63,15 +62,8 @@ def _add_param_args(sp):
 
 
 def _quad_from_args(args) -> QuadSpec:
-    kw = {}
-    for attr, key in (("abs_tol", "abs_tol"), ("rel_tol", "rel_tol"),
-                      ("mixing_range_sigmas", "mixing_range_sigmas"),
-                      ("series_terms_outer", "series_terms_outer"),
-                      ("series_terms_inner", "series_terms_inner")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            kw[key] = v
-    return QuadSpec(**kw)
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(QuadSpec)}
+    return QuadSpec(**{k: v for k, v in values.items() if v is not None})
 
 
 def _params_from_args(args) -> tuple[MixtureParams, dict]:
@@ -114,13 +106,6 @@ def _params_dict(p: MixtureParams) -> dict:
     return d
 
 
-def _quad_dict(q: QuadSpec) -> dict:
-    return {"abs_tol": q.abs_tol, "rel_tol": q.rel_tol,
-            "mixing_range_sigmas": q.mixing_range_sigmas,
-            "series_terms_outer": q.series_terms_outer,
-            "series_terms_inner": q.series_terms_inner}
-
-
 def _float_list(text):
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
@@ -144,29 +129,23 @@ def _payload(command, config, result):
             "config": config, "result": result}
 
 
+# CLI --dist name -> the DistSpec fields it takes from the flags
+_DIST_ARGS = {"variance": ("nu", "lam"), "tsq": ("nu", "delta", "lam"),
+              "signed-t": ("nu", "delta0", "lambda0")}
+
+
 def _build_dist(args, quad):
-    kind = args.dist
-    if kind == "mean":
+    if args.dist == "mean":
         p, _ = _params_from_args(args)
-        return mean_mixture(p, quad), {"dist": "mean", "params": _params_dict(p)}
-    if kind == "variance":
-        if args.nu is None or args.lam is None:
-            raise _UsageError("variance mixture needs --nu and --lam")
-        return (variance_mixture(args.nu, args.lam, quad),
-                {"dist": "variance", "nu": args.nu, "lam": args.lam})
-    if kind == "tsq":
-        if args.nu is None or args.delta is None or args.lam is None:
-            raise _UsageError("tsq mixture needs --nu, --delta and --lam")
-        return (tsq_mixture(args.nu, args.delta, args.lam, quad),
-                {"dist": "tsq", "nu": args.nu, "delta": args.delta,
-                 "lam": args.lam})
-    if kind == "signed-t":
-        if args.nu is None or args.delta0 is None or args.lambda0 is None:
-            raise _UsageError("signed-t mixture needs --nu, --delta0 and --lambda0")
-        return (signed_t_mixture(args.nu, args.delta0, args.lambda0, quad),
-                {"dist": "signed-t", "nu": args.nu, "delta0": args.delta0,
-                 "lambda0": args.lambda0})
-    raise _UsageError("unknown dist %r" % kind)
+        return (DistSpec("mean", params=p).build(quad),
+                {"dist": "mean", "params": _params_dict(p)})
+    names = _DIST_ARGS[args.dist]
+    if any(getattr(args, name) is None for name in names):
+        raise _UsageError("%s mixture needs %s" % (
+            args.dist, ", ".join("--" + name for name in names)))
+    cfg = {name: getattr(args, name) for name in names}
+    return (DistSpec(args.dist.replace("-", "_"), **cfg).build(quad),
+            dict(dist=args.dist, **cfg))
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +176,7 @@ def _cmd_density(args):
     u = np.linspace(lo, hi, count)
     pdf = np.atleast_1d(dist.pdf(u))
     cdf = np.atleast_1d(dist.cdf(u))
-    cfg = dict(cfg, grid=[lo, hi, count], quadrature=_quad_dict(quad))
+    cfg = dict(cfg, grid=[lo, hi, count], quadrature=dataclasses.asdict(quad))
     result = {"u": u.tolist(), "pdf": pdf.tolist(), "cdf": cdf.tolist()}
     rows = list(zip(u.tolist(), pdf.tolist(), cdf.tolist()))
     csv_text = ("# config: %s\n" % json.dumps(cfg, sort_keys=True)
@@ -235,7 +214,7 @@ def _cmd_region(args):
     if not 0.0 < args.coverage < 1.0:
         raise _UsageError("--coverage must be in (0, 1)")
     region = probability_region(dist, args.coverage)
-    cfg = dict(cfg, coverage=args.coverage, quadrature=_quad_dict(quad))
+    cfg = dict(cfg, coverage=args.coverage, quadrature=dataclasses.asdict(quad))
     result = {"lower": region.lower, "upper": region.upper,
               "coverage": region.coverage, "achieved": region.achieved}
     _emit(args, _payload("region", cfg, result))
@@ -250,7 +229,7 @@ def _cmd_power_table(args):
         raise _UsageError("--delta and --lam must be nonempty lists")
     payload = power_table_payload(args.nu, deltas, lams, args.alpha, quad)
     cfg = {"nu": args.nu, "alpha": args.alpha, "deltas": deltas,
-           "lambdas": lams, "quadrature": _quad_dict(quad)}
+           "lambdas": lams, "quadrature": dataclasses.asdict(quad)}
     header, rows = power_table_rows(payload)
     csv_text = ("# config: %s\n" % json.dumps(cfg, sort_keys=True)
                 + rows_to_csv_text(header, rows))
@@ -373,7 +352,7 @@ def _cmd_case_study(args):
     quad = _quad_from_args(args)
     report = casestudy.case_study_report(quad)
     report["power_table"] = casestudy.power_table_report(quad)
-    cfg = {"quadrature": _quad_dict(quad)}
+    cfg = {"quadrature": dataclasses.asdict(quad)}
     _emit(args, _payload("case-study", cfg, report))
     return 0
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check that
+every parameter constructor applies before its range checks."""
+
+import math
 
 
 class CalibmixError(Exception):
@@ -15,3 +18,10 @@ class DataError(CalibmixError, ValueError):
 
 class AccuracyError(CalibmixError, RuntimeError):
     """A quadrature or series evaluation could not certify the requested tolerance."""
+
+
+def require_finite(**values):
+    """Raise ParamError naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParamError("%s must be finite, got %r" % (name, value))

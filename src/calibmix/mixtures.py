@@ -13,10 +13,12 @@ Every law is a weighted set of mixing nodes plus a conditional pdf/CDF kernel
 pair.  The nodes come from cached Gauss-Legendre panels over analytically
 bounded windows (the Gaussian mixing variable over beta1 +/- k sigma1, the
 chi-squared one over [0, quantile(1 - 1e-12)], substituted w = s^2 so the
-w^{-1/2} weight is smooth).  CDFs mix the conditional CDFs over the same
-nodes, which equals integrating the mixture pdf from the support edge
-(Tonelli) but stays smooth where near-degenerate mixing components make the
-pointwise pdf too spiky to quadrate.  The t^2 and signed-t laws collapse the
+w^{-1/2} weight is smooth).  One helper builds the chi-squared nodes of the
+variance, t^2 and signed-t laws, weighted by the closed-form density
+phi(s - lambda0) + phi(s + lambda0) of s = sqrt(w).  CDFs mix the conditional
+CDFs over the same nodes, which equals integrating the mixture pdf from the
+support edge (Tonelli) but stays smooth where near-degenerate mixing
+components make the pointwise pdf too spiky to quadrate.  The t^2 and signed-t laws collapse the
 mixing into their series coefficients first, so each evaluation is a single
 series in j over the points.  Series kernels honor the fixed minimum term
 counts, then escalate until a computable tail bound drops below abs_tol;
@@ -42,13 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .errors import AccuracyError, ParamError
+from .errors import AccuracyError, ParamError, require_finite
 from .model import MixtureParams
 from .quadrature import QuadSpec, bisect_cdf, gauss_legendre_nodes, refine_panels
 from . import special as ser
 
 _Z_SUPPORT = 8.5       # Gaussian component half-width; Phi(-8.5) ~ 1e-17
 _MAX_J_TERMS = 120_000
+_TSQ_MIN_TERMS = 16          # first block of the t^2 series
+_SIGNED_T_MIN_TERMS = 20     # first block of the signed-t series
 _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
 
 
@@ -90,6 +94,12 @@ class _MixtureLaw:
 # mean mixture
 # ----------------------------------------------------------------------
 
+def _gauss_kernel(u, mean, sd):
+    """N(mean, sd^2) densities, shape (len(mean), len(u))."""
+    z = (u[None, :] - mean[:, None]) / sd[:, None]
+    return np.exp(-0.5 * z * z) / (sd[:, None] * math.sqrt(2.0 * math.pi))
+
+
 class MeanMixture(_MixtureLaw):
     """Density/CDF evaluator of the calibrated sample mean (an exact
     translation-scale Gaussian mixture over the slope draw).
@@ -118,23 +128,22 @@ class MeanMixture(_MixtureLaw):
                              probe=self._probe)
         self._t = rule.nodes
         self._w = rule.weights * self._mixing_pdf(self._t)
-        self._cond_mean = p.beta0 + self._t * p.mu_z
-        self._cond_sd = np.sqrt(self._t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
+        self._cond_mean, self._cond_sd = self._conditional(self._t)
 
     def _mixing_pdf(self, t):
         p = self.params
         z = (np.asarray(t, dtype=float) - p.beta1) / p.sigma1
         return np.exp(-0.5 * z * z) / (p.sigma1 * math.sqrt(2.0 * math.pi))
 
-    def _probe(self, rule):
+    def _conditional(self, t):
+        """Mean and standard deviation of the Gaussian component at slope t."""
         p = self.params
-        t = rule.nodes
-        w = rule.weights * self._mixing_pdf(t)
-        mean = p.beta0 + t * p.mu_z
         sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
-        z = (self._probe_u[None, :] - mean[:, None]) / sd[:, None]
-        dens = np.exp(-0.5 * z * z) / (sd[:, None] * math.sqrt(2.0 * math.pi))
-        return w @ dens
+        return p.beta0 + t * p.mu_z, sd
+
+    def _probe(self, rule):
+        w = rule.weights * self._mixing_pdf(rule.nodes)
+        return w @ _gauss_kernel(self._probe_u, *self._conditional(rule.nodes))
 
     def support(self):
         lo = float(np.min(self._cond_mean - _Z_SUPPORT * self._cond_sd))
@@ -142,9 +151,7 @@ class MeanMixture(_MixtureLaw):
         return lo, hi
 
     def _pdf(self, u):
-        z = (u[None, :] - self._cond_mean[:, None]) / self._cond_sd[:, None]
-        dens = np.exp(-0.5 * z * z) / (self._cond_sd[:, None] * math.sqrt(2.0 * math.pi))
-        return self._w @ dens
+        return self._w @ _gauss_kernel(u, self._cond_mean, self._cond_sd)
 
     def _cdf(self, u):
         z = (u[None, :] - self._cond_mean[:, None]) / self._cond_sd[:, None]
@@ -160,36 +167,33 @@ def mean_mixture(p: MixtureParams, quad: QuadSpec = QuadSpec()) -> MeanMixture:
 
 
 # ----------------------------------------------------------------------
-# sqrt-chi2 mixing rule shared by the nonnegative-support laws
+# sqrt-chi2 mixing rule shared by the variance, t^2 and signed-t laws
 # ----------------------------------------------------------------------
 
-def _mixing_density(lam: float, quad: QuadSpec):
-    """Density of s = sqrt(w), w ~ chi2_1(lam): 2 s p_chi2(s^2)."""
+def _chi2_mixing_rule(lam0: float, s_split: float, quad: QuadSpec, probe=None):
+    """Mixing nodes of s = sqrt(w), w ~ chi2_1(lam0^2), weighted by the
+    closed-form density phi(s - lam0) + phi(s + lam0).
+
+    Returns (s, w, s_ext, w_ext): series nodes on [s_split, s_hi] from a
+    refined panel rule, which ``probe(nodes, weights)`` may also steer, and
+    log-graded extreme nodes on (0, s_split] (none when s_split = 0).  The
+    conditional-law transitions of the extreme region span ~2 decades in
+    log(s), so modest log-uniform panels resolve them at any target point.
+    """
     def mixdens(s):
-        s = np.asarray(s, dtype=float)
-        return 2.0 * s * ser.nc_chisq1_pdf(s * s, lam, abs_tol=quad.abs_tol * 1e-3,
-                                           min_terms=quad.series_terms_inner)
-    return mixdens
+        return ser.sqrt_ncchisq1_pdf(s, lam0)
 
-
-def _sqrt_mixing_rule(mixdens, lam0: float, quad: QuadSpec, probe_fn=None, *,
-                      s_lo: float = 0.0):
-    """Panel rule for the density ``mixdens`` of s = sqrt(w), w ~
-    chi2_1(lam0^2), on [s_lo, upper window]; returns (nodes, weights) with
-    weights already multiplied by the mixing density."""
-    rule = refine_panels(mixdens, s_lo, ser.sqrt_mixing_upper(lam0), quad,
-                         initial_panels=32, split_at=(lam0,), probe=probe_fn)
-    return rule.nodes, rule.weights * mixdens(rule.nodes)
-
-
-def _log_graded_rule(mixdens, s_hi: float, *, decades: float = 6.0,
-                     panels_per_decade: int = 6):
-    """Log-graded panel rule on (0, s_hi] for the near-zero slope region;
-    the conditional-law transitions span ~2 decades in log(s), so modest
-    log-uniform panels resolve them at any target point."""
-    edges = s_hi * np.logspace(-decades, 0.0, int(decades * panels_per_decade) + 1)
-    nodes, weights = gauss_legendre_nodes(edges, 12)
-    return nodes, weights * mixdens(nodes)
+    rule = refine_panels(
+        mixdens, s_split, ser.sqrt_mixing_upper(lam0), quad,
+        initial_panels=32, split_at=(lam0,),
+        probe=None if probe is None else
+        lambda r: probe(r.nodes, r.weights * mixdens(r.nodes)))
+    s_ext, w_ext = np.zeros(0), np.zeros(0)
+    if s_split > 0.0:
+        edges = s_split * np.logspace(-6.0, 0.0, 37)   # 6 panels per decade
+        s_ext, w_ext = gauss_legendre_nodes(edges, 12)
+        w_ext = w_ext * mixdens(s_ext)
+    return rule.nodes, rule.weights * mixdens(rule.nodes), s_ext, w_ext
 
 
 class VarianceMixture(_MixtureLaw):
@@ -197,6 +201,7 @@ class VarianceMixture(_MixtureLaw):
     scale mixture over w ~ chi2_1(lambda).  Mean is nu (1 + lambda)."""
 
     def __init__(self, nu: int, lam: float, quad: QuadSpec = QuadSpec()):
+        require_finite(nu=nu, lam=lam)
         if nu < 1:
             raise ParamError("nu must be >= 1")
         if lam < 0:
@@ -205,15 +210,9 @@ class VarianceMixture(_MixtureLaw):
         self.lam = float(lam)
         self.quad = quad
         probe_u = np.linspace(0.5, max(4.0, 2.0 * self.nu * (1.0 + lam)), 9)
-
-        def probe(rule):
-            w = rule.weights * 2.0 * rule.nodes * ser.nc_chisq1_pdf(
-                rule.nodes ** 2, lam, abs_tol=quad.abs_tol * 1e-3,
-                min_terms=quad.series_terms_inner)
-            return w @ self._kernel(rule.nodes, probe_u)
-
-        self._s, self._w = _sqrt_mixing_rule(_mixing_density(self.lam, quad),
-                                             math.sqrt(self.lam), quad, probe)
+        self._s, self._w, _, _ = _chi2_mixing_rule(
+            math.sqrt(self.lam), 0.0, quad,
+            lambda s, w: w @ self._kernel(s, probe_u))
 
     def _kernel(self, s, u):
         """gamma(nu/2, scale 2 s^2) densities, shape (len(s), len(u))."""
@@ -380,6 +379,7 @@ class TsqMixture(_MixtureLaw):
 
     def __init__(self, nu: int, delta: float, lam: float,
                  quad: QuadSpec = QuadSpec()):
+        require_finite(nu=nu, delta=delta, lam=lam)
         if nu < 1:
             raise ParamError("nu must be >= 1")
         if delta < 0 or lam < 0:
@@ -389,28 +389,19 @@ class TsqMixture(_MixtureLaw):
         self.lam = float(lam)
         self.quad = quad
 
-        def probe(rule):
-            w = rule.weights * 2.0 * rule.nodes * ser.nc_chisq1_pdf(
-                rule.nodes ** 2, lam, abs_tol=quad.abs_tol * 1e-3,
-                min_terms=quad.series_terms_inner)
+        def probe(s, w):
             if self.delta == 0.0:
                 return np.atleast_1d(w.sum())
-            means = self.delta / (2.0 * rule.nodes ** 2)
+            means = self.delta / (2.0 * s ** 2)
             return np.exp(ser.poisson_log_pmf(np.arange(6), means)) @ w
 
-        mixdens = _mixing_density(self.lam, quad)
         lam0 = math.sqrt(self.lam)
-        s_hi = ser.sqrt_mixing_upper(lam0)
-        s_split = (min(math.sqrt(self.delta / _TSQ_SERIES_PHI_MAX), s_hi / 2.0)
-                   if self.delta > 0 else 0.0)
-        s_ser, w_ser = _sqrt_mixing_rule(mixdens, lam0, quad, probe, s_lo=s_split)
+        s_split = min(math.sqrt(self.delta / _TSQ_SERIES_PHI_MAX),
+                      ser.sqrt_mixing_upper(lam0) / 2.0)
+        s_ser, w_ser, s_ext, self._w_ext = _chi2_mixing_rule(lam0, s_split,
+                                                             quad, probe)
         self._m = _poisson_coefs(math.sqrt(self.delta) / s_ser, w_ser)
-        if s_split > 0.0:
-            s_ext, self._w_ext = _log_graded_rule(mixdens, s_split)
-            self._sqrtphi_ext = math.sqrt(self.delta) / s_ext
-        else:
-            self._w_ext = np.zeros(0)
-            self._sqrtphi_ext = np.zeros(0)
+        self._sqrtphi_ext = math.sqrt(self.delta) / s_ext
 
     def _pdf(self, u):
         out = np.zeros_like(u)
@@ -421,7 +412,7 @@ class TsqMixture(_MixtureLaw):
 
     def _pdf_pos(self, u):
         tol = self.quad.abs_tol
-        j_hi = max(self.quad.series_terms_outer, 16)
+        j_hi = _TSQ_MIN_TERMS
         total = _gaussian_root_parts(u, self.nu, self._w_ext,
                                      self._sqrtphi_ext, want_pdf=True)
         j_done = 0
@@ -457,7 +448,7 @@ class TsqMixture(_MixtureLaw):
                                              self._sqrtphi_ext, want_pdf=False)
                         + _beta_series(self._m, 0.5, self.nu / 2.0,
                                        up / (up + self.nu), self.quad.abs_tol,
-                                       max(self.quad.series_terms_outer, 16),
+                                       _TSQ_MIN_TERMS,
                                        "t^2 mixture"))
         return out
 
@@ -493,6 +484,7 @@ class SignedTMixture(_MixtureLaw):
 
     def __init__(self, nu: int, delta0: float, lambda0: float,
                  quad: QuadSpec = QuadSpec()):
+        require_finite(nu=nu, delta0=delta0, lambda0=lambda0)
         if nu < 1:
             raise ParamError("nu must be >= 1")
         if lambda0 < 0:
@@ -503,15 +495,12 @@ class SignedTMixture(_MixtureLaw):
         self.quad = quad
         self._mirror = self.delta0 < 0
         self._d0 = abs(self.delta0)
-        self._min_terms = max(20, quad.series_terms_outer)
-
-        def mixdens(s):
-            return ser.sqrt_ncchisq1_pdf(s, lambda0)
-
         s_split = min(self._d0 / _NCT_SERIES_PHI_MAX,
                       ser.sqrt_mixing_upper(lambda0) / 2.0)
-        s_ser, self._w = _sqrt_mixing_rule(mixdens, lambda0, quad, s_lo=s_split)
+        s_ser, self._w, s_ext, self._w_ext = _chi2_mixing_rule(lambda0, s_split,
+                                                               quad)
         self._phi = self._d0 / s_ser
+        self._phi_ext = self._d0 / s_ext
         half_sq = 0.5 * self._phi ** 2
         self._a = float(self._w @ sp.ndtr(-self._phi))
         self._m = _poisson_coefs(self._phi, self._w)
@@ -523,12 +512,6 @@ class SignedTMixture(_MixtureLaw):
 
         self._n = _SeriesCoefs(
             n_block, self._w @ sp.erf(self._phi / math.sqrt(2.0)))
-        if s_split > 0.0:
-            s_ext, self._w_ext = _log_graded_rule(mixdens, s_split)
-            self._phi_ext = self._d0 / s_ext
-        else:
-            self._w_ext = np.zeros(0)
-            self._phi_ext = np.zeros(0)
 
     def _series_pdf(self, u):
         """Mixed conditional noncentral-t densities of the series nodes:
@@ -540,7 +523,7 @@ class SignedTMixture(_MixtureLaw):
         amax = float(np.max(np.abs(g), initial=0.0))
         qmax = math.sqrt(2.0) * float(np.max(self._phi)) * amax
         acc = np.zeros_like(u)
-        j_done, j_hi = 0, self._min_terms
+        j_done, j_hi = 0, _SIGNED_T_MIN_TERMS
         while True:
             j = np.arange(j_done, j_hi, dtype=float)
             log_node = (-0.5 * self._phi[None, :] ** 2
@@ -580,9 +563,9 @@ class SignedTMixture(_MixtureLaw):
         x = u * u / (u * u + nu)
         out = (self._a
                + 0.5 * np.sign(u) * _beta_series(self._m, 0.5, nu / 2.0, x, tol,
-                                                 self._min_terms, "signed-t")
+                                                 _SIGNED_T_MIN_TERMS, "signed-t")
                + 0.5 * _beta_series(self._n, 1.0, nu / 2.0, x, tol,
-                                    self._min_terms, "signed-t"))
+                                    _SIGNED_T_MIN_TERMS, "signed-t"))
         up = u[u > 0]
         out[u > 0] += _gaussian_root_parts(up * up, nu, self._w_ext,
                                            self._phi_ext, want_pdf=False)
@@ -619,7 +602,10 @@ def signed_t_mixture(nu: int, delta0: float, lambda0: float,
 # dispatch record
 # ----------------------------------------------------------------------
 
-_KINDS = ("mean", "variance", "tsq", "signed_t")
+_LAWS = {"mean": (mean_mixture, ("params",)),
+         "variance": (variance_mixture, ("nu", "lam")),
+         "tsq": (tsq_mixture, ("nu", "delta", "lam")),
+         "signed_t": (signed_t_mixture, ("nu", "delta0", "lambda0"))}
 
 
 @dataclass(frozen=True)
@@ -639,17 +625,15 @@ class DistSpec:
     lambda0: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _LAWS:
             raise ParamError("unknown mixture kind %r (expected one of %r)"
-                             % (self.kind, _KINDS))
+                             % (self.kind, tuple(_LAWS)))
 
     def build(self, quad: QuadSpec = QuadSpec()):
-        if self.kind == "mean":
-            if not isinstance(self.params, MixtureParams):
-                raise ParamError("mean mixture needs MixtureParams")
-            return mean_mixture(self.params, quad)
-        if self.kind == "variance":
-            return variance_mixture(self.nu, self.lam, quad)
-        if self.kind == "tsq":
-            return tsq_mixture(self.nu, self.delta, self.lam, quad)
-        return signed_t_mixture(self.nu, self.delta0, self.lambda0, quad)
+        make, names = _LAWS[self.kind]
+        args = [getattr(self, name) for name in names]
+        if any(a is None for a in args):
+            raise ParamError("%s mixture needs %s" % (self.kind, ", ".join(names)))
+        if self.kind == "mean" and not isinstance(self.params, MixtureParams):
+            raise ParamError("mean mixture needs MixtureParams")
+        return make(*args, quad)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParamError
+from .errors import DataError, ParamError, require_finite
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,9 @@ class MixtureParams:
     ideal: bool = False
 
     def __post_init__(self):
+        require_finite(beta0=self.beta0, sigma0=self.sigma0, mu_z=self.mu_z,
+                       sigma_z=self.sigma_z, beta1=self.beta1,
+                       sigma1=self.sigma1)
         if self.n < 2:
             raise ParamError("n must be >= 2")
         if self.sigma_z <= 0:
@@ -165,9 +168,6 @@ class MixtureParams:
             if self.sigma1 <= 0:
                 raise ParamError("sigma1 must be positive (use ideal=True for the "
                                  "known-coefficients case)")
-        for name in ("beta0", "mu_z", "beta1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParamError("%s must be finite" % name)
 
     @property
     def kappa2(self) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, ParamError, require_finite
 
 _GL_ORDER = 16
 _MAX_PANELS = 8192
@@ -23,25 +23,24 @@ _MAX_PANELS = 8192
 class QuadSpec:
     """Accuracy knobs for mixture quadrature and series truncation.
 
-    ``series_terms_outer``/``series_terms_inner`` are the minimum term counts
-    for the noncentral-t^2 (respectively noncentral-chi^2_1) series; the
-    signed-t series uses max(20, series_terms_outer).  Every series still
-    escalates beyond its minimum until its tail bound drops below ``abs_tol``.
+    Panel rules refine until their probes agree to ``abs_tol`` plus
+    ``rel_tol`` times their scale; the Gaussian mixing window spans
+    ``mixing_range_sigmas`` standard deviations either side.  Every series
+    kernel starts from a fixed minimum term count and escalates until its
+    tail bound drops below ``abs_tol``.
     """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     mixing_range_sigmas: float = 10.0
-    series_terms_outer: int = 15
-    series_terms_inner: int = 30
 
     def __post_init__(self):
+        require_finite(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
+                       mixing_range_sigmas=self.mixing_range_sigmas)
         if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
+            raise ParamError("quadrature tolerances must be positive")
         if self.mixing_range_sigmas <= 0:
-            raise ValueError("mixing_range_sigmas must be positive")
-        if self.series_terms_outer < 1 or self.series_terms_inner < 1:
-            raise ValueError("series term minimums must be >= 1")
+            raise ParamError("mixing_range_sigmas must be positive")
 
 
 def gauss_legendre_nodes(edges: np.ndarray, order: int = _GL_ORDER):

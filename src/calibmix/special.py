@@ -1,10 +1,13 @@
-"""Series special functions backing the mixture laws.
+"""Closed forms and series kernels backing the mixture laws.
 
-The noncentral chi-squared(1) density, the noncentral t^2 density/CDF kernel
-(a Poisson mixture of scaled beta-prime terms) and the noncentral t density
-kernel are implemented as explicit series with computable tail bounds: fixed
-minimum term counts are honored, then terms escalate until the bound drops
-below the requested absolute tolerance.  Terms are assembled from log-gamma
+The chi-squared(1) mixing law has closed forms: sqrt(W) for W ~
+chi2_1(lambda0^2) has the shifted half-normal density phi(s - lambda0) +
+phi(s + lambda0), and the density of W itself follows by the change of
+variables.  The noncentral t^2 density/CDF kernel (a Poisson mixture of
+scaled beta-prime terms) and the noncentral t density kernel are explicit
+series with computable tail bounds; the mixture evaluators start them at
+fixed minimum term counts and escalate until the bound drops below the
+requested absolute tolerance.  Terms are assembled from log-gamma
 throughout, so large degrees of freedom and large series indices never
 overflow.  scipy.special supplies only the scalar primitives (gammaln,
 betainc, gammainc, ndtr/ndtri).
@@ -17,54 +20,19 @@ from scipy import special as sp
 
 from .errors import AccuracyError
 
-_MAX_SERIES_TERMS = 200_000
-_LOG_TINY = -745.0  # below this, exp() underflows double precision
 
-
-def nc_chisq1_pdf(w, lam, *, abs_tol: float = 1e-12, min_terms: int = 30):
-    """Density of the noncentral chi-squared law with 1 degree of freedom.
-
-    Series form e^{-(lam+w)/2}/sqrt(2) * sum_k (lam/4)^k w^{k-1/2}/(k! Gamma(k+1/2)),
-    truncated adaptively: terms are summed past ``min_terms`` until the
-    geometric tail bound falls below ``abs_tol``.  Negative arguments return 0
-    by convention.
-    """
-    w = np.asarray(w, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros_like(w)
-    pos = w > 0
-    if np.any(pos):
-        out[pos] = _nc_chisq1_pdf_pos(w[pos], float(lam), abs_tol, min_terms)
-    return float(out[0]) if scalar else out
-
-
-def _nc_chisq1_pdf_pos(w, lam, abs_tol, min_terms):
+def nc_chisq1_pdf(w, lam):
+    """Density of the noncentral chi-squared law with 1 degree of freedom,
+    in closed form: sqrt_ncchisq1_pdf(sqrt(w), sqrt(lam)) / (2 sqrt(w)).
+    Nonpositive arguments return 0 by convention."""
     if lam < 0:
         raise ValueError("noncentrality must be nonnegative")
-    base = -0.5 * (lam + w) - 0.5 * np.log(2.0)
-    if lam == 0.0:
-        return np.exp(base - 0.5 * np.log(w) - sp.gammaln(0.5))
-    log_q = np.log(lam / 4.0)
-    log_w = np.log(w)
-    total = np.zeros_like(w)
-    k = 0
-    term = None
-    while True:
-        term = np.exp(base + k * log_q + (k - 0.5) * log_w
-                      - sp.gammaln(k + 1.0) - sp.gammaln(k + 0.5))
-        total += term
-        if k + 1 >= min_terms:
-            # term ratio (lam*w/4)/((k+1)(k+1/2)) is decreasing in k
-            r = (lam * np.max(w) / 4.0) / ((k + 1.0) * (k + 0.5))
-            if r < 0.5 and np.max(term) * r / (1.0 - r) < abs_tol:
-                break
-        k += 1
-        if k > _MAX_SERIES_TERMS:
-            raise AccuracyError(
-                "noncentral chi2(1) series did not reach abs_tol=%g within "
-                "%d terms" % (abs_tol, _MAX_SERIES_TERMS))
-    return total
+    w = np.asarray(w, dtype=float)
+    root = np.sqrt(np.maximum(w, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(w > 0, sqrt_ncchisq1_pdf(root, np.sqrt(lam)) / (2.0 * root),
+                       0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def sqrt_ncchisq1_pdf(s, lambda0):

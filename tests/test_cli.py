@@ -74,6 +74,36 @@ class TestRegion:
     def test_missing_dist_params_exits_1(self, capsys):
         assert run(["region", "--dist", "variance", "--coverage", "0.9"]) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["--dist", "mean"] + OCTANE_FLAGS + ["--sigma1", "nan"],
+        ["--dist", "mean"] + OCTANE_FLAGS + ["--sigma0", "inf"],
+        ["--dist", "variance", "--nu", "10", "--lam", "nan"],
+        ["--dist", "tsq", "--nu", "10", "--delta", "nan", "--lam", "1"],
+        ["--dist", "signed-t", "--nu", "10", "--delta0", "1",
+         "--lambda0", "inf"],
+        ["--dist", "variance", "--nu", "10", "--lam", "1", "--abs-tol", "nan"],
+        ["--dist", "variance", "--nu", "10", "--lam", "1", "--abs-tol", "-1"],
+    ])
+    def test_non_finite_input_exits_2(self, args, capsys):
+        assert run(["region", "--coverage", "0.9"] + args) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_removed_series_flags_exit_1(self, capsys):
+        assert run(["region", "--dist", "variance", "--nu", "10", "--lam", "1",
+                    "--coverage", "0.9", "--series-terms-inner", "30"]) == 1
+
+    def test_config_echo_keys(self, capsys):
+        payload = run_json(["region", "--dist", "tsq", "--nu", "10",
+                            "--delta", "1", "--lam", "2", "--coverage", "0.9"],
+                           capsys)
+        cfg = payload["config"]
+        assert sorted(cfg) == ["coverage", "delta", "dist", "lam", "nu",
+                               "quadrature"]
+        assert (cfg["dist"], cfg["nu"], cfg["delta"], cfg["lam"]) == (
+            "tsq", 10, 1.0, 2.0)
+        assert sorted(cfg["quadrature"]) == ["abs_tol", "mixing_range_sigmas",
+                                             "rel_tol"]
+
     def test_signed_t_region_at_nu_one(self, capsys):
         payload = run_json(["region", "--dist", "signed-t", "--nu", "1",
                             "--delta0", "1", "--lambda0", "1",

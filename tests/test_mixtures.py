@@ -369,10 +369,60 @@ class TestDistSpec:
         with pytest.raises(ParamError):
             DistSpec(kind="nope")
 
+    def test_missing_parameters_rejected(self):
+        with pytest.raises(ParamError, match="delta"):
+            DistSpec(kind="tsq", nu=10, lam=1.0).build()
+        with pytest.raises(ParamError):
+            DistSpec(kind="mean").build()
+
     def test_quadspec_validation(self):
         with pytest.raises(ValueError):
             QuadSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadSpec(mixing_range_sigmas=-1.0)
         with pytest.raises(ValueError):
-            QuadSpec(series_terms_outer=0)
+            QuadSpec(abs_tol=np.nan)
+
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol",
+                                       "mixing_range_sigmas"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_quadspec_rejects_non_finite(self, field, value):
+        with pytest.raises(ParamError, match=field):
+            QuadSpec(**{field: value})
+
+
+class TestNonFiniteLawParams:
+    @pytest.mark.parametrize("build,field", [
+        (lambda v: variance_mixture(10, v), "lam"),
+        (lambda v: tsq_mixture(10, v, 1.0), "delta"),
+        (lambda v: tsq_mixture(10, 1.0, v), "lam"),
+        (lambda v: signed_t_mixture(10, v, 1.0), "delta0"),
+        (lambda v: signed_t_mixture(10, 1.0, v), "lambda0"),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejected_up_front(self, build, field, value):
+        with pytest.raises(ParamError, match=field):
+            build(value)
+
+
+class TestChi2MixingRule:
+    @pytest.mark.parametrize("lam", [0.0, 1e-4, 25.0, 400.0])
+    def test_weights_sum_to_one(self, lam):
+        quad = QuadSpec()
+        s, w, s_ext, w_ext = mx._chi2_mixing_rule(np.sqrt(lam), 0.0, quad)
+        assert s_ext.size == 0 and w_ext.size == 0
+        assert np.all(s >= 0.0) and np.all(w >= 0.0)
+        assert w.sum() == pytest.approx(1.0, abs=quad.abs_tol)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-4, 25.0, 400.0])
+    @pytest.mark.parametrize("s_split", [0.0158, 1.0])
+    def test_extreme_nodes_carry_the_mass_below_split(self, lam, s_split):
+        # the log-graded nodes cover (s_split 1e-6, s_split]; the half-normal
+        # mass below that edge is known in closed form
+        quad = QuadSpec()
+        lam0 = np.sqrt(lam)
+        s, w, s_ext, w_ext = mx._chi2_mixing_rule(lam0, s_split, quad)
+        assert s.min() >= s_split and s_ext.max() <= s_split
+        edge = s_split * 1e-6
+        below = special.ndtr(edge - lam0) - special.ndtr(-edge - lam0)
+        assert w.sum() + w_ext.sum() + below == pytest.approx(1.0, abs=quad.abs_tol)

@@ -149,6 +149,17 @@ class TestDeriveParams:
             MixtureParams(n=5, beta0=0.0, sigma0=1.0, mu_z=0.0, sigma_z=1.0,
                           beta1=1.0, sigma1=0.0)
 
+    @pytest.mark.parametrize("field,value", [("sigma0", np.nan),
+                                             ("sigma1", np.inf),
+                                             ("sigma1", np.nan),
+                                             ("sigma_z", np.nan)])
+    def test_non_finite_scale_rejected(self, field, value):
+        kw = dict(n=5, beta0=0.0, sigma0=1.0, mu_z=0.0, sigma_z=1.0,
+                  beta1=1.0, sigma1=2.0)
+        kw[field] = value
+        with pytest.raises(ParamError, match=field):
+            MixtureParams(**kw)
+
     def test_ideal_mode(self):
         p = MixtureParams(n=5, beta0=1.0, sigma0=0.0, mu_z=2.0, sigma_z=1.0,
                           beta1=3.0, sigma1=0.0, ideal=True)

@@ -3,7 +3,6 @@ import pytest
 from scipy import integrate, stats
 
 from calibmix import nc_chisq1_pdf, ncf_cdf
-from calibmix.errors import AccuracyError
 from calibmix import special as ser
 
 
@@ -45,10 +44,12 @@ class TestNcChisq1Pdf:
         rhs = ser.sqrt_ncchisq1_pdf(s, lam0)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_term_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(ser, "_MAX_SERIES_TERMS", 3)
-        with pytest.raises(AccuracyError):
-            nc_chisq1_pdf(50.0, 30.0, abs_tol=1e-14, min_terms=1)
+    @pytest.mark.parametrize("lam", [400.0, 2500.0])
+    def test_large_noncentrality_against_scipy(self, lam):
+        # w spans the bulk of the law (mean 1 + lam)
+        w = np.linspace(1e-3, 2.0 * lam + 300.0, 401)
+        ref = stats.ncx2.pdf(w, 1, lam)
+        assert np.max(np.abs(nc_chisq1_pdf(w, lam) - ref)) < 1e-15
 
 
 class TestNcfCdf:
