@@ -26,13 +26,17 @@ exceeding the hard cap raises AccuracyError, never truncating silently.
 
 With delta > 0 the t^2 / signed-t laws have genuinely heavy far tails (slope
 draws near zero inflate the conditional noncentrality, and
-P[t0^2 > T] decays only like 1/sqrt(T)).  Mixing nodes with noncentralities
-beyond the series budget therefore sit on log-graded panels and evaluate
-their conditional kernel in one exact form that both laws share, the
-Gaussian-root identity u = nu (g + sqrt(phi))^2 / W, smooth at any parameter
-point where the series would need j ~ noncentrality terms.  The signed law
-reads that t^2 kernel at u^2: its extreme nodes put less than Phi(-20) of
-their mass below 0.
+P[t0^2 > T] decays only like 1/sqrt(T)).  Slope draws with noncentralities
+beyond the series budget are evaluated through one exact kernel that both
+laws share, the Gaussian-root identity u = nu (g + sqrt(phi))^2 / W, smooth
+at any parameter point where the series would need j ~ noncentrality terms.
+(s, g) enter it only through v = g + D/s, so those draws collapse to one
+weighted rule in v, built once per evaluator; each evaluation sums a band of
+v-nodes per point.  The signed law reads that t^2 kernel at u^2: its
+extreme draws put less than Phi(-20) of their mass below 0.  The
+incomplete-beta CDF series run by recurrence from one betainc per point per
+block of terms, and every law evaluates its points in fixed blocks, so
+memory stays bounded whatever the grid size.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ _MAX_J_TERMS = 120_000
 _TSQ_MIN_TERMS = 16          # first block of the t^2 series
 _SIGNED_T_MIN_TERMS = 20     # first block of the signed-t series
 _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
+# Points per evaluation block: node x point and term x point temporaries
+# (up to 4096 series terms or a few thousand mixing nodes) stay near 16 MB
+# whatever the grid size.
+_POINT_BLOCK = 512
 
 
 def _as_batch(u):
@@ -61,20 +69,28 @@ def _as_batch(u):
     return (u.ndim == 0), np.atleast_1d(u).astype(float)
 
 
+def _blocked(f, u):
+    """f over u in blocks of _POINT_BLOCK points."""
+    out = np.empty_like(u)
+    for i in range(0, u.size, _POINT_BLOCK):
+        out[i:i + _POINT_BLOCK] = f(u[i:i + _POINT_BLOCK])
+    return out
+
+
 class _MixtureLaw:
-    """What the four laws share: scalar/array wrapping, CDF clipping,
-    interval probabilities and CDF inversion.  Each law supplies ``_pdf`` and
-    ``_cdf`` on 1-d float arrays and ``_bracket()``, the (lo, hi, expand)
-    start of the bisection."""
+    """What the four laws share: scalar/array wrapping, evaluation in blocks
+    of points, CDF clipping, interval probabilities and CDF inversion.  Each
+    law supplies ``_pdf`` and ``_cdf`` on 1-d float arrays and
+    ``_bracket()``, the (lo, hi, expand) start of the bisection."""
 
     def pdf(self, u):
         scalar, u = _as_batch(u)
-        out = self._pdf(u)
+        out = _blocked(self._pdf, u)
         return float(out[0]) if scalar else out
 
     def cdf(self, u):
         scalar, u = _as_batch(u)
-        out = np.clip(self._cdf(u), 0.0, 1.0)
+        out = np.clip(_blocked(self._cdf, u), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
     def interval_prob(self, lo, hi):
@@ -171,14 +187,12 @@ def mean_mixture(p: MixtureParams, quad: QuadSpec = QuadSpec()) -> MeanMixture:
 # ----------------------------------------------------------------------
 
 def _chi2_mixing_rule(lam0: float, s_split: float, quad: QuadSpec, probe=None):
-    """Mixing nodes of s = sqrt(w), w ~ chi2_1(lam0^2), weighted by the
-    closed-form density phi(s - lam0) + phi(s + lam0).
+    """Mixing nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on [s_split, s_hi],
+    weighted by the closed-form density phi(s - lam0) + phi(s + lam0).
 
-    Returns (s, w, s_ext, w_ext): series nodes on [s_split, s_hi] from a
-    refined panel rule, which ``probe(nodes, weights)`` may also steer, and
-    log-graded extreme nodes on (0, s_split] (none when s_split = 0).  The
-    conditional-law transitions of the extreme region span ~2 decades in
-    log(s), so modest log-uniform panels resolve them at any target point.
+    Returns (s, w) from a refined panel rule, which ``probe(nodes, weights)``
+    may also steer.  The t^2 and signed-t laws cover (0, s_split] with an
+    ``_ExtremeRule``.
     """
     def mixdens(s):
         return ser.sqrt_ncchisq1_pdf(s, lam0)
@@ -188,12 +202,7 @@ def _chi2_mixing_rule(lam0: float, s_split: float, quad: QuadSpec, probe=None):
         initial_panels=32, split_at=(lam0,),
         probe=None if probe is None else
         lambda r: probe(r.nodes, r.weights * mixdens(r.nodes)))
-    s_ext, w_ext = np.zeros(0), np.zeros(0)
-    if s_split > 0.0:
-        edges = s_split * np.logspace(-6.0, 0.0, 37)   # 6 panels per decade
-        s_ext, w_ext = gauss_legendre_nodes(edges, 12)
-        w_ext = w_ext * mixdens(s_ext)
-    return rule.nodes, rule.weights * mixdens(rule.nodes), s_ext, w_ext
+    return rule.nodes, rule.weights * mixdens(rule.nodes)
 
 
 class VarianceMixture(_MixtureLaw):
@@ -210,7 +219,7 @@ class VarianceMixture(_MixtureLaw):
         self.lam = float(lam)
         self.quad = quad
         probe_u = np.linspace(0.5, max(4.0, 2.0 * self.nu * (1.0 + lam)), 9)
-        self._s, self._w, _, _ = _chi2_mixing_rule(
+        self._s, self._w = _chi2_mixing_rule(
             math.sqrt(self.lam), 0.0, quad,
             lambda s, w: w @ self._kernel(s, probe_u))
 
@@ -253,53 +262,107 @@ def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> Varian
 # series and extreme-node kernels shared by the t^2 and signed-t laws
 # ----------------------------------------------------------------------
 
-@functools.cache
-def _std_gaussian_rule():
-    """Panel rule with standard-normal weights on [-8.6, 8.6]."""
-    nodes, weights = gauss_legendre_nodes(np.linspace(-8.6, 8.6, 17), 10)
-    dens = np.exp(-0.5 * nodes * nodes) / math.sqrt(2.0 * math.pi)
-    return nodes, weights * dens
+_G_EDGES = np.linspace(-8.6, 8.6, 17)   # panels of the Gaussian root g
+_G_ORDER = 10
+_ROOT_SNAP = 1e-13   # Q within this of 1 (or of 0) counts as 1 (or 0)
 
 
-# u = nu X / W with X = (g + sqrt(phi))^2, g ~ N(0,1), W ~ chi2_nu, so
-#   F_cond(u) = E_g[ Q_nu( nu X / (2u) ) ],  Q_nu = regularized upper gamma
-#   f_cond(u) = E_g[ y^{nu/2} e^{-y} ] / (u Gamma(nu/2)),  y = nu X/(2u);
-# the g-integrand is smooth at every (u, phi), unlike the W-form whose
+# u = nu X / W with X = (g + sqrt(phi))^2 = v^2, g ~ N(0,1), W ~ chi2_nu, so
+#   F_cond(u) = E_g[ Q_nu( nu v^2 / (2u) ) ],  Q_nu = regularized upper gamma
+#   f_cond(u) = E_g[ y^{nu/2} e^{-y} ] / (u Gamma(nu/2)),  y = nu v^2/(2u);
+# the v-integrand is smooth at every (u, phi), unlike the W-form whose
 # transition sharpens like sqrt(u).
-def _gaussian_root_parts(u, nu, weights, root_phi, want_pdf):
-    """Mixed t^2(nu, phi) pdf or CDF at u > 0 over mixing nodes of large
-    noncentrality (weights, sqrt(phi) = root_phi), each node banded to the
-    u-range where its conditional law transitions."""
-    out = np.zeros_like(u)
-    if weights.size == 0:
-        return out
-    order = np.argsort(u)
-    us = u[order]
-    res = np.zeros_like(us)
-    g, gw = _std_gaussian_rule()
-    snap = 1e-13
-    y_lo = float(sp.gammainccinv(nu / 2.0, 1.0 - snap))   # Q >= 1 - snap
-    y_hi = float(sp.gammainccinv(nu / 2.0, snap))          # Q <= snap
-    lg = float(sp.gammaln(nu / 2.0))
-    for w_i, sq_i in zip(weights, root_phi):
-        v = g + sq_i
-        x_lo = max(sq_i - 8.6, 0.0) ** 2
-        x_hi = (sq_i + 8.6) ** 2
-        lo_u = nu * x_lo / (2.0 * y_hi)
-        hi_u = nu * x_hi / (2.0 * y_lo)
-        a = np.searchsorted(us, lo_u, side="left")
-        b = np.searchsorted(us, hi_u, side="right")
-        if a < b:
-            y = (0.5 * nu) * (v * v)[:, None] / us[None, a:b]   # (G, band)
-            if want_pdf:
-                kern = np.exp(0.5 * nu * np.log(y) - y - lg) / us[None, a:b]
-                res[a:b] += w_i * (gw @ kern)
-            else:
-                res[a:b] += w_i * (gw @ sp.gammaincc(nu / 2.0, y))
-        if not want_pdf:
-            res[b:] += w_i  # conditional CDF within snap of 1 above band
-    out[order] = res
-    return out
+def _gaussian_root_parts(u, nu, v2, h, want_pdf):
+    """sum_k h_k K(u; v_k) at u > 0 over a rule (v_k^2 = v2 ascending,
+    weights h), K the conditional t^2 pdf or CDF above.  Each u sums only
+    the band of nodes whose y lies between the snap points of Q; the nodes
+    below the band (Q within the snap of 1) add their weight whole to the
+    CDF."""
+    if h.size == 0:
+        return np.zeros_like(u)
+    y_lo = float(sp.gammainccinv(nu / 2.0, 1.0 - _ROOT_SNAP))
+    y_hi = float(sp.gammainccinv(nu / 2.0, _ROOT_SNAP))
+    a = np.searchsorted(v2, (2.0 * y_lo / nu) * u, side="left")
+    b = np.searchsorted(v2, (2.0 * y_hi / nu) * u, side="right")
+    k = a[:, None] + np.arange(int(np.max(b - a, initial=0)))
+    in_band = k < b[:, None]
+    k = np.minimum(k, h.size - 1)
+    hk = np.where(in_band, h[k], 0.0)
+    y = (0.5 * nu) * v2[k] / u[:, None]
+    if want_pdf:
+        lg = float(sp.gammaln(nu / 2.0))
+        return np.sum(hk * np.exp(0.5 * nu * np.log(y) - y - lg), axis=1) / u
+    below = np.concatenate([[0.0], np.cumsum(h)])
+    return below[a] + np.sum(hk * sp.gammaincc(nu / 2.0, y), axis=1)
+
+
+class _ExtremeRule:
+    """The slope draws s in (s_lo, s_split] of the t^2 and signed-t laws,
+    whose conditional noncentralities (D/s)^2 exceed the series budget
+    (D = sqrt(delta), resp. |delta0|).
+
+    (s, g) enter the Gaussian-root kernel only through v = g + D/s, so by
+    Fubini these draws add int h(v) K(u; v) dv, with h(v) = int p(tau)
+    phi(v - tau) dtau the density of v over tau = D/s in [D/s_split,
+    D/s_lo] and p(tau) = sqrt_ncchisq1_pdf(D/tau, lam0) D/tau^2.  The v-rule
+    has linear shoulder panels on tau_lo +/- 8.6 and tau_hi +/- 8.6 and
+    log-graded panels (6 per decade) between; h at its nodes comes from the
+    g-rule clipped to the tau window.  s_lo steps down from s_split by whole
+    decades until P[s < s_lo] <= 1e-3 tol, so the dropped far-tail mass stays
+    below tol.  The rule is built on the first call that reaches its
+    u-range: below it every node's conditional CDF is within the snap of 0.
+    """
+
+    def __init__(self, nu, root_d, lam0, s_split, tol):
+        self.nu, self.root_d, self.lam0 = nu, root_d, lam0
+        self.s_split = self.s_lo = s_split
+
+        def mass_below(x):
+            # the density of s is at most 2 phi(lam0 - s), so on [0, x] at
+            # most 2 phi(max(lam0 - x, 0))
+            return 2.0 * x * math.exp(-0.5 * max(lam0 - x, 0.0) ** 2) / math.sqrt(
+                2.0 * math.pi)
+
+        while self.s_lo > 0.0 and mass_below(self.s_lo) > 1e-3 * tol:
+            self.s_lo /= 10.0
+        self._reach = math.inf
+        if self.s_lo < s_split:
+            v_min = root_d / s_split + _G_EDGES[0]     # > 0: D/s_split >= 20
+            self._reach = nu * v_min ** 2 / (
+                2.0 * float(sp.gammainccinv(nu / 2.0, _ROOT_SNAP)))
+
+    @functools.cached_property
+    def _nodes(self):
+        """(v^2 ascending, weights h) of the v-rule."""
+        d, z = self.root_d, _G_EDGES[-1]
+        t_lo, t_hi = d / self.s_split, d / self.s_lo
+        middle = np.zeros(0)
+        if t_hi - z > t_lo + z:
+            n = math.ceil(6.0 * math.log10((t_hi - z) / (t_lo + z)))
+            middle = np.geomspace(t_lo + z, t_hi - z, n + 1)[1:-1]
+        edges = np.unique(np.concatenate([np.linspace(t_lo - z, t_lo + z, 5),
+                                          middle,
+                                          np.linspace(t_hi - z, t_hi + z, 5)]))
+        v, wv = gauss_legendre_nodes(edges, 12)
+        # h(v) = int phi(g) p(v - g) dg over g in [v - t_hi, v - t_lo], one
+        # g-panel at a time
+        x, wx = np.polynomial.legendre.leggauss(_G_ORDER)
+        h = np.zeros_like(v)
+        for lo, hi in zip(_G_EDGES[:-1], _G_EDGES[1:]):
+            a = np.clip(lo, v - t_hi, v - t_lo)[:, None]
+            half = 0.5 * (np.clip(hi, v - t_hi, v - t_lo)[:, None] - a)
+            g = a + half * (1.0 + x)
+            tau = v[:, None] - g
+            h += np.sum(half * wx * np.exp(-0.5 * g * g)
+                        * ser.sqrt_ncchisq1_pdf(d / tau, self.lam0) / tau ** 2,
+                        axis=1)
+        return v * v, wv * h * (d / math.sqrt(2.0 * math.pi))
+
+    def parts(self, u, want_pdf):
+        """The rule's share of the t^2 pdf or CDF at u > 0."""
+        if np.max(u, initial=0.0) < self._reach:
+            return np.zeros_like(u)
+        return _gaussian_root_parts(u, self.nu, *self._nodes, want_pdf)
 
 
 class _SeriesCoefs:
@@ -333,19 +396,28 @@ def _poisson_coefs(phi, w):
 def _beta_series(coefs, a, b, x, tol, j_hi, law):
     """sum_j c_j I_x(j + a, b) per x, certified to tol: I_x falls as j grows,
     so the coefficient mass not yet reached times the next I_x bounds the
-    tail."""
+    tail.
+
+    A block [j0, j1) needs one betainc per x, the I_{j1} = I_x(j1 + a, b)
+    that bounds the tail: the recurrence I_x(c, b) = I_x(c + 1, b) + t_c,
+    t_c = x^c (1-x)^b / (c B(c, b)), runs down from it, so
+    sum_j c_j I_j = I_{j1} sum_j c_j + sum_k t_k sum_{j <= k} c_j, a sum of
+    nonnegative terms over one exp table."""
     out = np.zeros_like(x)
-    active = np.ones(x.size, dtype=bool)
+    active = np.arange(x.size)
+    with np.errstate(divide="ignore"):
+        log_x, log_1mx = np.log(x), np.log1p(-x)
     j_done = 0
     while True:
-        c = coefs.upto(j_hi)
-        j = np.arange(j_done, j_hi)
-        xa = x[active]
-        out[active] += c[j_done:] @ sp.betainc(j[:, None] + a, b, xa[None, :])
-        bound = sp.betainc(j_hi + a, b, xa) * coefs.left_after(j_hi)
-        idx = np.where(active)[0]
-        active[idx[bound <= tol]] = False
-        if not np.any(active):
+        c = coefs.upto(j_hi)[j_done:]
+        k = np.arange(j_done, j_hi) + a
+        t = np.multiply.outer(k, log_x[active])      # log t_c, in place
+        t += b * log_1mx[active]
+        t -= (np.log(k) + ser.log_beta(k, b))[:, None]
+        end = sp.betainc(j_hi + a, b, x[active])
+        out[active] += c.sum() * end + np.cumsum(c) @ np.exp(t, out=t)
+        active = active[end * coefs.left_after(j_hi) > tol]
+        if active.size == 0:
             return out
         j_done = j_hi
         j_hi = min(2 * j_hi, j_hi + 4096)
@@ -373,7 +445,7 @@ class TsqMixture(_MixtureLaw):
     remaining Poisson mass bounds the truncation tail.  Slope draws near
     zero (noncentrality beyond the series budget) carry the law's heavy far
     tail and are evaluated exactly through the Gaussian-root integral form
-    of the conditional kernel on log-graded panels.  At delta = 0 only m_0
+    of the conditional kernel, on the shared v-rule.  At delta = 0 only m_0
     survives and the law is exactly central F(1, nu) for every lambda.
     """
 
@@ -398,10 +470,10 @@ class TsqMixture(_MixtureLaw):
         lam0 = math.sqrt(self.lam)
         s_split = min(math.sqrt(self.delta / _TSQ_SERIES_PHI_MAX),
                       ser.sqrt_mixing_upper(lam0) / 2.0)
-        s_ser, w_ser, s_ext, self._w_ext = _chi2_mixing_rule(lam0, s_split,
-                                                             quad, probe)
+        s_ser, w_ser = _chi2_mixing_rule(lam0, s_split, quad, probe)
         self._m = _poisson_coefs(math.sqrt(self.delta) / s_ser, w_ser)
-        self._sqrtphi_ext = math.sqrt(self.delta) / s_ext
+        self._ext = _ExtremeRule(self.nu, math.sqrt(self.delta), lam0, s_split,
+                                 quad.abs_tol)
 
     def _pdf(self, u):
         out = np.zeros_like(u)
@@ -413,8 +485,7 @@ class TsqMixture(_MixtureLaw):
     def _pdf_pos(self, u):
         tol = self.quad.abs_tol
         j_hi = _TSQ_MIN_TERMS
-        total = _gaussian_root_parts(u, self.nu, self._w_ext,
-                                     self._sqrtphi_ext, want_pdf=True)
+        total = self._ext.parts(u, want_pdf=True)
         j_done = 0
         mode = ser.tsq_fj_mode(u, self.nu)
         # the largest central-component value at each u bounds the mass route
@@ -444,8 +515,7 @@ class TsqMixture(_MixtureLaw):
         pos = u > 0
         if np.any(pos):
             up = u[pos]
-            out[pos] = (_gaussian_root_parts(up, self.nu, self._w_ext,
-                                             self._sqrtphi_ext, want_pdf=False)
+            out[pos] = (self._ext.parts(up, want_pdf=False)
                         + _beta_series(self._m, 0.5, self.nu / 2.0,
                                        up / (up + self.nu), self.quad.abs_tol,
                                        _TSQ_MIN_TERMS,
@@ -476,10 +546,9 @@ class SignedTMixture(_MixtureLaw):
     where A = E_s[Phi(-phi)], m_j = E_s[pois(j; phi^2/2)] and
     n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))]; the pdf
     is the signed series (minimum 20 terms, escalated under a geometric tail
-    bound) with the mixing summed into each coefficient.  Nodes of larger
-    noncentrality sit on log-graded panels near s = 0 and add the
-    Gaussian-root t^2 kernel at u^2 for u > 0.  Negative delta0 mirrors the
-    law.
+    bound) with the mixing summed into each coefficient.  Draws of larger
+    noncentrality (s near 0) add the Gaussian-root t^2 kernel at u^2 for
+    u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
     """
 
     def __init__(self, nu: int, delta0: float, lambda0: float,
@@ -497,10 +566,10 @@ class SignedTMixture(_MixtureLaw):
         self._d0 = abs(self.delta0)
         s_split = min(self._d0 / _NCT_SERIES_PHI_MAX,
                       ser.sqrt_mixing_upper(lambda0) / 2.0)
-        s_ser, self._w, s_ext, self._w_ext = _chi2_mixing_rule(lambda0, s_split,
-                                                               quad)
+        s_ser, self._w = _chi2_mixing_rule(lambda0, s_split, quad)
         self._phi = self._d0 / s_ser
-        self._phi_ext = self._d0 / s_ext
+        self._ext = _ExtremeRule(self.nu, self._d0, lambda0, s_split,
+                                 quad.abs_tol)
         half_sq = 0.5 * self._phi ** 2
         self._a = float(self._w @ sp.ndtr(-self._phi))
         self._m = _poisson_coefs(self._phi, self._w)
@@ -549,8 +618,7 @@ class SignedTMixture(_MixtureLaw):
         """pdf of the law with noncentrality |delta0| (pre-mirror)."""
         out = self._series_pdf(u)
         up = u[u > 0]
-        out[u > 0] += 2.0 * up * _gaussian_root_parts(
-            up * up, self.nu, self._w_ext, self._phi_ext, want_pdf=True)
+        out[u > 0] += 2.0 * up * self._ext.parts(up * up, want_pdf=True)
         return out
 
     def _cdf_base(self, u):
@@ -567,8 +635,7 @@ class SignedTMixture(_MixtureLaw):
                + 0.5 * _beta_series(self._n, 1.0, nu / 2.0, x, tol,
                                     _SIGNED_T_MIN_TERMS, "signed-t"))
         up = u[u > 0]
-        out[u > 0] += _gaussian_root_parts(up * up, nu, self._w_ext,
-                                           self._phi_ext, want_pdf=False)
+        out[u > 0] += self._ext.parts(up * up, want_pdf=False)
         return out
 
     def _pdf(self, u):

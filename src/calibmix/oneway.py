@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as sp
 
-from .errors import DataError, ParamError
+from .errors import DataError, ParamError, require_finite
 from .model import MixtureParams
 from .special import ncf_cdf
 
@@ -39,6 +39,9 @@ class OneWayDesign:
         object.__setattr__(self, "sizes", tuple(int(v) for v in self.sizes))
         object.__setattr__(self, "means", tuple(float(v) for v in self.means))
         object.__setattr__(self, "omegas", tuple(float(v) for v in self.omegas))
+        for name in ("means", "omegas"):
+            require_finite(**{"%s[%d]" % (name, i): v
+                              for i, v in enumerate(getattr(self, name))})
         if len(self.sizes) < 2:
             raise ParamError("need at least 2 groups")
         if not len(self.sizes) == len(self.means) == len(self.omegas):

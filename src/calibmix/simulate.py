@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special as sp
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DataError, ParamError
+from .errors import DataError, ParamError, require_finite
 from .model import MixtureParams
 
 _STREAMS = {
@@ -58,6 +58,8 @@ class CalibrationDesign:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        require_finite(beta0=self.beta0, beta1=self.beta1, sigma_u=self.sigma_u,
+                       **{"x[%d]" % i: v for i, v in enumerate(self.x)})
         if len(self.x) < 3:
             raise ParamError("calibration design needs at least 3 readings")
         if self.sigma_u <= 0:
@@ -103,6 +105,7 @@ class McConfig:
     design: CalibrationDesign | None = None
 
     def __post_init__(self):
+        require_finite(replications=self.replications, seed=self.seed)
         if self.replications < 1:
             raise ParamError("replications must be >= 1")
         if self.mode not in ("coefficient", "full"):
@@ -264,6 +267,15 @@ def mc_statistic_distribution(p: MixtureParams, statistic: str, cfg: McConfig,
     """
     if statistic not in ("mean", "s2", "tsq", "f_oneway", "diagnostics"):
         raise ParamError("unknown statistic %r" % statistic)
+    if statistic == "tsq":
+        if (mu_y0 is None) == (delta is None):
+            raise ParamError("tsq needs exactly one of mu_y0 or delta")
+        if delta is None:
+            require_finite(mu_y0=mu_y0)
+            delta = (p.mu_y - mu_y0) ** 2 / (p.sigma1 ** 2 * p.sigma_z ** 2)
+        require_finite(delta=delta)
+        if delta < 0:
+            raise ParamError("delta must be nonnegative")
     rng = substream(cfg.seed, _STREAMS[statistic])
     reps = cfg.replications
 
@@ -301,10 +313,6 @@ def mc_statistic_distribution(p: MixtureParams, statistic: str, cfg: McConfig,
         return (p.n - 1) * s2 / (p.sigma1 ** 2 * p.sigma_z ** 2)
 
     if statistic == "tsq":
-        if (mu_y0 is None) == (delta is None):
-            raise ParamError("tsq needs exactly one of mu_y0 or delta")
-        if delta is None:
-            delta = (p.mu_y - mu_y0) ** 2 / (p.sigma1 ** 2 * p.sigma_z ** 2)
         dist_n = math.sqrt(delta * p.sigma1 ** 2 * p.sigma_z ** 2 / p.n)
         null = (b0 + b1 * p.mu_z) - dist_n
         ybar = y.mean(axis=1)

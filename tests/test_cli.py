@@ -217,6 +217,15 @@ class TestSimulate:
         assert summaries[0]["estimate"] == pytest.approx(
             2.2, abs=4 * summaries[0]["std_error"])
 
+    @pytest.mark.parametrize("null", [["--delta", "nan"], ["--delta", "inf"],
+                                      ["--mu-y0", "nan"]])
+    def test_non_finite_null_exits_2(self, null, capsys):
+        assert run(["simulate", "--statistic", "tsq", "--replications", "100",
+                    "--seed", "1", "--n", "10", "--beta0", "1", "--sigma0", "1",
+                    "--mu-z", "0", "--sigma-z", "1", "--beta1", "1",
+                    "--sigma1", "1"] + null) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["simulate", "--statistic", "s2", "--replications", "5000",
                 "--seed", "3", "--n", "10", "--beta0", "1", "--sigma0", "1",

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from calibmix import (AccuracyError, DistSpec, MixtureParams, ParamError,
@@ -13,6 +16,71 @@ from calibmix.quadrature import gauss_legendre_nodes
 CRIT = 4.9646027437307145  # F(1,10) 0.95 quantile
 OCT_LAM = (1.8546 / 0.5837) ** 2
 OCT_S1SQ = 0.5837 ** 2
+
+
+def std_gaussian_rule():
+    """Panel rule with standard-normal weights on [-8.6, 8.6]."""
+    nodes, weights = gauss_legendre_nodes(np.linspace(-8.6, 8.6, 17), 10)
+    return nodes, weights * stats.norm.pdf(nodes)
+
+
+def per_node_gaussian_root_parts(u, nu, weights, root_phi, want_pdf):
+    """Reference for the extreme-node kernel: each mixing node (weight,
+    sqrt(phi)) integrated against the Gaussian g-rule on its own band of u
+    (the per-node form the one-dimensional v-rule replaced)."""
+    out = np.zeros_like(u)
+    order = np.argsort(u)
+    us = u[order]
+    res = np.zeros_like(us)
+    g, gw = std_gaussian_rule()
+    snap = 1e-13
+    y_lo = float(special.gammainccinv(nu / 2.0, 1.0 - snap))
+    y_hi = float(special.gammainccinv(nu / 2.0, snap))
+    lg = float(special.gammaln(nu / 2.0))
+    for w_i, sq_i in zip(weights, root_phi):
+        v = g + sq_i
+        lo_u = nu * max(sq_i - 8.6, 0.0) ** 2 / (2.0 * y_hi)
+        hi_u = nu * (sq_i + 8.6) ** 2 / (2.0 * y_lo)
+        a = np.searchsorted(us, lo_u, side="left")
+        b = np.searchsorted(us, hi_u, side="right")
+        if a < b:
+            y = (0.5 * nu) * (v * v)[:, None] / us[None, a:b]
+            if want_pdf:
+                kern = np.exp(0.5 * nu * np.log(y) - y - lg) / us[None, a:b]
+                res[a:b] += w_i * (gw @ kern)
+            else:
+                res[a:b] += w_i * (gw @ special.gammaincc(nu / 2.0, y))
+        if not want_pdf:
+            res[b:] += w_i
+    out[order] = res
+    return out
+
+
+def accurate_betainc(p, q, x):
+    """I_x(p, q), through 1 - I_{1-x}(q, p) above x = 1/2: scipy's
+    betainc(1/2, 1/2, x) loses up to 3e-9 within 1e-15 of x = 1."""
+    with np.errstate(invalid="ignore"):
+        return np.where(x > 0.5, 1.0 - special.betainc(q, p, 1.0 - x),
+                        special.betainc(p, q, x))
+
+
+def betainc_series(coefs, a, b, x, tol, j_hi):
+    """Reference for mixtures._beta_series: one betainc per (term, point)."""
+    out = np.zeros_like(x)
+    active = np.ones(x.size, dtype=bool)
+    j_done = 0
+    while True:
+        c = coefs.upto(j_hi)
+        j = np.arange(j_done, j_hi)
+        xa = x[active]
+        out[active] += c[j_done:] @ accurate_betainc(j[:, None] + a, b, xa[None, :])
+        bound = accurate_betainc(j_hi + a, b, xa) * coefs.left_after(j_hi)
+        idx = np.where(active)[0]
+        active[idx[bound <= tol]] = False
+        if not np.any(active):
+            return out
+        j_done = j_hi
+        j_hi = min(2 * j_hi, j_hi + 4096)
 
 
 def graded_norm(pdf, lo, hi, *, log_from=None, order=16):
@@ -263,20 +331,22 @@ class TestSignedTMixture:
 
     def test_gaussian_root_kernel_consistent_with_series(self):
         # the extreme-node kernel against the t^2 series at noncentralities
-        # inside the series budget: pdf against sum_j pois(j; phi^2/2) f_j,
-        # CDF against the noncentral-F series, and 2u f_t2(u^2) against the
-        # signed series f_t(u) + f_t(-u).  At phi = 6 the root g + phi
-        # crosses 0 inside the g-rule, so u starts where that stays resolved
-        # (in use the kernel serves only phi >= 20).
+        # inside the series budget, on the v-rule of one mixing node
+        # (v = g + phi over the Gaussian g-rule): pdf against
+        # sum_j pois(j; phi^2/2) f_j, CDF against the noncentral-F series,
+        # and 2u f_t2(u^2) against the signed series f_t(u) + f_t(-u).  At
+        # phi = 6 the root g + phi crosses 0 inside the g-rule, so u starts
+        # where that stays resolved (in use the kernel serves only phi >= 20).
         nu = 10.0
         u = np.linspace(0.5, 8.0, 31)
         y = u * u
         j = np.arange(0, 1200)
+        g, gw = std_gaussian_rule()
         for phi in (6.0, 15.0):
-            one = np.ones(1)
-            root = np.array([phi])
-            pdf_k = mx._gaussian_root_parts(y, nu, one, root, want_pdf=True)
-            cdf_k = mx._gaussian_root_parts(y, nu, one, root, want_pdf=False)
+            order = np.argsort((g + phi) ** 2)
+            v2, h = ((g + phi) ** 2)[order], gw[order]
+            pdf_k = mx._gaussian_root_parts(y, nu, v2, h, want_pdf=True)
+            cdf_k = mx._gaussian_root_parts(y, nu, v2, h, want_pdf=False)
             pois = np.exp(ser.poisson_log_pmf(j, np.array([phi * phi / 2.0])))[:, 0]
             tsq_pdf = pois @ np.exp(ser.tsq_log_fj(j[:, None], y, nu))
             assert np.max(np.abs(pdf_k - tsq_pdf)) < 1e-9
@@ -409,20 +479,95 @@ class TestChi2MixingRule:
     @pytest.mark.parametrize("lam", [0.0, 1e-4, 25.0, 400.0])
     def test_weights_sum_to_one(self, lam):
         quad = QuadSpec()
-        s, w, s_ext, w_ext = mx._chi2_mixing_rule(np.sqrt(lam), 0.0, quad)
-        assert s_ext.size == 0 and w_ext.size == 0
+        s, w = mx._chi2_mixing_rule(np.sqrt(lam), 0.0, quad)
         assert np.all(s >= 0.0) and np.all(w >= 0.0)
         assert w.sum() == pytest.approx(1.0, abs=quad.abs_tol)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-4, 25.0, 400.0])
     @pytest.mark.parametrize("s_split", [0.0158, 1.0])
     def test_extreme_nodes_carry_the_mass_below_split(self, lam, s_split):
-        # the log-graded nodes cover (s_split 1e-6, s_split]; the half-normal
-        # mass below that edge is known in closed form
+        # the series nodes cover [s_split, s_hi] and the extreme v-rule
+        # (s_lo, s_split]; the half-normal mass below s_lo is known in
+        # closed form and stays below 1e-3 abs_tol
         quad = QuadSpec()
         lam0 = np.sqrt(lam)
-        s, w, s_ext, w_ext = mx._chi2_mixing_rule(lam0, s_split, quad)
-        assert s.min() >= s_split and s_ext.max() <= s_split
-        edge = s_split * 1e-6
-        below = special.ndtr(edge - lam0) - special.ndtr(-edge - lam0)
-        assert w.sum() + w_ext.sum() + below == pytest.approx(1.0, abs=quad.abs_tol)
+        s, w = mx._chi2_mixing_rule(lam0, s_split, quad)
+        ext = mx._ExtremeRule(10.0, 20.0 * s_split, lam0, s_split, quad.abs_tol)
+        assert s.min() >= s_split and ext.s_lo <= s_split
+        below = special.ndtr(ext.s_lo - lam0) - special.ndtr(-ext.s_lo - lam0)
+        assert below <= 1e-3 * quad.abs_tol
+        _, h = ext._nodes
+        assert w.sum() + h.sum() + below == pytest.approx(1.0, abs=quad.abs_tol)
+
+
+class TestExtremeRule:
+    """The one-dimensional v-rule against the per-node kernel on log-graded
+    s-panels (6 per decade, 12 points) over the same (s_lo, s_split]."""
+
+    @staticmethod
+    def per_node(ext, u, want_pdf):
+        decades = round(np.log10(ext.s_split / ext.s_lo))
+        edges = ext.s_split * np.logspace(-decades, 0.0, 6 * decades + 1)
+        s, w = gauss_legendre_nodes(edges, 12)
+        w = w * ser.sqrt_ncchisq1_pdf(s, ext.lam0)
+        return per_node_gaussian_root_parts(u, ext.nu, w, ext.root_d / s, want_pdf)
+
+    @pytest.mark.parametrize("law", [
+        lambda: tsq_mixture(10, 1.0, 0.0), lambda: tsq_mixture(4, 9.0, 1.0),
+        lambda: tsq_mixture(30, 4.0, 25.0), lambda: tsq_mixture(1, 2.0, 0.5),
+        lambda: tsq_mixture(19, 2.0, 0.94), lambda: signed_t_mixture(10, 1.0, 1.0),
+        lambda: signed_t_mixture(8, 1.2, 6.0)])
+    def test_matches_per_node_kernel(self, law):
+        ext = law()._ext
+        assert ext.s_lo < ext.s_split
+        u = np.logspace(-1.0, 18.0, 120)
+        for want_pdf in (True, False):
+            got = ext.parts(u, want_pdf)
+            assert np.max(np.abs(got - self.per_node(ext, u, want_pdf))) < 1e-12
+
+    def test_no_rule_when_the_mass_below_split_is_negligible(self):
+        # lam0 = 40: P[s < s_split] is far below 1e-3 abs_tol
+        ext = tsq_mixture(10, 1e6, 1600.0)._ext
+        assert ext.s_lo == ext.s_split
+        assert np.all(ext.parts(np.logspace(-1.0, 30.0, 50), False) == 0.0)
+
+    @pytest.mark.parametrize("law", [lambda: tsq_mixture(10, 1.0, 0.0),
+                                     lambda: signed_t_mixture(10, 70.0, 0.0)])
+    def test_cdf_reaches_one_in_the_far_tail(self, law):
+        # the v-rule grades down to where the mass left out is below
+        # 1e-3 abs_tol, so the heavy tail's CDF levels off at 1
+        ev = law()
+        for u in (1e30, 1e40):
+            assert ev.cdf(u) == pytest.approx(1.0, abs=ev.quad.abs_tol)
+
+
+class TestBetaSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.sampled_from([0.5, 1.0]), nu=st.floats(1.0, 200.0),
+           phi=st.floats(0.0, 20.0),
+           x=st.lists(st.one_of(st.floats(0.0, 1.0), st.just(0.0),
+                                st.just(1.0),
+                                st.floats(0.0, 1e-15).map(lambda e: 1.0 - e)),
+                      min_size=1, max_size=20))
+    def test_recurrence_matches_betainc_series(self, a, nu, phi, x):
+        x = np.array(x)
+        coefs = lambda: mx._poisson_coefs(np.array([phi]), np.array([1.0]))
+        got = mx._beta_series(coefs(), a, nu / 2.0, x, 1e-12, 16, "test")
+        want = betainc_series(coefs(), a, nu / 2.0, x, 1e-12, 16)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_dense_pdf_has_bounded_working_set():
+    # a 200k-point grid is evaluated in blocks: the traced peak stays near
+    # one block's node x point temporaries, not 200k x 1024 doubles (1.6 GB)
+    mm = mean_mixture(octane_params())
+    lo, hi = mm.support()
+    u = np.linspace(lo, hi, 200_000)
+    tracemalloc.start()
+    try:
+        pdf = mm.pdf(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pdf.shape == u.shape
+    assert peak < 64e6

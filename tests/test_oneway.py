@@ -50,6 +50,16 @@ class TestDecompose:
         assert dec2.f_statistic == pytest.approx(dec.f_statistic, rel=1e-9)
 
 
+class TestOneWayDesign:
+    @pytest.mark.parametrize("field", ["means", "omegas"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        kw = dict(sizes=(3, 3), means=(0.0, 1.0), omegas=(1.0, 1.0))
+        kw[field] = (value, 1.0)
+        with pytest.raises(ParamError, match=field):
+            OneWayDesign(**kw)
+
+
 class TestFPower:
     def test_equal_means_power_is_level(self):
         design = OneWayDesign(sizes=(5, 5, 5), means=(1.0, 1.0, 1.0),

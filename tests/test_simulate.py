@@ -52,6 +52,23 @@ class TestConfig:
                               sigma_u=1.0)
 
 
+    @pytest.mark.parametrize("field", ["beta0", "beta1", "sigma_u", "x"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_design_rejects_non_finite(self, field, value):
+        kw = dict(x=(1.0, 2.0, 3.0), beta0=0.0, beta1=1.0, sigma_u=1.0)
+        kw[field] = (1.0, value, 3.0) if field == "x" else value
+        with pytest.raises(ParamError, match=field):
+            CalibrationDesign(**kw)
+
+    @pytest.mark.parametrize("field", ["replications", "seed"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        kw = dict(replications=10, seed=1)
+        kw[field] = value
+        with pytest.raises(ParamError, match=field):
+            McConfig(**kw)
+
+
 class TestDeterminism:
     def test_identical_seed_bit_identical(self):
         cfg = McConfig(replications=500, seed=123)
@@ -151,6 +168,14 @@ class TestStatisticDistributions:
             mc_statistic_distribution(UNIT, "tsq", cfg)
         with pytest.raises(ParamError):
             mc_statistic_distribution(UNIT, "tsq", cfg, mu_y0=1.0, delta=1.0)
+
+    @pytest.mark.parametrize("kw", [{"delta": np.nan}, {"delta": np.inf},
+                                    {"delta": -1.0}, {"mu_y0": np.nan},
+                                    {"mu_y0": -np.inf}])
+    def test_tsq_rejects_bad_null(self, kw):
+        with pytest.raises(ParamError, match=next(iter(kw))):
+            mc_statistic_distribution(UNIT, "tsq", McConfig(replications=10,
+                                                            seed=1), **kw)
 
     def test_unknown_statistic(self):
         with pytest.raises(ParamError):
