@@ -7,7 +7,9 @@
 * TsqMixture: law of t0^2; noncentral t^2(nu, delta/w) mixed over
   w ~ chi2_1(lambda).
 * SignedTMixture: law of t0; noncentral t(nu, delta0/s) mixed over
-  s = sqrt(w) ~ |N(lambda0, 1)|.
+  s = sqrt(w) ~ |N(lambda0, 1)|.  With delta0 = sqrt(delta) and
+  lambda0 = sqrt(lambda), t0^2 is its square, so both laws are built on one
+  noncentral-t core and the t^2 law is the signed law's fold.
 
 Every law is a weighted set of mixing nodes plus a conditional pdf/CDF kernel
 pair.  The nodes come from cached Gauss-Legendre panels over analytically
@@ -18,21 +20,22 @@ variance, t^2 and signed-t laws, weighted by the closed-form density
 phi(s - lambda0) + phi(s + lambda0) of s = sqrt(w).  CDFs mix the conditional
 CDFs over the same nodes, which equals integrating the mixture pdf from the
 support edge (Tonelli) but stays smooth where near-degenerate mixing
-components make the pointwise pdf too spiky to quadrate.  The t^2 and signed-t laws collapse the
-mixing into their series coefficients first, so each evaluation is a single
-series in j over the points.  Series kernels honor the fixed minimum term
-counts, then escalate until a computable tail bound drops below abs_tol;
-exceeding the hard cap raises AccuracyError, never truncating silently.
+components make the pointwise pdf too spiky to quadrate.  The noncentral-t
+core collapses the mixing into its series coefficients once per evaluator,
+so each evaluation is a single series in j over the points.  Series kernels
+start from one fixed minimum term count, then escalate until a computable
+tail bound drops below abs_tol; exceeding the hard cap raises
+AccuracyError, never truncating silently.
 
 With delta > 0 the t^2 / signed-t laws have genuinely heavy far tails (slope
 draws near zero inflate the conditional noncentrality, and
 P[t0^2 > T] decays only like 1/sqrt(T)).  Slope draws with noncentralities
-beyond the series budget are evaluated through one exact kernel that both
-laws share, the Gaussian-root identity u = nu (g + sqrt(phi))^2 / W, smooth
-at any parameter point where the series would need j ~ noncentrality terms.
-(s, g) enter it only through v = g + D/s, so those draws collapse to one
-weighted rule in v, built once per evaluator; each evaluation sums a band of
-v-nodes per point.  The signed law reads that t^2 kernel at u^2: its
+phi = D/s beyond the series budget are evaluated through one exact kernel
+of the core, the Gaussian-root identity u = nu (g + phi)^2 / W, smooth at
+any parameter point where the series would need j ~ phi^2 terms.  (s, g)
+enter it only through v = g + D/s, so those draws collapse to one weighted
+rule in v, built once per evaluator; each evaluation sums a band of v-nodes
+per point.  The signed law reads that t^2 kernel at u^2: its
 extreme draws put less than Phi(-20) of their mass below 0.  The
 incomplete-beta CDF series run by recurrence from one betainc per point per
 block of terms, and every law evaluates its points in fixed blocks, so
@@ -55,8 +58,7 @@ from . import special as ser
 
 _Z_SUPPORT = 8.5       # Gaussian component half-width; Phi(-8.5) ~ 1e-17
 _MAX_J_TERMS = 120_000
-_TSQ_MIN_TERMS = 16          # first block of the t^2 series
-_SIGNED_T_MIN_TERMS = 20     # first block of the signed-t series
+_MIN_TERMS = 20              # first block of every noncentral-t series
 _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
 # Points per evaluation block: node x point and term x point temporaries
 # (up to 4096 series terms or a few thousand mixing nodes) stay near 16 MB
@@ -259,7 +261,7 @@ def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> Varian
 
 
 # ----------------------------------------------------------------------
-# series and extreme-node kernels shared by the t^2 and signed-t laws
+# series and extreme-node kernels of the noncentral-t core
 # ----------------------------------------------------------------------
 
 _G_EDGES = np.linspace(-8.6, 8.6, 17)   # panels of the Gaussian root g
@@ -267,7 +269,7 @@ _G_ORDER = 10
 _ROOT_SNAP = 1e-13   # Q within this of 1 (or of 0) counts as 1 (or 0)
 
 
-# u = nu X / W with X = (g + sqrt(phi))^2 = v^2, g ~ N(0,1), W ~ chi2_nu, so
+# u = nu X / W with X = (g + phi)^2 = v^2, g ~ N(0,1), W ~ chi2_nu, so
 #   F_cond(u) = E_g[ Q_nu( nu v^2 / (2u) ) ],  Q_nu = regularized upper gamma
 #   f_cond(u) = E_g[ y^{nu/2} e^{-y} ] / (u Gamma(nu/2)),  y = nu v^2/(2u);
 # the v-integrand is smooth at every (u, phi), unlike the W-form whose
@@ -297,19 +299,21 @@ def _gaussian_root_parts(u, nu, v2, h, want_pdf):
 
 
 class _ExtremeRule:
-    """The slope draws s in (s_lo, s_split] of the t^2 and signed-t laws,
-    whose conditional noncentralities (D/s)^2 exceed the series budget
-    (D = sqrt(delta), resp. |delta0|).
+    """The slope draws s in (s_lo, s_split] of the noncentral-t core, whose
+    conditional noncentralities D/s exceed the series budget
+    (D = |delta0| = sqrt(delta)).
 
     (s, g) enter the Gaussian-root kernel only through v = g + D/s, so by
     Fubini these draws add int h(v) K(u; v) dv, with h(v) = int p(tau)
     phi(v - tau) dtau the density of v over tau = D/s in [D/s_split,
     D/s_lo] and p(tau) = sqrt_ncchisq1_pdf(D/tau, lam0) D/tau^2.  The v-rule
     has linear shoulder panels on tau_lo +/- 8.6 and tau_hi +/- 8.6 and
-    log-graded panels (6 per decade) between; h at its nodes comes from the
-    g-rule clipped to the tau window.  s_lo steps down from s_split by whole
-    decades until P[s < s_lo] <= 1e-3 tol, so the dropped far-tail mass stays
-    below tol.  The rule is built on the first call that reaches its
+    log-graded panels between: 6 per decade up to nu = 30, growing like
+    sqrt(nu) beyond, because the conditional law's transition in log v
+    narrows like 1/sqrt(nu).  h at its nodes comes from the g-rule clipped
+    to the tau window.  s_lo steps down from s_split by whole decades until
+    P[s < s_lo] <= 1e-3 tol, so the dropped far-tail mass stays below
+    tol.  The rule is built on the first call that reaches its
     u-range: below it every node's conditional CDF is within the snap of 0.
     """
 
@@ -338,7 +342,8 @@ class _ExtremeRule:
         t_lo, t_hi = d / self.s_split, d / self.s_lo
         middle = np.zeros(0)
         if t_hi - z > t_lo + z:
-            n = math.ceil(6.0 * math.log10((t_hi - z) / (t_lo + z)))
+            per_decade = 6.0 * max(1.0, math.sqrt(self.nu / 30.0))
+            n = math.ceil(per_decade * math.log10((t_hi - z) / (t_lo + z)))
             middle = np.geomspace(t_lo + z, t_hi - z, n + 1)[1:-1]
         edges = np.unique(np.concatenate([np.linspace(t_lo - z, t_lo + z, 5),
                                           middle,
@@ -367,10 +372,11 @@ class _ExtremeRule:
 
 class _SeriesCoefs:
     """Mixed series coefficients c_j = sum_s w_s k_j(s) over the series
-    nodes, extended on demand by ``block(j)``.  ``mass`` is sum_j c_j, so the
-    mass not yet reached bounds what the rest of the series can add."""
+    nodes, extended on demand by ``block(j)`` and kept.  ``mass`` is
+    sum_j c_j where it is known in closed form, so the mass not yet reached
+    bounds what the rest of the series can add."""
 
-    def __init__(self, block, mass):
+    def __init__(self, block, mass=math.inf):
         self._block = block
         self.mass = float(mass)
         self._c = np.zeros(0)
@@ -386,8 +392,8 @@ class _SeriesCoefs:
 
 
 def _poisson_coefs(phi, w):
-    """m_j = sum_s w_s pois(j; phi_s^2/2), the Poisson mixture shared by the
-    t^2 and signed-t series."""
+    """m_j = sum_s w_s pois(j; phi_s^2/2), the Poisson mixture of the
+    noncentral-t CDF series."""
     means = 0.5 * phi ** 2
     return _SeriesCoefs(lambda j: np.exp(ser.poisson_log_pmf(j, means)) @ w,
                         np.sum(w))
@@ -428,25 +434,91 @@ def _beta_series(coefs, a, b, x, tol, j_hi, law):
 
 
 # ----------------------------------------------------------------------
-# t^2 mixture
+# noncentral-t core: the signed-t law and its fold, the t^2 law
 # ----------------------------------------------------------------------
 
-_TSQ_SERIES_PHI_MAX = 4000.0  # larger conditional noncentralities use the
-                              # exact Gaussian-root integral kernel
+class _NoncentralT:
+    """Noncentral t(nu, D/s) mixed over s ~ |N(lam0, 1)| (D >= 0), in the
+    pieces that the signed-t law and its fold, the t^2 law, are made of.
 
+    Mixing nodes with phi = D/s <= 20 (s >= s_split = min(D/20, s_hi/2))
+    collapse into cdf0 = E_s[Phi(-phi)] and three coefficient sequences,
+    each built on demand and kept:
+      m_j = E_s[pois(j; phi^2/2)],
+      n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))],
+      a_j = c_j E_s[e^{-phi^2/2} (sqrt(2) phi)^j],  c_j from nct_log_cj.
+    With g = t/sqrt(nu+t^2) and x = g^2 these nodes' CDF at t is
+    cdf0 + sgn(t)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2)
+    and their pdf P(t) sum_j a_j g^j, P the central-t prefactor.  The draws
+    s < s_split form the ``_ExtremeRule``.
+    """
+
+    def __init__(self, nu, root_d, lam0, quad):
+        self.nu, self.tol = nu, quad.abs_tol
+        s_split = min(root_d / _NCT_SERIES_PHI_MAX,
+                      ser.sqrt_mixing_upper(lam0) / 2.0)
+        s, w = _chi2_mixing_rule(lam0, s_split, quad)
+        phi = root_d / s
+        self.ext = _ExtremeRule(nu, root_d, lam0, s_split, quad.abs_tol)
+        self.cdf0 = float(w @ sp.ndtr(-phi))
+        self.m = _poisson_coefs(phi, w)
+        half_sq = 0.5 * phi ** 2
+
+        def n_block(j):
+            log_k = (-half_sq[None, :] + sp.xlogy(j[:, None], half_sq[None, :])
+                     - sp.gammaln(j + 1.5)[:, None])
+            return np.exp(log_k) @ (w * phi) / math.sqrt(2.0)
+
+        def a_block(j):
+            log_k = (-half_sq[None, :]
+                     + sp.xlogy(j[:, None], math.sqrt(2.0) * phi[None, :])
+                     + ser.nct_log_cj(j, nu)[:, None])
+            return np.exp(log_k) @ w
+
+        self.n = _SeriesCoefs(n_block, w @ sp.erf(phi / math.sqrt(2.0)))
+        self._a = _SeriesCoefs(a_block)
+        self._q = math.sqrt(2.0) * float(np.max(phi))
+
+    def pdf_coefs(self, amax):
+        """a_0 .. a_{J-1}, enough terms that sum_j a_j g^j is certified to
+        abs_tol for |g| <= amax (and so is its even part)."""
+        nu = self.nu
+        qmax = self._q * amax
+        j_hi = _MIN_TERMS
+        while qmax > 0.0:
+            # grown block by block, so no (terms x nodes) temporary is
+            # larger than one block
+            a = self._a.upto(j_hi)
+            # every node's terms past j_hi - 1 fall by at least r per step
+            r = qmax * math.sqrt((nu + j_hi + 1.0) / 2.0) / j_hi
+            if r < 0.9 and j_hi > 0.5 * qmax * qmax + 2.0 * qmax + nu:
+                if a[-1] * amax ** (j_hi - 1.0) * r / (1.0 - r) < self.tol:
+                    break
+            j_hi = min(2 * j_hi, j_hi + 4096)
+            if j_hi > _MAX_J_TERMS:
+                raise AccuracyError(
+                    "noncentral-t pdf series exceeded %d terms without "
+                    "certifying abs_tol=%g" % (_MAX_J_TERMS, self.tol))
+        return self._a.upto(j_hi)
+
+
+# ----------------------------------------------------------------------
+# t^2 mixture
+# ----------------------------------------------------------------------
 
 class TsqMixture(_MixtureLaw):
     """Evaluator of the t0^2 mixture: noncentral t^2(nu, delta/w) over
     w ~ chi2_1(lambda).
 
-    For mixing nodes of moderate conditional noncentrality the double series
-    collapses to sum_j m_j f_j(u) (pdf) and sum_j m_j I_x(j+1/2, nu/2) (CDF)
-    with m_j = E_w[pois(j; delta/(2w))] cached once per evaluator; the
-    remaining Poisson mass bounds the truncation tail.  Slope draws near
-    zero (noncentrality beyond the series budget) carry the law's heavy far
-    tail and are evaluated exactly through the Gaussian-root integral form
-    of the conditional kernel, on the shared v-rule.  At delta = 0 only m_0
-    survives and the law is exactly central F(1, nu) for every lambda.
+    t0^2 is the square of the signed t0 with delta0 = sqrt(delta) and
+    lambda0 = sqrt(lambda), so this law is the fold of the signed law's
+    noncentral-t core at t = sqrt(u), with x = u/(u+nu) = g^2.  In
+    F(t) - F(-t) the cdf0 and n_j terms cancel, leaving
+    sum_j m_j I_x(j+1/2, nu/2); in [f(t) + f(-t)]/(2t) the odd terms cancel,
+    leaving P(t)/t sum_k a_2k x^k, one Horner pass.  The slope draws near
+    zero, which carry the law's heavy far tail, add the Gaussian-root
+    kernel at u on the v-rule.  At delta = 0 only m_0 survives and the law
+    is exactly central F(1, nu) for every lambda.
     """
 
     def __init__(self, nu: int, delta: float, lam: float,
@@ -460,66 +532,28 @@ class TsqMixture(_MixtureLaw):
         self.delta = float(delta)
         self.lam = float(lam)
         self.quad = quad
-
-        def probe(s, w):
-            if self.delta == 0.0:
-                return np.atleast_1d(w.sum())
-            means = self.delta / (2.0 * s ** 2)
-            return np.exp(ser.poisson_log_pmf(np.arange(6), means)) @ w
-
-        lam0 = math.sqrt(self.lam)
-        s_split = min(math.sqrt(self.delta / _TSQ_SERIES_PHI_MAX),
-                      ser.sqrt_mixing_upper(lam0) / 2.0)
-        s_ser, w_ser = _chi2_mixing_rule(lam0, s_split, quad, probe)
-        self._m = _poisson_coefs(math.sqrt(self.delta) / s_ser, w_ser)
-        self._ext = _ExtremeRule(self.nu, math.sqrt(self.delta), lam0, s_split,
-                                 quad.abs_tol)
+        self._core = _NoncentralT(self.nu, math.sqrt(self.delta),
+                                  math.sqrt(self.lam), quad)
 
     def _pdf(self, u):
         out = np.zeros_like(u)
         pos = u > 0
-        if np.any(pos):
-            out[pos] = self._pdf_pos(u[pos])
+        up = u[pos]
+        t, x = np.sqrt(up), up / (up + self.nu)
+        a = self._core.pdf_coefs(math.sqrt(np.max(x, initial=0.0)))
+        out[pos] = (np.polynomial.polynomial.polyval(x, a[::2])
+                    * np.exp(ser.nct_log_prefactor(t, self.nu)) / t
+                    + self._core.ext.parts(up, want_pdf=True))
         return out
 
-    def _pdf_pos(self, u):
-        tol = self.quad.abs_tol
-        j_hi = _TSQ_MIN_TERMS
-        total = self._ext.parts(u, want_pdf=True)
-        j_done = 0
-        mode = ser.tsq_fj_mode(u, self.nu)
-        # the largest central-component value at each u bounds the mass route
-        f_mode = np.exp(ser.tsq_log_fj(np.ceil(mode), u, self.nu))
-        while True:
-            mj = self._m.upto(j_hi)
-            j = np.arange(j_done, j_hi)
-            fj = np.exp(ser.tsq_log_fj(j[:, None], u, self.nu))
-            total += mj[j_done:] @ fj
-            decay_bound = ser.tsq_fj_tail_bound(j_hi, u, self.nu)
-            mass_bound = self._m.left_after(j_hi) * f_mode
-            if np.all(np.minimum(decay_bound, mass_bound) < tol):
-                return total
-            j_done = j_hi
-            j_hi = min(2 * j_hi, j_hi + 4096)
-            if j_hi > _MAX_J_TERMS:
-                raise AccuracyError(
-                    "t^2 mixture series exceeded %d terms without certifying "
-                    "abs_tol=%g (u up to %g)"
-                    % (_MAX_J_TERMS, tol, float(np.max(u))))
-
     def _cdf(self, u):
-        """Conditional-CDF mixture at u > 0: over the series nodes
-        sum_j m_j I_x(j+1/2, nu/2) with x = u/(u+nu), plus the banded
-        Gaussian-root contribution of the extreme nodes."""
         out = np.zeros_like(u)
         pos = u > 0
-        if np.any(pos):
-            up = u[pos]
-            out[pos] = (self._ext.parts(up, want_pdf=False)
-                        + _beta_series(self._m, 0.5, self.nu / 2.0,
-                                       up / (up + self.nu), self.quad.abs_tol,
-                                       _TSQ_MIN_TERMS,
-                                       "t^2 mixture"))
+        up = u[pos]
+        out[pos] = (self._core.ext.parts(up, want_pdf=False)
+                    + _beta_series(self._core.m, 0.5, self.nu / 2.0,
+                                   up / (up + self.nu), self.quad.abs_tol,
+                                   _MIN_TERMS, "t^2 mixture"))
         return out
 
     def _bracket(self):
@@ -540,13 +574,10 @@ class SignedTMixture(_MixtureLaw):
     """Evaluator of the t0 mixture: noncentral t(nu, delta0/s) mixed over the
     shifted half-normal law of s.
 
-    Mixing nodes with phi = |delta0|/s inside the series budget collapse
-    into series coefficients.  The CDF is, with x = u^2/(u^2+nu),
-    A + sgn(u)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2),
-    where A = E_s[Phi(-phi)], m_j = E_s[pois(j; phi^2/2)] and
-    n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))]; the pdf
-    is the signed series (minimum 20 terms, escalated under a geometric tail
-    bound) with the mixing summed into each coefficient.  Draws of larger
+    The noncentral-t core gives the series nodes' CDF
+    cdf0 + sgn(u)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2),
+    x = u^2/(u^2+nu), and their pdf P(u) sum_j a_j g^j, g = u/sqrt(nu+u^2),
+    one Horner pass over the cached coefficients.  Draws of larger
     noncentrality (s near 0) add the Gaussian-root t^2 kernel at u^2 for
     u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
     """
@@ -564,78 +595,33 @@ class SignedTMixture(_MixtureLaw):
         self.quad = quad
         self._mirror = self.delta0 < 0
         self._d0 = abs(self.delta0)
-        s_split = min(self._d0 / _NCT_SERIES_PHI_MAX,
-                      ser.sqrt_mixing_upper(lambda0) / 2.0)
-        s_ser, self._w = _chi2_mixing_rule(lambda0, s_split, quad)
-        self._phi = self._d0 / s_ser
-        self._ext = _ExtremeRule(self.nu, self._d0, lambda0, s_split,
-                                 quad.abs_tol)
-        half_sq = 0.5 * self._phi ** 2
-        self._a = float(self._w @ sp.ndtr(-self._phi))
-        self._m = _poisson_coefs(self._phi, self._w)
-
-        def n_block(j):
-            log_k = (-half_sq[None, :] + sp.xlogy(j[:, None], half_sq[None, :])
-                     - sp.gammaln(j + 1.5)[:, None])
-            return np.exp(log_k) @ (self._w * self._phi) / math.sqrt(2.0)
-
-        self._n = _SeriesCoefs(
-            n_block, self._w @ sp.erf(self._phi / math.sqrt(2.0)))
-
-    def _series_pdf(self, u):
-        """Mixed conditional noncentral-t densities of the series nodes:
-        A(u) sum_j a_j g^j with g = u/sqrt(nu+u^2) and
-        a_j = c_j E_s[e^{-phi^2/2} (sqrt(2) phi)^j]."""
-        nu = self.nu
-        tol = self.quad.abs_tol
-        g = u / np.sqrt(nu + u * u)
-        amax = float(np.max(np.abs(g), initial=0.0))
-        qmax = math.sqrt(2.0) * float(np.max(self._phi)) * amax
-        acc = np.zeros_like(u)
-        j_done, j_hi = 0, _SIGNED_T_MIN_TERMS
-        while True:
-            j = np.arange(j_done, j_hi, dtype=float)
-            log_node = (-0.5 * self._phi[None, :] ** 2
-                        + sp.xlogy(j[:, None], math.sqrt(2.0) * self._phi[None, :])
-                        + ser.nct_log_cj(j, nu)[:, None])
-            coef = np.exp(log_node) @ self._w                 # (B,)
-            acc += g ** j_done * np.polynomial.polynomial.polyval(g, coef)
-            if qmax == 0.0:
-                break
-            # every node's terms past j_hi - 1 fall by at least r per step
-            r = qmax * math.sqrt((nu + j_hi + 1.0) / 2.0) / j_hi
-            if r < 0.9 and j_hi > 0.5 * qmax * qmax + 2.0 * qmax + nu:
-                if coef[-1] * amax ** (j_hi - 1.0) * r / (1.0 - r) < tol:
-                    break
-            j_done, j_hi = j_hi, min(2 * j_hi, j_hi + 4096)
-            if j_hi > _MAX_J_TERMS:
-                raise AccuracyError(
-                    "signed-t series exceeded %d terms without certifying "
-                    "abs_tol=%g" % (_MAX_J_TERMS, tol))
-        return acc * np.exp(ser.nct_log_prefactor(u, nu))
+        self._core = _NoncentralT(self.nu, self._d0, self.lambda0, quad)
 
     def _pdf_base(self, u):
         """pdf of the law with noncentrality |delta0| (pre-mirror)."""
-        out = self._series_pdf(u)
+        g = u / np.sqrt(self.nu + u * u)
+        a = self._core.pdf_coefs(float(np.max(np.abs(g), initial=0.0)))
+        out = (np.polynomial.polynomial.polyval(g, a)
+               * np.exp(ser.nct_log_prefactor(u, self.nu)))
         up = u[u > 0]
-        out[u > 0] += 2.0 * up * self._ext.parts(up * up, want_pdf=True)
+        out[u > 0] += 2.0 * up * self._core.ext.parts(up * up, want_pdf=True)
         return out
 
     def _cdf_base(self, u):
         """CDF of the law with noncentrality |delta0| (pre-mirror)."""
-        nu = self.nu
+        nu, core = self.nu, self._core
         # phi <= 20 keeps both series short, so certifying them 1e-3 below
         # abs_tol is cheap; it holds interval probabilities to the t^2
         # route far inside abs_tol
         tol = 1e-3 * self.quad.abs_tol
         x = u * u / (u * u + nu)
-        out = (self._a
-               + 0.5 * np.sign(u) * _beta_series(self._m, 0.5, nu / 2.0, x, tol,
-                                                 _SIGNED_T_MIN_TERMS, "signed-t")
-               + 0.5 * _beta_series(self._n, 1.0, nu / 2.0, x, tol,
-                                    _SIGNED_T_MIN_TERMS, "signed-t"))
+        out = (core.cdf0
+               + 0.5 * np.sign(u) * _beta_series(core.m, 0.5, nu / 2.0, x, tol,
+                                                 _MIN_TERMS, "signed-t")
+               + 0.5 * _beta_series(core.n, 1.0, nu / 2.0, x, tol,
+                                    _MIN_TERMS, "signed-t"))
         up = u[u > 0]
-        out[u > 0] += self._ext.parts(up * up, want_pdf=False)
+        out[u > 0] += core.ext.parts(up * up, want_pdf=False)
         return out
 
     def _pdf(self, u):

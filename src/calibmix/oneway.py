@@ -129,7 +129,7 @@ def f_power(design: OneWayDesign, alpha: float, *, tol: float = 1e-8) -> FPower:
     mean; power = P[F(k-1, n-k, lambda_F) > critical].
     """
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise ParamError("alpha must be in (0, 1)")
     omegas = set(design.omegas)
     if len(omegas) != 1:
         raise ParamError("f_power assumes a common omega across groups")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
+from .errors import ParamError
 from .mixtures import tsq_mixture, variance_mixture
 from .quadrature import QuadSpec
 
@@ -42,7 +43,7 @@ class PowerCell:
 def tsq_critical(nu: int, alpha: float) -> float:
     """(1 - alpha) quantile of central F(1, nu) = t^2(nu, 0)."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise ParamError("alpha must be in (0, 1)")
     return float(sp.fdtri(1, nu, 1.0 - alpha))
 
 

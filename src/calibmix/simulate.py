@@ -241,6 +241,8 @@ def mc_inconsistency_curve(p: MixtureParams, n_grid, cfg: McConfig):
     n_grid = list(n_grid)
     if n_grid != sorted(n_grid):
         raise ParamError("n_grid must be ascending")
+    if n_grid and n_grid[0] < 1:
+        raise ParamError("n_grid values must be at least 1")
     out = []
     for idx, n in enumerate(n_grid):
         rng = substream(cfg.seed, _STREAMS["inconsistency"], idx)

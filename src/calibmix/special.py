@@ -3,11 +3,11 @@
 The chi-squared(1) mixing law has closed forms: sqrt(W) for W ~
 chi2_1(lambda0^2) has the shifted half-normal density phi(s - lambda0) +
 phi(s + lambda0), and the density of W itself follows by the change of
-variables.  The noncentral t^2 density/CDF kernel (a Poisson mixture of
-scaled beta-prime terms) and the noncentral t density kernel are explicit
-series with computable tail bounds; the mixture evaluators start them at
-fixed minimum term counts and escalate until the bound drops below the
-requested absolute tolerance.  Terms are assembled from log-gamma
+variables.  The noncentral t density kernel is an explicit series with a
+computable tail bound; the mixture evaluators start it at a fixed minimum
+term count and escalate until the bound drops below the requested absolute
+tolerance.  ncf_cdf sums a Poisson window whose omitted mass bounds its
+truncation.  Terms are assembled from log-gamma
 throughout, so large degrees of freedom and large series indices never
 overflow.  scipy.special supplies only the scalar primitives (gammaln,
 betainc, gammainc, ndtr/ndtri); log_beta keeps log B(a, b) accurate at the
@@ -81,39 +81,6 @@ def log_beta(a, b):
     return (_HALF_LOG_2PI - 0.5 * np.log(a + b) - (a - 0.5) * np.log1p(b / a)
             - (b - 0.5) * np.log1p(a / b) + _stirling_remainder(a)
             + _stirling_remainder(b) - _stirling_remainder(a + b))
-
-
-# ----------------------------------------------------------------------
-# noncentral t^2 kernel: f(u; nu, phi) = sum_j pois(j; phi/2) f_j(u; nu)
-# with f_j(u) = (1/nu) (u/nu)^{j-1/2} / [B(j+1/2, nu/2) (1+u/nu)^{j+(nu+1)/2}]
-# ----------------------------------------------------------------------
-
-def tsq_log_fj(j, u, nu):
-    """log f_j(u) for the central component of index j; j and u broadcast
-    (pass j[:, None] against u (K,) for a (B, K) table)."""
-    j = np.asarray(j, dtype=float)
-    t = np.asarray(u, dtype=float) / nu
-    log_betainv = (sp.gammaln(j + 0.5 + nu / 2.0) - sp.gammaln(j + 0.5)
-                   - sp.gammaln(nu / 2.0))
-    return (-np.log(nu) + (j - 0.5) * np.log(t)
-            - (j + 0.5 * (nu + 1.0)) * np.log1p(t) + log_betainv)
-
-
-def tsq_fj_mode(u, nu):
-    """Index past which f_j(u) is decreasing in j."""
-    u = np.asarray(u, dtype=float)
-    x = (u / nu) / (1.0 + u / nu)
-    return np.maximum(0.0, (x * (nu + 1.0) / 2.0 - 0.5) / (1.0 - x))
-
-
-def tsq_fj_tail_bound(j_next, u, nu):
-    """Upper bound on sum_{j >= j_next} f_j(u), valid for j_next past the mode."""
-    u = np.asarray(u, dtype=float)
-    x = (u / nu) / (1.0 + u / nu)
-    r = x * (j_next + 0.5 + nu / 2.0) / (j_next + 0.5)
-    f_next = np.exp(tsq_log_fj(j_next, u, nu))
-    bound = np.where(r < 1.0, f_next / np.maximum(1.0 - r, 1e-300), np.inf)
-    return np.where(j_next > tsq_fj_mode(u, nu), bound, np.inf)
 
 
 def poisson_log_pmf(j, mean):

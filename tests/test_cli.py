@@ -138,6 +138,11 @@ class TestPowerTable:
             got = [float(v) for v in row[1:3]]
             assert got == pytest.approx(list(non[i]), abs=0.0)  # identical reprs
 
+    def test_alpha_out_of_range_exits_2(self, capsys):
+        assert run(["power-table", "--nu", "10", "--delta", "1", "--lam", "1",
+                    "--alpha", "2"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
 
 class TestDensity:
     def test_density_grid(self, tmp_path, capsys):
@@ -216,6 +221,13 @@ class TestSimulate:
         assert len(summaries) == 2
         assert summaries[0]["estimate"] == pytest.approx(
             2.2, abs=4 * summaries[0]["std_error"])
+
+    def test_inconsistency_zero_n_exits_2(self, capsys):
+        assert run(["simulate", "--statistic", "inconsistency",
+                    "--replications", "100", "--seed", "7", "--n-grid", "0,5",
+                    "--n", "10", "--beta0", "1", "--sigma0", "1", "--mu-z", "1",
+                    "--sigma-z", "1", "--beta1", "1", "--sigma1", "1"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
     @pytest.mark.parametrize("null", [["--delta", "nan"], ["--delta", "inf"],
                                       ["--mu-y0", "nan"]])
@@ -322,6 +334,14 @@ class TestDiagnoseAnova:
              "--group-sizes", "3,3", "--group-means", "0,1",
              "--group-omegas", "1,1"], capsys)
         assert payload["result"]["f_power"]["lambda_f"] == pytest.approx(1.5)
+
+    def test_anova_power_alpha_out_of_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        path.write_text("group,y\na,1\na,2\na,3\nb,4\nb,5\nb,6\n")
+        assert run(["anova", "--input", str(path), "--power-alpha", "2",
+                    "--group-sizes", "3,3", "--group-means", "0,1",
+                    "--group-omegas", "1,1"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 class TestCaseStudy:

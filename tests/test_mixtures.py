@@ -56,6 +56,48 @@ def per_node_gaussian_root_parts(u, nu, weights, root_phi, want_pdf):
     return out
 
 
+def log_s_quad(f, lam0):
+    """int f(s) [phi(s - lam0) + phi(s + lam0)] ds over s in [1e-14, lam0 + 9],
+    by adaptive quadrature in log s.  A NaN from f counts as 0: scipy's
+    noncentral laws give NaN at noncentralities near 1e20 and beyond, where
+    the conditional kernels have underflowed."""
+    def integrand(ls):
+        s = np.exp(ls)
+        return np.nan_to_num(f(s)) * (stats.norm.pdf(s - lam0)
+                                      + stats.norm.pdf(s + lam0)) * s
+    return integrate.quad(integrand, np.log(1e-14), np.log(lam0 + 9.0),
+                          limit=4000, epsabs=0.0, epsrel=1e-12)[0]
+
+
+def ncf_cdf_oracle(nu, delta, lam, u):
+    return log_s_quad(lambda s: special.ncfdtr(1, nu, delta / s ** 2, u),
+                      np.sqrt(lam))
+
+
+def ncf_pdf_oracle(nu, delta, lam, u):
+    return log_s_quad(lambda s: stats.ncf.pdf(u, 1, nu, delta / s ** 2),
+                      np.sqrt(lam))
+
+
+def gaussian_root_pdf_oracle(nu, delta, lam, u):
+    """t^2 mixture pdf from the Gaussian-root kernel on a 2-D (s, g) rule:
+    y^{nu/2} e^{-y} / (u Gamma(nu/2)) with y = nu (g + phi)^2 / (2u),
+    phi = sqrt(delta)/s; the g-panels break at the kink g = -phi."""
+    lg = special.gammaln(nu / 2.0)
+
+    def cond(s):
+        phi = np.sqrt(delta) / s
+        edges = np.linspace(-9.0, 9.0, 37)
+        if -9.0 < -phi < 9.0:
+            edges = np.unique(np.append(edges, -phi))
+        g, gw = gauss_legendre_nodes(edges, 16)
+        y = nu * (g + phi) ** 2 / (2.0 * u)
+        with np.errstate(divide="ignore"):
+            kern = np.exp(0.5 * nu * np.log(y) - y - lg) / u
+        return (gw * stats.norm.pdf(g)) @ kern
+    return log_s_quad(cond, np.sqrt(lam))
+
+
 def accurate_betainc(p, q, x):
     """I_x(p, q), through 1 - I_{1-x}(q, p) above x = 1/2: scipy's
     betainc(1/2, 1/2, x) loses up to 3e-9 within 1e-15 of x = 1."""
@@ -256,6 +298,27 @@ class TestTsqMixture:
         for q in (0.1, 0.5, 0.9, 0.99):
             assert tm.cdf(tm.ppf(q)) == pytest.approx(q, abs=1e-7)
 
+    @pytest.mark.parametrize("nu,delta,lam,u", [
+        (10, 1.0, 0.0, 691.0), (10, 2.935, 10.095, 2090.0),
+        (200, 3.0, 1.0, 500.0), (200, 3.0, 1.0, 2090.0)])
+    def test_cdf_against_ncf_quadrature(self, nu, delta, lam, u):
+        # far-tail points, where slope draws with phi = D/s near 60 (Poisson
+        # terms j ~ 2000) carry the law, and nu = 200, where the extreme
+        # rule needs more panels per decade
+        assert tsq_mixture(nu, delta, lam).cdf(u) == pytest.approx(
+            ncf_cdf_oracle(nu, delta, lam, u), abs=1e-10)
+
+    @pytest.mark.parametrize("nu,delta,lam,u", [(10, 1.0, 4.0, 3650.0),
+                                                (30, 4.0, 25.0, 1200.0)])
+    def test_pdf_against_ncf_quadrature(self, nu, delta, lam, u):
+        assert tsq_mixture(nu, delta, lam).pdf(u) == pytest.approx(
+            ncf_pdf_oracle(nu, delta, lam, u), rel=1e-9)
+
+    def test_pdf_where_x_rounds_to_one(self):
+        # nu = 1, u = 1e16: x = u/(u+nu) is within 1e-16 of 1
+        want = gaussian_root_pdf_oracle(1, 2.0, 0.5, 1e16)
+        assert tsq_mixture(1, 2.0, 0.5).pdf(1e16) == pytest.approx(want, rel=1e-8)
+
     def test_heavy_far_tail(self):
         # with delta > 0 slope draws near zero give P[t0^2 > T] ~ c/sqrt(T);
         # the extreme-node kernel must track it far out
@@ -322,6 +385,13 @@ class TestSignedTMixture:
         plain = stats.nct.pdf(u, nu, d0 / l0)
         assert np.max(np.abs(mine - plain)) < 1e-3
 
+    @pytest.mark.parametrize("u", [40.0, 100.0])
+    def test_pdf_at_nu_200_against_nct_quadrature(self, u):
+        # the conditional law's transition narrows like 1/sqrt(nu): the
+        # extreme rule's panel density has to follow it
+        want = log_s_quad(lambda s: stats.nct.pdf(u, 200, 2.0 / s), 1.0)
+        assert signed_t_mixture(200, 2.0, 1.0).pdf(u) == pytest.approx(want, rel=1e-9)
+
     def test_negative_delta0_mirrors(self):
         pos = signed_t_mixture(8, 1.5, 2.0)
         neg = signed_t_mixture(8, -1.5, 2.0)
@@ -332,8 +402,8 @@ class TestSignedTMixture:
     def test_gaussian_root_kernel_consistent_with_series(self):
         # the extreme-node kernel against the t^2 series at noncentralities
         # inside the series budget, on the v-rule of one mixing node
-        # (v = g + phi over the Gaussian g-rule): pdf against
-        # sum_j pois(j; phi^2/2) f_j, CDF against the noncentral-F series,
+        # (v = g + phi over the Gaussian g-rule): pdf against the
+        # noncentral-F density, CDF against the noncentral-F series,
         # and 2u f_t2(u^2) against the signed series f_t(u) + f_t(-u).  At
         # phi = 6 the root g + phi crosses 0 inside the g-rule, so u starts
         # where that stays resolved (in use the kernel serves only phi >= 20).
@@ -347,9 +417,7 @@ class TestSignedTMixture:
             v2, h = ((g + phi) ** 2)[order], gw[order]
             pdf_k = mx._gaussian_root_parts(y, nu, v2, h, want_pdf=True)
             cdf_k = mx._gaussian_root_parts(y, nu, v2, h, want_pdf=False)
-            pois = np.exp(ser.poisson_log_pmf(j, np.array([phi * phi / 2.0])))[:, 0]
-            tsq_pdf = pois @ np.exp(ser.tsq_log_fj(j[:, None], y, nu))
-            assert np.max(np.abs(pdf_k - tsq_pdf)) < 1e-9
+            assert np.max(np.abs(pdf_k - stats.ncf.pdf(y, 1, nu, phi ** 2))) < 1e-9
             assert np.max(np.abs(cdf_k - ser.ncf_cdf(y, 1.0, nu, phi * phi))) < 1e-9
 
             def signed_series(v):
@@ -518,7 +586,7 @@ class TestExtremeRule:
         lambda: tsq_mixture(19, 2.0, 0.94), lambda: signed_t_mixture(10, 1.0, 1.0),
         lambda: signed_t_mixture(8, 1.2, 6.0)])
     def test_matches_per_node_kernel(self, law):
-        ext = law()._ext
+        ext = law()._core.ext
         assert ext.s_lo < ext.s_split
         u = np.logspace(-1.0, 18.0, 120)
         for want_pdf in (True, False):
@@ -527,7 +595,7 @@ class TestExtremeRule:
 
     def test_no_rule_when_the_mass_below_split_is_negligible(self):
         # lam0 = 40: P[s < s_split] is far below 1e-3 abs_tol
-        ext = tsq_mixture(10, 1e6, 1600.0)._ext
+        ext = tsq_mixture(10, 1e6, 1600.0)._core.ext
         assert ext.s_lo == ext.s_split
         assert np.all(ext.parts(np.logspace(-1.0, 30.0, 50), False) == 0.0)
 

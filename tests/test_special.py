@@ -72,28 +72,6 @@ class TestNcfCdf:
         assert isinstance(ncf_cdf(2.0, 1, 10, 3.0), float)
 
 
-class TestTsqKernel:
-    def test_fj_series_is_noncentral_f_pdf(self):
-        # sum_j pois(j; phi/2) f_j(u) = ncf(1, nu) density at u
-        nu, phi = 10.0, 6.5
-        u = np.linspace(0.1, 40.0, 41)
-        j = np.arange(0, 400)
-        pois = np.exp(ser.poisson_log_pmf(j, np.array([phi / 2.0])))[:, 0]
-        fj = np.exp(ser.tsq_log_fj(j[:, None], u, nu))
-        mine = pois @ fj
-        ref = stats.ncf.pdf(u, 1, nu, phi)
-        assert np.max(np.abs(mine - ref)) < 1e-12
-
-    def test_tail_bound_is_valid(self):
-        nu = 10.0
-        u = np.array([0.5, 4.9646, 40.0, 300.0])
-        j_next = 200
-        bound = ser.tsq_fj_tail_bound(j_next, u, nu)
-        j = np.arange(j_next, j_next + 4000)
-        tail = np.exp(ser.tsq_log_fj(j[:, None], u, nu)).sum(axis=0)
-        assert np.all(tail <= bound + 1e-300)
-
-
 class TestNctKernel:
     @pytest.mark.parametrize("phi", [0.0, 0.8, 3.0, 12.0])
     def test_series_matches_scipy_nct(self, phi):
