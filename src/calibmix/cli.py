@@ -113,6 +113,16 @@ def _float_list(text):
         raise _UsageError("bad numeric list %r" % text) from exc
 
 
+def _int_list(text, flag):
+    """A comma list of integers; a non-finite or fractional entry is an
+    input error, not a value to truncate."""
+    values = _float_list(text)
+    for v in values:
+        if not v.is_integer():
+            raise ParamError("%s needs integers, got %r" % (flag, v))
+    return [int(v) for v in values]
+
+
 def _emit(args, payload, csv_text=None):
     if args.format == "json":
         text = payload_to_json_text(payload)
@@ -267,7 +277,7 @@ def _cmd_simulate(args):
                    "statistic": args.statistic}
 
     if args.statistic == "inconsistency":
-        grid = [int(v) for v in _float_list(args.n_grid or "")]
+        grid = _int_list(args.n_grid or "", "--n-grid")
         if not grid:
             raise _UsageError("inconsistency needs --n-grid")
         config_echo["n_grid"] = grid
@@ -287,7 +297,7 @@ def _cmd_simulate(args):
         if not (args.group_sizes and args.group_means and args.group_omegas):
             raise _UsageError("f_oneway needs --group-sizes, --group-means "
                               "and --group-omegas")
-        design = OneWayDesign(sizes=[int(v) for v in _float_list(args.group_sizes)],
+        design = OneWayDesign(sizes=_int_list(args.group_sizes, "--group-sizes"),
                               means=_float_list(args.group_means),
                               omegas=_float_list(args.group_omegas))
         kwargs = {"design": design}
@@ -337,7 +347,7 @@ def _cmd_anova(args):
         if not (args.group_means and args.group_omegas and args.group_sizes):
             raise _UsageError("--power-alpha needs --group-sizes, --group-means "
                               "and --group-omegas")
-        design = OneWayDesign(sizes=[int(v) for v in _float_list(args.group_sizes)],
+        design = OneWayDesign(sizes=_int_list(args.group_sizes, "--group-sizes"),
                               means=_float_list(args.group_means),
                               omegas=_float_list(args.group_omegas))
         fp = f_power(design, args.power_alpha)
@@ -458,10 +468,22 @@ _HANDLERS = {
 }
 
 
+def _glue_grid(argv):
+    """``--grid -5:15:200`` as ``--grid=-5:15:200``: argparse would read a
+    separate value that starts with '-' as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--grid":
+            out[-1] = "--grid=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_grid(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage problems; exit code 1 is the usage code here
         return 0 if exc.code in (0, None) else 1

@@ -2,8 +2,8 @@
 
 * MeanMixture: law of the calibrated sample mean; a translation-scale mixture
   of N(beta0 + t mu_z, t^2 sigma_z^2/n + sigma0^2) over t ~ N(beta1, sigma1^2).
-* VarianceMixture: law of u = nu S_Y^2/(sigma1^2 sigma_z^2); a scale mixture
-  of gamma(nu/2, scale 2w) over w ~ chi2_1(lambda).
+* VarianceMixture: law of u = nu S_Y^2/(sigma1^2 sigma_z^2) = W V with
+  W ~ chi2_1(lambda) from the slope, mixed over V ~ chi2_nu.
 * TsqMixture: law of t0^2; noncentral t^2(nu, delta/w) mixed over
   w ~ chi2_1(lambda).
 * SignedTMixture: law of t0; noncentral t(nu, delta0/s) mixed over
@@ -12,19 +12,16 @@
   noncentral-t core and the t^2 law is the signed law's fold.
 
 Every law is a weighted set of mixing nodes plus a conditional pdf/CDF kernel
-pair.  The nodes come from cached Gauss-Legendre panels over analytically
-bounded windows (the Gaussian mixing variable over beta1 +/- k sigma1, the
-chi-squared one over [0, quantile(1 - 1e-12)], substituted w = s^2 so the
-w^{-1/2} weight is smooth).  One helper builds the chi-squared nodes of the
-variance, t^2 and signed-t laws, weighted by the closed-form density
-phi(s - lambda0) + phi(s + lambda0) of s = sqrt(w).  CDFs mix the conditional
-CDFs over the same nodes, which equals integrating the mixture pdf from the
-support edge (Tonelli) but stays smooth where near-degenerate mixing
-components make the pointwise pdf too spiky to quadrate.  The noncentral-t
-core collapses the mixing into its series coefficients once per evaluator,
-so each evaluation is a single series in j over the points.  Series kernels
-start from one fixed minimum term count, then escalate until a computable
-tail bound drops below abs_tol; exceeding the hard cap raises
+pair, on Gauss-Legendre panels over analytically bounded windows; the mean
+and variance laws are one certified rule plus a closed-form kernel pair.
+CDFs mix the conditional CDFs over the same nodes, which equals integrating
+the mixture pdf from the support edge (Tonelli) but stays smooth where
+near-degenerate mixing components make the pointwise pdf too spiky to
+quadrate.  The noncentral-t core weights its nodes in s = sqrt(w) by
+phi(s - lambda0) + phi(s + lambda0) and collapses them into series
+coefficients once per evaluator, so each evaluation is one series in j.
+Series start from one fixed minimum term count, then escalate until a
+computable tail bound drops below abs_tol; exceeding the hard cap raises
 AccuracyError, never truncating silently.
 
 With delta > 0 the t^2 / signed-t laws have genuinely heavy far tails (slope
@@ -109,44 +106,60 @@ class _MixtureLaw:
 
 
 # ----------------------------------------------------------------------
-# mean mixture
+# one refined rule plus a kernel pair: the mean and variance laws
 # ----------------------------------------------------------------------
 
-def _gauss_kernel(u, mean, sd):
-    """N(mean, sd^2) densities, shape (len(mean), len(u))."""
-    z = (u[None, :] - mean[:, None]) / sd[:, None]
-    return np.exp(-0.5 * z * z) / (sd[:, None] * math.sqrt(2.0 * math.pi))
+_PROBE_POINTS = 40
 
 
-class MeanMixture(_MixtureLaw):
-    """Density/CDF evaluator of the calibrated sample mean (an exact
-    translation-scale Gaussian mixture over the slope draw).
+class _RuleLaw(_MixtureLaw):
+    """One Gauss rule in the mixing variable x, certified on the mixing mass
+    and the conditional-CDF mixture at probe points across the support, plus
+    the law's ``_mixing_pdf(x)``, ``_window`` and ``_kernel(x, u, want_pdf)``
+    (conditional pdf or CDF, shape (len(x), len(u)))."""
 
-    With sigma0 = 0 and a mixing window containing t = 0, the conditional
-    scale collapses at t = 0: the window is split there so nodes avoid the
-    degenerate point.  The mixture pdf then carries an integrable spike at
-    u = beta0 + t mu_z |_{t=0}; CDFs and moments remain finite.
-    """
+    def _refine(self, anchors, probe_u):
+        def probe(rule):
+            w = rule.weights * self._mixing_pdf(rule.nodes)
+            return w @ self._kernel(rule.nodes, probe_u, False)
+
+        rule = refine_panels(self._mixing_pdf, *self._window, self.quad,
+                             initial_panels=8, split_at=tuple(anchors),
+                             probe=probe)
+        self._x = rule.nodes
+        self._w = rule.weights * self._mixing_pdf(rule.nodes)
+
+    def _pdf(self, u):
+        return self._w @ self._kernel(self._x, u, True)
+
+    def _cdf(self, u):
+        return self._w @ self._kernel(self._x, u, False)
+
+
+class MeanMixture(_RuleLaw):
+    """Density/CDF evaluator of the calibrated sample mean, mixed over the
+    slope draw t on beta1 +/- k sigma1.  Near t = 0 the component scale
+    shrinks to sigma0, so a window holding 0 is split there and graded by
+    anchors at +/-10^k, stepping toward 0 by decades while t is above
+    sigma0 sqrt(n)/sigma_z and the mixing mass on [-t, t] (at most 2t times
+    its peak density there) exceeds 1e-3 abs_tol.  With sigma0 = 0 the pdf
+    has an integrable spike at u = beta0."""
 
     def __init__(self, params: MixtureParams, quad: QuadSpec = QuadSpec()):
         if params.ideal:
             raise ParamError("ideal-mode parameters make the mean law degenerate")
-        self.params = params
+        self.params = p = params
         self.quad = quad
-        p = params
         k = quad.mixing_range_sigmas
-        lo, hi = p.beta1 - k * p.sigma1, p.beta1 + k * p.sigma1
-        sd_edge = lambda t: math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
-        probe_lo = min(p.beta0 + t * p.mu_z - 3 * sd_edge(t) for t in (lo, 0.0, hi))
-        probe_hi = max(p.beta0 + t * p.mu_z + 3 * sd_edge(t) for t in (lo, 0.0, hi))
-        self._probe_u = np.linspace(probe_lo, probe_hi, 9)
-        split = (0.0,) if lo < 0.0 < hi else ()
-        rule = refine_panels(self._mixing_pdf, lo, hi, quad,
-                             initial_panels=32, split_at=split,
-                             probe=self._probe)
-        self._t = rule.nodes
-        self._w = rule.weights * self._mixing_pdf(self._t)
-        self._cond_mean, self._cond_sd = self._conditional(self._t)
+        lo, hi = self._window = (p.beta1 - k * p.sigma1, p.beta1 + k * p.sigma1)
+        anchors = [0.0] if lo < 0.0 < hi else []
+        t = 10.0 ** math.floor(math.log10(max(-lo, hi)))
+        while anchors and t > p.sigma0 * math.sqrt(p.n) / p.sigma_z and (
+                2.0 * t * self._mixing_pdf(min(max(p.beta1, -t), t))
+                > 1e-3 * quad.abs_tol):
+            anchors += [-t, t]
+            t /= 10.0
+        self._refine(anchors, np.linspace(*self.support(), _PROBE_POINTS))
 
     def _mixing_pdf(self, t):
         p = self.params
@@ -159,21 +172,19 @@ class MeanMixture(_MixtureLaw):
         sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
         return p.beta0 + t * p.mu_z, sd
 
-    def _probe(self, rule):
-        w = rule.weights * self._mixing_pdf(rule.nodes)
-        return w @ _gauss_kernel(self._probe_u, *self._conditional(rule.nodes))
+    def _kernel(self, t, u, want_pdf):
+        mean, sd = self._conditional(t)
+        z = (u[None, :] - mean[:, None]) / sd[:, None]
+        if want_pdf:
+            return np.exp(-0.5 * z * z) / (sd[:, None] * math.sqrt(2.0 * math.pi))
+        return sp.ndtr(z)
 
     def support(self):
-        lo = float(np.min(self._cond_mean - _Z_SUPPORT * self._cond_sd))
-        hi = float(np.max(self._cond_mean + _Z_SUPPORT * self._cond_sd))
-        return lo, hi
-
-    def _pdf(self, u):
-        return self._w @ _gauss_kernel(u, self._cond_mean, self._cond_sd)
-
-    def _cdf(self, u):
-        z = (u[None, :] - self._cond_mean[:, None]) / self._cond_sd[:, None]
-        return self._w @ sp.ndtr(z)
+        # mean - 8.5 sd is concave in t and mean + 8.5 sd convex, so both
+        # take their extremes at the window ends
+        mean, sd = self._conditional(np.array(self._window))
+        return (float(np.min(mean - _Z_SUPPORT * sd)),
+                float(np.max(mean + _Z_SUPPORT * sd)))
 
     def _bracket(self):
         return (*self.support(), "both")
@@ -184,32 +195,12 @@ def mean_mixture(p: MixtureParams, quad: QuadSpec = QuadSpec()) -> MeanMixture:
     return MeanMixture(p, quad)
 
 
-# ----------------------------------------------------------------------
-# sqrt-chi2 mixing rule shared by the variance, t^2 and signed-t laws
-# ----------------------------------------------------------------------
-
-def _chi2_mixing_rule(lam0: float, s_split: float, quad: QuadSpec, probe=None):
-    """Mixing nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on [s_split, s_hi],
-    weighted by the closed-form density phi(s - lam0) + phi(s + lam0).
-
-    Returns (s, w) from a refined panel rule, which ``probe(nodes, weights)``
-    may also steer.  The t^2 and signed-t laws cover (0, s_split] with an
-    ``_ExtremeRule``.
-    """
-    def mixdens(s):
-        return ser.sqrt_ncchisq1_pdf(s, lam0)
-
-    rule = refine_panels(
-        mixdens, s_split, ser.sqrt_mixing_upper(lam0), quad,
-        initial_panels=32, split_at=(lam0,),
-        probe=None if probe is None else
-        lambda r: probe(r.nodes, r.weights * mixdens(r.nodes)))
-    return rule.nodes, rule.weights * mixdens(rule.nodes)
-
-
-class VarianceMixture(_MixtureLaw):
-    """Evaluator of u = nu S_Y^2 / (sigma1^2 sigma_z^2): a gamma(nu/2, 2w)
-    scale mixture over w ~ chi2_1(lambda).  Mean is nu (1 + lambda)."""
+class VarianceMixture(_RuleLaw):
+    """Evaluator of u = nu S_Y^2 / (sigma1^2 sigma_z^2) = W V (mean
+    nu (1 + lambda)), mixed over x = log V between V's 1e-16 and 1 - 1e-16
+    quantiles, graded toward u = 0 by edges at its 1e-8, 1e-3 and 0.5
+    quantiles.  The kernels are W's closed forms at u/V: F(u) = E_V[Phi(r -
+    lambda0) - Phi(-r - lambda0)], r = sqrt(u/V), and f(u) = E_V[f_W(u/V)/V]."""
 
     def __init__(self, nu: int, lam: float, quad: QuadSpec = QuadSpec()):
         require_finite(nu=nu, lam=lam)
@@ -220,36 +211,28 @@ class VarianceMixture(_MixtureLaw):
         self.nu = float(nu)
         self.lam = float(lam)
         self.quad = quad
-        probe_u = np.linspace(0.5, max(4.0, 2.0 * self.nu * (1.0 + lam)), 9)
-        self._s, self._w = _chi2_mixing_rule(
-            math.sqrt(self.lam), 0.0, quad,
-            lambda s, w: w @ self._kernel(s, probe_u))
+        q = sp.gammaincinv(nu / 2.0, [1e-16, 1e-8, 1e-3, 0.5])
+        lo, *anchors = np.log(2.0 * q)
+        self._window = (lo, math.log(2.0 * sp.gammainccinv(nu / 2.0, 1e-16)))
+        self._refine(anchors,
+                     np.geomspace(1e-6 * self.nu, self.support()[1], _PROBE_POINTS))
 
-    def _kernel(self, s, u):
-        """gamma(nu/2, scale 2 s^2) densities, shape (len(s), len(u))."""
-        nu = self.nu
-        scale = 2.0 * np.asarray(s, dtype=float)[:, None] ** 2
-        u = np.asarray(u, dtype=float)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpdf = ((nu / 2.0 - 1.0) * np.log(u) - u / scale
-                      - (nu / 2.0) * np.log(scale) - sp.gammaln(nu / 2.0))
-        return np.where(u > 0, np.exp(logpdf), 0.0)
+    def _mixing_pdf(self, x):
+        """Density of x = log V, V ~ chi2_nu."""
+        a = self.nu / 2.0
+        return np.exp(a * (x - math.log(2.0)) - 0.5 * np.exp(x) - sp.gammaln(a))
+
+    def _kernel(self, x, u, want_pdf):
+        v = np.exp(x)[:, None]
+        if want_pdf:
+            return ser.nc_chisq1_pdf(u[None, :] / v, self.lam) / v
+        r = np.sqrt(np.clip(u, 0.0, None)[None, :] / v)
+        lam0 = math.sqrt(self.lam)
+        return sp.ndtr(r - lam0) - sp.ndtr(-r - lam0)
 
     def support(self):
-        w_hi = float(np.max(self._s)) ** 2
-        u_hi = 2.0 * w_hi * float(sp.gammaincinv(self.nu / 2.0, 1.0 - 1e-14))
-        return 0.0, u_hi
-
-    def _pdf(self, u):
-        return self._w @ self._kernel(self._s, u)
-
-    def _cdf(self, u):
-        # conditional-CDF mixture: sum_s w_s P[gamma(nu/2, 2 s^2) <= u]
-        pos = np.clip(u, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            arg = pos[None, :] / (2.0 * self._s[:, None] ** 2)
-        out = self._w @ sp.gammainc(self.nu / 2.0, arg)
-        return np.where(u <= 0, 0.0, out)
+        w_hi = ser.sqrt_mixing_upper(math.sqrt(self.lam)) ** 2
+        return 0.0, math.exp(self._window[1]) * w_hi
 
     def _bracket(self):
         return 0.0, self.nu * (1.0 + self.lam), "up"
@@ -261,8 +244,18 @@ def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> Varian
 
 
 # ----------------------------------------------------------------------
-# series and extreme-node kernels of the noncentral-t core
+# mixing rule, series and extreme-node kernels of the noncentral-t core
 # ----------------------------------------------------------------------
+
+def _chi2_mixing_rule(lam0: float, s_split: float, quad: QuadSpec):
+    """Refined mixing nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on
+    [s_split, s_hi], weighted by the density phi(s - lam0) + phi(s + lam0);
+    the noncentral-t core covers (0, s_split] with an ``_ExtremeRule``."""
+    mixdens = functools.partial(ser.sqrt_ncchisq1_pdf, lambda0=lam0)
+    rule = refine_panels(mixdens, s_split, ser.sqrt_mixing_upper(lam0), quad,
+                         initial_panels=32, split_at=(lam0,))
+    return rule.nodes, rule.weights * mixdens(rule.nodes)
+
 
 _G_EDGES = np.linspace(-8.6, 8.6, 17)   # panels of the Gaussian root g
 _G_ORDER = 10
@@ -380,6 +373,7 @@ class _SeriesCoefs:
         self._block = block
         self.mass = float(mass)
         self._c = np.zeros(0)
+        self._den = {}
 
     def upto(self, j_hi):
         if j_hi > self._c.size:
@@ -389,6 +383,11 @@ class _SeriesCoefs:
 
     def left_after(self, j_hi):
         return max(self.mass - float(self.upto(j_hi).sum()), 0.0)
+
+    def log_den(self, a, b):
+        """log((j + a) B(j + a, b)) over j, kept like the coefficients."""
+        return self._den.setdefault((a, b), _SeriesCoefs(
+            lambda j: np.log(j + a) + ser.log_beta(j + a, b)))
 
 
 def _poisson_coefs(phi, w):
@@ -419,7 +418,7 @@ def _beta_series(coefs, a, b, x, tol, j_hi, law):
         k = np.arange(j_done, j_hi) + a
         t = np.multiply.outer(k, log_x[active])      # log t_c, in place
         t += b * log_1mx[active]
-        t -= (np.log(k) + ser.log_beta(k, b))[:, None]
+        t -= coefs.log_den(a, b).upto(j_hi)[j_done:, None]
         end = sp.betainc(j_hi + a, b, x[active])
         out[active] += c.sum() * end + np.cumsum(c) @ np.exp(t, out=t)
         active = active[end * coefs.left_after(j_hi) > tol]

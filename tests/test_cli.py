@@ -170,6 +170,12 @@ class TestDensity:
         pdf = payload["result"]["pdf"]
         assert len(pdf) == 7 and all(v > 0 for v in pdf)
 
+    def test_negative_grid_start_as_separate_value(self, capsys):
+        args = ["density", "--dist", "signed-t", "--nu", "10", "--delta0",
+                "1.0", "--lambda0", "3.0"]
+        glued = run_json(args + ["--grid=-5:15:20"], capsys)
+        assert run_json(args + ["--grid", "-5:15:20"], capsys) == glued
+
     def test_mean_density_uses_param_bundle(self, capsys):
         payload = run_json(["density", "--dist", "mean", "--grid",
                             "86:89:5"] + OCTANE_FLAGS, capsys)
@@ -227,6 +233,18 @@ class TestSimulate:
                     "--replications", "100", "--seed", "7", "--n-grid", "0,5",
                     "--n", "10", "--beta0", "1", "--sigma0", "1", "--mu-z", "1",
                     "--sigma-z", "1", "--beta1", "1", "--sigma1", "1"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("extra", [
+        ["--statistic", "inconsistency", "--n-grid", "nan,5"],
+        ["--statistic", "inconsistency", "--n-grid", "2.5"],
+        ["--statistic", "f_oneway", "--group-sizes", "3.7,5",
+         "--group-means", "0,0", "--group-omegas", "1,1"]])
+    def test_non_integer_list_entry_exits_2(self, extra, capsys):
+        assert run(["simulate", "--replications", "100", "--seed", "7",
+                    "--n", "10", "--beta0", "1", "--sigma0", "1", "--mu-z",
+                    "1", "--sigma-z", "1", "--beta1", "1", "--sigma1", "1"]
+                   + extra) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
     @pytest.mark.parametrize("null", [["--delta", "nan"], ["--delta", "inf"],
@@ -340,6 +358,15 @@ class TestDiagnoseAnova:
         path.write_text("group,y\na,1\na,2\na,3\nb,4\nb,5\nb,6\n")
         assert run(["anova", "--input", str(path), "--power-alpha", "2",
                     "--group-sizes", "3,3", "--group-means", "0,1",
+                    "--group-omegas", "1,1"]) == 2
+        assert capsys.readouterr().err.startswith("input error:")
+
+    @pytest.mark.parametrize("sizes", ["nan,3", "2.5,3"])
+    def test_anova_non_integer_group_size_exits_2(self, sizes, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        path.write_text("group,y\na,1\na,2\na,3\nb,4\nb,5\nb,6\n")
+        assert run(["anova", "--input", str(path), "--power-alpha", "0.05",
+                    "--group-sizes", sizes, "--group-means", "0,1",
                     "--group-omegas", "1,1"]) == 2
         assert capsys.readouterr().err.startswith("input error:")
 

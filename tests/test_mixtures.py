@@ -69,6 +69,46 @@ def log_s_quad(f, lam0):
                           limit=4000, epsabs=0.0, epsrel=1e-12)[0]
 
 
+def variance_cdf_oracle(nu, lam, u):
+    """Variance-law CDF conditioned on the slope draw, E_s[P(V <= u/s^2)]
+    with V ~ chi2_nu, by quadrature in log s (graded toward s = 0, where
+    the mass near u = 0 sits)."""
+    return log_s_quad(lambda s: special.gammainc(nu / 2.0, u / (2.0 * s * s)),
+                      np.sqrt(lam))
+
+
+def variance_pdf_oracle(nu, lam, u):
+    """Density of u = W V, W ~ chi2_1(lam), V ~ chi2_nu, from the Poisson-
+    mixed Bessel-K product-density series (Wells, Anderson & Cell 1962):
+    sum_j pois(j; lam/2) (u/4)^((a+b)/2 - 1) K_(a-b)(sqrt u)
+    / (2 Gamma(a) Gamma(b)), a = j + 1/2, b = nu/2.  Sixty terms leave
+    less than 1e-30 of Poisson mass at lam <= 10.1."""
+    j = np.arange(61.0)
+    a, b = j + 0.5, nu / 2.0
+    log_terms = (stats.poisson.logpmf(j, lam / 2.0)
+                 + ((a + b) / 2.0 - 1.0) * np.log(u / 4.0)
+                 + np.log(special.kve(a - b, np.sqrt(u))) - np.sqrt(u)
+                 - special.gammaln(a) - special.gammaln(b))
+    return 0.5 * float(np.sum(np.exp(log_terms)))
+
+
+def mean_cdf_oracle_sigma0_zero(p, u):
+    """Mean-law CDF at sigma0 = 0, E_t[Phi((u - beta0 - t mu_z) /
+    (|t| sigma_z / sqrt(n)))], by quadrature in log |t| on either side of
+    t = 0, with a breakpoint where the components' transition sits."""
+    c = abs(u - p.beta0)
+
+    def side(sign):
+        def f(lt):
+            t = sign * np.exp(lt)
+            z = (u - p.beta0 - t * p.mu_z) / (abs(t) * p.sigma_z / np.sqrt(p.n))
+            return special.ndtr(z) * stats.norm.pdf(t, p.beta1, p.sigma1) * abs(t)
+        return integrate.quad(f, np.log(1e-16), np.log(abs(p.beta1) + 12 * p.sigma1),
+                              points=[np.log(c)], limit=4000,
+                              epsabs=1e-15, epsrel=1e-13)[0]
+    return side(-1.0) + side(1.0)
+
+
 def ncf_cdf_oracle(nu, delta, lam, u):
     return log_s_quad(lambda s: special.ncfdtr(1, nu, delta / s ** 2, u),
                       np.sqrt(lam))
@@ -197,6 +237,18 @@ class TestMeanMixture:
         for q in (0.1, 0.5, 0.9):
             assert mm.cdf(np.quantile(samples, q)) == pytest.approx(q, abs=5e-3)
 
+    @pytest.mark.parametrize("mu_z", [0.0, 1.0])
+    def test_sigma0_zero_cdf_against_quadrature(self, mu_z):
+        # the components shrink to a point at t = 0: the rule grades toward
+        # it by decades, and the CDF holds to abs_tol within 1e-5 of beta0
+        p = MixtureParams(n=10, beta0=1.0, sigma0=0.0, mu_z=mu_z, sigma_z=1.0,
+                          beta1=0.3, sigma1=1.0)
+        mm = mean_mixture(p)
+        for d in (1e-5, 1e-3, 0.1, 2.0):
+            for u in (1.0 - d, 1.0 + d):
+                assert mm.cdf(u) == pytest.approx(
+                    mean_cdf_oracle_sigma0_zero(p, u), abs=1e-9)
+
     def test_ideal_params_rejected(self):
         p = MixtureParams(n=5, beta0=0.0, sigma0=0.0, mu_z=0.0, sigma_z=1.0,
                           beta1=1.0, sigma1=0.0, ideal=True)
@@ -243,6 +295,17 @@ class TestVarianceMixture:
         assert vm.pdf(-1.0) == 0.0
         assert vm.cdf(-1.0) == 0.0
         assert vm.cdf(0.0) == 0.0
+
+    @pytest.mark.parametrize("nu,lam", [(5, 4.0), (10, 10.0953), (1, 0.5)])
+    def test_near_zero_against_oracles(self, nu, lam):
+        # u -> 0, where the law's mass sits in V's lower tail and its pdf
+        # rises like u^(-1/2)
+        vm = variance_mixture(nu, lam)
+        for u in np.geomspace(1e-6, 0.5, 6):
+            assert vm.cdf(u) == pytest.approx(variance_cdf_oracle(nu, lam, u),
+                                              abs=1e-9)
+            assert vm.pdf(u) == pytest.approx(variance_pdf_oracle(nu, lam, u),
+                                              rel=1e-9, abs=1e-9)
 
     def test_stochastic_ordering_in_lambda(self):
         cdfs = [variance_mixture(10, lam).cdf(20.0) for lam in (1.0, 4.0, 9.0)]
@@ -484,8 +547,11 @@ class TestNormalizationGrid:
     test_acceptance; these are spot checks with the graded integrator)."""
 
     def test_variance_lambda_one(self):
+        # the pdf rises like u^(-1/2) at 0: the first, ungraded panel
+        # [0, log_from] holds about 5e-6 sqrt(log_from / 1e-9) of mass, which
+        # its Gauss rule integrates only to a few percent
         vm = variance_mixture(10, 1.0)
-        total = graded_norm(vm.pdf, 0.0, vm.support()[1], log_from=1e-9)
+        total = graded_norm(vm.pdf, 0.0, vm.support()[1], log_from=1e-16)
         assert total == pytest.approx(1.0, abs=1e-7)
 
     def test_mean_octane(self):
