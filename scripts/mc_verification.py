@@ -7,10 +7,13 @@ Checks, at configurable replication counts:
   * agreement of the empirical Ybar / S^2 / t0^2 distributions with the
     quadrature mixture CDFs (Kolmogorov-Smirnov);
   * the exact blindness identities of the residual diagnostics.
+
+Exits 1 when a KS distance is at or over its band or an identity check
+fails, so it can gate a CI run.
 """
 
 import argparse
-
+import sys
 
 from calibmix import (McConfig, MixtureParams, blindness_suite,
                       ks_band, ks_distance, mc_inconsistency_curve,
@@ -36,7 +39,9 @@ def main():
         print("  %s: %.4f +/- %.4f (formula %.4f)"
               % (smry.name, smry.estimate, smry.std_error, target))
 
-    print("== KS against the mixture laws (band %.4f) ==" % ks_band(args.replications))
+    band = ks_band(args.replications)
+    failed = []
+    print("== KS against the mixture laws (band %.4f) ==" % band)
     for label, p, delta in (("unit", unit, 1.0),
                             ("octane", octane_params(), 2.935084529994201)):
         lam = (p.beta1 / p.sigma1) ** 2
@@ -47,7 +52,10 @@ def main():
         )
         for stat, ev, kw in checks:
             sample = mc_statistic_distribution(p, stat, cfg, **kw)
-            print("  %s/%s: D = %.4f" % (label, stat, ks_distance(sample, ev)))
+            d = ks_distance(sample, ev)
+            print("  %s/%s: D = %.4f" % (label, stat, d))
+            if d >= band:
+                failed.append("KS %s/%s" % (label, stat))
 
     print("== blindness identities ==")
     rep = blindness_suite(unit, McConfig(replications=min(args.replications, 20_000),
@@ -58,7 +66,12 @@ def main():
           % (rep.ks_band, {k: round(v, 4) for k, v in rep.ks.items()}))
     print("  identities hold:", rep.identities_hold,
           "| indistinguishable:", rep.indistinguishable)
+    if not rep.identities_hold:
+        failed.append("blindness identities")
+    if failed:
+        print("FAILED:", ", ".join(failed))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

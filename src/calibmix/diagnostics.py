@@ -209,7 +209,11 @@ def diagnostic_report(y, weights=None) -> DiagnosticReport:
 @dataclass(frozen=True)
 class BlindnessReport:
     """Replication-level identity checks plus distributional KS comparisons
-    against plain iid Gaussian data."""
+    against plain iid Gaussian data.
+
+    max_rel_dev holds each identity's worst deviation |a - b|/(1 + |b|);
+    max_dev_to_bound holds its worst ratio, over replications, of that
+    deviation to the replication's own rounding bound."""
 
     replications: int
     n: int
@@ -217,10 +221,11 @@ class BlindnessReport:
     max_rel_dev: dict
     ks: dict
     ks_band: float
+    max_dev_to_bound: dict
 
     @property
     def identities_hold(self) -> bool:
-        return max(self.max_rel_dev.values()) < 1e-10
+        return max(self.max_dev_to_bound.values()) <= 1.0
 
     @property
     def indistinguishable(self) -> bool:
@@ -232,6 +237,7 @@ class BlindnessReport:
             "n": self.n,
             "negative_slope_count": self.negative_slope_count,
             "max_rel_dev": dict(self.max_rel_dev),
+            "max_dev_to_bound": dict(self.max_dev_to_bound),
             "ks": dict(self.ks),
             "ks_band": self.ks_band,
             "identities_hold": self.identities_hold,
@@ -240,9 +246,19 @@ class BlindnessReport:
 
 
 def _rel_dev(a, b):
-    # measured against 1 + |ref| so identities at near-zero statistic values
-    # (b1 of an almost-symmetric sample) are not dominated by division noise
-    return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
+    """Deviation of a from b, one row per replication.  Measured against
+    1 + |ref| so identities at near-zero statistic values (b1 of an
+    almost-symmetric sample) are not dominated by division noise."""
+    d = np.abs(a - b) / (1.0 + np.abs(b))
+    return d.reshape(d.shape[0], -1)
+
+
+# Y = b0 + b1 Z is exact in real arithmetic only: rounding perturbs the
+# residuals Y - mean(Y) by about eps (|b0| + |b1| max|Z|) against their size
+# |b1| rms(Z - mean(Z)), the cancellation factor that blows up as b1 -> 0.
+# Each identity is held to this many eps times that factor; the worst ratio
+# seen was 6.5, over 30 seeds x 2e4 replications on five bundles, n = 5-100.
+_IDENTITY_ROUNDING = 64.0
 
 
 def blindness_suite(p: MixtureParams, cfg) -> BlindnessReport:
@@ -257,7 +273,8 @@ def blindness_suite(p: MixtureParams, cfg) -> BlindnessReport:
     w_y = shapiro_type_w_batch(y)
     w_z = shapiro_type_w_batch(z)
     u_y = von_neumann_ratio_batch(y - y.mean(axis=1, keepdims=True))
-    u_z = von_neumann_ratio_batch(z - z.mean(axis=1, keepdims=True))
+    zc = z - z.mean(axis=1, keepdims=True)
+    u_z = von_neumann_ratio_batch(zc)
     b1_y, b2_y = moment_ratios_batch(y)
     b1_z, b2_z = moment_ratios_batch(z)
     t_y = studentized_batch(y)
@@ -274,19 +291,24 @@ def blindness_suite(p: MixtureParams, cfg) -> BlindnessReport:
         "b1": sim.ks_distance_two_sample(b1_y, b1_g),
         "b2": sim.ks_distance_two_sample(b2_y, b2_g),
     }
+    dev = {
+        "W": _rel_dev(w_y, w_z),
+        "U": _rel_dev(u_y, u_z),
+        "b1": _rel_dev(b1_y, b1_z),
+        "b2": _rel_dev(b2_y, b2_z),
+        "studentized": _rel_dev(t_y, t_z),
+    }
+    bound = (_IDENTITY_ROUNDING * np.finfo(float).eps
+             * (np.abs(b0) + np.abs(b1c) * np.max(np.abs(z), axis=1))
+             / (np.abs(b1c) * np.sqrt(np.mean(zc ** 2, axis=1))))[:, None]
     return BlindnessReport(
         replications=cfg.replications,
         n=p.n,
         negative_slope_count=int(np.sum(b1c < 0)),
-        max_rel_dev={
-            "W": _rel_dev(w_y, w_z),
-            "U": _rel_dev(u_y, u_z),
-            "b1": _rel_dev(b1_y, b1_z),
-            "b2": _rel_dev(b2_y, b2_z),
-            "studentized": _rel_dev(t_y, t_z),
-        },
+        max_rel_dev={k: float(np.max(d)) for k, d in dev.items()},
         ks=ks,
         ks_band=sim.ks_two_sample_band(cfg.replications, cfg.replications),
+        max_dev_to_bound={k: float(np.max(d / bound)) for k, d in dev.items()},
     )
 
 

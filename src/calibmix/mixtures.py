@@ -244,18 +244,8 @@ def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> Varian
 
 
 # ----------------------------------------------------------------------
-# mixing rule, series and extreme-node kernels of the noncentral-t core
+# series and extreme-node kernels of the noncentral-t core
 # ----------------------------------------------------------------------
-
-def _chi2_mixing_rule(lam0: float, s_split: float, quad: QuadSpec):
-    """Refined mixing nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on
-    [s_split, s_hi], weighted by the density phi(s - lam0) + phi(s + lam0);
-    the noncentral-t core covers (0, s_split] with an ``_ExtremeRule``."""
-    mixdens = functools.partial(ser.sqrt_ncchisq1_pdf, lambda0=lam0)
-    rule = refine_panels(mixdens, s_split, ser.sqrt_mixing_upper(lam0), quad,
-                         initial_panels=32, split_at=(lam0,))
-    return rule.nodes, rule.weights * mixdens(rule.nodes)
-
 
 _G_EDGES = np.linspace(-8.6, 8.6, 17)   # panels of the Gaussian root g
 _G_ORDER = 10
@@ -448,15 +438,22 @@ class _NoncentralT:
       a_j = c_j E_s[e^{-phi^2/2} (sqrt(2) phi)^j],  c_j from nct_log_cj.
     With g = t/sqrt(nu+t^2) and x = g^2 these nodes' CDF at t is
     cdf0 + sgn(t)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2)
-    and their pdf P(t) sum_j a_j g^j, P the central-t prefactor.  The draws
-    s < s_split form the ``_ExtremeRule``.
+    and their pdf P(t) sum_j a_j g^j, P the central-t prefactor.  These
+    nodes and weights are kept as ``s`` and ``w``; the draws s < s_split
+    form the ``_ExtremeRule``.
     """
 
     def __init__(self, nu, root_d, lam0, quad):
         self.nu, self.tol = nu, quad.abs_tol
-        s_split = min(root_d / _NCT_SERIES_PHI_MAX,
-                      ser.sqrt_mixing_upper(lam0) / 2.0)
-        s, w = _chi2_mixing_rule(lam0, s_split, quad)
+        s_hi = ser.sqrt_mixing_upper(lam0)
+        s_split = min(root_d / _NCT_SERIES_PHI_MAX, s_hi / 2.0)
+        # series nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on [s_split, s_hi],
+        # weighted by the density phi(s - lam0) + phi(s + lam0)
+        mixdens = functools.partial(ser.sqrt_ncchisq1_pdf, lambda0=lam0)
+        rule = refine_panels(mixdens, s_split, s_hi, quad,
+                             initial_panels=32, split_at=(lam0,))
+        s, w = rule.nodes, rule.weights * mixdens(rule.nodes)
+        self.s, self.w = s, w
         phi = root_d / s
         self.ext = _ExtremeRule(nu, root_d, lam0, s_split, quad.abs_tol)
         self.cdf0 = float(w @ sp.ndtr(-phi))

@@ -6,6 +6,8 @@ from calibmix import (DataError, McConfig, MixtureParams, ParamError,
                       blindness_suite, blom_weights, diagnostic_report,
                       moment_ratios, residual_diagnostics, shapiro_type_w,
                       von_neumann_ratio)
+from calibmix import diagnostics
+from calibmix.casestudy import octane_params
 from calibmix.diagnostics import sample_from_csv
 
 finite_samples = st.lists(
@@ -129,6 +131,31 @@ class TestBlindnessSuite:
         assert report.indistinguishable
         assert max(report.ks.values()) < report.ks_band
 
+    @pytest.mark.parametrize("octane,seed", [(False, 5), (True, 18), (True, 27)])
+    def test_identities_hold_through_slope_cancellation(self, octane, seed):
+        # on these seeds a slope draw near 0 cancels Y - mean(Y) so far that
+        # rounding alone deviates by more than 1e-10 (up to 9.6e-10); each
+        # replication is judged against its own rounding bound
+        p = octane_params() if octane else MixtureParams(
+            n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0, beta1=1.0,
+            sigma1=1.0)
+        report = blindness_suite(p, McConfig(replications=20_000, seed=seed))
+        assert max(report.max_rel_dev.values()) > 1e-10
+        assert report.identities_hold
+
+    def test_broken_identity_is_caught(self, monkeypatch):
+        # t(Y) = sign(beta1_hat) t(Z) fails once the sign is dropped
+        studentized = diagnostics.studentized_batch
+        monkeypatch.setattr(diagnostics, "studentized_batch",
+                            lambda y: np.abs(studentized(y)))
+        p = MixtureParams(n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
+                          beta1=1.0, sigma1=1.0)
+        report = blindness_suite(p, McConfig(replications=500, seed=1))
+        assert not report.identities_hold
+        assert report.max_dev_to_bound["studentized"] > 1.0
+        assert max(v for k, v in report.max_dev_to_bound.items()
+                   if k != "studentized") <= 1.0
+
     def test_sign_flip_identity(self):
         # a replication with beta1_hat < 0 still satisfies t(Y) = sign * t(Z)
         from calibmix.diagnostics import studentized_batch
@@ -144,7 +171,8 @@ class TestBlindnessSuite:
                           beta1=1.0, sigma1=0.5)
         report = blindness_suite(p, McConfig(replications=500, seed=1))
         d = report.to_dict()
-        assert set(d) >= {"replications", "max_rel_dev", "ks", "ks_band"}
+        assert set(d) >= {"replications", "max_rel_dev", "max_dev_to_bound",
+                          "ks", "ks_band"}
 
 
 class TestDiagnosticReport:

@@ -610,12 +610,16 @@ class TestNonFiniteLawParams:
 
 
 class TestChi2MixingRule:
+    """The noncentral-t core's series nodes of s = sqrt(w), w ~ chi2_1(lam),
+    on [s_split, s_hi], with s_split = D/20 below s_hi/2."""
+
     @pytest.mark.parametrize("lam", [0.0, 1e-4, 25.0, 400.0])
     def test_weights_sum_to_one(self, lam):
+        # D = 0 puts s_split at 0, so the series nodes carry all the mass
         quad = QuadSpec()
-        s, w = mx._chi2_mixing_rule(np.sqrt(lam), 0.0, quad)
-        assert np.all(s >= 0.0) and np.all(w >= 0.0)
-        assert w.sum() == pytest.approx(1.0, abs=quad.abs_tol)
+        core = mx._NoncentralT(10.0, 0.0, np.sqrt(lam), quad)
+        assert np.all(core.s >= 0.0) and np.all(core.w >= 0.0)
+        assert core.w.sum() == pytest.approx(1.0, abs=quad.abs_tol)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-4, 25.0, 400.0])
     @pytest.mark.parametrize("s_split", [0.0158, 1.0])
@@ -625,13 +629,14 @@ class TestChi2MixingRule:
         # closed form and stays below 1e-3 abs_tol
         quad = QuadSpec()
         lam0 = np.sqrt(lam)
-        s, w = mx._chi2_mixing_rule(lam0, s_split, quad)
-        ext = mx._ExtremeRule(10.0, 20.0 * s_split, lam0, s_split, quad.abs_tol)
-        assert s.min() >= s_split and ext.s_lo <= s_split
+        core = mx._NoncentralT(10.0, 20.0 * s_split, lam0, quad)
+        ext = core.ext
+        assert ext.s_split == pytest.approx(s_split, rel=1e-15)
+        assert core.s.min() >= ext.s_split and ext.s_lo <= ext.s_split
         below = special.ndtr(ext.s_lo - lam0) - special.ndtr(-ext.s_lo - lam0)
         assert below <= 1e-3 * quad.abs_tol
         _, h = ext._nodes
-        assert w.sum() + h.sum() + below == pytest.approx(1.0, abs=quad.abs_tol)
+        assert core.w.sum() + h.sum() + below == pytest.approx(1.0, abs=quad.abs_tol)
 
 
 class TestExtremeRule:

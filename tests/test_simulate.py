@@ -1,14 +1,24 @@
+import functools
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
+import calibmix
 from calibmix import (CalibrationDesign, DataError, McConfig, MixtureParams,
                       OneWayDesign, ParamError, correlation_params,
                       draw_calibrated_sample, draw_calibrated_samples, ks_band,
-                      ks_distance, mc_config_from_json, mc_config_to_json,
-                      mc_inconsistency_curve, mc_statistic_distribution,
-                      mean_mixture, substream, variance_mixture)
+                      ks_distance, ks_two_sample_band, mc_config_from_json,
+                      mc_config_to_json, mc_inconsistency_curve,
+                      mc_statistic_distribution, mean_mixture, substream,
+                      tsq_mixture, variance_mixture)
+from calibmix.casestudy import octane_params
 from calibmix.simulate import dump_samples_csv
 
 UNIT = MixtureParams(n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
@@ -239,17 +249,19 @@ class TestStatisticDistributions:
         assert UNIT.var_y - e_s2 == pytest.approx(-bias, rel=1e-12)
 
 
+class Normal:
+    def __init__(self, loc=0.0):
+        self.loc = loc
+
+    def cdf(self, u):
+        return ndtr(np.asarray(u, dtype=float) - self.loc)
+
+
 class TestKsHelpers:
     def test_ks_distance_detects_mismatch(self):
         rng = np.random.default_rng(0)
         sample = rng.normal(0.3, 1.0, 30_000)
-
-        class StdNorm:
-            def cdf(self, u):
-                from scipy.special import ndtr
-                return ndtr(np.asarray(u, dtype=float))
-
-        assert ks_distance(sample, StdNorm()) > 0.08
+        assert ks_distance(sample, Normal()) > 0.08
 
     def test_ks_distance_accepts_match(self):
         p = UNIT0
@@ -261,6 +273,139 @@ class TestKsHelpers:
         assert ks_band(100_000) == pytest.approx(1.63 / np.sqrt(100_000))
         with pytest.raises(ValueError):
             ks_band(100, alpha=0.05)
+
+
+class Counted:
+    """A model CDF that counts the points it is asked for."""
+
+    def __init__(self, dist):
+        self.dist, self.points = dist, 0
+
+    def cdf(self, u):
+        self.points += np.size(u)
+        return self.dist.cdf(u)
+
+
+def exact_ks(f_sorted, tail_frac=1e-4):
+    """KS distance from the model CDF at every sorted sample point: the
+    exact distance on the core plus ks_distance's tail allowances."""
+    n = f_sorted.size
+    lo_i = int(math.floor(tail_frac * n))
+    hi_i = n - 1 - lo_i
+    i = np.arange(lo_i, hi_i + 1)
+    f = np.clip(f_sorted[lo_i:hi_i + 1], 0.0, 1.0)
+    return max(float(np.max(np.maximum((i + 1) / n - f, f - i / n))),
+               lo_i / n, f[0], 1.0 - (hi_i + 1) / n, 1.0 - f[-1])
+
+
+POOL_LAWS = {
+    "normal": Normal,
+    "mean": lambda: mean_mixture(UNIT),
+    "s2": lambda: variance_mixture(9, 1.0),
+    "tsq": lambda: tsq_mixture(9, 1.0, 1.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def pool(law):
+    """2e4 sorted draws of a law with its CDF at each, computed once."""
+    dist = POOL_LAWS[law]()
+    cfg = McConfig(replications=20_000, seed=8)
+    if law == "normal":
+        draws = substream(cfg.seed, 1).normal(size=cfg.replications)
+    else:
+        kw = {"delta": 1.0} if law == "tsq" else {}
+        draws = mc_statistic_distribution(UNIT, law, cfg, **kw)
+    x = np.sort(draws)
+    return dist, x, np.asarray(dist.cdf(x))
+
+
+class TestKsBrackets:
+    """ks_distance is a certified upper bound: never below the exact
+    distance and at most 1e-5 above it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(law=st.sampled_from(sorted(POOL_LAWS)),
+           n=st.integers(2_000, 20_000),
+           seed=st.integers(0, 2 ** 31),
+           grid_points=st.sampled_from([2, 64, 1024, 4096]),
+           tail_frac=st.sampled_from([0.0, 1e-4, 1e-3]),
+           shift=st.sampled_from([0.0, 0.05, 1.0]))
+    def test_within_slack_of_exact(self, law, n, seed, grid_points, tail_frac,
+                                   shift):
+        dist, x, f = pool(law)
+        keep = np.sort(np.random.default_rng(seed).choice(x.size, n, replace=False))
+        x, f = x[keep], f[keep]
+        if law == "normal" and shift:
+            # a mismatched model, so the bound is tested far from 0 too
+            dist = Normal(shift)
+            f = dist.cdf(x)
+        exact = exact_ks(f, tail_frac)
+        d = ks_distance(x[::-1], dist, grid_points=grid_points,
+                        tail_frac=tail_frac)
+        assert exact - 1e-12 <= d <= exact + 1e-5 + 1e-12
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_unsplit_gap_counts_at_large_n(self, seed):
+        # at 3e5 draws one sample moves D by 3e-6, so the largest D can sit
+        # in a gap that is left unsplit; the result must still cover it
+        x = substream(seed, 2).normal(size=300_000)
+        exact = exact_ks(Normal().cdf(np.sort(x)))
+        assert exact <= ks_distance(x, Normal()) <= exact + 1e-5
+
+    def test_criterion_7_octane_tsq(self):
+        # a fixed bracket on 1024 quantiles reads 0.0055 here, over the 0.0052
+        # band; the exact distance is 0.00459
+        p, delta = octane_params(), 2.935084529994201
+        ev = tsq_mixture(p.n - 1, delta, (p.beta1 / p.sigma1) ** 2)
+        sample = mc_statistic_distribution(
+            p, "tsq", McConfig(replications=100_000, seed=97), delta=delta)
+        counted = Counted(ev)
+        d = ks_distance(sample, counted)
+        exact = exact_ks(np.asarray(ev.cdf(np.sort(sample))))
+        assert exact == pytest.approx(0.00459, abs=5e-6)
+        assert exact <= d <= exact + 1e-5
+        # no more CDF points than the 1542 of the interpolated grid it replaces
+        assert counted.points <= 1542
+
+    @pytest.mark.parametrize("sample,match", [
+        (np.r_[np.linspace(0, 1, 50), np.nan], r"sample\[50\]"),
+        (np.r_[np.inf, np.linspace(0, 1, 50)], r"sample\[0\]"),
+        (np.ones(100), "degenerate"),
+        (np.linspace(0, 1, 2), "too small"),
+    ])
+    def test_bad_sample_is_data_error(self, sample, match):
+        with pytest.raises(DataError, match=match):
+            ks_distance(sample, Normal())
+
+    @pytest.mark.parametrize("kw", [
+        {"tail_frac": -0.1}, {"tail_frac": 0.5}, {"tail_frac": np.nan},
+        {"grid_points": 1},
+    ])
+    def test_bad_setting_is_param_error(self, kw):
+        with pytest.raises(ParamError, match=next(iter(kw))):
+            ks_distance(np.linspace(0, 1, 100), Normal(), **kw)
+
+    @pytest.mark.parametrize("band", [
+        lambda: ks_band(100, alpha=0.05),
+        lambda: ks_two_sample_band(100, 100, alpha=0.05),
+    ])
+    def test_unpinned_alpha_is_param_error(self, band):
+        with pytest.raises(ParamError, match="alpha"):
+            band()
+
+
+def test_import_loads_only_special_from_scipy():
+    # a fresh interpreter: this one has imported scipy.stats already
+    src = os.path.dirname(os.path.dirname(calibmix.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, calibmix; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    loaded = {m.split(".")[1] for m in out.split() if m.startswith("scipy.")}
+    assert not loaded & {"interpolate", "optimize", "linalg", "sparse",
+                         "spatial", "stats"}
+    assert "special" in loaded
 
 
 def test_dump_samples_csv(tmp_path):
