@@ -98,12 +98,7 @@ def case_study_report(quad: QuadSpec = QuadSpec(), alpha: float = 0.05,
     oc = operating_characteristics(d.nu, d.delta, d.lam, alpha, quad)
     return {
         "schema_version": "1",
-        "fitted_line": {
-            "beta0_hat": fit.beta0_hat, "beta1_hat": fit.beta1_hat,
-            "sigma_u_hat": fit.sigma_u_hat, "sigma0": fit.sigma0,
-            "sigma1": fit.sigma1, "sxx": fit.sxx, "n0": fit.n0,
-            "xbar": fit.xbar,
-        },
+        "fitted_line": dataclasses.asdict(fit),
         "canonical_params": {
             "n": p.n, "beta0": p.beta0, "sigma0": p.sigma0, "mu_z": p.mu_z,
             "sigma_z": p.sigma_z, "beta1": p.beta1, "sigma1": p.sigma1,

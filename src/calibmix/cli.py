@@ -123,6 +123,17 @@ def _int_list(text, flag):
     return [int(v) for v in values]
 
 
+def _oneway_design(args, needed_by):
+    """The OneWayDesign of the --group-sizes/--group-means/--group-omegas
+    flags, which `needed_by` requires."""
+    if not (args.group_sizes and args.group_means and args.group_omegas):
+        raise _UsageError("%s needs --group-sizes, --group-means and "
+                          "--group-omegas" % needed_by)
+    return OneWayDesign(sizes=_int_list(args.group_sizes, "--group-sizes"),
+                        means=_float_list(args.group_means),
+                        omegas=_float_list(args.group_omegas))
+
+
 def _emit(args, payload, csv_text=None):
     if args.format == "json":
         text = payload_to_json_text(payload)
@@ -164,11 +175,7 @@ def _build_dist(args, quad):
 
 def _cmd_fit(args):
     data = calibration_data_from_csv(args.input)
-    fit = fit_calibration(data)
-    result = {"beta0_hat": fit.beta0_hat, "beta1_hat": fit.beta1_hat,
-              "sigma_u_hat": fit.sigma_u_hat, "sigma0": fit.sigma0,
-              "sigma1": fit.sigma1, "sxx": fit.sxx, "n0": fit.n0,
-              "xbar": fit.xbar}
+    result = dataclasses.asdict(fit_calibration(data))
     _emit(args, _payload("fit", {"input": args.input}, result))
     return 0
 
@@ -294,12 +301,7 @@ def _cmd_simulate(args):
         config_echo["delta"] = args.delta
         config_echo["mu_y0"] = args.mu_y0
     if args.statistic == "f_oneway":
-        if not (args.group_sizes and args.group_means and args.group_omegas):
-            raise _UsageError("f_oneway needs --group-sizes, --group-means "
-                              "and --group-omegas")
-        design = OneWayDesign(sizes=_int_list(args.group_sizes, "--group-sizes"),
-                              means=_float_list(args.group_means),
-                              omegas=_float_list(args.group_omegas))
+        design = _oneway_design(args, "f_oneway")
         kwargs = {"design": design}
         config_echo["design"] = {"sizes": list(design.sizes),
                                  "means": list(design.means),
@@ -344,13 +346,7 @@ def _cmd_anova(args):
     }
     cfg = {"input": args.input}
     if args.power_alpha is not None:
-        if not (args.group_means and args.group_omegas and args.group_sizes):
-            raise _UsageError("--power-alpha needs --group-sizes, --group-means "
-                              "and --group-omegas")
-        design = OneWayDesign(sizes=_int_list(args.group_sizes, "--group-sizes"),
-                              means=_float_list(args.group_means),
-                              omegas=_float_list(args.group_omegas))
-        fp = f_power(design, args.power_alpha)
+        fp = f_power(_oneway_design(args, "--power-alpha"), args.power_alpha)
         result["f_power"] = {"lambda_f": fp.lambda_f, "power": fp.power,
                              "critical": fp.critical}
         cfg["power_alpha"] = args.power_alpha

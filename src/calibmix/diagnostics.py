@@ -39,6 +39,17 @@ class ResidualSet:
     r_student: np.ndarray
 
 
+def _residuals(y):
+    """(R = Y - Ybar, R'R), rejecting a constant sample.  Equal values are
+    caught as such: their mean can round off them, which leaves residuals
+    of order eps instead of 0."""
+    r = y - y.mean()
+    ss = float(np.dot(r, r))
+    if ss == 0.0 or np.ptp(y) == 0.0:
+        raise ParamError("constant sample: S_Y = 0")
+    return r, ss
+
+
 def residual_diagnostics(y) -> ResidualSet:
     """Residuals R_i = Y_i - Ybar, t_i = R_i/(S sqrt(1-1/n)), and R-Student
     with the leave-one-out sd from the exact downdate
@@ -47,19 +58,16 @@ def residual_diagnostics(y) -> ResidualSet:
     n = y.size
     if n < 3:
         raise ParamError("need at least 3 observations")
-    r = y - y.mean()
-    ss = float(np.dot(r, r))
-    if ss == 0.0:
-        raise ParamError("constant sample: S_Y = 0")
+    r, ss = _residuals(y)
     s = math.sqrt(ss / (n - 1))
-    stud = r / (s * math.sqrt(1.0 - 1.0 / n))
     loo_ss = ss - n * r ** 2 / (n - 1)
     loo_sd = np.sqrt(np.maximum(loo_ss, 0.0) / (n - 2))
     r_student = np.full(n, np.inf)
     ok = loo_sd > 0
     r_student[~ok] = np.sign(r[~ok]) * np.inf
     r_student[ok] = r[ok] / (loo_sd[ok] * math.sqrt(1.0 - 1.0 / n))
-    return ResidualSet(residuals=r, sample_sd=s, studentized=stud,
+    return ResidualSet(residuals=r, sample_sd=s,
+                       studentized=studentized_batch(y[None, :])[0],
                        r_student=r_student)
 
 
@@ -74,11 +82,9 @@ def von_neumann_ratio(r, b_kind="successive-difference"):
     if isinstance(b_kind, str):
         if b_kind != "successive-difference":
             raise ValueError("unknown B matrix kind %r" % b_kind)
-        quad = float(np.sum(np.diff(r) ** 2))
-    else:
-        bmat = np.asarray(b_kind, dtype=float)
-        quad = float(r @ bmat @ r)
-    return quad / rr
+        return float(von_neumann_ratio_batch(r[None, :])[0])
+    bmat = np.asarray(b_kind, dtype=float)
+    return float(r @ bmat @ r) / rr
 
 
 def blom_weights(n: int):
@@ -108,12 +114,8 @@ def shapiro_type_w(y, weights=None):
         raise ParamError("weights must not be all zero")
     if abs(float(w.sum())) > 1e-8 * float(np.abs(w).sum()):
         raise ParamError("weights must sum to zero")
-    ys = np.sort(y, kind="stable")
-    num = float(np.dot(w, ys)) ** 2
-    ss = float(np.sum((y - y.mean()) ** 2))
-    if ss == 0.0:
-        raise ParamError("constant sample: S_Y = 0")
-    return num / ss
+    _residuals(y)
+    return float(shapiro_type_w_batch(y[None, :], w)[0])
 
 
 def moment_ratios(y):
@@ -122,16 +124,14 @@ def moment_ratios(y):
     y = np.asarray(y, dtype=float)
     if y.size < 4:
         raise ParamError("need at least 4 observations")
-    d = y - y.mean()
-    m2 = float(np.mean(d ** 2))
-    if m2 == 0.0:
-        raise ParamError("constant sample")
-    m3 = float(np.mean(d ** 3))
-    m4 = float(np.mean(d ** 4))
-    return m3 ** 2 / m2 ** 3, m4 / m2 ** 2
+    _residuals(y)
+    b1, b2 = moment_ratios_batch(y[None, :])
+    return float(b1[0]), float(b2[0])
 
 
-# -- batched forms used by the Monte Carlo engine --------------------------
+# -- the batch kernels: one row per sample ---------------------------------
+# The scalar statistics above check their input and then evaluate these on
+# one row; the Monte Carlo engine and blindness_suite evaluate them on many.
 
 def shapiro_type_w_batch(y, weights=None):
     y = np.asarray(y, dtype=float)
@@ -163,6 +163,16 @@ def studentized_batch(y):
     r = y - y.mean(axis=1, keepdims=True)
     s = np.sqrt((r ** 2).sum(axis=1, keepdims=True) / (n - 1))
     return r / (s * math.sqrt(1.0 - 1.0 / n))
+
+
+def battery_batch(y):
+    """{W, U, b1, b2}: the diagnostic battery of each row of y, one value
+    per row."""
+    y = np.asarray(y, dtype=float)
+    b1, b2 = moment_ratios_batch(y)
+    return {"W": shapiro_type_w_batch(y),
+            "U": von_neumann_ratio_batch(y - y.mean(axis=1, keepdims=True)),
+            "b1": b1, "b2": b2}
 
 
 @dataclass(frozen=True)
@@ -267,37 +277,15 @@ def blindness_suite(p: MixtureParams, cfg) -> BlindnessReport:
     from . import simulate as sim
 
     rng = sim.substream(cfg.seed, sim._STREAMS["diagnostics"])
-    b0, b1c, z = sim._draw_coefficients(p, cfg, cfg.replications, p.n, rng)
-    y = b0[:, None] + b1c[:, None] * z
+    b0, b1c, z, y = sim._calibrated(p, cfg, rng)
+    on_y, on_z = battery_batch(y), battery_batch(z)
+    on_g = battery_batch(sim.reference_gaussian_samples(p.n, cfg))
 
-    w_y = shapiro_type_w_batch(y)
-    w_z = shapiro_type_w_batch(z)
-    u_y = von_neumann_ratio_batch(y - y.mean(axis=1, keepdims=True))
+    ks = {k: sim.ks_distance_two_sample(on_y[k], on_g[k]) for k in on_y}
+    dev = {k: _rel_dev(on_y[k], on_z[k]) for k in on_y}
+    dev["studentized"] = _rel_dev(studentized_batch(y),
+                                  studentized_batch(z) * np.sign(b1c)[:, None])
     zc = z - z.mean(axis=1, keepdims=True)
-    u_z = von_neumann_ratio_batch(zc)
-    b1_y, b2_y = moment_ratios_batch(y)
-    b1_z, b2_z = moment_ratios_batch(z)
-    t_y = studentized_batch(y)
-    t_z = studentized_batch(z) * np.sign(b1c)[:, None]
-
-    g = sim.reference_gaussian_samples(p.n, cfg)
-    w_g = shapiro_type_w_batch(g)
-    u_g = von_neumann_ratio_batch(g - g.mean(axis=1, keepdims=True))
-    b1_g, b2_g = moment_ratios_batch(g)
-
-    ks = {
-        "W": sim.ks_distance_two_sample(w_y, w_g),
-        "U": sim.ks_distance_two_sample(u_y, u_g),
-        "b1": sim.ks_distance_two_sample(b1_y, b1_g),
-        "b2": sim.ks_distance_two_sample(b2_y, b2_g),
-    }
-    dev = {
-        "W": _rel_dev(w_y, w_z),
-        "U": _rel_dev(u_y, u_z),
-        "b1": _rel_dev(b1_y, b1_z),
-        "b2": _rel_dev(b2_y, b2_z),
-        "studentized": _rel_dev(t_y, t_z),
-    }
     bound = (_IDENTITY_ROUNDING * np.finfo(float).eps
              * (np.abs(b0) + np.abs(b1c) * np.max(np.abs(z), axis=1))
              / (np.abs(b1c) * np.sqrt(np.mean(zc ** 2, axis=1))))[:, None]

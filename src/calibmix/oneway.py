@@ -89,6 +89,21 @@ def _split_groups(y, sizes):
     return [flat[bounds[i]:bounds[i + 1]] for i in range(len(sizes))]
 
 
+def _sums_of_squares(y, sizes):
+    """Grand mean, between-group and within-group sums of squares of each
+    row of y, whose columns hold the groups' observations in group order."""
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    grand = y.mean(axis=1)
+    ss1 = np.zeros(y.shape[0])
+    ss2 = np.zeros(y.shape[0])
+    for i, size in enumerate(sizes):
+        g = y[:, bounds[i]:bounds[i + 1]]
+        gm = g.mean(axis=1)
+        ss1 += size * (gm - grand) ** 2
+        ss2 += ((g - gm[:, None]) ** 2).sum(axis=1)
+    return grand, ss1, ss2
+
+
 def decompose(y, sizes=None) -> AnovaDecomposition:
     """Sums-of-squares decomposition of grouped data (a list of group arrays,
     or a flat array plus sizes).  All observations equal makes the F ratio
@@ -97,23 +112,21 @@ def decompose(y, sizes=None) -> AnovaDecomposition:
     k = len(groups)
     if k < 2:
         raise ParamError("need at least 2 groups")
-    ns = np.array([g.size for g in groups])
-    if np.any(ns < 1):
+    ns = [g.size for g in groups]
+    if min(ns) < 1:
         raise ParamError("empty group")
-    allv = np.concatenate(groups)
-    n = allv.size
-    grand = allv.mean()
-    means = np.array([g.mean() for g in groups])
-    ss0 = n * grand ** 2
-    ss1 = float(np.sum(ns * (means - grand) ** 2))
-    ss2 = float(sum(np.sum((g - m) ** 2) for g, m in zip(groups, means)))
-    if ss2 == 0.0:
-        raise ParamError("zero within-group variation: F undefined")
+    n = sum(ns)
     if n - k < 1:
         raise ParamError("no within-group degrees of freedom")
+    grand, ss1, ss2 = (float(v[0]) for v in
+                       _sums_of_squares(np.concatenate(groups)[None, :], ns))
+    # equal values are caught as such: a group mean can round off them,
+    # which leaves a within-group sum of squares of order eps^2, not 0
+    if ss2 == 0.0 or all(np.ptp(g) == 0.0 for g in groups):
+        raise ParamError("zero within-group variation: F undefined")
     f = (n - k) * ss1 / ((k - 1) * ss2)
-    return AnovaDecomposition(ss0=float(ss0), ss1=ss1, ss2=ss2, f_statistic=f,
-                              df_between=k - 1, df_within=n - k)
+    return AnovaDecomposition(ss0=n * grand ** 2, ss1=ss1, ss2=ss2,
+                              f_statistic=f, df_between=k - 1, df_within=n - k)
 
 
 class FPower(NamedTuple):
@@ -122,7 +135,7 @@ class FPower(NamedTuple):
     critical: float
 
 
-def f_power(design: OneWayDesign, alpha: float, *, tol: float = 1e-8) -> FPower:
+def f_power(design: OneWayDesign, alpha: float) -> FPower:
     """Noncentrality and power of the one-way F test under a common omega.
 
     lambda_F = sum n_i (mu_i - mubar)^2/omega^2 with the size-weighted grand
@@ -140,7 +153,7 @@ def f_power(design: OneWayDesign, alpha: float, *, tol: float = 1e-8) -> FPower:
     lam_f = float(np.sum(ns * (mus - mubar) ** 2) / omega ** 2)
     d1, d2 = design.k - 1, design.n - design.k
     crit = float(sp.fdtri(d1, d2, 1.0 - alpha))
-    power = 1.0 - float(ncf_cdf(crit, d1, d2, lam_f, tol=tol))
+    power = 1.0 - float(ncf_cdf(crit, d1, d2, lam_f))
     return FPower(lambda_f=lam_f, power=power, critical=crit)
 
 

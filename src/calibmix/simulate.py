@@ -1,13 +1,23 @@
 """Seeded Monte Carlo engine for calibrated measurements.
 
-RNG layout (pinned, v1): every tracked functional draws from its own Philox
+RNG layout (pinned, v2): every tracked functional draws from its own Philox
 stream obtained as Generator(Philox(SeedSequence(entropy=seed,
 spawn_key=key))); normals are produced by the inverse-CDF transform
 ndtri(uniform) with one uniform per normal (no rejection, fixed
 consumption), so identical (seed, config) reproduce bit-identical streams.
-Within a batch the uniform matrix is laid out one replication per row:
-coefficient mode uses columns [beta0_hat, beta1_hat, z_1..z_n]; full
-calibration mode uses [eps_1..eps_n0, z_1..z_n].
+Within a batch the uniform matrix is laid out one replication per row, and
+_draw_coefficients is the only code that consumes it.  Coefficient mode
+uses columns [beta0_hat, beta1_hat, Z...]; full calibration mode uses
+[eps_1..eps_n0, Z...] and takes the line (beta0, beta1, sigma_u, x) from
+the design for every statistic.  The Z columns are, per statistic:
+
+    sample, s2, tsq, diagnostics   z_1..z_n, each N(mu_z, sigma_z^2)
+    mean, inconsistency            zbar ~ N(mu_z, sigma_z^2/n), one column
+    f_oneway                       the groups' readings in group order,
+                                   N(mu_i, omega^2)
+
+Full-mode `mean` therefore consumes n0 + 1 uniforms per replication (v1
+drew n readings and averaged them).
 
 Each replication shares a single (beta0_hat, beta1_hat) draw across its n
 projected values; that shared draw is the induced dependence under study.
@@ -21,6 +31,7 @@ would add intercept noise to the noncentrality.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -30,6 +41,7 @@ from scipy import special as sp
 
 from .errors import DataError, ParamError, require_finite
 from .model import MixtureParams
+from .oneway import _sums_of_squares
 
 _STREAMS = {
     "sample": 0,
@@ -96,7 +108,11 @@ class CalibrationDesign:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replication count, seed and sampling mode of a Monte Carlo run."""
+    """Replication count, seed and sampling mode of a Monte Carlo run.
+
+    mode "full" refits the calibration line of `design` in every
+    replication, for every statistic: the params' beta0, sigma0, beta1 and
+    sigma1 do not enter the draws."""
 
     replications: int
     seed: int
@@ -181,33 +197,39 @@ def _std_normal(rng: np.random.Generator, shape):
     return sp.ndtri(np.maximum(u, 2.0 ** -60))
 
 
-def _draw_coefficients(p: MixtureParams, cfg: McConfig, reps: int, z_cols: int,
+def _draw_coefficients(p: MixtureParams, cfg: McConfig, z_mean, z_sd: float,
                        rng: np.random.Generator):
-    """(beta0_hat, beta1_hat, Z) for `reps` replications with z_cols readings
-    per replication, honoring the pinned uniform layout."""
+    """(beta0_hat, beta1_hat, Z, Y = beta0_hat + beta1_hat Z) for
+    cfg.replications rows, honoring the pinned uniform layout.  Z has one
+    column per entry of z_mean, column j drawn as N(z_mean[j], z_sd^2)."""
+    z_mean = np.asarray(z_mean, dtype=float)
+    lead = 2 if cfg.mode == "coefficient" else cfg.design.n0
+    normals = _std_normal(rng, (cfg.replications, lead + z_mean.size))
+    z = z_mean + z_sd * normals[:, lead:]
     if cfg.mode == "coefficient":
-        normals = _std_normal(rng, (reps, 2 + z_cols))
         b0 = p.beta0 + p.sigma0 * normals[:, 0]
         b1 = p.beta1 + p.sigma1 * normals[:, 1]
-        z = p.mu_z + p.sigma_z * normals[:, 2:]
     else:
         d = cfg.design
-        normals = _std_normal(rng, (reps, d.n0 + z_cols))
-        eps = d.sigma_u * normals[:, :d.n0]
+        eps = d.sigma_u * normals[:, :lead]
         b0 = d.beta0 + eps.mean(axis=1)
         b1 = d.beta1 + eps @ d.xc / d.sxx
-        z = p.mu_z + p.sigma_z * normals[:, d.n0:]
-    return b0, b1, z
+    # the normals are the largest array here: free them before Y is formed
+    del normals
+    return b0, b1, z, b0[:, None] + b1[:, None] * z
+
+
+def _calibrated(p: MixtureParams, cfg: McConfig, rng: np.random.Generator):
+    """_draw_coefficients for n readings Z_i ~ N(mu_z, sigma_z^2) per row."""
+    return _draw_coefficients(p, cfg, np.full(p.n, p.mu_z), p.sigma_z, rng)
 
 
 def draw_calibrated_sample(p: MixtureParams, cfg: McConfig,
                            rng: np.random.Generator | None = None):
     """One replication of n calibrated values Y_i = beta0_hat + beta1_hat Z_i,
     sharing a single coefficient draw across the sample."""
-    if rng is None:
-        rng = substream(cfg.seed, _STREAMS["sample"])
-    b0, b1, z = _draw_coefficients(p, cfg, 1, p.n, rng)
-    return (b0[:, None] + b1[:, None] * z)[0]
+    return draw_calibrated_samples(
+        p, dataclasses.replace(cfg, replications=1), rng)[0]
 
 
 def draw_calibrated_samples(p: MixtureParams, cfg: McConfig,
@@ -215,8 +237,16 @@ def draw_calibrated_samples(p: MixtureParams, cfg: McConfig,
     """(replications, n) matrix of calibrated samples, one row per replication."""
     if rng is None:
         rng = substream(cfg.seed, _STREAMS["sample"])
-    b0, b1, z = _draw_coefficients(p, cfg, cfg.replications, p.n, rng)
-    return b0[:, None] + b1[:, None] * z
+    return _calibrated(p, cfg, rng)[3]
+
+
+def _mean_draws(p: MixtureParams, cfg: McConfig, n: int,
+                rng: np.random.Generator):
+    """Ybar = beta0_hat + beta1_hat Zbar, with Zbar ~ N(mu_z, sigma_z^2/n)
+    drawn as one column: an exact distributional reduction for n iid
+    Gaussian readings, so a replication costs the same whatever n is."""
+    return _draw_coefficients(p, cfg, [p.mu_z], p.sigma_z / math.sqrt(n),
+                              rng)[3][:, 0]
 
 
 def _variance_summary(name, values) -> McSummary:
@@ -231,27 +261,15 @@ def _variance_summary(name, values) -> McSummary:
 
 
 def mc_inconsistency_curve(p: MixtureParams, n_grid, cfg: McConfig):
-    """Empirical Var(Ybar_n) along n_grid.
-
-    Ybar = beta0_hat + beta1_hat Zbar with Zbar ~ N(mu_z, sigma_z^2/n) is an
-    exact distributional reduction for iid Gaussian readings, so each grid
-    entry costs three normals per replication regardless of n.
-    """
+    """Empirical Var(Ybar_n) along n_grid, one stream per grid entry."""
     n_grid = list(n_grid)
     if n_grid != sorted(n_grid):
         raise ParamError("n_grid must be ascending")
     if n_grid and n_grid[0] < 1:
         raise ParamError("n_grid values must be at least 1")
-    out = []
-    for idx, n in enumerate(n_grid):
-        rng = substream(cfg.seed, _STREAMS["inconsistency"], idx)
-        normals = _std_normal(rng, (cfg.replications, 3))
-        b0 = p.beta0 + p.sigma0 * normals[:, 0]
-        b1 = p.beta1 + p.sigma1 * normals[:, 1]
-        zbar = p.mu_z + p.sigma_z / math.sqrt(n) * normals[:, 2]
-        ybar = b0 + b1 * zbar
-        out.append(_variance_summary("var_ybar_n%d" % n, ybar))
-    return out
+    return [_variance_summary("var_ybar_n%d" % n, _mean_draws(
+        p, cfg, n, substream(cfg.seed, _STREAMS["inconsistency"], idx)))
+        for idx, n in enumerate(n_grid)]
 
 
 def mc_statistic_distribution(p: MixtureParams, statistic: str, cfg: McConfig,
@@ -278,36 +296,20 @@ def mc_statistic_distribution(p: MixtureParams, statistic: str, cfg: McConfig,
         if delta < 0:
             raise ParamError("delta must be nonnegative")
     rng = substream(cfg.seed, _STREAMS[statistic])
-    reps = cfg.replications
 
     if statistic == "mean":
-        if cfg.mode == "coefficient":
-            normals = _std_normal(rng, (reps, 3))
-            b0 = p.beta0 + p.sigma0 * normals[:, 0]
-            b1 = p.beta1 + p.sigma1 * normals[:, 1]
-            zbar = p.mu_z + p.sigma_z / math.sqrt(p.n) * normals[:, 2]
-        else:
-            b0, b1, z = _draw_coefficients(p, cfg, reps, p.n, rng)
-            zbar = z.mean(axis=1)
-        return b0 + b1 * zbar
+        return _mean_draws(p, cfg, p.n, rng)
 
     if statistic == "f_oneway":
         if design is None:
             raise ParamError("f_oneway needs a OneWayDesign")
         if len(set(design.omegas)) != 1:
             raise ParamError("f_oneway assumes a common omega across groups")
-        omega = design.omegas[0]
-        n = design.n
-        normals = _std_normal(rng, (reps, 2 + n))
-        b0 = p.beta0 + p.sigma0 * normals[:, 0]
-        b1 = p.beta1 + p.sigma1 * normals[:, 1]
-        mu_vec = np.repeat(np.asarray(design.means), np.asarray(design.sizes))
-        z = mu_vec[None, :] + omega * normals[:, 2:]
-        y = b0[:, None] + b1[:, None] * z
+        y = _draw_coefficients(p, cfg, np.repeat(design.means, design.sizes),
+                               design.omegas[0], rng)[3]
         return _f_statistics(y, design.sizes)
 
-    b0, b1, z = _draw_coefficients(p, cfg, reps, p.n, rng)
-    y = b0[:, None] + b1[:, None] * z
+    b0, b1, _, y = _calibrated(p, cfg, rng)
 
     if statistic == "s2":
         s2 = y.var(axis=1, ddof=1)
@@ -320,28 +322,14 @@ def mc_statistic_distribution(p: MixtureParams, statistic: str, cfg: McConfig,
         s2 = y.var(axis=1, ddof=1)
         return p.n * (ybar - null) ** 2 / s2
 
-    # diagnostics
-    from . import diagnostics as diag
-    w = diag.shapiro_type_w_batch(y)
-    u = diag.von_neumann_ratio_batch(y - y.mean(axis=1, keepdims=True))
-    b1r, b2r = diag.moment_ratios_batch(y)
-    return {"W": w, "U": u, "b1": b1r, "b2": b2r}
+    from .diagnostics import battery_batch
+    return battery_batch(y)
 
 
 def _f_statistics(y, sizes):
     """One-way F statistics per replication row of y."""
-    sizes = np.asarray(sizes)
-    k = sizes.size
-    n = int(sizes.sum())
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    grand = y.mean(axis=1)
-    ss1 = np.zeros(y.shape[0])
-    ss2 = np.zeros(y.shape[0])
-    for i in range(k):
-        g = y[:, bounds[i]:bounds[i + 1]]
-        gm = g.mean(axis=1)
-        ss1 += sizes[i] * (gm - grand) ** 2
-        ss2 += ((g - gm[:, None]) ** 2).sum(axis=1)
+    k, n = len(sizes), sum(sizes)
+    _, ss1, ss2 = _sums_of_squares(y, sizes)
     return (n - k) * ss1 / ((k - 1) * ss2)
 
 
@@ -365,16 +353,23 @@ def dump_samples_csv(path, name, values) -> None:
 # Kolmogorov-Smirnov utilities
 # ----------------------------------------------------------------------
 
-def ks_band(n: int, alpha: float = 0.01) -> float:
-    """Asymptotic one-sample KS acceptance band 1.63/sqrt(n) at alpha=0.01."""
+def _require_pinned_band(alpha, **sizes):
     if alpha != 0.01:
         raise ParamError("only the alpha=0.01 band constant 1.63 is pinned")
+    for name, size in sizes.items():
+        if not size >= 1:
+            raise ParamError("%s must be at least 1, got %r" % (name, size))
+
+
+def ks_band(n: int, alpha: float = 0.01) -> float:
+    """Asymptotic one-sample KS acceptance band 1.63/sqrt(n) at alpha=0.01."""
+    _require_pinned_band(alpha, n=n)
     return 1.63 / math.sqrt(n)
 
 
 def ks_two_sample_band(n: int, m: int, alpha: float = 0.01) -> float:
-    if alpha != 0.01:
-        raise ParamError("only the alpha=0.01 band constant 1.63 is pinned")
+    """Two-sample KS acceptance band 1.63 sqrt((n + m)/(n m)) at alpha=0.01."""
+    _require_pinned_band(alpha, n=n, m=m)
     return 1.63 * math.sqrt((n + m) / (n * m))
 
 

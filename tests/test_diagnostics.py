@@ -46,6 +46,14 @@ class TestResidualDiagnostics:
         assert np.allclose(r1.studentized, r2.studentized, atol=1e-8)
 
 
+@pytest.mark.parametrize("stat", [residual_diagnostics, shapiro_type_w,
+                                  moment_ratios, diagnostic_report])
+def test_rounded_constant_sample_rejected(stat):
+    # the mean of six 0.1s rounds off 0.1, leaving residuals of order eps
+    with pytest.raises(ParamError, match="constant sample"):
+        stat([0.1] * 6)
+
+
 class TestVonNeumannRatio:
     def test_hand_examples(self):
         assert von_neumann_ratio(np.array([-2.0, 0.0, 2.0])) == pytest.approx(1.0)

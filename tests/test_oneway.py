@@ -29,6 +29,10 @@ class TestDecompose:
     def test_constant_data_rejected(self):
         with pytest.raises(ParamError):
             decompose([[2.0, 2.0], [2.0, 2.0]])
+        # the groups' means round off 0.1 and 0.3, so their sums of squares
+        # are of order eps^2, not 0
+        with pytest.raises(ParamError, match="within-group"):
+            decompose([[0.1] * 3, [0.3] * 3])
 
     def test_size_mismatch(self):
         with pytest.raises(ParamError):

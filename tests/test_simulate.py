@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -13,13 +14,16 @@ from scipy.special import ndtr
 import calibmix
 from calibmix import (CalibrationDesign, DataError, McConfig, MixtureParams,
                       OneWayDesign, ParamError, correlation_params,
+                      derive_params,
                       draw_calibrated_sample, draw_calibrated_samples, ks_band,
                       ks_distance, ks_two_sample_band, mc_config_from_json,
                       mc_config_to_json, mc_inconsistency_curve,
                       mc_statistic_distribution, mean_mixture, substream,
                       tsq_mixture, variance_mixture)
 from calibmix.casestudy import octane_params
-from calibmix.simulate import dump_samples_csv
+from calibmix.diagnostics import (moment_ratios_batch, shapiro_type_w_batch,
+                                  von_neumann_ratio_batch)
+from calibmix.simulate import _f_statistics, _std_normal, dump_samples_csv
 
 UNIT = MixtureParams(n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
                      beta1=1.0, sigma1=1.0)
@@ -169,6 +173,115 @@ class TestInconsistencyCurve:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ParamError):
             mc_inconsistency_curve(UNIT, [100, 10], McConfig(replications=10, seed=1))
+
+
+GROUPS = OneWayDesign(sizes=(4, 3, 3), means=(0.0, 1.0, 2.0),
+                      omegas=(1.5, 1.5, 1.5))
+
+
+def _by_hand(stat, p, seed, reps):
+    """(engine output, the same statistic rebuilt from its keyed stream by
+    the pinned coefficient-mode layout [beta0_hat, beta1_hat, Z...])."""
+    cfg = McConfig(replications=reps, seed=seed)
+
+    def coefficients(key, cols, rows=reps):
+        e = _std_normal(substream(seed, *key), (rows, 2 + cols))
+        return (p.beta0 + p.sigma0 * e[:, 0], p.beta1 + p.sigma1 * e[:, 1],
+                e[:, 2:])
+
+    def samples(key, rows=reps):
+        b0, b1, e = coefficients(key, p.n, rows)
+        return b0, b1, b0[:, None] + b1[:, None] * (p.mu_z + p.sigma_z * e)
+
+    def ybar(key, n):
+        b0, b1, e = coefficients(key, 1)
+        return b0 + b1 * (p.mu_z + p.sigma_z / math.sqrt(n) * e[:, 0])
+
+    if stat == "sample":
+        return draw_calibrated_sample(p, cfg), samples((0,), 1)[2][0]
+    if stat == "samples":
+        return draw_calibrated_samples(p, cfg), samples((0,))[2]
+    if stat == "inconsistency":
+        got = [s.estimate for s in mc_inconsistency_curve(p, [3, 100], cfg)]
+        return got, [ybar((6, 0), 3).var(ddof=1), ybar((6, 1), 100).var(ddof=1)]
+    if stat == "mean":
+        return mc_statistic_distribution(p, "mean", cfg), ybar((1,), p.n)
+    if stat == "s2":
+        y = samples((2,))[2]
+        return (mc_statistic_distribution(p, "s2", cfg),
+                (p.n - 1) * y.var(axis=1, ddof=1) / (p.sigma1 * p.sigma_z) ** 2)
+    if stat == "tsq":
+        b0, b1, y = samples((3,))
+        null = b0 + b1 * p.mu_z - math.sqrt(p.sigma1 ** 2 * p.sigma_z ** 2 / p.n)
+        return (mc_statistic_distribution(p, "tsq", cfg, delta=1.0),
+                p.n * (y.mean(axis=1) - null) ** 2 / y.var(axis=1, ddof=1))
+    if stat == "f_oneway":
+        b0, b1, e = coefficients((4,), GROUPS.n)
+        z = np.repeat(GROUPS.means, GROUPS.sizes) + 1.5 * e
+        return (mc_statistic_distribution(p, "f_oneway", cfg, design=GROUPS),
+                _f_statistics(b0[:, None] + b1[:, None] * z, GROUPS.sizes))
+    y = samples((5,))[2]
+    b1r, b2r = moment_ratios_batch(y)
+    return (mc_statistic_distribution(p, "diagnostics", cfg),
+            {"W": shapiro_type_w_batch(y),
+             "U": von_neumann_ratio_batch(y - y.mean(axis=1, keepdims=True)),
+             "b1": b1r, "b2": b2r})
+
+
+@pytest.mark.parametrize("stat", ["sample", "samples", "inconsistency", "mean",
+                                  "s2", "tsq", "f_oneway", "diagnostics"])
+@pytest.mark.parametrize("octane", [False, True])
+def test_coefficient_mode_streams_rebuild_by_hand(stat, octane):
+    p = octane_params() if octane else UNIT
+    got, want = _by_hand(stat, p, seed=97, reps=400)
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        got, want = list(got.values()), list(want.values())
+    assert np.array_equal(got, want)
+
+
+class TestFullMode:
+    """Full calibration mode takes the line from the design for every
+    statistic; here the design's slope (5) is far from the params' (1)."""
+
+    DESIGN = CalibrationDesign(x=tuple(np.linspace(-1.0, 1.0, 11)), beta0=2.0,
+                               beta1=5.0, sigma_u=0.5)
+    P = MixtureParams(n=10, beta0=2.0, sigma0=0.1, mu_z=0.5, sigma_z=1.0,
+                      beta1=1.0, sigma1=0.2)
+
+    def _line(self, key, reps, cols):
+        """The design's (beta0_hat, beta1_hat) and the Z normals, by the
+        full-mode layout [eps_1..eps_n0, Z...]."""
+        d = self.DESIGN
+        e = _std_normal(substream(5, *key), (reps, d.n0 + cols))
+        eps = d.sigma_u * e[:, :d.n0]
+        return d.beta0 + eps.mean(axis=1), d.beta1 + eps @ d.xc / d.sxx, e[:, d.n0:]
+
+    def _cfg(self, reps):
+        return McConfig(replications=reps, seed=5, mode="full", design=self.DESIGN)
+
+    def test_inconsistency_follows_design(self):
+        out = mc_inconsistency_curve(self.P, [3, 10], self._cfg(40_000))
+        for smry, n in zip(out, [3, 10]):
+            want = derive_params(self.DESIGN.mixture_params(
+                n, self.P.mu_z, self.P.sigma_z)).var_ybar
+            assert smry.estimate == pytest.approx(want, abs=4 * smry.std_error)
+            assert want > 10 * derive_params(
+                dataclasses.replace(self.P, n=n)).var_ybar
+
+    def test_f_oneway_follows_design(self):
+        got = mc_statistic_distribution(self.P, "f_oneway", self._cfg(500),
+                                        design=GROUPS)
+        b0, b1, e = self._line((4,), 500, GROUPS.n)
+        z = np.repeat(GROUPS.means, GROUPS.sizes) + 1.5 * e
+        assert np.array_equal(got, _f_statistics(b0[:, None] + b1[:, None] * z,
+                                                 GROUPS.sizes))
+
+    def test_mean_draws_one_zbar_column(self):
+        got = mc_statistic_distribution(self.P, "mean", self._cfg(500))
+        b0, b1, e = self._line((1,), 500, 1)
+        want = b0 + b1 * (self.P.mu_z + self.P.sigma_z / math.sqrt(10) * e[:, 0])
+        assert np.array_equal(got, want)
 
 
 class TestStatisticDistributions:
@@ -393,6 +506,16 @@ class TestKsBrackets:
     def test_unpinned_alpha_is_param_error(self, band):
         with pytest.raises(ParamError, match="alpha"):
             band()
+
+    @pytest.mark.parametrize("band,sizes,match", [
+        (ks_band, (0,), "n must"),
+        (ks_band, (-5,), "n must"),
+        (ks_two_sample_band, (0, 3), "n must"),
+        (ks_two_sample_band, (3, 0), "m must"),
+    ], ids=["n=0", "n=-5", "n=0,m=3", "n=3,m=0"])
+    def test_empty_sample_is_param_error(self, band, sizes, match):
+        with pytest.raises(ParamError, match=match):
+            band(*sizes)
 
 
 def test_import_loads_only_special_from_scipy():
