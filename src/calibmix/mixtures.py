@@ -63,33 +63,40 @@ _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
 _POINT_BLOCK = 512
 
 
-def _as_batch(u):
+def _evaluate(f, u, at_inf):
+    """(u is a scalar, f at u): f over the finite points of u in blocks of
+    _POINT_BLOCK points, ``at_inf`` at +inf and 0 at -inf.  A NaN in u is a
+    ParamError."""
     u = np.asarray(u, dtype=float)
-    return (u.ndim == 0), np.atleast_1d(u).astype(float)
-
-
-def _blocked(f, u):
-    """f over u in blocks of _POINT_BLOCK points."""
-    out = np.empty_like(u)
-    for i in range(0, u.size, _POINT_BLOCK):
-        out[i:i + _POINT_BLOCK] = f(u[i:i + _POINT_BLOCK])
-    return out
+    scalar, u = u.ndim == 0, np.atleast_1d(u)
+    if np.isnan(u).any():
+        raise ParamError("abscissa must not be NaN")
+    finite = np.isfinite(u)
+    out = np.where(u > 0, at_inf, 0.0)
+    u_fin = u[finite]
+    vals = np.empty_like(u_fin)
+    for i in range(0, u_fin.size, _POINT_BLOCK):
+        vals[i:i + _POINT_BLOCK] = f(u_fin[i:i + _POINT_BLOCK])
+    out[finite] = vals
+    return scalar, out
 
 
 class _MixtureLaw:
     """What the four laws share: scalar/array wrapping, evaluation in blocks
-    of points, CDF clipping, interval probabilities and CDF inversion.  Each
-    law supplies ``_pdf`` and ``_cdf`` on 1-d float arrays and
-    ``_bracket()``, the (lo, hi, expand) start of the bisection."""
+    of points, the infinite abscissae, CDF clipping, interval probabilities
+    and CDF inversion.  Each law supplies ``_pdf`` and ``_cdf`` on 1-d
+    arrays of finite floats and ``_bracket()``, the (lo, hi, expand) start
+    of the inversion (``quadrature.bisect_cdf``, an ITP bracketing solve).
+    A NaN abscissa or probability is a ParamError; at -inf and +inf the CDF
+    is 0 and 1 and the pdf 0."""
 
     def pdf(self, u):
-        scalar, u = _as_batch(u)
-        out = _blocked(self._pdf, u)
+        scalar, out = _evaluate(self._pdf, u, 0.0)
         return float(out[0]) if scalar else out
 
     def cdf(self, u):
-        scalar, u = _as_batch(u)
-        out = np.clip(_blocked(self._cdf, u), 0.0, 1.0)
+        scalar, out = _evaluate(self._cdf, u, 1.0)
+        out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 
     def interval_prob(self, lo, hi):
@@ -99,7 +106,7 @@ class _MixtureLaw:
 
     def ppf(self, prob):
         if not 0.0 < prob < 1.0:
-            raise ValueError("probability must be in (0, 1)")
+            raise ParamError("probability must be in (0, 1), got %r" % prob)
         lo, hi, expand = self._bracket()
         return bisect_cdf(lambda x: float(self.cdf(x)), prob, lo, hi,
                           xtol=1e-8, expand=expand)
@@ -353,39 +360,82 @@ class _ExtremeRule:
         return _gaussian_root_parts(u, self.nu, *self._nodes, want_pdf)
 
 
-class _SeriesCoefs:
-    """Mixed series coefficients c_j = sum_s w_s k_j(s) over the series
-    nodes, extended on demand by ``block(j)`` and kept.  ``mass`` is
-    sum_j c_j where it is known in closed form, so the mass not yet reached
-    bounds what the rest of the series can add."""
+class _Sequence:
+    """f(j) for j = 0, 1, ..., evaluated by blocks on demand and kept."""
 
-    def __init__(self, block, mass=math.inf):
-        self._block = block
-        self.mass = float(mass)
-        self._c = np.zeros(0)
-        self._den = {}
+    def __init__(self, f=None):
+        self._f = f
+        self._v = np.zeros(0)
+
+    def _block(self, j):
+        return self._f(j)
 
     def upto(self, j_hi):
-        if j_hi > self._c.size:
-            new = self._block(np.arange(self._c.size, j_hi))
-            self._c = np.concatenate([self._c, new])
-        return self._c[:j_hi]
+        if j_hi > self._v.size:
+            new = self._block(np.arange(self._v.size, j_hi, dtype=float))
+            self._v = np.concatenate([self._v, new])
+        return self._v[:j_hi]
+
+
+_LIVE_FLOOR = 1e-15   # times abs_tol: what a node's dropped terms stay below
+
+
+class _SeriesCoefs(_Sequence):
+    """Mixed series coefficients c_j = sum_k w_k exp(-mu_k + j log b_k + g(j))
+    over the series nodes, extended on demand and kept.  ``mass`` is
+    sum_j c_j where it is known in closed form, so the mass not yet reached
+    bounds what the rest of the series can add.
+
+    A block of j sums over the live nodes only.  Each node's step ratio
+    b_k e^{g(j+1) - g(j)} falls as j grows, so once its term (before the
+    weight w_k) is below _LIVE_FLOOR abs_tol / sum(w) and its ratio is at
+    most 1/2, the rest of its terms add less than that term: the node
+    leaves the live set for good.  All nodes that leave add less than
+    2 _LIVE_FLOOR abs_tol to the whole sequence.
+    """
+
+    def __init__(self, b, mu, w, g, tol, mass=math.inf):
+        # _block is overridden, not passed in: a stored bound method would
+        # make a reference cycle that keeps each evaluator until the next
+        # garbage collection
+        super().__init__()
+        with np.errstate(divide="ignore"):
+            self._log_b = np.log(b)
+            self._log_floor = math.log(_LIVE_FLOOR * tol) - np.log(np.sum(w))
+        self._mu, self._w, self._g = mu, w, g
+        self._live = np.arange(w.size)
+        self.mass = float(mass)
+        self._den = {}
+
+    def _block(self, j):
+        live = self._live
+        g = self._g(np.append(j, j[-1] + 1.0))
+        with np.errstate(invalid="ignore"):      # 0 log 0 where b = 0
+            t = np.multiply.outer(j, self._log_b[live])
+        if j[0] == 0.0:
+            t[0] = 0.0
+        t -= self._mu[live]
+        t += g[:-1, None]
+        keep = ((t[-1] >= self._log_floor)
+                | (self._log_b[live] + (g[-1] - g[-2]) > -math.log(2.0)))
+        self._live = live[keep]
+        return np.exp(t, out=t) @ self._w[live]
 
     def left_after(self, j_hi):
         return max(self.mass - float(self.upto(j_hi).sum()), 0.0)
 
     def log_den(self, a, b):
         """log((j + a) B(j + a, b)) over j, kept like the coefficients."""
-        return self._den.setdefault((a, b), _SeriesCoefs(
+        return self._den.setdefault((a, b), _Sequence(
             lambda j: np.log(j + a) + ser.log_beta(j + a, b)))
 
 
-def _poisson_coefs(phi, w):
+def _poisson_coefs(phi, w, tol):
     """m_j = sum_s w_s pois(j; phi_s^2/2), the Poisson mixture of the
     noncentral-t CDF series."""
-    means = 0.5 * phi ** 2
-    return _SeriesCoefs(lambda j: np.exp(ser.poisson_log_pmf(j, means)) @ w,
-                        np.sum(w))
+    half_sq = 0.5 * phi ** 2
+    return _SeriesCoefs(half_sq, half_sq, w, lambda j: -sp.gammaln(j + 1.0),
+                        tol, np.sum(w))
 
 
 def _beta_series(coefs, a, b, x, tol, j_hi, law):
@@ -454,25 +504,19 @@ class _NoncentralT:
                              initial_panels=32, split_at=(lam0,))
         s, w = rule.nodes, rule.weights * mixdens(rule.nodes)
         self.s, self.w = s, w
-        phi = root_d / s
+        # nodes rounded onto s = 0 (where lam0 or D/20 is subnormal) weigh
+        # nothing; phi = 0 keeps them finite
+        phi = np.divide(root_d, s, out=np.zeros_like(s), where=s > 0.0)
         self.ext = _ExtremeRule(nu, root_d, lam0, s_split, quad.abs_tol)
         self.cdf0 = float(w @ sp.ndtr(-phi))
-        self.m = _poisson_coefs(phi, w)
+        tol = quad.abs_tol
+        self.m = _poisson_coefs(phi, w, tol)
         half_sq = 0.5 * phi ** 2
-
-        def n_block(j):
-            log_k = (-half_sq[None, :] + sp.xlogy(j[:, None], half_sq[None, :])
-                     - sp.gammaln(j + 1.5)[:, None])
-            return np.exp(log_k) @ (w * phi) / math.sqrt(2.0)
-
-        def a_block(j):
-            log_k = (-half_sq[None, :]
-                     + sp.xlogy(j[:, None], math.sqrt(2.0) * phi[None, :])
-                     + ser.nct_log_cj(j, nu)[:, None])
-            return np.exp(log_k) @ w
-
-        self.n = _SeriesCoefs(n_block, w @ sp.erf(phi / math.sqrt(2.0)))
-        self._a = _SeriesCoefs(a_block)
+        self.n = _SeriesCoefs(half_sq, half_sq, w * phi / math.sqrt(2.0),
+                              lambda j: -sp.gammaln(j + 1.5), tol,
+                              w @ sp.erf(phi / math.sqrt(2.0)))
+        self._a = _SeriesCoefs(math.sqrt(2.0) * phi, half_sq, w,
+                               lambda j: ser.nct_log_cj(j, nu), tol)
         self._q = math.sqrt(2.0) * float(np.max(phi))
 
     def pdf_coefs(self, amax):

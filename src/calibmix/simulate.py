@@ -282,10 +282,15 @@ def mc_statistic_distribution(p: MixtureParams, statistic: str, cfg: McConfig,
     nu S_Y^2/(sigma1^2 sigma_z^2)), "tsq" (t0^2 against a null at fixed
     distance from the conditional mean; pass mu_y0 or the abstract
     noncentrality delta), "f_oneway" (needs a homoscedastic OneWayDesign),
-    or "diagnostics" (dict of W, U, b1, b2 samples).
+    or "diagnostics" (dict of W, U, b1, b2 samples).  In full mode the
+    line, and so sigma1 and mu_y, come from the design, not from ``p``.
     """
     if statistic not in ("mean", "s2", "tsq", "f_oneway", "diagnostics"):
         raise ParamError("unknown statistic %r" % statistic)
+    if cfg.mode == "full":
+        # the draws take the design's line, so must the s2 and tsq scale and
+        # the tsq null
+        p = cfg.design.mixture_params(p.n, p.mu_z, p.sigma_z)
     if statistic == "tsq":
         if (mu_y0 is None) == (delta is None):
             raise ParamError("tsq needs exactly one of mu_y0 or delta")

@@ -80,15 +80,6 @@ def log_beta(a, b):
             + _stirling_remainder(b) - _stirling_remainder(a + b))
 
 
-def poisson_log_pmf(j, mean):
-    """log Poisson pmf; j (B,), mean (M,) -> (B, M). mean may be 0 or huge."""
-    j = np.asarray(j, dtype=float)[:, None]
-    mean = np.asarray(mean, dtype=float)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lp = -mean + j * np.log(mean) - sp.gammaln(j + 1.0)
-    return np.where(mean == 0.0, np.where(j == 0.0, 0.0, -np.inf), lp)
-
-
 def ncf_cdf(x, d1, d2, nc):
     """CDF of the noncentral F(d1, d2, nc) law at x (vectorized in x; a
     scalar x gives a float), from scipy.special.ncfdtr; 0 for x <= 0."""

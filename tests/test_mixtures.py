@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from calibmix import (AccuracyError, DistSpec, MixtureParams, ParamError,
@@ -163,6 +163,31 @@ def betainc_series(coefs, a, b, x, tol, j_hi):
             return out
         j_done = j_hi
         j_hi = min(2 * j_hi, j_hi + 4096)
+
+
+def dense_series_coefs(core, nu, root_d, j):
+    """Reference for mx._SeriesCoefs: the noncentral-t core's m_j, n_j and
+    a_j at j, each summed over all of its series nodes, phi = root_d / s:
+      m_j = sum_s w pois(j; phi^2/2),
+      n_j = sum_s (w phi / sqrt 2) e^{-phi^2/2} (phi^2/2)^j / Gamma(j + 3/2),
+      a_j = sum_s w e^{-phi^2/2} (sqrt(2) phi)^j c_j.
+    j log b takes numpy's log, as the live-node builder does: scipy's xlogy
+    takes the C library's log, which differs from it in the last bit for
+    some b, and j log b carries that to 2e-14 relative at j ~ 300."""
+    s = core.s
+    phi = np.divide(root_d, s, out=np.zeros_like(s), where=s > 0.0)
+    half_sq = 0.5 * phi ** 2
+    jj = j[:, None]
+
+    def block(b, w, log_g):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_b = np.where(jj == 0.0, 0.0, jj * np.log(b))
+        return np.exp(log_b - half_sq + log_g[:, None]) @ w
+
+    return (block(half_sq, core.w, -special.gammaln(j + 1.0)),
+            block(half_sq, core.w * phi / np.sqrt(2.0),
+                  -special.gammaln(j + 1.5)),
+            block(np.sqrt(2.0) * phi, core.w, ser.nct_log_cj(j, nu)))
 
 
 def graded_norm(pdf, lo, hi, *, log_from=None, order=16):
@@ -609,6 +634,55 @@ class TestNonFiniteLawParams:
             build(value)
 
 
+LAWS_AT_EDGES = {
+    # nu = 1, sigma0 = 0 and lambda -> 0
+    "mean": (lambda: mean_mixture(MixtureParams(
+        n=2, beta0=0.0, sigma0=0.0, mu_z=1.0, sigma_z=1.0, beta1=1e-3,
+        sigma1=1.0)), [-3.0, -0.2, 1e-3, 0.4, 5.0]),
+    "variance": (lambda: variance_mixture(1, 1e-8),
+                 [1e-4, 0.05, 1.0, 6.0, 40.0]),
+    "tsq": (lambda: tsq_mixture(1, 2.0, 1e-8), [1e-4, 0.05, 1.0, 6.0, 300.0]),
+    "signed_t": (lambda: signed_t_mixture(1, 1.5, 1e-4),
+                 [-20.0, -0.5, 0.3, 2.0, 60.0]),
+}
+
+
+class TestNonFiniteAbscissae:
+    @pytest.mark.parametrize("make", [
+        lambda: mean_mixture(octane_params()),
+        lambda: variance_mixture(10, 1.0),
+        lambda: tsq_mixture(10, 1.0, 1.0),
+        lambda: signed_t_mixture(10, -1.0, 1.0),
+    ], ids=["mean", "variance", "tsq", "signed_t"])
+    def test_infinities_and_nan(self, make):
+        ev = make()
+        assert ev.cdf(-np.inf) == 0.0 and ev.cdf(np.inf) == 1.0
+        assert ev.pdf(-np.inf) == 0.0 and ev.pdf(np.inf) == 0.0
+        got = ev.cdf(np.array([-np.inf, 1.0, np.inf]))
+        assert got[0] == 0.0 and got[2] == 1.0 and got[1] == ev.cdf(1.0)
+        for call in (ev.cdf, ev.pdf):
+            with pytest.raises(ParamError, match="NaN"):
+                call(np.nan)
+            with pytest.raises(ParamError, match="NaN"):
+                call(np.array([1.0, np.nan]))
+        with pytest.raises(ParamError, match="NaN"):
+            ev.interval_prob(np.nan, 2.0)
+        for prob in (np.nan, 0.0, 1.0):
+            with pytest.raises(ParamError, match="probability"):
+                ev.ppf(prob)
+
+
+class TestInversionRoundTrip:
+    @pytest.mark.parametrize("kind", sorted(LAWS_AT_EDGES))
+    def test_ppf_inverts_cdf(self, kind):
+        make, points = LAWS_AT_EDGES[kind]
+        ev = make()
+        for u in points:
+            p = ev.cdf(u)
+            assert 1e-4 < p < 1.0 - 1e-4
+            assert ev.ppf(p) == pytest.approx(u, abs=1e-8)
+
+
 class TestChi2MixingRule:
     """The noncentral-t core's series nodes of s = sqrt(w), w ~ chi2_1(lam),
     on [s_split, s_hi], with s_split = D/20 below s_hi/2."""
@@ -690,10 +764,43 @@ class TestBetaSeries:
                       min_size=1, max_size=20))
     def test_recurrence_matches_betainc_series(self, a, nu, phi, x):
         x = np.array(x)
-        coefs = lambda: mx._poisson_coefs(np.array([phi]), np.array([1.0]))
+        coefs = lambda: mx._poisson_coefs(np.array([phi]), np.array([1.0]),
+                                          1e-12)
         got = mx._beta_series(coefs(), a, nu / 2.0, x, 1e-12, 16, "test")
         want = betainc_series(coefs(), a, nu / 2.0, x, 1e-12, 16)
         assert np.max(np.abs(got - want)) <= 1e-13
+
+
+class TestSeriesCoefs:
+    @settings(max_examples=30, deadline=None)
+    @given(nu=st.floats(1.0, 200.0),
+           root_d=st.one_of(st.just(0.0),
+                            st.floats(0.0, 30.0, exclude_min=True)),
+           lam0=st.floats(0.0, 8.0))
+    @example(nu=1.0, root_d=0.0, lam0=5e-324)    # series nodes at s = 0
+    @example(nu=1.0, root_d=5e-324, lam0=5e-324)
+    def test_live_nodes_match_dense_builder(self, nu, root_d, lam0):
+        quad = QuadSpec()
+        core = mx._NoncentralT(nu, root_d, lam0, quad)
+        seqs = (core.m, core.n, core._a)
+        # grown by the blocks the series take, so nodes leave between them
+        reached = [mx._MIN_TERMS]
+        while reached[-1] < 1280:
+            reached.append(min(2 * reached[-1], reached[-1] + 4096))
+        for j_hi in reached:
+            for c in seqs:
+                c.upto(j_hi)
+        j = np.arange(reached[-1], dtype=float)
+        refs = dense_series_coefs(core, nu, root_d, j)
+        floor = 2e-15 * quad.abs_tol
+        for c, ref in zip(seqs, refs):
+            assert np.all(np.abs(c.upto(j.size) - ref) <= 1e-15 * ref + floor)
+        # what is left never reads below the dense remainder, up to the
+        # rounding of the two sums
+        for c, ref in zip(seqs[:2], refs[:2]):
+            for j_hi in reached:
+                left = max(c.mass - float(ref[:j_hi].sum()), 0.0)
+                assert c.left_after(j_hi) >= left - 4.0 * np.spacing(c.mass)
 
 
 def test_dense_pdf_has_bounded_working_set():

@@ -1,0 +1,86 @@
+import math
+
+import numpy as np
+import pytest
+from scipy import special
+
+from calibmix import AccuracyError
+from calibmix import quadrature as qd
+from calibmix.quadrature import bisect_cdf
+
+
+def counted(cdf):
+    """cdf plus the list of abscissae it was called at."""
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return float(cdf(x))
+    return f, seen
+
+
+def step_count_bound(lo, hi, xtol):
+    """Bisection's step count plus the ITP slack, a few steps."""
+    assert 0 <= qd._ITP_SLACK <= 5
+    return math.ceil(math.log2((hi - lo) / xtol)) + qd._ITP_SLACK
+
+
+class TestBisectCdf:
+    # a step CDF gives the interpolation nothing; flat tails give it ends at
+    # F = 0 and 1, a ramp between them and an exponential tail
+    @pytest.mark.parametrize("cdf,lo,hi", [
+        (lambda x: float(x >= 0.3), -1.0, 1.0),
+        (lambda x: min(max((x - 3.0) / 0.01, 0.0), 1.0), 0.0, 100.0),
+        (lambda x: -math.expm1(-x) if x > 0 else 0.0, 0.0, 50.0),
+        (lambda x: special.ndtr(x - 40.0), -1e3, 1e3),
+    ], ids=["step", "ramp", "exponential", "far-normal"])
+    @pytest.mark.parametrize("target", [1e-6, 0.025, 0.5, 0.975])
+    def test_at_most_slack_steps_beyond_bisection(self, cdf, lo, hi, target):
+        f, seen = counted(cdf)
+        x = bisect_cdf(f, target, lo, hi, xtol=1e-8)
+        assert len(seen) - 2 <= step_count_bound(lo, hi, 1e-8)
+        assert len(seen) == len(set(seen))
+        # x is within xtol of the crossing, or on it
+        assert cdf(x - 1e-8) <= target <= cdf(x + 1e-8)
+
+    def test_smooth_cdf_takes_a_handful_of_steps(self):
+        f, seen = counted(special.ndtr)
+        x = bisect_cdf(f, 0.975, -10.0, 10.0, xtol=1e-8)
+        assert x == pytest.approx(1.959963984540054, abs=1e-8)
+        assert len(seen) - 2 <= 10 < step_count_bound(-10.0, 10.0, 1e-8)
+
+    @pytest.mark.parametrize("cdf,target,want", [
+        (lambda x: x, 0.25, 0.25),            # on the lower end
+        (lambda x: x, 0.75, 0.75),            # on the upper end
+    ])
+    def test_target_on_bracket_end(self, cdf, target, want):
+        f, seen = counted(cdf)
+        assert bisect_cdf(f, target, 0.25, 0.75) == want
+        assert len(seen) == 2
+
+    def test_target_on_expanded_end(self):
+        f, seen = counted(lambda x: min(max(x / 4.0, 0.0), 1.0))
+        assert bisect_cdf(f, 0.5, 0.0, 1.0, expand="up") == 2.0
+        assert seen == [0.0, 1.0, 2.0]
+
+    def test_unbracketed_target_raises(self):
+        with pytest.raises(AccuracyError, match="bracket"):
+            bisect_cdf(special.ndtr, 0.5, 1.0, 2.0)
+        with pytest.raises(AccuracyError, match="direction"):
+            bisect_cdf(special.ndtr, 0.5, 1.0, 2.0, expand="up")
+
+    def test_returns_point_where_cdf_hits_target(self):
+        # the step lands on the plateau F = 1/2 of a CDF with a flat middle
+        f, _ = counted(lambda x: np.clip(x, 0.0, 0.5)
+                       + np.clip(x - 10.0, 0.0, 0.5))
+        x = bisect_cdf(f, 0.5, 0.0, 11.0)
+        assert 0.5 <= x <= 10.0
+
+    def test_stops_at_adjacent_floats(self):
+        # above ~6.7e7 neighbouring floats are more than xtol = 1e-8 apart,
+        # so the bracket stops narrowing there (tsq_mixture(10, 1e6, 0)'s
+        # 0.9 quantile, 7.4e7, is one)
+        f, seen = counted(lambda x: special.ndtr((x - 1e9) / 10.0))
+        x = bisect_cdf(f, 0.3, 0.0, 2e9, xtol=1e-8)
+        assert x == pytest.approx(1e9 + 10.0 * special.ndtri(0.3), abs=1e-6)
+        assert len(seen) - 2 <= step_count_bound(0.0, 2e9, 1e-8)

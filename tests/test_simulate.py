@@ -277,6 +277,24 @@ class TestFullMode:
         assert np.array_equal(got, _f_statistics(b0[:, None] + b1[:, None] * z,
                                                  GROUPS.sizes))
 
+    @pytest.mark.parametrize("statistic", ["s2", "tsq"])
+    def test_scaled_statistics_follow_design(self, statistic):
+        # the s2 scale and the tsq null come from the design's line, as the
+        # draws do; the params' sigma1 (0.2 against 0.24) and mu_y (2.5
+        # against 4.5) would put the sample on neither law
+        q = self.DESIGN.mixture_params(self.P.n, self.P.mu_z, self.P.sigma_z)
+        cfg = self._cfg(20_000)
+        if statistic == "s2":
+            d = derive_params(q)
+            vals = mc_statistic_distribution(self.P, "s2", cfg)
+            law = variance_mixture(d.nu, d.lam)
+        else:
+            d = derive_params(q, mu_y0=q.mu_y - 0.3)
+            vals = mc_statistic_distribution(self.P, "tsq", cfg,
+                                             mu_y0=q.mu_y - 0.3)
+            law = tsq_mixture(d.nu, d.delta, d.lam)
+        assert ks_distance(vals, law) < ks_band(cfg.replications)
+
     def test_mean_draws_one_zbar_column(self):
         got = mc_statistic_distribution(self.P, "mean", self._cfg(500))
         b0, b1, e = self._line((1,), 500, 1)
