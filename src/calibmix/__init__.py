@@ -23,7 +23,6 @@ from .model import (
 )
 from .quadrature import QuadSpec
 from .mixtures import (
-    DistSpec,
     MeanMixture,
     SignedTMixture,
     TsqMixture,

@@ -1,10 +1,16 @@
 """Command-line surface.
 
 Subcommands: fit, density, moments, region, power-table, simulate, diagnose,
-anova, case-study.  Parameter bundles come from flags or a JSON file (flags
-win on conflict and the override is logged to stderr); every run echoes its
-fully resolved configuration into the output for provenance.  Exit codes:
-0 success, 1 usage error, 2 input/parse error, 3 numerical-accuracy failure.
+anova, case-study.  density and region evaluate one of the four mixture
+laws, chosen by --dist from the _DISTS table: "mean" takes the parameter
+bundle, "variance" --nu --lam, "tsq" --nu --delta --lam and "signed-t"
+--nu --delta0 --lambda0.  Parameter bundles come from flags or a JSON file
+(flags win on conflict and the override is logged to stderr); so do the
+Monte Carlo settings of simulate, from --config.  Every run echoes its
+fully resolved configuration into the output for provenance; CSV output
+puts it on a leading ``# config:`` line when the result is a table.  Exit
+codes: 0 success, 1 usage error, 2 input/parse error, 3 numerical-accuracy
+failure.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ import numpy as np
 from . import casestudy
 from .errors import AccuracyError, DataError, ParamError
 from .io import mapping_to_csv_text, payload_to_json_text, rows_to_csv_text, write_text
-from .mixtures import DistSpec
+from .mixtures import (mean_mixture, signed_t_mixture, tsq_mixture,
+                       variance_mixture)
 from .model import (MixtureParams, calibration_data_from_csv, derive_params,
                     fit_calibration)
-from .moments import (expected_sample_variance, mean_moments,
+from .moments import (expected_sample_variance, mean_moment_rows,
                       moment_rows_header, probability_region)
 from .oneway import (OneWayDesign, decompose, f_power, grouped_data_from_csv,
                      variance_tests)
@@ -37,9 +44,30 @@ SCHEMA_VERSION = "1"
 
 _PARAM_KEYS = ("n", "beta0", "sigma0", "mu_z", "sigma_z", "beta1", "sigma1")
 
+# --dist name -> (factory, the law's flags in the factory's argument order);
+# the mean law takes the parameter bundle instead of flags of its own
+_DISTS = {"mean": (mean_mixture, ()),
+          "variance": (variance_mixture, ("nu", "lam")),
+          "tsq": (tsq_mixture, ("nu", "delta", "lam")),
+          "signed-t": (signed_t_mixture, ("nu", "delta0", "lambda0"))}
+
 
 class _UsageError(ValueError):
     pass
+
+
+def _add_law_parser(sub, name, summary, own_flag, **own_kw):
+    """A subcommand that evaluates one --dist law: --dist, the subcommand's
+    own required ``own_flag``, every law's flags and the parameter,
+    quadrature and output arguments."""
+    sp = sub.add_parser(name, help=summary)
+    sp.add_argument("--dist", required=True, choices=tuple(_DISTS))
+    sp.add_argument(own_flag, required=True, **own_kw)
+    for flag in dict.fromkeys(f for _, flags in _DISTS.values() for f in flags):
+        sp.add_argument("--" + flag, type=int if flag == "nu" else float)
+    _add_param_args(sp)
+    _add_quad_args(sp)
+    _add_output_args(sp)
 
 
 def _add_output_args(sp):
@@ -100,12 +128,6 @@ def _params_from_args(args) -> tuple[MixtureParams, dict]:
     return p, resolved
 
 
-def _params_dict(p: MixtureParams) -> dict:
-    d = {k: getattr(p, k) for k in _PARAM_KEYS}
-    d["ideal"] = p.ideal
-    return d
-
-
 def _float_list(text):
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
@@ -134,11 +156,16 @@ def _oneway_design(args, needed_by):
                         omegas=_float_list(args.group_omegas))
 
 
-def _emit(args, payload, csv_text=None):
+def _emit(args, payload, table=None):
+    """Write the payload as JSON, or as CSV: the ``# config:`` line plus
+    ``table`` (header, rows) when given, else the flattened payload."""
     if args.format == "json":
         text = payload_to_json_text(payload)
+    elif table is None:
+        text = mapping_to_csv_text(payload)
     else:
-        text = csv_text if csv_text is not None else mapping_to_csv_text(payload)
+        text = ("# config: %s\n" % json.dumps(payload["config"], sort_keys=True)
+                + rows_to_csv_text(*table))
     if args.output:
         write_text(args.output, text)
     else:
@@ -150,23 +177,17 @@ def _payload(command, config, result):
             "config": config, "result": result}
 
 
-# CLI --dist name -> the DistSpec fields it takes from the flags
-_DIST_ARGS = {"variance": ("nu", "lam"), "tsq": ("nu", "delta", "lam"),
-              "signed-t": ("nu", "delta0", "lambda0")}
-
-
 def _build_dist(args, quad):
-    if args.dist == "mean":
+    """The --dist law of the flags and its config echo."""
+    make, flags = _DISTS[args.dist]
+    if not flags:
         p, _ = _params_from_args(args)
-        return (DistSpec("mean", params=p).build(quad),
-                {"dist": "mean", "params": _params_dict(p)})
-    names = _DIST_ARGS[args.dist]
-    if any(getattr(args, name) is None for name in names):
+        return make(p, quad), {"dist": args.dist, "params": dataclasses.asdict(p)}
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
         raise _UsageError("%s mixture needs %s" % (
-            args.dist, ", ".join("--" + name for name in names)))
-    cfg = {name: getattr(args, name) for name in names}
-    return (DistSpec(args.dist.replace("-", "_"), **cfg).build(quad),
-            dict(dist=args.dist, **cfg))
+            args.dist, ", ".join("--" + flag for flag in flags)))
+    return make(*values, quad), dict(zip(flags, values), dist=args.dist)
 
 
 # ----------------------------------------------------------------------
@@ -195,33 +216,26 @@ def _cmd_density(args):
     cdf = np.atleast_1d(dist.cdf(u))
     cfg = dict(cfg, grid=[lo, hi, count], quadrature=dataclasses.asdict(quad))
     result = {"u": u.tolist(), "pdf": pdf.tolist(), "cdf": cdf.tolist()}
-    rows = list(zip(u.tolist(), pdf.tolist(), cdf.tolist()))
-    csv_text = ("# config: %s\n" % json.dumps(cfg, sort_keys=True)
-                + rows_to_csv_text(("u", "pdf", "cdf"), rows))
-    _emit(args, _payload("density", cfg, result), csv_text)
+    _emit(args, _payload("density", cfg, result),
+          (("u", "pdf", "cdf"), zip(result["u"], result["pdf"], result["cdf"])))
     return 0
 
 
 def _cmd_moments(args):
     p, _ = _params_from_args(args)
-    cfg = {"params": _params_dict(p)}
-    s = mean_moments(p)
+    cfg = {"params": dataclasses.asdict(p)}
+    row = mean_moment_rows([p])[0]
     es2, bias = expected_sample_variance(p)
     d = derive_params(p)
     result = {
-        "row": {"n": p.n, "beta0": p.beta0, "sigma0": p.sigma0, "mu_z": p.mu_z,
-                "sigma_z": p.sigma_z, "beta1": p.beta1, "sigma1": p.sigma1,
-                "E": s.mean, "Var": s.variance, "gamma": s.skewness,
-                "kappa": s.kurtosis},
+        "row": row,
         "sample_variance": {"expected": es2, "bias": bias},
         "derived": {"kappa2": d.kappa2, "lambda": d.lam, "nu": d.nu,
                     "var_y": d.var_y, "var_ybar": d.var_ybar},
     }
-    row = result["row"]
-    csv_text = ("# config: %s\n" % json.dumps(cfg, sort_keys=True)
-                + rows_to_csv_text(moment_rows_header(),
-                                   [[row[k] for k in moment_rows_header()]]))
-    _emit(args, _payload("moments", cfg, result), csv_text)
+    header = moment_rows_header()
+    _emit(args, _payload("moments", cfg, result),
+          (header, [[row[k] for k in header]]))
     return 0
 
 
@@ -247,11 +261,15 @@ def _cmd_power_table(args):
     payload = power_table_payload(args.nu, deltas, lams, args.alpha, quad)
     cfg = {"nu": args.nu, "alpha": args.alpha, "deltas": deltas,
            "lambdas": lams, "quadrature": dataclasses.asdict(quad)}
-    header, rows = power_table_rows(payload)
-    csv_text = ("# config: %s\n" % json.dumps(cfg, sort_keys=True)
-                + rows_to_csv_text(header, rows))
-    _emit(args, _payload("power-table", cfg, payload), csv_text)
+    _emit(args, _payload("power-table", cfg, payload),
+          power_table_rows(payload))
     return 0
+
+
+def _mc_summary(v):
+    return {"mean": float(np.mean(v)),
+            "std_error": float(np.std(v, ddof=1) / np.sqrt(v.size)),
+            "replications": int(v.size)}
 
 
 def _cmd_simulate(args):
@@ -262,17 +280,13 @@ def _cmd_simulate(args):
             except json.JSONDecodeError as exc:
                 raise DataError("config file: %s" % exc) from exc
         cfg = mc_config_from_json(raw)
-        for name, val in (("replications", args.replications),
-                          ("seed", args.seed), ("mode", args.mode)):
-            if val is not None and val != getattr(cfg, name):
-                print("note: flag --%s=%r overrides config value %r"
-                      % (name, val, getattr(cfg, name)), file=sys.stderr)
-                cfg = McConfig(
-                    replications=args.replications if args.replications is not None
-                    else cfg.replications,
-                    seed=args.seed if args.seed is not None else cfg.seed,
-                    mode=args.mode if args.mode is not None else cfg.mode,
-                    design=cfg.design)
+        overrides = {name: getattr(args, name)
+                     for name in ("replications", "seed", "mode")
+                     if getattr(args, name) not in (None, getattr(cfg, name))}
+        for name, val in overrides.items():
+            print("note: flag --%s=%r overrides config value %r"
+                  % (name, val, getattr(cfg, name)), file=sys.stderr)
+        cfg = dataclasses.replace(cfg, **overrides)
     else:
         if args.replications is None or args.seed is None:
             raise _UsageError("simulate needs --config or both --replications "
@@ -280,7 +294,7 @@ def _cmd_simulate(args):
         cfg = McConfig(replications=args.replications, seed=args.seed,
                        mode=args.mode or "coefficient")
     p, _ = _params_from_args(args)
-    config_echo = {"mc": mc_config_to_json(cfg), "params": _params_dict(p),
+    config_echo = {"mc": mc_config_to_json(cfg), "params": dataclasses.asdict(p),
                    "statistic": args.statistic}
 
     if args.statistic == "inconsistency":
@@ -308,18 +322,13 @@ def _cmd_simulate(args):
                                  "omegas": list(design.omegas)}
     values = mc_statistic_distribution(p, args.statistic, cfg, **kwargs)
     if isinstance(values, dict):
-        result = {name: {"mean": float(np.mean(v)),
-                         "std_error": float(np.std(v, ddof=1) / np.sqrt(v.size)),
-                         "replications": int(v.size)}
-                  for name, v in values.items()}
-        if args.dump:
-            dump_samples_csv(args.dump, "W", values["W"])
+        result = {name: _mc_summary(v) for name, v in values.items()}
+        dump = ("W", values["W"])
     else:
-        result = {"mean": float(np.mean(values)),
-                  "std_error": float(np.std(values, ddof=1) / np.sqrt(values.size)),
-                  "replications": int(values.size)}
-        if args.dump:
-            dump_samples_csv(args.dump, args.statistic, values)
+        result = _mc_summary(values)
+        dump = (args.statistic, values)
+    if args.dump:
+        dump_samples_csv(args.dump, *dump)
     _emit(args, _payload("simulate", config_echo, result))
     return 0
 
@@ -376,35 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     _add_output_args(sp)
 
-    sp = sub.add_parser("density", help="emit (u, pdf, cdf) rows of a mixture law")
-    sp.add_argument("--dist", required=True,
-                    choices=("mean", "variance", "tsq", "signed-t"))
-    sp.add_argument("--grid", required=True, help="lo:hi:count")
-    sp.add_argument("--nu", type=int)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--delta0", type=float)
-    sp.add_argument("--lambda0", type=float)
-    _add_param_args(sp)
-    _add_quad_args(sp)
-    _add_output_args(sp)
+    _add_law_parser(sub, "density", "emit (u, pdf, cdf) rows of a mixture law",
+                    "--grid", help="lo:hi:count")
 
     sp = sub.add_parser("moments", help="moment summary of the calibrated mean")
     _add_param_args(sp)
     _add_output_args(sp)
 
-    sp = sub.add_parser("region", help="equal-tail probability region")
-    sp.add_argument("--dist", required=True,
-                    choices=("mean", "variance", "tsq", "signed-t"))
-    sp.add_argument("--coverage", type=float, required=True)
-    sp.add_argument("--nu", type=int)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--delta0", type=float)
-    sp.add_argument("--lambda0", type=float)
-    _add_param_args(sp)
-    _add_quad_args(sp)
-    _add_output_args(sp)
+    _add_law_parser(sub, "region", "equal-tail probability region",
+                    "--coverage", type=float)
 
     sp = sub.add_parser("power-table", help="t^2 operating characteristics grid")
     sp.add_argument("--nu", type=int, required=True)

@@ -81,7 +81,7 @@ def von_neumann_ratio(r, b_kind="successive-difference"):
         raise ParamError("zero residual vector")
     if isinstance(b_kind, str):
         if b_kind != "successive-difference":
-            raise ValueError("unknown B matrix kind %r" % b_kind)
+            raise ParamError("unknown B matrix kind %r" % b_kind)
         return float(von_neumann_ratio_batch(r[None, :])[0])
     bmat = np.asarray(b_kind, dtype=float)
     return float(r @ bmat @ r) / rr

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -101,7 +100,7 @@ class _MixtureLaw:
 
     def interval_prob(self, lo, hi):
         if hi < lo:
-            raise ValueError("interval bounds out of order")
+            raise ParamError("interval bounds out of order")
         return float(self.cdf(hi) - self.cdf(lo))
 
     def ppf(self, prob):
@@ -672,14 +671,6 @@ class SignedTMixture(_MixtureLaw):
             return 1.0 - self._cdf_base(-u)
         return self._cdf_base(u)
 
-    def support(self):
-        # the left (non-spike) edge is bounded by the central-t tail; the
-        # right side carries the heavy mixing-spike tail and is handled by
-        # callers through interval probabilities or bracket expansion
-        half = math.sqrt(self.nu) * (1e14) ** (1.0 / self.nu)
-        lo, hi = -half, half + self._d0 * ser.sqrt_mixing_upper(0.0)
-        return (-hi, -lo) if self._mirror else (lo, hi)
-
     def _bracket(self):
         half = math.sqrt(self.nu) + self._d0
         return -half, half, "both"
@@ -690,43 +681,3 @@ def signed_t_mixture(nu: int, delta0: float, lambda0: float,
     """Evaluator of the signed t0 mixture law."""
     return SignedTMixture(nu, delta0, lambda0, quad)
 
-
-# ----------------------------------------------------------------------
-# dispatch record
-# ----------------------------------------------------------------------
-
-_LAWS = {"mean": (mean_mixture, ("params",)),
-         "variance": (variance_mixture, ("nu", "lam")),
-         "tsq": (tsq_mixture, ("nu", "delta", "lam")),
-         "signed_t": (signed_t_mixture, ("nu", "delta0", "lambda0"))}
-
-
-@dataclass(frozen=True)
-class DistSpec:
-    """One of the four mixture laws plus its parameters.
-
-    kind "mean" takes params=MixtureParams; "variance" (nu, lam);
-    "tsq" (nu, delta, lam); "signed_t" (nu, delta0, lambda0).
-    """
-
-    kind: str
-    params: object = None
-    nu: int | None = None
-    lam: float | None = None
-    delta: float | None = None
-    delta0: float | None = None
-    lambda0: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _LAWS:
-            raise ParamError("unknown mixture kind %r (expected one of %r)"
-                             % (self.kind, tuple(_LAWS)))
-
-    def build(self, quad: QuadSpec = QuadSpec()):
-        make, names = _LAWS[self.kind]
-        args = [getattr(self, name) for name in names]
-        if any(a is None for a in args):
-            raise ParamError("%s mixture needs %s" % (self.kind, ", ".join(names)))
-        if self.kind == "mean" and not isinstance(self.params, MixtureParams):
-            raise ParamError("mean mixture needs MixtureParams")
-        return make(*args, quad)

@@ -172,7 +172,7 @@ class MixtureParams:
     @property
     def kappa2(self) -> float:
         """Second raw moment of the slope estimator: sigma1^2 + beta1^2."""
-        return self.beta1 ** 2 if self.ideal else self.sigma1 ** 2 + self.beta1 ** 2
+        return self.sigma1 ** 2 + self.beta1 ** 2
 
     @property
     def var_y(self) -> float:
@@ -249,7 +249,7 @@ def covariance_structure(p: MixtureParams) -> CovarianceStructure:
     return CovarianceStructure(
         diag_weight=p.kappa2,
         ones_weight=p.sigma0 ** 2,
-        mean_outer_weight=0.0 if p.ideal else p.sigma1 ** 2,
+        mean_outer_weight=p.sigma1 ** 2,
     )
 
 
@@ -283,7 +283,7 @@ def correlation_params(p: MixtureParams, beta1_hat: float | None = None):
     sigma0^2/(beta1_hat^2 sigma_z^2 + sigma0^2).  Unconditional:
     (sigma0^2 + sigma1^2 mu_z^2) / (kappa2 sigma_z^2 + sigma0^2 + sigma1^2 mu_z^2).
     """
-    shared = p.sigma0 ** 2 + (0.0 if p.ideal else p.sigma1 ** 2 * p.mu_z ** 2)
+    shared = p.sigma0 ** 2 + p.sigma1 ** 2 * p.mu_z ** 2
     denom = p.kappa2 * p.sigma_z ** 2 + shared
     if denom <= 0:
         raise ParamError("degenerate dispersion: zero unconditional variance")

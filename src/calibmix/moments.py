@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, ParamError
 from .model import MixtureParams, derive_params
 
 
@@ -85,20 +85,17 @@ def expected_sample_variance(p: MixtureParams) -> SampleVarianceMoments:
     return SampleVarianceMoments(expected=expected, bias=expected - p.var_y)
 
 
-def probability_region(dist, coverage: float, mode: str = "equal-tail",
-                       *, tol: float = 1e-6) -> ProbRegion:
+def probability_region(dist, coverage: float) -> ProbRegion:
     """Equal-tail probability region [Q(a/2), Q(1-a/2)] of a mixture evaluator,
-    re-verified through the CDF; a coverage mismatch beyond tol raises
-    AccuracyError."""
+    re-verified through the CDF; a coverage mismatch beyond 1e-6 (wider for
+    coverages within 0.022 of 0 or 1) raises AccuracyError."""
     if not 0.0 < coverage < 1.0:
-        raise ValueError("coverage must be in (0, 1)")
-    if mode != "equal-tail":
-        raise ValueError("only equal-tail regions are supported")
+        raise ParamError("coverage must be in (0, 1)")
     alpha = 1.0 - coverage
     lower = dist.ppf(alpha / 2.0)
     upper = dist.ppf(1.0 - alpha / 2.0)
     achieved = float(dist.cdf(upper) - dist.cdf(lower))
-    if abs(achieved - coverage) > max(tol, 1e-7 + 2e-8 / max(min(
+    if abs(achieved - coverage) > max(1e-6, 1e-7 + 2e-8 / max(min(
             alpha, coverage), 1e-12)):
         raise AccuracyError(
             "region achieved coverage %.10f misses target %.10f" % (achieved, coverage))
@@ -108,7 +105,7 @@ def probability_region(dist, coverage: float, mode: str = "equal-tail",
 def interval_coverage(dist, lower: float, upper: float) -> float:
     """CDF(upper) - CDF(lower) of a mixture evaluator."""
     if not lower < upper:
-        raise ValueError("interval bounds out of order")
+        raise ParamError("interval bounds out of order")
     return float(np.clip(dist.interval_prob(lower, upper), 0.0, 1.0))
 
 

@@ -207,10 +207,9 @@ def group_variance_bias(design: OneWayDesign, p: MixtureParams):
     """Per-group E(S_i^2) = kappa2 omega_i^2, Var(Y_ij) = kappa2 omega_i^2
     + sigma0^2 + sigma1^2 mu_i^2, and the bias (difference)."""
     out = []
-    s1sq = 0.0 if p.ideal else p.sigma1 ** 2
     for i, (mu, om) in enumerate(zip(design.means, design.omegas)):
         e_s2 = p.kappa2 * om ** 2
-        var_y = e_s2 + p.sigma0 ** 2 + s1sq * mu ** 2
+        var_y = e_s2 + p.sigma0 ** 2 + p.sigma1 ** 2 * mu ** 2
         out.append(GroupVarianceBias(group=i, expected_s2=float(e_s2),
                                      var_y=float(var_y),
                                      bias=float(e_s2 - var_y)))
@@ -240,8 +239,7 @@ def homoscedasticity_condition(design: OneWayDesign, p: MixtureParams,
                                *, tol: float = 1e-9) -> HomoscedasticityCheck:
     """Projected groups are homoscedastic iff for every pair
     (omega_i^2 - omega_j^2) = c (mu_j^2 - mu_i^2) with c = sigma1^2/kappa2."""
-    s1sq = 0.0 if p.ideal else p.sigma1 ** 2
-    c = s1sq / p.kappa2
+    c = p.sigma1 ** 2 / p.kappa2
     pairs = []
     scale = max(max(w ** 2 for w in design.omegas), 1.0)
     for i in range(design.k):

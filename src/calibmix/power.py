@@ -133,13 +133,13 @@ def ordering_probe(family: str, grid, u_grid, *, nu: int,
     nonincreasing in delta at fixed lambda (= ``fixed``).
     """
     if family not in _FAMILIES:
-        raise ValueError("unknown ordering family %r" % family)
+        raise ParamError("unknown ordering family %r" % family)
     grid = tuple(float(g) for g in grid)
     u_grid = tuple(float(u) for u in u_grid)
     if not grid or list(grid) != sorted(grid):
-        raise ValueError("parameter grid must be nonempty and ascending")
+        raise ParamError("parameter grid must be nonempty and ascending")
     if not u_grid:
-        raise ValueError("u_grid must be nonempty")
+        raise ParamError("u_grid must be nonempty")
     values = []
     for g in grid:
         if family == "variance_mixture-in-lambda":

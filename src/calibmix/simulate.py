@@ -172,12 +172,7 @@ def mc_config_from_json(payload) -> McConfig:
 
 
 def mc_config_to_json(cfg: McConfig) -> dict:
-    design = None
-    if cfg.design is not None:
-        design = {"x": list(cfg.design.x), "beta0": cfg.design.beta0,
-                  "beta1": cfg.design.beta1, "sigma_u": cfg.design.sigma_u}
-    return {"schema_version": SCHEMA_VERSION, "replications": cfg.replications,
-            "seed": cfg.seed, "mode": cfg.mode, "design": design}
+    return dict(dataclasses.asdict(cfg), schema_version=SCHEMA_VERSION)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,8 @@ import math
 import numpy as np
 from scipy import special as sp
 
+from .errors import ParamError
+
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -28,7 +30,7 @@ def nc_chisq1_pdf(w, lam):
     in closed form: sqrt_ncchisq1_pdf(sqrt(w), sqrt(lam)) / (2 sqrt(w)).
     Nonpositive arguments return 0 by convention."""
     if lam < 0:
-        raise ValueError("noncentrality must be nonnegative")
+        raise ParamError("noncentrality must be nonnegative")
     w = np.asarray(w, dtype=float)
     root = np.sqrt(np.maximum(w, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -84,7 +86,7 @@ def ncf_cdf(x, d1, d2, nc):
     """CDF of the noncentral F(d1, d2, nc) law at x (vectorized in x; a
     scalar x gives a float), from scipy.special.ncfdtr; 0 for x <= 0."""
     if nc < 0:
-        raise ValueError("noncentrality must be nonnegative")
+        raise ParamError("noncentrality must be nonnegative")
     out = sp.ncfdtr(d1, d2, nc, np.maximum(x, 0.0))
     return float(out) if np.ndim(out) == 0 else out
 

@@ -73,6 +73,7 @@ class TestRegion:
 
     def test_missing_dist_params_exits_1(self, capsys):
         assert run(["region", "--dist", "variance", "--coverage", "0.9"]) == 1
+        assert run(["region", "--dist", "nope", "--coverage", "0.9"]) == 1
 
     @pytest.mark.parametrize("args", [
         ["--dist", "mean"] + OCTANE_FLAGS + ["--sigma1", "nan"],
@@ -111,6 +112,46 @@ class TestRegion:
         res = payload["result"]
         assert res["lower"] < 0.0 < res["upper"]
         assert res["achieved"] == pytest.approx(0.95, abs=1e-7)
+
+
+# --dist value -> its flags, a density grid, the law's keys in the config
+# echo, and what the usage error for a left-out last flag names (the
+# mean law reads the parameter bundle and names the missing parameter)
+DIST_CASES = [
+    ("mean", OCTANE_FLAGS, "86:89:5", {"params"}, ["sigma1"]),
+    ("variance", ["--nu", "10", "--lam", "1"], "0.5:40:5", {"nu", "lam"},
+     ["--nu", "--lam"]),
+    ("tsq", ["--nu", "10", "--delta", "1", "--lam", "2"], "0.5:40:5",
+     {"nu", "delta", "lam"}, ["--nu", "--delta", "--lam"]),
+    ("signed-t", ["--nu", "10", "--delta0", "1", "--lambda0", "3"], "-3:3:5",
+     {"nu", "delta0", "lambda0"}, ["--nu", "--delta0", "--lambda0"]),
+]
+
+
+class TestDistTable:
+    @pytest.mark.parametrize("dist, flags, grid, echo, named", DIST_CASES,
+                             ids=[c[0] for c in DIST_CASES])
+    def test_law_flags(self, dist, flags, grid, echo, named, capsys):
+        region = run_json(["region", "--dist", dist, "--coverage", "0.9"]
+                          + flags, capsys)
+        assert set(region["config"]) == {"dist", "coverage", "quadrature"} | echo
+        density = run_json(["density", "--dist", dist, "--grid=" + grid]
+                           + flags, capsys)
+        assert set(density["config"]) == {"dist", "grid", "quadrature"} | echo
+        if dist == "mean":
+            assert set(region["config"]["params"]) == {
+                "n", "beta0", "sigma0", "mu_z", "sigma_z", "beta1", "sigma1",
+                "ideal"}
+        else:
+            given = dict(zip(flags[::2], flags[1::2]))
+            assert {k: float(region["config"][k]) for k in echo} == {
+                k: float(given["--" + k]) for k in echo}
+        for command, own in (("region", ["--coverage", "0.9"]),
+                             ("density", ["--grid=" + grid])):
+            assert run([command, "--dist", dist] + own + flags[:-2]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:")
+            assert all(name in err for name in named), err
 
 
 class TestPowerTable:
@@ -282,6 +323,20 @@ class TestSimulate:
         lines = dump.read_text().splitlines()
         assert lines[0] == "tsq"
         assert len(lines) == 1001
+
+    def test_each_config_override_logs_a_note(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({"replications": 500, "seed": 3}))
+        code = run(["simulate", "--statistic", "mean", "--config", str(cfg),
+                    "--replications", "700", "--seed", "9", "--n", "10",
+                    "--beta0", "1", "--sigma0", "1", "--mu-z", "0",
+                    "--sigma-z", "1", "--beta1", "1", "--sigma1", "1"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "--replications=700 overrides config value 500" in err
+        assert "--seed=9 overrides config value 3" in err
+        mc = json.loads(out)["config"]["mc"]
+        assert (mc["replications"], mc["seed"]) == (700, 9)
 
     def test_unknown_config_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "mc.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
-from calibmix import (AccuracyError, DistSpec, MixtureParams, ParamError,
+from calibmix import (AccuracyError, MixtureParams, ParamError,
                       QuadSpec, mean_mixture, signed_t_mixture, tsq_mixture,
                       variance_mixture)
 from calibmix.casestudy import octane_params
@@ -585,25 +585,7 @@ class TestNormalizationGrid:
         assert graded_norm(mm.pdf, lo, hi) == pytest.approx(1.0, abs=1e-8)
 
 
-class TestDistSpec:
-    def test_build_all_kinds(self):
-        p = octane_params()
-        assert DistSpec(kind="mean", params=p).build().cdf(87.2818) > 0.4
-        assert DistSpec(kind="variance", nu=10, lam=1.0).build().cdf(5.0) > 0
-        assert DistSpec(kind="tsq", nu=10, delta=1.0, lam=1.0).build().cdf(2.0) > 0
-        assert DistSpec(kind="signed_t", nu=10, delta0=1.0,
-                        lambda0=1.0).build().cdf(0.0) > 0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ParamError):
-            DistSpec(kind="nope")
-
-    def test_missing_parameters_rejected(self):
-        with pytest.raises(ParamError, match="delta"):
-            DistSpec(kind="tsq", nu=10, lam=1.0).build()
-        with pytest.raises(ParamError):
-            DistSpec(kind="mean").build()
-
+class TestQuadSpec:
     def test_quadspec_validation(self):
         with pytest.raises(ValueError):
             QuadSpec(abs_tol=0.0)

@@ -161,8 +161,6 @@ class TestProbabilityRegion:
         with pytest.raises(ValueError):
             probability_region(ev, 1.5)
         with pytest.raises(ValueError):
-            probability_region(ev, 0.9, mode="hdr")
-        with pytest.raises(ValueError):
             ProbRegion(lower=2.0, upper=1.0, coverage=0.9, achieved=0.9)
 
 
