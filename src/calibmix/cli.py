@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import casestudy
-from .errors import AccuracyError, DataError, ParamError
+from .errors import AccuracyError, DataError, ParamError, converted
 from .io import mapping_to_csv_text, payload_to_json_text, rows_to_csv_text, write_text
 from .mixtures import (mean_mixture, signed_t_mixture, tsq_mixture,
                        variance_mixture)
@@ -103,6 +103,9 @@ def _params_from_args(args) -> tuple[MixtureParams, dict]:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError("params file: %s" % exc) from exc
+        if not isinstance(raw, dict):
+            raise DataError("params file must hold a JSON object, not %s"
+                            % type(raw).__name__)
         allowed = set(_PARAM_KEYS) | {"ideal", "schema_version"}
         unknown = set(raw) - allowed
         if unknown:
@@ -118,12 +121,8 @@ def _params_from_args(args) -> tuple[MixtureParams, dict]:
     missing = [k for k in _PARAM_KEYS if k not in resolved]
     if missing:
         raise _UsageError("missing parameter(s): %s" % ", ".join(missing))
-    p = MixtureParams(n=int(resolved["n"]), beta0=float(resolved["beta0"]),
-                      sigma0=float(resolved["sigma0"]),
-                      mu_z=float(resolved["mu_z"]),
-                      sigma_z=float(resolved["sigma_z"]),
-                      beta1=float(resolved["beta1"]),
-                      sigma1=float(resolved["sigma1"]),
+    p = MixtureParams(**{k: converted(int if k == "n" else float,
+                                      resolved[k], k) for k in _PARAM_KEYS},
                       ideal=bool(resolved.get("ideal", False)))
     return p, resolved
 

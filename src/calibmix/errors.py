@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the finiteness check that
-every parameter constructor applies before its range checks."""
+"""Exception types shared across the package, the finiteness check that
+every parameter constructor applies before its range checks, and the
+conversion of fields read from input files."""
 
 import math
 
@@ -25,3 +26,15 @@ def require_finite(**values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise ParamError("%s must be finite, got %r" % (name, value))
+
+
+def converted(kind, value, name):
+    """kind(value), or a DataError naming the field when ``value`` (read
+    from an input file) does not convert; int does not truncate."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError("field %s: %s" % (name, exc)) from exc
+    if kind is int and out != value and not isinstance(value, str):
+        raise DataError("field %s: %r is not an integer" % (name, value))
+    return out

@@ -43,13 +43,15 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 from scipy import special as sp
 
 from .errors import AccuracyError, ParamError, require_finite
 from .model import MixtureParams
-from .quadrature import QuadSpec, bisect_cdf, gauss_legendre_nodes, refine_panels
+from .quadrature import (QuadSpec, _leggauss, bisect_cdf, gauss_legendre_nodes,
+                         refine_panels)
 from . import special as ser
 
 _Z_SUPPORT = 8.5       # Gaussian component half-width; Phi(-8.5) ~ 1e-17
@@ -85,8 +87,8 @@ class _MixtureLaw:
     of points, the infinite abscissae, CDF clipping, interval probabilities
     and CDF inversion.  Each law supplies ``_pdf`` and ``_cdf`` on 1-d
     arrays of finite floats and ``_bracket()``, the (lo, hi, expand) start
-    of the inversion (``quadrature.bisect_cdf``, an ITP bracketing solve).
-    A NaN abscissa or probability is a ParamError; at -inf and +inf the CDF
+    of the inversion (``quadrature.bisect_cdf``, an ITP bracketing solve),
+    or an ``_invert(prob)`` of its own.  A NaN abscissa or probability is a ParamError; at -inf and +inf the CDF
     is 0 and 1 and the pdf 0."""
 
     def pdf(self, u):
@@ -106,6 +108,10 @@ class _MixtureLaw:
     def ppf(self, prob):
         if not 0.0 < prob < 1.0:
             raise ParamError("probability must be in (0, 1), got %r" % prob)
+        return self._invert(prob)
+
+    def _invert(self, prob):
+        """The abscissa within 1e-8 of where the CDF crosses prob."""
         lo, hi, expand = self._bracket()
         return bisect_cdf(lambda x: float(self.cdf(x)), prob, lo, hi,
                           xtol=1e-8, expand=expand)
@@ -340,7 +346,7 @@ class _ExtremeRule:
         v, wv = gauss_legendre_nodes(edges, 12)
         # h(v) = int phi(g) p(v - g) dg over g in [v - t_hi, v - t_lo], one
         # g-panel at a time
-        x, wx = np.polynomial.legendre.leggauss(_G_ORDER)
+        x, wx = _leggauss(_G_ORDER)
         h = np.zeros_like(v)
         for lo, hi in zip(_G_EDGES[:-1], _G_EDGES[1:]):
             a = np.clip(lo, v - t_hi, v - t_lo)[:, None]
@@ -595,8 +601,28 @@ class TsqMixture(_MixtureLaw):
                                    _MIN_TERMS, "t^2 mixture"))
         return out
 
-    def _bracket(self):
-        return 0.0, 3.0 * self.nu + self.delta * (1.0 + self.lam), "up"
+    def _invert(self, prob):
+        """Inversion in log u, where the CDF is close to probit-linear at
+        both ends; in u it rises like sqrt(u) from 0 and its far tail
+        decays like 1/sqrt(u).  t0^2 is stochastically no smaller than
+        central F(1, nu), so that law's quantile, a hair lower, bounds this
+        one's from below ("down" covers rounding at delta = 0).  The upper
+        end grows fourfold until it brackets prob; the log tolerance
+        1e-8/u_hi holds u to 1e-8."""
+        # cached: bisect_cdf evaluates the bracket's ends once more
+        cdf = functools.cache(lambda t: float(self.cdf(math.exp(t))))
+        u_lo = max((1.0 - 1e-6) * float(sp.fdtri(1.0, self.nu, prob)),
+                   sys.float_info.min)
+        lo, hi = math.log(u_lo), math.log(u_lo + 1.0 + self.delta)
+        for _ in range(64):     # 4^64 ~ 3e38: far beyond any t^2 quantile
+            if cdf(hi) >= prob:
+                break
+            lo, hi = hi, hi + math.log(4.0)
+        else:
+            raise AccuracyError("t^2 CDF stays below %r up to u = %g"
+                                % (prob, math.exp(hi)))
+        return math.exp(bisect_cdf(cdf, prob, lo, hi,
+                                   xtol=1e-8 / math.exp(hi), expand="down"))
 
 
 def tsq_mixture(nu: int, delta: float, lam: float,

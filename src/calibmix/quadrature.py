@@ -9,6 +9,7 @@ the evaluators and reused across vectorized pdf/CDF calls.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,13 +47,23 @@ class QuadSpec:
             raise ParamError("mixing_range_sigmas must be positive")
 
 
+@functools.cache
+def _leggauss(order: int):
+    """The `order`-point Gauss-Legendre rule on [-1, 1], computed once per
+    order; read-only, since every caller shares the same arrays."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre_nodes(edges: np.ndarray, order: int = _GL_ORDER):
     """Nodes and weights of an `order`-point Gauss-Legendre rule on each panel.
 
     ``edges`` is an increasing array of panel boundaries; returns flat arrays
     of len(edges-1)*order nodes/weights.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _leggauss(order)
     lo = edges[:-1]
     half = 0.5 * (edges[1:] - lo)
     mid = lo + half

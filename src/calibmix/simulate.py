@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .errors import DataError, ParamError, require_finite
+from .errors import DataError, ParamError, converted, require_finite
 from .model import MixtureParams
 from .oneway import _sums_of_squares
 
@@ -148,25 +148,31 @@ def mc_config_from_json(payload) -> McConfig:
     are rejected."""
     if isinstance(payload, str):
         payload = json.loads(payload)
+    if not isinstance(payload, dict):
+        raise DataError("Monte Carlo config must be a JSON object, not %s"
+                        % type(payload).__name__)
     allowed = {"schema_version", "replications", "seed", "mode", "design"}
     unknown = set(payload) - allowed
     if unknown:
         raise DataError("unknown Monte Carlo config fields: %s" % sorted(unknown))
-    design = None
-    if payload.get("design") is not None:
-        d = payload["design"]
+    d = payload.get("design")
+    if d is not None:
+        if not isinstance(d, dict):
+            raise DataError("design must be a JSON object, not %s"
+                            % type(d).__name__)
         d_allowed = {"x", "beta0", "beta1", "sigma_u"}
         d_unknown = set(d) - d_allowed
         if d_unknown:
             raise DataError("unknown design fields: %s" % sorted(d_unknown))
-        design = CalibrationDesign(x=tuple(d["x"]), beta0=float(d["beta0"]),
-                                   beta1=float(d["beta1"]),
-                                   sigma_u=float(d["sigma_u"]))
     try:
-        return McConfig(replications=int(payload["replications"]),
-                        seed=int(payload["seed"]),
-                        mode=payload.get("mode", "coefficient"),
-                        design=design)
+        design = None if d is None else CalibrationDesign(
+            x=converted(lambda xs: tuple(float(v) for v in xs), d["x"], "x"),
+            **{k: converted(float, d[k], k) for k in ("beta0", "beta1", "sigma_u")})
+        return McConfig(
+            replications=converted(int, payload["replications"], "replications"),
+            seed=converted(int, payload["seed"], "seed"),
+            mode=payload.get("mode", "coefficient"),
+            design=design)
     except KeyError as exc:
         raise DataError("missing Monte Carlo config field: %s" % exc) from exc
 
@@ -189,7 +195,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def _std_normal(rng: np.random.Generator, shape):
     """Inverse-CDF normals: one uniform consumed per variate, no rejection."""
     u = rng.random(shape)
-    return sp.ndtri(np.maximum(u, 2.0 ** -60))
+    np.maximum(u, 2.0 ** -60, out=u)
+    return sp.ndtri(u, out=u)
 
 
 def _draw_coefficients(p: MixtureParams, cfg: McConfig, z_mean, z_sd: float,
@@ -200,7 +207,8 @@ def _draw_coefficients(p: MixtureParams, cfg: McConfig, z_mean, z_sd: float,
     z_mean = np.asarray(z_mean, dtype=float)
     lead = 2 if cfg.mode == "coefficient" else cfg.design.n0
     normals = _std_normal(rng, (cfg.replications, lead + z_mean.size))
-    z = z_mean + z_sd * normals[:, lead:]
+    z = z_sd * normals[:, lead:]
+    z += z_mean
     if cfg.mode == "coefficient":
         b0 = p.beta0 + p.sigma0 * normals[:, 0]
         b1 = p.beta1 + p.sigma1 * normals[:, 1]
@@ -211,7 +219,9 @@ def _draw_coefficients(p: MixtureParams, cfg: McConfig, z_mean, z_sd: float,
         b1 = d.beta1 + eps @ d.xc / d.sxx
     # the normals are the largest array here: free them before Y is formed
     del normals
-    return b0, b1, z, b0[:, None] + b1[:, None] * z
+    y = b1[:, None] * z
+    y += b0[:, None]
+    return b0, b1, z, y
 
 
 def _calibrated(p: MixtureParams, cfg: McConfig, rng: np.random.Generator):
@@ -247,8 +257,9 @@ def _mean_draws(p: MixtureParams, cfg: McConfig, n: int,
 def _variance_summary(name, values) -> McSummary:
     v = np.asarray(values, dtype=float)
     m = v.mean()
-    c2 = np.mean((v - m) ** 2)
-    c4 = np.mean((v - m) ** 4)
+    d2 = (v - m) ** 2
+    c2 = np.mean(d2)
+    c4 = np.mean(d2 * d2)
     est = v.var(ddof=1)
     se = math.sqrt(max(c4 - c2 * c2, 0.0) / v.size)
     return McSummary(name=name, estimate=float(est), std_error=float(se),

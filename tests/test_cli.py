@@ -241,10 +241,11 @@ class TestMoments:
         pfile.write_text(json.dumps(
             {"n": 10, "beta0": 1, "sigma0": 1, "mu_z": 1, "sigma_z": 1,
              "beta1": 1, "sigma1": 1}))
-        payload = run_json(["moments", "--params-file", str(pfile),
-                            "--beta0", "2.0"], capsys)
-        err = capsys.readouterr().err
-        assert payload["result"]["row"]["beta0"] == 2.0
+        code = run(["moments", "--params-file", str(pfile), "--beta0", "2.0"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert json.loads(out)["result"]["row"]["beta0"] == 2.0
+        assert "note: flag --beta0=2.0 overrides params-file value 1" in err
 
     def test_unknown_params_field_exits_2(self, tmp_path, capsys):
         pfile = tmp_path / "params.json"

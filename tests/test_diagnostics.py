@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +127,23 @@ class TestMomentRatios:
         for _ in range(20):
             b1, b2 = moment_ratios(rng.normal(size=8))
             assert b2 >= 1.0 + b1 - 1e-9  # b1 = skewness^2, so b2 >= 1 + b1
+
+    @pytest.mark.parametrize("offset", [0.0, 87.0])
+    def test_batch_matches_fsum_reference(self, offset):
+        # 87 with spread 1 is the octane scale.  The reference takes the
+        # kernel's own residuals: the mean's rounding, ~eps * 87, moves b1 of
+        # the offset rows by up to ~3e-13 in any centering, and is not checked
+        # here
+        y = offset + np.random.default_rng(11).normal(size=(500, 11))
+        b1, b2 = diagnostics.moment_ratios_batch(y)
+        want = []
+        for d in y - y.mean(axis=1, keepdims=True):
+            m2, m3, m4 = (math.fsum(v ** k for v in d) / d.size
+                          for k in (2, 3, 4))
+            want.append((m3 * m3 / m2 ** 3, m4 / m2 ** 2))
+        want = np.array(want)
+        np.testing.assert_allclose(b1, want[:, 0], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(b2, want[:, 1], rtol=1e-12, atol=0.0)
 
 
 class TestBlindnessSuite:

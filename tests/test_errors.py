@@ -1,10 +1,14 @@
-"""Bad caller input raises ParamError, which the CLI maps to exit code 2."""
+"""Bad caller input raises ParamError, and a malformed input file
+DataError; the CLI maps both to exit code 2."""
+
+import json
 
 import pytest
 
 from calibmix import (ParamError, interval_coverage, nc_chisq1_pdf, ncf_cdf,
                       ordering_probe, probability_region, variance_mixture,
                       von_neumann_ratio)
+from calibmix.cli import run
 
 SITES = {
     "interval_prob-order": lambda: variance_mixture(5, 1.0).interval_prob(2.0, 1.0),
@@ -28,3 +32,47 @@ SITES = {
 def test_caller_input_error_is_param_error(site):
     with pytest.raises(ParamError):
         SITES[site]()
+
+
+PARAMS = {"n": 10, "beta0": 1, "sigma0": 1, "mu_z": 1, "sigma_z": 1,
+          "beta1": 1, "sigma1": 1}
+PARAM_FLAGS = ["--n", "10", "--beta0", "1", "--sigma0", "1", "--mu-z", "0",
+               "--sigma-z", "1", "--beta1", "1", "--sigma1", "1"]
+
+# a JSON input that parses but has the wrong shape or a value that does
+# not convert: (command before the file flag, file flag, payload)
+MALFORMED_FILES = {
+    "params-not-object": (["moments"], "--params-file", 5),
+    "params-bad-int": (["moments"], "--params-file", dict(PARAMS, n="abc")),
+    "params-null-float": (["moments"], "--params-file",
+                          dict(PARAMS, sigma1=None)),
+    "params-fractional-int": (["moments"], "--params-file",
+                              dict(PARAMS, n=10.7)),
+    "config-not-object": (["simulate", "--statistic", "mean"] + PARAM_FLAGS,
+                          "--config", 5),
+    "config-bad-int": (["simulate", "--statistic", "mean"] + PARAM_FLAGS,
+                       "--config", {"replications": "x", "seed": 1}),
+    "config-infinite-int": (["simulate", "--statistic", "mean"] + PARAM_FLAGS,
+                            "--config", {"replications": 10,
+                                         "seed": float("inf")}),
+    "config-design-not-object": (
+        ["simulate", "--statistic", "mean"] + PARAM_FLAGS, "--config",
+        {"replications": 10, "seed": 1, "mode": "full", "design": 5}),
+    "config-design-bad-x": (
+        ["simulate", "--statistic", "mean"] + PARAM_FLAGS, "--config",
+        {"replications": 10, "seed": 1, "mode": "full",
+         "design": {"x": "abc", "beta0": 0, "beta1": 1, "sigma_u": 1}}),
+    "config-design-missing-field": (
+        ["simulate", "--statistic", "mean"] + PARAM_FLAGS, "--config",
+        {"replications": 10, "seed": 1, "mode": "full",
+         "design": {"x": [1, 2, 3], "beta0": 0, "beta1": 1}}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_FILES))
+def test_malformed_json_file_exits_2(shape, tmp_path, capsys):
+    command, flag, payload = MALFORMED_FILES[shape]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert run(command + [flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")

@@ -381,6 +381,16 @@ class TestTsqMixture:
         with pytest.raises(AccuracyError):
             tm.pdf(3.0)
 
+    @pytest.mark.parametrize("delta,lam", [(0.0, 1.0), (2.935, 10.095)])
+    def test_lower_ppf_takes_few_cdf_calls(self, delta, lam):
+        # a bracket from u = 0 gave ITP no slope there: 24 and 29 calls
+        tm = tsq_mixture(10, delta, lam)
+        cdf, calls = tm.cdf, []
+        tm.cdf = lambda u: calls.append(u) or cdf(u)
+        u = tm.ppf(0.025)
+        assert len(calls) <= 16      # the gate CI puts on signed-t inversion
+        assert cdf(u) == pytest.approx(0.025, abs=1e-9)
+
     def test_ppf_roundtrip(self):
         tm = tsq_mixture(10, 2.9351, 10.0953)
         for q in (0.1, 0.5, 0.9, 0.99):

@@ -23,7 +23,8 @@ from calibmix import (CalibrationDesign, DataError, McConfig, MixtureParams,
 from calibmix.casestudy import octane_params
 from calibmix.diagnostics import (moment_ratios_batch, shapiro_type_w_batch,
                                   von_neumann_ratio_batch)
-from calibmix.simulate import _f_statistics, _std_normal, dump_samples_csv
+from calibmix.simulate import (_f_statistics, _std_normal, _variance_summary,
+                               dump_samples_csv)
 
 UNIT = MixtureParams(n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
                      beta1=1.0, sigma1=1.0)
@@ -173,6 +174,14 @@ class TestInconsistencyCurve:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ParamError):
             mc_inconsistency_curve(UNIT, [100, 10], McConfig(replications=10, seed=1))
+
+    def test_std_error_matches_fsum_reference(self):
+        # sqrt((c4 - c2^2) / N) from fsum central moments, on an offset sample
+        v = 87.0 + np.random.default_rng(4).normal(size=20_000)
+        m = math.fsum(v) / v.size
+        c2, c4 = (math.fsum((x - m) ** k for x in v) / v.size for k in (2, 4))
+        got = _variance_summary("v", v).std_error
+        assert got == pytest.approx(math.sqrt((c4 - c2 * c2) / v.size), rel=1e-12)
 
 
 GROUPS = OneWayDesign(sizes=(4, 3, 3), means=(0.0, 1.0, 2.0),
