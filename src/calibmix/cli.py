@@ -37,7 +37,8 @@ from .power import power_table_payload, power_table_rows
 from .quadrature import QuadSpec
 from .simulate import (McConfig, dump_samples_csv, mc_config_from_json,
                        mc_config_to_json, mc_inconsistency_curve,
-                       mc_statistic_distribution)
+                       mc_statistic_distribution,
+                       require_std_error_replications)
 from . import diagnostics as diag
 
 SCHEMA_VERSION = "1"
@@ -292,6 +293,8 @@ def _cmd_simulate(args):
                               "and --seed")
         cfg = McConfig(replications=args.replications, seed=args.seed,
                        mode=args.mode or "coefficient")
+    # every statistic's summary has a standard error
+    require_std_error_replications(cfg.replications)
     p, _ = _params_from_args(args)
     config_echo = {"mc": mc_config_to_json(cfg), "params": dataclasses.asdict(p),
                    "statistic": args.statistic}

@@ -58,15 +58,19 @@ _Z_SUPPORT = 8.5       # Gaussian component half-width; Phi(-8.5) ~ 1e-17
 _MAX_J_TERMS = 120_000
 _MIN_TERMS = 20              # first block of every noncentral-t series
 _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
-# Points per evaluation block: node x point and term x point temporaries
-# (up to 4096 series terms or a few thousand mixing nodes) stay near 16 MB
-# whatever the grid size.
+# Points per evaluation block: term x point temporaries (up to 4096 series
+# terms) stay near 16 MB whatever the grid size.  A rule law takes fewer
+# points per block once it has more than 4096 nodes, so that its node x
+# point temporaries hold at most _BLOCK_SIZE doubles (16 MB) each.
 _POINT_BLOCK = 512
+_BLOCK_SIZE = 2 ** 21
+# log-u offsets of the points that bracket a quantile: fourfold steps
+_LOG_GRID = math.log(4.0) * np.arange(-8.0, 9.0)
 
 
-def _evaluate(f, u, at_inf):
+def _evaluate(f, u, at_inf, block):
     """(u is a scalar, f at u): f over the finite points of u in blocks of
-    _POINT_BLOCK points, ``at_inf`` at +inf and 0 at -inf.  A NaN in u is a
+    ``block`` points, ``at_inf`` at +inf and 0 at -inf.  A NaN in u is a
     ParamError."""
     u = np.asarray(u, dtype=float)
     scalar, u = u.ndim == 0, np.atleast_1d(u)
@@ -76,8 +80,8 @@ def _evaluate(f, u, at_inf):
     out = np.where(u > 0, at_inf, 0.0)
     u_fin = u[finite]
     vals = np.empty_like(u_fin)
-    for i in range(0, u_fin.size, _POINT_BLOCK):
-        vals[i:i + _POINT_BLOCK] = f(u_fin[i:i + _POINT_BLOCK])
+    for i in range(0, u_fin.size, block):
+        vals[i:i + block] = f(u_fin[i:i + block])
     out[finite] = vals
     return scalar, out
 
@@ -86,17 +90,21 @@ class _MixtureLaw:
     """What the four laws share: scalar/array wrapping, evaluation in blocks
     of points, the infinite abscissae, CDF clipping, interval probabilities
     and CDF inversion.  Each law supplies ``_pdf`` and ``_cdf`` on 1-d
-    arrays of finite floats and ``_bracket()``, the (lo, hi, expand) start
-    of the inversion (``quadrature.bisect_cdf``, an ITP bracketing solve),
-    or an ``_invert(prob)`` of its own.  A NaN abscissa or probability is a ParamError; at -inf and +inf the CDF
-    is 0 and 1 and the pdf 0."""
+    arrays of finite floats.  A law on the real line supplies
+    ``_bracket()``, the (lo, hi, expand) start of the inversion
+    (``quadrature.bisect_cdf``, an ITP bracketing solve); a law on
+    [0, inf) takes ``_invert_log_u`` as its ``_invert`` and supplies
+    ``_start(prob)``.  A NaN abscissa or probability is a ParamError; at
+    -inf and +inf the CDF is 0 and 1 and the pdf 0."""
+
+    _points_per_block = _POINT_BLOCK
 
     def pdf(self, u):
-        scalar, out = _evaluate(self._pdf, u, 0.0)
+        scalar, out = _evaluate(self._pdf, u, 0.0, self._points_per_block)
         return float(out[0]) if scalar else out
 
     def cdf(self, u):
-        scalar, out = _evaluate(self._cdf, u, 1.0)
+        scalar, out = _evaluate(self._cdf, u, 1.0, self._points_per_block)
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
 
@@ -116,6 +124,35 @@ class _MixtureLaw:
         return bisect_cdf(lambda x: float(self.cdf(x)), prob, lo, hi,
                           xtol=1e-8, expand=expand)
 
+    def _invert_log_u(self, prob):
+        """_invert for a law on [0, inf), solved in log u, where such CDFs
+        are close to probit-linear at both ends (in u they rise like a power
+        of u from 0, and a heavy tail decays like a power of 1/u).  One
+        vector CDF call on 17 points spaced fourfold around the law's
+        ``_start(prob)`` finds a fourfold bracket of prob, and the grid
+        moves on by 16 steps until one does.  The log tolerance
+        min(1e-8/u_hi, 1e-10) holds u to 1e-8, and to 1e-10 of itself, so
+        that the CDF holds at small quantiles too."""
+        known = {}
+        t = math.log(max(self._start(prob), sys.float_info.min)) + _LOG_GRID
+        for _ in range(16):     # 4^(16 * 16): far beyond any quantile
+            f = self.cdf(np.exp(t))
+            known.update(zip(t, f))
+            i = int(np.searchsorted(f, prob))
+            if 0 < i < t.size:
+                lo, hi = t[i - 1], t[i]
+                break
+            t = t + (16.0 if i else -16.0) * math.log(4.0)
+        else:
+            raise AccuracyError("CDF inversion found no bracket of %r" % prob)
+
+        def cdf(x):
+            if x not in known:
+                known[x] = float(self.cdf(math.exp(x)))
+            return known[x]
+        return math.exp(bisect_cdf(cdf, prob, lo, hi,
+                                   xtol=min(1e-8 / math.exp(hi), 1e-10)))
+
 
 # ----------------------------------------------------------------------
 # one refined rule plus a kernel pair: the mean and variance laws
@@ -125,21 +162,23 @@ _PROBE_POINTS = 40
 
 
 class _RuleLaw(_MixtureLaw):
-    """One Gauss rule in the mixing variable x, certified on the mixing mass
-    and the conditional-CDF mixture at probe points across the support, plus
-    the law's ``_mixing_pdf(x)``, ``_window`` and ``_kernel(x, u, want_pdf)``
-    (conditional pdf or CDF, shape (len(x), len(u)))."""
+    """One Gauss rule in the mixing variable x, built by local subdivision
+    (``refine_panels``) and certified on the mixing mass and on the
+    conditional-CDF mixture at probe points across the support, plus the
+    law's ``_mixing_pdf(x)``, ``_window`` and ``_kernel(x, u, want_pdf)``
+    (conditional pdf or CDF, shape (len(x), len(u))).  The probe is the
+    integrand mixing_pdf(x) kernel(x, probe_u), so that the builder sums it
+    per panel."""
 
     def _refine(self, anchors, probe_u):
-        def probe(rule):
-            w = rule.weights * self._mixing_pdf(rule.nodes)
-            return w @ self._kernel(rule.nodes, probe_u, False)
+        def probe(x):
+            return self._mixing_pdf(x)[:, None] * self._kernel(x, probe_u, False)
 
         rule = refine_panels(self._mixing_pdf, *self._window, self.quad,
-                             initial_panels=8, split_at=tuple(anchors),
-                             probe=probe)
+                             split_at=tuple(anchors), probe=probe)
         self._x = rule.nodes
         self._w = rule.weights * self._mixing_pdf(rule.nodes)
+        self._points_per_block = min(_POINT_BLOCK, _BLOCK_SIZE // self._x.size)
 
     def _pdf(self, u):
         return self._w @ self._kernel(self._x, u, True)
@@ -155,7 +194,9 @@ class MeanMixture(_RuleLaw):
     anchors at +/-10^k, stepping toward 0 by decades while t is above
     sigma0 sqrt(n)/sigma_z and the mixing mass on [-t, t] (at most 2t times
     its peak density there) exceeds 1e-3 abs_tol.  With sigma0 = 0 the pdf
-    has an integrable spike at u = beta0."""
+    has an integrable spike at u = beta0, and the conditional CDFs turn
+    over sharply in t within every decade: the probes add mean(t) +/- 2
+    sd(t) at each anchor t times 1, 2 and 5."""
 
     def __init__(self, params: MixtureParams, quad: QuadSpec = QuadSpec()):
         if params.ideal:
@@ -171,7 +212,10 @@ class MeanMixture(_RuleLaw):
                 > 1e-3 * quad.abs_tol):
             anchors += [-t, t]
             t /= 10.0
-        self._refine(anchors, np.linspace(*self.support(), _PROBE_POINTS))
+        mean, sd = self._conditional(np.outer(anchors, [1.0, 2.0, 5.0]).ravel())
+        self._refine(anchors, np.unique(np.concatenate([
+            np.linspace(*self.support(), _PROBE_POINTS),
+            mean - 2.0 * sd, mean + 2.0 * sd])))
 
     def _mixing_pdf(self, t):
         p = self.params
@@ -226,8 +270,12 @@ class VarianceMixture(_RuleLaw):
         q = sp.gammaincinv(nu / 2.0, [1e-16, 1e-8, 1e-3, 0.5])
         lo, *anchors = np.log(2.0 * q)
         self._window = (lo, math.log(2.0 * sp.gammainccinv(nu / 2.0, 1e-16)))
-        self._refine(anchors,
-                     np.geomspace(1e-6 * self.nu, self.support()[1], _PROBE_POINTS))
+        # probes from the window's lower end up: a probe's kernel turns over
+        # near x = log(u / W), so each part of the window meets some probe
+        # (at nu = 1 the CDF there still rises like sqrt(u), far above
+        # abs_tol)
+        self._refine(anchors, np.geomspace(2.0 * q[0], self.support()[1],
+                                           _PROBE_POINTS))
 
     def _mixing_pdf(self, x):
         """Density of x = log V, V ~ chi2_nu."""
@@ -246,8 +294,16 @@ class VarianceMixture(_RuleLaw):
         w_hi = ser.sqrt_mixing_upper(math.sqrt(self.lam)) ** 2
         return 0.0, math.exp(self._window[1]) * w_hi
 
-    def _bracket(self):
-        return 0.0, self.nu * (1.0 + self.lam), "up"
+    _invert = _MixtureLaw._invert_log_u
+
+    def _start(self, prob):
+        """The quantile of c chi2_k, the scaled chi-square with the mean
+        m = nu (1 + lambda) and the variance of u = W V (Satterthwaite
+        1946)."""
+        m = self.nu * (1.0 + self.lam)
+        var = ((2.0 + 4.0 * self.lam + (1.0 + self.lam) ** 2)
+               * self.nu * (self.nu + 2.0) - m * m)
+        return var / m * float(sp.gammaincinv(m * m / var, prob))
 
 
 def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> VarianceMixture:
@@ -601,28 +657,12 @@ class TsqMixture(_MixtureLaw):
                                    _MIN_TERMS, "t^2 mixture"))
         return out
 
-    def _invert(self, prob):
-        """Inversion in log u, where the CDF is close to probit-linear at
-        both ends; in u it rises like sqrt(u) from 0 and its far tail
-        decays like 1/sqrt(u).  t0^2 is stochastically no smaller than
-        central F(1, nu), so that law's quantile, a hair lower, bounds this
-        one's from below ("down" covers rounding at delta = 0).  The upper
-        end grows fourfold until it brackets prob; the log tolerance
-        1e-8/u_hi holds u to 1e-8."""
-        # cached: bisect_cdf evaluates the bracket's ends once more
-        cdf = functools.cache(lambda t: float(self.cdf(math.exp(t))))
-        u_lo = max((1.0 - 1e-6) * float(sp.fdtri(1.0, self.nu, prob)),
-                   sys.float_info.min)
-        lo, hi = math.log(u_lo), math.log(u_lo + 1.0 + self.delta)
-        for _ in range(64):     # 4^64 ~ 3e38: far beyond any t^2 quantile
-            if cdf(hi) >= prob:
-                break
-            lo, hi = hi, hi + math.log(4.0)
-        else:
-            raise AccuracyError("t^2 CDF stays below %r up to u = %g"
-                                % (prob, math.exp(hi)))
-        return math.exp(bisect_cdf(cdf, prob, lo, hi,
-                                   xtol=1e-8 / math.exp(hi), expand="down"))
+    _invert = _MixtureLaw._invert_log_u
+
+    def _start(self, prob):
+        """t0^2 is stochastically no smaller than central F(1, nu): start at
+        that law's quantile."""
+        return float(sp.fdtri(1.0, self.nu, prob))
 
 
 def tsq_mixture(nu: int, delta: float, lam: float,

@@ -2,9 +2,11 @@
 
 All mixture integrals in this package are reduced to smooth integrands on
 finite windows (mixing tails are analytically bounded, edge singularities are
-removed by change of variables), so fixed-order Legendre panels with
-panel-doubling refinement converge spectrally.  Panel node sets are cached by
-the evaluators and reused across vectorized pdf/CDF calls.
+removed by change of variables), so fixed-order Legendre panels converge
+spectrally.  Rules are built by local subdivision: only the panels whose own
+estimate disagrees with the sum over their halves are split, so a sharp
+feature costs panels where it lies, not across the whole window.  Panel node
+sets are cached by the evaluators and reused across vectorized pdf/CDF calls.
 """
 
 from __future__ import annotations
@@ -84,48 +86,72 @@ class PanelRule:
 
 
 def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
-                  initial_panels: int = 16, split_at: tuple = (),
+                  initial_panels: int = 1, split_at: tuple = (),
                   probe=None) -> PanelRule:
-    """Build a panel rule on [lo, hi], doubling panels until quadrature of
-    ``f`` (and optional probe functionals of the rule) stabilizes.
+    """Build a panel rule on [lo, hi] by local subdivision (in the manner of
+    QUADPACK's adaptive quadrature, Piessens et al. 1983): a panel is split
+    only while its quadrature of ``f``, and of the optional vector-valued
+    ``probe``, differs too much from the sum over its two halves.
 
-    ``split_at`` lists interior points that must coincide with panel edges.
-    ``probe`` maps a PanelRule to a vector of derived quantities; refinement
-    stops only once those also stabilize.
+    ``f`` maps nodes to values and ``probe`` maps them to an array of shape
+    (len(nodes), k).  ``split_at`` lists interior points that must coincide
+    with panel edges; each segment between them starts as
+    ``initial_panels // segments`` equal panels, at least one.
+
+    Each round evaluates every new panel and its two halves in one array
+    pass, and keeps each panel's difference between the whole and the
+    halves.  It stops once these differences, summed over the panels, are
+    at most tol = 0.25 (abs_tol + rel_tol scale) for every component, scale
+    being the largest integral.  Otherwise the panels with the smallest
+    differences stay, as many as fit in half of tol, and the others are
+    split.  The difference bounds the error of the whole panel, and the rule
+    keeps the halves, so it carries that bound with margin.  A rule of more
+    than _MAX_PANELS panels raises AccuracyError.
     """
     if not hi > lo:
         raise ValueError("empty quadrature window")
     interior = sorted(p for p in split_at if lo < p < hi)
-    anchors = np.array([lo] + interior + [hi])
+    anchors = [lo] + interior + [hi]
+    n = max(1, initial_panels // (len(anchors) - 1))
+    edges = np.unique(np.concatenate([np.linspace(a, b, n + 1)
+                                      for a, b in zip(anchors, anchors[1:])]))
+    x, w = _leggauss(_GL_ORDER)
 
-    def make_edges(n_per_segment):
-        parts = [np.linspace(anchors[i], anchors[i + 1], n_per_segment + 1)
-                 for i in range(len(anchors) - 1)]
-        return np.unique(np.concatenate(parts))
+    def measure(a, b):
+        """Integrals of f and probe over the halves of each panel [a, b],
+        and their differences from the whole panel's, (panels, 1 + k)."""
+        mid = 0.5 * (a + b)
+        lo_, hi_ = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
+        half = 0.5 * (hi_ - lo_)[:, None]
+        nodes = (lo_[:, None] + half * (1.0 + x)).ravel()
+        vals = np.column_stack([np.asarray(g(nodes), dtype=float)
+                                for g in ((f,) if probe is None else (f, probe))])
+        whole, left, right = np.split(
+            half * (w @ vals.reshape(lo_.size, x.size, -1)), 3)
+        return left + right, np.abs(whole - left - right)
 
-    n = max(2, initial_panels // max(1, len(anchors) - 1))
-    rule = PanelRule(make_edges(n))
-    prev = _probe_vector(rule, f, probe)
+    a, b = edges[:-1], edges[1:]
+    est, err = measure(a, b)
     while True:
-        n *= 2
-        if n * (len(anchors) - 1) > _MAX_PANELS:
+        tol = 0.25 * (quad.abs_tol
+                      + quad.rel_tol * np.max(np.abs(est.sum(axis=0))))
+        if np.all(err.sum(axis=0) <= tol):
+            return PanelRule(np.unique(np.concatenate([a, 0.5 * (a + b), b])))
+        worst = err.max(axis=1)
+        order = np.argsort(worst)
+        stay = np.zeros(a.size, dtype=bool)
+        stay[order[np.cumsum(worst[order]) <= 0.5 * tol]] = True
+        mid = 0.5 * (a[~stay] + b[~stay])
+        new_a = np.concatenate([a[~stay], mid])
+        new_b = np.concatenate([mid, b[~stay]])
+        if 2 * (np.count_nonzero(stay) + new_a.size) > _MAX_PANELS:
             raise AccuracyError(
                 "panel refinement exceeded %d panels without reaching "
                 "abs_tol=%g" % (_MAX_PANELS, quad.abs_tol))
-        rule = PanelRule(make_edges(n))
-        cur = _probe_vector(rule, f, probe)
-        err = np.max(np.abs(cur - prev))
-        scale = np.max(np.abs(cur)) if cur.size else 0.0
-        if err <= 0.25 * (quad.abs_tol + quad.rel_tol * scale):
-            return rule
-        prev = cur
-
-
-def _probe_vector(rule, f, probe):
-    vals = [rule.integrate(f(rule.nodes))]
-    if probe is not None:
-        vals.extend(np.atleast_1d(probe(rule)))
-    return np.asarray(vals, dtype=float)
+        new_est, new_err = measure(new_a, new_b)
+        a, b = np.concatenate([a[stay], new_a]), np.concatenate([b[stay], new_b])
+        est = np.concatenate([est[stay], new_est])
+        err = np.concatenate([err[stay], new_err])
 
 
 def bisect_cdf(cdf, target: float, lo: float, hi: float, *,
@@ -199,6 +225,9 @@ def bisect_cdf(cdf, target: float, lo: float, hi: float, *,
             slack = 0.5 * xtol * 2.0 ** steps_left - 0.5 * (hi - lo)
             if abs(x - mid) > slack:
                 x = mid - toward * slack
+            # at least xtol/2 inside (Brent's minimum step): a point on the
+            # crossing then leaves a bracket narrower than xtol next step
+            x = min(max(x, lo + 0.5 * xtol), hi - 0.5 * xtol)
             if not lo < x < hi:      # rounded onto an end
                 x = mid
         f = cdf(x) - target

@@ -254,6 +254,13 @@ def _mean_draws(p: MixtureParams, cfg: McConfig, n: int,
                               rng)[3][:, 0]
 
 
+def require_std_error_replications(replications: int) -> None:
+    """A standard error needs the spread of at least two replications."""
+    if replications < 2:
+        raise ParamError("a standard error needs replications >= 2, got %d"
+                         % replications)
+
+
 def _variance_summary(name, values) -> McSummary:
     v = np.asarray(values, dtype=float)
     m = v.mean()
@@ -273,6 +280,7 @@ def mc_inconsistency_curve(p: MixtureParams, n_grid, cfg: McConfig):
         raise ParamError("n_grid must be ascending")
     if n_grid and n_grid[0] < 1:
         raise ParamError("n_grid values must be at least 1")
+    require_std_error_replications(cfg.replications)
     return [_variance_summary("var_ybar_n%d" % n, _mean_draws(
         p, cfg, n, substream(cfg.seed, _STREAMS["inconsistency"], idx)))
         for idx, n in enumerate(n_grid)]

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from calibmix import (ParamError, interval_coverage, nc_chisq1_pdf, ncf_cdf,
+from calibmix import (McConfig, MixtureParams, ParamError, interval_coverage,
+                      mc_inconsistency_curve, nc_chisq1_pdf, ncf_cdf,
                       ordering_probe, probability_region, variance_mixture,
                       von_neumann_ratio)
 from calibmix.cli import run
@@ -25,6 +26,11 @@ SITES = {
     "ncf_cdf-noncentrality": lambda: ncf_cdf(1.0, 1, 5, -1.0),
     "von_neumann_ratio-b_kind": lambda: von_neumann_ratio(
         [1.0, -1.0, 0.5], b_kind="nope"),
+    # one replication leaves the standard error undefined (it printed NaN)
+    "mc_inconsistency_curve-one-replication": lambda: mc_inconsistency_curve(
+        MixtureParams(n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
+                      beta1=1.0, sigma1=1.0),
+        [5, 10], McConfig(replications=1, seed=1)),
 }
 
 
@@ -76,3 +82,21 @@ def test_malformed_json_file_exits_2(shape, tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert run(command + [flag, str(path)]) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("statistic", ["mean", "inconsistency"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_one_replication_exits_2(statistic, source, tmp_path, capsys):
+    # a standard error needs two replications; one printed "std_error": NaN
+    command = ["simulate", "--statistic", statistic, "--n-grid", "5,10"]
+    if source == "flags":
+        command += ["--replications", "1", "--seed", "1"]
+    else:
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps({"replications": 1, "seed": 1}))
+        command += ["--config", str(path)]
+    assert run(command + PARAM_FLAGS) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert "replications >= 2" in captured.err
+    assert captured.out == ""

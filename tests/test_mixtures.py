@@ -8,10 +8,10 @@ from scipy import integrate, special, stats
 from calibmix import (AccuracyError, MixtureParams, ParamError,
                       QuadSpec, mean_mixture, signed_t_mixture, tsq_mixture,
                       variance_mixture)
-from calibmix.casestudy import octane_params
+from calibmix.casestudy import moment_table_params, octane_params
 from calibmix import mixtures as mx
 from calibmix import special as ser
-from calibmix.quadrature import gauss_legendre_nodes
+from calibmix.quadrature import PanelRule, gauss_legendre_nodes
 
 CRIT = 4.9646027437307145  # F(1,10) 0.95 quantile
 OCT_LAM = (1.8546 / 0.5837) ** 2
@@ -335,6 +335,18 @@ class TestVarianceMixture:
     def test_stochastic_ordering_in_lambda(self):
         cdfs = [variance_mixture(10, lam).cdf(20.0) for lam in (1.0, 4.0, 9.0)]
         assert cdfs[0] > cdfs[1] > cdfs[2]
+
+    @pytest.mark.parametrize("nu,lam", [(3, 0.5), (10, 10.0953)])
+    @pytest.mark.parametrize("prob", [0.001, 0.025, 0.5, 0.975])
+    def test_ppf_takes_few_cdf_calls(self, nu, lam, prob):
+        # a bracket from u = 0 gave ITP no slope there: 28 and 21 calls at
+        # the 0.001 quantiles
+        vm = variance_mixture(nu, lam)
+        cdf, calls = vm.cdf, []
+        vm.cdf = lambda u: calls.append(u) or cdf(u)
+        u = vm.ppf(prob)
+        assert len(calls) <= 16
+        assert cdf(u) == pytest.approx(prob, abs=1e-9)
 
 
 class TestTsqMixture:
@@ -795,12 +807,10 @@ class TestSeriesCoefs:
                 assert c.left_after(j_hi) >= left - 4.0 * np.spacing(c.mass)
 
 
-def test_dense_pdf_has_bounded_working_set():
-    # a 200k-point grid is evaluated in blocks: the traced peak stays near
-    # one block's node x point temporaries, not 200k x 1024 doubles (1.6 GB)
-    mm = mean_mixture(octane_params())
-    lo, hi = mm.support()
-    u = np.linspace(lo, hi, 200_000)
+def traced_pdf_peak(params, points):
+    """Peak traced bytes of a pdf over ``points`` abscissae of the support."""
+    mm = mean_mixture(params)
+    u = np.linspace(*mm.support(), points)
     tracemalloc.start()
     try:
         pdf = mm.pdf(u)
@@ -808,4 +818,88 @@ def test_dense_pdf_has_bounded_working_set():
     finally:
         tracemalloc.stop()
     assert pdf.shape == u.shape
-    assert peak < 64e6
+    return peak
+
+
+def test_dense_pdf_has_bounded_working_set():
+    # a 200k-point grid is evaluated in blocks: the traced peak stays near
+    # one block's node x point temporaries, not 200k x 160 doubles
+    assert traced_pdf_peak(octane_params(), 200_000) < 64e6
+
+
+# the sigma0 = 0 bundle whose decade anchors took 27648 nodes under global
+# panel doubling
+SPIKE = MixtureParams(n=100, beta0=1.0, sigma0=0.0, mu_z=1.0, sigma_z=0.2,
+                      beta1=2.0, sigma1=1.0)
+
+
+def test_large_rule_pdf_has_bounded_working_set():
+    # its 512-point blocks of 27648 nodes peaked at 341 MB; now fewer nodes
+    # and fewer points per block keep each temporary within 16 MB
+    assert traced_pdf_peak(SPIKE, 20_000) < 64e6
+
+
+def fixed_rule(per_segment):
+    """A stand-in for refine_panels: ``per_segment`` equal panels between
+    the law's anchors, without refinement."""
+    def rule(f, lo, hi, quad, *, split_at=(), **_):
+        anchors = [lo] + sorted(p for p in split_at if lo < p < hi) + [hi]
+        return PanelRule(np.unique(np.concatenate(
+            [np.linspace(a, b, per_segment + 1)
+             for a, b in zip(anchors, anchors[1:])])))
+    return rule
+
+
+def fine_law(monkeypatch, build):
+    """The law ``build()`` makes, on 64 fixed panels per anchored segment."""
+    with monkeypatch.context() as m:
+        m.setattr(mx, "refine_panels", fixed_rule(64))
+        return build()
+
+
+class TestAdaptiveRule:
+    """The locally adaptive mixing rules: their sizes, and their numbers
+    against a fixed fine rule of 64 panels per segment."""
+
+    def test_node_counts(self):
+        # global doubling kept 256 nodes at the octane point for both laws
+        assert mean_mixture(octane_params())._x.size <= 160
+        assert variance_mixture(10, OCT_LAM)._x.size <= 128
+
+    @pytest.mark.parametrize("delta0,lambda0", [(0.3, 1.0), (-0.5, 3.0)])
+    def test_s_rule_keeps_1024_nodes(self, delta0, lambda0):
+        # the s-rule certifies its mass only, from 32 initial panels
+        assert signed_t_mixture(10, delta0, lambda0)._core.s.size == 1024
+
+    @pytest.mark.parametrize("params", [octane_params()] + moment_table_params()
+                             + [MixtureParams(n=10, beta0=1.0, sigma0=0.0,
+                                              mu_z=1.0, sigma_z=1.0,
+                                              beta1=0.3, sigma1=1.0)])
+    def test_mean_law_against_fine_rule(self, params, monkeypatch):
+        mm = mean_mixture(params)
+        ref = fine_law(monkeypatch, lambda: mean_mixture(params))
+        u = np.linspace(*mm.support(), 201)
+        assert np.max(np.abs(mm.cdf(u) - ref.cdf(u))) <= 1e-9
+        if params.sigma0 > 0:        # at sigma0 = 0 the pdf spikes at beta0
+            assert np.max(np.abs(mm.pdf(u) - ref.pdf(u))) <= 1e-9
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 10, 40])
+    @pytest.mark.parametrize("lam", [0.0, 10.0, 100.0, 400.0])
+    def test_variance_law_against_fine_rule(self, nu, lam, monkeypatch):
+        # the worst, 3.4e-10, is at nu = 1, lambda = 100 near u = 2e-7
+        vm = variance_mixture(nu, lam)
+        ref = fine_law(monkeypatch, lambda: variance_mixture(nu, lam))
+        u = np.concatenate([np.geomspace(1e-12, 0.5, 60, endpoint=False),
+                            np.linspace(0.5, vm.support()[1], 60)])
+        assert np.max(np.abs(vm.cdf(u) - ref.cdf(u))) <= 1e-9
+        assert np.max(np.abs(vm.pdf(u[60:]) - ref.pdf(u[60:]))) <= 1e-9
+
+    def test_sigma0_zero_spike(self, monkeypatch):
+        # global doubling took 27648 nodes here; the 64-panel rule is
+        # within 1.5e-14 of one of 256 panels per segment
+        mm = mean_mixture(SPIKE)
+        assert mm._x.size < 27648
+        ref = fine_law(monkeypatch, lambda: mean_mixture(SPIKE))
+        d = np.geomspace(1e-9, 5.0, 150)
+        u = np.concatenate([1.0 - d, 1.0 + d, np.linspace(*mm.support(), 101)])
+        assert np.max(np.abs(mm.cdf(u) - ref.cdf(u))) <= 1e-9

@@ -6,7 +6,7 @@ from scipy import special
 
 from calibmix import AccuracyError
 from calibmix import quadrature as qd
-from calibmix.quadrature import bisect_cdf
+from calibmix.quadrature import QuadSpec, bisect_cdf, refine_panels
 
 
 def counted(cdf):
@@ -84,3 +84,55 @@ class TestBisectCdf:
         x = bisect_cdf(f, 0.3, 0.0, 2e9, xtol=1e-8)
         assert x == pytest.approx(1e9 + 10.0 * special.ndtri(0.3), abs=1e-6)
         assert len(seen) - 2 <= step_count_bound(0.0, 2e9, 1e-8)
+
+
+def bump(x, centre=0.3137, width=0.01):
+    return np.exp(-0.5 * ((x - centre) / width) ** 2)
+
+
+def doubling_panels(f, lo, hi, tol, n=16):
+    """Panels of the rule that doubles every panel until the integral
+    repeats to tol, keeping the finer rule (the builder this one
+    replaced)."""
+    def integral(n):
+        rule = qd.PanelRule(np.linspace(lo, hi, n + 1))
+        return rule.integrate(f(rule.nodes))
+    while abs(integral(2 * n) - integral(n)) > tol:
+        n *= 2
+    return 2 * n
+
+
+class TestRefinePanels:
+    quad = QuadSpec()
+
+    def test_certifies_narrow_bump_with_fewer_panels(self):
+        rule = refine_panels(bump, -1.0, 1.0, self.quad, initial_panels=16)
+        exact = 0.01 * math.sqrt(2.0 * math.pi)
+        assert rule.integrate(bump(rule.nodes)) == pytest.approx(exact, abs=1e-9)
+        # the old builder's budget, 0.25 (abs_tol + rel_tol scale): 64 panels
+        uniform = doubling_panels(bump, -1.0, 1.0, 0.25e-9 * (1.0 + exact))
+        assert rule.edges.size - 1 < uniform
+
+    def test_leaves_far_flat_segment_unsplit(self):
+        # beyond the anchor at 1 the integrand is flat: that segment keeps
+        # the halves of its one panel
+        f = lambda x: 1.0 + bump(x, 0.5, 0.05)
+        rule = refine_panels(f, 0.0, 10.0, self.quad, split_at=(1.0,))
+        flat = rule.edges[rule.edges > 1.0]
+        assert list(flat) == [5.5, 10.0]
+        assert rule.edges[rule.edges <= 1.0].size > 3
+
+    def test_vector_probe_is_certified_per_component(self):
+        # the probe's columns are integrated next to f, each to the budget
+        probe = lambda x: np.column_stack([x * bump(x), x * x * bump(x)])
+        rule = refine_panels(lambda x: np.ones_like(x), -1.0, 1.0, self.quad,
+                             initial_panels=16, probe=probe)
+        m1, m2 = rule.weights @ probe(rule.nodes)
+        mass = 0.01 * math.sqrt(2.0 * math.pi)
+        assert m1 == pytest.approx(0.3137 * mass, abs=1e-9)
+        assert m2 == pytest.approx((0.3137 ** 2 + 1e-4) * mass, abs=1e-9)
+
+    def test_raises_at_panel_cap(self, monkeypatch):
+        monkeypatch.setattr(qd, "_MAX_PANELS", 32)
+        with pytest.raises(AccuracyError, match="32 panels"):
+            refine_panels(lambda x: np.sin(200.0 * x), 0.0, 10.0, self.quad)
