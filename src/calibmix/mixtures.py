@@ -163,16 +163,17 @@ _PROBE_POINTS = 40
 
 class _RuleLaw(_MixtureLaw):
     """One Gauss rule in the mixing variable x, built by local subdivision
-    (``refine_panels``) and certified on the mixing mass and on the
-    conditional-CDF mixture at probe points across the support, plus the
-    law's ``_mixing_pdf(x)``, ``_window`` and ``_kernel(x, u, want_pdf)``
+    (``refine_panels``) and certified on the mixing mass, on the CDF at
+    probe points ``cdf_u`` and on the pdf at ``pdf_u``, plus the law's
+    ``_mixing_pdf(x)``, ``_window`` and ``_kernel(x, u, want_pdf)``
     (conditional pdf or CDF, shape (len(x), len(u))).  The probe is the
-    integrand mixing_pdf(x) kernel(x, probe_u), so that the builder sums it
-    per panel."""
+    integrand mixing_pdf(x) kernel(x, u), so that the builder sums it per
+    panel; each pdf probe holds to abs_tol or to rel_tol of itself."""
 
-    def _refine(self, anchors, probe_u):
+    def _refine(self, anchors, cdf_u, pdf_u):
         def probe(x):
-            return self._mixing_pdf(x)[:, None] * self._kernel(x, probe_u, False)
+            return self._mixing_pdf(x)[:, None] * np.hstack([
+                self._kernel(x, cdf_u, False), self._kernel(x, pdf_u, True)])
 
         rule = refine_panels(self._mixing_pdf, *self._window, self.quad,
                              split_at=tuple(anchors), probe=probe)
@@ -196,7 +197,8 @@ class MeanMixture(_RuleLaw):
     its peak density there) exceeds 1e-3 abs_tol.  With sigma0 = 0 the pdf
     has an integrable spike at u = beta0, and the conditional CDFs turn
     over sharply in t within every decade: the probes add mean(t) +/- 2
-    sd(t) at each anchor t times 1, 2 and 5."""
+    sd(t) at each anchor t times 1, 2 and 5.  The pdf is probed at the
+    same points but beta0, where at sigma0 = 0 it is infinite."""
 
     def __init__(self, params: MixtureParams, quad: QuadSpec = QuadSpec()):
         if params.ideal:
@@ -213,9 +215,11 @@ class MeanMixture(_RuleLaw):
             anchors += [-t, t]
             t /= 10.0
         mean, sd = self._conditional(np.outer(anchors, [1.0, 2.0, 5.0]).ravel())
-        self._refine(anchors, np.unique(np.concatenate([
-            np.linspace(*self.support(), _PROBE_POINTS),
-            mean - 2.0 * sd, mean + 2.0 * sd])))
+        u_lo, u_hi = self.support()
+        probe_u = np.unique(np.concatenate([
+            np.linspace(u_lo, u_hi, _PROBE_POINTS),
+            mean - 2.0 * sd, mean + 2.0 * sd]))
+        self._refine(anchors, probe_u, probe_u[probe_u != p.beta0])
 
     def _mixing_pdf(self, t):
         p = self.params
@@ -229,10 +233,12 @@ class MeanMixture(_RuleLaw):
         return p.beta0 + t * p.mu_z, sd
 
     def _kernel(self, t, u, want_pdf):
-        mean, sd = self._conditional(t)
-        z = (u[None, :] - mean[:, None]) / sd[:, None]
+        p = self.params
+        sd = self._conditional(t)[1][:, None]
+        # u - beta0 first: exact near beta0, where sigma0 = 0 puts a spike
+        z = ((u - p.beta0)[None, :] - (t * p.mu_z)[:, None]) / sd
         if want_pdf:
-            return np.exp(-0.5 * z * z) / (sd[:, None] * math.sqrt(2.0 * math.pi))
+            return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
         return sp.ndtr(z)
 
     def support(self):
@@ -273,9 +279,10 @@ class VarianceMixture(_RuleLaw):
         # probes from the window's lower end up: a probe's kernel turns over
         # near x = log(u / W), so each part of the window meets some probe
         # (at nu = 1 the CDF there still rises like sqrt(u), far above
-        # abs_tol)
-        self._refine(anchors, np.geomspace(2.0 * q[0], self.support()[1],
-                                           _PROBE_POINTS))
+        # abs_tol).  Where the CDF is below abs_tol, only the pdf probes
+        # see the window's lower end.
+        probe_u = np.geomspace(2.0 * q[0], self.support()[1], _PROBE_POINTS)
+        self._refine(anchors, probe_u, probe_u)
 
     def _mixing_pdf(self, x):
         """Density of x = log V, V ~ chi2_nu."""

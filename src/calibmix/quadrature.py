@@ -22,6 +22,7 @@ from .errors import AccuracyError, ParamError, require_finite
 
 _GL_ORDER = 16
 _MAX_PANELS = 8192
+_PANEL_BLOCK = 64  # panels per evaluation: 3072 nodes x probe columns
 _ITP_SLACK = 2     # n0: ITP steps allowed beyond bisection's count
 
 
@@ -102,11 +103,14 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
     pass, and keeps each panel's difference between the whole and the
     halves.  It stops once these differences, summed over the panels, are
     at most tol = 0.25 (abs_tol + rel_tol scale) for every component, scale
-    being the largest integral.  Otherwise the panels with the smallest
-    differences stay, as many as fit in half of tol, and the others are
-    split.  The difference bounds the error of the whole panel, and the rule
-    keeps the halves, so it carries that bound with margin.  A rule of more
-    than _MAX_PANELS panels raises AccuracyError.
+    being the larger of the component's own integral and that of ``f``, so
+    that a component far above ``f``'s (a pdf at its pole) holds to
+    rel_tol of itself.  Otherwise the panels with the smallest differences,
+    in units of tol, stay, as many as fit in half of tol, and the others
+    are split.  The difference bounds the error of the whole panel, and the
+    rule keeps the halves, so it carries that bound with margin.  Panels
+    are evaluated _PANEL_BLOCK at a time, so a wide probe holds few values
+    at once.  A rule of more than _MAX_PANELS panels raises AccuracyError.
     """
     if not hi > lo:
         raise ValueError("empty quadrature window")
@@ -117,9 +121,7 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
                                       for a, b in zip(anchors, anchors[1:])]))
     x, w = _leggauss(_GL_ORDER)
 
-    def measure(a, b):
-        """Integrals of f and probe over the halves of each panel [a, b],
-        and their differences from the whole panel's, (panels, 1 + k)."""
+    def measure_block(a, b):
         mid = 0.5 * (a + b)
         lo_, hi_ = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
         half = 0.5 * (hi_ - lo_)[:, None]
@@ -130,17 +132,26 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
             half * (w @ vals.reshape(lo_.size, x.size, -1)), 3)
         return left + right, np.abs(whole - left - right)
 
+    def measure(a, b):
+        """Integrals of f and probe over the halves of each panel [a, b],
+        and their differences from the whole panel's, (panels, 1 + k)."""
+        est, err = zip(*(measure_block(a[i:i + _PANEL_BLOCK],
+                                       b[i:i + _PANEL_BLOCK])
+                         for i in range(0, a.size, _PANEL_BLOCK)))
+        return np.concatenate(est), np.concatenate(err)
+
     a, b = edges[:-1], edges[1:]
     est, err = measure(a, b)
     while True:
+        total = np.abs(est.sum(axis=0))
         tol = 0.25 * (quad.abs_tol
-                      + quad.rel_tol * np.max(np.abs(est.sum(axis=0))))
+                      + quad.rel_tol * np.maximum(total, total[0]))
         if np.all(err.sum(axis=0) <= tol):
             return PanelRule(np.unique(np.concatenate([a, 0.5 * (a + b), b])))
-        worst = err.max(axis=1)
+        worst = (err / tol).max(axis=1)
         order = np.argsort(worst)
         stay = np.zeros(a.size, dtype=bool)
-        stay[order[np.cumsum(worst[order]) <= 0.5 * tol]] = True
+        stay[order[np.cumsum(worst[order]) <= 0.5]] = True
         mid = 0.5 * (a[~stay] + b[~stay])
         new_a = np.concatenate([a[~stay], mid])
         new_b = np.concatenate([mid, b[~stay]])

@@ -879,27 +879,36 @@ class TestAdaptiveRule:
         mm = mean_mixture(params)
         ref = fine_law(monkeypatch, lambda: mean_mixture(params))
         u = np.linspace(*mm.support(), 201)
+        if params.sigma0 == 0:       # the pdf spikes at beta0: approach it
+            d = np.geomspace(1e-9, 1.0, 60)
+            u = np.concatenate([u, params.beta0 - d, params.beta0 + d])
         assert np.max(np.abs(mm.cdf(u) - ref.cdf(u))) <= 1e-9
-        if params.sigma0 > 0:        # at sigma0 = 0 the pdf spikes at beta0
-            assert np.max(np.abs(mm.pdf(u) - ref.pdf(u))) <= 1e-9
+        # nearer the spike than 1e-9 the pdf is not certified, and below
+        # 1e-11 neither rule holds it (the grid has a point 7e-15 above
+        # beta0 at sigma0 = 0)
+        u = u[np.abs(u - params.beta0) >= 1e-9]
+        assert mm.pdf(u) == pytest.approx(ref.pdf(u), rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("nu", [1, 2, 3, 10, 40])
     @pytest.mark.parametrize("lam", [0.0, 10.0, 100.0, 400.0])
     def test_variance_law_against_fine_rule(self, nu, lam, monkeypatch):
-        # the worst, 3.4e-10, is at nu = 1, lambda = 100 near u = 2e-7
+        # near u = 0 at lambda >= 100 and nu <= 3 the CDF is below abs_tol
+        # and only the pdf probes certify the rule: without them the pdf
+        # of (2, 400) read 45% off at u = 2.7e-6
         vm = variance_mixture(nu, lam)
         ref = fine_law(monkeypatch, lambda: variance_mixture(nu, lam))
         u = np.concatenate([np.geomspace(1e-12, 0.5, 60, endpoint=False),
                             np.linspace(0.5, vm.support()[1], 60)])
         assert np.max(np.abs(vm.cdf(u) - ref.cdf(u))) <= 1e-9
-        assert np.max(np.abs(vm.pdf(u[60:]) - ref.pdf(u[60:]))) <= 1e-9
+        assert vm.pdf(u) == pytest.approx(ref.pdf(u), rel=1e-9, abs=1e-9)
 
     def test_sigma0_zero_spike(self, monkeypatch):
-        # global doubling took 27648 nodes here; the 64-panel rule is
-        # within 1.5e-14 of one of 256 panels per segment
+        # global doubling took 27648 nodes here, as many as the 64-panel
+        # rule
         mm = mean_mixture(SPIKE)
         assert mm._x.size < 27648
         ref = fine_law(monkeypatch, lambda: mean_mixture(SPIKE))
         d = np.geomspace(1e-9, 5.0, 150)
         u = np.concatenate([1.0 - d, 1.0 + d, np.linspace(*mm.support(), 101)])
         assert np.max(np.abs(mm.cdf(u) - ref.cdf(u))) <= 1e-9
+        assert mm.pdf(u) == pytest.approx(ref.pdf(u), rel=1e-9, abs=1e-9)

@@ -132,6 +132,26 @@ class TestRefinePanels:
         assert m1 == pytest.approx(0.3137 * mass, abs=1e-9)
         assert m2 == pytest.approx((0.3137 ** 2 + 1e-4) * mass, abs=1e-9)
 
+    def test_each_component_has_its_own_scale(self):
+        # a component 1e12 times f's holds to rel_tol of itself, and does
+        # not loosen a small one next to it to rel_tol of its own size
+        probe = lambda x: np.column_stack([1e12 * bump(x, 0.7), x * bump(x)])
+        rule = refine_panels(lambda x: np.ones_like(x), -1.0, 1.0, self.quad,
+                             probe=probe)
+        big, small = rule.weights @ probe(rule.nodes)
+        mass = 0.01 * math.sqrt(2.0 * math.pi)
+        assert big == pytest.approx(1e12 * mass, rel=1e-9)
+        assert small == pytest.approx(0.3137 * mass, abs=1e-9)
+
+    def test_evaluates_panels_in_blocks(self):
+        # a rule of 128 panels passes at most _PANEL_BLOCK panels (and
+        # their halves) to the integrand at once
+        sizes = []
+        f = lambda x: sizes.append(x.size) or np.sin(200.0 * x)
+        refine_panels(f, 0.0, 10.0, self.quad)
+        assert max(sizes) == 3 * qd._PANEL_BLOCK * qd._GL_ORDER
+        assert sum(sizes) > 2 * max(sizes)
+
     def test_raises_at_panel_cap(self, monkeypatch):
         monkeypatch.setattr(qd, "_MAX_PANELS", 32)
         with pytest.raises(AccuracyError, match="32 panels"):
