@@ -138,7 +138,9 @@ def shapiro_type_w_batch(y, weights=None):
     n = y.shape[1]
     w = blom_weights(n) if weights is None else np.asarray(weights, dtype=float)
     ys = np.sort(y, axis=1)
-    num = (ys @ w) ** 2
+    # a row sum, not a BLAS product, whose value for a row would depend on
+    # the row count and alignment of the whole array
+    num = (ys * w).sum(axis=1) ** 2
     ss = ((y - y.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
     return num / ss
 
@@ -260,11 +262,11 @@ class BlindnessReport:
 
 
 def _rel_dev(a, b):
-    """Deviation of a from b, one row per replication.  Measured against
-    1 + |ref| so identities at near-zero statistic values (b1 of an
+    """Worst deviation of a from b in each replication (row).  Measured
+    against 1 + |ref| so identities at near-zero statistic values (b1 of an
     almost-symmetric sample) are not dominated by division noise."""
     d = np.abs(a - b) / (1.0 + np.abs(b))
-    return d.reshape(d.shape[0], -1)
+    return d.reshape(d.shape[0], -1).max(axis=1)
 
 
 # Y = b0 + b1 Z is exact in real arithmetic only: rounding perturbs the
@@ -279,30 +281,44 @@ _IDENTITY_ROUNDING = 64.0
 
 def blindness_suite(p: MixtureParams, cfg) -> BlindnessReport:
     """Exact per-replication identities between diagnostics of Y and Z, and
-    KS comparisons of each statistic against its iid-Gaussian distribution."""
+    KS comparisons of each statistic against its iid-Gaussian distribution.
+
+    Both streams run in row blocks (simulate._map_blocks); a block keeps
+    only per-replication values, so memory is O(replications)."""
     from . import simulate as sim
 
-    rng = sim.substream(cfg.seed, sim._STREAMS["diagnostics"])
-    b0, b1c, z, y = sim._calibrated(p, cfg, rng)
-    on_y, on_z = battery_batch(y), battery_batch(z)
-    on_g = battery_batch(sim.reference_gaussian_samples(p.n, cfg))
+    def per_replication(b0, b1c, z, y):
+        """The battery on Y, each identity's worst deviation and the
+        rounding bound, per replication."""
+        on_y, on_z = battery_batch(y), battery_batch(z)
+        out = {("y", k): v for k, v in on_y.items()}
+        for k in on_y:
+            out["dev", k] = _rel_dev(on_y[k], on_z[k])
+        out["dev", "studentized"] = _rel_dev(
+            studentized_batch(y), studentized_batch(z) * np.sign(b1c)[:, None])
+        zc = z - z.mean(axis=1, keepdims=True)
+        out["bound"] = (_IDENTITY_ROUNDING * np.finfo(float).eps
+                        * (np.abs(b0) + np.abs(b1c) * np.max(np.abs(z), axis=1))
+                        / (np.abs(b1c) * np.sqrt(np.mean(zc ** 2, axis=1))))
+        out["slope"] = b1c
+        return out
 
-    ks = {k: sim.ks_distance_two_sample(on_y[k], on_g[k]) for k in on_y}
-    dev = {k: _rel_dev(on_y[k], on_z[k]) for k in on_y}
-    dev["studentized"] = _rel_dev(studentized_batch(y),
-                                  studentized_batch(z) * np.sign(b1c)[:, None])
-    zc = z - z.mean(axis=1, keepdims=True)
-    bound = (_IDENTITY_ROUNDING * np.finfo(float).eps
-             * (np.abs(b0) + np.abs(b1c) * np.max(np.abs(z), axis=1))
-             / (np.abs(b1c) * np.sqrt(np.mean(zc ** 2, axis=1))))[:, None]
+    rows = sim._calibrated(
+        p, cfg, sim.substream(cfg.seed, sim._STREAMS["diagnostics"]),
+        per_replication)
+    on_g = sim._reference_blocks(p.n, cfg, battery_batch)
+
+    ks = {k: sim.ks_distance_two_sample(rows["y", k], on_g[k]) for k in on_g}
+    dev = {k: rows["dev", k] for k in (*on_g, "studentized")}
     return BlindnessReport(
         replications=cfg.replications,
         n=p.n,
-        negative_slope_count=int(np.sum(b1c < 0)),
+        negative_slope_count=int(np.sum(rows["slope"] < 0)),
         max_rel_dev={k: float(np.max(d)) for k, d in dev.items()},
         ks=ks,
         ks_band=sim.ks_two_sample_band(cfg.replications, cfg.replications),
-        max_dev_to_bound={k: float(np.max(d / bound)) for k, d in dev.items()},
+        max_dev_to_bound={k: float(np.max(d / rows["bound"]))
+                          for k, d in dev.items()},
     )
 
 

@@ -6,7 +6,7 @@ spawn_key=key))); normals are produced by the inverse-CDF transform
 ndtri(uniform) with one uniform per normal (no rejection, fixed
 consumption), so identical (seed, config) reproduce bit-identical streams.
 Within a batch the uniform matrix is laid out one replication per row, and
-_draw_coefficients is the only code that consumes it.  Coefficient mode
+_draw_blocks is the only code that consumes it.  Coefficient mode
 uses columns [beta0_hat, beta1_hat, Z...]; full calibration mode uses
 [eps_1..eps_n0, Z...] and takes the line (beta0, beta1, sigma_u, x) from
 the design for every statistic.  The Z columns are, per statistic:
@@ -22,6 +22,17 @@ drew n readings and averaged them).
 Each replication shares a single (beta0_hat, beta1_hat) draw across its n
 projected values; that shared draw is the induced dependence under study.
 
+Every statistic runs over row blocks of that matrix (_map_blocks).  Block k
+holds rows [k R, (k + 1) R) with R = max(1, 2**15 // columns), about 256 KB
+of normals: the blocks are fixed by (rows, columns), never by the machine.
+A block draws its uniforms from a clone of the stream's Philox generator
+skipped ahead to its first uniform (Philox is counter-based, so the skip
+costs no draws), reduces them to per-row results, and the results are
+stacked in block order.  The blocks run on up to len(sched_getaffinity)
+threads; the output is bit-identical on any number of CPUs, and no block
+forms the whole normal, Z or Y matrix, so memory is O(replications) for
+every per-row statistic.
+
 The t^2 statistic tests a null at fixed distance from the replication's
 conditional mean (distance |mu_y - mu_y0|/sqrt(n), i.e. abstract
 noncentrality delta = (mu_y - mu_y0)^2/(sigma1^2 sigma_z^2)); that is the
@@ -34,6 +45,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +68,12 @@ _STREAMS = {
 }
 
 SCHEMA_VERSION = "1"
+
+# A Monte Carlo block holds about this many normals (256 KB): rows
+# max(1, _BLOCK_NORMALS // cols) of the pinned uniform matrix.
+_BLOCK_NORMALS = 2 ** 15
+# uint64 draws per Philox counter step
+_PHILOX_BUFFER = 4
 
 
 @dataclass(frozen=True)
@@ -120,9 +139,16 @@ class McConfig:
     design: CalibrationDesign | None = None
 
     def __post_init__(self):
-        require_finite(replications=self.replications, seed=self.seed)
-        if self.replications < 1:
-            raise ParamError("replications must be >= 1")
+        # whole counts only: the row blocks need an integer row count, and
+        # SeedSequence a nonnegative integer
+        for name, low in (("replications", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParamError("%s must be a whole number, got %r"
+                                 % (name, value))
+            if value < low:
+                raise ParamError("%s must be >= %d, got %r" % (name, low, value))
+            object.__setattr__(self, name, int(value))
         if self.mode not in ("coefficient", "full"):
             raise ParamError("mode must be 'coefficient' or 'full'")
         if self.mode == "full" and self.design is None:
@@ -199,34 +225,117 @@ def _std_normal(rng: np.random.Generator, shape):
     return sp.ndtri(u, out=u)
 
 
-def _draw_coefficients(p: MixtureParams, cfg: McConfig, z_mean, z_sd: float,
-                       rng: np.random.Generator):
-    """(beta0_hat, beta1_hat, Z, Y = beta0_hat + beta1_hat Z) for
-    cfg.replications rows, honoring the pinned uniform layout.  Z has one
-    column per entry of z_mean, column j drawn as N(z_mean[j], z_sd^2)."""
+def _cpu_count() -> int:
+    """CPUs this process may run on: the most block workers worth starting."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _skipped(state, offset: int) -> np.random.Generator:
+    """A generator whose next uint64 is draw ``offset`` of the Philox stream
+    at ``state``.  The 4 - buffer_pos draws still buffered come first; past
+    them the counter steps once per 4 draws, so advance skips whole steps
+    and random_raw the rest."""
+    bg = np.random.Philox()
+    bg.state = state
+    buffered = _PHILOX_BUFFER - state["buffer_pos"]
+    if offset <= buffered:
+        bg.random_raw(offset)
+    else:
+        steps, rest = divmod(offset - buffered, _PHILOX_BUFFER)
+        bg.advance(steps)
+        bg.random_raw(rest)
+    return np.random.Generator(bg)
+
+
+def _stacked(rows: int, parts):
+    """Stack the blocks' per-row results, in block order, into (rows, ...)
+    arrays allocated on the first block.  A part is an array or a dict of
+    arrays; the result has the same form."""
+    out, at = None, 0
+    for part in parts:
+        named = part if isinstance(part, dict) else {None: part}
+        if out is None:
+            out = {k: np.empty((rows,) + a.shape[1:], a.dtype)
+                   for k, a in named.items()}
+        for k, a in named.items():
+            out[k][at:at + len(a)] = a
+        at += len(a)
+    return out[None] if None in out else out
+
+
+def _map_blocks(rng: np.random.Generator, rows: int, cols: int, kernel):
+    """kernel(normals) on each row block of the (rows, cols) normals that
+    one _std_normal(rng, (rows, cols)) call would draw, results stacked.
+
+    Block k holds rows [k R, (k + 1) R), R = max(1, _BLOCK_NORMALS // cols):
+    the blocks depend on the shape only, so the output is the same on any
+    number of CPUs.  A Philox block draws from a clone of rng skipped to its
+    first uniform, on up to _cpu_count() threads, and rng is left where the
+    one call would leave it.  Other bit generators cannot skip: their blocks
+    run in order on this thread, from rng itself."""
+    step = max(1, _BLOCK_NORMALS // cols)
+    starts = range(0, rows, step)
+
+    def block(start, gen):
+        return kernel(_std_normal(gen, (min(start + step, rows) - start, cols)))
+
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.Philox):
+        return _stacked(rows, (block(start, rng) for start in starts))
+    state = bg.state
+
+    def skipped_block(start):
+        return block(start, _skipped(state, start * cols))
+
+    workers = min(_cpu_count(), len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            out = _stacked(rows, pool.map(skipped_block, starts))
+    else:
+        out = _stacked(rows, map(skipped_block, starts))
+    bg.state = _skipped(state, rows * cols).bit_generator.state
+    return out
+
+
+def _draw_blocks(p: MixtureParams, cfg: McConfig, z_mean, z_sd: float,
+                 rng: np.random.Generator, kernel):
+    """kernel(beta0_hat, beta1_hat, Z, Y = beta0_hat + beta1_hat Z) on each
+    row block of cfg.replications rows, honoring the pinned uniform layout;
+    the per-row results are stacked.  Z has one column per entry of
+    z_mean, column j drawn as N(z_mean[j], z_sd^2)."""
     z_mean = np.asarray(z_mean, dtype=float)
     lead = 2 if cfg.mode == "coefficient" else cfg.design.n0
-    normals = _std_normal(rng, (cfg.replications, lead + z_mean.size))
-    z = z_sd * normals[:, lead:]
-    z += z_mean
-    if cfg.mode == "coefficient":
-        b0 = p.beta0 + p.sigma0 * normals[:, 0]
-        b1 = p.beta1 + p.sigma1 * normals[:, 1]
-    else:
+    if cfg.mode == "full":
         d = cfg.design
-        eps = d.sigma_u * normals[:, :lead]
-        b0 = d.beta0 + eps.mean(axis=1)
-        b1 = d.beta1 + eps @ d.xc / d.sxx
-    # the normals are the largest array here: free them before Y is formed
-    del normals
-    y = b1[:, None] * z
-    y += b0[:, None]
-    return b0, b1, z, y
+        xc, sxx = d.xc, d.sxx
+
+    def coefficients(normals):
+        z = z_sd * normals[:, lead:]
+        z += z_mean
+        if cfg.mode == "coefficient":
+            b0 = p.beta0 + p.sigma0 * normals[:, 0]
+            b1 = p.beta1 + p.sigma1 * normals[:, 1]
+        else:
+            eps = d.sigma_u * normals[:, :lead]
+            b0 = d.beta0 + eps.mean(axis=1)
+            # a row sum, not a BLAS product: its value is the same whatever
+            # the block's row count
+            b1 = d.beta1 + (eps * xc).sum(axis=1) / sxx
+        y = b1[:, None] * z
+        y += b0[:, None]
+        return kernel(b0, b1, z, y)
+
+    return _map_blocks(rng, cfg.replications, lead + z_mean.size,
+                       coefficients)
 
 
-def _calibrated(p: MixtureParams, cfg: McConfig, rng: np.random.Generator):
-    """_draw_coefficients for n readings Z_i ~ N(mu_z, sigma_z^2) per row."""
-    return _draw_coefficients(p, cfg, np.full(p.n, p.mu_z), p.sigma_z, rng)
+def _calibrated(p: MixtureParams, cfg: McConfig, rng: np.random.Generator,
+                kernel):
+    """_draw_blocks for n readings Z_i ~ N(mu_z, sigma_z^2) per row."""
+    return _draw_blocks(p, cfg, np.full(p.n, p.mu_z), p.sigma_z, rng, kernel)
 
 
 def draw_calibrated_sample(p: MixtureParams, cfg: McConfig,
@@ -242,7 +351,7 @@ def draw_calibrated_samples(p: MixtureParams, cfg: McConfig,
     """(replications, n) matrix of calibrated samples, one row per replication."""
     if rng is None:
         rng = substream(cfg.seed, _STREAMS["sample"])
-    return _calibrated(p, cfg, rng)[3]
+    return _calibrated(p, cfg, rng, lambda b0, b1, z, y: y)
 
 
 def _mean_draws(p: MixtureParams, cfg: McConfig, n: int,
@@ -250,8 +359,8 @@ def _mean_draws(p: MixtureParams, cfg: McConfig, n: int,
     """Ybar = beta0_hat + beta1_hat Zbar, with Zbar ~ N(mu_z, sigma_z^2/n)
     drawn as one column: an exact distributional reduction for n iid
     Gaussian readings, so a replication costs the same whatever n is."""
-    return _draw_coefficients(p, cfg, [p.mu_z], p.sigma_z / math.sqrt(n),
-                              rng)[3][:, 0]
+    return _draw_blocks(p, cfg, [p.mu_z], p.sigma_z / math.sqrt(n), rng,
+                        lambda b0, b1, z, y: y[:, 0])
 
 
 def require_std_error_replications(replications: int) -> None:
@@ -324,25 +433,28 @@ def mc_statistic_distribution(p: MixtureParams, statistic: str, cfg: McConfig,
             raise ParamError("f_oneway needs a OneWayDesign")
         if len(set(design.omegas)) != 1:
             raise ParamError("f_oneway assumes a common omega across groups")
-        y = _draw_coefficients(p, cfg, np.repeat(design.means, design.sizes),
-                               design.omegas[0], rng)[3]
-        return _f_statistics(y, design.sizes)
-
-    b0, b1, _, y = _calibrated(p, cfg, rng)
+        return _draw_blocks(p, cfg, np.repeat(design.means, design.sizes),
+                            design.omegas[0], rng,
+                            lambda b0, b1, z, y: _f_statistics(y, design.sizes))
 
     if statistic == "s2":
-        s2 = y.var(axis=1, ddof=1)
-        return (p.n - 1) * s2 / (p.sigma1 ** 2 * p.sigma_z ** 2)
-
-    if statistic == "tsq":
+        def kernel(b0, b1, z, y):
+            s2 = y.var(axis=1, ddof=1)
+            return (p.n - 1) * s2 / (p.sigma1 ** 2 * p.sigma_z ** 2)
+    elif statistic == "tsq":
         dist_n = math.sqrt(delta * p.sigma1 ** 2 * p.sigma_z ** 2 / p.n)
-        null = (b0 + b1 * p.mu_z) - dist_n
-        ybar = y.mean(axis=1)
-        s2 = y.var(axis=1, ddof=1)
-        return p.n * (ybar - null) ** 2 / s2
 
-    from .diagnostics import battery_batch
-    return battery_batch(y)
+        def kernel(b0, b1, z, y):
+            null = (b0 + b1 * p.mu_z) - dist_n
+            ybar = y.mean(axis=1)
+            s2 = y.var(axis=1, ddof=1)
+            return p.n * (ybar - null) ** 2 / s2
+    else:
+        from .diagnostics import battery_batch
+
+        def kernel(b0, b1, z, y):
+            return battery_batch(y)
+    return _calibrated(p, cfg, rng, kernel)
 
 
 def _f_statistics(y, sizes):
@@ -352,11 +464,17 @@ def _f_statistics(y, sizes):
     return (n - k) * ss1 / ((k - 1) * ss2)
 
 
+def _reference_blocks(n: int, cfg: McConfig, kernel):
+    """kernel(g) on each row block of the (replications, n) iid N(0,1)
+    matrix of the dedicated reference stream, results stacked."""
+    rng = substream(cfg.seed, _STREAMS["gaussian_ref"])
+    return _map_blocks(rng, cfg.replications, n, kernel)
+
+
 def reference_gaussian_samples(n: int, cfg: McConfig):
     """(replications, n) iid N(0,1) matrix from the dedicated reference stream
     (comparison population for blindness checks)."""
-    rng = substream(cfg.seed, _STREAMS["gaussian_ref"])
-    return _std_normal(rng, (cfg.replications, n))
+    return _reference_blocks(n, cfg, lambda g: g)
 
 
 def dump_samples_csv(path, name, values) -> None:

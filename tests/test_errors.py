@@ -7,7 +7,8 @@ import pytest
 
 from calibmix import (McConfig, MixtureParams, ParamError, interval_coverage,
                       mc_inconsistency_curve, nc_chisq1_pdf, ncf_cdf,
-                      ordering_probe, probability_region, variance_mixture,
+                      operating_characteristics, ordering_probe,
+                      probability_region, tsq_mixture, variance_mixture,
                       von_neumann_ratio)
 from calibmix.cli import run
 
@@ -40,6 +41,19 @@ def test_caller_input_error_is_param_error(site):
         SITES[site]()
 
 
+@pytest.mark.parametrize("call,field", [
+    (lambda: operating_characteristics(10, None, 1.0, 0.05), "delta"),
+    (lambda: tsq_mixture(10, None, 1.0), "delta"),
+    (lambda: variance_mixture(10, None), "lam"),
+    (lambda: variance_mixture("10", 1.0), "nu"),
+], ids=["operating_characteristics", "tsq_mixture", "variance_mixture",
+        "variance_mixture-str"])
+def test_non_number_is_param_error(call, field):
+    # math.isfinite raised TypeError on these
+    with pytest.raises(ParamError, match=field):
+        call()
+
+
 PARAMS = {"n": 10, "beta0": 1, "sigma0": 1, "mu_z": 1, "sigma_z": 1,
           "beta1": 1, "sigma1": 1}
 PARAM_FLAGS = ["--n", "10", "--beta0", "1", "--sigma0", "1", "--mu-z", "0",
@@ -61,6 +75,10 @@ MALFORMED_FILES = {
     "config-infinite-int": (["simulate", "--statistic", "mean"] + PARAM_FLAGS,
                             "--config", {"replications": 10,
                                          "seed": float("inf")}),
+    "config-negative-seed": (["simulate", "--statistic", "mean"] + PARAM_FLAGS,
+                             "--config", {"replications": 10, "seed": -1}),
+    "config-bool-seed": (["simulate", "--statistic", "mean"] + PARAM_FLAGS,
+                         "--config", {"replications": 10, "seed": True}),
     "config-design-not-object": (
         ["simulate", "--statistic", "mean"] + PARAM_FLAGS, "--config",
         {"replications": 10, "seed": 1, "mode": "full", "design": 5}),

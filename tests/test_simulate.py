@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from calibmix import (CalibrationDesign, DataError, McConfig, MixtureParams,
 from calibmix.casestudy import octane_params
 from calibmix.diagnostics import (moment_ratios_batch, shapiro_type_w_batch,
                                   von_neumann_ratio_batch)
+from calibmix import simulate
 from calibmix.simulate import (_f_statistics, _std_normal, _variance_summary,
-                               dump_samples_csv)
+                               dump_samples_csv, reference_gaussian_samples)
 
 UNIT = MixtureParams(n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
                      beta1=1.0, sigma1=1.0)
@@ -82,6 +84,21 @@ class TestConfig:
         kw[field] = value
         with pytest.raises(ParamError, match=field):
             McConfig(**kw)
+
+    @pytest.mark.parametrize("field,value", [
+        ("replications", 2.5), ("replications", True), ("replications", 10.0),
+        ("replications", "10"), ("seed", 1.5), ("seed", -1), ("seed", True),
+        ("seed", None)])
+    def test_config_takes_only_whole_counts(self, field, value):
+        kw = dict(replications=10, seed=1)
+        kw[field] = value
+        with pytest.raises(ParamError, match=field):
+            McConfig(**kw)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = McConfig(replications=np.int64(10), seed=np.uint32(3))
+        assert cfg == McConfig(replications=10, seed=3)
+        assert type(cfg.replications) is int and type(cfg.seed) is int
 
 
 class TestDeterminism:
@@ -188,22 +205,37 @@ GROUPS = OneWayDesign(sizes=(4, 3, 3), means=(0.0, 1.0, 2.0),
                       omegas=(1.5, 1.5, 1.5))
 
 
-def _by_hand(stat, p, seed, reps):
-    """(engine output, the same statistic rebuilt from its keyed stream by
-    the pinned coefficient-mode layout [beta0_hat, beta1_hat, Z...])."""
-    cfg = McConfig(replications=reps, seed=seed)
-
-    def coefficients(key, cols, rows=reps):
-        e = _std_normal(substream(seed, *key), (rows, 2 + cols))
+def _coefficients(cfg, p, key, cols, rows=None):
+    """(beta0_hat, beta1_hat, normals of the cols Z columns) rebuilt from
+    one _std_normal call on stream ``key``, by the pinned layout of
+    cfg.mode: [beta0_hat, beta1_hat, Z...] or [eps_1..eps_n0, Z...].  The
+    full-mode slope is a row sum, as in the engine."""
+    rows = cfg.replications if rows is None else rows
+    lead = 2 if cfg.mode == "coefficient" else cfg.design.n0
+    e = _std_normal(substream(cfg.seed, *key), (rows, lead + cols))
+    if cfg.mode == "coefficient":
         return (p.beta0 + p.sigma0 * e[:, 0], p.beta1 + p.sigma1 * e[:, 1],
                 e[:, 2:])
+    d = cfg.design
+    eps = d.sigma_u * e[:, :lead]
+    return (d.beta0 + eps.mean(axis=1),
+            d.beta1 + (eps * d.xc).sum(axis=1) / d.sxx, e[:, lead:])
 
-    def samples(key, rows=reps):
-        b0, b1, e = coefficients(key, p.n, rows)
+
+def _by_hand(stat, p, cfg):
+    """(engine output, the same statistic rebuilt from its keyed stream by
+    one _std_normal call in the pinned layout)."""
+    # full mode takes the line, and so the s2 scale and the tsq null, from
+    # the design
+    line = p if cfg.mode == "coefficient" else cfg.design.mixture_params(
+        p.n, p.mu_z, p.sigma_z)
+
+    def samples(key, rows=None):
+        b0, b1, e = _coefficients(cfg, p, key, p.n, rows)
         return b0, b1, b0[:, None] + b1[:, None] * (p.mu_z + p.sigma_z * e)
 
     def ybar(key, n):
-        b0, b1, e = coefficients(key, 1)
+        b0, b1, e = _coefficients(cfg, p, key, 1)
         return b0 + b1 * (p.mu_z + p.sigma_z / math.sqrt(n) * e[:, 0])
 
     if stat == "sample":
@@ -218,14 +250,16 @@ def _by_hand(stat, p, seed, reps):
     if stat == "s2":
         y = samples((2,))[2]
         return (mc_statistic_distribution(p, "s2", cfg),
-                (p.n - 1) * y.var(axis=1, ddof=1) / (p.sigma1 * p.sigma_z) ** 2)
+                (p.n - 1) * y.var(axis=1, ddof=1)
+                / (line.sigma1 ** 2 * p.sigma_z ** 2))
     if stat == "tsq":
         b0, b1, y = samples((3,))
-        null = b0 + b1 * p.mu_z - math.sqrt(p.sigma1 ** 2 * p.sigma_z ** 2 / p.n)
+        null = b0 + b1 * p.mu_z - math.sqrt(
+            line.sigma1 ** 2 * p.sigma_z ** 2 / p.n)
         return (mc_statistic_distribution(p, "tsq", cfg, delta=1.0),
                 p.n * (y.mean(axis=1) - null) ** 2 / y.var(axis=1, ddof=1))
     if stat == "f_oneway":
-        b0, b1, e = coefficients((4,), GROUPS.n)
+        b0, b1, e = _coefficients(cfg, p, (4,), GROUPS.n)
         z = np.repeat(GROUPS.means, GROUPS.sizes) + 1.5 * e
         return (mc_statistic_distribution(p, "f_oneway", cfg, design=GROUPS),
                 _f_statistics(b0[:, None] + b1[:, None] * z, GROUPS.sizes))
@@ -237,16 +271,92 @@ def _by_hand(stat, p, seed, reps):
              "b1": b1r, "b2": b2r})
 
 
-@pytest.mark.parametrize("stat", ["sample", "samples", "inconsistency", "mean",
-                                  "s2", "tsq", "f_oneway", "diagnostics"])
-@pytest.mark.parametrize("octane", [False, True])
-def test_coefficient_mode_streams_rebuild_by_hand(stat, octane):
-    p = octane_params() if octane else UNIT
-    got, want = _by_hand(stat, p, seed=97, reps=400)
+def _assert_same(got, want):
     if isinstance(want, dict):
         assert got.keys() == want.keys()
         got, want = list(got.values()), list(want.values())
     assert np.array_equal(got, want)
+
+
+STATISTICS = ["sample", "samples", "inconsistency", "mean", "s2", "tsq",
+              "f_oneway", "diagnostics"]
+
+
+@pytest.mark.parametrize("stat", STATISTICS)
+@pytest.mark.parametrize("octane", [False, True])
+def test_coefficient_mode_streams_rebuild_by_hand(stat, octane):
+    p = octane_params() if octane else UNIT
+    _assert_same(*_by_hand(stat, p, McConfig(replications=400, seed=97)))
+
+
+def three_blocks_and_17(cols):
+    """A row count that ends in a partial block: 3 whole blocks + 17 rows."""
+    return 3 * max(1, simulate._BLOCK_NORMALS // cols) + 17
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["coefficient", "full"])
+@pytest.mark.parametrize("stat", STATISTICS)
+def test_blocked_draws_match_one_call(stat, mode, workers, monkeypatch):
+    # the blocks are fixed by the shape, so any worker count gives the
+    # bits of one whole-matrix call
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+    p = octane_params()
+    design = TestFullMode.DESIGN if mode == "full" else None
+    lead = 2 if design is None else design.n0
+    z_cols = {"mean": 1, "inconsistency": 1, "f_oneway": GROUPS.n}.get(stat, p.n)
+    cfg = McConfig(replications=three_blocks_and_17(lead + z_cols), seed=41,
+                   mode=mode, design=design)
+    _assert_same(*_by_hand(stat, p, cfg))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocked_reference_samples_match_one_call(workers, monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+    cfg = McConfig(replications=three_blocks_and_17(7), seed=6)
+    want = _std_normal(substream(6, simulate._STREAMS["gaussian_ref"]),
+                       (cfg.replications, 7))
+    assert np.array_equal(reference_gaussian_samples(7, cfg), want)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+@pytest.mark.parametrize("used", [0, 1, 3, 4])
+def test_caller_generator_reads_like_one_call(bit_generator, used,
+                                              monkeypatch):
+    # a caller Philox part-way through its 4-draw buffer (after used raw
+    # draws) is skipped from its buffered draws on; a PCG64 cannot skip and
+    # runs its blocks in order.  Either way the draws, and the caller's next
+    # draws, are those of one _std_normal call
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    mine, oracle = (np.random.Generator(bit_generator(12)) for _ in range(2))
+    mine.bit_generator.random_raw(used)
+    oracle.bit_generator.random_raw(used)
+    rows, cols = three_blocks_and_17(12), 12
+    got = simulate._map_blocks(mine, rows, cols, lambda e: e)
+    assert np.array_equal(got, _std_normal(oracle, (rows, cols)))
+    assert np.array_equal(mine.random(9), oracle.random(9))
+    assert np.array_equal(mine.bit_generator.random_raw(5),
+                          oracle.bit_generator.random_raw(5))
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_s2_memory_is_per_row(monkeypatch):
+    # the whole-matrix draw peaked at 102 MB here: normals, Z and Y of
+    # 2e5 x 22.  Blocked, it is the 1.6 MB output plus a block per worker
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
+    p = MixtureParams(n=20, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=2.0,
+                      beta1=1.0, sigma1=1.0)
+    peak = _traced_peak_mb(lambda: mc_statistic_distribution(
+        p, "s2", McConfig(200_000, 3)))
+    assert peak <= 16.0
 
 
 class TestFullMode:
@@ -261,10 +371,7 @@ class TestFullMode:
     def _line(self, key, reps, cols):
         """The design's (beta0_hat, beta1_hat) and the Z normals, by the
         full-mode layout [eps_1..eps_n0, Z...]."""
-        d = self.DESIGN
-        e = _std_normal(substream(5, *key), (reps, d.n0 + cols))
-        eps = d.sigma_u * e[:, :d.n0]
-        return d.beta0 + eps.mean(axis=1), d.beta1 + eps @ d.xc / d.sxx, e[:, d.n0:]
+        return _coefficients(self._cfg(reps), self.P, key, cols)
 
     def _cfg(self, reps):
         return McConfig(replications=reps, seed=5, mode="full", design=self.DESIGN)
