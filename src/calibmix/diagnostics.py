@@ -137,12 +137,13 @@ def shapiro_type_w_batch(y, weights=None):
     y = np.asarray(y, dtype=float)
     n = y.shape[1]
     w = blom_weights(n) if weights is None else np.asarray(weights, dtype=float)
-    ys = np.sort(y, axis=1)
-    # a row sum, not a BLAS product, whose value for a row would depend on
-    # the row count and alignment of the whole array
-    num = (ys * w).sum(axis=1) ** 2
-    ss = ((y - y.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-    return num / ss
+    d = y - y.mean(axis=1, keepdims=True)
+    # the centred sample, sorted: w sums to zero, so sum w_i Y_(i) is the
+    # same, but the uncentred terms cancel when a row's spread is small
+    # against its mean.  A row sum, not a BLAS product, whose value for a
+    # row would depend on the row count and alignment of the whole array
+    num = (np.sort(d, axis=1) * w).sum(axis=1) ** 2
+    return num / (d * d).sum(axis=1)
 
 
 def von_neumann_ratio_batch(r):

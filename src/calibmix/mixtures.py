@@ -49,7 +49,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import AccuracyError, ParamError, require_finite
-from .model import MixtureParams
+from .model import MixtureParams, derive_params
 from .quadrature import (QuadSpec, _leggauss, bisect_cdf, gauss_legendre_nodes,
                          refine_panels)
 from . import special as ser
@@ -64,8 +64,15 @@ _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
 # point temporaries hold at most _BLOCK_SIZE doubles (16 MB) each.
 _POINT_BLOCK = 512
 _BLOCK_SIZE = 2 ** 21
-# log-u offsets of the points that bracket a quantile: fourfold steps
-_LOG_GRID = math.log(4.0) * np.arange(-8.0, 9.0)
+# offsets of the first grid searched for a quantile's bracket, in steps of
+# the law's coordinate around its start
+_GRID = np.arange(-2.0, 3.0)
+_LOG4 = math.log(4.0)
+
+
+def _log(u):
+    """log u, with u = 0 (a quantile below the smallest float) read as it."""
+    return math.log(max(u, sys.float_info.min))
 
 
 def _evaluate(f, u, at_inf, block):
@@ -90,14 +97,19 @@ class _MixtureLaw:
     """What the four laws share: scalar/array wrapping, evaluation in blocks
     of points, the infinite abscissae, CDF clipping, interval probabilities
     and CDF inversion.  Each law supplies ``_pdf`` and ``_cdf`` on 1-d
-    arrays of finite floats.  A law on the real line supplies
-    ``_bracket()``, the (lo, hi, expand) start of the inversion
-    (``quadrature.bisect_cdf``, an ITP bracketing solve); a law on
-    [0, inf) takes ``_invert_log_u`` as its ``_invert`` and supplies
-    ``_start(prob)``.  A NaN abscissa or probability is a ParamError; at
-    -inf and +inf the CDF is 0 and 1 and the pdf 0."""
+    arrays of finite floats, and for the inversion ``_start(prob)``, a
+    first guess at the quantile in the law's coordinate x.  On [0, inf)
+    u = e^x; a law on the real line sets ``_line = (m, c)``, and
+    u = m + c sinh(x), linear near m and logarithmic in both tails.  A NaN
+    abscissa or probability is a ParamError; at -inf and +inf the CDF is 0
+    and 1 and the pdf 0.  The repr shows the public attributes."""
 
     _points_per_block = _POINT_BLOCK
+    _line = None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % kv for kv in vars(self).items() if kv[0][0] != "_"))
 
     def pdf(self, u):
         scalar, out = _evaluate(self._pdf, u, 0.0, self._points_per_block)
@@ -119,39 +131,54 @@ class _MixtureLaw:
         return self._invert(prob)
 
     def _invert(self, prob):
-        """The abscissa within 1e-8 of where the CDF crosses prob."""
-        lo, hi, expand = self._bracket()
-        return bisect_cdf(lambda x: float(self.cdf(x)), prob, lo, hi,
-                          xtol=1e-8, expand=expand)
+        """The abscissa within 1e-8 of where the CDF crosses prob, with x
+        within 1e-10: on [0, inf) u within 1e-10 of itself, and on the line
+        within 1e-10 c cosh(x), so that the CDF holds at small quantiles and
+        where a narrow law's pdf is large.
 
-    def _invert_log_u(self, prob):
-        """_invert for a law on [0, inf), solved in log u, where such CDFs
-        are close to probit-linear at both ends (in u they rise like a power
-        of u from 0, and a heavy tail decays like a power of 1/u).  One
-        vector CDF call on 17 points spaced fourfold around the law's
-        ``_start(prob)`` finds a fourfold bracket of prob, and the grid
-        moves on by 16 steps until one does.  The log tolerance
-        min(1e-8/u_hi, 1e-10) holds u to 1e-8, and to 1e-10 of itself, so
-        that the CDF holds at small quantiles too."""
-        known = {}
-        t = math.log(max(self._start(prob), sys.float_info.min)) + _LOG_GRID
-        for _ in range(16):     # 4^(16 * 16): far beyond any quantile
-            f = self.cdf(np.exp(t))
-            known.update(zip(t, f))
-            i = int(np.searchsorted(f, prob))
-            if 0 < i < t.size:
-                lo, hi = t[i - 1], t[i]
-                break
-            t = t + (16.0 if i else -16.0) * math.log(4.0)
+        One vector CDF call on 5 points around ``_start(prob)`` looks for a
+        bracket of prob, spaced fourfold in u on [0, inf) and by log(4)/8
+        in x on the line.  On a miss the next grid starts at this one's far
+        end and is twice as wide, so a quantile at distance d from the start
+        takes O(log d) calls.  ITP (``quadrature.bisect_cdf``) then solves
+        in x, where such CDFs are close to probit-linear.  A failure names
+        the law, prob and the stage."""
+        if self._line is None:
+            u, step = np.exp, _LOG4
         else:
-            raise AccuracyError("CDF inversion found no bracket of %r" % prob)
+            m, c = self._line
+            u, step = (lambda x: m + c * np.sinh(x)), _LOG4 / 8.0
+        known = {}
+        x = self._start(prob) + step * _GRID
+        try:
+            # within a few dozen grids an end reaches u = 0 or +-inf, where
+            # the CDF is 0 or 1, so the search ends
+            while True:
+                with np.errstate(over="ignore"):
+                    f = self.cdf(u(x))
+                known.update(zip(x, f))
+                i = int(np.searchsorted(f, prob))
+                if 0 < i < x.size:
+                    break
+                x = x[-1] + 2.0 * (x - x[0]) if i else x[0] + 2.0 * (x - x[-1])
+        except AccuracyError as exc:
+            raise self._failed(prob, "ppf bracket", exc) from exc
+        lo, hi = float(x[i - 1]), float(x[i])
+        # du/dx is at most u_hi or c cosh(max |x|) on the bracket
+        slope = math.exp(hi) if self._line is None else c * math.cosh(max(-lo, hi))
+        xtol = min(1e-8 / slope, 1e-10)
 
         def cdf(x):
             if x not in known:
-                known[x] = float(self.cdf(math.exp(x)))
+                known[x] = float(self.cdf(u(x)))
             return known[x]
-        return math.exp(bisect_cdf(cdf, prob, lo, hi,
-                                   xtol=min(1e-8 / math.exp(hi), 1e-10)))
+        try:
+            return float(u(bisect_cdf(cdf, prob, lo, hi, xtol=xtol)))
+        except AccuracyError as exc:
+            raise self._failed(prob, "ppf solve", exc) from exc
+
+    def _failed(self, prob, stage, exc):
+        return AccuracyError("%r: %s at prob=%r: %s" % (self, stage, prob, exc))
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +247,8 @@ class MeanMixture(_RuleLaw):
             np.linspace(u_lo, u_hi, _PROBE_POINTS),
             mean - 2.0 * sd, mean + 2.0 * sd]))
         self._refine(anchors, probe_u, probe_u[probe_u != p.beta0])
+        d = derive_params(p)
+        self._line = (d.mu_y, math.sqrt(d.var_ybar))
 
     def _mixing_pdf(self, t):
         p = self.params
@@ -248,8 +277,9 @@ class MeanMixture(_RuleLaw):
         return (float(np.min(mean - _Z_SUPPORT * sd)),
                 float(np.max(mean + _Z_SUPPORT * sd)))
 
-    def _bracket(self):
-        return (*self.support(), "both")
+    def _start(self, prob):
+        """The normal quantile with the law's mean and sd."""
+        return math.asinh(float(sp.ndtri(prob)))
 
 
 def mean_mixture(p: MixtureParams, quad: QuadSpec = QuadSpec()) -> MeanMixture:
@@ -301,16 +331,14 @@ class VarianceMixture(_RuleLaw):
         w_hi = ser.sqrt_mixing_upper(math.sqrt(self.lam)) ** 2
         return 0.0, math.exp(self._window[1]) * w_hi
 
-    _invert = _MixtureLaw._invert_log_u
-
     def _start(self, prob):
-        """The quantile of c chi2_k, the scaled chi-square with the mean
-        m = nu (1 + lambda) and the variance of u = W V (Satterthwaite
+        """log of the quantile of c chi2_k, the scaled chi-square with the
+        mean m = nu (1 + lambda) and the variance of u = W V (Satterthwaite
         1946)."""
         m = self.nu * (1.0 + self.lam)
         var = ((2.0 + 4.0 * self.lam + (1.0 + self.lam) ** 2)
                * self.nu * (self.nu + 2.0) - m * m)
-        return var / m * float(sp.gammaincinv(m * m / var, prob))
+        return _log(var / m * float(sp.gammaincinv(m * m / var, prob)))
 
 
 def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> VarianceMixture:
@@ -664,12 +692,10 @@ class TsqMixture(_MixtureLaw):
                                    _MIN_TERMS, "t^2 mixture"))
         return out
 
-    _invert = _MixtureLaw._invert_log_u
-
     def _start(self, prob):
         """t0^2 is stochastically no smaller than central F(1, nu): start at
-        that law's quantile."""
-        return float(sp.fdtri(1.0, self.nu, prob))
+        the log of that law's quantile."""
+        return _log(float(sp.fdtri(1.0, self.nu, prob)))
 
 
 def tsq_mixture(nu: int, delta: float, lam: float,
@@ -744,9 +770,11 @@ class SignedTMixture(_MixtureLaw):
             return 1.0 - self._cdf_base(-u)
         return self._cdf_base(u)
 
-    def _bracket(self):
-        half = math.sqrt(self.nu) + self._d0
-        return -half, half, "both"
+    _line = (0.0, 1.0)
+
+    def _start(self, prob):
+        """The central t quantile shifted by delta0."""
+        return math.asinh(float(sp.stdtrit(self.nu, prob)) + self.delta0)
 
 
 def signed_t_mixture(nu: int, delta0: float, lambda0: float,

@@ -166,48 +166,30 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
 
 
 def bisect_cdf(cdf, target: float, lo: float, hi: float, *,
-               xtol: float = 1e-8, expand: str | None = None,
-               max_expand: int = 200) -> float:
+               xtol: float = 1e-8) -> float:
     """Invert a monotone CDF to ``xtol`` on the abscissa by the ITP method
     (interpolate, truncate, project; Oliveira & Takahashi 2020, ACM TOMS
     47(1):5), keeping a bracket of the target like bisection.
 
-    Each step interpolates the bracket ends linearly on the probit scale
-    ndtri(F), where CDFs of Gaussian-like laws are close to straight; an end
-    at F = 0 or 1 gives no slope, and the step bisects.  The point is moved
-    0.1 w^2 / w0 toward the midpoint (w the bracket width, w0 the first) and
-    projected within the slack that keeps the bracket on bisection's
-    schedule delayed by _ITP_SLACK steps.  So no solve takes more than
-    _ITP_SLACK steps beyond bisection's ceil(log2(w0 / xtol)), while on a
-    smooth CDF the steps converge superlinearly.  The result is the midpoint
-    of a bracket no wider than ``xtol`` (or than one float spacing, where
-    that is wider), or a point where the CDF equals the target.  The
-    function keeps the name it had as a bisection: callers and span
-    tracing refer to it by that name.
-
-    ``expand`` ("up", "down" or "both") grows the bracket geometrically when
-    the target is not initially bracketed; a non-bracketing failure raises
-    AccuracyError.
+    [lo, hi] must bracket the target, or AccuracyError is raised: finding a
+    bracket is the caller's part (the mixture laws search a growing grid in
+    their own coordinate).  Each step interpolates the bracket ends linearly
+    on the probit scale ndtri(F), where CDFs of Gaussian-like laws are close
+    to straight; an end at F = 0 or 1 gives no slope, and the step bisects.
+    The point is moved 0.1 w^2 / w0 toward the midpoint (w the bracket
+    width, w0 the first) and projected within the slack that keeps the
+    bracket on bisection's schedule delayed by _ITP_SLACK steps.  So no
+    solve takes more than _ITP_SLACK steps beyond bisection's
+    ceil(log2(w0 / xtol)), while on a smooth CDF the steps converge
+    superlinearly.  The result is the midpoint of a bracket no wider than
+    ``xtol`` (or than one float spacing, where that is wider), or a point
+    where the CDF equals the target.  The function keeps the name it had as
+    a bisection: span tracing refers to it by that name.
     """
     flo, fhi = cdf(lo) - target, cdf(hi) - target
-    tries = 0
-    while flo * fhi > 0:
-        tries += 1
-        if tries > max_expand or expand is None:
-            raise AccuracyError(
-                "CDF inversion failed to bracket target %g on [%g, %g]"
-                % (target, lo, hi))
-        span = max(hi - lo, 1.0)
-        if expand in ("up", "both") and fhi < 0:
-            hi += span
-            fhi = cdf(hi) - target
-        elif expand in ("down", "both") and flo > 0:
-            lo -= span
-            flo = cdf(lo) - target
-        else:
-            raise AccuracyError(
-                "CDF inversion cannot bracket target %g (wrong direction)"
-                % target)
+    if flo * fhi > 0:
+        raise AccuracyError("CDF inversion: [%g, %g] does not bracket target %g"
+                            % (lo, hi, target))
     if flo == 0.0:
         return lo
     if fhi == 0.0:

@@ -74,6 +74,8 @@ SCHEMA_VERSION = "1"
 _BLOCK_NORMALS = 2 ** 15
 # uint64 draws per Philox counter step
 _PHILOX_BUFFER = 4
+# seeds each block's Philox clone before the stream's state replaces it
+_THROWAWAY = np.random.SeedSequence(0)
 
 
 @dataclass(frozen=True)
@@ -234,19 +236,15 @@ def _cpu_count() -> int:
 
 
 def _skipped(state, offset: int) -> np.random.Generator:
-    """A generator whose next uint64 is draw ``offset`` of the Philox stream
-    at ``state``.  The 4 - buffer_pos draws still buffered come first; past
-    them the counter steps once per 4 draws, so advance skips whole steps
-    and random_raw the rest."""
-    bg = np.random.Philox()
+    """A generator whose next uint64 is draw ``offset`` of the fresh Philox
+    stream at ``state``: the counter steps once per 4 draws, so advance
+    skips whole steps and random_raw the rest.  The clone is seeded from
+    _THROWAWAY, not from OS entropy, since ``state`` overwrites it."""
+    bg = np.random.Philox(_THROWAWAY)
     bg.state = state
-    buffered = _PHILOX_BUFFER - state["buffer_pos"]
-    if offset <= buffered:
-        bg.random_raw(offset)
-    else:
-        steps, rest = divmod(offset - buffered, _PHILOX_BUFFER)
-        bg.advance(steps)
-        bg.random_raw(rest)
+    steps, rest = divmod(offset, _PHILOX_BUFFER)
+    bg.advance(steps)
+    bg.random_raw(rest)
     return np.random.Generator(bg)
 
 
@@ -268,36 +266,26 @@ def _stacked(rows: int, parts):
 
 def _map_blocks(rng: np.random.Generator, rows: int, cols: int, kernel):
     """kernel(normals) on each row block of the (rows, cols) normals that
-    one _std_normal(rng, (rows, cols)) call would draw, results stacked.
+    one _std_normal(rng, (rows, cols)) call would draw from rng, a fresh
+    substream, results stacked.
 
     Block k holds rows [k R, (k + 1) R), R = max(1, _BLOCK_NORMALS // cols):
     the blocks depend on the shape only, so the output is the same on any
-    number of CPUs.  A Philox block draws from a clone of rng skipped to its
-    first uniform, on up to _cpu_count() threads, and rng is left where the
-    one call would leave it.  Other bit generators cannot skip: their blocks
-    run in order on this thread, from rng itself."""
+    number of CPUs.  Each block draws from a clone of rng skipped to its
+    first uniform, on up to _cpu_count() threads; rng itself does not move."""
     step = max(1, _BLOCK_NORMALS // cols)
     starts = range(0, rows, step)
+    state = rng.bit_generator.state
 
-    def block(start, gen):
+    def block(start):
+        gen = _skipped(state, start * cols)
         return kernel(_std_normal(gen, (min(start + step, rows) - start, cols)))
-
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.Philox):
-        return _stacked(rows, (block(start, rng) for start in starts))
-    state = bg.state
-
-    def skipped_block(start):
-        return block(start, _skipped(state, start * cols))
 
     workers = min(_cpu_count(), len(starts))
     if workers > 1:
         with ThreadPoolExecutor(workers) as pool:
-            out = _stacked(rows, pool.map(skipped_block, starts))
-    else:
-        out = _stacked(rows, map(skipped_block, starts))
-    bg.state = _skipped(state, rows * cols).bit_generator.state
-    return out
+            return _stacked(rows, pool.map(block, starts))
+    return _stacked(rows, map(block, starts))
 
 
 def _draw_blocks(p: MixtureParams, cfg: McConfig, z_mean, z_sd: float,
@@ -338,20 +326,17 @@ def _calibrated(p: MixtureParams, cfg: McConfig, rng: np.random.Generator,
     return _draw_blocks(p, cfg, np.full(p.n, p.mu_z), p.sigma_z, rng, kernel)
 
 
-def draw_calibrated_sample(p: MixtureParams, cfg: McConfig,
-                           rng: np.random.Generator | None = None):
+def draw_calibrated_sample(p: MixtureParams, cfg: McConfig):
     """One replication of n calibrated values Y_i = beta0_hat + beta1_hat Z_i,
     sharing a single coefficient draw across the sample."""
     return draw_calibrated_samples(
-        p, dataclasses.replace(cfg, replications=1), rng)[0]
+        p, dataclasses.replace(cfg, replications=1))[0]
 
 
-def draw_calibrated_samples(p: MixtureParams, cfg: McConfig,
-                            rng: np.random.Generator | None = None):
+def draw_calibrated_samples(p: MixtureParams, cfg: McConfig):
     """(replications, n) matrix of calibrated samples, one row per replication."""
-    if rng is None:
-        rng = substream(cfg.seed, _STREAMS["sample"])
-    return _calibrated(p, cfg, rng, lambda b0, b1, z, y: y)
+    return _calibrated(p, cfg, substream(cfg.seed, _STREAMS["sample"]),
+                       lambda b0, b1, z, y: y)
 
 
 def _mean_draws(p: MixtureParams, cfg: McConfig, n: int,

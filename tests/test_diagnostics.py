@@ -112,6 +112,23 @@ class TestShapiroTypeW:
         assert np.array_equal(diagnostics.shapiro_type_w_batch(y[7:1500]),
                               batch[7:1500])
 
+    def test_slope_near_zero_matches_long_double(self):
+        # rows whose slope draw is near 0 have a spread far below their
+        # mean: the uncentred numerator read the worst of these 2.2e-11
+        # off, and 399 rows beyond 1e-14
+        p = MixtureParams(n=20, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=2.0,
+                          beta1=1.0, sigma1=1.0)
+        cfg = McConfig(replications=100_000, seed=11)
+        e = _std_normal(substream(11, simulate._STREAMS["diagnostics"]),
+                        (cfg.replications, 2 + p.n))
+        y = ((p.beta0 + p.sigma0 * e[:, :1]) + (p.beta1 + p.sigma1 * e[:, 1:2])
+             * (p.mu_z + p.sigma_z * e[:, 2:])).astype(np.longdouble)
+        d = np.sort(y - y.mean(axis=1, keepdims=True), axis=1)
+        want = ((d * blom_weights(p.n).astype(np.longdouble)).sum(axis=1) ** 2
+                / (d * d).sum(axis=1))
+        got = simulate.mc_statistic_distribution(p, "diagnostics", cfg)["W"]
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
     @settings(max_examples=30, deadline=None)
     @given(finite_samples, st.floats(-5.0, 5.0), st.floats(0.05, 4.0))
     def test_affine_invariance(self, y, a, b):

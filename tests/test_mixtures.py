@@ -400,7 +400,7 @@ class TestTsqMixture:
         cdf, calls = tm.cdf, []
         tm.cdf = lambda u: calls.append(u) or cdf(u)
         u = tm.ppf(0.025)
-        assert len(calls) <= 16      # the gate CI puts on signed-t inversion
+        assert len(calls) <= 16
         assert cdf(u) == pytest.approx(0.025, abs=1e-9)
 
     def test_ppf_roundtrip(self):
@@ -638,11 +638,11 @@ class TestNonFiniteLawParams:
             build(value)
 
 
+SIGMA0_ZERO = MixtureParams(n=2, beta0=0.0, sigma0=0.0, mu_z=1.0, sigma_z=1.0,
+                            beta1=1e-3, sigma1=1.0)
 LAWS_AT_EDGES = {
     # nu = 1, sigma0 = 0 and lambda -> 0
-    "mean": (lambda: mean_mixture(MixtureParams(
-        n=2, beta0=0.0, sigma0=0.0, mu_z=1.0, sigma_z=1.0, beta1=1e-3,
-        sigma1=1.0)), [-3.0, -0.2, 1e-3, 0.4, 5.0]),
+    "mean": (lambda: mean_mixture(SIGMA0_ZERO), [-3.0, -0.2, 1e-3, 0.4, 5.0]),
     "variance": (lambda: variance_mixture(1, 1e-8),
                  [1e-4, 0.05, 1.0, 6.0, 40.0]),
     "tsq": (lambda: tsq_mixture(1, 2.0, 1e-8), [1e-4, 0.05, 1.0, 6.0, 300.0]),
@@ -685,6 +685,94 @@ class TestInversionRoundTrip:
             p = ev.cdf(u)
             assert 1e-4 < p < 1.0 - 1e-4
             assert ev.ppf(p) == pytest.approx(u, abs=1e-8)
+
+
+PROBS = st.floats(1e-6, 1.0 - 1e-6)
+
+
+def assert_inverts(ev, prob, tol=1e-9):
+    u = ev.ppf(prob)
+    assert abs(ev.cdf(u) - prob) <= tol
+
+
+class TestInversionProperty:
+    """cdf(ppf(p)) = p over each law's domain; the x tolerance of at most
+    1e-10 in the law's coordinate holds the CDF where a narrow law's pdf
+    is large."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(2, 60), beta0=st.floats(-5.0, 5.0),
+           sigma0=st.floats(0.0, 2.0), mu_z=st.floats(-3.0, 3.0),
+           sigma_z=st.floats(0.1, 3.0), beta1=st.floats(-3.0, 3.0),
+           sigma1=st.floats(0.05, 2.0), prob=PROBS)
+    @example(n=29, beta0=3.6, sigma0=0.0, mu_z=0.0, sigma_z=0.1, beta1=0.0,
+             sigma1=0.05, prob=0.5)    # the median, by a pdf spike at beta0
+    @example(n=2, beta0=0.0, sigma0=0.0, mu_z=1.0, sigma_z=1.0, beta1=1e-3,
+             sigma1=1.0, prob=1e-6)
+    def test_mean(self, n, beta0, sigma0, mu_z, sigma_z, beta1, sigma1, prob):
+        assert_inverts(mean_mixture(MixtureParams(
+            n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z, sigma_z=sigma_z,
+            beta1=beta1, sigma1=sigma1)), prob)
+
+    @settings(max_examples=12, deadline=None)
+    @given(nu=st.integers(1, 200), lam=st.floats(0.0, 400.0), prob=PROBS)
+    @example(nu=1, lam=1e-8, prob=1e-6)
+    @example(nu=1, lam=400.0, prob=1.0 - 1e-6)
+    def test_variance(self, nu, lam, prob):
+        assert_inverts(variance_mixture(nu, lam), prob)
+
+    @settings(max_examples=12, deadline=None)
+    @given(nu=st.integers(1, 100), delta=st.floats(0.0, 25.0),
+           lam=st.floats(0.0, 400.0), prob=PROBS)
+    @example(nu=1, delta=25.0, lam=1e-8, prob=1.0 - 1e-6)
+    @example(nu=1, delta=2.0, lam=400.0, prob=1e-6)
+    def test_tsq(self, nu, delta, lam, prob):
+        assert_inverts(tsq_mixture(nu, delta, lam), prob)
+
+    @settings(max_examples=12, deadline=None)
+    @given(nu=st.integers(1, 100), delta0=st.floats(-5.0, 5.0),
+           lambda0=st.floats(0.0, 20.0), prob=PROBS)
+    @example(nu=1, delta0=1.5, lambda0=1e-4, prob=1e-6)
+    @example(nu=1, delta0=-5.0, lambda0=20.0, prob=1.0 - 1e-6)
+    def test_signed_t(self, nu, delta0, lambda0, prob):
+        assert_inverts(signed_t_mixture(nu, delta0, lambda0), prob)
+
+
+REACH_LAWS = {
+    "signed_t(1, 1.5, 1e-4)": lambda: signed_t_mixture(1, 1.5, 1e-4),
+    "signed_t(10, 5, 0.5)": lambda: signed_t_mixture(10, 5.0, 0.5),
+    "tsq(1, 2, 1e-8)": lambda: tsq_mixture(1, 2.0, 1e-8),
+    "mean sigma0=0": lambda: mean_mixture(SIGMA0_ZERO),
+}
+
+
+class TestInversionReach:
+    @pytest.mark.parametrize("law", sorted(REACH_LAWS))
+    @pytest.mark.parametrize("prob", [1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_far_quantiles_solve(self, law, prob):
+        # up to |u| = 2e10 on the signed-t laws and 4e20 on the t^2 law
+        assert_inverts(REACH_LAWS[law](), prob, tol=2e-11)
+
+    @pytest.mark.parametrize("make,most", [
+        (lambda: signed_t_mixture(10, 5.0, 0.5), 16),   # 44 from a fixed bracket
+        (lambda: mean_mixture(SIGMA0_ZERO), 12),         # 21 from its support
+    ], ids=["signed_t", "mean sigma0=0"])
+    def test_upper_quantile_takes_few_cdf_calls(self, make, most):
+        ev = make()
+        cdf, calls = ev.cdf, []
+        ev.cdf = lambda u: calls.append(u) or cdf(u)
+        u = ev.ppf(0.975)
+        assert len(calls) <= most
+        assert abs(cdf(u) - 0.975) <= 1e-9
+
+    def test_failure_names_law_and_stage(self, monkeypatch):
+        # a CDF series cut short in the first grid's CDF call
+        tm = tsq_mixture(10, 100.0, 4.0)
+        monkeypatch.setattr(mx, "_MAX_J_TERMS", 4)
+        with pytest.raises(AccuracyError, match=r"^TsqMixture\(nu=10.0, "
+                           r"delta=100.0, lam=4.0, quad=QuadSpec\(.*\)\): "
+                           r"ppf bracket at prob=0.3: t\^2 mixture CDF series"):
+            tm.ppf(0.3)
 
 
 class TestChi2MixingRule:

@@ -58,16 +58,9 @@ class TestBisectCdf:
         assert bisect_cdf(f, target, 0.25, 0.75) == want
         assert len(seen) == 2
 
-    def test_target_on_expanded_end(self):
-        f, seen = counted(lambda x: min(max(x / 4.0, 0.0), 1.0))
-        assert bisect_cdf(f, 0.5, 0.0, 1.0, expand="up") == 2.0
-        assert seen == [0.0, 1.0, 2.0]
-
     def test_unbracketed_target_raises(self):
         with pytest.raises(AccuracyError, match="bracket"):
             bisect_cdf(special.ndtr, 0.5, 1.0, 2.0)
-        with pytest.raises(AccuracyError, match="direction"):
-            bisect_cdf(special.ndtr, 0.5, 1.0, 2.0, expand="up")
 
     def test_returns_point_where_cdf_hits_target(self):
         # the step lands on the plateau F = 1/2 of a CDF with a flat middle

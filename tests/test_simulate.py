@@ -319,26 +319,6 @@ def test_blocked_reference_samples_match_one_call(workers, monkeypatch):
     assert np.array_equal(reference_gaussian_samples(7, cfg), want)
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
-@pytest.mark.parametrize("used", [0, 1, 3, 4])
-def test_caller_generator_reads_like_one_call(bit_generator, used,
-                                              monkeypatch):
-    # a caller Philox part-way through its 4-draw buffer (after used raw
-    # draws) is skipped from its buffered draws on; a PCG64 cannot skip and
-    # runs its blocks in order.  Either way the draws, and the caller's next
-    # draws, are those of one _std_normal call
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
-    mine, oracle = (np.random.Generator(bit_generator(12)) for _ in range(2))
-    mine.bit_generator.random_raw(used)
-    oracle.bit_generator.random_raw(used)
-    rows, cols = three_blocks_and_17(12), 12
-    got = simulate._map_blocks(mine, rows, cols, lambda e: e)
-    assert np.array_equal(got, _std_normal(oracle, (rows, cols)))
-    assert np.array_equal(mine.random(9), oracle.random(9))
-    assert np.array_equal(mine.bit_generator.random_raw(5),
-                          oracle.bit_generator.random_raw(5))
-
-
 def _traced_peak_mb(fn):
     tracemalloc.start()
     try:
