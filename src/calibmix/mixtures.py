@@ -35,8 +35,10 @@ rule in v, built once per evaluator; each evaluation sums a band of v-nodes
 per point.  The signed law reads that t^2 kernel at u^2: its
 extreme draws put less than Phi(-20) of their mass below 0.  The
 incomplete-beta CDF series run by recurrence from one betainc per point per
-block of terms, and every law evaluates its points in fixed blocks, so
-memory stays bounded whatever the grid size.
+block of terms, from the rung that certifies the block's smallest x; the
+pdf series sum one exp table per block of terms.  Every law evaluates its
+points in fixed blocks, and each block finishes its node x point or term x
+point table in place, so memory stays bounded whatever the grid size.
 """
 
 from __future__ import annotations
@@ -58,12 +60,13 @@ _Z_SUPPORT = 8.5       # Gaussian component half-width; Phi(-8.5) ~ 1e-17
 _MAX_J_TERMS = 120_000
 _MIN_TERMS = 20              # first block of every noncentral-t series
 _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
-# Points per evaluation block: term x point temporaries (up to 4096 series
-# terms) stay near 16 MB whatever the grid size.  A rule law takes fewer
+# Points per evaluation block: term x point temporaries (up to _TERM_BLOCK
+# series terms) stay near 16 MB whatever the grid size.  A rule law takes fewer
 # points per block once it has more than 4096 nodes, so that its node x
 # point temporaries hold at most _BLOCK_SIZE doubles (16 MB) each.
 _POINT_BLOCK = 512
 _BLOCK_SIZE = 2 ** 21
+_TERM_BLOCK = 4096     # most series terms in one term x point table
 # offsets of the first grid searched for a quantile's bracket, in steps of
 # the law's coordinate around its start
 _GRID = np.arange(-2.0, 3.0)
@@ -264,11 +267,17 @@ class MeanMixture(_RuleLaw):
     def _kernel(self, t, u, want_pdf):
         p = self.params
         sd = self._conditional(t)[1][:, None]
-        # u - beta0 first: exact near beta0, where sigma0 = 0 puts a spike
-        z = ((u - p.beta0)[None, :] - (t * p.mu_z)[:, None]) / sd
-        if want_pdf:
-            return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-        return sp.ndtr(z)
+        # u - beta0 first: exact near beta0, where sigma0 = 0 puts a spike.
+        # z is the block's one node x point array; the kernel finishes in it
+        z = np.subtract((u - p.beta0)[None, :], (t * p.mu_z)[:, None])
+        z /= sd
+        if not want_pdf:
+            return sp.ndtr(z, out=z)
+        z *= z
+        z *= -0.5
+        np.exp(z, out=z)
+        z /= sd * math.sqrt(2.0 * math.pi)
+        return z
 
     def support(self):
         # mean - 8.5 sd is concave in t and mean + 8.5 sd convex, so both
@@ -322,10 +331,19 @@ class VarianceMixture(_RuleLaw):
     def _kernel(self, x, u, want_pdf):
         v = np.exp(x)[:, None]
         if want_pdf:
-            return ser.nc_chisq1_pdf(u[None, :] / v, self.lam) / v
-        r = np.sqrt(np.clip(u, 0.0, None)[None, :] / v)
+            out = ser.nc_chisq1_pdf(u[None, :] / v, self.lam)
+            out /= v
+            return out
+        # r = sqrt(u/V) once per block; both tails finish in place
+        r = np.divide(np.clip(u, 0.0, None)[None, :], v)
+        np.sqrt(r, out=r)
         lam0 = math.sqrt(self.lam)
-        return sp.ndtr(r - lam0) - sp.ndtr(-r - lam0)
+        below = np.negative(r)
+        below -= lam0
+        r -= lam0
+        sp.ndtr(r, out=r)
+        r -= sp.ndtr(below, out=below)
+        return r
 
     def support(self):
         w_hi = ser.sqrt_mixing_upper(math.sqrt(self.lam)) ** 2
@@ -534,38 +552,90 @@ def _poisson_coefs(phi, w, tol):
                         tol, np.sum(w))
 
 
-def _beta_series(coefs, a, b, x, tol, j_hi, law):
+def _betainc(p, b, x, y):
+    """I_x(p, b) per point, from x up to x = 1/2 and as 1 - I_y(b, p) from
+    y = 1 - x above it, where x rounds too coarsely to tell nearby points
+    apart.  (scipy's betaincc takes about seven times as long.)"""
+    out = np.empty_like(x)
+    near_one = x > 0.5
+    out[~near_one] = sp.betainc(p, b, x[~near_one])
+    out[near_one] = 1.0 - sp.betainc(b, p, y[near_one])
+    return out
+
+
+def _beta_series(coefs, a, b, x, tol, j_hi, law, y=None):
     """sum_j c_j I_x(j + a, b) per x, certified to tol: I_x falls as j grows,
     so the coefficient mass not yet reached times the next I_x bounds the
-    tail.
+    tail.  y = 1 - x, formed directly by callers whose x comes near 1
+    (1 - x where it is omitted).
 
     A block [j0, j1) needs one betainc per x, the I_{j1} = I_x(j1 + a, b)
     that bounds the tail: the recurrence I_x(c, b) = I_x(c + 1, b) + t_c,
-    t_c = x^c (1-x)^b / (c B(c, b)), runs down from it, so
+    t_c = x^c y^b / (c B(c, b)), runs down from it, so
     sum_j c_j I_j = I_{j1} sum_j c_j + sum_k t_k sum_{j <= k} c_j, a sum of
-    nonnegative terms over one exp table."""
+    nonnegative terms over one exp table.  I_x rises in x, so no point
+    certifies at a rung of the ladder j_hi, 2 j_hi, ... below the one that
+    certifies the block's smallest x: the series climbs to that rung first
+    (up to _TERM_BLOCK terms), with one betainc per rung.  Each point so
+    stops at the rung it would reach climbing alone, from one betainc per
+    point per block from that rung on."""
+    y = 1.0 - x if y is None else y
     out = np.zeros_like(x)
     active = np.arange(x.size)
     with np.errstate(divide="ignore"):
-        log_x, log_1mx = np.log(x), np.log1p(-x)
+        log_x, log_y = np.log(x), np.log(y)
+
+    lowest = np.argsort(x)[:1]          # none when x is empty
+    while 2 * j_hi <= _TERM_BLOCK and np.any(
+            _betainc(j_hi + a, b, x[lowest], y[lowest])
+            * coefs.left_after(j_hi) > tol):
+        j_hi *= 2
     j_done = 0
     while True:
         c = coefs.upto(j_hi)[j_done:]
         k = np.arange(j_done, j_hi) + a
         t = np.multiply.outer(k, log_x[active])      # log t_c, in place
-        t += b * log_1mx[active]
+        t += b * log_y[active]
         t -= coefs.log_den(a, b).upto(j_hi)[j_done:, None]
-        end = sp.betainc(j_hi + a, b, x[active])
+        end = _betainc(j_hi + a, b, x[active], y[active])
         out[active] += c.sum() * end + np.cumsum(c) @ np.exp(t, out=t)
         active = active[end * coefs.left_after(j_hi) > tol]
         if active.size == 0:
             return out
         j_done = j_hi
-        j_hi = min(2 * j_hi, j_hi + 4096)
+        j_hi = min(2 * j_hi, j_hi + _TERM_BLOCK)
         if j_hi > _MAX_J_TERMS:
             raise AccuracyError(
                 "%s CDF series exceeded %d terms without certifying "
                 "abs_tol=%g" % (law, _MAX_J_TERMS, tol))
+
+
+def _power_series(a, g, log_scale=0.0, log_row=0.0):
+    """sum_j a_j g^j e^{log_row_j + log_scale} per g.  Each term is formed
+    as sgn(a_j) sgn(g)^j exp(log|a_j| + log_row_j + j log|g| + log_scale),
+    so a_j e^{log_row_j} may overflow, and e^{log_scale} underflow, where
+    the term does neither.  One BLAS product writes each exponent table of
+    at most _TERM_BLOCK terms x points, and one more sums its even and its
+    odd rows.  Logs of 0 are floored at -1e300, so the products never meet
+    0 x inf."""
+    a = np.asarray(a, dtype=float)
+    g = np.asarray(g, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_a = np.maximum(np.log(np.abs(a)) + log_row, -1e300)
+        cols = np.stack([np.maximum(np.log(np.abs(g)), -1e300),
+                         np.broadcast_to(np.maximum(log_scale, -1e300), g.shape),
+                         np.ones_like(g)])
+    sign_a = np.sign(a)
+    sign_g = np.where(g < 0.0, -1.0, 1.0)
+    out = np.zeros_like(g)
+    for j0 in range(0, a.size, _TERM_BLOCK):       # j0 even: rows 0, 2, .. even
+        j = np.arange(j0, min(j0 + _TERM_BLOCK, a.size))
+        rows = np.stack([j, np.ones(j.size), log_a[j]], axis=1)
+        t = rows @ cols
+        np.exp(t, out=t)
+        out += sign_a[j[::2]] @ t[::2]
+        out += sign_g * (sign_a[j[1::2]] @ t[1::2])
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -581,12 +651,16 @@ class _NoncentralT:
     each built on demand and kept:
       m_j = E_s[pois(j; phi^2/2)],
       n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))],
-      a_j = c_j E_s[e^{-phi^2/2} (sqrt(2) phi)^j],  c_j from nct_log_cj.
+      a_j = c_j e^{h_j} E_s[e^{-phi^2/2} (sqrt(2) phi)^j],  c_j from
+            nct_log_cj and h_j from nct_log_peak.
     With g = t/sqrt(nu+t^2) and x = g^2 these nodes' CDF at t is
     cdf0 + sgn(t)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2)
-    and their pdf P(t) sum_j a_j g^j, P the central-t prefactor.  These
-    nodes and weights are kept as ``s`` and ``w``; the draws s < s_split
-    form the ``_ExtremeRule``.
+    and their pdf P(t) sum_j a_j e^{-h_j} g^j, P the central-t prefactor.
+    a_j e^{-h_j} overflows beyond nu ~ 1650, but P(0) a_j bounds the j-th
+    pdf term at every t, so the scaled a_j stay finite, and a node whose
+    scaled terms have fallen below the live floor adds below it to the pdf
+    anywhere.  These nodes and weights are kept as ``s`` and ``w``; the
+    draws s < s_split form the ``_ExtremeRule``.
     """
 
     def __init__(self, nu, root_d, lam0, quad):
@@ -611,13 +685,18 @@ class _NoncentralT:
         self.n = _SeriesCoefs(half_sq, half_sq, w * phi / math.sqrt(2.0),
                               lambda j: -sp.gammaln(j + 1.5), tol,
                               w @ sp.erf(phi / math.sqrt(2.0)))
-        self._a = _SeriesCoefs(math.sqrt(2.0) * phi, half_sq, w,
-                               lambda j: ser.nct_log_cj(j, nu), tol)
+        # the step ratios of c_j e^{h_j} fall from j = 1 on, as the live
+        # floor needs
+        self._a = _SeriesCoefs(
+            math.sqrt(2.0) * phi, half_sq, w,
+            lambda j: ser.nct_log_cj(j, nu) + ser.nct_log_peak(j, nu), tol)
+        self._unscale = _Sequence(lambda j: -ser.nct_log_peak(j, nu))
         self._q = math.sqrt(2.0) * float(np.max(phi))
 
     def pdf_coefs(self, amax):
-        """a_0 .. a_{J-1}, enough terms that sum_j a_j g^j is certified to
-        abs_tol for |g| <= amax (and so is its even part)."""
+        """(a_0 .. a_{J-1}, -h_0 .. -h_{J-1}): enough terms that
+        sum_j a_j e^{-h_j} g^j is certified to abs_tol for |g| <= amax (and
+        so is its even part)."""
         nu = self.nu
         qmax = self._q * amax
         j_hi = _MIN_TERMS
@@ -625,17 +704,23 @@ class _NoncentralT:
             # grown block by block, so no (terms x nodes) temporary is
             # larger than one block
             a = self._a.upto(j_hi)
-            # every node's terms past j_hi - 1 fall by at least r per step
+            # every node's terms past j_hi - 1 fall by at least r per step,
+            # so the tail is below a_{J-1} e^{-h_{J-1}} amax^{J-1} r/(1-r),
+            # taken in logs
             r = qmax * math.sqrt((nu + j_hi + 1.0) / 2.0) / j_hi
             if r < 0.9 and j_hi > 0.5 * qmax * qmax + 2.0 * qmax + nu:
-                if a[-1] * amax ** (j_hi - 1.0) * r / (1.0 - r) < self.tol:
+                with np.errstate(divide="ignore"):
+                    log_tail = (np.log(a[-1]) + self._unscale.upto(j_hi)[-1]
+                                + (j_hi - 1.0) * math.log(amax)
+                                + math.log(r / (1.0 - r)))
+                if log_tail < math.log(self.tol):
                     break
-            j_hi = min(2 * j_hi, j_hi + 4096)
+            j_hi = min(2 * j_hi, j_hi + _TERM_BLOCK)
             if j_hi > _MAX_J_TERMS:
                 raise AccuracyError(
                     "noncentral-t pdf series exceeded %d terms without "
                     "certifying abs_tol=%g" % (_MAX_J_TERMS, self.tol))
-        return self._a.upto(j_hi)
+        return self._a.upto(j_hi), self._unscale.upto(j_hi)
 
 
 # ----------------------------------------------------------------------
@@ -651,7 +736,9 @@ class TsqMixture(_MixtureLaw):
     noncentral-t core at t = sqrt(u), with x = u/(u+nu) = g^2.  In
     F(t) - F(-t) the cdf0 and n_j terms cancel, leaving
     sum_j m_j I_x(j+1/2, nu/2); in [f(t) + f(-t)]/(2t) the odd terms cancel,
-    leaving P(t)/t sum_k a_2k x^k, one Horner pass.  The slope draws near
+    leaving P(t)/t sum_k a_2k e^{-h_2k} x^k, one exp table per block of
+    terms with P(t)/t in its exponent, finite at any nu.  The CDF series
+    takes 1 - x = nu/(u+nu) as formed, not from x.  The slope draws near
     zero, which carry the law's heavy far tail, add the Gaussian-root
     kernel at u on the v-rule.  At delta = 0 only m_0 survives and the law
     is exactly central F(1, nu) for every lambda.
@@ -676,9 +763,9 @@ class TsqMixture(_MixtureLaw):
         pos = u > 0
         up = u[pos]
         t, x = np.sqrt(up), up / (up + self.nu)
-        a = self._core.pdf_coefs(math.sqrt(np.max(x, initial=0.0)))
-        out[pos] = (np.polynomial.polynomial.polyval(x, a[::2])
-                    * np.exp(ser.nct_log_prefactor(t, self.nu)) / t
+        a, unscale = self._core.pdf_coefs(math.sqrt(np.max(x, initial=0.0)))
+        out[pos] = (_power_series(a[::2], x, ser.nct_log_prefactor(t, self.nu)
+                                  - np.log(t), unscale[::2])
                     + self._core.ext.parts(up, want_pdf=True))
         return out
 
@@ -689,7 +776,8 @@ class TsqMixture(_MixtureLaw):
         out[pos] = (self._core.ext.parts(up, want_pdf=False)
                     + _beta_series(self._core.m, 0.5, self.nu / 2.0,
                                    up / (up + self.nu), self.quad.abs_tol,
-                                   _MIN_TERMS, "t^2 mixture"))
+                                   _MIN_TERMS, "t^2 mixture",
+                                   self.nu / (up + self.nu)))
         return out
 
     def _start(self, prob):
@@ -714,8 +802,11 @@ class SignedTMixture(_MixtureLaw):
 
     The noncentral-t core gives the series nodes' CDF
     cdf0 + sgn(u)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2),
-    x = u^2/(u^2+nu), and their pdf P(u) sum_j a_j g^j, g = u/sqrt(nu+u^2),
-    one Horner pass over the cached coefficients.  Draws of larger
+    x = u^2/(u^2+nu), and their pdf P(u) sum_j a_j e^{-h_j} g^j,
+    g = u/sqrt(nu+u^2), one exp table per block of terms over the cached
+    coefficients with P(u) in its exponent.  The CDF series take
+    1 - x = nu/(u^2+nu) as formed: far out, x itself rounds to a few values
+    near 1, which quantized the CDF.  Draws of larger
     noncentrality (s near 0) add the Gaussian-root t^2 kernel at u^2 for
     u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
     """
@@ -738,9 +829,8 @@ class SignedTMixture(_MixtureLaw):
     def _pdf_base(self, u):
         """pdf of the law with noncentrality |delta0| (pre-mirror)."""
         g = u / np.sqrt(self.nu + u * u)
-        a = self._core.pdf_coefs(float(np.max(np.abs(g), initial=0.0)))
-        out = (np.polynomial.polynomial.polyval(g, a)
-               * np.exp(ser.nct_log_prefactor(u, self.nu)))
+        a, unscale = self._core.pdf_coefs(float(np.max(np.abs(g), initial=0.0)))
+        out = _power_series(a, g, ser.nct_log_prefactor(u, self.nu), unscale)
         up = u[u > 0]
         out[u > 0] += 2.0 * up * self._core.ext.parts(up * up, want_pdf=True)
         return out
@@ -752,12 +842,13 @@ class SignedTMixture(_MixtureLaw):
         # abs_tol is cheap; it holds interval probabilities to the t^2
         # route far inside abs_tol
         tol = 1e-3 * self.quad.abs_tol
-        x = u * u / (u * u + nu)
+        # 1 - x formed on its own: far out x rounds to a few values near 1
+        x, y = u * u / (u * u + nu), nu / (u * u + nu)
         out = (core.cdf0
                + 0.5 * np.sign(u) * _beta_series(core.m, 0.5, nu / 2.0, x, tol,
-                                                 _MIN_TERMS, "signed-t")
+                                                 _MIN_TERMS, "signed-t", y)
                + 0.5 * _beta_series(core.n, 1.0, nu / 2.0, x, tol,
-                                    _MIN_TERMS, "signed-t"))
+                                    _MIN_TERMS, "signed-t", y))
         up = u[u > 0]
         out[u > 0] += core.ext.parts(up * up, want_pdf=False)
         return out

@@ -209,9 +209,13 @@ def bisect_cdf(cdf, target: float, lo: float, hi: float, *,
         mid = x = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break      # adjacent floats, wider apart than xtol above ~6e7
-        # inf - inf is NaN, and a NaN x_f fails the test below: bisect
+        # inf - inf is NaN, and a NaN x_f fails the test below: bisect.
+        # An end whose probit rounds onto the target's puts x_f on that end
+        # (or a rounding past it): the step goes from the end, as from a
+        # point on the crossing, not to the midpoint
         x_f = (zhi * lo - zlo * hi) / (zhi - zlo) if zhi > zlo else mid
-        if lo < x_f < hi:
+        x_f = min(max(x_f, lo), hi) if x_f == x_f else x_f
+        if lo <= x_f <= hi:
             toward = math.copysign(1.0, mid - x_f)
             delta = kappa1 * (hi - lo) ** 2
             x = x_f + toward * delta if delta <= abs(mid - x_f) else mid

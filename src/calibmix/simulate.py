@@ -558,9 +558,14 @@ def ks_distance(sample, dist, *, grid_points: int = 1024,
 
 
 def ks_distance_two_sample(a, b) -> float:
+    """max |F_a - F_b| over the points of both samples, F the empirical
+    CDFs.  Each sample's points are read against both CDFs in turn, so no
+    array holds the two samples at once."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    allv = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, allv, side="right") / a.size
-    cdf_b = np.searchsorted(b, allv, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+    def at_points_of(x):
+        d = np.searchsorted(a, x, side="right") / a.size
+        d -= np.searchsorted(b, x, side="right") / b.size
+        return np.max(np.abs(d, out=d))
+    return float(max(at_points_of(a), at_points_of(b)))

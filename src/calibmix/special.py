@@ -28,24 +28,36 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 def nc_chisq1_pdf(w, lam):
     """Density of the noncentral chi-squared law with 1 degree of freedom,
     in closed form: sqrt_ncchisq1_pdf(sqrt(w), sqrt(lam)) / (2 sqrt(w)).
-    Nonpositive arguments return 0 by convention."""
+    Nonpositive arguments return 0 by convention.  The result is built in
+    place: an array argument costs three arrays of its size."""
     if lam < 0:
         raise ParamError("noncentrality must be nonnegative")
     w = np.asarray(w, dtype=float)
-    root = np.sqrt(np.maximum(w, 0.0))
+    root = np.maximum(w, 0.0, out=np.empty_like(w))
+    np.sqrt(root, out=root)
+    out = sqrt_ncchisq1_pdf(root, math.sqrt(lam))
+    root *= 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(w > 0, sqrt_ncchisq1_pdf(root, np.sqrt(lam)) / (2.0 * root),
-                       0.0)
+        out /= root
+    out[~(w > 0)] = 0.0
     return float(out) if out.ndim == 0 else out
 
 
 def sqrt_ncchisq1_pdf(s, lambda0):
     """Density of sqrt(W) for W ~ chi2_1(lambda0^2): the shifted half-normal
-    [phi(s - lambda0) + phi(s + lambda0)], supported on s >= 0."""
+    [phi(s - lambda0) + phi(s + lambda0)], supported on s >= 0 (lambda0 a
+    scalar).  Like nc_chisq1_pdf, it builds its result in place."""
     s = np.asarray(s, dtype=float)
-    c = 1.0 / np.sqrt(2.0 * np.pi)
-    val = c * (np.exp(-0.5 * (s - lambda0) ** 2) + np.exp(-0.5 * (s + lambda0) ** 2))
-    return np.where(s < 0, 0.0, val)
+    out = np.subtract(s, lambda0, out=np.empty_like(s))
+    far = np.add(s, lambda0, out=np.empty_like(s))
+    for z in (out, far):
+        z *= z
+        z *= -0.5
+        np.exp(z, out=z)
+    out += far
+    out *= 1.0 / math.sqrt(2.0 * math.pi)
+    out[s < 0] = 0.0
+    return out
 
 
 def sqrt_mixing_upper(lambda0: float, eps: float = 1e-12) -> float:
@@ -110,3 +122,14 @@ def nct_log_cj(j, nu):
     j = np.asarray(j, dtype=float)
     return (sp.gammaln((nu + j + 1.0) / 2.0) - sp.gammaln((nu + 1.0) / 2.0)
             - sp.gammaln(j + 1.0))
+
+
+def nct_log_peak(j, nu):
+    """log of the largest value of (1 - x)^{(nu+1)/2} x^{j/2} over x in
+    [0, 1), taken at x = j/(j + nu + 1).  With x = g^2 = u^2/(nu + u^2) the
+    j-th term of the series, A(u) c_j q^j, is A(0) c_j (sqrt(2) phi)^j times
+    that product, so c_j e^{nct_log_peak(j, nu)} bounds the term at every u
+    and stays finite at any nu, where c_j itself overflows beyond nu ~ 1650."""
+    j = np.asarray(j, dtype=float)
+    return (-0.5 * (nu + 1.0) * np.log1p(j / (nu + 1.0))
+            + sp.xlog1py(0.5 * j, -(nu + 1.0) / (j + nu + 1.0)))

@@ -119,6 +119,17 @@ def ncf_pdf_oracle(nu, delta, lam, u):
                       np.sqrt(lam))
 
 
+def nct_pdf_large_nu(t, nu, phi):
+    """Noncentral t pdf at large nu as E_W[W phi_N(t W - phi)], W =
+    sqrt(chi2_nu / nu), on a Gauss rule over W's mean +/- 12 sd (nu >=
+    1000).  scipy's nct.pdf raises OverflowError there from about phi = 15."""
+    sd = np.sqrt(0.5 / nu)
+    w, ww = gauss_legendre_nodes(np.linspace(1.0 - 12.0 * sd, 1.0 + 12.0 * sd,
+                                             97), 16)
+    dens = ww * stats.chi.pdf(w, nu, scale=1.0 / np.sqrt(nu)) * w
+    return float(stats.norm.pdf(t * w - phi) @ dens)
+
+
 def gaussian_root_pdf_oracle(nu, delta, lam, u):
     """t^2 mixture pdf from the Gaussian-root kernel on a 2-D (s, g) rule:
     y^{nu/2} e^{-y} / (u Gamma(nu/2)) with y = nu (g + phi)^2 / (2u),
@@ -170,7 +181,8 @@ def dense_series_coefs(core, nu, root_d, j):
     a_j at j, each summed over all of its series nodes, phi = root_d / s:
       m_j = sum_s w pois(j; phi^2/2),
       n_j = sum_s (w phi / sqrt 2) e^{-phi^2/2} (phi^2/2)^j / Gamma(j + 3/2),
-      a_j = sum_s w e^{-phi^2/2} (sqrt(2) phi)^j c_j.
+      a_j = sum_s w e^{-phi^2/2} (sqrt(2) phi)^j c_j e^{h_j},
+    c_j and h_j from nct_log_cj and nct_log_peak.
     j log b takes numpy's log, as the live-node builder does: scipy's xlogy
     takes the C library's log, which differs from it in the last bit for
     some b, and j log b carries that to 2e-14 relative at j ~ 300."""
@@ -187,7 +199,8 @@ def dense_series_coefs(core, nu, root_d, j):
     return (block(half_sq, core.w, -special.gammaln(j + 1.0)),
             block(half_sq, core.w * phi / np.sqrt(2.0),
                   -special.gammaln(j + 1.5)),
-            block(np.sqrt(2.0) * phi, core.w, ser.nct_log_cj(j, nu)))
+            block(np.sqrt(2.0) * phi, core.w,
+                  ser.nct_log_cj(j, nu) + ser.nct_log_peak(j, nu)))
 
 
 def graded_norm(pdf, lo, hi, *, log_from=None, order=16):
@@ -561,6 +574,20 @@ class TestSignedTMixture:
         for big in (1e4, 1e6):
             signed = 1.0 - st_.cdf(big) + st_.cdf(-big)
             assert signed == pytest.approx(1.0 - tm.cdf(big * big), abs=1e-9)
+
+    def test_far_tail_is_not_quantized(self):
+        # x = u^2/(u^2 + nu) is within 2e-15 of 1 here, where it rounds to
+        # a few values: the CDF took 2 distinct values over these points
+        st_ = signed_t_mixture(1, 1.5, 1e-4)
+        u = np.linspace(-2.30e7, -2.40e7, 11)
+        f = st_.cdf(u)
+        assert np.all(np.diff(f) < 0)
+        # the nu = 1 tail is c/|u|
+        assert np.ptp(f * -u) < 1e-5 * np.mean(f * -u)
+        cdf, calls = st_.cdf, []
+        st_.cdf = lambda v: calls.append(v) or cdf(v)
+        assert cdf(st_.ppf(1e-9)) == pytest.approx(1e-9, rel=1e-6)
+        assert len(calls) <= 40       # 49 with the quantized tail
 
     def test_nu_one_interval_matches_tsq(self):
         # the w^{-1/2}-weighted chi-squared(1) case; both routes are
@@ -1000,3 +1027,108 @@ class TestAdaptiveRule:
         u = np.concatenate([1.0 - d, 1.0 + d, np.linspace(*mm.support(), 101)])
         assert np.max(np.abs(mm.cdf(u) - ref.cdf(u))) <= 1e-9
         assert mm.pdf(u) == pytest.approx(ref.pdf(u), rel=1e-9, abs=1e-9)
+
+
+class TestPowerSeries:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5000), seed=st.integers(0, 2 ** 32 - 1),
+           g=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
+    @example(n=1, seed=0, g=[0.0, 1.0, -1.0])
+    @example(n=5000, seed=1, g=[0.0, 1.0, -1.0, 0.9999, -0.5])
+    def test_matches_horner(self, n, seed, g):
+        # 5000 terms cross the 4096-term chunks of the exp table
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        a[rng.random(n) < 0.1] = 0.0
+        g = np.array(g)
+        terms = np.abs(a) @ np.abs(g)[None, :] ** np.arange(n)[:, None]
+        got = mx._power_series(a, g)
+        want = np.polynomial.polynomial.polyval(g, a)
+        assert np.all(np.abs(got - want) <= 1e-13 * terms)
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("params", [octane_params(), SPIKE])
+    def test_mean_kernel_is_the_plain_expression(self, params):
+        p, mm = params, mean_mixture(params)
+        t = mm._x
+        u = np.append(np.linspace(*mm.support(), 301), p.beta0)
+        sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)[:, None]
+        z = ((u - p.beta0)[None, :] - (t * p.mu_z)[:, None]) / sd
+        assert np.array_equal(mm._kernel(t, u, True),
+                              np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi)))
+        assert np.array_equal(mm._kernel(t, u, False), special.ndtr(z))
+
+    @pytest.mark.parametrize("nu,lam", [(10, OCT_LAM), (1, 400.0), (3, 0.0)])
+    def test_variance_kernels_are_the_plain_expressions(self, nu, lam):
+        vm = variance_mixture(nu, lam)
+        x = vm._x
+        u = np.concatenate([[-1.0, 0.0], np.geomspace(1e-10, vm.support()[1], 300)])
+        v = np.exp(x)[:, None]
+        lam0 = np.sqrt(lam)
+        r = np.sqrt(np.clip(u, 0.0, None)[None, :] / v)
+        assert np.array_equal(vm._kernel(x, u, False),
+                              special.ndtr(r - lam0) - special.ndtr(-r - lam0))
+        w = u[None, :] / v
+        root = np.sqrt(np.maximum(w, 0.0))
+        half_normal = (1.0 / np.sqrt(2.0 * np.pi)) * (
+            np.exp(-0.5 * (root - lam0) ** 2) + np.exp(-0.5 * (root + lam0) ** 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.where(w > 0, half_normal / (2.0 * root), 0.0) / v
+        assert np.array_equal(vm._kernel(x, u, True), want)
+
+
+def test_t2_block_climbs_the_ladder_once(monkeypatch):
+    # every point of a block of nearby x stops at one rung; climbing point
+    # by point cost a betainc per point per rung below it
+    tm = tsq_mixture(10, 2.935, 10.095)
+    u = np.linspace(2.0, 2.2, 512)
+    want = tm.cdf(u)
+    counted = [0]
+    betainc = special.betainc
+
+    def counting(*args):
+        counted[0] += np.size(args[-1])
+        return betainc(*args)
+    monkeypatch.setattr(mx.sp, "betainc", counting)
+    assert np.array_equal(tm.cdf(u), want)
+    rungs = int(np.log2(mx._TERM_BLOCK / mx._MIN_TERMS)) + 1
+    assert counted[0] <= u.size + rungs
+
+
+def test_large_nu_pdf_has_bounded_working_set():
+    # 5120 pdf terms in 4096-term exp tables of one 512-point block
+    tm = tsq_mixture(5000, 25.0, 9.0)
+    u = np.linspace(0.5, 30.0, 2000)
+    tracemalloc.start()
+    try:
+        tm.pdf(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("nu,d0,lam0", [(1650, 1.0, 1.0), (2000, 2.0, 1.0),
+                                        (5000, 5.0, 3.0)])
+class TestLargeNuPdf:
+    # the unscaled pdf coefficients overflowed from nu = 1650: the pdfs read
+    # inf, and the signed pdf NaN at u <= 0
+    def test_against_nct_quadrature(self, nu, d0, lam0):
+        sm = signed_t_mixture(nu, d0, lam0)
+        for t in (-1.0, 0.0, 1.0, 6.0):
+            want = log_s_quad(lambda s: nct_pdf_large_nu(t, nu, d0 / s), lam0)
+            assert sm.pdf(t) == pytest.approx(want, abs=1e-9)
+        fold = sum(log_s_quad(lambda s: nct_pdf_large_nu(t, nu, d0 / s), lam0)
+                   for t in (-1.0, 1.0)) / 2.0
+        assert tsq_mixture(nu, d0 ** 2, lam0 ** 2).pdf(1.0) == pytest.approx(
+            fold, abs=1e-9)
+
+    def test_pdf_table_integrates_to_the_cdf(self, nu, d0, lam0):
+        for law, lo, hi in ((tsq_mixture(nu, d0 ** 2, lam0 ** 2), 0.5, 30.0),
+                            (signed_t_mixture(nu, d0, lam0), -5.0, 15.0)):
+            u = np.linspace(lo, hi, 2001)
+            f = law.pdf(u)
+            assert np.all(np.isfinite(f))
+            assert integrate.simpson(f, x=u) == pytest.approx(
+                law.cdf(hi) - law.cdf(lo), abs=1e-7)

@@ -69,6 +69,18 @@ class TestBisectCdf:
         x = bisect_cdf(f, 0.5, 0.0, 11.0)
         assert 0.5 <= x <= 10.0
 
+    def test_end_whose_probit_rounds_onto_the_target(self):
+        # F(lo) is 2 ulps below the target, so ndtri reads it as the target
+        # and the interpolation lands on lo: the step goes from lo, where
+        # stepping to the midpoint bisected [lo, hi] down to xtol
+        f, seen = counted(lambda x: 0.025 + (x - 0.5) * 1e-3)
+        lo = 0.5 - 7e-15
+        assert f(lo) < 0.025 and special.ndtri(f(lo)) == special.ndtri(0.025)
+        seen.clear()
+        x = bisect_cdf(f, 0.025, lo, 0.5 + 1e-4, xtol=1e-10)
+        assert x == pytest.approx(0.5, abs=1e-10)
+        assert len(seen) - 2 <= 4
+
     def test_stops_at_adjacent_floats(self):
         # above ~6.7e7 neighbouring floats are more than xtol = 1e-8 apart,
         # so the bracket stops narrowing there (tsq_mixture(10, 1e6, 0)'s

@@ -17,7 +17,8 @@ from calibmix import (CalibrationDesign, DataError, McConfig, MixtureParams,
                       OneWayDesign, ParamError, correlation_params,
                       derive_params,
                       draw_calibrated_sample, draw_calibrated_samples, ks_band,
-                      ks_distance, ks_two_sample_band, mc_config_from_json,
+                      ks_distance, ks_distance_two_sample, ks_two_sample_band,
+                      mc_config_from_json,
                       mc_config_to_json, mc_inconsistency_curve,
                       mc_statistic_distribution, mean_mixture, substream,
                       tsq_mixture, variance_mixture)
@@ -337,6 +338,32 @@ def test_s2_memory_is_per_row(monkeypatch):
     peak = _traced_peak_mb(lambda: mc_statistic_distribution(
         p, "s2", McConfig(200_000, 3)))
     assert peak <= 16.0
+
+
+def concatenated_ks(a, b):
+    """The two-sample KS distance over the concatenated samples."""
+    a, b = np.sort(a), np.sort(b)
+    allv = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, allv, side="right") / a.size
+                               - np.searchsorted(b, allv, side="right") / b.size)))
+
+
+class TestKsTwoSample:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), m=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1), digits=st.sampled_from([0, 1, 8]))
+    def test_matches_concatenated_formula(self, n, m, seed, digits):
+        # rounded to ``digits``, the samples tie within and across each other
+        rng = np.random.default_rng(seed)
+        a = np.round(rng.standard_normal(n), digits)
+        b = np.round(1.2 * rng.standard_normal(m) + 0.1, digits)
+        assert ks_distance_two_sample(a, b) == concatenated_ks(a, b)
+
+    def test_memory_is_one_sample_at_a_time(self):
+        # the concatenated formula peaked at 19.2 MB here
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal(200_000), rng.standard_normal(200_000)
+        assert _traced_peak_mb(lambda: ks_distance_two_sample(a, b)) <= 12.0
 
 
 class TestFullMode:
