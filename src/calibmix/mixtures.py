@@ -35,8 +35,8 @@ rule in v, built once per evaluator; each evaluation sums a band of v-nodes
 per point.  The signed law reads that t^2 kernel at u^2: its
 extreme draws put less than Phi(-20) of their mass below 0.  The
 incomplete-beta CDF series run by recurrence from one betainc per point per
-block of terms, from the rung that certifies the block's smallest x; the
-pdf series sum one exp table per block of terms.  Every law evaluates its
+block of terms, from the rung that certifies the block's smallest x; their
+derivatives sum one exp table per block of terms.  Every law evaluates its
 points in fixed blocks, and each block finishes its node x point or term x
 point table in place, so memory stays bounded whatever the grid size.
 """
@@ -388,13 +388,14 @@ def _gaussian_root_parts(u, nu, v2, h, want_pdf):
         return np.zeros_like(u)
     y_lo = float(sp.gammainccinv(nu / 2.0, 1.0 - _ROOT_SNAP))
     y_hi = float(sp.gammainccinv(nu / 2.0, _ROOT_SNAP))
-    a = np.searchsorted(v2, (2.0 * y_lo / nu) * u, side="left")
-    b = np.searchsorted(v2, (2.0 * y_hi / nu) * u, side="right")
+    with np.errstate(over="ignore"):      # an edge past the largest float
+        a = np.searchsorted(v2, (2.0 * y_lo / nu) * u, side="left")
+        b = np.searchsorted(v2, (2.0 * y_hi / nu) * u, side="right")
     k = a[:, None] + np.arange(int(np.max(b - a, initial=0)))
     in_band = k < b[:, None]
     k = np.minimum(k, h.size - 1)
     hk = np.where(in_band, h[k], 0.0)
-    y = (0.5 * nu) * v2[k] / u[:, None]
+    y = (0.5 * nu) * v2[k] / np.where(in_band, u[:, None], 1.0)
     if want_pdf:
         lg = float(sp.gammaln(nu / 2.0))
         return np.sum(hk * np.exp(0.5 * nu * np.log(y) - y - lg), axis=1) / u
@@ -492,29 +493,30 @@ class _Sequence:
 
 
 _LIVE_FLOOR = 1e-15   # times abs_tol: what a node's dropped terms stay below
+_TINY = sys.float_info.min   # smallest normal double; the pdf tolerance floor
 
 
 class _SeriesCoefs(_Sequence):
-    """Mixed series coefficients c_j = sum_k w_k exp(-mu_k + j log b_k + g(j))
-    over the series nodes, extended on demand and kept.  ``mass`` is
-    sum_j c_j where it is known in closed form, so the mass not yet reached
-    bounds what the rest of the series can add.
+    """Mixed series coefficients c_j = sum_k w_k exp(-mu_k + j log mu_k + g(j))
+    over the series nodes, extended on demand and kept, g(j+1) - g(j) <=
+    -log(j+1).  ``mass`` is sum_j c_j in closed form, so the mass not yet
+    reached bounds what the rest of the series can add.
 
     A block of j sums over the live nodes only.  Each node's step ratio
-    b_k e^{g(j+1) - g(j)} falls as j grows, so once its term (before the
+    mu_k e^{g(j+1) - g(j)} falls as j grows, so once its term (before the
     weight w_k) is below _LIVE_FLOOR abs_tol / sum(w) and its ratio is at
     most 1/2, the rest of its terms add less than that term: the node
     leaves the live set for good.  All nodes that leave add less than
     2 _LIVE_FLOOR abs_tol to the whole sequence.
     """
 
-    def __init__(self, b, mu, w, g, tol, mass=math.inf):
+    def __init__(self, mu, w, g, tol, mass):
         # _block is overridden, not passed in: a stored bound method would
         # make a reference cycle that keeps each evaluator until the next
         # garbage collection
         super().__init__()
         with np.errstate(divide="ignore"):
-            self._log_b = np.log(b)
+            self._log_b = np.log(mu)
             self._log_floor = math.log(_LIVE_FLOOR * tol) - np.log(np.sum(w))
         self._mu, self._w, self._g = mu, w, g
         self._live = np.arange(w.size)
@@ -524,7 +526,7 @@ class _SeriesCoefs(_Sequence):
     def _block(self, j):
         live = self._live
         g = self._g(np.append(j, j[-1] + 1.0))
-        with np.errstate(invalid="ignore"):      # 0 log 0 where b = 0
+        with np.errstate(invalid="ignore"):      # 0 log 0 where mu = 0
             t = np.multiply.outer(j, self._log_b[live])
         if j[0] == 0.0:
             t[0] = 0.0
@@ -538,6 +540,14 @@ class _SeriesCoefs(_Sequence):
     def left_after(self, j_hi):
         return max(self.mass - float(self.upto(j_hi).sum()), 0.0)
 
+    def tail(self, j_hi):
+        """sum_{j >= j_hi} c_j is at most the mass left, plus 1e-13 of the
+        mass for rounding, and c_{j_hi-1} max(mu)/(j_hi (1 - r)) once
+        r = max(mu)/(j_hi + 1) < 1 bounds the step ratios."""
+        r = np.max(self._mu, initial=0.0) / (j_hi + 1.0)
+        return min(self.left_after(j_hi) + 1e-13 * self.mass, math.inf if r >= 1
+                   else self.upto(j_hi)[-1] * r * (j_hi + 1.0) / j_hi / (1 - r))
+
     def log_den(self, a, b):
         """log((j + a) B(j + a, b)) over j, kept like the coefficients."""
         return self._den.setdefault((a, b), _Sequence(
@@ -548,8 +558,8 @@ def _poisson_coefs(phi, w, tol):
     """m_j = sum_s w_s pois(j; phi_s^2/2), the Poisson mixture of the
     noncentral-t CDF series."""
     half_sq = 0.5 * phi ** 2
-    return _SeriesCoefs(half_sq, half_sq, w, lambda j: -sp.gammaln(j + 1.0),
-                        tol, np.sum(w))
+    return _SeriesCoefs(half_sq, w, lambda j: -sp.gammaln(j + 1.0), tol,
+                        np.sum(w))
 
 
 def _betainc(p, b, x, y):
@@ -610,32 +620,75 @@ def _beta_series(coefs, a, b, x, tol, j_hi, law, y=None):
                 "abs_tol=%g" % (law, _MAX_J_TERMS, tol))
 
 
-def _power_series(a, g, log_scale=0.0, log_row=0.0):
-    """sum_j a_j g^j e^{log_row_j + log_scale} per g.  Each term is formed
-    as sgn(a_j) sgn(g)^j exp(log|a_j| + log_row_j + j log|g| + log_scale),
-    so a_j e^{log_row_j} may overflow, and e^{log_scale} underflow, where
-    the term does neither.  One BLAS product writes each exponent table of
-    at most _TERM_BLOCK terms x points, and one more sums its even and its
-    odd rows.  Logs of 0 are floored at -1e300, so the products never meet
-    0 x inf."""
-    a = np.asarray(a, dtype=float)
-    g = np.asarray(g, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_a = np.maximum(np.log(np.abs(a)) + log_row, -1e300)
-        cols = np.stack([np.maximum(np.log(np.abs(g)), -1e300),
-                         np.broadcast_to(np.maximum(log_scale, -1e300), g.shape),
-                         np.ones_like(g)])
-    sign_a = np.sign(a)
-    sign_g = np.where(g < 0.0, -1.0, 1.0)
-    out = np.zeros_like(g)
-    for j0 in range(0, a.size, _TERM_BLOCK):       # j0 even: rows 0, 2, .. even
-        j = np.arange(j0, min(j0 + _TERM_BLOCK, a.size))
-        rows = np.stack([j, np.ones(j.size), log_a[j]], axis=1)
-        t = rows @ cols
-        np.exp(t, out=t)
-        out += sign_a[j[::2]] @ t[::2]
-        out += sign_g * (sign_a[j[1::2]] @ t[1::2])
-    return out
+def _beta_args(s, log_s, nu):
+    """(x, y, log x, log y), x = s/(s + nu) = 1 - y, for s = u (t^2 law) or
+    u^2 (signed law), which may over- or underflow: the logs from log s, and
+    x and y as the quotients where both are normal floats, else e^{logs}."""
+    r = log_s - math.log(nu)
+    log_x, log_y = -np.logaddexp(0.0, -r), -np.logaddexp(0.0, r)
+    with np.errstate(invalid="ignore"):           # s = inf
+        x, y = s / (s + nu), nu / (s + nu)
+    far = ~(np.minimum(x, y) >= _TINY)
+    x[far], y[far] = np.exp(log_x[far]), np.exp(log_y[far])
+    return x, y, log_x, log_y
+
+
+def _beta_density(parts, b, args, lead, tol, rel_tol):
+    """Per part (coefs, a), sum_j c_j x^{j+a-1/2} e^lead / B(j + a, b): the
+    Beta(j + a, b) density at x is the CDF recurrence's t_{j+a} times
+    (j + a)/(x y), so with lead = log(sqrt(x) y^b dx/du/(x y)) each is the
+    u-derivative of its CDF series.  The parts interleave in one exp table
+    per block of terms.  The terms' step ratio x (j + a + b)/(j + a) falls
+    in j through 1 at the mode j + a = x b/y, so past j_hi each is at most
+    the one at j_hi or at the mode beyond it; past a mode of e^690,
+    Gamma(c + b)/Gamma(c) <= (c + b)^b and x^j <= e^{-j y} bound it.  A point
+    stops once that times ``coefs.tail`` is within tol and rel_tol of the
+    first part's partial sum (nonnegative terms; floored at the smallest
+    normal float), and rungs where none could merge into the next table."""
+    log_x, log_y = np.maximum(args[2], -1e300), args[3]   # x = 0: x^0 = 1
+    log_mode = math.log(b) + log_x - log_y
+    leads, tops = [], []
+    for _, a in parts:
+        leads.append(lead + (a - 0.5) * log_x)
+        # the largest term, at a mode past j_hi (betaln will do for a bound)
+        far = log_mode > math.log(_MIN_TERMS + a)
+        j = np.ceil(np.exp(np.minimum(log_mode[far], 690.0)) - a)
+        tops.append(np.zeros_like(lead))
+        tops[-1][far] = leads[-1][far] + np.where(
+            log_mode[far] > 690.0, (a + b) * np.exp(log_y[far]) - sp.gammaln(b)
+            + b * (math.log(b) - 1.0 - log_y[far]),
+            j * log_x[far] - sp.betaln(j + a, b))
+    cols = np.stack([log_x, lead, np.ones_like(lead)])
+    outs, live = np.zeros((len(parts), lead.size)), np.ones(lead.size, bool)
+    most, j_done, j_hi = np.inf, 0, _MIN_TERMS
+    while live.any():
+        if j_hi > _MAX_J_TERMS:
+            raise AccuracyError(
+                "noncentral-t pdf series exceeded %d terms without "
+                "certifying abs_tol=%g" % (_MAX_J_TERMS, tol))
+        bound = sum(coefs.tail(j_hi) * np.exp(np.where(
+            log_mode > math.log(j_hi + a), top, j_hi * log_x + lead_a
+            + math.log(j_hi + a) - coefs.log_den(a, b).upto(j_hi + 1)[j_hi]))
+            for (coefs, a), lead_a, top in zip(parts, leads, tops))
+        if (len(parts) * (2 * j_hi - j_done) > _TERM_BLOCK
+                or np.any(live & (bound <= most))):
+            j = np.arange(j_done, j_hi, dtype=float)
+            rows = np.ones((j.size, len(parts), 3))    # j + a - 1/2, 1, -log B
+            for i, (coefs, a) in enumerate(parts):
+                rows[:, i, 0] = j + (a - 0.5)
+                rows[:, i, 2] = (np.log(j + a)
+                                 - coefs.log_den(a, b).upto(j_hi)[j_done:])
+            active = np.flatnonzero(live)
+            t = rows.reshape(-1, 3) @ cols[:, active]
+            np.exp(t, out=t)      # in place: about 5x faster than a new array
+            for i, (coefs, _) in enumerate(parts):
+                outs[i, active] += coefs.upto(j_hi)[j_done:] @ t[i::len(parts)]
+            # each first-part sum will end below outs[0] + bound
+            most = np.maximum(np.minimum(tol, rel_tol * (outs[0] + bound)), _TINY)
+            live &= bound > np.maximum(np.minimum(tol, rel_tol * outs[0]), _TINY)
+            j_done = j_hi
+        j_hi = min(2 * j_hi, j_hi + _TERM_BLOCK)
+    return outs
 
 
 # ----------------------------------------------------------------------
@@ -647,24 +700,22 @@ class _NoncentralT:
     pieces that the signed-t law and its fold, the t^2 law, are made of.
 
     Mixing nodes with phi = D/s <= 20 (s >= s_split = min(D/20, s_hi/2))
-    collapse into cdf0 = E_s[Phi(-phi)] and three coefficient sequences,
-    each built on demand and kept:
+    collapse into cdf0 = E_s[Phi(-phi)] and two coefficient sequences, each
+    built on demand and kept:
       m_j = E_s[pois(j; phi^2/2)],
-      n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))],
-      a_j = c_j e^{h_j} E_s[e^{-phi^2/2} (sqrt(2) phi)^j],  c_j from
-            nct_log_cj and h_j from nct_log_peak.
-    With g = t/sqrt(nu+t^2) and x = g^2 these nodes' CDF at t is
+      n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))].
+    With x = t^2/(nu+t^2) = 1 - y these nodes' CDF at t is
     cdf0 + sgn(t)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2)
-    and their pdf P(t) sum_j a_j e^{-h_j} g^j, P the central-t prefactor.
-    a_j e^{-h_j} overflows beyond nu ~ 1650, but P(0) a_j bounds the j-th
-    pdf term at every t, so the scaled a_j stay finite, and a node whose
-    scaled terms have fallen below the live floor adds below it to the pdf
-    anywhere.  These nodes and weights are kept as ``s`` and ``w``; the
-    draws s < s_split form the ``_ExtremeRule``.
+    (Lenth 1989, AS 243) and their pdf its derivative, with
+    L = y^{(nu+1)/2}/sqrt(nu) and B_a = B(j + a, nu/2),
+      sum_j m_j x^j L / B_{1/2} + sgn(t) sqrt(x) sum_j n_j x^j L / B_1:
+    the even and odd powers of t/sqrt(nu+t^2) in the noncentral-t density.
+    These nodes and weights are kept as ``s`` and ``w``; the draws
+    s < s_split form the ``_ExtremeRule``.
     """
 
     def __init__(self, nu, root_d, lam0, quad):
-        self.nu, self.tol = nu, quad.abs_tol
+        self.nu, self.quad = nu, quad
         s_hi = ser.sqrt_mixing_upper(lam0)
         s_split = min(root_d / _NCT_SERIES_PHI_MAX, s_hi / 2.0)
         # series nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on [s_split, s_hi],
@@ -681,46 +732,18 @@ class _NoncentralT:
         self.cdf0 = float(w @ sp.ndtr(-phi))
         tol = quad.abs_tol
         self.m = _poisson_coefs(phi, w, tol)
-        half_sq = 0.5 * phi ** 2
-        self.n = _SeriesCoefs(half_sq, half_sq, w * phi / math.sqrt(2.0),
+        self.n = _SeriesCoefs(0.5 * phi ** 2, w * phi / math.sqrt(2.0),
                               lambda j: -sp.gammaln(j + 1.5), tol,
                               w @ sp.erf(phi / math.sqrt(2.0)))
-        # the step ratios of c_j e^{h_j} fall from j = 1 on, as the live
-        # floor needs
-        self._a = _SeriesCoefs(
-            math.sqrt(2.0) * phi, half_sq, w,
-            lambda j: ser.nct_log_cj(j, nu) + ser.nct_log_peak(j, nu), tol)
-        self._unscale = _Sequence(lambda j: -ser.nct_log_peak(j, nu))
-        self._q = math.sqrt(2.0) * float(np.max(phi))
 
-    def pdf_coefs(self, amax):
-        """(a_0 .. a_{J-1}, -h_0 .. -h_{J-1}): enough terms that
-        sum_j a_j e^{-h_j} g^j is certified to abs_tol for |g| <= amax (and
-        so is its even part)."""
-        nu = self.nu
-        qmax = self._q * amax
-        j_hi = _MIN_TERMS
-        while qmax > 0.0:
-            # grown block by block, so no (terms x nodes) temporary is
-            # larger than one block
-            a = self._a.upto(j_hi)
-            # every node's terms past j_hi - 1 fall by at least r per step,
-            # so the tail is below a_{J-1} e^{-h_{J-1}} amax^{J-1} r/(1-r),
-            # taken in logs
-            r = qmax * math.sqrt((nu + j_hi + 1.0) / 2.0) / j_hi
-            if r < 0.9 and j_hi > 0.5 * qmax * qmax + 2.0 * qmax + nu:
-                with np.errstate(divide="ignore"):
-                    log_tail = (np.log(a[-1]) + self._unscale.upto(j_hi)[-1]
-                                + (j_hi - 1.0) * math.log(amax)
-                                + math.log(r / (1.0 - r)))
-                if log_tail < math.log(self.tol):
-                    break
-            j_hi = min(2 * j_hi, j_hi + _TERM_BLOCK)
-            if j_hi > _MAX_J_TERMS:
-                raise AccuracyError(
-                    "noncentral-t pdf series exceeded %d terms without "
-                    "certifying abs_tol=%g" % (_MAX_J_TERMS, self.tol))
-        return self._a.upto(j_hi), self._unscale.upto(j_hi)
+    def pdf(self, args, log_scale, signed):
+        """The pdf's m_j part above times e^log_scale, and the signed law's
+        n_j part before its sign, certified 1e-3 below abs_tol and rel_tol
+        like the signed CDF: far inside what the s- and v-rules share."""
+        lead = 0.5 * ((self.nu + 1.0) * args[3] - math.log(self.nu)) + log_scale
+        return _beta_density(((self.m, 0.5), (self.n, 1.0))[:1 + signed],
+                             self.nu / 2.0, args, lead,
+                             1e-3 * self.quad.abs_tol, 1e-3 * self.quad.rel_tol)
 
 
 # ----------------------------------------------------------------------
@@ -733,11 +756,10 @@ class TsqMixture(_MixtureLaw):
 
     t0^2 is the square of the signed t0 with delta0 = sqrt(delta) and
     lambda0 = sqrt(lambda), so this law is the fold of the signed law's
-    noncentral-t core at t = sqrt(u), with x = u/(u+nu) = g^2.  In
+    noncentral-t core at t = sqrt(u), with x = u/(u+nu).  In
     F(t) - F(-t) the cdf0 and n_j terms cancel, leaving
-    sum_j m_j I_x(j+1/2, nu/2); in [f(t) + f(-t)]/(2t) the odd terms cancel,
-    leaving P(t)/t sum_k a_2k e^{-h_2k} x^k, one exp table per block of
-    terms with P(t)/t in its exponent, finite at any nu.  The CDF series
+    sum_j m_j I_x(j+1/2, nu/2), and in [f(t) + f(-t)]/(2t) the n_j part
+    cancels, leaving the m_j part over t.  The CDF series
     takes 1 - x = nu/(u+nu) as formed, not from x.  The slope draws near
     zero, which carry the law's heavy far tail, add the Gaussian-root
     kernel at u on the v-rule.  At delta = 0 only m_0 survives and the law
@@ -762,10 +784,9 @@ class TsqMixture(_MixtureLaw):
         out = np.zeros_like(u)
         pos = u > 0
         up = u[pos]
-        t, x = np.sqrt(up), up / (up + self.nu)
-        a, unscale = self._core.pdf_coefs(math.sqrt(np.max(x, initial=0.0)))
-        out[pos] = (_power_series(a[::2], x, ser.nct_log_prefactor(t, self.nu)
-                                  - np.log(t), unscale[::2])
+        log_u = np.log(up)
+        out[pos] = (self._core.pdf(_beta_args(up, log_u, self.nu),
+                                   -0.5 * log_u, False)[0]
                     + self._core.ext.parts(up, want_pdf=True))
         return out
 
@@ -802,11 +823,10 @@ class SignedTMixture(_MixtureLaw):
 
     The noncentral-t core gives the series nodes' CDF
     cdf0 + sgn(u)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2),
-    x = u^2/(u^2+nu), and their pdf P(u) sum_j a_j e^{-h_j} g^j,
-    g = u/sqrt(nu+u^2), one exp table per block of terms over the cached
-    coefficients with P(u) in its exponent.  The CDF series take
-    1 - x = nu/(u^2+nu) as formed: far out, x itself rounds to a few values
-    near 1, which quantized the CDF.  Draws of larger
+    x = u^2/(u^2+nu), and their pdf, its derivative in u.  The CDF series
+    take 1 - x = nu/(u^2+nu) as formed: far out, x itself rounds to a few
+    values near 1, which quantized the CDF; past |u| ~ 1.3e154, where u^2
+    overflows, x and 1 - x come from log|u|.  Draws of larger
     noncentrality (s near 0) add the Gaussian-root t^2 kernel at u^2 for
     u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
     """
@@ -826,12 +846,15 @@ class SignedTMixture(_MixtureLaw):
         self._d0 = abs(self.delta0)
         self._core = _NoncentralT(self.nu, self._d0, self.lambda0, quad)
 
+    def _args(self, u):      # (x, y, log x, log y) at s = u^2
+        with np.errstate(over="ignore", divide="ignore"):
+            return _beta_args(u * u, 2.0 * np.log(np.abs(u)), self.nu)
+
     def _pdf_base(self, u):
         """pdf of the law with noncentrality |delta0| (pre-mirror)."""
-        g = u / np.sqrt(self.nu + u * u)
-        a, unscale = self._core.pdf_coefs(float(np.max(np.abs(g), initial=0.0)))
-        out = _power_series(a, g, ser.nct_log_prefactor(u, self.nu), unscale)
-        up = u[u > 0]
+        even, odd = self._core.pdf(self._args(u), 0.0, True)
+        out = np.maximum(even + np.sign(u) * odd, 0.0)    # rounding at u < 0
+        up = np.clip(u[u > 0], 1e-154, 1e154)
         out[u > 0] += 2.0 * up * self._core.ext.parts(up * up, want_pdf=True)
         return out
 
@@ -843,13 +866,15 @@ class SignedTMixture(_MixtureLaw):
         # route far inside abs_tol
         tol = 1e-3 * self.quad.abs_tol
         # 1 - x formed on its own: far out x rounds to a few values near 1
-        x, y = u * u / (u * u + nu), nu / (u * u + nu)
+        x, y, _, _ = self._args(u)
         out = (core.cdf0
                + 0.5 * np.sign(u) * _beta_series(core.m, 0.5, nu / 2.0, x, tol,
                                                  _MIN_TERMS, "signed-t", y)
                + 0.5 * _beta_series(core.n, 1.0, nu / 2.0, x, tol,
                                     _MIN_TERMS, "signed-t", y))
-        up = u[u > 0]
+        # u^2 kept a normal float: below 1e-308 no extreme draw reaches it,
+        # and P[t0^2 > 1e308] is far below abs_tol
+        up = np.clip(u[u > 0], 1e-154, 1e154)
         out[u > 0] += core.ext.parts(up * up, want_pdf=False)
         return out
 

@@ -168,6 +168,13 @@ class MixtureParams:
             if self.sigma1 <= 0:
                 raise ParamError("sigma1 must be positive (use ideal=True for the "
                                  "known-coefficients case)")
+        try:        # every law squares these scales; var_y holds each square
+            var_y = self.var_y
+        except OverflowError:
+            var_y = math.inf
+        if not math.isfinite(var_y):
+            raise ParamError("var_y = kappa2 sigma_z^2 + sigma0^2 + sigma1^2 "
+                             "mu_z^2 overflows a double")
 
     @property
     def kappa2(self) -> float:

@@ -34,7 +34,8 @@ class QuadSpec:
     ``rel_tol`` times their scale; the Gaussian mixing window spans
     ``mixing_range_sigmas`` standard deviations either side.  Every series
     kernel starts from a fixed minimum term count and escalates until its
-    tail bound drops below ``abs_tol``.
+    tail bound drops below ``abs_tol``; the noncentral-t pdf series also
+    hold to ``rel_tol`` of themselves.
     """
 
     abs_tol: float = 1e-9

@@ -3,14 +3,12 @@
 The chi-squared(1) mixing law has closed forms: sqrt(W) for W ~
 chi2_1(lambda0^2) has the shifted half-normal density phi(s - lambda0) +
 phi(s + lambda0), and the density of W itself follows by the change of
-variables.  The noncentral t density kernel is an explicit series with a
-computable tail bound; the mixture evaluators start it at a fixed minimum
-term count and escalate until the bound drops below the requested absolute
-tolerance.  Terms are assembled from log-gamma throughout, so large degrees
-of freedom and large series indices never overflow.  scipy.special supplies
-the scalar primitives (gammaln, betainc, gammainc, ndtr/ndtri) and, whole,
-the noncentral F CDF (ncfdtr); log_beta keeps log B(a, b) accurate at the
-large indices where gammaln differences cancel.
+variables.  scipy.special supplies the scalar primitives (gammaln, betainc,
+gammainc, ndtr/ndtri) and, whole, the noncentral F CDF (ncfdtr).  log_beta
+keeps log B(a, b) accurate at the large indices where gammaln differences
+cancel: the noncentral-t series of the mixture evaluators take their terms,
+CDF and pdf alike, from it in logs, so large degrees of freedom and large
+series indices never overflow.
 """
 
 from __future__ import annotations
@@ -101,35 +99,3 @@ def ncf_cdf(x, d1, d2, nc):
         raise ParamError("noncentrality must be nonnegative")
     out = sp.ncfdtr(d1, d2, nc, np.maximum(x, 0.0))
     return float(out) if np.ndim(out) == 0 else out
-
-
-# ----------------------------------------------------------------------
-# noncentral t density kernel (signed form):
-# f(u; nu, phi) = e^{-phi^2/2} A(u) sum_j [Gamma((nu+j+1)/2)/(j! Gamma((nu+1)/2))] q^j
-# with q = sqrt(2) u phi / sqrt(nu + u^2).
-# ----------------------------------------------------------------------
-
-def nct_log_prefactor(u, nu):
-    """log A(u): the central-t shaped prefactor of the signed series."""
-    u = np.asarray(u, dtype=float)
-    return (sp.gammaln((nu + 1.0) / 2.0) - sp.gammaln(nu / 2.0)
-            - 0.5 * np.log(np.pi * nu)
-            + 0.5 * (nu + 1.0) * (np.log(nu) - np.log(nu + u * u)))
-
-
-def nct_log_cj(j, nu):
-    """log of the series coefficient Gamma((nu+j+1)/2) / (j! Gamma((nu+1)/2))."""
-    j = np.asarray(j, dtype=float)
-    return (sp.gammaln((nu + j + 1.0) / 2.0) - sp.gammaln((nu + 1.0) / 2.0)
-            - sp.gammaln(j + 1.0))
-
-
-def nct_log_peak(j, nu):
-    """log of the largest value of (1 - x)^{(nu+1)/2} x^{j/2} over x in
-    [0, 1), taken at x = j/(j + nu + 1).  With x = g^2 = u^2/(nu + u^2) the
-    j-th term of the series, A(u) c_j q^j, is A(0) c_j (sqrt(2) phi)^j times
-    that product, so c_j e^{nct_log_peak(j, nu)} bounds the term at every u
-    and stays finite at any nu, where c_j itself overflows beyond nu ~ 1650."""
-    j = np.asarray(j, dtype=float)
-    return (-0.5 * (nu + 1.0) * np.log1p(j / (nu + 1.0))
-            + sp.xlog1py(0.5 * j, -(nu + 1.0) / (j + nu + 1.0)))

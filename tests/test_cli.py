@@ -89,6 +89,20 @@ class TestRegion:
         assert run(["region", "--coverage", "0.9"] + args) == 2
         assert capsys.readouterr().err.startswith("input error:")
 
+    @pytest.mark.parametrize("command", [
+        ["density", "--dist", "mean", "--grid", "0:1:3"],
+        ["region", "--dist", "mean", "--coverage", "0.9"],
+        ["moments"]])
+    def test_overflowing_bundle_exits_2(self, command, capsys):
+        # every scale at 1e200 overflowed sigma_z ** 2: a traceback, exit 1
+        flags = ["--n", "5"]
+        for flag in ("--beta0", "--sigma0", "--mu-z", "--sigma-z", "--beta1",
+                     "--sigma1"):
+            flags += [flag, "1e200"]
+        assert run(command + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "var_y" in err
+
     def test_removed_series_flags_exit_1(self, capsys):
         assert run(["region", "--dist", "variance", "--nu", "10", "--lam", "1",
                     "--coverage", "0.9", "--series-terms-inner", "30"]) == 1

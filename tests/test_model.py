@@ -160,6 +160,16 @@ class TestDeriveParams:
         with pytest.raises(ParamError, match=field):
             MixtureParams(**kw)
 
+    def test_overflowing_variance_rejected(self):
+        # every scale at 1e200: sigma_z ** 2 raised OverflowError
+        scales = ("beta0", "sigma0", "mu_z", "sigma_z", "beta1", "sigma1")
+        with pytest.raises(ParamError, match="var_y"):
+            MixtureParams(n=5, **dict.fromkeys(scales, 1e200))
+        # every square finite, kappa2 sigma_z^2 not
+        with pytest.raises(ParamError, match="var_y"):
+            MixtureParams(n=5, beta0=1.0, sigma0=1.0, mu_z=1.0,
+                          sigma_z=1e154, beta1=1e154, sigma1=1.0)
+
     def test_ideal_mode(self):
         p = MixtureParams(n=5, beta0=1.0, sigma0=0.0, mu_z=2.0, sigma_z=1.0,
                           beta1=3.0, sigma1=0.0, ideal=True)

@@ -72,26 +72,6 @@ class TestNcfCdf:
         assert isinstance(ncf_cdf(2.0, 1, 10, 3.0), float)
 
 
-class TestNctKernel:
-    @pytest.mark.parametrize("phi", [0.0, 0.8, 3.0, 12.0])
-    def test_series_matches_scipy_nct(self, phi):
-        nu = 10.0
-        u = np.linspace(-6.0, 14.0, 81)
-        j = np.arange(0, 600, dtype=float)
-        pref = np.exp(ser.nct_log_prefactor(u, nu))
-        g = u / np.sqrt(nu + u * u)
-        if phi == 0.0:
-            mine = pref
-        else:
-            node = np.exp(-0.5 * phi ** 2 + j * np.log(np.sqrt(2.0) * phi)
-                          + ser.nct_log_cj(j, nu))
-            sign = np.where((j[:, None] % 2.0) == 0.0, 1.0, np.sign(g)[None, :])
-            terms = node[:, None] * sign * np.abs(g[None, :]) ** j[:, None]
-            mine = pref * terms.sum(axis=0)
-        ref = stats.nct.pdf(u, nu, phi) if phi > 0 else stats.t.pdf(u, nu)
-        assert np.max(np.abs(mine - ref)) < 1e-11
-
-
 class TestLogBeta:
     def test_matches_betaln_at_moderate_arguments(self):
         a, b = np.meshgrid(np.linspace(0.5, 40.0, 30), np.linspace(0.5, 40.0, 30))
