@@ -38,7 +38,10 @@ incomplete-beta CDF series run by recurrence from one betainc per point per
 block of terms, from the rung that certifies the block's smallest x; their
 derivatives sum one exp table per block of terms.  Every law evaluates its
 points in fixed blocks, and each block finishes its node x point or term x
-point table in place, so memory stays bounded whatever the grid size.
+point table in place, so memory stays bounded whatever the grid size.  The
+blocks, fixed by the input alone, run on every CPU the process may use
+through ``parallel.thread_map`` (the Monte Carlo engine's helper too), so
+the tables are the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import threading
 
 import numpy as np
 from scipy import special as sp
@@ -55,18 +59,27 @@ from .model import MixtureParams, derive_params
 from .quadrature import (QuadSpec, _leggauss, bisect_cdf, gauss_legendre_nodes,
                          refine_panels)
 from . import special as ser
+from .parallel import thread_map
 
 _Z_SUPPORT = 8.5       # Gaussian component half-width; Phi(-8.5) ~ 1e-17
 _MAX_J_TERMS = 120_000
 _MIN_TERMS = 20              # first block of every noncentral-t series
 _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
-# Points per evaluation block: term x point temporaries (up to _TERM_BLOCK
-# series terms) stay near 16 MB whatever the grid size.  A rule law takes fewer
-# points per block once it has more than 4096 nodes, so that its node x
-# point temporaries hold at most _BLOCK_SIZE doubles (16 MB) each.
+# Points per evaluation block.  A rule law takes fewer points per block once
+# it has more than 4096 nodes, so that its node x point table holds at most
+# _BLOCK_SIZE doubles (16 MB).  The noncentral-t pdfs take _SERIES_BLOCK
+# points, so that their per-block tail bounds are shared by more points;
+# their CDFs keep _POINT_BLOCK, since a CDF block climbs to the rung of its
+# smallest x and a wider block would regroup each point's terms.  Both
+# build their term x point and band x point tables over chunks of points
+# of at most _TABLE doubles.  _BLOCK_SIZE is the budget of all block
+# workers together: a law runs at most _BLOCK_SIZE // (doubles of one
+# block's table) blocks at once.
 _POINT_BLOCK = 512
+_SERIES_BLOCK = 4096
 _BLOCK_SIZE = 2 ** 21
-_TERM_BLOCK = 4096     # most series terms in one term x point table
+_TABLE = 2 ** 15
+_TERM_BLOCK = 4096     # most series terms in one term x point rung
 # offsets of the first grid searched for a quantile's bracket, in steps of
 # the law's coordinate around its start
 _GRID = np.arange(-2.0, 3.0)
@@ -78,10 +91,16 @@ def _log(u):
     return math.log(max(u, sys.float_info.min))
 
 
-def _evaluate(f, u, at_inf, block):
+def _evaluate(f, u, at_inf, block, block_doubles):
     """(u is a scalar, f at u): f over the finite points of u in blocks of
     ``block`` points, ``at_inf`` at +inf and 0 at -inf.  A NaN in u is a
-    ParamError."""
+    ParamError.
+
+    The blocks are fixed by u and ``block`` alone and run through
+    ``parallel.thread_map``, on every CPU the process may use but at most
+    _BLOCK_SIZE // block_doubles at once (``block_doubles`` bounds one
+    block's tables), so the values are the same bits on any CPU count.  A
+    single block runs in the caller's thread."""
     u = np.asarray(u, dtype=float)
     scalar, u = u.ndim == 0, np.atleast_1d(u)
     if np.isnan(u).any():
@@ -90,8 +109,11 @@ def _evaluate(f, u, at_inf, block):
     out = np.where(u > 0, at_inf, 0.0)
     u_fin = u[finite]
     vals = np.empty_like(u_fin)
-    for i in range(0, u_fin.size, block):
-        vals[i:i + block] = f(u_fin[i:i + block])
+    starts = range(0, u_fin.size, block)
+    blocks = thread_map(lambda i: f(u_fin[i:i + block]), starts,
+                        max(1, _BLOCK_SIZE // block_doubles))
+    for i, block_vals in zip(starts, blocks):
+        vals[i:i + block] = block_vals
     out[finite] = vals
     return scalar, out
 
@@ -107,7 +129,10 @@ class _MixtureLaw:
     abscissa or probability is a ParamError; at -inf and +inf the CDF is 0
     and 1 and the pdf 0.  The repr shows the public attributes."""
 
-    _points_per_block = _POINT_BLOCK
+    # points per block of the pdf and of the CDF, and the most doubles
+    # that one block's tables hold
+    _pdf_block = _cdf_block = _POINT_BLOCK
+    _block_doubles = _TABLE
     _line = None
 
     def __repr__(self):
@@ -115,12 +140,14 @@ class _MixtureLaw:
             "%s=%r" % kv for kv in vars(self).items() if kv[0][0] != "_"))
 
     def pdf(self, u):
-        scalar, out = _evaluate(self._pdf, u, 0.0, self._points_per_block)
+        scalar, out = _evaluate(self._pdf, u, 0.0, self._pdf_block,
+                                self._block_doubles)
         return float(out[0]) if scalar else out
 
     def cdf(self, u):
-        scalar, out = _evaluate(self._cdf, u, 1.0, self._points_per_block)
-        out = np.clip(out, 0.0, 1.0)
+        scalar, out = _evaluate(self._cdf, u, 1.0, self._cdf_block,
+                                self._block_doubles)
+        np.clip(out, 0.0, 1.0, out=out)
         return float(out[0]) if scalar else out
 
     def interval_prob(self, lo, hi):
@@ -189,6 +216,10 @@ class _MixtureLaw:
 # ----------------------------------------------------------------------
 
 _PROBE_POINTS = 40
+# least half-width of the mean law's slope window beta1 +/- k sigma1, over
+# |beta1|: a narrower window holds too few floats to place a rule's nodes on
+# (an empty window, an AccuracyError or a silently wrong CDF)
+_SLOPE_WINDOW = 2e-10
 
 
 class _RuleLaw(_MixtureLaw):
@@ -209,7 +240,9 @@ class _RuleLaw(_MixtureLaw):
                              split_at=tuple(anchors), probe=probe)
         self._x = rule.nodes
         self._w = rule.weights * self._mixing_pdf(rule.nodes)
-        self._points_per_block = min(_POINT_BLOCK, _BLOCK_SIZE // self._x.size)
+        self._pdf_block = self._cdf_block = min(_POINT_BLOCK,
+                                                _BLOCK_SIZE // self._x.size)
+        self._block_doubles = self._cdf_block * self._x.size
 
     def _pdf(self, u):
         return self._w @ self._kernel(self._x, u, True)
@@ -228,14 +261,22 @@ class MeanMixture(_RuleLaw):
     has an integrable spike at u = beta0, and the conditional CDFs turn
     over sharply in t within every decade: the probes add mean(t) +/- 2
     sd(t) at each anchor t times 1, 2 and 5.  The pdf is probed at the
-    same points but beta0, where at sigma0 = 0 it is infinite."""
+    same points but beta0, where at sigma0 = 0 it is infinite.  A window
+    narrower than _SLOPE_WINDOW |beta1| each side (sigma1 below 2e-11
+    |beta1| at the default k = 10) is a ParamError."""
 
     def __init__(self, params: MixtureParams, quad: QuadSpec = QuadSpec()):
         if params.ideal:
             raise ParamError("ideal-mode parameters make the mean law degenerate")
+        k = quad.mixing_range_sigmas
+        if k * params.sigma1 < _SLOPE_WINDOW * abs(params.beta1):
+            raise ParamError(
+                "sigma1 = %g is too small against beta1 = %g: the mean law's "
+                "slope window beta1 +- %g sigma1 must reach %g |beta1| either "
+                "side to be resolved in floats"
+                % (params.sigma1, params.beta1, k, _SLOPE_WINDOW))
         self.params = p = params
         self.quad = quad
-        k = quad.mixing_range_sigmas
         lo, hi = self._window = (p.beta1 - k * p.sigma1, p.beta1 + k * p.sigma1)
         anchors = [0.0] if lo < 0.0 < hi else []
         t = 10.0 ** math.floor(math.log10(max(-lo, hi)))
@@ -331,7 +372,7 @@ class VarianceMixture(_RuleLaw):
     def _kernel(self, x, u, want_pdf):
         v = np.exp(x)[:, None]
         if want_pdf:
-            out = ser.nc_chisq1_pdf(u[None, :] / v, self.lam)
+            out = ser.nc_chisq1_pdf(u[None, :] / v, self.lam, overwrite_w=True)
             out /= v
             return out
         # r = sqrt(u/V) once per block; both tails finish in place
@@ -378,29 +419,59 @@ _ROOT_SNAP = 1e-13   # Q within this of 1 (or of 0) counts as 1 (or 0)
 #   f_cond(u) = E_g[ y^{nu/2} e^{-y} ] / (u Gamma(nu/2)),  y = nu v^2/(2u);
 # the v-integrand is smooth at every (u, phi), unlike the W-form whose
 # transition sharpens like sqrt(u).
-def _gaussian_root_parts(u, nu, v2, h, want_pdf):
-    """sum_k h_k K(u; v_k) at u > 0 over a rule (v_k^2 = v2 ascending,
-    weights h), K the conditional t^2 pdf or CDF above.  Each u sums only
-    the band of nodes whose y lies between the snap points of Q; the nodes
-    below the band (Q within the snap of 1) add their weight whole to the
-    CDF."""
-    if h.size == 0:
-        return np.zeros_like(u)
-    y_lo = float(sp.gammainccinv(nu / 2.0, 1.0 - _ROOT_SNAP))
-    y_hi = float(sp.gammainccinv(nu / 2.0, _ROOT_SNAP))
-    with np.errstate(over="ignore"):      # an edge past the largest float
-        a = np.searchsorted(v2, (2.0 * y_lo / nu) * u, side="left")
-        b = np.searchsorted(v2, (2.0 * y_hi / nu) * u, side="right")
-    k = a[:, None] + np.arange(int(np.max(b - a, initial=0)))
-    in_band = k < b[:, None]
-    k = np.minimum(k, h.size - 1)
-    hk = np.where(in_band, h[k], 0.0)
-    y = (0.5 * nu) * v2[k] / np.where(in_band, u[:, None], 1.0)
-    if want_pdf:
-        lg = float(sp.gammaln(nu / 2.0))
-        return np.sum(hk * np.exp(0.5 * nu * np.log(y) - y - lg), axis=1) / u
-    below = np.concatenate([[0.0], np.cumsum(h)])
-    return below[a] + np.sum(hk * sp.gammaincc(nu / 2.0, y), axis=1)
+class _RootRule:
+    """A rule (v_k^2 = v2 ascending, weights h) of the Gaussian-root kernel
+    K at nu, with what every evaluation shares: the snap points of Q in y
+    and the weight below each node."""
+
+    def __init__(self, nu, v2, h):
+        self.nu, self.v2, self.h = nu, v2, h
+        self.y_lo = float(sp.gammainccinv(nu / 2.0, 1.0 - _ROOT_SNAP))
+        self.y_hi = float(sp.gammainccinv(nu / 2.0, _ROOT_SNAP))
+        self.log_gamma = float(sp.gammaln(nu / 2.0))
+        self.below = np.concatenate([[0.0], np.cumsum(h)])
+
+    def parts(self, u, want_pdf):
+        """sum_k h_k K(u; v_k) at u > 0, K the conditional t^2 pdf or CDF
+        above.  Each u sums only the band of nodes whose y lies between the
+        snap points of Q; the nodes below the band (Q within the snap of 1)
+        add their weight whole to the CDF.  The band x point tables are
+        built over chunks of points of at most _TABLE doubles."""
+        nu, v2 = self.nu, self.v2
+        with np.errstate(over="ignore"):      # an edge past the largest float
+            a = np.searchsorted(v2, (2.0 * self.y_lo / nu) * u, side="left")
+            b = np.searchsorted(v2, (2.0 * self.y_hi / nu) * u, side="right")
+        out = np.zeros_like(u) if want_pdf else self.below[a]
+        if self.h.size == 0:
+            return out
+        step = max(1, _TABLE // int(np.max(b - a, initial=1)))
+        for i in range(0, u.size, step):
+            at = slice(i, i + step)
+            out[at] += self._band(u[at], a[at], b[at], want_pdf)
+        return out
+
+    def _band(self, u, a, b, want_pdf):
+        """The band sums at u."""
+        nu = self.nu
+        k = a[:, None] + np.arange(int(np.max(b - a, initial=0)))
+        in_band = k < b[:, None]
+        np.minimum(k, self.h.size - 1, out=k)
+        hk = self.h[k]
+        hk[~in_band] = 0.0
+        y = self.v2[k]
+        del k
+        y *= 0.5 * nu
+        np.divide(y, u[:, None], out=y, where=in_band)    # finite off the band
+        if want_pdf:
+            t = np.log(y)
+            t *= 0.5 * nu
+            t -= y
+            t -= self.log_gamma
+            np.exp(t, out=t)
+        else:
+            t = sp.gammaincc(nu / 2.0, y, out=y)
+        t *= hk
+        return np.sum(t, axis=1) / u if want_pdf else np.sum(t, axis=1)
 
 
 class _ExtremeRule:
@@ -418,8 +489,9 @@ class _ExtremeRule:
     narrows like 1/sqrt(nu).  h at its nodes comes from the g-rule clipped
     to the tau window.  s_lo steps down from s_split by whole decades until
     P[s < s_lo] <= 1e-3 tol, so the dropped far-tail mass stays below
-    tol.  The rule is built on the first call that reaches its
-    u-range: below it every node's conditional CDF is within the snap of 0.
+    tol.  The rule is built once, under a lock, by the first point block
+    that reaches its u-range: below it every node's conditional CDF is
+    within the snap of 0.
     """
 
     def __init__(self, nu, root_d, lam0, s_split, tol):
@@ -439,8 +511,16 @@ class _ExtremeRule:
             v_min = root_d / s_split + _G_EDGES[0]     # > 0: D/s_split >= 20
             self._reach = nu * v_min ** 2 / (
                 2.0 * float(sp.gammainccinv(nu / 2.0, _ROOT_SNAP)))
+        self._built = None
+        self._lock = threading.Lock()
 
-    @functools.cached_property
+    def rule(self):
+        """The v-rule as a _RootRule, built on the first call."""
+        with self._lock:
+            if self._built is None:
+                self._built = _RootRule(self.nu, *self._nodes())
+        return self._built
+
     def _nodes(self):
         """(v^2 ascending, weights h) of the v-rule."""
         d, z = self.root_d, _G_EDGES[-1]
@@ -472,23 +552,31 @@ class _ExtremeRule:
         """The rule's share of the t^2 pdf or CDF at u > 0."""
         if np.max(u, initial=0.0) < self._reach:
             return np.zeros_like(u)
-        return _gaussian_root_parts(u, self.nu, *self._nodes, want_pdf)
+        return self.rule().parts(u, want_pdf)
 
 
 class _Sequence:
-    """f(j) for j = 0, 1, ..., evaluated by blocks on demand and kept."""
+    """f(j) for j = 0, 1, ..., evaluated by blocks on demand and kept.
+
+    Point blocks on other threads share it, so it grows under a lock.
+    Every caller climbs the rung ladder _MIN_TERMS, 2 _MIN_TERMS, ... one
+    rung at a time, so it grows by the same blocks of j whatever the
+    threads' timing."""
 
     def __init__(self, f=None):
         self._f = f
         self._v = np.zeros(0)
+        self._lock = threading.Lock()
 
     def _block(self, j):
         return self._f(j)
 
     def upto(self, j_hi):
         if j_hi > self._v.size:
-            new = self._block(np.arange(self._v.size, j_hi, dtype=float))
-            self._v = np.concatenate([self._v, new])
+            with self._lock:
+                if j_hi > self._v.size:
+                    new = self._block(np.arange(self._v.size, j_hi, dtype=float))
+                    self._v = np.concatenate([self._v, new])
         return self._v[:j_hi]
 
 
@@ -550,8 +638,11 @@ class _SeriesCoefs(_Sequence):
 
     def log_den(self, a, b):
         """log((j + a) B(j + a, b)) over j, kept like the coefficients."""
-        return self._den.setdefault((a, b), _Sequence(
-            lambda j: np.log(j + a) + ser.log_beta(j + a, b)))
+        den = self._den.get((a, b))
+        if den is None:
+            den = self._den.setdefault((a, b), _Sequence(
+                lambda j: np.log(j + a) + ser.log_beta(j + a, b)))
+        return den
 
 
 def _poisson_coefs(phi, w, tol):
@@ -604,11 +695,16 @@ def _beta_series(coefs, a, b, x, tol, j_hi, law, y=None):
     while True:
         c = coefs.upto(j_hi)[j_done:]
         k = np.arange(j_done, j_hi) + a
-        t = np.multiply.outer(k, log_x[active])      # log t_c, in place
-        t += b * log_y[active]
-        t -= coefs.log_den(a, b).upto(j_hi)[j_done:, None]
+        log_den = coefs.log_den(a, b).upto(j_hi)[j_done:, None]
         end = _betainc(j_hi + a, b, x[active], y[active])
-        out[active] += c.sum() * end + np.cumsum(c) @ np.exp(t, out=t)
+        c_sum, c_cum = c.sum(), np.cumsum(c)
+        step = max(1, _TABLE // k.size)      # points per table chunk
+        for i in range(0, active.size, step):
+            cols = active[i:i + step]
+            t = np.multiply.outer(k, log_x[cols])      # log t_c, in place
+            t += b * log_y[cols]
+            t -= log_den
+            out[cols] += c_sum * end[i:i + step] + c_cum @ np.exp(t, out=t)
         active = active[end * coefs.left_after(j_hi) > tol]
         if active.size == 0:
             return out
@@ -678,11 +774,16 @@ def _beta_density(parts, b, args, lead, tol, rel_tol):
                 rows[:, i, 0] = j + (a - 0.5)
                 rows[:, i, 2] = (np.log(j + a)
                                  - coefs.log_den(a, b).upto(j_hi)[j_done:])
+            rows = rows.reshape(-1, 3)
+            c = [coefs.upto(j_hi)[j_done:] for coefs, _ in parts]
             active = np.flatnonzero(live)
-            t = rows.reshape(-1, 3) @ cols[:, active]
-            np.exp(t, out=t)      # in place: about 5x faster than a new array
-            for i, (coefs, _) in enumerate(parts):
-                outs[i, active] += coefs.upto(j_hi)[j_done:] @ t[i::len(parts)]
+            step = max(1, _TABLE // len(rows))      # points per table chunk
+            for at in range(0, active.size, step):
+                pts = active[at:at + step]
+                t = rows @ cols[:, pts]
+                np.exp(t, out=t)  # in place: about 5x faster than a new array
+                for i, c_i in enumerate(c):
+                    outs[i, pts] += c_i @ t[i::len(parts)]
             # each first-part sum will end below outs[0] + bound
             most = np.maximum(np.minimum(tol, rel_tol * (outs[0] + bound)), _TINY)
             live &= bound > np.maximum(np.minimum(tol, rel_tol * outs[0]), _TINY)
@@ -766,6 +867,8 @@ class TsqMixture(_MixtureLaw):
     is exactly central F(1, nu) for every lambda.
     """
 
+    _pdf_block = _SERIES_BLOCK
+
     def __init__(self, nu: int, delta: float, lam: float,
                  quad: QuadSpec = QuadSpec()):
         require_finite(nu=nu, delta=delta, lam=lam)
@@ -830,6 +933,8 @@ class SignedTMixture(_MixtureLaw):
     noncentrality (s near 0) add the Gaussian-root t^2 kernel at u^2 for
     u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
     """
+
+    _pdf_block = _SERIES_BLOCK
 
     def __init__(self, nu: int, delta0: float, lambda0: float,
                  quad: QuadSpec = QuadSpec()):

@@ -28,10 +28,11 @@ of normals: the blocks are fixed by (rows, columns), never by the machine.
 A block draws its uniforms from a clone of the stream's Philox generator
 skipped ahead to its first uniform (Philox is counter-based, so the skip
 costs no draws), reduces them to per-row results, and the results are
-stacked in block order.  The blocks run on up to len(sched_getaffinity)
-threads; the output is bit-identical on any number of CPUs, and no block
-forms the whole normal, Z or Y matrix, so memory is O(replications) for
-every per-row statistic.
+stacked in block order.  The blocks run through ``parallel.thread_map``,
+the helper the mixture laws' point blocks also use, on up to
+len(sched_getaffinity) threads; the output is bit-identical on any number
+of CPUs, and no block forms the whole normal, Z or Y matrix, so memory is
+O(replications) for every per-row statistic.
 
 The t^2 statistic tests a null at fixed distance from the replication's
 conditional mean (distance |mu_y - mu_y0|/sqrt(n), i.e. abstract
@@ -45,8 +46,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,7 @@ from scipy import special as sp
 from .errors import DataError, ParamError, converted, require_finite
 from .model import MixtureParams
 from .oneway import _sums_of_squares
+from .parallel import thread_map
 
 _STREAMS = {
     "sample": 0,
@@ -227,14 +227,6 @@ def _std_normal(rng: np.random.Generator, shape):
     return sp.ndtri(u, out=u)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: the most block workers worth starting."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:              # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _skipped(state, offset: int) -> np.random.Generator:
     """A generator whose next uint64 is draw ``offset`` of the fresh Philox
     stream at ``state``: the counter steps once per 4 draws, so advance
@@ -272,7 +264,7 @@ def _map_blocks(rng: np.random.Generator, rows: int, cols: int, kernel):
     Block k holds rows [k R, (k + 1) R), R = max(1, _BLOCK_NORMALS // cols):
     the blocks depend on the shape only, so the output is the same on any
     number of CPUs.  Each block draws from a clone of rng skipped to its
-    first uniform, on up to _cpu_count() threads; rng itself does not move."""
+    first uniform (``parallel.thread_map``); rng itself does not move."""
     step = max(1, _BLOCK_NORMALS // cols)
     starts = range(0, rows, step)
     state = rng.bit_generator.state
@@ -281,11 +273,7 @@ def _map_blocks(rng: np.random.Generator, rows: int, cols: int, kernel):
         gen = _skipped(state, start * cols)
         return kernel(_std_normal(gen, (min(start + step, rows) - start, cols)))
 
-    workers = min(_cpu_count(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            return _stacked(rows, pool.map(block, starts))
-    return _stacked(rows, map(block, starts))
+    return _stacked(rows, thread_map(block, starts))
 
 
 def _draw_blocks(p: MixtureParams, cfg: McConfig, z_mean, z_sd: float,

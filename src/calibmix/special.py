@@ -23,21 +23,23 @@ from .errors import ParamError
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def nc_chisq1_pdf(w, lam):
+def nc_chisq1_pdf(w, lam, overwrite_w=False):
     """Density of the noncentral chi-squared law with 1 degree of freedom,
     in closed form: sqrt_ncchisq1_pdf(sqrt(w), sqrt(lam)) / (2 sqrt(w)).
     Nonpositive arguments return 0 by convention.  The result is built in
-    place: an array argument costs three arrays of its size."""
+    place: an array argument costs three arrays of its size, or two when
+    ``overwrite_w`` lets sqrt(w) replace w (a float array)."""
     if lam < 0:
         raise ParamError("noncentrality must be nonnegative")
     w = np.asarray(w, dtype=float)
-    root = np.maximum(w, 0.0, out=np.empty_like(w))
+    nonpositive = ~(w > 0)
+    root = np.maximum(w, 0.0, out=w if overwrite_w else np.empty_like(w))
     np.sqrt(root, out=root)
     out = sqrt_ncchisq1_pdf(root, math.sqrt(lam))
     root *= 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= root
-    out[~(w > 0)] = 0.0
+    out[nonpositive] = 0.0
     return float(out) if out.ndim == 0 else out
 
 

@@ -231,6 +231,15 @@ class TestDensity:
         glued = run_json(args + ["--grid=-5:15:20"], capsys)
         assert run_json(args + ["--grid", "-5:15:20"], capsys) == glued
 
+    def test_unresolvable_slope_window_exits_2(self, capsys):
+        # beta1 +- 10 sigma1 rounded to one float: a ValueError traceback
+        assert run(["density", "--dist", "mean", "--grid", "0:1:3", "--n", "5",
+                    "--beta0", "1", "--sigma0", "1", "--mu-z", "1",
+                    "--sigma-z", "1", "--beta1", "1e150", "--sigma1",
+                    "1e-10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "sigma1" in err
+
     def test_mean_density_uses_param_bundle(self, capsys):
         payload = run_json(["density", "--dist", "mean", "--grid",
                             "86:89:5"] + OCTANE_FLAGS, capsys)

@@ -9,7 +9,7 @@ from calibmix import (DataError, McConfig, MixtureParams, ParamError,
                       blindness_suite, blom_weights, diagnostic_report,
                       moment_ratios, residual_diagnostics, shapiro_type_w,
                       von_neumann_ratio)
-from calibmix import diagnostics, simulate
+from calibmix import diagnostics, parallel, simulate
 from calibmix.casestudy import octane_params
 from calibmix.diagnostics import sample_from_csv
 from calibmix.simulate import _std_normal, substream
@@ -225,7 +225,7 @@ class TestBlindnessSuite:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocked_suite_matches_one_call(self, workers, monkeypatch):
         # the suite rebuilt from one whole-matrix draw of each stream
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
         p = octane_params()
         reps = 3 * (simulate._BLOCK_NORMALS // (2 + p.n)) + 17
         cfg = McConfig(replications=reps, seed=8)
@@ -263,7 +263,7 @@ class TestBlindnessSuite:
     def test_memory_is_per_row(self, monkeypatch):
         # the whole-matrix suite peaked at 221 MB here: Y, Z, their
         # studentized residuals and the reference matrix, 2e5 x 20 each
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 4)
         p = MixtureParams(n=20, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=2.0,
                           beta1=1.0, sigma1=1.0)
         tracemalloc.start()

@@ -1,4 +1,8 @@
+import functools
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from calibmix import (AccuracyError, MixtureParams, ParamError,
                       variance_mixture)
 from calibmix.casestudy import moment_table_params, octane_params
 from calibmix import mixtures as mx
+from calibmix import parallel
 from calibmix import special as ser
 from calibmix.quadrature import PanelRule, gauss_legendre_nodes
 
@@ -533,8 +538,9 @@ class TestSignedTMixture:
         for phi in (6.0, 15.0):
             order = np.argsort((g + phi) ** 2)
             v2, h = ((g + phi) ** 2)[order], gw[order]
-            pdf_k = mx._gaussian_root_parts(y, nu, v2, h, want_pdf=True)
-            cdf_k = mx._gaussian_root_parts(y, nu, v2, h, want_pdf=False)
+            rule = mx._RootRule(nu, v2, h)
+            pdf_k = rule.parts(y, want_pdf=True)
+            cdf_k = rule.parts(y, want_pdf=False)
             assert np.max(np.abs(pdf_k - stats.ncf.pdf(y, 1, nu, phi ** 2))) < 1e-9
             assert np.max(np.abs(cdf_k - ser.ncf_cdf(y, 1.0, nu, phi * phi))) < 1e-9
             both = stats.nct.pdf(u, nu, phi) + stats.nct.pdf(-u, nu, phi)
@@ -815,7 +821,7 @@ class TestChi2MixingRule:
         assert core.s.min() >= ext.s_split and ext.s_lo <= ext.s_split
         below = special.ndtr(ext.s_lo - lam0) - special.ndtr(-ext.s_lo - lam0)
         assert below <= 1e-3 * quad.abs_tol
-        _, h = ext._nodes
+        h = ext.rule().h
         assert core.w.sum() + h.sum() + below == pytest.approx(1.0, abs=quad.abs_tol)
 
 
@@ -1149,3 +1155,158 @@ class TestLargeNuPdf:
             assert np.all(np.isfinite(f))
             assert integrate.simpson(f, x=u) == pytest.approx(
                 law.cdf(hi) - law.cdf(lo), abs=1e-7)
+
+
+class TestMeanWindow:
+    # beta1 +- 10 sigma1 rounded to one float at beta1 = 1e150, sigma1 = 1e-10
+    # and refine_panels raised ValueError (empty window); nearer the bound
+    # the rule raised AccuracyError or read a wrong CDF (0.42 for 0.32 at
+    # sigma1 = 1e-16 |beta1|)
+    @pytest.mark.parametrize("beta1,sigma1", [(1e150, 1e-10), (1.0, 1e-16),
+                                              (-3.7, 1e-11), (1.0, 0.0)])
+    def test_unresolvable_window_is_a_param_error(self, beta1, sigma1):
+        p = MixtureParams(n=5, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
+                          beta1=beta1, sigma1=max(sigma1, 5e-324))
+        with pytest.raises(ParamError, match="sigma1"):
+            mean_mixture(p)
+
+    def test_bound_scales_with_the_window(self):
+        p = MixtureParams(n=5, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
+                          beta1=1.0, sigma1=3e-11)
+        with pytest.raises(ParamError, match="beta1 \\+- 5 sigma1"):
+            mean_mixture(p, QuadSpec(mixing_range_sigmas=5.0))
+
+
+def block_grid(block, lo, hi, log=False):
+    """A grid of 4 blocks and a partial one."""
+    return (np.geomspace if log else np.linspace)(lo, hi, 4 * block + 17)
+
+
+SPIKE_LAW = functools.cache(lambda: mean_mixture(SPIKE))
+
+
+class TestThreadedBlocks:
+    """Point blocks run on every CPU: the tables are the same bits on 1, 2
+    and 3 workers, whatever the CPUs of the machine running the test."""
+
+    @pytest.mark.parametrize("build,lo,hi,log", [
+        (lambda: mean_mixture(octane_params()), 67.0, 107.0, False),
+        (SPIKE_LAW, 0.5, 3.5, False),
+        (lambda: variance_mixture(1, 0.5), 1e-8, 200.0, True),
+        (lambda: variance_mixture(10, OCT_LAM), 1e-3, 600.0, True),
+        (lambda: tsq_mixture(10, 3.0, 10.0953), 0.05, 60.0, False),
+        (lambda: tsq_mixture(1000, 9.0, 3.0), 0.05, 60.0, False),
+        (lambda: signed_t_mixture(10, 1.7, 3.2), -20.0, 100.0, False),
+        (lambda: signed_t_mixture(10, -1.7, 3.2), -100.0, 20.0, False),
+    ], ids=["mean", "spike", "variance-nu1", "variance-octane", "tsq",
+            "tsq-nu1000", "signed-t", "signed-t-mirror"])
+    def test_tables_equal_one_worker(self, build, lo, hi, log, monkeypatch):
+        law = build()
+        u_pdf = block_grid(law._pdf_block, lo, hi, log)
+        u_cdf = block_grid(law._cdf_block, lo, hi, log)
+        tables = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+            tables[workers] = law.pdf(u_pdf), law.cdf(u_cdf)
+        for workers in (2, 3):
+            for got, want in zip(tables[workers], tables[1]):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_large_rule_runs_its_blocks_one_at_a_time(self):
+        # a block of the spike bundle's 11616-node rule holds _BLOCK_SIZE
+        # doubles, the budget of all workers together
+        law = SPIKE_LAW()
+        assert law._block_doubles <= mx._BLOCK_SIZE < 2 * law._block_doubles
+
+    def test_racing_threads_grow_the_serial_coefficients(self):
+        # upto extends under a lock, and every caller climbs the rung
+        # ladder, so the sequences grow by the same blocks of j (and drop
+        # the same live nodes) however the threads interleave: more threads
+        # than CPUs, switching every microsecond
+        ladder = [mx._MIN_TERMS]
+        while ladder[-1] < 1280:
+            ladder.append(min(2 * ladder[-1], ladder[-1] + mx._TERM_BLOCK))
+        core = lambda: mx._NoncentralT(10.0, 3.0, 3.2, QuadSpec())
+        serial = core()
+        for j_hi in ladder:
+            serial.m.upto(j_hi), serial.n.upto(j_hi)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                raced = core()
+                start = threading.Barrier(4)
+
+                def climb():
+                    start.wait(timeout=10.0)
+                    for j_hi in ladder:
+                        raced.m.upto(j_hi), raced.n.upto(j_hi)
+                threads = [threading.Thread(target=climb) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                    assert not t.is_alive()
+                for c, want in ((raced.m, serial.m), (raced.n, serial.n)):
+                    assert np.array_equal(c.upto(ladder[-1]),
+                                          want.upto(ladder[-1]))
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_blocks_see_the_callers_errstate(self, workers, monkeypatch):
+        monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+        seen = []
+
+        def block(u):
+            seen.append(np.geterr()["over"])
+            return u
+        with np.errstate(over="ignore"):
+            mx._evaluate(block, np.arange(3000.0), 1.0, 512, 1)
+        assert len(seen) == 6 and set(seen) == {"ignore"}
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log(lo), np.log(hi)).map(np.exp)
+
+
+def signed(magnitude):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(
+        lambda t: t[0] * t[1])
+
+
+class TestThreadedTablesProperty:
+    """Mean and variance laws at log-uniform parameters, on grids of 3
+    blocks: pdf finite and >= 0, CDF nondecreasing in [0, 1], and the
+    tables of 2 workers the bits of 1."""
+
+    @staticmethod
+    def check(law, u):
+        tables = {}
+        for workers in (1, 2):
+            with mock.patch.object(parallel, "cpu_count", lambda: workers):
+                tables[workers] = law.pdf(u), law.cdf(u)
+        pdf, cdf = tables[1]
+        assert np.all(np.isfinite(pdf)) and np.all(pdf >= 0.0)
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= -1e-12)    # rounding of the node sum
+        assert all(np.array_equal(a, b) for a, b in zip(tables[2], tables[1]))
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(2, 100), beta0=st.floats(-10.0, 10.0),
+           sigma0=log_uniform(1e-2, 10.0), mu_z=signed(log_uniform(1e-2, 1e2)),
+           sigma_z=log_uniform(1e-2, 10.0),
+           beta1=signed(log_uniform(1e-2, 1e2)), sigma1=log_uniform(1e-3, 10.0))
+    def test_mean_law(self, n, beta0, sigma0, mu_z, sigma_z, beta1, sigma1):
+        law = mean_mixture(MixtureParams(n=n, beta0=beta0, sigma0=sigma0,
+                                         mu_z=mu_z, sigma_z=sigma_z,
+                                         beta1=beta1, sigma1=sigma1))
+        lo, hi = law.support()
+        self.check(law, np.linspace(lo, hi, 2 * law._cdf_block + 77))
+
+    @settings(max_examples=8, deadline=None)
+    @given(nu=log_uniform(1.0, 1e3).map(round), lam=log_uniform(1e-3, 400.0))
+    def test_variance_law(self, nu, lam):
+        law = variance_mixture(nu, lam)
+        self.check(law, np.geomspace(1e-6, law.support()[1],
+                                     2 * law._cdf_block + 77))

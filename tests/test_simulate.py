@@ -25,7 +25,7 @@ from calibmix import (CalibrationDesign, DataError, McConfig, MixtureParams,
 from calibmix.casestudy import octane_params
 from calibmix.diagnostics import (moment_ratios_batch, shapiro_type_w_batch,
                                   von_neumann_ratio_batch)
-from calibmix import simulate
+from calibmix import parallel, simulate
 from calibmix.simulate import (_f_statistics, _std_normal, _variance_summary,
                                dump_samples_csv, reference_gaussian_samples)
 
@@ -301,7 +301,7 @@ def three_blocks_and_17(cols):
 def test_blocked_draws_match_one_call(stat, mode, workers, monkeypatch):
     # the blocks are fixed by the shape, so any worker count gives the
     # bits of one whole-matrix call
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
     p = octane_params()
     design = TestFullMode.DESIGN if mode == "full" else None
     lead = 2 if design is None else design.n0
@@ -313,7 +313,7 @@ def test_blocked_draws_match_one_call(stat, mode, workers, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_blocked_reference_samples_match_one_call(workers, monkeypatch):
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
     cfg = McConfig(replications=three_blocks_and_17(7), seed=6)
     want = _std_normal(substream(6, simulate._STREAMS["gaussian_ref"]),
                        (cfg.replications, 7))
@@ -332,7 +332,7 @@ def _traced_peak_mb(fn):
 def test_s2_memory_is_per_row(monkeypatch):
     # the whole-matrix draw peaked at 102 MB here: normals, Z and Y of
     # 2e5 x 22.  Blocked, it is the 1.6 MB output plus a block per worker
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 4)
     p = MixtureParams(n=20, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=2.0,
                       beta1=1.0, sigma1=1.0)
     peak = _traced_peak_mb(lambda: mc_statistic_distribution(

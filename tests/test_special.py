@@ -36,6 +36,13 @@ class TestNcChisq1Pdf:
         out = nc_chisq1_pdf(np.array([-1.0, 1.0]), 2.0)
         assert out[0] == 0.0 and out[1] > 0
 
+    def test_overwriting_w_keeps_the_bits(self):
+        # the variance law's pdf hands its u/V table over, saving one table
+        w = np.array([[-1.0, 0.0, 1e-300, 0.5], [2.0, 30.0, 1e3, np.inf]])
+        want = nc_chisq1_pdf(w, 2.0)
+        assert np.array_equal(nc_chisq1_pdf(w.copy(), 2.0, overwrite_w=True),
+                              want)
+
     def test_matches_half_normal_form(self):
         # 2 s p(s^2) equals the shifted half-normal density of sqrt(W)
         lam0 = 1.7
