@@ -32,13 +32,18 @@ of the core, the Gaussian-root identity u = nu (g + phi)^2 / W, smooth at
 any parameter point where the series would need j ~ phi^2 terms.  (s, g)
 enter it only through v = g + D/s, so those draws collapse to one weighted
 rule in v, built once per evaluator; each evaluation sums a band of v-nodes
-per point.  The signed law reads that t^2 kernel at u^2: its
+per point, with the conditional CDF's upper incomplete gamma Q(nu/2, y) in
+closed form (a finite sum) wherever nu/2 is a moderate integer or
+half-integer.  The signed law reads that t^2 kernel at u^2: its
 extreme draws put less than Phi(-20) of their mass below 0.  The
 incomplete-beta CDF series run by recurrence from one betainc per point per
 block of terms, from the rung that certifies the block's smallest x; their
 derivatives sum one exp table per block of terms.  Every law evaluates its
 points in fixed blocks, and each block finishes its node x point or term x
-point table in place, so memory stays bounded whatever the grid size.  The
+point table in place, so memory stays bounded whatever the grid size.  A
+rule law's block evaluates its kernel only on the node rows whose values
+over the block are not exactly 0 or 1 (a Gaussian tail in floats), and
+writes those as constants, so the table and its sum are the same bits.  The
 blocks, fixed by the input alone, run on every CPU the process may use
 through ``parallel.thread_map`` (the Monte Carlo engine's helper too), so
 the tables are the same bits on any CPU count.
@@ -67,14 +72,14 @@ _MIN_TERMS = 20              # first block of every noncentral-t series
 _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
 # Points per evaluation block.  A rule law takes fewer points per block once
 # it has more than 4096 nodes, so that its node x point table holds at most
-# _BLOCK_SIZE doubles (16 MB).  The noncentral-t pdfs take _SERIES_BLOCK
-# points, so that their per-block tail bounds are shared by more points;
-# their CDFs keep _POINT_BLOCK, since a CDF block climbs to the rung of its
-# smallest x and a wider block would regroup each point's terms.  Both
-# build their term x point and band x point tables over chunks of points
-# of at most _TABLE doubles.  _BLOCK_SIZE is the budget of all block
-# workers together: a law runs at most _BLOCK_SIZE // (doubles of one
-# block's table) blocks at once.
+# _BLOCK_SIZE doubles (16 MB).  The noncentral-t pdfs and CDFs take
+# _SERIES_BLOCK points, so that their per-block tail bounds and rung climbs
+# are shared by more points (a CDF block climbs to the rung of its smallest
+# x, so its size moves a point's CDF by rounding only).  They build
+# their term x point and band x point tables over chunks of points of at
+# most _TABLE doubles.  _BLOCK_SIZE is the budget of all block workers
+# together: a law runs at most _BLOCK_SIZE // (doubles of one block's
+# table) blocks at once.
 _POINT_BLOCK = 512
 _SERIES_BLOCK = 4096
 _BLOCK_SIZE = 2 ** 21
@@ -220,16 +225,23 @@ _PROBE_POINTS = 40
 # |beta1|: a narrower window holds too few floats to place a rule's nodes on
 # (an empty window, an AccuracyError or a silently wrong CDF)
 _SLOPE_WINDOW = 2e-10
+# a rule law's kernel argument a from which its CDF is exactly 1.0 (a >=
+# _ONE) or 0.0 (a <= -_ZERO), and its pdf 0.0 (|a| >= _ZERO); blocks from
+# _SKIP_FROM points on skip those rows
+_ONE, _ZERO = 8.5, 38.7
+_SKIP_FROM = 64
 
 
 class _RuleLaw(_MixtureLaw):
     """One Gauss rule in the mixing variable x, built by local subdivision
     (``refine_panels``) and certified on the mixing mass, on the CDF at
     probe points ``cdf_u`` and on the pdf at ``pdf_u``, plus the law's
-    ``_mixing_pdf(x)``, ``_window`` and ``_kernel(x, u, want_pdf)``
-    (conditional pdf or CDF, shape (len(x), len(u))).  The probe is the
-    integrand mixing_pdf(x) kernel(x, u), so that the builder sums it per
-    panel; each pdf probe holds to abs_tol or to rel_tol of itself."""
+    ``_mixing_pdf(x)``, ``_window``, ``_kernel(x, u, want_pdf)``
+    (conditional pdf or CDF, shape (len(x), len(u))) and the kernels'
+    argument ``_argument(x, u)``, which rises with u (see ``_table``).  The
+    probe is the integrand mixing_pdf(x) kernel(x, u), so that the builder
+    sums it per panel; each pdf probe holds to abs_tol or to rel_tol of
+    itself."""
 
     def _refine(self, anchors, cdf_u, pdf_u):
         def probe(x):
@@ -245,10 +257,48 @@ class _RuleLaw(_MixtureLaw):
         self._block_doubles = self._cdf_block * self._x.size
 
     def _pdf(self, u):
-        return self._w @ self._kernel(self._x, u, True)
+        return self._w @ self._table(u, True)
 
     def _cdf(self, u):
-        return self._w @ self._kernel(self._x, u, False)
+        return self._w @ self._table(u, False)
+
+    def _table(self, u, want_pdf):
+        """The node x point kernel table at u, evaluating the kernel only on
+        the node rows whose values are not known over [min u, max u].
+
+        Both kernels are functions of an argument a (``_argument``) that
+        rises with u: the CDF is exactly 1.0 from a = _ONE and 0.0 up to
+        a = -_ZERO, and the pdf exactly 0.0 from |a| = _ZERO.  (With the
+        installed scipy and numpy, ndtr reads 1.0 from 8.2924 and 0.0 up to
+        -37.677, exp(-a^2/2) reads 0.0 from |a| = 38.604, and the variance
+        CDF's difference of two ndtr reads 1.0 from 8.2926; the edges keep
+        a margin.)  a at the block's two ends comes from the kernel's own
+        arithmetic, which is monotone in u, so each row written as a
+        constant holds the value the kernel would have given, and the one
+        ``w @ table`` product sums the same table.  Rows are selected by
+        index: scipy.special ufuncs called with ``where=`` segfault with
+        numpy 2.4.6 and scipy 1.17.1.  Blocks of fewer than _SKIP_FROM
+        points (scalar calls, quantile grids) evaluate the whole table."""
+        x = self._x
+        if u.size < _SKIP_FROM:
+            return self._kernel(x, u, want_pdf)
+        lo, hi = self._argument(x, np.array([np.min(u), np.max(u)])).T
+        zero = hi <= -_ZERO
+        if want_pdf:
+            zero |= lo >= _ZERO
+            one = np.zeros_like(zero)
+        else:
+            one = lo >= _ONE
+        known = zero | one
+        if not known.any():
+            return self._kernel(x, u, want_pdf)
+        table = np.empty((x.size, u.size))
+        table[zero] = 0.0
+        table[one] = 1.0
+        rows = np.flatnonzero(~known)
+        if rows.size:
+            table[rows] = self._kernel(x[rows], u, want_pdf)
+        return table
 
 
 class MeanMixture(_RuleLaw):
@@ -305,19 +355,23 @@ class MeanMixture(_RuleLaw):
         sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
         return p.beta0 + t * p.mu_z, sd
 
-    def _kernel(self, t, u, want_pdf):
+    def _argument(self, t, u):
+        """z = (u - mean(t)) / sd(t), node x point."""
         p = self.params
-        sd = self._conditional(t)[1][:, None]
-        # u - beta0 first: exact near beta0, where sigma0 = 0 puts a spike.
-        # z is the block's one node x point array; the kernel finishes in it
+        # u - beta0 first: exact near beta0, where sigma0 = 0 puts a spike
         z = np.subtract((u - p.beta0)[None, :], (t * p.mu_z)[:, None])
-        z /= sd
+        z /= self._conditional(t)[1][:, None]
+        return z
+
+    def _kernel(self, t, u, want_pdf):
+        # z is the block's one node x point array; the kernel finishes in it
+        z = self._argument(t, u)
         if not want_pdf:
             return sp.ndtr(z, out=z)
         z *= z
         z *= -0.5
         np.exp(z, out=z)
-        z /= sd * math.sqrt(2.0 * math.pi)
+        z /= self._conditional(t)[1][:, None] * math.sqrt(2.0 * math.pi)
         return z
 
     def support(self):
@@ -369,15 +423,25 @@ class VarianceMixture(_RuleLaw):
         a = self.nu / 2.0
         return np.exp(a * (x - math.log(2.0)) - 0.5 * np.exp(x) - sp.gammaln(a))
 
+    def _root(self, x, u):
+        """r = sqrt(u/V) (0 at u <= 0), node x point, as both kernels form it."""
+        r = np.divide(np.clip(u, 0.0, None)[None, :], np.exp(x)[:, None])
+        return np.sqrt(r, out=r)
+
+    def _argument(self, x, u):
+        """r - lambda0, node x point."""
+        r = self._root(x, u)
+        r -= math.sqrt(self.lam)
+        return r
+
     def _kernel(self, x, u, want_pdf):
-        v = np.exp(x)[:, None]
         if want_pdf:
+            v = np.exp(x)[:, None]
             out = ser.nc_chisq1_pdf(u[None, :] / v, self.lam, overwrite_w=True)
             out /= v
             return out
         # r = sqrt(u/V) once per block; both tails finish in place
-        r = np.divide(np.clip(u, 0.0, None)[None, :], v)
-        np.sqrt(r, out=r)
+        r = self._root(x, u)
         lam0 = math.sqrt(self.lam)
         below = np.negative(r)
         below -= lam0
@@ -412,6 +476,9 @@ def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> Varian
 _G_EDGES = np.linspace(-8.6, 8.6, 17)   # panels of the Gaussian root g
 _G_ORDER = 10
 _ROOT_SNAP = 1e-13   # Q within this of 1 (or of 0) counts as 1 (or 0)
+# largest nu/2 whose Q takes the finite sums: they cost about 0.8 ns per
+# term and entry, gammaincc 200-290 ns per entry, so they cross near 300
+_Q_SUM_MAX = 256
 
 
 # u = nu X / W with X = (g + phi)^2 = v^2, g ~ N(0,1), W ~ chi2_nu, so
@@ -469,9 +536,40 @@ class _RootRule:
             t -= self.log_gamma
             np.exp(t, out=t)
         else:
-            t = sp.gammaincc(nu / 2.0, y, out=y)
+            y[~in_band] = 0.0     # the finite sums overflow far off the band
+            t = self._upper_gamma(y)
         t *= hk
         return np.sum(t, axis=1) / u if want_pdf else np.sum(t, axis=1)
+
+    def _upper_gamma(self, y):
+        """Q(nu/2, y), built in y's place.  Where nu/2 is an integer m,
+        Q = e^{-y} sum_{i<m} y^i/i!, and where it is m + 1/2,
+        Q = erfc(sqrt y) + e^{-y} sum_{i=1}^{m} y^{i-1/2}/Gamma(i + 1/2)
+        (DLMF 8.4), each sum by Horner from its last term.  Over
+        the snap band these agree with gammaincc to about 5e-15 up to
+        nu/2 = _Q_SUM_MAX and cost less; above it, or at a nu that is not
+        a whole number, gammaincc serves."""
+        a = 0.5 * self.nu
+        m = math.floor(a)
+        if a > _Q_SUM_MAX or self.nu != math.floor(self.nu):
+            return sp.gammaincc(a, y, out=y)
+        half = a - m
+        if half and m == 0:
+            return sp.erfc(np.sqrt(y, out=y), out=y)
+        s = np.ones_like(y)
+        for i in range(m - 1, 0, -1):     # 1 + y/(i + half) (1 + ...)
+            s *= y
+            s *= 1.0 / (i + half)
+            s += 1.0
+        if half:
+            root = np.sqrt(y)
+            s *= root
+            s *= 2.0 / math.sqrt(math.pi)     # 1/Gamma(3/2)
+        np.negative(y, out=y)
+        s *= np.exp(y, out=y)
+        if half:
+            s += sp.erfc(root, out=root)
+        return s
 
 
 class _ExtremeRule:
@@ -867,7 +965,7 @@ class TsqMixture(_MixtureLaw):
     is exactly central F(1, nu) for every lambda.
     """
 
-    _pdf_block = _SERIES_BLOCK
+    _pdf_block = _cdf_block = _SERIES_BLOCK
 
     def __init__(self, nu: int, delta: float, lam: float,
                  quad: QuadSpec = QuadSpec()):
@@ -934,7 +1032,7 @@ class SignedTMixture(_MixtureLaw):
     u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
     """
 
-    _pdf_block = _SERIES_BLOCK
+    _pdf_block = _cdf_block = _SERIES_BLOCK
 
     def __init__(self, nu: int, delta0: float, lambda0: float,
                  quad: QuadSpec = QuadSpec()):

@@ -168,13 +168,9 @@ class MixtureParams:
             if self.sigma1 <= 0:
                 raise ParamError("sigma1 must be positive (use ideal=True for the "
                                  "known-coefficients case)")
-        try:        # every law squares these scales; var_y holds each square
-            var_y = self.var_y
-        except OverflowError:
-            var_y = math.inf
-        if not math.isfinite(var_y):
-            raise ParamError("var_y = kappa2 sigma_z^2 + sigma0^2 + sigma1^2 "
-                             "mu_z^2 overflows a double")
+        # every law squares these scales; var_y holds each square
+        _finite(lambda: self.var_y,
+                "var_y = kappa2 sigma_z^2 + sigma0^2 + sigma1^2 mu_z^2")
 
     @property
     def kappa2(self) -> float:
@@ -212,15 +208,33 @@ class DerivedParams:
     delta: float | None = None
 
 
+def _finite(value, name):
+    """value(), or a ParamError naming ``name`` where it overflows a double
+    (Python's float ** raises OverflowError there, and / by an underflowed
+    square ZeroDivisionError)."""
+    try:
+        v = value()
+    except (OverflowError, ZeroDivisionError):
+        v = math.inf
+    if not math.isfinite(v):
+        raise ParamError("%s overflows a double" % name)
+    return v
+
+
 def derive_params(p: MixtureParams, mu_y0: float | None = None) -> DerivedParams:
     """Compute kappa2, lambda, nu, the mean/variance structure and, when a
-    null mean is supplied, the t^2 noncentrality delta."""
-    lam = None if p.ideal else (p.beta1 / p.sigma1) ** 2
+    null mean is supplied, the t^2 noncentrality delta.  A lambda or delta
+    that overflows a double is a ParamError."""
+    lam = None if p.ideal else _finite(lambda: (p.beta1 / p.sigma1) ** 2,
+                                       "lambda = (beta1/sigma1)^2")
     delta = None
     if mu_y0 is not None:
         if p.ideal:
             raise ParamError("delta is undefined in ideal mode (sigma1 = 0)")
-        delta = (p.mu_y - mu_y0) ** 2 / (p.sigma1 ** 2 * p.sigma_z ** 2)
+        require_finite(mu_y0=mu_y0)
+        delta = _finite(lambda: (p.mu_y - mu_y0) ** 2
+                        / (p.sigma1 ** 2 * p.sigma_z ** 2),
+                        "delta = (mu_y - mu_y0)^2 / (sigma1^2 sigma_z^2)")
     var_ybar = (p.kappa2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2
                 + p.sigma1 ** 2 * p.mu_z ** 2)
     return DerivedParams(

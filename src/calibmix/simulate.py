@@ -52,7 +52,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DataError, ParamError, converted, require_finite
-from .model import MixtureParams
+from .model import MixtureParams, derive_params
 from .oneway import _sums_of_squares
 from .parallel import thread_map
 
@@ -391,8 +391,7 @@ def mc_statistic_distribution(p: MixtureParams, statistic: str, cfg: McConfig,
         if (mu_y0 is None) == (delta is None):
             raise ParamError("tsq needs exactly one of mu_y0 or delta")
         if delta is None:
-            require_finite(mu_y0=mu_y0)
-            delta = (p.mu_y - mu_y0) ** 2 / (p.sigma1 ** 2 * p.sigma_z ** 2)
+            delta = derive_params(p, mu_y0).delta
         require_finite(delta=delta)
         if delta < 0:
             raise ParamError("delta must be nonnegative")

@@ -103,6 +103,23 @@ class TestRegion:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "var_y" in err
 
+    def test_overflowing_lambda_exits_2(self, capsys):
+        # (beta1/sigma1) ** 2 raised OverflowError: a traceback, exit 1
+        assert run(["moments", "--n", "5", "--beta0", "1", "--sigma0", "1",
+                    "--mu-z", "1", "--sigma-z", "1", "--beta1", "1e150",
+                    "--sigma1", "1e-10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "lambda" in err
+
+    def test_overflowing_delta_exits_2(self, capsys):
+        # (mu_y - mu_y0) ** 2 raised OverflowError: a traceback, exit 1
+        assert run(["simulate", "--statistic", "tsq", "--mu-y0=-1e200",
+                    "--replications", "100", "--seed", "1", "--n", "5",
+                    "--beta0", "1", "--sigma0", "1", "--mu-z", "1",
+                    "--sigma-z", "1", "--beta1", "1", "--sigma1", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "delta" in err
+
     def test_removed_series_flags_exit_1(self, capsys):
         assert run(["region", "--dist", "variance", "--nu", "10", "--lam", "1",
                     "--coverage", "0.9", "--series-terms-inner", "30"]) == 1

@@ -1,4 +1,5 @@
 import functools
+import math
 import sys
 import threading
 import tracemalloc
@@ -866,6 +867,35 @@ class TestExtremeRule:
             assert ev.cdf(u) == pytest.approx(1.0, abs=ev.quad.abs_tol)
 
 
+class TestClosedFormQ:
+    """Q(nu/2, y) of the extreme band: finite sums for every integer and
+    half-integer nu/2 up to _Q_SUM_MAX, gammaincc elsewhere."""
+
+    def test_matches_gammaincc_over_the_snap_band(self):
+        for nu in range(1, 2 * mx._Q_SUM_MAX + 1):
+            rule = mx._RootRule(float(nu), np.zeros(0), np.zeros(0))
+            y = np.linspace(rule.y_lo, rule.y_hi, 401)
+            want = special.gammaincc(nu / 2.0, y)
+            assert np.max(np.abs(rule._upper_gamma(y) - want)) <= 1e-14, nu
+
+    @pytest.mark.parametrize("nu", [10.5, 2.0 * mx._Q_SUM_MAX + 1.0])
+    def test_gammaincc_serves_elsewhere(self, nu):
+        rule = mx._RootRule(nu, np.zeros(0), np.zeros(0))
+        y = np.linspace(rule.y_lo, rule.y_hi, 101)
+        assert np.array_equal(rule._upper_gamma(y.copy()),
+                              special.gammaincc(nu / 2.0, y))
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 11.0, 200.0])
+    def test_off_band_entries_stay_finite(self, nu):
+        # off the band y is v^2 nu/2 undivided, up to 5e13 here, where the
+        # sums overflow and e^{-y} is 0
+        v2 = np.geomspace(1e-3, 1e12, 400)
+        rule = mx._RootRule(nu, v2, np.full(v2.size, 1.0 / v2.size))
+        f = rule.parts(np.geomspace(1e-6, 1e14, 300), want_pdf=False)
+        assert np.all(np.isfinite(f)) and np.all((f >= 0.0) & (f <= 1.0 + 1e-12))
+        assert np.all(np.diff(f) >= -1e-12)
+
+
 class TestBetaSeries:
     @settings(max_examples=60, deadline=None)
     @given(a=st.sampled_from([0.5, 1.0]), nu=st.floats(1.0, 200.0),
@@ -1051,6 +1081,29 @@ class TestInPlaceKernels:
         with np.errstate(divide="ignore", invalid="ignore"):
             want = np.where(w > 0, half_normal / (2.0 * root), 0.0) / v
         assert np.array_equal(vm._kernel(x, u, True), want)
+
+
+class TestSaturationEdges:
+    """The edges past which the rule laws' kernels are written as constants,
+    against the installed scipy and numpy, on dense grids out to +-1e3."""
+
+    def test_ndtr(self):
+        assert np.all(special.ndtr(np.linspace(mx._ONE, 1e3, 2_000_001)) == 1.0)
+        assert np.all(special.ndtr(np.linspace(-1e3, -mx._ZERO, 2_000_001))
+                      == 0.0)
+
+    def test_gaussian_density(self):
+        # the mean pdf kernel's own arithmetic
+        z = np.concatenate([np.linspace(mx._ZERO, 1e3, 2_000_001),
+                            np.linspace(-1e3, -mx._ZERO, 2_000_001)])
+        z *= z
+        z *= -0.5
+        assert np.all(np.exp(z) == 0.0)
+
+    @pytest.mark.parametrize("lam0", np.linspace(0.0, 30.0, 31))
+    def test_variance_cdf_kernel(self, lam0):
+        r = np.linspace(mx._ONE, 1e3, 200_001) + lam0
+        assert np.all(special.ndtr(r - lam0) - special.ndtr(-r - lam0) == 1.0)
 
 
 def test_t2_block_climbs_the_ladder_once(monkeypatch):
@@ -1266,6 +1319,38 @@ class TestThreadedBlocks:
         assert len(seen) == 6 and set(seen) == {"ignore"}
 
 
+class TestRowSkip:
+    """Rule-law tables that skip their known rows equal the unskipped
+    w @ kernel(x, u) block by block, also on shuffled abscissae and on
+    blocks that straddle the edges or lie wholly past them."""
+
+    @pytest.mark.parametrize("build,lo,hi,log", [
+        (lambda: mean_mixture(octane_params()), 40.0, 135.0, False),
+        (SPIKE_LAW, -1.0, 6.0, False),
+        (lambda: variance_mixture(1, 0.5), 1e-12, 1e4, True),
+        (lambda: variance_mixture(10, OCT_LAM), 1e-4, 3e3, True),
+    ], ids=["mean", "spike", "variance-nu1", "variance-octane"])
+    def test_tables_equal_the_whole_kernel(self, build, lo, hi, log,
+                                           monkeypatch):
+        law = build()
+        kernel, rows = law._kernel, []
+
+        def spy(x, u, want_pdf):
+            rows.append(x.size)
+            return kernel(x, u, want_pdf)
+        monkeypatch.setattr(law, "_kernel", spy)
+        u = block_grid(law._cdf_block, lo, hi, log)
+        for grid in (u, np.random.default_rng(7).permutation(u)):
+            for want_pdf, table in ((True, law.pdf(grid)), (False, law.cdf(grid))):
+                want = np.concatenate([
+                    law._w @ kernel(law._x, grid[i:i + law._cdf_block], want_pdf)
+                    for i in range(0, grid.size, law._cdf_block)])
+                if not want_pdf:
+                    np.clip(want, 0.0, 1.0, out=want)
+                assert np.array_equal(table, want)
+        assert min(rows) < law._x.size        # some rows were skipped
+
+
 def log_uniform(lo, hi):
     return st.floats(np.log(lo), np.log(hi)).map(np.exp)
 
@@ -1276,8 +1361,8 @@ def signed(magnitude):
 
 
 class TestThreadedTablesProperty:
-    """Mean and variance laws at log-uniform parameters, on grids of 3
-    blocks: pdf finite and >= 0, CDF nondecreasing in [0, 1], and the
+    """Every law at log-uniform parameters, on grids of 2 CDF blocks and 77
+    points: pdf finite and >= 0, CDF nondecreasing in [0, 1], and the
     tables of 2 workers the bits of 1."""
 
     @staticmethod
@@ -1310,3 +1395,50 @@ class TestThreadedTablesProperty:
         law = variance_mixture(nu, lam)
         self.check(law, np.geomspace(1e-6, law.support()[1],
                                      2 * law._cdf_block + 77))
+
+    @staticmethod
+    def reach(law, u_max):
+        """A grid end past the extreme rule's reach (the band's closed-form
+        Q runs there), or u_max where the law has no extreme rule."""
+        reach = law._core.ext._reach
+        return u_max if math.isinf(reach) else max(u_max, 4.0 * reach)
+
+    @settings(max_examples=6, deadline=None)
+    @given(nu=log_uniform(1.0, 200.0).map(round), delta=log_uniform(1e-2, 40.0),
+           lam=log_uniform(1e-2, 60.0))
+    @example(nu=10, delta=3.0, lam=10.0)
+    @example(nu=11, delta=0.5, lam=1.0)
+    def test_tsq_law(self, nu, delta, lam):
+        law = tsq_mixture(nu, delta, lam)
+        self.check(law, np.geomspace(1e-3, self.reach(law, 1e3),
+                                     2 * law._cdf_block + 77))
+
+    @settings(max_examples=6, deadline=None)
+    @given(nu=log_uniform(1.0, 200.0).map(round),
+           delta0=signed(log_uniform(0.1, 6.0)), lambda0=log_uniform(0.1, 8.0))
+    @example(nu=10, delta0=1.7, lambda0=3.2)
+    @example(nu=11, delta0=-0.7, lambda0=1.0)
+    def test_signed_t_law(self, nu, delta0, lambda0):
+        law = signed_t_mixture(nu, delta0, lambda0)
+        hi = math.sqrt(self.reach(law, 1e6))
+        half = np.geomspace(1e-3, hi, law._cdf_block + 38)
+        self.check(law, np.concatenate([-half[::-1], [0.0], half]))
+
+
+class TestSignedIntervalProperty:
+    """P[-sqrt(u) <= t0 <= sqrt(u)] on the signed law is the t^2 law's CDF
+    at u, below and above the extreme rule's reach."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(nu=log_uniform(1.0, 200.0).map(round), delta=log_uniform(1e-2, 40.0),
+           lam=log_uniform(1e-2, 60.0))
+    @example(nu=10, delta=1.0, lam=9.0)
+    def test_interval_is_the_tsq_cdf(self, nu, delta, lam):
+        st_ = signed_t_mixture(nu, math.sqrt(delta), math.sqrt(lam))
+        tm = tsq_mixture(nu, delta, lam)
+        reach = tm._core.ext._reach
+        u = np.geomspace(1e-3, 1e4, 9)
+        if math.isfinite(reach):
+            u = np.concatenate([u, reach * np.array([0.5, 0.99, 1.01, 3.0, 1e3])])
+        root = np.sqrt(u)
+        assert np.max(np.abs(st_.cdf(root) - st_.cdf(-root) - tm.cdf(u))) <= 1e-9

@@ -170,6 +170,22 @@ class TestDeriveParams:
             MixtureParams(n=5, beta0=1.0, sigma0=1.0, mu_z=1.0,
                           sigma_z=1e154, beta1=1e154, sigma1=1.0)
 
+    @pytest.mark.parametrize("beta1,sigma1", [(1e150, 1e-10), (1e10, 1e-300)])
+    def test_overflowing_lambda_rejected(self, beta1, sigma1):
+        # (beta1/sigma1) ** 2 raised OverflowError, or beta1/sigma1 read inf
+        p = MixtureParams(n=5, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
+                          beta1=beta1, sigma1=sigma1)
+        with pytest.raises(ParamError, match="lambda"):
+            derive_params(p)
+
+    @pytest.mark.parametrize("mu_y0", [-1e200, 1e300])
+    def test_overflowing_delta_rejected(self, mu_y0):
+        p = MixtureParams(n=5, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
+                          beta1=1.0, sigma1=1.0)
+        with pytest.raises(ParamError, match="delta"):
+            derive_params(p, mu_y0=mu_y0)
+        assert derive_params(p, mu_y0=-1e150).delta == pytest.approx(1e300)
+
     def test_ideal_mode(self):
         p = MixtureParams(n=5, beta0=1.0, sigma0=0.0, mu_z=2.0, sigma_z=1.0,
                           beta1=3.0, sigma1=0.0, ideal=True)
