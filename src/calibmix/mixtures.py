@@ -296,8 +296,7 @@ class _RuleLaw(_MixtureLaw):
         table[zero] = 0.0
         table[one] = 1.0
         rows = np.flatnonzero(~known)
-        if rows.size:
-            table[rows] = self._kernel(x[rows], u, want_pdf)
+        table[rows] = self._kernel(x[rows], u, want_pdf)
         return table
 
 
