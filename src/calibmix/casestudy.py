@@ -28,6 +28,10 @@ STUDY_SIGMA0 = 0.1846
 STUDY_BETA1 = 1.8546
 STUDY_SIGMA1 = 0.5837
 STUDY_N = 11
+# the t^2 test's level, and the squared distance (mu_y - mu_y0)^2 of its
+# null mean from the mean
+STUDY_ALPHA = 0.05
+STUDY_SQUARED_MEAN_SHIFT = 1.0
 
 # the naive normal-theory intervals quoted by the study
 STUDY_NAIVE_MEAN_INTERVAL = (86.184, 88.376)
@@ -60,12 +64,11 @@ def octane_data() -> CalibrationData:
     return CalibrationData(tuple(zip(OCTANE_X, OCTANE_U)))
 
 
-def octane_params(n: int = STUDY_N, mu_z: float = 0.0,
-                  sigma_z: float = 1.0) -> MixtureParams:
-    """Canonical mixture parameters of the octane study (new readings
-    standard normal on the centered purity scale)."""
-    return MixtureParams(n=n, beta0=STUDY_BETA0, sigma0=STUDY_SIGMA0,
-                         mu_z=mu_z, sigma_z=sigma_z, beta1=STUDY_BETA1,
+def octane_params() -> MixtureParams:
+    """Canonical mixture parameters of the octane study (n = STUDY_N new
+    readings, standard normal on the centered purity scale)."""
+    return MixtureParams(n=STUDY_N, beta0=STUDY_BETA0, sigma0=STUDY_SIGMA0,
+                         mu_z=0.0, sigma_z=1.0, beta1=STUDY_BETA1,
                          sigma1=STUDY_SIGMA1)
 
 
@@ -75,14 +78,13 @@ def moment_table_params():
             for (n, b0, s0, mz, sz, b1, s1) in MOMENT_TABLE_PARAMS]
 
 
-def case_study_report(quad: QuadSpec = QuadSpec(), alpha: float = 0.05,
-                      squared_mean_shift: float = 1.0) -> dict:
+def case_study_report(quad: QuadSpec = QuadSpec()) -> dict:
     """Full octane pipeline: fit, corrected regions for the mean and the
     sample variance, E(S_Y^2), and the t^2 operating characteristic at the
     canonical noncentralities."""
     fit = fit_calibration(octane_data())
     p = octane_params()
-    d = derive_params(p, mu_y0=p.mu_y - math.sqrt(squared_mean_shift))
+    d = derive_params(p, mu_y0=p.mu_y - math.sqrt(STUDY_SQUARED_MEAN_SHIFT))
     ev_mean = mean_mixture(p, quad)
     mean_region = probability_region(ev_mean, 0.95)
     naive_cov = interval_coverage(ev_mean, *STUDY_NAIVE_MEAN_INTERVAL)
@@ -95,7 +97,7 @@ def case_study_report(quad: QuadSpec = QuadSpec(), alpha: float = 0.05,
     naive_var_cov = interval_coverage(ev_var, d.nu * s2_lo / scale,
                                       d.nu * s2_hi / scale)
 
-    oc = operating_characteristics(d.nu, d.delta, d.lam, alpha, quad)
+    oc = operating_characteristics(d.nu, d.delta, d.lam, STUDY_ALPHA, quad)
     return {
         "schema_version": "1",
         "fitted_line": dataclasses.asdict(fit),
@@ -106,7 +108,8 @@ def case_study_report(quad: QuadSpec = QuadSpec(), alpha: float = 0.05,
         "derived": {
             "kappa2": d.kappa2, "lambda": d.lam, "nu": d.nu,
             "delta": d.delta, "mu_y": d.mu_y, "var_y": d.var_y,
-            "var_ybar": d.var_ybar, "squared_mean_shift": squared_mean_shift,
+            "var_ybar": d.var_ybar,
+            "squared_mean_shift": STUDY_SQUARED_MEAN_SHIFT,
         },
         "mean": {
             "region_95": [mean_region.lower, mean_region.upper],
@@ -125,8 +128,8 @@ def case_study_report(quad: QuadSpec = QuadSpec(), alpha: float = 0.05,
             "naive_interval_coverage": naive_var_cov,
         },
         "tsq_test": {
-            "alpha": alpha,
-            "critical": tsq_critical(d.nu, alpha),
+            "alpha": STUDY_ALPHA,
+            "critical": tsq_critical(d.nu, STUDY_ALPHA),
             "delta": d.delta,
             "lambda": d.lam,
             "nonrejection_prob": oc.nonrejection_prob,
@@ -136,7 +139,7 @@ def case_study_report(quad: QuadSpec = QuadSpec(), alpha: float = 0.05,
     }
 
 
-def power_table_report(quad: QuadSpec = QuadSpec(), alpha: float = 0.05) -> dict:
+def power_table_report(quad: QuadSpec = QuadSpec()) -> dict:
     """The study's operating-characteristic grid."""
     return power_table_payload(STUDY_N - 1, POWER_TABLE_DELTAS,
-                               POWER_TABLE_LAMBDAS, alpha, quad)
+                               POWER_TABLE_LAMBDAS, STUDY_ALPHA, quad)

@@ -79,7 +79,6 @@ def _add_output_args(sp):
 def _add_quad_args(sp):
     sp.add_argument("--abs-tol", type=float)
     sp.add_argument("--rel-tol", type=float)
-    sp.add_argument("--mixing-range-sigmas", type=float)
 
 
 def _add_param_args(sp):

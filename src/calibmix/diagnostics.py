@@ -71,20 +71,13 @@ def residual_diagnostics(y) -> ResidualSet:
                        r_student=r_student)
 
 
-def von_neumann_ratio(r, b_kind="successive-difference"):
-    """Ratio U = R'BR/R'R; the default B is the successive-difference form
-    sum (R_{i+1} - R_i)^2.  A custom symmetric matrix may be passed instead.
-    Scale-invariant by construction."""
+def von_neumann_ratio(r):
+    """Ratio U = R'BR/R'R with B the successive-difference form:
+    R'BR = sum (R_{i+1} - R_i)^2.  Scale-invariant by construction."""
     r = np.asarray(r, dtype=float)
-    rr = float(np.dot(r, r))
-    if rr == 0.0:
+    if float(np.dot(r, r)) == 0.0:
         raise ParamError("zero residual vector")
-    if isinstance(b_kind, str):
-        if b_kind != "successive-difference":
-            raise ParamError("unknown B matrix kind %r" % b_kind)
-        return float(von_neumann_ratio_batch(r[None, :])[0])
-    bmat = np.asarray(b_kind, dtype=float)
-    return float(r @ bmat @ r) / rr
+    return float(von_neumann_ratio_batch(r[None, :])[0])
 
 
 def blom_weights(n: int):
@@ -99,23 +92,14 @@ def blom_weights(n: int):
     return m / math.sqrt(float(np.dot(m, m)))
 
 
-def shapiro_type_w(y, weights=None):
+def shapiro_type_w(y):
     """Regression-type normality statistic W = (sum w_i Y_(i))^2/((n-1) S^2)
-    for a fixed zero-sum weight vector (default: blom_weights)."""
+    with the zero-sum weights w = blom_weights(n)."""
     y = np.asarray(y, dtype=float)
-    n = y.size
-    if weights is None:
-        weights = blom_weights(n)
-    w = np.asarray(weights, dtype=float)
-    if w.size != n:
-        raise ParamError("weights length %d does not match sample size %d"
-                         % (w.size, n))
-    if np.all(w == 0.0):
-        raise ParamError("weights must not be all zero")
-    if abs(float(w.sum())) > 1e-8 * float(np.abs(w).sum()):
-        raise ParamError("weights must sum to zero")
+    if y.size < 3:
+        raise ParamError("need at least 3 observations")
     _residuals(y)
-    return float(shapiro_type_w_batch(y[None, :], w)[0])
+    return float(shapiro_type_w_batch(y[None, :])[0])
 
 
 def moment_ratios(y):
@@ -133,10 +117,9 @@ def moment_ratios(y):
 # The scalar statistics above check their input and then evaluate these on
 # one row; the Monte Carlo engine and blindness_suite evaluate them on many.
 
-def shapiro_type_w_batch(y, weights=None):
+def shapiro_type_w_batch(y):
     y = np.asarray(y, dtype=float)
-    n = y.shape[1]
-    w = blom_weights(n) if weights is None else np.asarray(weights, dtype=float)
+    w = blom_weights(y.shape[1])
     d = y - y.mean(axis=1, keepdims=True)
     # the centred sample, sorted: w sums to zero, so sum w_i Y_(i) is the
     # same, but the uncentred terms cancel when a row's spread is small
@@ -206,7 +189,7 @@ class DiagnosticReport:
         }
 
 
-def diagnostic_report(y, weights=None) -> DiagnosticReport:
+def diagnostic_report(y) -> DiagnosticReport:
     y = np.asarray(y, dtype=float)
     if y.size < 4:
         raise ParamError("need at least 4 observations for the full battery")
@@ -215,7 +198,7 @@ def diagnostic_report(y, weights=None) -> DiagnosticReport:
     return DiagnosticReport(
         n=y.size,
         von_neumann_ratio=von_neumann_ratio(res.residuals),
-        shapiro_type_w=shapiro_type_w(y, weights),
+        shapiro_type_w=shapiro_type_w(y),
         b1=b1,
         b2=b2,
         studentized=tuple(float(v) for v in res.studentized),

@@ -136,7 +136,7 @@ class _MixtureLaw:
 
     # points per block of the pdf and of the CDF, and the most doubles
     # that one block's tables hold
-    _pdf_block = _cdf_block = _POINT_BLOCK
+    _block = _POINT_BLOCK
     _block_doubles = _TABLE
     _line = None
 
@@ -145,12 +145,12 @@ class _MixtureLaw:
             "%s=%r" % kv for kv in vars(self).items() if kv[0][0] != "_"))
 
     def pdf(self, u):
-        scalar, out = _evaluate(self._pdf, u, 0.0, self._pdf_block,
+        scalar, out = _evaluate(self._pdf, u, 0.0, self._block,
                                 self._block_doubles)
         return float(out[0]) if scalar else out
 
     def cdf(self, u):
-        scalar, out = _evaluate(self._cdf, u, 1.0, self._cdf_block,
+        scalar, out = _evaluate(self._cdf, u, 1.0, self._block,
                                 self._block_doubles)
         np.clip(out, 0.0, 1.0, out=out)
         return float(out[0]) if scalar else out
@@ -221,9 +221,12 @@ class _MixtureLaw:
 # ----------------------------------------------------------------------
 
 _PROBE_POINTS = 40
-# least half-width of the mean law's slope window beta1 +/- k sigma1, over
-# |beta1|: a narrower window holds too few floats to place a rule's nodes on
-# (an empty window, an AccuracyError or a silently wrong CDF)
+# the mean law's slope window is beta1 +/- _SLOPE_SIGMAS sigma1: the
+# Gaussian mass beyond it, 2 Phi(-10) ~ 1.5e-23, is far below any abs_tol.
+# Its least half-width over |beta1|: a narrower window holds too few floats
+# to place a rule's nodes on (an empty window, an AccuracyError or a
+# silently wrong CDF)
+_SLOPE_SIGMAS = 10.0
 _SLOPE_WINDOW = 2e-10
 # a rule law's kernel argument a from which its CDF is exactly 1.0 (a >=
 # _ONE) or 0.0 (a <= -_ZERO), and its pdf 0.0 (|a| >= _ZERO); blocks from
@@ -252,9 +255,8 @@ class _RuleLaw(_MixtureLaw):
                              split_at=tuple(anchors), probe=probe)
         self._x = rule.nodes
         self._w = rule.weights * self._mixing_pdf(rule.nodes)
-        self._pdf_block = self._cdf_block = min(_POINT_BLOCK,
-                                                _BLOCK_SIZE // self._x.size)
-        self._block_doubles = self._cdf_block * self._x.size
+        self._block = min(_POINT_BLOCK, _BLOCK_SIZE // self._x.size)
+        self._block_doubles = self._block * self._x.size
 
     def _pdf(self, u):
         return self._w @ self._table(u, True)
@@ -312,12 +314,12 @@ class MeanMixture(_RuleLaw):
     sd(t) at each anchor t times 1, 2 and 5.  The pdf is probed at the
     same points but beta0, where at sigma0 = 0 it is infinite.  A window
     narrower than _SLOPE_WINDOW |beta1| each side (sigma1 below 2e-11
-    |beta1| at the default k = 10) is a ParamError."""
+    |beta1|) is a ParamError."""
 
     def __init__(self, params: MixtureParams, quad: QuadSpec = QuadSpec()):
         if params.ideal:
             raise ParamError("ideal-mode parameters make the mean law degenerate")
-        k = quad.mixing_range_sigmas
+        k = _SLOPE_SIGMAS
         if k * params.sigma1 < _SLOPE_WINDOW * abs(params.beta1):
             raise ParamError(
                 "sigma1 = %g is too small against beta1 = %g: the mean law's "
@@ -450,7 +452,8 @@ class VarianceMixture(_RuleLaw):
         return r
 
     def support(self):
-        w_hi = ser.sqrt_mixing_upper(math.sqrt(self.lam)) ** 2
+        w_hi = ser.sqrt_mixing_upper(math.sqrt(self.lam),
+                                     1e-3 * self.quad.abs_tol) ** 2
         return 0.0, math.exp(self._window[1]) * w_hi
 
     def _start(self, prob):
@@ -761,29 +764,28 @@ def _betainc(p, b, x, y):
     return out
 
 
-def _beta_series(coefs, a, b, x, tol, j_hi, law, y=None):
+def _beta_series(coefs, a, b, x, y, tol, law):
     """sum_j c_j I_x(j + a, b) per x, certified to tol: I_x falls as j grows,
     so the coefficient mass not yet reached times the next I_x bounds the
-    tail.  y = 1 - x, formed directly by callers whose x comes near 1
-    (1 - x where it is omitted).
+    tail.  y = 1 - x, formed directly by the callers, whose x comes near 1.
 
     A block [j0, j1) needs one betainc per x, the I_{j1} = I_x(j1 + a, b)
     that bounds the tail: the recurrence I_x(c, b) = I_x(c + 1, b) + t_c,
     t_c = x^c y^b / (c B(c, b)), runs down from it, so
     sum_j c_j I_j = I_{j1} sum_j c_j + sum_k t_k sum_{j <= k} c_j, a sum of
     nonnegative terms over one exp table.  I_x rises in x, so no point
-    certifies at a rung of the ladder j_hi, 2 j_hi, ... below the one that
-    certifies the block's smallest x: the series climbs to that rung first
-    (up to _TERM_BLOCK terms), with one betainc per rung.  Each point so
-    stops at the rung it would reach climbing alone, from one betainc per
-    point per block from that rung on."""
-    y = 1.0 - x if y is None else y
+    certifies at a rung of the ladder _MIN_TERMS, 2 _MIN_TERMS, ... below
+    the one that certifies the block's smallest x: the series climbs to
+    that rung first (up to _TERM_BLOCK terms), with one betainc per rung.
+    Each point so stops at the rung it would reach climbing alone, from one
+    betainc per point per block from that rung on."""
     out = np.zeros_like(x)
     active = np.arange(x.size)
     with np.errstate(divide="ignore"):
         log_x, log_y = np.log(x), np.log(y)
 
     lowest = np.argsort(x)[:1]          # none when x is empty
+    j_hi = _MIN_TERMS
     while 2 * j_hi <= _TERM_BLOCK and np.any(
             _betainc(j_hi + a, b, x[lowest], y[lowest])
             * coefs.left_after(j_hi) > tol):
@@ -914,7 +916,8 @@ class _NoncentralT:
 
     def __init__(self, nu, root_d, lam0, quad):
         self.nu, self.quad = nu, quad
-        s_hi = ser.sqrt_mixing_upper(lam0)
+        # the mixing mass beyond s_hi stays 1e-3 below abs_tol
+        s_hi = ser.sqrt_mixing_upper(lam0, 1e-3 * quad.abs_tol)
         s_split = min(root_d / _NCT_SERIES_PHI_MAX, s_hi / 2.0)
         # series nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on [s_split, s_hi],
         # weighted by the density phi(s - lam0) + phi(s + lam0)
@@ -964,7 +967,7 @@ class TsqMixture(_MixtureLaw):
     is exactly central F(1, nu) for every lambda.
     """
 
-    _pdf_block = _cdf_block = _SERIES_BLOCK
+    _block = _SERIES_BLOCK
 
     def __init__(self, nu: int, delta: float, lam: float,
                  quad: QuadSpec = QuadSpec()):
@@ -996,9 +999,8 @@ class TsqMixture(_MixtureLaw):
         up = u[pos]
         out[pos] = (self._core.ext.parts(up, want_pdf=False)
                     + _beta_series(self._core.m, 0.5, self.nu / 2.0,
-                                   up / (up + self.nu), self.quad.abs_tol,
-                                   _MIN_TERMS, "t^2 mixture",
-                                   self.nu / (up + self.nu)))
+                                   up / (up + self.nu), self.nu / (up + self.nu),
+                                   self.quad.abs_tol, "t^2 mixture"))
         return out
 
     def _start(self, prob):
@@ -1031,7 +1033,7 @@ class SignedTMixture(_MixtureLaw):
     u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
     """
 
-    _pdf_block = _cdf_block = _SERIES_BLOCK
+    _block = _SERIES_BLOCK
 
     def __init__(self, nu: int, delta0: float, lambda0: float,
                  quad: QuadSpec = QuadSpec()):
@@ -1070,10 +1072,10 @@ class SignedTMixture(_MixtureLaw):
         # 1 - x formed on its own: far out x rounds to a few values near 1
         x, y, _, _ = self._args(u)
         out = (core.cdf0
-               + 0.5 * np.sign(u) * _beta_series(core.m, 0.5, nu / 2.0, x, tol,
-                                                 _MIN_TERMS, "signed-t", y)
-               + 0.5 * _beta_series(core.n, 1.0, nu / 2.0, x, tol,
-                                    _MIN_TERMS, "signed-t", y))
+               + 0.5 * np.sign(u) * _beta_series(core.m, 0.5, nu / 2.0, x, y,
+                                                 tol, "signed-t")
+               + 0.5 * _beta_series(core.n, 1.0, nu / 2.0, x, y, tol,
+                                    "signed-t"))
         # u^2 kept a normal float: below 1e-308 no extreme draw reaches it,
         # and P[t0^2 > 1e308] is far below abs_tol
         up = np.clip(u[u > 0], 1e-154, 1e154)

@@ -24,6 +24,11 @@ _GL_ORDER = 16
 _MAX_PANELS = 8192
 _PANEL_BLOCK = 64  # panels per evaluation: 3072 nodes x probe columns
 _ITP_SLACK = 2     # n0: ITP steps allowed beyond bisection's count
+# the least abs_tol.  The signed-t CDF series certify to 1e-3 abs_tol, and
+# far out, where I_x is about 1, only once the coefficient mass left reads
+# below that; the rounding of that mass reached 3.9e-15 over 1600 laws, so
+# below about 4e-12 a law can fail at random (at 1e-12 two of 240 did)
+_ABS_TOL_FLOOR = 1e-11
 
 
 @dataclass(frozen=True)
@@ -31,24 +36,22 @@ class QuadSpec:
     """Accuracy knobs for mixture quadrature and series truncation.
 
     Panel rules refine until their probes agree to ``abs_tol`` plus
-    ``rel_tol`` times their scale; the Gaussian mixing window spans
-    ``mixing_range_sigmas`` standard deviations either side.  Every series
-    kernel starts from a fixed minimum term count and escalates until its
-    tail bound drops below ``abs_tol``; the noncentral-t pdf series also
-    hold to ``rel_tol`` of themselves.
+    ``rel_tol`` times their scale.  Every series kernel starts from a fixed
+    minimum term count and escalates until its tail bound drops below
+    ``abs_tol``; the noncentral-t pdf series also hold to ``rel_tol`` of
+    themselves.  An abs_tol below _ABS_TOL_FLOOR = 1e-11 is a ParamError.
     """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    mixing_range_sigmas: float = 10.0
 
     def __post_init__(self):
-        require_finite(abs_tol=self.abs_tol, rel_tol=self.rel_tol,
-                       mixing_range_sigmas=self.mixing_range_sigmas)
+        require_finite(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ParamError("quadrature tolerances must be positive")
-        if self.mixing_range_sigmas <= 0:
-            raise ParamError("mixing_range_sigmas must be positive")
+        if self.abs_tol < _ABS_TOL_FLOOR:
+            raise ParamError("abs_tol = %g is below the least certified "
+                             "tolerance %g" % (self.abs_tol, _ABS_TOL_FLOOR))
 
 
 @functools.cache

@@ -462,41 +462,46 @@ def dump_samples_csv(path, name, values) -> None:
 # Kolmogorov-Smirnov utilities
 # ----------------------------------------------------------------------
 
-def _require_pinned_band(alpha, **sizes):
-    if alpha != 0.01:
-        raise ParamError("only the alpha=0.01 band constant 1.63 is pinned")
+# the KS bands' constant: the asymptotic Kolmogorov quantile at alpha = 0.01
+_KS_C = 1.63
+
+
+def _require_sizes(**sizes):
     for name, size in sizes.items():
         if not size >= 1:
             raise ParamError("%s must be at least 1, got %r" % (name, size))
 
 
-def ks_band(n: int, alpha: float = 0.01) -> float:
+def ks_band(n: int) -> float:
     """Asymptotic one-sample KS acceptance band 1.63/sqrt(n) at alpha=0.01."""
-    _require_pinned_band(alpha, n=n)
-    return 1.63 / math.sqrt(n)
+    _require_sizes(n=n)
+    return _KS_C / math.sqrt(n)
 
 
-def ks_two_sample_band(n: int, m: int, alpha: float = 0.01) -> float:
+def ks_two_sample_band(n: int, m: int) -> float:
     """Two-sample KS acceptance band 1.63 sqrt((n + m)/(n m)) at alpha=0.01."""
-    _require_pinned_band(alpha, n=n, m=m)
-    return 1.63 * math.sqrt((n + m) / (n * m))
+    _require_sizes(n=n, m=m)
+    return _KS_C * math.sqrt((n + m) / (n * m))
 
 
 # a bracketed KS distance stops refining once every gap's bound is within
 # this of the best exact distance found
 _KS_SLACK = 1e-5
+# its first evaluation grid (points), and the tail fraction left out of
+# the core at each end
+_KS_GRID = 1024
+_KS_TAIL = 1e-4
 
 
-def ks_distance(sample, dist, *, grid_points: int = 1024,
-                tail_frac: float = 1e-4) -> float:
+def ks_distance(sample, dist) -> float:
     """Certified upper bound on the one-sample KS distance against a model
     CDF, at most 1e-5 above the exact distance.
 
     The model CDF F is evaluated only at sorted sample points x_(i) of the
-    core (the samples between the extreme tail_frac quantiles): first at
-    every n // grid_points-th core sample and both core ends.  F is
-    monotone, so for two evaluated indices a < b every sample strictly
-    between them has
+    core (the samples between the extreme _KS_TAIL = 1e-4 quantiles):
+    first at every n // _KS_GRID-th core sample (_KS_GRID = 1024) and both
+    core ends.  F is monotone, so for two evaluated indices a < b every
+    sample strictly between them has
         D_j <= max(b/n - F_a, F_b - (a+1)/n).
     Each evaluated point gives its D_j exactly; every gap whose bound
     exceeds the best of these by more than 1e-5 is split at its middle
@@ -509,23 +514,20 @@ def ks_distance(sample, dist, *, grid_points: int = 1024,
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise DataError("sample[%d] is not finite: %r" % (bad[0], x[bad[0]]))
-    if not 0.0 <= tail_frac < 0.5:
-        raise ParamError("tail_frac must lie in [0, 0.5), got %r" % (tail_frac,))
-    if grid_points < 2:
-        raise ParamError("grid_points must be at least 2, got %r" % (grid_points,))
     x = np.sort(x)
     n = x.size
-    lo_i = int(math.floor(tail_frac * n))
+    lo_i = int(math.floor(_KS_TAIL * n))
     hi_i = n - 1 - lo_i
     if hi_i - lo_i < 2:
-        raise DataError("sample of %d too small for tail_frac=%g" % (n, tail_frac))
+        raise DataError("sample of %d too small: fewer than 3 points "
+                        "between its 1e-4 tails" % n)
     if x[hi_i] <= x[lo_i]:
         raise DataError("degenerate sample: its core is one value")
 
     def cdf(idx):
         return np.clip(np.atleast_1d(dist.cdf(x[idx])), 0.0, 1.0)
 
-    idx = np.union1d(np.arange(lo_i, hi_i + 1, max(1, n // grid_points)), [hi_i])
+    idx = np.union1d(np.arange(lo_i, hi_i + 1, max(1, n // _KS_GRID)), [hi_i])
     f = cdf(idx)
     left_allow = max(lo_i / n, float(f[0]))
     right_allow = max(1.0 - (hi_i + 1) / n, 1.0 - float(f[-1]))

@@ -60,7 +60,7 @@ def sqrt_ncchisq1_pdf(s, lambda0):
     return out
 
 
-def sqrt_mixing_upper(lambda0: float, eps: float = 1e-12) -> float:
+def sqrt_mixing_upper(lambda0: float, eps: float) -> float:
     """Upper integration limit for the sqrt-chi2 mixing variable: the
     (1 - eps) quantile of |N(lambda0, 1)| is below lambda0 + z(eps/2)."""
     return lambda0 + float(sp.ndtri(1.0 - 0.5 * eps))

@@ -124,6 +124,18 @@ class TestRegion:
         assert run(["region", "--dist", "variance", "--nu", "10", "--lam", "1",
                     "--coverage", "0.9", "--series-terms-inner", "30"]) == 1
 
+    def test_removed_mixing_range_flag_exits_1(self, capsys):
+        assert run(["region", "--dist", "variance", "--nu", "10", "--lam", "1",
+                    "--coverage", "0.9", "--mixing-range-sigmas", "5"]) == 1
+
+    def test_abs_tol_below_the_floor_exits_2(self, capsys):
+        # at 1e-13 this law's CDF series gave up at 120000 terms (exit 3)
+        assert run(["density", "--dist", "signed-t", "--nu", "10", "--delta0",
+                    "2", "--lambda0", "3", "--grid", "0:1000:5",
+                    "--abs-tol", "1e-13"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "abs_tol" in err
+
     def test_config_echo_keys(self, capsys):
         payload = run_json(["region", "--dist", "tsq", "--nu", "10",
                             "--delta", "1", "--lam", "2", "--coverage", "0.9"],
@@ -133,8 +145,7 @@ class TestRegion:
                                "quadrature"]
         assert (cfg["dist"], cfg["nu"], cfg["delta"], cfg["lam"]) == (
             "tsq", 10, 1.0, 2.0)
-        assert sorted(cfg["quadrature"]) == ["abs_tol", "mixing_range_sigmas",
-                                             "rel_tol"]
+        assert sorted(cfg["quadrature"]) == ["abs_tol", "rel_tol"]
 
     def test_signed_t_region_at_nu_one(self, capsys):
         payload = run_json(["region", "--dist", "signed-t", "--nu", "1",

@@ -8,8 +8,7 @@ import pytest
 from calibmix import (McConfig, MixtureParams, ParamError, interval_coverage,
                       mc_inconsistency_curve, nc_chisq1_pdf, ncf_cdf,
                       operating_characteristics, ordering_probe,
-                      probability_region, tsq_mixture, variance_mixture,
-                      von_neumann_ratio)
+                      probability_region, tsq_mixture, variance_mixture)
 from calibmix.cli import run
 
 SITES = {
@@ -25,8 +24,6 @@ SITES = {
         "tsq-in-lambda", [1.0], [], nu=5),
     "nc_chisq1_pdf-noncentrality": lambda: nc_chisq1_pdf(1.0, -1.0),
     "ncf_cdf-noncentrality": lambda: ncf_cdf(1.0, 1, 5, -1.0),
-    "von_neumann_ratio-b_kind": lambda: von_neumann_ratio(
-        [1.0, -1.0, 0.5], b_kind="nope"),
     # one replication leaves the standard error undefined (it printed NaN)
     "mc_inconsistency_curve-one-replication": lambda: mc_inconsistency_curve(
         MixtureParams(n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,

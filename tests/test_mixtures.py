@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from calibmix import (AccuracyError, MixtureParams, ParamError,
@@ -17,7 +17,7 @@ from calibmix.casestudy import moment_table_params, octane_params
 from calibmix import mixtures as mx
 from calibmix import parallel
 from calibmix import special as ser
-from calibmix.quadrature import PanelRule, gauss_legendre_nodes
+from calibmix.quadrature import _ABS_TOL_FLOOR, PanelRule, gauss_legendre_nodes
 
 CRIT = 4.9646027437307145  # F(1,10) 0.95 quantile
 OCT_LAM = (1.8546 / 0.5837) ** 2
@@ -633,12 +633,11 @@ class TestQuadSpec:
         with pytest.raises(ValueError):
             QuadSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
-            QuadSpec(mixing_range_sigmas=-1.0)
+            QuadSpec(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadSpec(abs_tol=np.nan)
 
-    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol",
-                                       "mixing_range_sigmas"])
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_quadspec_rejects_non_finite(self, field, value):
         with pytest.raises(ParamError, match=field):
@@ -908,8 +907,8 @@ class TestBetaSeries:
         x = np.array(x)
         coefs = lambda: mx._poisson_coefs(np.array([phi]), np.array([1.0]),
                                           1e-12)
-        got = mx._beta_series(coefs(), a, nu / 2.0, x, 1e-12, 16, "test")
-        want = betainc_series(coefs(), a, nu / 2.0, x, 1e-12, 16)
+        got = mx._beta_series(coefs(), a, nu / 2.0, x, 1.0 - x, 1e-12, "test")
+        want = betainc_series(coefs(), a, nu / 2.0, x, 1e-12, mx._MIN_TERMS)
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -1224,10 +1223,12 @@ class TestMeanWindow:
             mean_mixture(p)
 
     def test_bound_scales_with_the_window(self):
+        # the window is beta1 +- 10 sigma1, so the bound sits at sigma1 =
+        # 2e-11 |beta1|
         p = MixtureParams(n=5, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
-                          beta1=1.0, sigma1=3e-11)
-        with pytest.raises(ParamError, match="beta1 \\+- 5 sigma1"):
-            mean_mixture(p, QuadSpec(mixing_range_sigmas=5.0))
+                          beta1=1.0, sigma1=1.9e-11)
+        with pytest.raises(ParamError, match="beta1 \\+- 10 sigma1"):
+            mean_mixture(p)
 
 
 def block_grid(block, lo, hi, log=False):
@@ -1255,12 +1256,11 @@ class TestThreadedBlocks:
             "tsq-nu1000", "signed-t", "signed-t-mirror"])
     def test_tables_equal_one_worker(self, build, lo, hi, log, monkeypatch):
         law = build()
-        u_pdf = block_grid(law._pdf_block, lo, hi, log)
-        u_cdf = block_grid(law._cdf_block, lo, hi, log)
+        u = block_grid(law._block, lo, hi, log)
         tables = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
-            tables[workers] = law.pdf(u_pdf), law.cdf(u_cdf)
+            tables[workers] = law.pdf(u), law.cdf(u)
         for workers in (2, 3):
             for got, want in zip(tables[workers], tables[1]):
                 assert np.array_equal(got, want, equal_nan=True)
@@ -1339,12 +1339,12 @@ class TestRowSkip:
             rows.append(x.size)
             return kernel(x, u, want_pdf)
         monkeypatch.setattr(law, "_kernel", spy)
-        u = block_grid(law._cdf_block, lo, hi, log)
+        u = block_grid(law._block, lo, hi, log)
         for grid in (u, np.random.default_rng(7).permutation(u)):
             for want_pdf, table in ((True, law.pdf(grid)), (False, law.cdf(grid))):
                 want = np.concatenate([
-                    law._w @ kernel(law._x, grid[i:i + law._cdf_block], want_pdf)
-                    for i in range(0, grid.size, law._cdf_block)])
+                    law._w @ kernel(law._x, grid[i:i + law._block], want_pdf)
+                    for i in range(0, grid.size, law._block)])
                 if not want_pdf:
                     np.clip(want, 0.0, 1.0, out=want)
                 assert np.array_equal(table, want)
@@ -1387,14 +1387,14 @@ class TestThreadedTablesProperty:
                                          mu_z=mu_z, sigma_z=sigma_z,
                                          beta1=beta1, sigma1=sigma1))
         lo, hi = law.support()
-        self.check(law, np.linspace(lo, hi, 2 * law._cdf_block + 77))
+        self.check(law, np.linspace(lo, hi, 2 * law._block + 77))
 
     @settings(max_examples=8, deadline=None)
     @given(nu=log_uniform(1.0, 1e3).map(round), lam=log_uniform(1e-3, 400.0))
     def test_variance_law(self, nu, lam):
         law = variance_mixture(nu, lam)
         self.check(law, np.geomspace(1e-6, law.support()[1],
-                                     2 * law._cdf_block + 77))
+                                     2 * law._block + 77))
 
     @staticmethod
     def reach(law, u_max):
@@ -1411,7 +1411,7 @@ class TestThreadedTablesProperty:
     def test_tsq_law(self, nu, delta, lam):
         law = tsq_mixture(nu, delta, lam)
         self.check(law, np.geomspace(1e-3, self.reach(law, 1e3),
-                                     2 * law._cdf_block + 77))
+                                     2 * law._block + 77))
 
     @settings(max_examples=6, deadline=None)
     @given(nu=log_uniform(1.0, 200.0).map(round),
@@ -1421,7 +1421,7 @@ class TestThreadedTablesProperty:
     def test_signed_t_law(self, nu, delta0, lambda0):
         law = signed_t_mixture(nu, delta0, lambda0)
         hi = math.sqrt(self.reach(law, 1e6))
-        half = np.geomspace(1e-3, hi, law._cdf_block + 38)
+        half = np.geomspace(1e-3, hi, law._block + 38)
         self.check(law, np.concatenate([-half[::-1], [0.0], half]))
 
 
@@ -1442,3 +1442,91 @@ class TestSignedIntervalProperty:
             u = np.concatenate([u, reach * np.array([0.5, 0.99, 1.01, 3.0, 1e3])])
         root = np.sqrt(u)
         assert np.max(np.abs(st_.cdf(root) - st_.cdf(-root) - tm.cdf(u))) <= 1e-9
+
+
+FLOOR = QuadSpec(abs_tol=_ABS_TOL_FLOOR, rel_tol=_ABS_TOL_FLOOR)
+
+
+def sharpness(p):
+    """min_t sd(t) / (|mu_z| sigma1) over the mean law's slope window: how
+    narrow, in slope sds, its sharpest conditional CDF turns over in t."""
+    lo, hi = (p.beta1 + s * mx._SLOPE_SIGMAS * p.sigma1 for s in (-1.0, 1.0))
+    t = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
+    sd = math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
+    return sd / (abs(p.mu_z) * p.sigma1) if p.mu_z else math.inf
+
+
+class TestToleranceFloor:
+    """An abs_tol below the floor is a ParamError.  At the floor the
+    noncentral-t laws certify out to |u| = 1e30, and the mean and variance
+    laws at the default QuadSpec agree with the floor's to within 1e-9."""
+
+    def test_below_the_floor_is_a_param_error(self):
+        assert FLOOR.abs_tol == 1e-11
+        with pytest.raises(ParamError, match="abs_tol"):
+            QuadSpec(abs_tol=0.9 * _ABS_TOL_FLOOR)
+
+    @settings(max_examples=4, deadline=None)
+    @given(nu=log_uniform(1.0, 100.0).map(round), delta0=st.floats(-3.0, 6.0),
+           lambda0=st.floats(0.0, 4.0))
+    # at abs_tol = 1e-12 the signed-t CDF series gave up at 120000 terms
+    @example(nu=1, delta0=3.472977955440663, lambda0=0.0639669180942879)
+    @example(nu=10, delta0=2.0, lambda0=3.0)
+    def test_noncentral_t_certifies(self, nu, delta0, lambda0):
+        half = np.geomspace(1e-3, 1e30, 100)
+        u = np.concatenate([-half[::-1], half])
+        law = signed_t_mixture(nu, delta0, lambda0, FLOOR)
+        f = law.cdf(u)
+        assert f[0] <= FLOOR.abs_tol and f[-1] >= 1.0 - FLOOR.abs_tol
+        assert np.all(np.isfinite(law.pdf(u)))
+        law = tsq_mixture(nu, delta0 ** 2, lambda0 ** 2, FLOOR)
+        assert law.cdf(half)[-1] >= 1.0 - FLOOR.abs_tol
+        assert np.all(np.isfinite(law.pdf(half)))
+
+    def test_s_window_drops_mass_far_below_abs_tol(self):
+        # the s-rule stops at the 1 - 1e-3 abs_tol quantile of s; stopping
+        # at a fixed 1 - 1e-12 left this CDF 1.05e-12 short of 1
+        law = tsq_mixture(1, 4.0, 0.0, FLOOR)
+        assert 1.0 - law.cdf(1e30) <= 1e-2 * FLOOR.abs_tol
+
+    @staticmethod
+    def agree(law, floor_law, u):
+        pdf = floor_law.pdf(u)
+        assert np.max(np.abs(law.cdf(u) - floor_law.cdf(u))) <= 1e-9
+        assert np.all(np.abs(law.pdf(u) - pdf) <= 1e-9 * np.maximum(pdf, 1.0))
+
+    # components whose CDFs turn over within 0.03 slope sds are a known
+    # fault (test_sharp_mean_law below): the rule is certified at its probe
+    # points, and between them its CDF reads up to 5e-4 off
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 100), beta0=st.floats(-10.0, 10.0),
+           sigma0=log_uniform(1e-2, 10.0), mu_z=signed(log_uniform(1e-2, 1e2)),
+           sigma_z=log_uniform(1e-2, 10.0),
+           beta1=signed(log_uniform(1e-2, 1e2)), sigma1=log_uniform(1e-3, 10.0))
+    def test_mean_law_default_agrees(self, n, beta0, sigma0, mu_z, sigma_z,
+                                     beta1, sigma1):
+        p = MixtureParams(n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z,
+                          sigma_z=sigma_z, beta1=beta1, sigma1=sigma1)
+        assume(sharpness(p) >= 0.03)
+        law = mean_mixture(p)
+        self.agree(law, mean_mixture(p, FLOOR), np.linspace(*law.support(), 201))
+
+    @pytest.mark.xfail(strict=True, reason="the mean law's CDF is certified "
+                       "at its probe points only")
+    def test_sharp_mean_law(self):
+        p = MixtureParams(n=76, beta0=8.668387846148569,
+                          sigma0=0.01036421938716176, mu_z=17.462536274358786,
+                          sigma_z=0.025721254977391465,
+                          beta1=0.47382132585939674, sigma1=1.8240011675255017)
+        assert sharpness(p) < 1e-3
+        # an adaptive scipy quadrature over t reads 0.8947503933 here, the
+        # floor's rule 0.8947508650 and the default's 0.8952717925
+        assert mean_mixture(p).cdf(56.827) == pytest.approx(0.8947503933,
+                                                             abs=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nu=log_uniform(1.0, 1e3).map(round), lam=log_uniform(1e-3, 400.0))
+    def test_variance_law_default_agrees(self, nu, lam):
+        law = variance_mixture(nu, lam)
+        self.agree(law, variance_mixture(nu, lam, FLOOR),
+                   np.geomspace(1e-6, law.support()[1], 201))

@@ -6,6 +6,7 @@ from calibmix import (AccuracyError, MixtureParams, MomentSummary, ProbRegion,
                       mean_moment_rows, mean_moments, probability_region,
                       variance_mixture, mean_mixture)
 from calibmix.casestudy import octane_params
+from calibmix.mixtures import _SLOPE_SIGMAS
 from calibmix.moments import moment_rows_header
 from calibmix.quadrature import QuadSpec, refine_panels
 
@@ -44,7 +45,7 @@ def quadrature_moments(p: MixtureParams, quad: QuadSpec = QuadSpec()):
     """Central moments 2-4 of Ybar as gamma/kappa by panel quadrature of the
     mean-mixture density (a route independent of both closed forms)."""
     mm = mean_mixture(p, quad)
-    k = quad.mixing_range_sigmas
+    k = _SLOPE_SIGMAS
     ts = (p.beta1 - k * p.sigma1, 0.0, p.beta1 + k * p.sigma1)
     sd = lambda t: (t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2) ** 0.5
     lo = min(p.beta0 + t * p.mu_z - 9.5 * sd(t) for t in ts)
@@ -198,12 +199,13 @@ class TestMomentRows:
         assert rows[0]["Var"] != rows[1]["Var"]
 
     def test_quadrature_failure_surfaces(self):
-        # an absurd tolerance cannot be certified: explicit error, not junk
+        # a rule that needs more panels than allowed is an explicit error,
+        # not junk: the least valid abs_tol takes 14 panels here
         import calibmix.quadrature as q
-        tight = QuadSpec(abs_tol=1e-16, rel_tol=1e-16)
+        tight = QuadSpec(abs_tol=q._ABS_TOL_FLOOR, rel_tol=1e-16)
         saved = q._MAX_PANELS
         try:
-            q._MAX_PANELS = 64
+            q._MAX_PANELS = 8
             with pytest.raises(AccuracyError):
                 mean_mixture(UNIT, tight)
         finally:

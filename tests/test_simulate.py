@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -525,8 +526,6 @@ class TestKsHelpers:
 
     def test_band_value(self):
         assert ks_band(100_000) == pytest.approx(1.63 / np.sqrt(100_000))
-        with pytest.raises(ValueError):
-            ks_band(100, alpha=0.05)
 
 
 class Counted:
@@ -578,6 +577,8 @@ class TestKsBrackets:
     """ks_distance is a certified upper bound: never below the exact
     distance and at most 1e-5 above it."""
 
+    # the first grid and the tails are constants of ks_distance; the test
+    # varies them so that the gap splitting is exercised from coarse grids
     @settings(max_examples=25, deadline=None)
     @given(law=st.sampled_from(sorted(POOL_LAWS)),
            n=st.integers(2_000, 20_000),
@@ -595,8 +596,9 @@ class TestKsBrackets:
             dist = Normal(shift)
             f = dist.cdf(x)
         exact = exact_ks(f, tail_frac)
-        d = ks_distance(x[::-1], dist, grid_points=grid_points,
-                        tail_frac=tail_frac)
+        with mock.patch.multiple(simulate, _KS_GRID=grid_points,
+                                 _KS_TAIL=tail_frac):
+            d = ks_distance(x[::-1], dist)
         assert exact - 1e-12 <= d <= exact + 1e-5 + 1e-12
 
     @pytest.mark.parametrize("seed", [2, 3])
@@ -631,22 +633,6 @@ class TestKsBrackets:
     def test_bad_sample_is_data_error(self, sample, match):
         with pytest.raises(DataError, match=match):
             ks_distance(sample, Normal())
-
-    @pytest.mark.parametrize("kw", [
-        {"tail_frac": -0.1}, {"tail_frac": 0.5}, {"tail_frac": np.nan},
-        {"grid_points": 1},
-    ])
-    def test_bad_setting_is_param_error(self, kw):
-        with pytest.raises(ParamError, match=next(iter(kw))):
-            ks_distance(np.linspace(0, 1, 100), Normal(), **kw)
-
-    @pytest.mark.parametrize("band", [
-        lambda: ks_band(100, alpha=0.05),
-        lambda: ks_two_sample_band(100, 100, alpha=0.05),
-    ])
-    def test_unpinned_alpha_is_param_error(self, band):
-        with pytest.raises(ParamError, match="alpha"):
-            band()
 
     @pytest.mark.parametrize("band,sizes,match", [
         (ks_band, (0,), "n must"),
