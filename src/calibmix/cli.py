@@ -454,13 +454,14 @@ _HANDLERS = {
 }
 
 
-def _glue_grid(argv):
-    """``--grid -5:15:200`` as ``--grid=-5:15:200``: argparse would read a
-    separate value that starts with '-' as an option."""
+def _glue_negatives(argv):
+    """``--delta0 -1e4`` as ``--delta0=-1e4``: argparse reads a separate
+    value that starts with '-' as an option unless it looks like -5 or -.5."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--grid":
-            out[-1] = "--grid=" + arg
+        if (out and out[-1].startswith("--") and len(arg) > 1
+                and arg[0] == "-" and arg[1] in "0123456789."):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -469,7 +470,7 @@ def _glue_grid(argv):
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_glue_grid(argv))
+        args = parser.parse_args(_glue_negatives(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage problems; exit code 1 is the usage code here
         return 0 if exc.code in (0, None) else 1

@@ -70,6 +70,9 @@ _Z_SUPPORT = 8.5       # Gaussian component half-width; Phi(-8.5) ~ 1e-17
 _MAX_J_TERMS = 120_000
 _MIN_TERMS = 20              # first block of every noncentral-t series
 _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
+# the largest D = |delta0| = sqrt(delta): the v-rule squares D/s down to
+# s ~ 1e-14, and the t^2 quantiles, of order D^2/s^2, must stay floats
+_NCT_D_MAX = 1e100
 # Points per evaluation block.  A rule law takes fewer points per block once
 # it has more than 4096 nodes, so that its node x point table holds at most
 # _BLOCK_SIZE doubles (16 MB).  The noncentral-t pdfs and CDFs take
@@ -584,14 +587,15 @@ class _ExtremeRule:
     phi(v - tau) dtau the density of v over tau = D/s in [D/s_split,
     D/s_lo] and p(tau) = sqrt_ncchisq1_pdf(D/tau, lam0) D/tau^2.  The v-rule
     has linear shoulder panels on tau_lo +/- 8.6 and tau_hi +/- 8.6 and
-    log-graded panels between: 6 per decade up to nu = 30, growing like
-    sqrt(nu) beyond, because the conditional law's transition in log v
-    narrows like 1/sqrt(nu).  h at its nodes comes from the g-rule clipped
-    to the tau window.  s_lo steps down from s_split by whole decades until
-    P[s < s_lo] <= 1e-3 tol, so the dropped far-tail mass stays below
-    tol.  The rule is built once, under a lock, by the first point block
-    that reaches its u-range: below it every node's conditional CDF is
-    within the snap of 0.
+    log-graded panels between: 6 per decade up to nu = 30 and lam0 = 8,
+    growing like sqrt(nu) and like lam0 beyond, because the conditional
+    law's transition in log v narrows like 1/sqrt(nu), and the bump of p
+    at tau = D/lam0, once the window holds it, like 1/lam0 in log tau.
+    h at its nodes comes from the g-rule clipped to the tau window.  s_lo
+    steps down from s_split by whole decades until P[s < s_lo] <= 1e-3 tol,
+    so the dropped far-tail mass stays below tol.  The rule is built once,
+    under a lock, by the first point block that reaches its u-range: below
+    it every node's conditional CDF is within the snap of 0.
     """
 
     def __init__(self, nu, root_d, lam0, s_split, tol):
@@ -627,7 +631,8 @@ class _ExtremeRule:
         t_lo, t_hi = d / self.s_split, d / self.s_lo
         middle = np.zeros(0)
         if t_hi - z > t_lo + z:
-            per_decade = 6.0 * max(1.0, math.sqrt(self.nu / 30.0))
+            per_decade = 6.0 * max(1.0, math.sqrt(self.nu / 30.0),
+                                   self.lam0 / 8.0)
             n = math.ceil(per_decade * math.log10((t_hi - z) / (t_lo + z)))
             middle = np.geomspace(t_lo + z, t_hi - z, n + 1)[1:-1]
         edges = np.unique(np.concatenate([np.linspace(t_lo - z, t_lo + z, 5),
@@ -897,28 +902,24 @@ def _beta_density(parts, b, args, lead, tol, rel_tol):
 
 class _NoncentralT:
     """Noncentral t(nu, D/s) mixed over s ~ |N(lam0, 1)| (D >= 0), in the
-    pieces that the signed-t law and its fold, the t^2 law, are made of.
+    pieces that both the signed-t law and its fold, the t^2 law, read.
 
-    Mixing nodes with phi = D/s <= 20 (s >= s_split = min(D/20, s_hi/2))
-    collapse into cdf0 = E_s[Phi(-phi)] and two coefficient sequences, each
-    built on demand and kept:
-      m_j = E_s[pois(j; phi^2/2)],
-      n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))].
-    With x = t^2/(nu+t^2) = 1 - y these nodes' CDF at t is
-    cdf0 + sgn(t)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2)
-    (Lenth 1989, AS 243) and their pdf its derivative, with
-    L = y^{(nu+1)/2}/sqrt(nu) and B_a = B(j + a, nu/2),
-      sum_j m_j x^j L / B_{1/2} + sgn(t) sqrt(x) sum_j n_j x^j L / B_1:
-    the even and odd powers of t/sqrt(nu+t^2) in the noncentral-t density.
-    These nodes and weights are kept as ``s`` and ``w``; the draws
-    s < s_split form the ``_ExtremeRule``.
+    The series nodes, s in [s_split, s_hi] with s_split = min(D/20, s_hi)
+    so that phi = D/s <= 20, are kept as ``s``, ``w`` and ``phi``, and
+    collapse into m_j = E_s[pois(j; phi^2/2)], built on demand and kept:
+    the even part of the noncentral-t CDF series (Lenth 1989, AS 243; see
+    SignedTMixture).  The draws s < s_split form the ``_ExtremeRule``:
+    once D/20 >= s_hi that is the whole window, and the series is empty.
     """
 
     def __init__(self, nu, root_d, lam0, quad):
+        if root_d > _NCT_D_MAX:
+            raise ParamError("|delta0| = sqrt(delta) = %g is above the largest "
+                             "noncentrality %g" % (root_d, _NCT_D_MAX))
         self.nu, self.quad = nu, quad
         # the mixing mass beyond s_hi stays 1e-3 below abs_tol
         s_hi = ser.sqrt_mixing_upper(lam0, 1e-3 * quad.abs_tol)
-        s_split = min(root_d / _NCT_SERIES_PHI_MAX, s_hi / 2.0)
+        s_split = min(root_d / _NCT_SERIES_PHI_MAX, s_hi)
         # series nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on [s_split, s_hi],
         # weighted by the density phi(s - lam0) + phi(s + lam0)
         mixdens = functools.partial(ser.sqrt_ncchisq1_pdf, lambda0=lam0)
@@ -928,22 +929,17 @@ class _NoncentralT:
         self.s, self.w = s, w
         # nodes rounded onto s = 0 (where lam0 or D/20 is subnormal) weigh
         # nothing; phi = 0 keeps them finite
-        phi = np.divide(root_d, s, out=np.zeros_like(s), where=s > 0.0)
+        self.phi = np.divide(root_d, s, out=np.zeros_like(s), where=s > 0.0)
         self.ext = _ExtremeRule(nu, root_d, lam0, s_split, quad.abs_tol)
-        self.cdf0 = float(w @ sp.ndtr(-phi))
-        tol = quad.abs_tol
-        self.m = _poisson_coefs(phi, w, tol)
-        self.n = _SeriesCoefs(0.5 * phi ** 2, w * phi / math.sqrt(2.0),
-                              lambda j: -sp.gammaln(j + 1.5), tol,
-                              w @ sp.erf(phi / math.sqrt(2.0)))
+        self.m = _poisson_coefs(self.phi, w, quad.abs_tol)
 
-    def pdf(self, args, log_scale, signed):
-        """The pdf's m_j part above times e^log_scale, and the signed law's
-        n_j part before its sign, certified 1e-3 below abs_tol and rel_tol
-        like the signed CDF: far inside what the s- and v-rules share."""
+    def pdf(self, args, log_scale, *parts):
+        """The pdf series sum_j c_j x^{j+a-1/2} L / B(j + a, nu/2) of each
+        part (coefs, a) times e^log_scale, certified 1e-3 below abs_tol and
+        rel_tol like the signed CDF: far inside what the s- and v-rules
+        share.  The t^2 law passes m_j alone, the signed law also n_j."""
         lead = 0.5 * ((self.nu + 1.0) * args[3] - math.log(self.nu)) + log_scale
-        return _beta_density(((self.m, 0.5), (self.n, 1.0))[:1 + signed],
-                             self.nu / 2.0, args, lead,
+        return _beta_density(parts, self.nu / 2.0, args, lead,
                              1e-3 * self.quad.abs_tol, 1e-3 * self.quad.rel_tol)
 
 
@@ -956,11 +952,11 @@ class TsqMixture(_MixtureLaw):
     w ~ chi2_1(lambda).
 
     t0^2 is the square of the signed t0 with delta0 = sqrt(delta) and
-    lambda0 = sqrt(lambda), so this law is the fold of the signed law's
-    noncentral-t core at t = sqrt(u), with x = u/(u+nu).  In
-    F(t) - F(-t) the cdf0 and n_j terms cancel, leaving
-    sum_j m_j I_x(j+1/2, nu/2), and in [f(t) + f(-t)]/(2t) the n_j part
-    cancels, leaving the m_j part over t.  The CDF series
+    lambda0 = sqrt(lambda), so this law is the signed law folded at
+    t = sqrt(u), with x = u/(u+nu).  In F(t) - F(-t) the signed law's cdf0
+    and n_j terms cancel, leaving sum_j m_j I_x(j+1/2, nu/2), and in
+    [f(t) + f(-t)]/(2t) its n_j part cancels, leaving the m_j part over t:
+    the law reads only the noncentral-t core.  The CDF series
     takes 1 - x = nu/(u+nu) as formed, not from x.  The slope draws near
     zero, which carry the law's heavy far tail, add the Gaussian-root
     kernel at u on the v-rule.  At delta = 0 only m_0 survives and the law
@@ -988,8 +984,8 @@ class TsqMixture(_MixtureLaw):
         pos = u > 0
         up = u[pos]
         log_u = np.log(up)
-        out[pos] = (self._core.pdf(_beta_args(up, log_u, self.nu),
-                                   -0.5 * log_u, False)[0]
+        out[pos] = (self._core.pdf(_beta_args(up, log_u, self.nu), -0.5 * log_u,
+                                   (self._core.m, 0.5))[0]
                     + self._core.ext.parts(up, want_pdf=True))
         return out
 
@@ -1023,14 +1019,18 @@ class SignedTMixture(_MixtureLaw):
     """Evaluator of the t0 mixture: noncentral t(nu, delta0/s) mixed over the
     shifted half-normal law of s.
 
-    The noncentral-t core gives the series nodes' CDF
-    cdf0 + sgn(u)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1, nu/2),
-    x = u^2/(u^2+nu), and their pdf, its derivative in u.  The CDF series
-    take 1 - x = nu/(u^2+nu) as formed: far out, x itself rounds to a few
-    values near 1, which quantized the CDF; past |u| ~ 1.3e154, where u^2
-    overflows, x and 1 - x come from log|u|.  Draws of larger
-    noncentrality (s near 0) add the Gaussian-root t^2 kernel at u^2 for
-    u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
+    To the noncentral-t core's m_j the law adds, over the same series
+    nodes, cdf0 = E_s[Phi(-phi)] and, built on demand and kept,
+    n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))].  With
+    x = u^2/(u^2+nu) = 1 - y and L = y^{(nu+1)/2}/sqrt(nu), the nodes' CDF
+    is cdf0 + sgn(u)/2 sum_j m_j I_x(j+1/2, nu/2) + 1/2 sum_j n_j I_x(j+1,
+    nu/2) (Lenth 1989, AS 243), and their pdf, its derivative in u,
+    sum_j x^j L [m_j / B(j + 1/2, nu/2) + sgn(u) sqrt(x) n_j / B(j + 1, nu/2)].
+    The CDF series take 1 - x = nu/(u^2+nu) as formed: far out, x itself
+    rounds to a few values near 1, which quantized the CDF; past |u| ~
+    1.3e154, where u^2 overflows, x and 1 - x come from log|u|.  Draws of
+    larger noncentrality (s near 0) add the Gaussian-root t^2 kernel at u^2
+    for u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
     """
 
     _block = _SERIES_BLOCK
@@ -1048,7 +1048,12 @@ class SignedTMixture(_MixtureLaw):
         self.quad = quad
         self._mirror = self.delta0 < 0
         self._d0 = abs(self.delta0)
-        self._core = _NoncentralT(self.nu, self._d0, self.lambda0, quad)
+        core = self._core = _NoncentralT(self.nu, self._d0, self.lambda0, quad)
+        phi, w = core.phi, core.w
+        self._cdf0 = float(w @ sp.ndtr(-phi))
+        self._n = _SeriesCoefs(0.5 * phi ** 2, w * phi / math.sqrt(2.0),
+                               lambda j: -sp.gammaln(j + 1.5), quad.abs_tol,
+                               w @ sp.erf(phi / math.sqrt(2.0)))
 
     def _args(self, u):      # (x, y, log x, log y) at s = u^2
         with np.errstate(over="ignore", divide="ignore"):
@@ -1056,7 +1061,8 @@ class SignedTMixture(_MixtureLaw):
 
     def _pdf_base(self, u):
         """pdf of the law with noncentrality |delta0| (pre-mirror)."""
-        even, odd = self._core.pdf(self._args(u), 0.0, True)
+        even, odd = self._core.pdf(self._args(u), 0.0, (self._core.m, 0.5),
+                                   (self._n, 1.0))
         out = np.maximum(even + np.sign(u) * odd, 0.0)    # rounding at u < 0
         up = np.clip(u[u > 0], 1e-154, 1e154)
         out[u > 0] += 2.0 * up * self._core.ext.parts(up * up, want_pdf=True)
@@ -1071,10 +1077,10 @@ class SignedTMixture(_MixtureLaw):
         tol = 1e-3 * self.quad.abs_tol
         # 1 - x formed on its own: far out x rounds to a few values near 1
         x, y, _, _ = self._args(u)
-        out = (core.cdf0
+        out = (self._cdf0
                + 0.5 * np.sign(u) * _beta_series(core.m, 0.5, nu / 2.0, x, y,
                                                  tol, "signed-t")
-               + 0.5 * _beta_series(core.n, 1.0, nu / 2.0, x, y, tol,
+               + 0.5 * _beta_series(self._n, 1.0, nu / 2.0, x, y, tol,
                                     "signed-t"))
         # u^2 kept a normal float: below 1e-308 no extreme draw reaches it,
         # and P[t0^2 > 1e308] is far below abs_tol

@@ -116,8 +116,10 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
     are evaluated _PANEL_BLOCK at a time, so a wide probe holds few values
     at once.  A rule of more than _MAX_PANELS panels raises AccuracyError.
     """
+    if hi == lo:
+        return PanelRule(np.array([lo]))    # an empty window: no nodes
     if not hi > lo:
-        raise ValueError("empty quadrature window")
+        raise ValueError("reversed quadrature window")
     interior = sorted(p for p in split_at if lo < p < hi)
     anchors = [lo] + interior + [hi]
     n = max(1, initial_panels // (len(anchors) - 1))

@@ -259,6 +259,19 @@ class TestDensity:
         glued = run_json(args + ["--grid=-5:15:20"], capsys)
         assert run_json(args + ["--grid", "-5:15:20"], capsys) == glued
 
+    @pytest.mark.parametrize("args,flag,value", [
+        (["region", "--dist", "signed-t", "--nu", "10", "--lambda0", "1",
+          "--coverage", "0.5"], "--delta0", "-1e4"),
+        (["moments"] + OCTANE_FLAGS[:2] + OCTANE_FLAGS[4:], "--beta0",
+         "-8.7e1"),
+        (["moments"] + OCTANE_FLAGS[:6] + OCTANE_FLAGS[8:], "--mu-z", "-1e-3")])
+    def test_negative_value_as_separate_argument(self, args, flag, value,
+                                                 capsys):
+        # argparse reads only -5 and -.5 as numbers on their own (the grid
+        # case is the test above)
+        glued = run_json(args + [flag + "=" + value], capsys)
+        assert run_json(args + [flag, value], capsys) == glued
+
     def test_unresolvable_slope_window_exits_2(self, capsys):
         # beta1 +- 10 sigma1 rounded to one float: a ValueError traceback
         assert run(["density", "--dist", "mean", "--grid", "0:1:3", "--n", "5",

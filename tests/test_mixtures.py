@@ -183,8 +183,9 @@ def betainc_series(coefs, a, b, x, tol, j_hi):
 
 
 def dense_series_coefs(core, root_d, j):
-    """Reference for mx._SeriesCoefs: the noncentral-t core's m_j and n_j
-    at j, each summed over all of its series nodes, phi = root_d / s:
+    """Reference for mx._SeriesCoefs: the noncentral-t core's m_j and the
+    signed law's n_j at j, each summed over all of the core's series nodes,
+    phi = root_d / s:
       m_j = sum_s w pois(j; phi^2/2),
       n_j = sum_s (w phi / sqrt 2) e^{-phi^2/2} (phi^2/2)^j / Gamma(j + 3/2).
     j log b takes numpy's log, as the live-node builder does: scipy's xlogy
@@ -797,7 +798,7 @@ class TestInversionReach:
 
 class TestChi2MixingRule:
     """The noncentral-t core's series nodes of s = sqrt(w), w ~ chi2_1(lam),
-    on [s_split, s_hi], with s_split = D/20 below s_hi/2."""
+    on [s_split, s_hi], with s_split = min(D/20, s_hi)."""
 
     @pytest.mark.parametrize("lam", [0.0, 1e-4, 25.0, 400.0])
     def test_weights_sum_to_one(self, lam):
@@ -851,8 +852,9 @@ class TestExtremeRule:
             assert np.max(np.abs(got - self.per_node(ext, u, want_pdf))) < 1e-12
 
     def test_no_rule_when_the_mass_below_split_is_negligible(self):
-        # lam0 = 40: P[s < s_split] is far below 1e-3 abs_tol
-        ext = tsq_mixture(10, 1e6, 1600.0)._core.ext
+        # lam0 = 40 and s_split = D/20 = 0.5: P[s < s_split] is far below
+        # 1e-3 abs_tol
+        ext = tsq_mixture(10, 100.0, 1600.0)._core.ext
         assert ext.s_lo == ext.s_split
         assert np.all(ext.parts(np.logspace(-1.0, 30.0, 50), False) == 0.0)
 
@@ -922,8 +924,9 @@ class TestSeriesCoefs:
     @example(nu=1.0, root_d=5e-324, lam0=5e-324)
     def test_live_nodes_match_dense_builder(self, nu, root_d, lam0):
         quad = QuadSpec()
-        core = mx._NoncentralT(nu, root_d, lam0, quad)
-        seqs = (core.m, core.n)
+        law = signed_t_mixture(nu, root_d, lam0, quad)
+        core = law._core
+        seqs = (core.m, law._n)
         # grown by the blocks the series take, so nodes leave between them
         reached = [mx._MIN_TERMS]
         while reached[-1] < 1280:
@@ -1165,6 +1168,101 @@ class TestHugeAbscissae:
         assert tm.cdf(u) == pytest.approx([1.0, 1.0], abs=tm.quad.abs_tol)
 
 
+_R16 = np.polynomial.legendre.leggauss(16)
+
+
+def noncentral_t_oracle(kind, nu, d, lam0, t):
+    """The t^2 (kind "tsq", at u = t) or signed-t CDF at t, as an E_W
+    quadrature of the closed form given s, mixed over s with density
+    phi(s - lam0) + phi(s + lam0) by scipy's adaptive quad in log s, with
+    breakpoints at lam0 and d/20.  Given s, with phi = d/s and r = sqrt(W)
+    ~ chi_nu, the t^2 CDF is E[Phi(sqrt(t/nu) r - phi) - Phi(-sqrt(t/nu) r
+    - phi)] and the signed-t CDF E[Phi(t r/sqrt(nu) - phi)]; each takes
+    16-point Gauss-Legendre panels in r that resolve both the chi density
+    and the step at r = phi/c, c the slope of r."""
+    r_lo, r_hi = stats.chi.ppf(1e-16, nu), stats.chi.isf(1e-16, nu)
+    log_norm = (0.5 * nu - 1.0) * math.log(2.0) + special.gammaln(0.5 * nu)
+    base = np.linspace(r_lo, r_hi, 9)
+    c = (math.sqrt(t) if kind == "tsq" else t) / math.sqrt(nu)
+
+    def given_log_s(x):
+        s = math.exp(x)
+        phi = d / s
+        lo, hi = max(r_lo, (phi - 10.0) / c), min(r_hi, (phi + 10.0) / c)
+        edges = np.union1d(base, np.linspace(lo, hi, 5)) if lo < hi else base
+        half = 0.5 * np.diff(edges)[:, None]
+        r = (edges[:-1, None] + half * (1.0 + _R16[0])).ravel()
+        wr = (half * _R16[1]).ravel() * np.exp(
+            (nu - 1.0) * np.log(r) - 0.5 * r * r - log_norm)
+        f = special.ndtr(c * r - phi)
+        if kind == "tsq":
+            f -= special.ndtr(-c * r - phi)
+        dens = math.exp(-0.5 * (s - lam0) ** 2) + math.exp(-0.5 * (s + lam0) ** 2)
+        return (wr @ f) * s * dens / math.sqrt(2.0 * math.pi)
+    lo, hi = math.log(1e-13), math.log(lam0 + 9.0)
+    points = [math.log(p) for p in (lam0, d / 20.0) if 1e-13 < p < lam0 + 9.0]
+    return integrate.quad(given_log_s, lo, hi, points=points, epsabs=1e-11,
+                          epsrel=0.0, limit=200)[0]
+
+
+class TestLargeNoncentrality:
+    """D = |delta0| = sqrt(delta) past 20 s_hi, where the v-rule takes the
+    whole slope window: the series nodes keep phi = D/s <= 20 at every D."""
+
+    @pytest.mark.parametrize("law", [lambda: tsq_mixture(10, 1e8, 1.0),
+                                     lambda: signed_t_mixture(10, -1e4, 1.0)])
+    def test_quantiles_certify(self, law):
+        # both raised AccuracyError (CDF series past 120000 terms) when the
+        # split sent draws with phi up to 2D/s_hi to the series
+        ev = law()
+        for p in (0.01, 0.5, 0.99):
+            assert abs(ev.cdf(ev.ppf(p)) - p) <= 1e-9
+
+    @pytest.mark.parametrize("d", [70.0, 72.0, 100.0, 1e3, 1e4])
+    @pytest.mark.parametrize("nu", [1, 10, 100])
+    def test_cdfs_match_the_oracle(self, d, nu):
+        tm, st_ = tsq_mixture(nu, d * d, 1.0), signed_t_mixture(nu, d, 1.0)
+        for t in d * np.array([0.5, 1.0, 2.0]):
+            assert abs(tm.cdf(t * t) - noncentral_t_oracle(
+                "tsq", nu, d, 1.0, t * t)) <= 1e-9
+            assert abs(st_.cdf(t) - noncentral_t_oracle(
+                "signed", nu, d, 1.0, t)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [1e4, 1e5])
+    def test_v_rule_resolves_a_sharp_slope_law(self, d):
+        # lam0 = 40 puts the slope draws' bump, of relative width 1/lam0,
+        # inside the v-rule's window; 6 panels per decade were 3e-4 off
+        tm = tsq_mixture(10, d * d, 1600.0)
+        for t in d / 40.0 * np.array([0.9, 1.0, 1.1]):
+            assert abs(tm.cdf(t * t) - noncentral_t_oracle(
+                "tsq", 10, d, 40.0, t * t)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [0.1, 20.0, 70.0, 72.0, 100.0, 1e3, 1e4])
+    @pytest.mark.parametrize("lam0", [0.0, 1.0, 40.0])
+    def test_series_nodes_keep_phi_within_20(self, d, lam0):
+        s = mx._NoncentralT(10.0, d, lam0, QuadSpec()).s
+        assert np.all(d / s[s > 0.0] <= 20.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_noncentrality_certifies_or_is_rejected(self):
+        # without the bound the t^2 ppf overflowed from D = 1e133, and the
+        # signed law warned of an invalid value at D = 1e154
+        for k in range(2, 155):
+            d = 10.0 ** k
+            for build, name in ((lambda: tsq_mixture(10, d * d, 1.0), "delta"),
+                                (lambda: signed_t_mixture(10, -d, 1.0),
+                                 "delta0")):
+                if d > mx._NCT_D_MAX:
+                    with pytest.raises(ParamError, match=name + ".*1e\\+100"):
+                        build()
+                    continue
+                ev = build()
+                f = ev.cdf(np.array([d, d * d, 1e300]))
+                assert np.all(np.isfinite(f)) and np.all(np.diff(f) >= 0.0)
+                if k % 14 == 0:
+                    assert abs(ev.cdf(ev.ppf(0.5)) - 0.5) <= 1e-9
+
+
 class TestPdfIntegratesToCdf:
     # the pdf series is the CDF series' derivative, certified on its own
     # tail bound: Simpson's integral of a pdf table against the CDF
@@ -1279,28 +1377,33 @@ class TestThreadedBlocks:
         ladder = [mx._MIN_TERMS]
         while ladder[-1] < 1280:
             ladder.append(min(2 * ladder[-1], ladder[-1] + mx._TERM_BLOCK))
-        core = lambda: mx._NoncentralT(10.0, 3.0, 3.2, QuadSpec())
-        serial = core()
+
+        def seqs():
+            law = signed_t_mixture(10, 3.0, 3.2)
+            return law._core.m, law._n
+        serial = seqs()
         for j_hi in ladder:
-            serial.m.upto(j_hi), serial.n.upto(j_hi)
+            for c in serial:
+                c.upto(j_hi)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(50):
-                raced = core()
+                raced = seqs()
                 start = threading.Barrier(4)
 
                 def climb():
                     start.wait(timeout=10.0)
                     for j_hi in ladder:
-                        raced.m.upto(j_hi), raced.n.upto(j_hi)
+                        for c in raced:
+                            c.upto(j_hi)
                 threads = [threading.Thread(target=climb) for _ in range(4)]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=30.0)
                     assert not t.is_alive()
-                for c, want in ((raced.m, serial.m), (raced.n, serial.n)):
+                for c, want in zip(raced, serial):
                     assert np.array_equal(c.upto(ladder[-1]),
                                           want.upto(ladder[-1]))
         finally:

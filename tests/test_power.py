@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calibmix import (PowerCell, operating_characteristics, ordering_probe,
                       power_table, tsq_critical, tsq_mixture)
@@ -138,3 +139,34 @@ class TestOrderingProbe:
             ordering_probe("tsq-in-delta", (3.0, 1.0), (1.0,), nu=5)
         with pytest.raises(ValueError):
             ordering_probe("tsq-in-delta", (), (1.0,), nu=5)
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log(lo), np.log(hi)).map(np.exp)
+
+
+class TestOrderingProperties:
+    """The three ordering families hold on log-uniform laws, and the t^2
+    law's CDF falls in delta across the split where the v-rule takes the
+    whole slope window."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["variance_mixture-in-lambda",
+                                   "tsq-in-lambda", "tsq-in-delta"]),
+           nu=log_uniform(1.0, 200.0).map(round),
+           fixed=log_uniform(0.01, 40.0),
+           grid=st.lists(log_uniform(0.01, 40.0), min_size=4,
+                         max_size=4).map(sorted),
+           u_grid=st.lists(log_uniform(0.05, 200.0), min_size=6, max_size=6))
+    def test_families_hold(self, family, nu, fixed, grid, u_grid):
+        assert ordering_probe(family, grid, u_grid, nu=nu, fixed=fixed).holds
+
+    @pytest.mark.parametrize("nu", [1, 10, 100])
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 9.0])
+    def test_tsq_in_delta_across_the_split(self, nu, lam):
+        # delta past about 5e3 took the series beyond phi = 20, and from
+        # about 1e4 it raised AccuracyError
+        grid = (2e3, 4e3, 5e3, 5.2e3, 6e3, 1e4, 1e5, 1e8)
+        rep = ordering_probe("tsq-in-delta", grid,
+                             (1e2, 1e3, 1e4, 1e6, 1e9, 1e12), nu=nu, fixed=lam)
+        assert rep.holds

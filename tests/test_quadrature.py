@@ -157,6 +157,14 @@ class TestRefinePanels:
         assert max(sizes) == 3 * qd._PANEL_BLOCK * qd._GL_ORDER
         assert sum(sizes) > 2 * max(sizes)
 
+    def test_empty_window_has_no_nodes(self):
+        # the noncentral-t series window [min(D/20, s_hi), s_hi] is empty
+        # once D >= 20 s_hi; the integrand is never called
+        rule = refine_panels(None, 7.5, 7.5, self.quad, initial_panels=32)
+        assert rule.nodes.size == rule.weights.size == 0
+        with pytest.raises(ValueError):
+            refine_panels(bump, 1.0, -1.0, self.quad)
+
     def test_raises_at_panel_cap(self, monkeypatch):
         monkeypatch.setattr(qd, "_MAX_PANELS", 32)
         with pytest.raises(AccuracyError, match="32 panels"):
