@@ -73,6 +73,11 @@ _NCT_SERIES_PHI_MAX = 20.0   # beyond this the Gaussian-root kernel takes over
 # the largest D = |delta0| = sqrt(delta): the v-rule squares D/s down to
 # s ~ 1e-14, and the t^2 quantiles, of order D^2/s^2, must stay floats
 _NCT_D_MAX = 1e100
+# the largest lambda0 = sqrt(lambda), per unit of abs_tol: the s-rule's
+# nodes near lambda0 round to its float spacing, which moves the rule's
+# mass by about 0.01 of that spacing (2e-18 lambda0; at most 0.52 abs_tol
+# up to this bound on an eighth-decade lambda scan at abs_tol 1e-11 to 1e-5)
+_NCT_LAM0_PER_TOL = 1e17
 # Points per evaluation block.  A rule law takes fewer points per block once
 # it has more than 4096 nodes, so that its node x point table holds at most
 # _BLOCK_SIZE doubles (16 MB).  The noncentral-t pdfs and CDFs take
@@ -236,6 +241,11 @@ _SLOPE_WINDOW = 2e-10
 # _SKIP_FROM points on skip those rows
 _ONE, _ZERO = 8.5, 38.7
 _SKIP_FROM = 64
+# the variance law's largest lambda0 = sqrt(lambda), per unit of abs_tol:
+# W's sd is 2 lambda0, so its CDF rises by about 0.2 eps lambda0 between
+# adjacent floats of u, and the kernel's r - lambda0 rounds by about as
+# much (up to 6e-17 lambda0 seen at nu = 1, 10, 1000)
+_VAR_LAM0_PER_TOL = 1e15
 
 
 class _RuleLaw(_MixtureLaw):
@@ -245,17 +255,18 @@ class _RuleLaw(_MixtureLaw):
     ``_mixing_pdf(x)``, ``_window``, ``_kernel(x, u, want_pdf)``
     (conditional pdf or CDF, shape (len(x), len(u))) and the kernels'
     argument ``_argument(x, u)``, which rises with u (see ``_table``).  The
-    probe is the integrand mixing_pdf(x) kernel(x, u), so that the builder
-    sums it per panel; each pdf probe holds to abs_tol or to rel_tol of
-    itself."""
+    integrand is mixing_pdf(x) times [1 | CDF kernels | pdf kernels], so
+    that the builder sums the mass and each probe per panel; each pdf probe
+    holds to abs_tol or to rel_tol of itself."""
 
     def _refine(self, anchors, cdf_u, pdf_u):
-        def probe(x):
+        def integrand(x):
             return self._mixing_pdf(x)[:, None] * np.hstack([
-                self._kernel(x, cdf_u, False), self._kernel(x, pdf_u, True)])
+                np.ones((x.size, 1)), self._kernel(x, cdf_u, False),
+                self._kernel(x, pdf_u, True)])
 
-        rule = refine_panels(self._mixing_pdf, *self._window, self.quad,
-                             split_at=tuple(anchors), probe=probe)
+        rule = refine_panels(integrand, *self._window, self.quad,
+                             split_at=tuple(anchors))
         self._x = rule.nodes
         self._w = rule.weights * self._mixing_pdf(rule.nodes)
         self._block = min(_POINT_BLOCK, _BLOCK_SIZE // self._x.size)
@@ -305,19 +316,32 @@ class _RuleLaw(_MixtureLaw):
         return table
 
 
+def sharpness(p: MixtureParams) -> float:
+    """min_t sd(t) / (|mu_z| sigma1) over the mean law's slope window: how
+    narrow, in slope sds, its sharpest conditional CDF turns over in t
+    (inf at mu_z = 0)."""
+    lo, hi = (p.beta1 + s * _SLOPE_SIGMAS * p.sigma1 for s in (-1.0, 1.0))
+    t = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
+    sd = math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
+    return sd / (abs(p.mu_z) * p.sigma1) if p.mu_z else math.inf
+
+
 class MeanMixture(_RuleLaw):
-    """Density/CDF evaluator of the calibrated sample mean, mixed over the
-    slope draw t on beta1 +/- k sigma1.  Near t = 0 the component scale
-    shrinks to sigma0, so a window holding 0 is split there and graded by
-    anchors at +/-10^k, stepping toward 0 by decades while t is above
-    sigma0 sqrt(n)/sigma_z and the mixing mass on [-t, t] (at most 2t times
-    its peak density there) exceeds 1e-3 abs_tol.  With sigma0 = 0 the pdf
-    has an integrable spike at u = beta0, and the conditional CDFs turn
-    over sharply in t within every decade: the probes add mean(t) +/- 2
-    sd(t) at each anchor t times 1, 2 and 5.  The pdf is probed at the
-    same points but beta0, where at sigma0 = 0 it is infinite.  A window
-    narrower than _SLOPE_WINDOW |beta1| each side (sigma1 below 2e-11
-    |beta1|) is a ParamError."""
+    """Density/CDF evaluator of the calibrated sample mean beta0 + T X +
+    sigma0 E, T ~ N(beta1, sigma1^2), X ~ N(mu_z, sigma_z^2/n): given
+    T = t it is N(beta0 + t mu_z, t^2 sigma_z^2/n + sigma0^2), and given X
+    the same kernel with (beta1, sigma1) and (mu_z, sigma_z/sqrt(n))
+    swapped (Craig 1936).  The rule mixes over the factor of the larger
+    ``sharpness`` (its parameters ``_mix``), X only where its window passes
+    the float test below, on mean +/- k sd of that factor t.  Near t = 0
+    the component scale shrinks to sigma0, so a window holding 0 is split
+    there and graded by anchors at +/-10^k, stepping toward 0 by decades
+    while t is above sigma0 sqrt(n)/sigma_z and the mixing mass on [-t, t]
+    (at most 2t times its peak density there) exceeds 1e-3 abs_tol; the
+    probes add mean(t) +/- 2 sd(t) at each anchor.  The pdf is probed at
+    the same points but beta0, infinite at sigma0 = 0 when both windows
+    hold 0.  A slope window narrower than _SLOPE_WINDOW |beta1| each side
+    (sigma1 below 2e-11 |beta1|) is a ParamError."""
 
     def __init__(self, params: MixtureParams, quad: QuadSpec = QuadSpec()):
         if params.ideal:
@@ -331,6 +355,17 @@ class MeanMixture(_RuleLaw):
                 % (params.sigma1, params.beta1, k, _SLOPE_WINDOW))
         self.params = p = params
         self.quad = quad
+        r = math.sqrt(p.n)
+        try:        # the law given X; its var_y (to n times p's) may overflow
+            x = MixtureParams(p.n, p.beta0, p.sigma0, mu_z=p.beta1,
+                              sigma_z=p.sigma1 * r, beta1=p.mu_z,
+                              sigma1=p.sigma_z / r)
+        except ParamError:
+            x = p
+        if (k * x.sigma1 >= _SLOPE_WINDOW * abs(x.beta1)
+                and sharpness(x) > sharpness(p)):
+            p = x
+        self._mix = p
         lo, hi = self._window = (p.beta1 - k * p.sigma1, p.beta1 + k * p.sigma1)
         anchors = [0.0] if lo < 0.0 < hi else []
         t = 10.0 ** math.floor(math.log10(max(-lo, hi)))
@@ -339,29 +374,29 @@ class MeanMixture(_RuleLaw):
                 > 1e-3 * quad.abs_tol):
             anchors += [-t, t]
             t /= 10.0
-        mean, sd = self._conditional(np.outer(anchors, [1.0, 2.0, 5.0]).ravel())
+        mean, sd = self._conditional(np.array(anchors))
         u_lo, u_hi = self.support()
         probe_u = np.unique(np.concatenate([
             np.linspace(u_lo, u_hi, _PROBE_POINTS),
             mean - 2.0 * sd, mean + 2.0 * sd]))
         self._refine(anchors, probe_u, probe_u[probe_u != p.beta0])
-        d = derive_params(p)
+        d = derive_params(params)
         self._line = (d.mu_y, math.sqrt(d.var_ybar))
 
     def _mixing_pdf(self, t):
-        p = self.params
+        p = self._mix
         z = (np.asarray(t, dtype=float) - p.beta1) / p.sigma1
         return np.exp(-0.5 * z * z) / (p.sigma1 * math.sqrt(2.0 * math.pi))
 
     def _conditional(self, t):
-        """Mean and standard deviation of the Gaussian component at slope t."""
-        p = self.params
+        """Mean and standard deviation of the Gaussian component at draw t."""
+        p = self._mix
         sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
         return p.beta0 + t * p.mu_z, sd
 
     def _argument(self, t, u):
         """z = (u - mean(t)) / sd(t), node x point."""
-        p = self.params
+        p = self._mix
         # u - beta0 first: exact near beta0, where sigma0 = 0 puts a spike
         z = np.subtract((u - p.beta0)[None, :], (t * p.mu_z)[:, None])
         z /= self._conditional(t)[1][:, None]
@@ -372,7 +407,8 @@ class MeanMixture(_RuleLaw):
         z = self._argument(t, u)
         if not want_pdf:
             return sp.ndtr(z, out=z)
-        z *= z
+        with np.errstate(over="ignore"):    # |z| past 1e154: the pdf is 0
+            z *= z
         z *= -0.5
         np.exp(z, out=z)
         z /= self._conditional(t)[1][:, None] * math.sqrt(2.0 * math.pi)
@@ -408,6 +444,10 @@ class VarianceMixture(_RuleLaw):
             raise ParamError("nu must be >= 1")
         if lam < 0:
             raise ParamError("lambda must be nonnegative")
+        if math.sqrt(lam) > _VAR_LAM0_PER_TOL * quad.abs_tol:
+            raise ParamError("lambda = %g is above the variance law's largest "
+                             "noncentrality %g (sqrt(lambda) <= 1e15 abs_tol)"
+                             % (lam, (_VAR_LAM0_PER_TOL * quad.abs_tol) ** 2))
         self.nu = float(nu)
         self.lam = float(lam)
         self.quad = quad
@@ -462,11 +502,11 @@ class VarianceMixture(_RuleLaw):
     def _start(self, prob):
         """log of the quantile of c chi2_k, the scaled chi-square with the
         mean m = nu (1 + lambda) and the variance of u = W V (Satterthwaite
-        1946)."""
-        m = self.nu * (1.0 + self.lam)
-        var = ((2.0 + 4.0 * self.lam + (1.0 + self.lam) ** 2)
-               * self.nu * (self.nu + 2.0) - m * m)
-        return _log(var / m * float(sp.gammaincinv(m * m / var, prob)))
+        1946), 2 nu [(nu + 2)(1 + 2 lambda) + (1 + lambda)^2], in a form
+        that neither cancels nor overflows."""
+        nu, lam = self.nu, self.lam
+        c = 2.0 * ((nu + 2.0) * (1.0 + 2.0 * lam) / (1.0 + lam) + 1.0 + lam)
+        return _log(c * float(sp.gammaincinv(nu * (1.0 + lam) / c, prob)))
 
 
 def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> VarianceMixture:
@@ -916,6 +956,10 @@ class _NoncentralT:
         if root_d > _NCT_D_MAX:
             raise ParamError("|delta0| = sqrt(delta) = %g is above the largest "
                              "noncentrality %g" % (root_d, _NCT_D_MAX))
+        if lam0 > _NCT_LAM0_PER_TOL * quad.abs_tol:
+            raise ParamError("lambda0 = sqrt(lambda) = %g is above the largest "
+                             "slope noncentrality %g (1e17 abs_tol)"
+                             % (lam0, _NCT_LAM0_PER_TOL * quad.abs_tol))
         self.nu, self.quad = nu, quad
         # the mixing mass beyond s_hi stays 1e-3 below abs_tol
         s_hi = ser.sqrt_mixing_upper(lam0, 1e-3 * quad.abs_tol)
@@ -923,8 +967,8 @@ class _NoncentralT:
         # series nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on [s_split, s_hi],
         # weighted by the density phi(s - lam0) + phi(s + lam0)
         mixdens = functools.partial(ser.sqrt_ncchisq1_pdf, lambda0=lam0)
-        rule = refine_panels(mixdens, s_split, s_hi, quad,
-                             initial_panels=32, split_at=(lam0,))
+        rule = refine_panels(mixdens, s_split, s_hi, quad, initial_panels=32,
+                             split_at=(2.0 * lam0 - s_hi, lam0))
         s, w = rule.nodes, rule.weights * mixdens(rule.nodes)
         self.s, self.w = s, w
         # nodes rounded onto s = 0 (where lam0 or D/20 is subnormal) weigh

@@ -22,7 +22,7 @@ from .errors import AccuracyError, ParamError, require_finite
 
 _GL_ORDER = 16
 _MAX_PANELS = 8192
-_PANEL_BLOCK = 64  # panels per evaluation: 3072 nodes x probe columns
+_PANEL_BLOCK = 64  # panels per evaluation: 3072 nodes x integrand columns
 _ITP_SLACK = 2     # n0: ITP steps allowed beyond bisection's count
 # the least abs_tol.  The signed-t CDF series certify to 1e-3 abs_tol, and
 # far out, where I_x is about 1, only once the coefficient mass left reads
@@ -35,7 +35,7 @@ _ABS_TOL_FLOOR = 1e-11
 class QuadSpec:
     """Accuracy knobs for mixture quadrature and series truncation.
 
-    Panel rules refine until their probes agree to ``abs_tol`` plus
+    Panel rules refine until their integrals agree to ``abs_tol`` plus
     ``rel_tol`` times their scale.  Every series kernel starts from a fixed
     minimum term count and escalates until its tail bound drops below
     ``abs_tol``; the noncentral-t pdf series also hold to ``rel_tol`` of
@@ -91,30 +91,29 @@ class PanelRule:
 
 
 def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
-                  initial_panels: int = 1, split_at: tuple = (),
-                  probe=None) -> PanelRule:
+                  initial_panels: int = 1, split_at: tuple = ()) -> PanelRule:
     """Build a panel rule on [lo, hi] by local subdivision (in the manner of
     QUADPACK's adaptive quadrature, Piessens et al. 1983): a panel is split
-    only while its quadrature of ``f``, and of the optional vector-valued
-    ``probe``, differs too much from the sum over its two halves.
+    only while its quadrature of ``f`` differs too much from the sum over
+    its two halves.
 
-    ``f`` maps nodes to values and ``probe`` maps them to an array of shape
-    (len(nodes), k).  ``split_at`` lists interior points that must coincide
-    with panel edges; each segment between them starts as
+    ``f`` maps nodes to values, or to an array of shape (len(nodes), k)
+    whose column 0 is the mass.  ``split_at`` lists interior points that
+    must coincide with panel edges; each segment between them starts as
     ``initial_panels // segments`` equal panels, at least one.
 
     Each round evaluates every new panel and its two halves in one array
     pass, and keeps each panel's difference between the whole and the
     halves.  It stops once these differences, summed over the panels, are
-    at most tol = 0.25 (abs_tol + rel_tol scale) for every component, scale
-    being the larger of the component's own integral and that of ``f``, so
-    that a component far above ``f``'s (a pdf at its pole) holds to
-    rel_tol of itself.  Otherwise the panels with the smallest differences,
-    in units of tol, stay, as many as fit in half of tol, and the others
-    are split.  The difference bounds the error of the whole panel, and the
-    rule keeps the halves, so it carries that bound with margin.  Panels
-    are evaluated _PANEL_BLOCK at a time, so a wide probe holds few values
-    at once.  A rule of more than _MAX_PANELS panels raises AccuracyError.
+    at most tol = 0.25 (abs_tol + rel_tol scale) for every column, scale
+    being the larger of the column's own integral and the mass, so that a
+    column far above the mass (a pdf at its pole) holds to rel_tol of
+    itself.  Otherwise the panels with the smallest differences, in units
+    of tol, stay, as many as fit in half of tol, and the others are split.
+    The difference bounds the error of the whole panel, and the rule keeps
+    the halves, so it carries that bound with margin.  Panels are evaluated
+    _PANEL_BLOCK at a time, so a wide integrand holds few values at once.
+    A rule of more than _MAX_PANELS panels raises AccuracyError.
     """
     if hi == lo:
         return PanelRule(np.array([lo]))    # an empty window: no nodes
@@ -132,15 +131,14 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
         lo_, hi_ = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
         half = 0.5 * (hi_ - lo_)[:, None]
         nodes = (lo_[:, None] + half * (1.0 + x)).ravel()
-        vals = np.column_stack([np.asarray(g(nodes), dtype=float)
-                                for g in ((f,) if probe is None else (f, probe))])
+        vals = np.asarray(f(nodes), dtype=float).reshape(nodes.size, -1)
         whole, left, right = np.split(
             half * (w @ vals.reshape(lo_.size, x.size, -1)), 3)
         return left + right, np.abs(whole - left - right)
 
     def measure(a, b):
-        """Integrals of f and probe over the halves of each panel [a, b],
-        and their differences from the whole panel's, (panels, 1 + k)."""
+        """Integrals of f over the halves of each panel [a, b], and their
+        differences from the whole panel's, (panels, k)."""
         est, err = zip(*(measure_block(a[i:i + _PANEL_BLOCK],
                                        b[i:i + _PANEL_BLOCK])
                          for i in range(0, a.size, _PANEL_BLOCK)))

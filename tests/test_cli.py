@@ -120,6 +120,18 @@ class TestRegion:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "delta" in err
 
+    @pytest.mark.parametrize("args,name", [
+        (["--dist", "tsq", "--nu", "10", "--delta", "4", "--lam", "1e17"],
+         "lambda"),
+        (["--dist", "signed-t", "--nu", "10", "--delta0", "2", "--lambda0",
+          "1.1e8"], "lambda"),
+        # an OverflowError traceback (exit 1) at 1e250, exit 3 at 1e100
+        (["--dist", "variance", "--nu", "10", "--lam", "1e250"], "lambda")])
+    def test_huge_lambda_exits_2(self, args, name, capsys):
+        assert run(["region"] + args + ["--coverage", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and name in err
+
     def test_removed_series_flags_exit_1(self, capsys):
         assert run(["region", "--dist", "variance", "--nu", "10", "--lam", "1",
                     "--coverage", "0.9", "--series-terms-inner", "30"]) == 1

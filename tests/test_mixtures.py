@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import types
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from calibmix import (AccuracyError, MixtureParams, ParamError,
                       variance_mixture)
 from calibmix.casestudy import moment_table_params, octane_params
 from calibmix import mixtures as mx
+from calibmix.mixtures import sharpness
 from calibmix import parallel
 from calibmix import special as ser
 from calibmix.quadrature import _ABS_TOL_FLOOR, PanelRule, gauss_legendre_nodes
@@ -22,6 +24,7 @@ from calibmix.quadrature import _ABS_TOL_FLOOR, PanelRule, gauss_legendre_nodes
 CRIT = 4.9646027437307145  # F(1,10) 0.95 quantile
 OCT_LAM = (1.8546 / 0.5837) ** 2
 OCT_S1SQ = 0.5837 ** 2
+FLOOR = QuadSpec(abs_tol=_ABS_TOL_FLOOR, rel_tol=_ABS_TOL_FLOOR)
 
 
 def std_gaussian_rule():
@@ -730,6 +733,10 @@ class TestInversionProperty:
              sigma1=0.05, prob=0.5)    # the median, by a pdf spike at beta0
     @example(n=2, beta0=0.0, sigma0=0.0, mu_z=1.0, sigma_z=1.0, beta1=1e-3,
              sigma1=1.0, prob=1e-6)
+    # nodes at |t| ~ 1e-152 square z past the largest double: an overflow
+    # warning in the pdf kernel, whose value there is 0
+    @example(n=2, beta0=0.0, sigma0=1e-154, mu_z=0.0, sigma_z=1.0, beta1=0.0,
+             sigma1=1.0, prob=0.5)
     def test_mean(self, n, beta0, sigma0, mu_z, sigma_z, beta1, sigma1, prob):
         assert_inverts(mean_mixture(MixtureParams(
             n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z, sigma_z=sigma_z,
@@ -968,15 +975,20 @@ def test_dense_pdf_has_bounded_working_set():
 
 
 # the sigma0 = 0 bundle whose decade anchors took 27648 nodes under global
-# panel doubling
+# panel doubling, and 11616 mixed over t; mixed over X it takes 64
 SPIKE = MixtureParams(n=100, beta0=1.0, sigma0=0.0, mu_z=1.0, sigma_z=0.2,
                       beta1=2.0, sigma1=1.0)
+# sigma0 = 0 with both windows holding 0: the density at beta0 is infinite,
+# and the rule over either factor is large (2848 nodes over t)
+LOG_SPIKE = MixtureParams(n=10, beta0=1.0, sigma0=0.0, mu_z=1.0, sigma_z=1.0,
+                          beta1=0.3, sigma1=1.0)
 
 
 def test_large_rule_pdf_has_bounded_working_set():
-    # its 512-point blocks of 27648 nodes peaked at 341 MB; now fewer nodes
-    # and fewer points per block keep each temporary within 16 MB
-    assert traced_pdf_peak(SPIKE, 20_000) < 64e6
+    # the spike bundle's 512-point blocks of 27648 nodes peaked at 341 MB;
+    # fewer points per block of a large rule keep each temporary within
+    # 16 MB
+    assert traced_pdf_peak(LOG_SPIKE, 20_000) < 64e6
 
 
 def fixed_rule(per_segment):
@@ -1012,9 +1024,7 @@ class TestAdaptiveRule:
         assert signed_t_mixture(10, delta0, lambda0)._core.s.size == 1024
 
     @pytest.mark.parametrize("params", [octane_params()] + moment_table_params()
-                             + [MixtureParams(n=10, beta0=1.0, sigma0=0.0,
-                                              mu_z=1.0, sigma_z=1.0,
-                                              beta1=0.3, sigma1=1.0)])
+                             + [LOG_SPIKE])
     def test_mean_law_against_fine_rule(self, params, monkeypatch):
         mm = mean_mixture(params)
         ref = fine_law(monkeypatch, lambda: mean_mixture(params))
@@ -1057,7 +1067,9 @@ class TestAdaptiveRule:
 class TestInPlaceKernels:
     @pytest.mark.parametrize("params", [octane_params(), SPIKE])
     def test_mean_kernel_is_the_plain_expression(self, params):
-        p, mm = params, mean_mixture(params)
+        # the spike bundle mixes over X: the kernel on the swapped parameters
+        mm = mean_mixture(params)
+        p = mm._mix
         t = mm._x
         u = np.append(np.linspace(*mm.support(), 301), p.beta0)
         sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)[:, None]
@@ -1263,6 +1275,63 @@ class TestLargeNoncentrality:
                     assert abs(ev.cdf(ev.ppf(0.5)) - 0.5) <= 1e-9
 
 
+class TestLargeLambda:
+    """lambda0 = sqrt(lambda) above 1e17 abs_tol (the noncentral-t laws) or
+    1e15 abs_tol (the variance law) is a ParamError; below it the
+    noncentral-t laws certify."""
+
+    @pytest.mark.parametrize("lam", [1e12, 1e14, 1e16])
+    def test_tsq_law_is_central_f(self, lam):
+        # D/s ~ 2/lambda0: the law is central F(1, 10) within 1e-15.  The
+        # s-rule's 32 initial panels all missed the bump at lambda0, so its
+        # weights summed to 0.5: cdf(1) read 0.33 at 1e12, ppf(0.5) 1763.2
+        # at 1e16 (and an OverflowError at 1e12)
+        law = tsq_mixture(10, 4.0, lam)
+        assert abs(law._core.w.sum() - 1.0) <= 1e-9
+        assert law.cdf(1.0) == pytest.approx(special.fdtr(1, 10, 1.0), abs=1e-9)
+        assert law.ppf(0.5) == pytest.approx(special.fdtri(1, 10, 0.5),
+                                             rel=1e-9)
+
+    def test_signed_law_at_huge_lambda0(self):
+        # P[t0 <= 0] = E_s[Phi(-2/s)], s ~ N(1e8, 1); it read 0.2499999960
+        law = signed_t_mixture(10, 2.0, 1e8)
+        assert law.cdf(0.0) == pytest.approx(special.ndtr(-2e-8), abs=1e-9)
+
+    @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
+    def test_every_lambda_certifies_or_is_rejected(self, quad):
+        # at 1e17 and the default tolerance the s-rule's rounded nodes left
+        # its mass 4.9e-9 off 1; at the floor, 2.1e-11 off at 1e14
+        bound = mx._NCT_LAM0_PER_TOL * quad.abs_tol
+        for k in range(8, 25):
+            lam0 = 10.0 ** (k / 2.0)
+            if lam0 > bound:
+                for build in (lambda: tsq_mixture(10, 4.0, lam0 ** 2, quad),
+                              lambda: signed_t_mixture(10, -2.0, lam0, quad)):
+                    with pytest.raises(ParamError, match="lambda"):
+                        build()
+                continue
+            w = signed_t_mixture(10, -2.0, lam0, quad)._core.w
+            assert abs(w.sum() - 1.0) <= quad.abs_tol
+
+    @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
+    def test_variance_bound(self, quad):
+        # W/lambda is within 1e-3 of 1, so F(u) ~ P[V <= u/lambda] (the
+        # law is not certified there: see README)
+        bound = (mx._VAR_LAM0_PER_TOL * quad.abs_tol) ** 2
+        law = variance_mixture(10, bound, quad)
+        assert law.cdf(bound * stats.chi2.ppf(0.5, 10)) == pytest.approx(
+            0.5, abs=1e-3)
+        for lam in (1.01 * bound, 1e100, 1e250):
+            with pytest.raises(ParamError, match="lambda"):
+                variance_mixture(10, lam, quad)
+
+    def test_variance_start_does_not_overflow(self):
+        # (1 + lambda) ** 2 raised OverflowError from lambda ~ 1.3e154
+        at = types.SimpleNamespace(nu=10.0, lam=1e250)
+        assert mx.VarianceMixture._start(at, 0.5) == pytest.approx(
+            math.log(1e250 * stats.chi2.ppf(0.5, 10)), rel=1e-3)
+
+
 class TestPdfIntegratesToCdf:
     # the pdf series is the CDF series' derivative, certified on its own
     # tail bound: Simpson's integral of a pdf table against the CDF
@@ -1334,7 +1403,7 @@ def block_grid(block, lo, hi, log=False):
     return (np.geomspace if log else np.linspace)(lo, hi, 4 * block + 17)
 
 
-SPIKE_LAW = functools.cache(lambda: mean_mixture(SPIKE))
+SPIKE_LAW = functools.cache(lambda: mean_mixture(LOG_SPIKE))
 
 
 class TestThreadedBlocks:
@@ -1364,7 +1433,7 @@ class TestThreadedBlocks:
                 assert np.array_equal(got, want, equal_nan=True)
 
     def test_large_rule_runs_its_blocks_one_at_a_time(self):
-        # a block of the spike bundle's 11616-node rule holds _BLOCK_SIZE
+        # a block of a 2848-node rule holds more than half of _BLOCK_SIZE
         # doubles, the budget of all workers together
         law = SPIKE_LAW()
         assert law._block_doubles <= mx._BLOCK_SIZE < 2 * law._block_doubles
@@ -1547,16 +1616,10 @@ class TestSignedIntervalProperty:
         assert np.max(np.abs(st_.cdf(root) - st_.cdf(-root) - tm.cdf(u))) <= 1e-9
 
 
-FLOOR = QuadSpec(abs_tol=_ABS_TOL_FLOOR, rel_tol=_ABS_TOL_FLOOR)
-
-
-def sharpness(p):
-    """min_t sd(t) / (|mu_z| sigma1) over the mean law's slope window: how
-    narrow, in slope sds, its sharpest conditional CDF turns over in t."""
-    lo, hi = (p.beta1 + s * mx._SLOPE_SIGMAS * p.sigma1 for s in (-1.0, 1.0))
-    t = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
-    sd = math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
-    return sd / (abs(p.mu_z) * p.sigma1) if p.mu_z else math.inf
+# components that turn over within 1e-3 slope sds, 30 X sds wide
+SHARP = MixtureParams(n=76, beta0=8.668387846148569, sigma0=0.01036421938716176,
+                      mu_z=17.462536274358786, sigma_z=0.025721254977391465,
+                      beta1=0.47382132585939674, sigma1=1.8240011675255017)
 
 
 class TestToleranceFloor:
@@ -1598,9 +1661,6 @@ class TestToleranceFloor:
         assert np.max(np.abs(law.cdf(u) - floor_law.cdf(u))) <= 1e-9
         assert np.all(np.abs(law.pdf(u) - pdf) <= 1e-9 * np.maximum(pdf, 1.0))
 
-    # components whose CDFs turn over within 0.03 slope sds are a known
-    # fault (test_sharp_mean_law below): the rule is certified at its probe
-    # points, and between them its CDF reads up to 5e-4 off
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 100), beta0=st.floats(-10.0, 10.0),
            sigma0=log_uniform(1e-2, 10.0), mu_z=signed(log_uniform(1e-2, 1e2)),
@@ -1610,22 +1670,17 @@ class TestToleranceFloor:
                                      beta1, sigma1):
         p = MixtureParams(n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z,
                           sigma_z=sigma_z, beta1=beta1, sigma1=sigma1)
-        assume(sharpness(p) >= 0.03)
         law = mean_mixture(p)
         self.agree(law, mean_mixture(p, FLOOR), np.linspace(*law.support(), 201))
 
-    @pytest.mark.xfail(strict=True, reason="the mean law's CDF is certified "
-                       "at its probe points only")
     def test_sharp_mean_law(self):
-        p = MixtureParams(n=76, beta0=8.668387846148569,
-                          sigma0=0.01036421938716176, mu_z=17.462536274358786,
-                          sigma_z=0.025721254977391465,
-                          beta1=0.47382132585939674, sigma1=1.8240011675255017)
-        assert sharpness(p) < 1e-3
-        # an adaptive scipy quadrature over t reads 0.8947503933 here, the
-        # floor's rule 0.8947508650 and the default's 0.8952717925
-        assert mean_mixture(p).cdf(56.827) == pytest.approx(0.8947503933,
-                                                             abs=1e-9)
+        # the components turn over within 1e-3 slope sds: the rule over t,
+        # certified at its probe points only, read 0.8952717925 here (and
+        # the floor's 0.8947508650); the law now mixes over X
+        assert sharpness(SHARP) < 1e-3
+        # an adaptive scipy quadrature over t reads 0.8947503933 here
+        assert mean_mixture(SHARP).cdf(56.827) == pytest.approx(0.8947503933,
+                                                                abs=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(nu=log_uniform(1.0, 1e3).map(round), lam=log_uniform(1e-3, 400.0))
@@ -1633,3 +1688,99 @@ class TestToleranceFloor:
         law = variance_mixture(nu, lam)
         self.agree(law, variance_mixture(nu, lam, FLOOR),
                    np.geomspace(1e-6, law.support()[1], 201))
+
+
+def swapped(p):
+    """The same mean law with T and X swapped."""
+    r = math.sqrt(p.n)
+    return MixtureParams(n=p.n, beta0=p.beta0, sigma0=p.sigma0, mu_z=p.beta1,
+                         sigma_z=p.sigma1 * r, beta1=p.mu_z,
+                         sigma1=p.sigma_z / r)
+
+
+def forced_rule(p, factor):
+    """The mean law of p mixed over T (factor "t") or X (factor "x")."""
+    with mock.patch.object(mx, "sharpness",
+                           lambda q: float((q is p) == (factor == "t"))):
+        law = mean_mixture(p)
+    assert (law._mix is p) == (factor == "t")
+    return law
+
+
+def mean_cdf_over_x(p, u):
+    """The mean-law CDF at u by scipy's adaptive quadrature over
+    X ~ N(mu_z, sigma_z^2/n) of Phi((u - beta0 - beta1 x) / sd(x)),
+    sd(x)^2 = sigma1^2 x^2 + sigma0^2 (smooth in x away from x = 0)."""
+    sd_x = p.sigma_z / math.sqrt(p.n)
+
+    def f(x):
+        sd = math.sqrt(p.sigma1 ** 2 * x * x + p.sigma0 ** 2)
+        return (special.ndtr((u - p.beta0 - p.beta1 * x) / sd)
+                * stats.norm.pdf(x, p.mu_z, sd_x))
+    return integrate.quad(f, p.mu_z - 12.0 * sd_x, p.mu_z + 12.0 * sd_x,
+                          epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+
+class TestMixingFactor:
+    """The mean law mixes over whichever Gaussian factor, T or X, is the
+    smoother: the same law by the symmetry of beta0 + T X + sigma0 E."""
+
+    @pytest.mark.parametrize("params,factor", [
+        (octane_params(), "t"), (SPIKE, "x"), (SHARP, "x"), (LOG_SPIKE, "t"),
+        (MixtureParams(n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
+                       beta1=1.0, sigma1=1.0), "x")])
+    def test_picks_the_larger_sharpness(self, params, factor):
+        assert (mean_mixture(params)._mix is params) == (factor == "t")
+
+    def test_x_is_not_picked_on_an_unresolvable_window(self):
+        # X's window mu_z +- 10 sigma_z/sqrt(n) is narrower than 2e-10 |mu_z|
+        # either side, though its sharpness is far the larger
+        p = MixtureParams(n=4, beta0=0.0, sigma0=1e-3, mu_z=1.0,
+                          sigma_z=1e-11, beta1=2.0, sigma1=1.0)
+        assert sharpness(swapped(p)) > sharpness(p)
+        assert mean_mixture(p)._mix is p
+
+    def test_x_parameters_that_overflow_keep_t(self):
+        # the swapped bundle's var_y, n sigma1^2 mu_z^2 among its terms,
+        # overflows where this one's does not
+        p = MixtureParams(n=100, beta0=0.0, sigma0=1.0, mu_z=1e153,
+                          sigma_z=1e150, beta1=1e-3, sigma1=1.35)
+        with pytest.raises(ParamError, match="var_y"):
+            swapped(p)
+        assert mean_mixture(p)._mix is p
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 100), beta0=st.floats(-10.0, 10.0),
+           sigma0=log_uniform(1e-2, 10.0), mu_z=signed(log_uniform(1e-2, 1e2)),
+           sigma_z=log_uniform(1e-2, 10.0),
+           beta1=signed(log_uniform(1e-2, 1e2)), sigma1=log_uniform(1e-3, 10.0))
+    def test_both_factors_agree(self, n, beta0, sigma0, mu_z, sigma_z, beta1,
+                                sigma1):
+        # a cross-route identity where both rules are smooth
+        p = MixtureParams(n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z,
+                          sigma_z=sigma_z, beta1=beta1, sigma1=sigma1)
+        assume(min(sharpness(p), sharpness(swapped(p))) >= 0.03)
+        by_t, by_x = forced_rule(p, "t"), forced_rule(p, "x")
+        lo = min(by_t.support()[0], by_x.support()[0])
+        hi = max(by_t.support()[1], by_x.support()[1])
+        TestToleranceFloor.agree(by_t, by_x, np.linspace(lo, hi, 201))
+
+    def test_sharp_law_against_quadrature_over_x(self):
+        law = mean_mixture(SHARP)
+        assert law._x.size <= 64       # 6976 nodes over t
+        u = np.linspace(*law.support(), 25)
+        want = [mean_cdf_over_x(SHARP, v) for v in u]
+        assert np.max(np.abs(law.cdf(u) - want)) <= 1e-9
+
+    def test_spike_pdf_at_beta0(self):
+        # at sigma0 = 0 the density at beta0 given X = x is
+        # phi(beta1/sigma1) / (sigma1 |x|); over t the rule read 0 there
+        p = SPIKE
+        sd_x = p.sigma_z / math.sqrt(p.n)
+        inv_x = integrate.quad(lambda x: stats.norm.pdf(x, p.mu_z, sd_x) / abs(x),
+                               p.mu_z - 12.0 * sd_x, p.mu_z + 12.0 * sd_x,
+                               epsabs=0.0, epsrel=1e-13)[0]
+        want = stats.norm.pdf(p.beta1 / p.sigma1) * inv_x / p.sigma1
+        law = mean_mixture(p)
+        assert law._x.size <= 64
+        assert law.pdf(p.beta0) == pytest.approx(want, rel=1e-9)

@@ -51,11 +51,11 @@ def quadrature_moments(p: MixtureParams, quad: QuadSpec = QuadSpec()):
     lo = min(p.beta0 + t * p.mu_z - 9.5 * sd(t) for t in ts)
     hi = max(p.beta0 + t * p.mu_z + 9.5 * sd(t) for t in ts)
 
-    def probe(x):
-        return mm.pdf(x)[:, None] * (x - p.mu_y)[:, None] ** np.arange(1, 5)
+    def integrand(x):
+        return mm.pdf(x)[:, None] * (x - p.mu_y)[:, None] ** np.arange(5)
 
-    rule = refine_panels(mm.pdf, lo, hi, quad, initial_panels=32, probe=probe)
-    m1, m2, m3, m4 = rule.weights @ probe(rule.nodes)
+    rule = refine_panels(integrand, lo, hi, quad, initial_panels=32)
+    _, m1, m2, m3, m4 = rule.weights @ integrand(rule.nodes)
     return {"variance": m2, "skewness": m3 / m2 ** 1.5,
             "kurtosis": m4 / m2 ** 2}
 
@@ -200,12 +200,13 @@ class TestMomentRows:
 
     def test_quadrature_failure_surfaces(self):
         # a rule that needs more panels than allowed is an explicit error,
-        # not junk: the least valid abs_tol takes 14 panels here
+        # not junk: the least valid abs_tol takes 8 panels here (14 when
+        # the law mixed over t; it now mixes over X)
         import calibmix.quadrature as q
         tight = QuadSpec(abs_tol=q._ABS_TOL_FLOOR, rel_tol=1e-16)
         saved = q._MAX_PANELS
         try:
-            q._MAX_PANELS = 8
+            q._MAX_PANELS = 4
             with pytest.raises(AccuracyError):
                 mean_mixture(UNIT, tight)
         finally:

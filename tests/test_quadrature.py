@@ -128,22 +128,23 @@ class TestRefinePanels:
         assert rule.edges[rule.edges <= 1.0].size > 3
 
     def test_vector_probe_is_certified_per_component(self):
-        # the probe's columns are integrated next to f, each to the budget
-        probe = lambda x: np.column_stack([x * bump(x), x * x * bump(x)])
-        rule = refine_panels(lambda x: np.ones_like(x), -1.0, 1.0, self.quad,
-                             initial_panels=16, probe=probe)
-        m1, m2 = rule.weights @ probe(rule.nodes)
+        # the columns after the mass are integrated next to it, each to the
+        # budget
+        f = lambda x: np.column_stack([np.ones_like(x), x * bump(x),
+                                       x * x * bump(x)])
+        rule = refine_panels(f, -1.0, 1.0, self.quad, initial_panels=16)
+        _, m1, m2 = rule.weights @ f(rule.nodes)
         mass = 0.01 * math.sqrt(2.0 * math.pi)
         assert m1 == pytest.approx(0.3137 * mass, abs=1e-9)
         assert m2 == pytest.approx((0.3137 ** 2 + 1e-4) * mass, abs=1e-9)
 
     def test_each_component_has_its_own_scale(self):
-        # a component 1e12 times f's holds to rel_tol of itself, and does
+        # a column 1e12 times the mass holds to rel_tol of itself, and does
         # not loosen a small one next to it to rel_tol of its own size
-        probe = lambda x: np.column_stack([1e12 * bump(x, 0.7), x * bump(x)])
-        rule = refine_panels(lambda x: np.ones_like(x), -1.0, 1.0, self.quad,
-                             probe=probe)
-        big, small = rule.weights @ probe(rule.nodes)
+        f = lambda x: np.column_stack([np.ones_like(x), 1e12 * bump(x, 0.7),
+                                       x * bump(x)])
+        rule = refine_panels(f, -1.0, 1.0, self.quad)
+        _, big, small = rule.weights @ f(rule.nodes)
         mass = 0.01 * math.sqrt(2.0 * math.pi)
         assert big == pytest.approx(1e12 * mass, rel=1e-9)
         assert small == pytest.approx(0.3137 * mass, abs=1e-9)
