@@ -61,8 +61,8 @@ from scipy import special as sp
 
 from .errors import AccuracyError, ParamError, require_finite
 from .model import MixtureParams, derive_params
-from .quadrature import (QuadSpec, _leggauss, bisect_cdf, gauss_legendre_nodes,
-                         refine_panels)
+from .quadrature import (_MAX_PANELS, QuadSpec, _leggauss, bisect_cdf,
+                         gauss_legendre_nodes, refine_panels)
 from . import special as ser
 from .parallel import thread_map
 
@@ -166,57 +166,69 @@ class _MixtureLaw:
     def interval_prob(self, lo, hi):
         if hi < lo:
             raise ParamError("interval bounds out of order")
-        return float(self.cdf(hi) - self.cdf(lo))
+        f_lo, f_hi = self.cdf([lo, hi])
+        return float(f_hi - f_lo)
 
     def ppf(self, prob):
-        if not 0.0 < prob < 1.0:
-            raise ParamError("probability must be in (0, 1), got %r" % prob)
-        return self._invert(prob)
+        p = np.asarray(prob, dtype=float)
+        if not np.all((p > 0.0) & (p < 1.0)):
+            raise ParamError("probability must be in (0, 1), got %r" % (prob,))
+        u = self._invert(p.ravel(), prob)
+        return float(u[0]) if p.ndim == 0 else u.reshape(p.shape)
 
-    def _invert(self, prob):
-        """The abscissa within 1e-8 of where the CDF crosses prob, with x
-        within 1e-10: on [0, inf) u within 1e-10 of itself, and on the line
-        within 1e-10 c cosh(x), so that the CDF holds at small quantiles and
-        where a narrow law's pdf is large.
+    def _invert(self, probs, prob):
+        """The abscissae within 1e-8 of where the CDF crosses each of
+        ``probs``, with x within 1e-10: on [0, inf) u within 1e-10 of itself,
+        and on the line within 1e-10 c cosh(x), so that the CDF holds at
+        small quantiles and where a narrow law's pdf is large.
 
-        One vector CDF call on 5 points around ``_start(prob)`` looks for a
-        bracket of prob, spaced fourfold in u on [0, inf) and by log(4)/8
-        in x on the line.  On a miss the next grid starts at this one's far
-        end and is twice as wide, so a quantile at distance d from the start
-        takes O(log d) calls.  ITP (``quadrature.bisect_cdf``) then solves
-        in x, where such CDFs are close to probit-linear.  A failure names
-        the law, prob and the stage."""
+        Every probability is solved at once, one vector CDF call a round.
+        The first call evaluates 5 points around each ``_start(p)``, looking
+        for a bracket of p, spaced fourfold in u on [0, inf) and by log(4)/8
+        in x on the line.  On a miss the next grid of that p starts at this
+        one's far end and is twice as wide, so a quantile at distance d from
+        its start takes O(log d) calls.  ``quadrature.bisect_cdf`` then
+        solves all of them in x, where such CDFs are close to
+        probit-linear, from the grid points (see there: about three rounds,
+        at most _ITP_SLACK beyond bisection's count).  A failure names the
+        law, ``prob`` and the stage."""
         if self._line is None:
             u, step = np.exp, _LOG4
         else:
             m, c = self._line
             u, step = (lambda x: m + c * np.sinh(x)), _LOG4 / 8.0
-        known = {}
-        x = self._start(prob) + step * _GRID
+
+        def cdf(x):
+            with np.errstate(over="ignore"):
+                return self.cdf(u(x))
+
+        x = np.add.outer([self._start(p) for p in probs], step * _GRID)
         try:
+            f = cdf(x)
+            below = np.count_nonzero(f < probs[:, None], axis=1)
             # within a few dozen grids an end reaches u = 0 or +-inf, where
             # the CDF is 0 or 1, so the search ends
             while True:
-                with np.errstate(over="ignore"):
-                    f = self.cdf(u(x))
-                known.update(zip(x, f))
-                i = int(np.searchsorted(f, prob))
-                if 0 < i < x.size:
+                miss = np.flatnonzero((below == 0) | (below == _GRID.size))
+                if not miss.size:
                     break
-                x = x[-1] + 2.0 * (x - x[0]) if i else x[0] + 2.0 * (x - x[-1])
+                g = x[miss]
+                x[miss] = np.where(below[miss, None] > 0,
+                                   g[:, -1:] + 2.0 * (g - g[:, :1]),
+                                   g[:, :1] + 2.0 * (g - g[:, -1:]))
+                f[miss] = cdf(x[miss])
+                below[miss] = np.count_nonzero(f[miss] < probs[miss, None],
+                                               axis=1)
         except AccuracyError as exc:
             raise self._failed(prob, "ppf bracket", exc) from exc
-        lo, hi = float(x[i - 1]), float(x[i])
+        rows = np.arange(probs.size)
+        lo, hi = x[rows, below - 1], x[rows, below]
         # du/dx is at most u_hi or c cosh(max |x|) on the bracket
-        slope = math.exp(hi) if self._line is None else c * math.cosh(max(-lo, hi))
-        xtol = min(1e-8 / slope, 1e-10)
-
-        def cdf(x):
-            if x not in known:
-                known[x] = float(self.cdf(u(x)))
-            return known[x]
+        slope = np.exp(hi) if self._line is None else c * np.cosh(
+            np.maximum(-lo, hi))
         try:
-            return float(u(bisect_cdf(cdf, prob, lo, hi, xtol=xtol)))
+            return u(bisect_cdf(cdf, probs, x, fx=f,
+                                xtol=np.minimum(1e-8 / slope, 1e-10)))
         except AccuracyError as exc:
             raise self._failed(prob, "ppf solve", exc) from exc
 
@@ -319,11 +331,12 @@ class _RuleLaw(_MixtureLaw):
 def sharpness(p: MixtureParams) -> float:
     """min_t sd(t) / (|mu_z| sigma1) over the mean law's slope window: how
     narrow, in slope sds, its sharpest conditional CDF turns over in t
-    (inf at mu_z = 0)."""
+    (inf at mu_z = 0, and where |mu_z| sigma1 underflows to 0)."""
     lo, hi = (p.beta1 + s * _SLOPE_SIGMAS * p.sigma1 for s in (-1.0, 1.0))
     t = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
     sd = math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
-    return sd / (abs(p.mu_z) * p.sigma1) if p.mu_z else math.inf
+    scale = abs(p.mu_z) * p.sigma1
+    return sd / scale if scale else math.inf
 
 
 class MeanMixture(_RuleLaw):
@@ -631,11 +644,15 @@ class _ExtremeRule:
     growing like sqrt(nu) and like lam0 beyond, because the conditional
     law's transition in log v narrows like 1/sqrt(nu), and the bump of p
     at tau = D/lam0, once the window holds it, like 1/lam0 in log tau.
-    h at its nodes comes from the g-rule clipped to the tau window.  s_lo
-    steps down from s_split by whole decades until P[s < s_lo] <= 1e-3 tol,
-    so the dropped far-tail mass stays below tol.  The rule is built once,
-    under a lock, by the first point block that reaches its u-range: below
-    it every node's conditional CDF is within the snap of 0.
+    The panel count is planned up front: where the bump's panels alone
+    come to more than _MAX_PANELS (8192; from about lam0 = 1e4 with the
+    bump in the window) the law is a ParamError, raised before any node is
+    placed.  h at its nodes comes from the g-rule clipped to the tau
+    window.  s_lo steps down from s_split by whole decades until P[s <
+    s_lo] <= 1e-3 tol, so the dropped far-tail mass stays below tol.  The
+    rule is built once, under a lock, by the first point block that
+    reaches its u-range: below it every node's conditional CDF is within
+    the snap of 0.
     """
 
     def __init__(self, nu, root_d, lam0, s_split, tol):
@@ -651,10 +668,23 @@ class _ExtremeRule:
         while self.s_lo > 0.0 and mass_below(self.s_lo) > 1e-3 * tol:
             self.s_lo /= 10.0
         self._reach = math.inf
+        self._middle = 0      # log-graded panels between the shoulders
         if self.s_lo < s_split:
             v_min = root_d / s_split + _G_EDGES[0]     # > 0: D/s_split >= 20
             self._reach = nu * v_min ** 2 / (
                 2.0 * float(sp.gammainccinv(nu / 2.0, _ROOT_SNAP)))
+            z = _G_EDGES[-1]
+            t_lo, t_hi = root_d / s_split + z, root_d / self.s_lo - z
+            decades = math.log10(t_hi / t_lo) if t_hi > t_lo else 0.0
+            per_decade = 6.0 * max(1.0, math.sqrt(nu / 30.0), lam0 / 8.0)
+            self._middle = math.ceil(per_decade * decades)
+            # the bump's 6 lam0/8 panels per decade, and the shoulders' 8
+            bump = math.ceil(0.75 * lam0 * decades) + 8
+            if bump > _MAX_PANELS:
+                raise ParamError(
+                    "lambda0 = sqrt(lambda) = %g with |delta0| = sqrt(delta) "
+                    "= %g would take %d panels in the noncentral-t v-rule, "
+                    "above %d" % (lam0, root_d, bump, _MAX_PANELS))
         self._built = None
         self._lock = threading.Lock()
 
@@ -669,12 +699,7 @@ class _ExtremeRule:
         """(v^2 ascending, weights h) of the v-rule."""
         d, z = self.root_d, _G_EDGES[-1]
         t_lo, t_hi = d / self.s_split, d / self.s_lo
-        middle = np.zeros(0)
-        if t_hi - z > t_lo + z:
-            per_decade = 6.0 * max(1.0, math.sqrt(self.nu / 30.0),
-                                   self.lam0 / 8.0)
-            n = math.ceil(per_decade * math.log10((t_hi - z) / (t_lo + z)))
-            middle = np.geomspace(t_lo + z, t_hi - z, n + 1)[1:-1]
+        middle = np.geomspace(t_lo + z, t_hi - z, self._middle + 1)[1:-1]
         edges = np.unique(np.concatenate([np.linspace(t_lo - z, t_lo + z, 5),
                                           middle,
                                           np.linspace(t_hi - z, t_hi + z, 5)]))

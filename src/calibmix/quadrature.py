@@ -22,8 +22,9 @@ from .errors import AccuracyError, ParamError, require_finite
 
 _GL_ORDER = 16
 _MAX_PANELS = 8192
-_PANEL_BLOCK = 64  # panels per evaluation: 3072 nodes x integrand columns
-_ITP_SLACK = 2     # n0: ITP steps allowed beyond bisection's count
+_PANEL_BLOCK = 64  # panels per first evaluation: with halves, 3072 nodes
+_ITP_SLACK = 2     # n0: ITP rounds allowed beyond bisection's count
+_INTERP_POINTS = 4  # known points of a target's probit interpolation
 # the least abs_tol.  The signed-t CDF series certify to 1e-3 abs_tol, and
 # far out, where I_x is about 1, only once the coefficient mass left reads
 # below that; the rounding of that mass reached 3.9e-15 over 1600 laws, so
@@ -102,17 +103,22 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
     must coincide with panel edges; each segment between them starts as
     ``initial_panels // segments`` equal panels, at least one.
 
-    Each round evaluates every new panel and its two halves in one array
+    The first round evaluates every panel and its two halves in one array
     pass, and keeps each panel's difference between the whole and the
-    halves.  It stops once these differences, summed over the panels, are
-    at most tol = 0.25 (abs_tol + rel_tol scale) for every column, scale
-    being the larger of the column's own integral and the mass, so that a
-    column far above the mass (a pdf at its pole) holds to rel_tol of
-    itself.  Otherwise the panels with the smallest differences, in units
-    of tol, stay, as many as fit in half of tol, and the others are split.
+    halves.  A split panel's halves become new panels whose integrals are
+    already in hand, so later rounds evaluate only the new panels' halves
+    (32 integrand nodes per panel, not 48).  It stops once the
+    differences, summed over the panels, are at most tol = 0.25 (abs_tol +
+    rel_tol scale) for every column, scale being the larger of the
+    column's own integral and the mass, so that a column far above the
+    mass (a pdf at its pole) holds to rel_tol of itself.  Otherwise the
+    panels with the smallest differences, in units of tol, stay, as many
+    as fit in half of tol, and the others are split.
     The difference bounds the error of the whole panel, and the rule keeps
-    the halves, so it carries that bound with margin.  Panels are evaluated
-    _PANEL_BLOCK at a time, so a wide integrand holds few values at once.
+    the halves, so it carries that bound with margin.  The integrand takes
+    at most 3 _PANEL_BLOCK panel rules at a time (_PANEL_BLOCK panels and
+    their halves, or 1.5 _PANEL_BLOCK new panels' halves), so a wide
+    integrand holds few values at once.
     A rule of more than _MAX_PANELS panels raises AccuracyError.
     """
     if hi == lo:
@@ -126,28 +132,36 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
                                       for a, b in zip(anchors, anchors[1:])]))
     x, w = _leggauss(_GL_ORDER)
 
-    def measure_block(a, b):
+    def measure_block(a, b, whole):
         mid = 0.5 * (a + b)
-        lo_, hi_ = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
+        if whole is None:
+            lo_, hi_ = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
+        else:
+            lo_, hi_ = np.concatenate([a, mid]), np.concatenate([mid, b])
         half = 0.5 * (hi_ - lo_)[:, None]
         nodes = (lo_[:, None] + half * (1.0 + x)).ravel()
         vals = np.asarray(f(nodes), dtype=float).reshape(nodes.size, -1)
-        whole, left, right = np.split(
-            half * (w @ vals.reshape(lo_.size, x.size, -1)), 3)
-        return left + right, np.abs(whole - left - right)
+        ints = half * (w @ vals.reshape(lo_.size, x.size, -1))
+        n = a.size
+        if whole is None:
+            whole = ints[:n]
+        left, right = ints[-2 * n:-n], ints[-n:]
+        return left, right, np.abs(whole - left - right)
 
-    def measure(a, b):
+    def measure(a, b, whole=None):
         """Integrals of f over the halves of each panel [a, b], and their
-        differences from the whole panel's, (panels, k)."""
-        est, err = zip(*(measure_block(a[i:i + _PANEL_BLOCK],
-                                       b[i:i + _PANEL_BLOCK])
-                         for i in range(0, a.size, _PANEL_BLOCK)))
-        return np.concatenate(est), np.concatenate(err)
+        differences from the whole panel's, each (panels, k); the whole
+        panels' integrals are evaluated too unless given."""
+        step = _PANEL_BLOCK if whole is None else 3 * _PANEL_BLOCK // 2
+        return map(np.concatenate, zip(*(
+            measure_block(a[i:i + step], b[i:i + step],
+                          None if whole is None else whole[i:i + step])
+            for i in range(0, a.size, step))))
 
     a, b = edges[:-1], edges[1:]
-    est, err = measure(a, b)
+    left, right, err = measure(a, b)
     while True:
-        total = np.abs(est.sum(axis=0))
+        total = np.abs((left + right).sum(axis=0))
         tol = 0.25 * (quad.abs_tol
                       + quad.rel_tol * np.maximum(total, total[0]))
         if np.all(err.sum(axis=0) <= tol):
@@ -156,87 +170,184 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
         order = np.argsort(worst)
         stay = np.zeros(a.size, dtype=bool)
         stay[order[np.cumsum(worst[order]) <= 0.5]] = True
-        mid = 0.5 * (a[~stay] + b[~stay])
-        new_a = np.concatenate([a[~stay], mid])
-        new_b = np.concatenate([mid, b[~stay]])
+        split = ~stay
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
         if 2 * (np.count_nonzero(stay) + new_a.size) > _MAX_PANELS:
             raise AccuracyError(
                 "panel refinement exceeded %d panels without reaching "
                 "abs_tol=%g" % (_MAX_PANELS, quad.abs_tol))
-        new_est, new_err = measure(new_a, new_b)
+        # the new panels are the halves already measured
+        new_left, new_right, new_err = measure(
+            new_a, new_b, np.concatenate([left[split], right[split]]))
         a, b = np.concatenate([a[stay], new_a]), np.concatenate([b[stay], new_b])
-        est = np.concatenate([est[stay], new_est])
+        left = np.concatenate([left[stay], new_left])
+        right = np.concatenate([right[stay], new_right])
         err = np.concatenate([err[stay], new_err])
 
 
-def bisect_cdf(cdf, target: float, lo: float, hi: float, *,
-               xtol: float = 1e-8) -> float:
-    """Invert a monotone CDF to ``xtol`` on the abscissa by the ITP method
-    (interpolate, truncate, project; Oliveira & Takahashi 2020, ACM TOMS
-    47(1):5), keeping a bracket of the target like bisection.
+class _Crossing:
+    """One target of ``bisect_cdf``: its bracket [lo, hi], ``near``, the
+    known points nearest the crossing as (x, z) pairs with z = ndtri(F) -
+    ndtri(target), and ``cap``, the width the bracket keeps within on ITP's
+    schedule, halved every round.  ``result`` is set once it is solved."""
 
-    [lo, hi] must bracket the target, or AccuracyError is raised: finding a
-    bracket is the caller's part (the mixture laws search a growing grid in
-    their own coordinate).  Each step interpolates the bracket ends linearly
-    on the probit scale ndtri(F), where CDFs of Gaussian-like laws are close
-    to straight; an end at F = 0 or 1 gives no slope, and the step bisects.
-    The point is moved 0.1 w^2 / w0 toward the midpoint (w the bracket
-    width, w0 the first) and projected within the slack that keeps the
-    bracket on bisection's schedule delayed by _ITP_SLACK steps.  So no
-    solve takes more than _ITP_SLACK steps beyond bisection's
-    ceil(log2(w0 / xtol)), while on a smooth CDF the steps converge
-    superlinearly.  The result is the midpoint of a bracket no wider than
-    ``xtol`` (or than one float spacing, where that is wider), or a point
-    where the CDF equals the target.  The function keeps the name it had as
-    a bisection: span tracing refers to it by that name.
+    def __init__(self, target, z_target, xtol, x, f, probit):
+        self.target, self.z_target, self.xtol = target, z_target, xtol
+        self.lo, self.hi = -math.inf, math.inf
+        self.near, self.result = [], None
+        if self._take(x, f):
+            return
+        if self.lo == -math.inf or self.hi == math.inf:
+            raise AccuracyError("CDF inversion: [%g, %g] does not bracket "
+                                "target %g" % (min(x), max(x), target))
+        steps = max(math.ceil(math.log2((self.hi - self.lo) / xtol)), 0)
+        self.cap = math.ldexp(xtol, steps + _ITP_SLACK)
+        self._keep(x, probit)
+
+    def points(self):
+        """This round's points: the interpolated crossing, projected onto
+        ITP's schedule, and the ladder at +-h around the estimate."""
+        lo, hi, xtol = self.lo, self.hi, self.xtol
+        mid = 0.5 * (lo + hi)
+        est, err = _inverse_interpolation(self.near)
+        # an estimate on an end (a probit that rounds onto the target's)
+        # steps from the end, as from a point on the crossing.  One outside
+        # the bracket (an extrapolation past an end at F = 0 or 1), or a
+        # NaN, gives nothing to go on: the round quarters the bracket
+        if not lo <= est <= hi:
+            est, err = mid, 0.25 * (hi - lo)
+        slack = 0.5 * (self.cap - (hi - lo))
+        x = est if abs(est - mid) <= slack else mid + math.copysign(
+            slack, est - mid)
+        # at least xtol/2 and one float inside (Brent's minimum step): a
+        # point on the crossing then leaves a bracket no wider than xtol,
+        # or than one float spacing
+        x = min(max(x, lo + 0.5 * xtol, math.nextafter(lo, hi)),
+                hi - 0.5 * xtol, math.nextafter(hi, lo))
+        h = max(err, 0.5 * xtol)
+        return [x] + [y for y in (est - h, est + h) if lo < y < hi and y != x]
+
+    def update(self, x, f, probit):
+        """Take this round's points x with their CDF values f and probits."""
+        if not self._take(x, f):
+            self.cap *= 0.5
+            self._keep(x, probit)
+
+    def _take(self, x, f):
+        """Narrow the bracket to the points x with CDF values f; True, with
+        the result set, at a point on the crossing."""
+        for xi, fi in zip(x, f):
+            if fi < self.target:
+                self.lo = max(self.lo, xi)
+            elif fi > self.target:
+                self.hi = min(self.hi, xi)
+            else:
+                self.result = xi
+                return True
+        return False
+
+    def _keep(self, x, probit):
+        """Keep the _INTERP_POINTS known points of finite, distinct z
+        nearest the crossing, the bracket ends first; solved once the
+        bracket is no wider than xtol, or holds no float between its ends."""
+        lo, hi = self.lo, self.hi
+        mid = 0.5 * (lo + hi)
+        if not (hi - lo > self.xtol and lo < mid < hi):
+            self.result = mid
+            return
+        near = self.near + [(xi, pi - self.z_target)
+                            for xi, pi in zip(x, probit)
+                            if -math.inf < pi < math.inf]
+        near.sort(key=lambda p: (p[0] != lo and p[0] != hi, abs(p[1])))
+        # one point per z: where the CDF rounds to a plateau, the others
+        # give the interpolation nothing
+        self.near, seen = [], set()
+        for p in near:
+            if p[1] not in seen:
+                seen.add(p[1])
+                self.near.append(p)
+        del self.near[_INTERP_POINTS:]
+
+
+def _inverse_interpolation(near):
+    """Newton's form of x as a polynomial in z through ``near``, (x, z)
+    pairs of distinct z in order, at z = 0, and the size of its last term,
+    which estimates the error of the polynomial through all points but the
+    last.  It stops before a term that overflows, and gives NaNs with
+    fewer than two terms."""
+    d = [p[0] for p in near]
+    z = [p[1] for p in near]
+    n = len(d)
+    est, term, prod = (d[0] if n else math.nan), math.nan, 1.0
+    for j in range(1, n):
+        for i in range(n - j):
+            d[i] = (d[i + 1] - d[i]) / (z[i + j] - z[i])
+        prod *= -z[j - 1]
+        new = d[0] * prod
+        if not -math.inf < new < math.inf:
+            break
+        est, term = est + new, abs(new)
+    return (est, term) if term == term else (math.nan, math.nan)
+
+
+def bisect_cdf(cdf, target, x, *, fx=None, xtol=1e-8):
+    """Invert a monotone CDF at every target to ``xtol`` on the abscissa,
+    all targets together: each round makes one vector call of ``cdf``.
+
+    ``target`` is a float or a 1-d array, and ``x`` holds points around
+    each target: shape (m,) for every target, such as the ends [lo, hi]
+    of one bracket, or (targets, m).  ``fx`` is the CDF at ``x`` where the
+    caller has it; otherwise the first call evaluates it.  A target's
+    bracket is the tightest pair of its points around it, and the other
+    points join the interpolation.  A target without a bracket raises
+    AccuracyError: finding brackets is the caller's part (the mixture laws
+    search a growing grid in their own coordinate).  ``xtol`` is one value
+    or one per target.
+
+    Each round follows ITP (interpolate, truncate, project; Oliveira &
+    Takahashi 2020, ACM TOMS 47(1):5), which keeps a bracket like
+    bisection.  A target's point interpolates x as a polynomial in the
+    probit ndtri(F), where CDFs of Gaussian-like laws are close to
+    straight, through the bracket ends and the known points next nearest
+    the crossing, _INTERP_POINTS in all (Newton's form; ends at F = 0 or 1
+    give no probit and take no part).  It is projected within the slack
+    that keeps the bracket on bisection's schedule delayed by _ITP_SLACK
+    rounds.  Where ITP truncates toward the midpoint, this solver asks, in
+    the same call, for a ladder of two more points at +-h around the
+    estimate, h the size of the interpolation's last Newton term (at least
+    xtol/2): most often they straddle the crossing, and the bracket
+    collapses to h, so a target solves in two or three rounds from a grid.
+    Without an estimate inside the bracket (no probits yet, or an
+    extrapolation past an end), the round quarters the bracket.  The
+    ladder only narrows the bracket, so no target takes more than
+    _ITP_SLACK rounds beyond bisection's ceil(log2(w0 / xtol)), w0 its
+    first bracket width.  The result is the midpoint of a bracket no wider
+    than ``xtol`` (or than one float spacing, where that is wider), or a
+    point where the CDF equals the target: a float for a float target,
+    else an array.  The function keeps the name it had as a bisection:
+    span tracing refers to it by that name.
     """
-    flo, fhi = cdf(lo) - target, cdf(hi) - target
-    if flo * fhi > 0:
-        raise AccuracyError("CDF inversion: [%g, %g] does not bracket target %g"
-                            % (lo, hi, target))
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-
-    z_target = float(sp.ndtri(target))
-
-    def probit(f):
-        """ndtri(F) - ndtri(target) from f = F - target."""
-        return float(sp.ndtri(f + target)) - z_target
-
-    zlo, zhi = probit(flo), probit(fhi)
-    kappa1 = 0.1 / (hi - lo)
-    # steps left before the bracket must be as narrow as bisection's
-    steps_left = max(math.ceil(math.log2((hi - lo) / xtol)), 0) + _ITP_SLACK
-    while hi - lo > xtol:
-        mid = x = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break      # adjacent floats, wider apart than xtol above ~6e7
-        # inf - inf is NaN, and a NaN x_f fails the test below: bisect.
-        # An end whose probit rounds onto the target's puts x_f on that end
-        # (or a rounding past it): the step goes from the end, as from a
-        # point on the crossing, not to the midpoint
-        x_f = (zhi * lo - zlo * hi) / (zhi - zlo) if zhi > zlo else mid
-        x_f = min(max(x_f, lo), hi) if x_f == x_f else x_f
-        if lo <= x_f <= hi:
-            toward = math.copysign(1.0, mid - x_f)
-            delta = kappa1 * (hi - lo) ** 2
-            x = x_f + toward * delta if delta <= abs(mid - x_f) else mid
-            slack = 0.5 * xtol * 2.0 ** steps_left - 0.5 * (hi - lo)
-            if abs(x - mid) > slack:
-                x = mid - toward * slack
-            # at least xtol/2 inside (Brent's minimum step): a point on the
-            # crossing then leaves a bracket narrower than xtol next step
-            x = min(max(x, lo + 0.5 * xtol), hi - 0.5 * xtol)
-            if not lo < x < hi:      # rounded onto an end
-                x = mid
-        f = cdf(x) - target
-        if f > 0:
-            hi, fhi, zhi = x, f, probit(f)
-        elif f < 0:
-            lo, flo, zlo = x, f, probit(f)
-        else:
-            return x
-        steps_left -= 1
-    return 0.5 * (lo + hi)
+    targets = np.atleast_1d(np.asarray(target, dtype=float))
+    x = np.asarray(x, dtype=float)
+    fx = np.asarray(cdf(x) if fx is None else fx, dtype=float)
+    shape = targets.shape + x.shape[-1:]
+    x, fx = np.broadcast_to(x, shape), np.broadcast_to(fx, shape)
+    xtol = np.broadcast_to(np.asarray(xtol, dtype=float), targets.shape)
+    crossings = [_Crossing(*args) for args in zip(
+        targets.tolist(), sp.ndtri(targets).tolist(), xtol.tolist(),
+        x.tolist(), fx.tolist(), sp.ndtri(fx).tolist())]
+    while True:
+        open_ = [c for c in crossings if c.result is None]
+        if not open_:
+            break
+        asked = [c.points() for c in open_]
+        fs = np.asarray(cdf(np.array([p for ps in asked for p in ps])),
+                        dtype=float)
+        probits, fs, at = sp.ndtri(fs).tolist(), fs.tolist(), 0
+        for c, ps in zip(open_, asked):
+            c.update(ps, fs[at:at + len(ps)], probits[at:at + len(ps)])
+            at += len(ps)
+    out = np.array([c.result for c in crossings])
+    return float(out[0]) if np.ndim(target) == 0 else out

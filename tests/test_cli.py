@@ -126,7 +126,12 @@ class TestRegion:
         (["--dist", "signed-t", "--nu", "10", "--delta0", "2", "--lambda0",
           "1.1e8"], "lambda"),
         # an OverflowError traceback (exit 1) at 1e250, exit 3 at 1e100
-        (["--dist", "variance", "--nu", "10", "--lam", "1e250"], "lambda")])
+        (["--dist", "variance", "--nu", "10", "--lam", "1e250"], "lambda"),
+        # a v-rule planned at 7.2e7 panels (tens of GB)
+        (["--dist", "tsq", "--nu", "10", "--delta", "1e20", "--lam", "1e16"],
+         "lambda0"),
+        (["--dist", "signed-t", "--nu", "10", "--delta0", "1e10",
+          "--lambda0", "1e8"], "lambda0")])
     def test_huge_lambda_exits_2(self, args, name, capsys):
         assert run(["region"] + args + ["--coverage", "0.5"]) == 2
         err = capsys.readouterr().err

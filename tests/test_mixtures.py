@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import types
 from unittest import mock
@@ -12,7 +13,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from calibmix import (AccuracyError, MixtureParams, ParamError,
-                      QuadSpec, mean_mixture, signed_t_mixture, tsq_mixture,
+                      QuadSpec, mean_mixture,
+                      probability_region, signed_t_mixture, tsq_mixture,
                       variance_mixture)
 from calibmix.casestudy import moment_table_params, octane_params
 from calibmix import mixtures as mx
@@ -803,6 +805,118 @@ class TestInversionReach:
             tm.ppf(0.3)
 
 
+def log_uniform(lo, hi):
+    return st.floats(np.log(lo), np.log(hi)).map(np.exp)
+
+
+def signed(magnitude):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(
+        lambda t: t[0] * t[1])
+
+
+def law_x(ev, u):
+    """u in the law's inversion coordinate x, and du/dx there."""
+    if ev._line is None:
+        return np.log(u), u
+    m, c = ev._line
+    x = np.arcsinh((u - m) / c)
+    return x, c * np.cosh(x)
+
+
+def assert_joint_solve(ev, probs):
+    """ppf of an array: each quantile meets its probability to 1e-9, and
+    agrees with the quantile solved alone within the x tolerance 1e-10,
+    or, where the CDF is flatter than that in x (far tails, where F rounds
+    near 1), within the x width of 1e-12 in F: the t^2 CDF series read up
+    to 4e-14 off near F = 1 at nu = 782, and the crossing moves by that."""
+    probs = np.array(probs)
+    joint = ev.ppf(probs)
+    assert joint.shape == probs.shape
+    assert np.all(np.abs(ev.cdf(joint) - probs) <= 1e-9)
+    single = np.array([ev.ppf(p) for p in probs])
+    x, dudx = law_x(ev, joint)
+    with np.errstate(divide="ignore"):
+        flat = 1e-12 / (ev.pdf(joint) * dudx)
+    assert np.all(np.abs(x - law_x(ev, single)[0]) <= 1e-10 + flat)
+
+
+JOINT_PROBS = st.lists(PROBS, min_size=2, max_size=4)
+
+
+class TestJointInversion:
+    """Every probability of one ppf call is solved in the same rounds, one
+    vector CDF call a round."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(2, 100), beta0=st.floats(-5.0, 5.0),
+           sigma0=log_uniform(1e-3, 10.0), mu_z=st.floats(-3.0, 3.0),
+           sigma_z=log_uniform(0.1, 10.0), beta1=st.floats(-3.0, 3.0),
+           sigma1=log_uniform(0.05, 2.0), probs=JOINT_PROBS)
+    def test_mean(self, n, beta0, sigma0, mu_z, sigma_z, beta1, sigma1, probs):
+        assert_joint_solve(mean_mixture(MixtureParams(
+            n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z, sigma_z=sigma_z,
+            beta1=beta1, sigma1=sigma1)), probs)
+
+    @settings(max_examples=10, deadline=None)
+    @given(nu=log_uniform(1.0, 1000.0).map(int), lam=log_uniform(1e-4, 1e4),
+           probs=JOINT_PROBS)
+    def test_variance(self, nu, lam, probs):
+        assert_joint_solve(variance_mixture(nu, lam), probs)
+
+    @settings(max_examples=10, deadline=None)
+    @given(nu=log_uniform(1.0, 1000.0).map(int), delta=log_uniform(1e-4, 1e4),
+           lam=log_uniform(1e-4, 1e4), probs=JOINT_PROBS)
+    # F rounds near 1 in these tails: the quantiles solved jointly and
+    # alone read 1.3e-10 to 1.9e-10 apart in log u
+    @example(nu=67, delta=1.0189273659388836, lam=13.952583403124617,
+             probs=[0.5, 0.9999983301650774])
+    @example(nu=150, delta=117.02264687933433, lam=44.224885157758266,
+             probs=[8.0355771482108e-06, 0.9999983820761799])
+    def test_tsq(self, nu, delta, lam, probs):
+        assert_joint_solve(tsq_mixture(nu, delta, lam), probs)
+
+    @settings(max_examples=10, deadline=None)
+    @given(nu=log_uniform(1.0, 1000.0).map(int),
+           delta0=signed(log_uniform(1e-4, 100.0)),
+           lambda0=log_uniform(1e-4, 100.0), probs=JOINT_PROBS)
+    def test_signed_t(self, nu, delta0, lambda0, probs):
+        assert_joint_solve(signed_t_mixture(nu, delta0, lambda0), probs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: mean_mixture(octane_params()),
+        lambda: variance_mixture(10, OCT_LAM),
+        lambda: tsq_mixture(10, 4.0, 4.0),
+        lambda: signed_t_mixture(10, 0.3, 1.0),
+        lambda: signed_t_mixture(10, -0.5, 3.0),
+    ], ids=["octane mean", "octane variance", "tsq(10, 4, 4)",
+            "signed_t(10, 0.3, 1)", "signed_t(10, -0.5, 3)"])
+    def test_region_takes_few_cdf_calls(self, make):
+        # two ppf solves one step at a time and two scalar coverage calls
+        # took 17-19 calls
+        ev = make()
+        cdf, calls = ev.cdf, []
+        ev.cdf = lambda u: calls.append(u) or cdf(u)
+        region = probability_region(ev, 0.95)
+        assert len(calls) <= 8
+        assert abs(region.achieved - 0.95) <= 1e-9
+
+    def test_interval_prob_is_one_call(self):
+        ev = signed_t_mixture(10, 0.3, 1.0)
+        cdf, calls = ev.cdf, []
+        ev.cdf = lambda u: calls.append(u) or cdf(u)
+        got = ev.interval_prob(-2.0, 3.0)
+        assert len(calls) == 1
+        assert got == pytest.approx(cdf(3.0) - cdf(-2.0), abs=1e-14)
+
+    def test_shapes(self):
+        ev = variance_mixture(10, 1.0)
+        assert isinstance(ev.ppf(0.5), float)
+        assert ev.ppf([[0.1, 0.9]]).shape == (1, 2)
+        assert ev.ppf(np.zeros(0)).shape == (0,)
+        with pytest.raises(ParamError, match="probability"):
+            ev.ppf([0.5, 1.0])
+
+
 class TestChi2MixingRule:
     """The noncentral-t core's series nodes of s = sqrt(w), w ~ chi2_1(lam),
     on [s_split, s_hi], with s_split = min(D/20, s_hi)."""
@@ -1275,6 +1389,35 @@ class TestLargeNoncentrality:
                     assert abs(ev.cdf(ev.ppf(0.5)) - 0.5) <= 1e-9
 
 
+class TestVRuleBound:
+    """The v-rule's panels grow like lambda0 once the slope draws' bump lies
+    in its window; where the bump's panels alone pass _MAX_PANELS the law
+    is a ParamError, raised before any node is placed."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: tsq_mixture(10, 1e20, 1e16),
+        lambda: signed_t_mixture(10, 1e10, 1e8),
+    ], ids=["tsq", "signed_t"])
+    def test_huge_bump_is_rejected_at_once(self, make):
+        # lambda0 = 1e8, D = 1e10: about 8.6e8 v-nodes (tens of GB)
+        start = time.perf_counter()
+        with pytest.raises(ParamError, match=r"lambda0 = .*1e\+08.*delta0.*"
+                           r"1e\+10.*above 8192"):
+            make()
+        assert time.perf_counter() - start < 1.0
+
+    def test_bound_admits_7211_panels(self):
+        # lambda0 = 1e4, D = 1e6: the bump's panels, 6 lambda0/8 per
+        # decade over 0.96 decades, plus the shoulders' 8
+        ext = tsq_mixture(10, 1e12, 1e8)._core.ext
+        assert ext._middle + 8 == 7211 <= mx._MAX_PANELS
+
+    def test_large_nu_is_not_bounded_here(self):
+        # nu = 1e6 plans 11888 panels from its sqrt(nu/30) density
+        ext = tsq_mixture(1_000_000, 4.0, 1.0)._core.ext
+        assert ext._middle + 8 > mx._MAX_PANELS
+
+
 class TestLargeLambda:
     """lambda0 = sqrt(lambda) above 1e17 abs_tol (the noncentral-t laws) or
     1e15 abs_tol (the variance law) is a ParamError; below it the
@@ -1523,15 +1666,6 @@ class TestRowSkip:
         assert min(rows) < law._x.size        # some rows were skipped
 
 
-def log_uniform(lo, hi):
-    return st.floats(np.log(lo), np.log(hi)).map(np.exp)
-
-
-def signed(magnitude):
-    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(
-        lambda t: t[0] * t[1])
-
-
 class TestThreadedTablesProperty:
     """Every law at log-uniform parameters, on grids of 2 CDF blocks and 77
     points: pdf finite and >= 0, CDF nondecreasing in [0, 1], and the
@@ -1739,6 +1873,14 @@ class TestMixingFactor:
                           sigma_z=1e-11, beta1=2.0, sigma1=1.0)
         assert sharpness(swapped(p)) > sharpness(p)
         assert mean_mixture(p)._mix is p
+
+    def test_underflowing_scale_is_infinitely_smooth(self):
+        # |mu_z| sigma1 rounds to 0 here: sharpness divided by it
+        # (ZeroDivisionError), where mu_z = 0 reads inf
+        p = MixtureParams(n=2, beta0=0.0, sigma0=0.0, mu_z=5e-324,
+                          sigma_z=1.0, beta1=0.0, sigma1=0.5)
+        assert sharpness(p) == math.inf
+        assert_inverts(mean_mixture(p), 0.5)
 
     def test_x_parameters_that_overflow_keep_t(self):
         # the swapped bundle's var_y, n sigma1^2 mu_z^2 among its terms,

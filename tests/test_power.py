@@ -24,7 +24,7 @@ class TestTsqCritical:
         # delta = 0 kills the mixing, so inverting the mixture CDF at any
         # lambda recovers the same critical value
         tm = tsq_mixture(10, 0.0, 7.0)
-        inv = bisect_cdf(lambda c: tm.cdf(c), 0.95, 0.0, 30.0, xtol=1e-9)
+        inv = bisect_cdf(lambda c: tm.cdf(c), 0.95, [0.0, 30.0], xtol=1e-9)
         assert inv == pytest.approx(4.9646, abs=1e-3)
 
     def test_bisection_evaluates_each_abscissa_once(self):
@@ -32,10 +32,10 @@ class TestTsqCritical:
         seen = []
 
         def cdf(c):
-            seen.append(c)
+            seen.extend(np.ravel(c).tolist())
             return tm.cdf(c)
 
-        inv = bisect_cdf(cdf, 0.95, 0.0, 30.0, xtol=1e-9)
+        inv = bisect_cdf(cdf, 0.95, [0.0, 30.0], xtol=1e-9)
         assert len(seen) == len(set(seen))
         assert inv == pytest.approx(tsq_critical(10, 0.05), abs=1e-8)
 

@@ -4,19 +4,34 @@ import numpy as np
 import pytest
 from scipy import special
 
-from calibmix import AccuracyError
+from calibmix import (AccuracyError, MixtureParams, derive_params,
+                      mean_mixture, tsq_mixture, variance_mixture)
+from calibmix import mixtures as mx
 from calibmix import quadrature as qd
+from calibmix.casestudy import octane_params
 from calibmix.quadrature import QuadSpec, bisect_cdf, refine_panels
 
 
 def counted(cdf):
-    """cdf plus the list of abscissae it was called at."""
-    seen = []
+    """A vector CDF from the scalar ``cdf``, and the list of its calls, each
+    the list of abscissae it was called at."""
+    calls = []
 
     def f(x):
-        seen.append(x)
-        return float(cdf(x))
-    return f, seen
+        x = np.asarray(x, dtype=float)
+        calls.append(x.ravel().tolist())
+        return np.vectorize(cdf, otypes=[float])(x)
+    return f, calls
+
+
+def rounds(calls):
+    """Rounds of a solve from a bracket: the first call evaluates its ends."""
+    return len(calls) - 1
+
+
+def distinct(calls):
+    points = [x for call in calls for x in call]
+    return len(points) == len(set(points))
 
 
 def step_count_bound(lo, hi, xtol):
@@ -25,70 +40,104 @@ def step_count_bound(lo, hi, xtol):
     return math.ceil(math.log2((hi - lo) / xtol)) + qd._ITP_SLACK
 
 
+# a step CDF gives the interpolation nothing; flat tails give it ends at
+# F = 0 and 1, a ramp between them and an exponential tail
+HARD_CDFS = {
+    "step": (lambda x: float(x >= 0.3), -1.0, 1.0),
+    "ramp": (lambda x: min(max((x - 3.0) / 0.01, 0.0), 1.0), 0.0, 100.0),
+    "exponential": (lambda x: -math.expm1(-x) if x > 0 else 0.0, 0.0, 50.0),
+    "far-normal": (lambda x: special.ndtr(x - 40.0), -1e3, 1e3),
+}
+TARGETS = [1e-6, 0.025, 0.5, 0.975]
+
+
 class TestBisectCdf:
-    # a step CDF gives the interpolation nothing; flat tails give it ends at
-    # F = 0 and 1, a ramp between them and an exponential tail
-    @pytest.mark.parametrize("cdf,lo,hi", [
-        (lambda x: float(x >= 0.3), -1.0, 1.0),
-        (lambda x: min(max((x - 3.0) / 0.01, 0.0), 1.0), 0.0, 100.0),
-        (lambda x: -math.expm1(-x) if x > 0 else 0.0, 0.0, 50.0),
-        (lambda x: special.ndtr(x - 40.0), -1e3, 1e3),
-    ], ids=["step", "ramp", "exponential", "far-normal"])
-    @pytest.mark.parametrize("target", [1e-6, 0.025, 0.5, 0.975])
-    def test_at_most_slack_steps_beyond_bisection(self, cdf, lo, hi, target):
-        f, seen = counted(cdf)
-        x = bisect_cdf(f, target, lo, hi, xtol=1e-8)
-        assert len(seen) - 2 <= step_count_bound(lo, hi, 1e-8)
-        assert len(seen) == len(set(seen))
+    @pytest.mark.parametrize("law", sorted(HARD_CDFS))
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_at_most_slack_steps_beyond_bisection(self, law, target):
+        cdf, lo, hi = HARD_CDFS[law]
+        f, calls = counted(cdf)
+        x = bisect_cdf(f, target, [lo, hi], xtol=1e-8)
+        assert rounds(calls) <= step_count_bound(lo, hi, 1e-8)
+        assert distinct(calls)
         # x is within xtol of the crossing, or on it
         assert cdf(x - 1e-8) <= target <= cdf(x + 1e-8)
 
+    @pytest.mark.parametrize("law", sorted(HARD_CDFS))
+    def test_joint_targets_keep_the_bound(self, law):
+        # every target solves in the same rounds, each within its own bound
+        cdf, lo, hi = HARD_CDFS[law]
+        f, calls = counted(cdf)
+        x = bisect_cdf(f, TARGETS, [lo, hi], xtol=1e-8)
+        assert rounds(calls) <= step_count_bound(lo, hi, 1e-8)
+        for xi, target in zip(x, TARGETS):
+            assert cdf(xi - 1e-8) <= target <= cdf(xi + 1e-8)
+
     def test_smooth_cdf_takes_a_handful_of_steps(self):
-        f, seen = counted(special.ndtr)
-        x = bisect_cdf(f, 0.975, -10.0, 10.0, xtol=1e-8)
+        f, calls = counted(special.ndtr)
+        x = bisect_cdf(f, 0.975, [-10.0, 10.0], xtol=1e-8)
         assert x == pytest.approx(1.959963984540054, abs=1e-8)
-        assert len(seen) - 2 <= 10 < step_count_bound(-10.0, 10.0, 1e-8)
+        assert rounds(calls) <= 4 < step_count_bound(-10.0, 10.0, 1e-8)
+
+    def test_known_points_seed_the_interpolation(self):
+        # from a grid in hand the ladder straddles the crossing at once:
+        # one call, no call for the ends
+        grid = np.array([[-1.0, 0.0, 1.0, 2.0, 3.0],
+                         [-3.0, -2.0, -1.0, 0.0, 1.0]])
+        f, calls = counted(special.ndtr)
+        x = bisect_cdf(f, [0.975, 0.025], grid, fx=special.ndtr(grid),
+                       xtol=1e-10)
+        assert x == pytest.approx([1.959963984540054, -1.959963984540054],
+                                  abs=1e-10)
+        assert len(calls) == 1 and len(calls[0]) <= 6
+
+    def test_float_target_gives_float(self):
+        f, _ = counted(special.ndtr)
+        assert isinstance(bisect_cdf(f, 0.5, [-1.0, 2.0]), float)
+        assert bisect_cdf(f, [0.5], [-1.0, 2.0]).shape == (1,)
 
     @pytest.mark.parametrize("cdf,target,want", [
         (lambda x: x, 0.25, 0.25),            # on the lower end
         (lambda x: x, 0.75, 0.75),            # on the upper end
     ])
     def test_target_on_bracket_end(self, cdf, target, want):
-        f, seen = counted(cdf)
-        assert bisect_cdf(f, target, 0.25, 0.75) == want
-        assert len(seen) == 2
+        f, calls = counted(cdf)
+        assert bisect_cdf(f, target, [0.25, 0.75]) == want
+        assert len(calls) == 1
 
     def test_unbracketed_target_raises(self):
         with pytest.raises(AccuracyError, match="bracket"):
-            bisect_cdf(special.ndtr, 0.5, 1.0, 2.0)
+            bisect_cdf(special.ndtr, 0.5, [1.0, 2.0])
+        with pytest.raises(AccuracyError, match="bracket"):
+            bisect_cdf(special.ndtr, [0.5, 0.9], [-1.0, 1.0])
 
     def test_returns_point_where_cdf_hits_target(self):
         # the step lands on the plateau F = 1/2 of a CDF with a flat middle
         f, _ = counted(lambda x: np.clip(x, 0.0, 0.5)
                        + np.clip(x - 10.0, 0.0, 0.5))
-        x = bisect_cdf(f, 0.5, 0.0, 11.0)
+        x = bisect_cdf(f, 0.5, [0.0, 11.0])
         assert 0.5 <= x <= 10.0
 
     def test_end_whose_probit_rounds_onto_the_target(self):
         # F(lo) is 2 ulps below the target, so ndtri reads it as the target
         # and the interpolation lands on lo: the step goes from lo, where
         # stepping to the midpoint bisected [lo, hi] down to xtol
-        f, seen = counted(lambda x: 0.025 + (x - 0.5) * 1e-3)
+        f, calls = counted(lambda x: 0.025 + (x - 0.5) * 1e-3)
         lo = 0.5 - 7e-15
         assert f(lo) < 0.025 and special.ndtri(f(lo)) == special.ndtri(0.025)
-        seen.clear()
-        x = bisect_cdf(f, 0.025, lo, 0.5 + 1e-4, xtol=1e-10)
+        calls.clear()
+        x = bisect_cdf(f, 0.025, [lo, 0.5 + 1e-4], xtol=1e-10)
         assert x == pytest.approx(0.5, abs=1e-10)
-        assert len(seen) - 2 <= 4
+        assert rounds(calls) <= 4
 
     def test_stops_at_adjacent_floats(self):
         # above ~6.7e7 neighbouring floats are more than xtol = 1e-8 apart,
         # so the bracket stops narrowing there (tsq_mixture(10, 1e6, 0)'s
         # 0.9 quantile, 7.4e7, is one)
-        f, seen = counted(lambda x: special.ndtr((x - 1e9) / 10.0))
-        x = bisect_cdf(f, 0.3, 0.0, 2e9, xtol=1e-8)
+        f, calls = counted(lambda x: special.ndtr((x - 1e9) / 10.0))
+        x = bisect_cdf(f, 0.3, [0.0, 2e9], xtol=1e-8)
         assert x == pytest.approx(1e9 + 10.0 * special.ndtri(0.3), abs=1e-6)
-        assert len(seen) - 2 <= step_count_bound(0.0, 2e9, 1e-8)
+        assert rounds(calls) <= step_count_bound(0.0, 2e9, 1e-8)
 
 
 def bump(x, centre=0.3137, width=0.01):
@@ -170,3 +219,98 @@ class TestRefinePanels:
         monkeypatch.setattr(qd, "_MAX_PANELS", 32)
         with pytest.raises(AccuracyError, match="32 panels"):
             refine_panels(lambda x: np.sin(200.0 * x), 0.0, 10.0, self.quad)
+
+
+def reference_refine_panels(f, lo, hi, quad, *, initial_panels=1, split_at=()):
+    """The builder as it was before it kept the halves it had measured:
+    every round evaluated each new panel whole and its two halves."""
+    if hi == lo:
+        return qd.PanelRule(np.array([lo]))
+    interior = sorted(p for p in split_at if lo < p < hi)
+    anchors = [lo] + interior + [hi]
+    n = max(1, initial_panels // (len(anchors) - 1))
+    edges = np.unique(np.concatenate([np.linspace(a, b, n + 1)
+                                      for a, b in zip(anchors, anchors[1:])]))
+    x, w = qd._leggauss(qd._GL_ORDER)
+
+    def measure_block(a, b):
+        mid = 0.5 * (a + b)
+        lo_, hi_ = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
+        half = 0.5 * (hi_ - lo_)[:, None]
+        nodes = (lo_[:, None] + half * (1.0 + x)).ravel()
+        vals = np.asarray(f(nodes), dtype=float).reshape(nodes.size, -1)
+        whole, left, right = np.split(
+            half * (w @ vals.reshape(lo_.size, x.size, -1)), 3)
+        return left + right, np.abs(whole - left - right)
+
+    def measure(a, b):
+        est, err = zip(*(measure_block(a[i:i + qd._PANEL_BLOCK],
+                                       b[i:i + qd._PANEL_BLOCK])
+                         for i in range(0, a.size, qd._PANEL_BLOCK)))
+        return np.concatenate(est), np.concatenate(err)
+
+    a, b = edges[:-1], edges[1:]
+    est, err = measure(a, b)
+    while True:
+        total = np.abs(est.sum(axis=0))
+        tol = 0.25 * (quad.abs_tol
+                      + quad.rel_tol * np.maximum(total, total[0]))
+        if np.all(err.sum(axis=0) <= tol):
+            return qd.PanelRule(
+                np.unique(np.concatenate([a, 0.5 * (a + b), b])))
+        worst = (err / tol).max(axis=1)
+        order = np.argsort(worst)
+        stay = np.zeros(a.size, dtype=bool)
+        stay[order[np.cumsum(worst[order]) <= 0.5]] = True
+        mid = 0.5 * (a[~stay] + b[~stay])
+        new_a = np.concatenate([a[~stay], mid])
+        new_b = np.concatenate([mid, b[~stay]])
+        new_est, new_err = measure(new_a, new_b)
+        a = np.concatenate([a[stay], new_a])
+        b = np.concatenate([b[stay], new_b])
+        est = np.concatenate([est[stay], new_est])
+        err = np.concatenate([err[stay], new_err])
+
+
+OCTANE = octane_params()
+OCTANE_D = derive_params(OCTANE)
+# n = 10, sigma0 = 0, both windows holding 0: 2848 nodes over t
+LOG_SPIKE = MixtureParams(n=10, beta0=1.0, sigma0=0.0, mu_z=1.0, sigma_z=1.0,
+                          beta1=0.3, sigma1=1.0)
+RULE_LAWS = {
+    "octane mean": lambda: mean_mixture(OCTANE),
+    "octane variance": lambda: variance_mixture(OCTANE_D.nu, OCTANE_D.lam),
+    "log spike": lambda: mean_mixture(LOG_SPIKE),
+    "variance(1, 1000)": lambda: variance_mixture(1, 1000.0),
+    "t^2 s-rule": lambda: tsq_mixture(10, 4.0, 4.0),
+}
+
+
+def rule_of(law):
+    if hasattr(law, "_core"):
+        return law._core.s, law._core.w
+    return law._x, law._w
+
+
+class TestKeptHalves:
+    """Keeping the measured halves of a split panel changes no bit of any
+    rule, and evaluates each new panel at 32 nodes instead of 48."""
+
+    @pytest.mark.parametrize("name", sorted(RULE_LAWS))
+    def test_rules_equal_the_reference_builder(self, name, monkeypatch):
+        nodes, weights = rule_of(RULE_LAWS[name]())
+        monkeypatch.setattr(mx, "refine_panels", reference_refine_panels)
+        ref_nodes, ref_weights = rule_of(RULE_LAWS[name]())
+        assert nodes.size > 64
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+
+    def test_new_panels_take_their_halves_only(self):
+        # 16 first panels at 48 nodes (whole and halves); each split makes
+        # two new panels at 32 nodes each (their halves)
+        seen = []
+        f = lambda x: seen.append(x.size) or bump(x)
+        rule = refine_panels(f, -1.0, 1.0, QuadSpec(), initial_panels=16)
+        panels = (rule.edges.size - 1) // 2     # the rule keeps the halves
+        assert panels > 16
+        assert sum(seen) == 48 * 16 + 2 * 32 * (panels - 16)
