@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
 from . import casestudy
 from .errors import AccuracyError, DataError, ParamError, converted
-from .io import mapping_to_csv_text, payload_to_json_text, rows_to_csv_text, write_text
+from .io import (decode_json, json_object, merged, payload_text, read_text,
+                 write_text)
 from .mixtures import (mean_mixture, signed_t_mixture, tsq_mixture,
                        variance_mixture)
 from .model import (MixtureParams, calibration_data_from_csv, derive_params,
@@ -96,28 +96,13 @@ def _quad_from_args(args) -> QuadSpec:
 
 def _params_from_args(args) -> tuple[MixtureParams, dict]:
     """Resolve the parameter bundle from file plus flags (flags win)."""
-    resolved = {}
+    keys = _PARAM_KEYS + ("ideal",)
+    raw = {}
     if getattr(args, "params_file", None):
-        with open(args.params_file, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError("params file: %s" % exc) from exc
-        if not isinstance(raw, dict):
-            raise DataError("params file must hold a JSON object, not %s"
-                            % type(raw).__name__)
-        allowed = set(_PARAM_KEYS) | {"ideal", "schema_version"}
-        unknown = set(raw) - allowed
-        if unknown:
-            raise DataError("unknown parameter fields: %s" % sorted(unknown))
-        resolved = {k: raw[k] for k in raw if k != "schema_version"}
-    for key in _PARAM_KEYS + ("ideal",):
-        v = getattr(args, key, None)
-        if v is not None:
-            if key in resolved and resolved[key] != v:
-                print("note: flag --%s=%r overrides params-file value %r"
-                      % (key.replace("_", "-"), v, resolved[key]), file=sys.stderr)
-            resolved[key] = v
+        raw = json_object(decode_json(read_text(args.params_file), "params file"),
+                          "params file", keys + ("schema_version",), "parameter")
+        raw.pop("schema_version", None)
+    resolved = merged(raw, {k: getattr(args, k, None) for k in keys}, "params-file")
     missing = [k for k in _PARAM_KEYS if k not in resolved]
     if missing:
         raise _UsageError("missing parameter(s): %s" % ", ".join(missing))
@@ -156,15 +141,8 @@ def _oneway_design(args, needed_by):
 
 
 def _emit(args, payload, table=None):
-    """Write the payload as JSON, or as CSV: the ``# config:`` line plus
-    ``table`` (header, rows) when given, else the flattened payload."""
-    if args.format == "json":
-        text = payload_to_json_text(payload)
-    elif table is None:
-        text = mapping_to_csv_text(payload)
-    else:
-        text = ("# config: %s\n" % json.dumps(payload["config"], sort_keys=True)
-                + rows_to_csv_text(*table))
+    """Write ``io.payload_text`` of the payload to --output or stdout."""
+    text = payload_text(payload, args.format, table)
     if args.output:
         write_text(args.output, text)
     else:
@@ -273,19 +251,11 @@ def _mc_summary(v):
 
 def _cmd_simulate(args):
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError("config file: %s" % exc) from exc
-        cfg = mc_config_from_json(raw)
-        overrides = {name: getattr(args, name)
-                     for name in ("replications", "seed", "mode")
-                     if getattr(args, name) not in (None, getattr(cfg, name))}
-        for name, val in overrides.items():
-            print("note: flag --%s=%r overrides config value %r"
-                  % (name, val, getattr(cfg, name)), file=sys.stderr)
-        cfg = dataclasses.replace(cfg, **overrides)
+        cfg = mc_config_from_json(read_text(args.config))
+        names = ("replications", "seed", "mode")
+        cfg = dataclasses.replace(cfg, **merged(
+            {k: getattr(cfg, k) for k in names},
+            {k: getattr(args, k) for k in names}, "config"))
     else:
         if args.replications is None or args.seed is None:
             raise _UsageError("simulate needs --config or both --replications "
@@ -479,7 +449,7 @@ def run(argv) -> int:
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
-    except (DataError, ParamError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataError, ParamError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except AccuracyError as exc:

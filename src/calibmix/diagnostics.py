@@ -18,14 +18,14 @@ the operational content of the blindness claims.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
-from .errors import DataError, ParamError
+from .errors import ParamError
+from .io import read_csv
 from .model import MixtureParams
 
 
@@ -307,21 +307,6 @@ def blindness_suite(p: MixtureParams, cfg) -> BlindnessReport:
 
 
 def sample_from_csv(path):
-    """Read a single-column sample from a CSV with header ``y``; parse errors
-    name the offending row."""
-    values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "y":
-            raise DataError("row 1: expected header 'y', got %r" % (header,))
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not row[0].strip():
-                continue
-            try:
-                values.append(float(row[0]))
-            except ValueError as exc:
-                raise DataError("row %d: %s" % (lineno, exc)) from exc
-    if not values:
-        raise DataError("row 2: no data rows found")
-    return np.asarray(values)
+    """Read a single-column sample from a CSV with header ``y`` (see
+    ``io``); parse errors name the offending row."""
+    return np.array([y for (y,) in read_csv(path, y=float)])

@@ -331,11 +331,13 @@ class _RuleLaw(_MixtureLaw):
 def sharpness(p: MixtureParams) -> float:
     """min_t sd(t) / (|mu_z| sigma1) over the mean law's slope window: how
     narrow, in slope sds, its sharpest conditional CDF turns over in t
-    (inf at mu_z = 0, and where |mu_z| sigma1 underflows to 0)."""
+    (inf at mu_z = 0, and where |mu_z| sigma1 underflows to 0 or the ratio
+    overflows)."""
     lo, hi = (p.beta1 + s * _SLOPE_SIGMAS * p.sigma1 for s in (-1.0, 1.0))
     t = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
     sd = math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
-    scale = abs(p.mu_z) * p.sigma1
+    # a Python float: numpy warns where sd / scale overflows to inf
+    scale = float(abs(p.mu_z) * p.sigma1)
     return sd / scale if scale else math.inf
 
 
@@ -446,10 +448,12 @@ def mean_mixture(p: MixtureParams, quad: QuadSpec = QuadSpec()) -> MeanMixture:
 
 class VarianceMixture(_RuleLaw):
     """Evaluator of u = nu S_Y^2 / (sigma1^2 sigma_z^2) = W V (mean
-    nu (1 + lambda)), mixed over x = log V between V's 1e-16 and 1 - 1e-16
-    quantiles, graded toward u = 0 by edges at its 1e-8, 1e-3 and 0.5
-    quantiles.  The kernels are W's closed forms at u/V: F(u) = E_V[Phi(r -
-    lambda0) - Phi(-r - lambda0)], r = sqrt(u/V), and f(u) = E_V[f_W(u/V)/V]."""
+    nu (1 + lambda)), mixed over z = sqrt(a) log(V / 2a), a = nu/2, between
+    V's 1e-16 and 1 - 1e-16 quantiles, graded toward u = 0 by edges at its
+    1e-8, 1e-3 and 0.5 quantiles.  z is affine in log V and near N(0, 1) at
+    large nu, where the density of log V cancels in floats.  The kernels
+    are W's closed forms at u/V: F(u) = E_V[Phi(r - lambda0) - Phi(-r -
+    lambda0)], r = sqrt(u/V), and f(u) = E_V[f_W(u/V)/V]."""
 
     def __init__(self, nu: int, lam: float, quad: QuadSpec = QuadSpec()):
         require_finite(nu=nu, lam=lam)
@@ -464,41 +468,50 @@ class VarianceMixture(_RuleLaw):
         self.nu = float(nu)
         self.lam = float(lam)
         self.quad = quad
-        q = sp.gammaincinv(nu / 2.0, [1e-16, 1e-8, 1e-3, 0.5])
-        lo, *anchors = np.log(2.0 * q)
-        self._window = (lo, math.log(2.0 * sp.gammainccinv(nu / 2.0, 1e-16)))
+        a = self._a = nu / 2.0
+        # log of the normalizing constant of z's density
+        self._log_c = -ser._HALF_LOG_2PI - float(ser._stirling_remainder(a))
+        q = sp.gammaincinv(a, [1e-16, 1e-8, 1e-3, 0.5])
+        lo, *anchors = math.sqrt(a) * np.log(q / a)
+        self._window = (lo, math.sqrt(a) * math.log(sp.gammainccinv(a, 1e-16) / a))
         # probes from the window's lower end up: a probe's kernel turns over
-        # near x = log(u / W), so each part of the window meets some probe
+        # near V = u / W, so each part of the window meets some probe
         # (at nu = 1 the CDF there still rises like sqrt(u), far above
         # abs_tol).  Where the CDF is below abs_tol, only the pdf probes
         # see the window's lower end.
         probe_u = np.geomspace(2.0 * q[0], self.support()[1], _PROBE_POINTS)
         self._refine(anchors, probe_u, probe_u)
 
-    def _mixing_pdf(self, x):
-        """Density of x = log V, V ~ chi2_nu."""
-        a = self.nu / 2.0
-        return np.exp(a * (x - math.log(2.0)) - 0.5 * np.exp(x) - sp.gammaln(a))
+    def _mixing_pdf(self, z):
+        """Density of z = sqrt(a) log(V / 2a), V ~ chi2_nu: exp(-a (expm1(w)
+        - w) + _log_c) at w = z / sqrt(a), with lgamma(a) in Stirling's form
+        so that no term of order a log a cancels."""
+        w = np.asarray(z, dtype=float) / math.sqrt(self._a)
+        return np.exp(-self._a * _expm1_minus(w) + self._log_c)
 
-    def _root(self, x, u):
+    def _v(self, z):
+        """V = 2a e^w at the rule's coordinate z."""
+        return 2.0 * self._a * np.exp(np.asarray(z) / math.sqrt(self._a))
+
+    def _root(self, z, u):
         """r = sqrt(u/V) (0 at u <= 0), node x point, as both kernels form it."""
-        r = np.divide(np.clip(u, 0.0, None)[None, :], np.exp(x)[:, None])
+        r = np.divide(np.clip(u, 0.0, None)[None, :], self._v(z)[:, None])
         return np.sqrt(r, out=r)
 
-    def _argument(self, x, u):
+    def _argument(self, z, u):
         """r - lambda0, node x point."""
-        r = self._root(x, u)
+        r = self._root(z, u)
         r -= math.sqrt(self.lam)
         return r
 
-    def _kernel(self, x, u, want_pdf):
+    def _kernel(self, z, u, want_pdf):
         if want_pdf:
-            v = np.exp(x)[:, None]
+            v = self._v(z)[:, None]
             out = ser.nc_chisq1_pdf(u[None, :] / v, self.lam, overwrite_w=True)
             out /= v
             return out
         # r = sqrt(u/V) once per block; both tails finish in place
-        r = self._root(x, u)
+        r = self._root(z, u)
         lam0 = math.sqrt(self.lam)
         below = np.negative(r)
         below -= lam0
@@ -510,7 +523,7 @@ class VarianceMixture(_RuleLaw):
     def support(self):
         w_hi = ser.sqrt_mixing_upper(math.sqrt(self.lam),
                                      1e-3 * self.quad.abs_tol) ** 2
-        return 0.0, math.exp(self._window[1]) * w_hi
+        return 0.0, float(self._v(self._window[1])) * w_hi
 
     def _start(self, prob):
         """log of the quantile of c chi2_k, the scaled chi-square with the
@@ -520,6 +533,26 @@ class VarianceMixture(_RuleLaw):
         nu, lam = self.nu, self.lam
         c = 2.0 * ((nu + 2.0) * (1.0 + 2.0 * lam) / (1.0 + lam) + 1.0 + lam)
         return _log(c * float(sp.gammaincinv(nu * (1.0 + lam) / c, prob)))
+
+
+# expm1(w) - w takes its Taylor series w^2/2! + ... + w^12/12! below
+# |w| = 0.25, where the difference would cancel (the next term is below
+# 1e-16 of the sum there)
+_EXPM1_SERIES_W = 0.25
+_EXPM1_COEFS = [1.0 / math.factorial(k) for k in range(12, 1, -1)]
+
+
+def _expm1_minus(w):
+    """expm1(w) - w on a 1-d array, without cancellation at small |w|."""
+    out = np.expm1(w) - w
+    small = np.abs(w) < _EXPM1_SERIES_W
+    ws = w[small]
+    series = np.zeros_like(ws)
+    for c in _EXPM1_COEFS:
+        series *= ws
+        series += c
+    out[small] = series * ws * ws
+    return out
 
 
 def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> VarianceMixture:

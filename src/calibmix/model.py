@@ -14,13 +14,13 @@ Everything here is closed form; the mixture laws live in `mixtures`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ParamError, require_finite
+from .io import read_csv
 
 
 @dataclass(frozen=True)
@@ -50,29 +50,12 @@ class CalibrationData:
 
 
 def calibration_data_from_csv(path) -> CalibrationData:
-    """Read calibration pairs from a CSV with header ``x,u``.
+    """Read calibration pairs from a CSV with header ``x,u`` (see ``io``).
 
     Parse failures raise DataError naming the 1-based file row.
     """
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["x", "u"]:
-            raise DataError("row 1: expected header 'x,u', got %r" % (header,))
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise DataError("row %d: expected two columns, got %d" % (lineno, len(row)))
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise DataError("row %d: %s" % (lineno, exc)) from exc
-    if not rows:
-        raise DataError("row 2: no data rows found")
     try:
-        return CalibrationData(tuple(rows))
+        return CalibrationData(tuple(read_csv(path, x=float, u=float)))
     except ParamError as exc:
         raise DataError(str(exc)) from exc
 

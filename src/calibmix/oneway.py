@@ -14,7 +14,6 @@ homoscedasticity of the projected groups requires the unusual balance
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as sp
 
-from .errors import DataError, ParamError, require_finite
+from .errors import ParamError, require_finite
+from .io import read_csv
 from .model import MixtureParams
 from .special import ncf_cdf
 
@@ -253,29 +253,9 @@ def homoscedasticity_condition(design: OneWayDesign, p: MixtureParams,
 
 
 def grouped_data_from_csv(path):
-    """Read grouped observations from a CSV with header ``group,y``; returns
-    (labels, list of arrays) in order of first appearance."""
-    order = []
+    """Read grouped observations from a CSV with header ``group,y`` (see
+    ``io``); returns (labels, list of arrays) in order of first appearance."""
     buckets = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["group", "y"]:
-            raise DataError("row 1: expected header 'group,y', got %r" % (header,))
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 2:
-                raise DataError("row %d: expected two columns" % lineno)
-            label = row[0].strip()
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise DataError("row %d: %s" % (lineno, exc)) from exc
-            if label not in buckets:
-                order.append(label)
-                buckets[label] = []
-            buckets[label].append(value)
-    if not order:
-        raise DataError("row 2: no data rows found")
-    return order, [np.asarray(buckets[g]) for g in order]
+    for label, value in read_csv(path, group=str, y=float):
+        buckets.setdefault(label, []).append(value)
+    return list(buckets), [np.asarray(v) for v in buckets.values()]

@@ -44,7 +44,6 @@ would add intercept noise to the noncentrality.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -52,6 +51,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import DataError, ParamError, converted, require_finite
+from .io import decode_json, json_object, rows_to_csv_text, write_text
 from .model import MixtureParams, derive_params
 from .oneway import _sums_of_squares
 from .parallel import thread_map
@@ -175,23 +175,12 @@ def mc_config_from_json(payload) -> McConfig:
     """Parse an McConfig from a JSON payload (dict or text); unknown fields
     are rejected."""
     if isinstance(payload, str):
-        payload = json.loads(payload)
-    if not isinstance(payload, dict):
-        raise DataError("Monte Carlo config must be a JSON object, not %s"
-                        % type(payload).__name__)
-    allowed = {"schema_version", "replications", "seed", "mode", "design"}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise DataError("unknown Monte Carlo config fields: %s" % sorted(unknown))
+        payload = decode_json(payload, "Monte Carlo config")
+    json_object(payload, "Monte Carlo config",
+                ("schema_version", "replications", "seed", "mode", "design"))
     d = payload.get("design")
     if d is not None:
-        if not isinstance(d, dict):
-            raise DataError("design must be a JSON object, not %s"
-                            % type(d).__name__)
-        d_allowed = {"x", "beta0", "beta1", "sigma_u"}
-        d_unknown = set(d) - d_allowed
-        if d_unknown:
-            raise DataError("unknown design fields: %s" % sorted(d_unknown))
+        json_object(d, "design", ("x", "beta0", "beta1", "sigma_u"))
     try:
         design = None if d is None else CalibrationDesign(
             x=converted(lambda xs: tuple(float(v) for v in xs), d["x"], "x"),
@@ -452,10 +441,8 @@ def reference_gaussian_samples(n: int, cfg: McConfig):
 def dump_samples_csv(path, name, values) -> None:
     """Raw per-replication dump for external analysis."""
     arr = np.asarray(values, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(name + "\n")
-        for v in arr.ravel() if arr.ndim == 1 else arr.reshape(arr.shape[0], -1)[:, 0]:
-            fh.write(repr(float(v)) + "\n")
+    column = arr.ravel() if arr.ndim == 1 else arr.reshape(arr.shape[0], -1)[:, 0]
+    write_text(path, rows_to_csv_text((name,), ([v] for v in column.tolist())))
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,18 @@
-"""Bad caller input raises ParamError, and a malformed input file
-DataError; the CLI maps both to exit code 2."""
+"""Bad caller input raises ParamError, and a malformed or unreadable input
+file DataError; the CLI maps both to exit code 2."""
 
 import json
 
 import pytest
 
-from calibmix import (McConfig, MixtureParams, ParamError, interval_coverage,
-                      mc_inconsistency_curve, nc_chisq1_pdf, ncf_cdf,
-                      operating_characteristics, ordering_probe,
-                      probability_region, tsq_mixture, variance_mixture)
+from calibmix import (DataError, McConfig, MixtureParams, ParamError,
+                      calibration_data_from_csv, grouped_data_from_csv,
+                      interval_coverage, mc_inconsistency_curve,
+                      nc_chisq1_pdf, ncf_cdf, operating_characteristics,
+                      ordering_probe, probability_region, tsq_mixture,
+                      variance_mixture)
 from calibmix.cli import run
+from calibmix.diagnostics import sample_from_csv
 
 SITES = {
     "interval_prob-order": lambda: variance_mixture(5, 1.0).interval_prob(2.0, 1.0),
@@ -115,3 +118,142 @@ def test_one_replication_exits_2(statistic, source, tmp_path, capsys):
     assert captured.err.startswith("input error:")
     assert "replications >= 2" in captured.err
     assert captured.out == ""
+
+
+# ----------------------------------------------------------------------
+# input files as raw bytes: every reader decodes UTF-8 (an optional BOM
+# included), and an unreadable path or byte is an input error naming the
+# file, never a traceback
+# ----------------------------------------------------------------------
+
+def _lines(*lines):
+    return ("\n".join(lines) + "\n").encode()
+
+
+# command, file flag and a valid file of at least three rows
+RAW_INPUTS = {
+    "fit": (["fit"], "--input", _lines(
+        "x,u", "80.4,88.2", "83.0,91.1", "84.5,93.4", "86.1,94.7",
+        "88.3,98.0")),
+    "diagnose": (["diagnose"], "--input", _lines(
+        "y", *("%r" % (0.37 * k % 1.9 - 0.8) for k in range(1, 41)))),
+    "anova": (["anova"], "--input", _lines(
+        "group,y", "a,1", "a,2", "a,3", "b,4", "b,5", "b,6")),
+    "moments": (["moments"], "--params-file", _lines(
+        "{", '"n": 10, "beta0": 1, "sigma0": 1,',
+        '"mu_z": 1, "sigma_z": 1,', '"beta1": 1, "sigma1": 1', "}")),
+    "simulate": (["simulate", "--statistic", "mean"] + PARAM_FLAGS, "--config",
+                 _lines("{", '"replications": 100,', '"seed": 1', "}")),
+}
+
+
+def _run_raw(name, data, path, capsys):
+    command, flag, _ = RAW_INPUTS[name]
+    path.write_bytes(data)
+    code = run(command + [flag, str(path)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(RAW_INPUTS))
+def test_undecodable_byte_exits_2_naming_row(name, tmp_path, capsys):
+    lines = RAW_INPUTS[name][2].split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path = tmp_path / "input.txt"
+    code, captured = _run_raw(name, b"\n".join(lines), path, capsys)
+    assert code == 2
+    assert captured.err.startswith("input error:")
+    assert str(path) in captured.err and "row 3" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(RAW_INPUTS))
+def test_byte_order_mark_reads_like_plain_utf8(name, tmp_path, capsys):
+    # the same path both times: fit, diagnose and anova echo it
+    path = tmp_path / "input.txt"
+    data = RAW_INPUTS[name][2]
+    plain = _run_raw(name, data, path, capsys)
+    marked = _run_raw(name, b"\xef\xbb\xbf" + data, path, capsys)
+    assert plain[0] == marked[0] == 0, marked[1].err
+    assert marked[1].out == plain[1].out
+
+
+@pytest.mark.parametrize("name", sorted(RAW_INPUTS))
+def test_input_below_a_regular_file_exits_2(name, tmp_path, capsys):
+    command, flag, _ = RAW_INPUTS[name]
+    (tmp_path / "plain").write_text("")
+    path = str(tmp_path / "plain" / "input.txt")
+    assert run(command + [flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and path in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["anova", "diagnose", "fit"])
+def test_oversized_csv_field_exits_2_naming_row(name, tmp_path, capsys):
+    # past the csv module's field limit (131072 characters): csv.Error
+    lines = RAW_INPUTS[name][2].split(b"\n")
+    lines[2] += b"9" * 200_000
+    code, captured = _run_raw(name, b"\n".join(lines), tmp_path / "in.csv",
+                              capsys)
+    assert code == 2
+    assert captured.err.startswith("input error:") and "row 3" in captured.err
+
+
+@pytest.mark.parametrize("flag,command", [
+    ("--output", ["moments"] + PARAM_FLAGS),
+    ("--dump", ["simulate", "--statistic", "mean", "--replications", "10",
+                "--seed", "1"] + PARAM_FLAGS)])
+def test_output_below_a_regular_file_exits_2(flag, command, tmp_path, capsys):
+    (tmp_path / "plain").write_text("")
+    path = str(tmp_path / "plain" / "out.txt")
+    assert run(command + [flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and path in err
+
+
+# ----------------------------------------------------------------------
+# the blank-row rule, on each CSV reader: a row whose cells are all blank
+# is skipped; every other row needs a value in each header column, and
+# columns past the header's are ignored
+# ----------------------------------------------------------------------
+
+CSV_READERS = {
+    "calibration": (lambda p: calibration_data_from_csv(p).pairs, "x,u",
+                    ["1.0,2.0", "2.0,4.0", "3.0,5.5"], "2.5,"),
+    "sample": (lambda p: sample_from_csv(p).tolist(), "y",
+               ["1.0", "2.0", "3.5"], ",7"),
+    "grouped": (lambda p: (lambda g: (g[0], [a.tolist() for a in g[1]]))(
+        grouped_data_from_csv(p)), "group,y", ["a,1.0", "a,2.0", "b,4.0"],
+        ",7"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_all_blank_rows_are_skipped(reader, tmp_path):
+    read, header, rows, _ = CSV_READERS[reader]
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    want = read(path)
+    path.write_text("\n".join([header, "", rows[0], " , ", ",,", rows[1],
+                               "\t", rows[2], ""]) + "\n")
+    assert read(path) == want
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_partly_blank_row_is_an_error(reader, tmp_path):
+    read, header, rows, partly_blank = CSV_READERS[reader]
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([header, rows[0], partly_blank] + rows[1:]) + "\n")
+    with pytest.raises(DataError, match="row 3"):
+        read(path)
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+def test_extra_columns_are_ignored(reader, tmp_path):
+    read, header, rows, _ = CSV_READERS[reader]
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    want = read(path)
+    path.write_text("\n".join([header + ",note"]
+                              + [r + ",n/a" for r in rows]) + "\n")
+    assert read(path) == want

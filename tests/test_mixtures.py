@@ -1,3 +1,4 @@
+import decimal
 import functools
 import math
 import sys
@@ -5,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import types
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -352,6 +354,46 @@ class TestVarianceMixture:
                                               abs=1e-9)
             assert vm.pdf(u) == pytest.approx(variance_pdf_oracle(nu, lam, u),
                                               rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("prob", [0.02, 0.5, 0.98])
+    def test_large_nu_against_chi2_quadrature(self, prob):
+        # mixed over log V, the law lost its mixing density to cancellation
+        # in floats and raised AccuracyError after 0.5 s at nu = 1e7.  The
+        # oracle divides by its own mass: scipy's chi2 pdf at nu = 1e7
+        # integrates to 1 + 4e-9
+        nu, lam0 = 10 ** 7, 1.0
+        vm = variance_mixture(nu, lam0 ** 2)
+        u = vm.ppf(prob)
+        half = 12.0 * math.sqrt(2.0 * nu)
+
+        def quad(g):
+            return integrate.quad(lambda v: stats.chi2.pdf(v, nu) * g(v),
+                                  nu - half, nu + half, epsabs=1e-14,
+                                  epsrel=1e-13, limit=400,
+                                  points=[nu - half / 3, nu, nu + half / 3])[0]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            want = quad(lambda v: special.ndtr(math.sqrt(u / v) - lam0)
+                        - special.ndtr(-math.sqrt(u / v) - lam0))
+            want /= quad(lambda v: 1.0)
+        assert vm.cdf(u) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("nu,lam,nodes", [
+        (10, OCT_LAM, 128), (1, 0.0, 704), (3, 400.0, 992), (40, 10.0, 128),
+        (1000, 1.0, 128), (10 ** 9, 1.0, 128), (10 ** 12, 1.0, 128)])
+    def test_rule_sizes(self, nu, lam, nodes):
+        assert variance_mixture(nu, lam)._x.size == nodes
+
+    @pytest.mark.parametrize("w", [-0.9, -0.25, -0.2499, -1e-3, -1e-9, 0.0,
+                                   1e-12, 1e-4, 0.1, 0.2499, 0.25, 0.7, 3.0])
+    def test_expm1_minus_w(self, w):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d = decimal.Decimal(w)
+            want = float(d.exp() - 1 - d)
+        got = mx._expm1_minus(np.array([w]))[0]
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_stochastic_ordering_in_lambda(self):
         cdfs = [variance_mixture(10, lam).cdf(20.0) for lam in (1.0, 4.0, 9.0)]
@@ -1194,13 +1236,14 @@ class TestInPlaceKernels:
 
     @pytest.mark.parametrize("nu,lam", [(10, OCT_LAM), (1, 400.0), (3, 0.0)])
     def test_variance_kernels_are_the_plain_expressions(self, nu, lam):
+        # the rule's coordinate is z = sqrt(nu/2) log(V/nu)
         vm = variance_mixture(nu, lam)
-        x = vm._x
+        z = vm._x
         u = np.concatenate([[-1.0, 0.0], np.geomspace(1e-10, vm.support()[1], 300)])
-        v = np.exp(x)[:, None]
+        v = nu * np.exp(z / np.sqrt(nu / 2.0))[:, None]
         lam0 = np.sqrt(lam)
         r = np.sqrt(np.clip(u, 0.0, None)[None, :] / v)
-        assert np.array_equal(vm._kernel(x, u, False),
+        assert np.array_equal(vm._kernel(z, u, False),
                               special.ndtr(r - lam0) - special.ndtr(-r - lam0))
         w = u[None, :] / v
         root = np.sqrt(np.maximum(w, 0.0))
@@ -1208,7 +1251,7 @@ class TestInPlaceKernels:
             np.exp(-0.5 * (root - lam0) ** 2) + np.exp(-0.5 * (root + lam0) ** 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             want = np.where(w > 0, half_normal / (2.0 * root), 0.0) / v
-        assert np.array_equal(vm._kernel(x, u, True), want)
+        assert np.array_equal(vm._kernel(z, u, True), want)
 
 
 class TestSaturationEdges:
@@ -1879,6 +1922,16 @@ class TestMixingFactor:
         # (ZeroDivisionError), where mu_z = 0 reads inf
         p = MixtureParams(n=2, beta0=0.0, sigma0=0.0, mu_z=5e-324,
                           sigma_z=1.0, beta1=0.0, sigma1=0.5)
+        assert sharpness(p) == math.inf
+        assert_inverts(mean_mixture(p), 0.5)
+
+    def test_overflowing_ratio_is_infinitely_smooth(self):
+        # a subnormal |mu_z| sigma1 in numpy floats: sd / scale overflowed
+        # with a RuntimeWarning (Hypothesis, TestJointInversion::test_mean)
+        p = MixtureParams(n=2, beta0=0.0, sigma0=np.float64(1.0),
+                          mu_z=2.2250738585e-313,
+                          sigma_z=np.float64(math.sqrt(2.0)), beta1=0.0,
+                          sigma1=np.float64(math.sqrt(0.5)))
         assert sharpness(p) == math.inf
         assert_inverts(mean_mixture(p), 0.5)
 
