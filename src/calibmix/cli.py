@@ -106,9 +106,13 @@ def _params_from_args(args) -> tuple[MixtureParams, dict]:
     missing = [k for k in _PARAM_KEYS if k not in resolved]
     if missing:
         raise _UsageError("missing parameter(s): %s" % ", ".join(missing))
+    # JSON true/false or the flag only: bool("false") is True
+    ideal = resolved.get("ideal", False)
+    if not isinstance(ideal, bool):
+        raise DataError("field ideal: %r is not true or false" % (ideal,))
     p = MixtureParams(**{k: converted(int if k == "n" else float,
                                       resolved[k], k) for k in _PARAM_KEYS},
-                      ideal=bool(resolved.get("ideal", False)))
+                      ideal=ideal)
     return p, resolved
 
 

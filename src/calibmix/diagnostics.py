@@ -117,52 +117,64 @@ def moment_ratios(y):
 # The scalar statistics above check their input and then evaluate these on
 # one row; the Monte Carlo engine and blindness_suite evaluate them on many.
 
-def shapiro_type_w_batch(y):
+def _centred(y):
+    """(D, the row sums of D * D) for D = Y - Ybar, row by row: the
+    centring that every batch kernel below starts from, formed once when a
+    caller runs several of them on one sample.  The sums are those of
+    ``np.var``, so the kernels read the same bits either way."""
     y = np.asarray(y, dtype=float)
-    w = blom_weights(y.shape[1])
     d = y - y.mean(axis=1, keepdims=True)
+    return d, (d * d).sum(axis=1)
+
+
+def shapiro_type_w_batch(y, centred=None):
+    """W per row of y; ``centred`` is ``_centred(y)`` when the caller has
+    it (so for the other kernels)."""
+    d, ss = centred or _centred(y)
+    w = blom_weights(d.shape[1])
     # the centred sample, sorted: w sums to zero, so sum w_i Y_(i) is the
     # same, but the uncentred terms cancel when a row's spread is small
     # against its mean.  A row sum, not a BLAS product, whose value for a
     # row would depend on the row count and alignment of the whole array
     num = (np.sort(d, axis=1) * w).sum(axis=1) ** 2
-    return num / (d * d).sum(axis=1)
+    return num / ss
 
 
-def von_neumann_ratio_batch(r):
+def von_neumann_ratio_batch(r, ss=None):
+    """U per row of the residuals r; ``ss`` is the row sums of r^2 when the
+    caller has them."""
     r = np.asarray(r, dtype=float)
-    return (np.diff(r, axis=1) ** 2).sum(axis=1) / (r ** 2).sum(axis=1)
+    if ss is None:
+        ss = (r * r).sum(axis=1)
+    return (np.diff(r, axis=1) ** 2).sum(axis=1) / ss
 
 
-def moment_ratios_batch(y):
-    y = np.asarray(y, dtype=float)
-    d = y - y.mean(axis=1, keepdims=True)
+def moment_ratios_batch(y, centred=None):
+    d, ss = centred or _centred(y)
     # products, not ``**``: numpy's pow path for exponents 3 and 4 costs
     # about 40 times a multiply
     d2 = d * d
-    m2 = d2.mean(axis=1)
+    m2 = ss / d.shape[1]
     m3 = (d2 * d).mean(axis=1)
     m4 = (d2 * d2).mean(axis=1)
     m2sq = m2 * m2
     return m3 * m3 / (m2sq * m2), m4 / m2sq
 
 
-def studentized_batch(y):
-    y = np.asarray(y, dtype=float)
-    n = y.shape[1]
-    r = y - y.mean(axis=1, keepdims=True)
-    s = np.sqrt((r ** 2).sum(axis=1, keepdims=True) / (n - 1))
-    return r / (s * math.sqrt(1.0 - 1.0 / n))
+def studentized_batch(y, centred=None):
+    d, ss = centred or _centred(y)
+    n = d.shape[1]
+    s = np.sqrt(ss / (n - 1))[:, None]
+    return d / (s * math.sqrt(1.0 - 1.0 / n))
 
 
-def battery_batch(y):
+def battery_batch(y, centred=None):
     """{W, U, b1, b2}: the diagnostic battery of each row of y, one value
-    per row."""
-    y = np.asarray(y, dtype=float)
-    b1, b2 = moment_ratios_batch(y)
-    return {"W": shapiro_type_w_batch(y),
-            "U": von_neumann_ratio_batch(y - y.mean(axis=1, keepdims=True)),
-            "b1": b1, "b2": b2}
+    per row, from one centring of each row."""
+    c = centred or _centred(y)
+    b1, b2 = moment_ratios_batch(y, c)
+    return {"W": shapiro_type_w_batch(y, c),
+            "U": von_neumann_ratio_batch(*c), "b1": b1, "b2": b2}
 
 
 @dataclass(frozen=True)
@@ -274,16 +286,17 @@ def blindness_suite(p: MixtureParams, cfg) -> BlindnessReport:
     def per_replication(b0, b1c, z, y):
         """The battery on Y, each identity's worst deviation and the
         rounding bound, per replication."""
-        on_y, on_z = battery_batch(y), battery_batch(z)
+        cy, cz = _centred(y), _centred(z)
+        on_y, on_z = battery_batch(y, cy), battery_batch(z, cz)
         out = {("y", k): v for k, v in on_y.items()}
         for k in on_y:
             out["dev", k] = _rel_dev(on_y[k], on_z[k])
         out["dev", "studentized"] = _rel_dev(
-            studentized_batch(y), studentized_batch(z) * np.sign(b1c)[:, None])
-        zc = z - z.mean(axis=1, keepdims=True)
+            studentized_batch(y, cy),
+            studentized_batch(z, cz) * np.sign(b1c)[:, None])
         out["bound"] = (_IDENTITY_ROUNDING * np.finfo(float).eps
                         * (np.abs(b0) + np.abs(b1c) * np.max(np.abs(z), axis=1))
-                        / (np.abs(b1c) * np.sqrt(np.mean(zc ** 2, axis=1))))
+                        / (np.abs(b1c) * np.sqrt(cz[1] / z.shape[1])))
         out["slope"] = b1c
         return out
 

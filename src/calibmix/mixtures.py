@@ -41,12 +41,12 @@ block of terms, from the rung that certifies the block's smallest x; their
 derivatives sum one exp table per block of terms.  Every law evaluates its
 points in fixed blocks, and each block finishes its node x point or term x
 point table in place, so memory stays bounded whatever the grid size.  A
-rule law's block evaluates its kernel only on the node rows whose values
-over the block are not exactly 0 or 1 (a Gaussian tail in floats), and
-writes those as constants, so the table and its sum are the same bits.  The
-blocks, fixed by the input alone, run on every CPU the process may use
-through ``parallel.thread_map`` (the Monte Carlo engine's helper too), so
-the tables are the same bits on any CPU count.
+rule law's block sums its kernel only on the node rows that Gaussian tail
+bounds do not hold within 1e-3 abs_tol / sum(w) of 0 or 1 over the block,
+and counts a CDF row held near 1 as its weight, so each value moves by at
+most 1e-3 abs_tol.  The blocks, fixed by the input alone, run on every
+CPU the process may use through ``parallel.thread_map`` (the Monte Carlo
+engine's helper too), so the tables are the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -248,10 +248,8 @@ _PROBE_POINTS = 40
 # silently wrong CDF)
 _SLOPE_SIGMAS = 10.0
 _SLOPE_WINDOW = 2e-10
-# a rule law's kernel argument a from which its CDF is exactly 1.0 (a >=
-# _ONE) or 0.0 (a <= -_ZERO), and its pdf 0.0 (|a| >= _ZERO); blocks from
-# _SKIP_FROM points on skip those rows
-_ONE, _ZERO = 8.5, 38.7
+# blocks from _SKIP_FROM points sum only the node rows whose kernels are not
+# within 1e-3 abs_tol / sum(w) of a constant over the block (_RuleLaw._sum)
 _SKIP_FROM = 64
 # the variance law's largest lambda0 = sqrt(lambda), per unit of abs_tol:
 # W's sd is 2 lambda0, so its CDF rises by about 0.2 eps lambda0 between
@@ -266,10 +264,11 @@ class _RuleLaw(_MixtureLaw):
     probe points ``cdf_u`` and on the pdf at ``pdf_u``, plus the law's
     ``_mixing_pdf(x)``, ``_window``, ``_kernel(x, u, want_pdf)``
     (conditional pdf or CDF, shape (len(x), len(u))) and the kernels'
-    argument ``_argument(x, u)``, which rises with u (see ``_table``).  The
-    integrand is mixing_pdf(x) times [1 | CDF kernels | pdf kernels], so
-    that the builder sums the mass and each probe per panel; each pdf probe
-    holds to abs_tol or to rel_tol of itself."""
+    argument ``_argument(x, u)``, which rises with u, and its row-skip
+    ``_edges`` (see ``_sum``).  The integrand is mixing_pdf(x) times
+    [1 | CDF kernels | pdf kernels], so that the builder sums the mass and
+    each probe per panel; each pdf probe holds to abs_tol or to rel_tol of
+    itself."""
 
     def _refine(self, anchors, cdf_u, pdf_u):
         def integrand(x):
@@ -284,48 +283,51 @@ class _RuleLaw(_MixtureLaw):
         self._block = min(_POINT_BLOCK, _BLOCK_SIZE // self._x.size)
         self._block_doubles = self._block * self._x.size
 
+    @functools.cached_property
+    def _skip_edges(self):
+        """(CDF edges, pdf edges): ``_edges(d)`` at d = 1e-3 abs_tol /
+        sum(w), computed once per law, at its first block that may skip
+        rows, so that a law that never meets one (scalar and ``ppf`` calls
+        only) does not pay for them.  d stops at 0.5 (abs_tol past about
+        500), past which the CDF edges would cross."""
+        return self._edges(min(1e-3 * self.quad.abs_tol / self._w.sum(), 0.5))
+
     def _pdf(self, u):
-        return self._w @ self._table(u, True)
+        return self._sum(u, True)
 
     def _cdf(self, u):
-        return self._w @ self._table(u, False)
+        return self._sum(u, False)
 
-    def _table(self, u, want_pdf):
-        """The node x point kernel table at u, evaluating the kernel only on
-        the node rows whose values are not known over [min u, max u].
+    def _sum(self, u, want_pdf):
+        """w @ kernel(x, u), summing the kernel only on the band of node
+        rows that are not within d = 1e-3 abs_tol / sum(w) of a constant
+        over [min u, max u].
 
         Both kernels are functions of an argument a (``_argument``) that
-        rises with u: the CDF is exactly 1.0 from a = _ONE and 0.0 up to
-        a = -_ZERO, and the pdf exactly 0.0 from |a| = _ZERO.  (With the
-        installed scipy and numpy, ndtr reads 1.0 from 8.2924 and 0.0 up to
-        -37.677, exp(-a^2/2) reads 0.0 from |a| = 38.604, and the variance
-        CDF's difference of two ndtr reads 1.0 from 8.2926; the edges keep
-        a margin.)  a at the block's two ends comes from the kernel's own
-        arithmetic, which is monotone in u, so each row written as a
-        constant holds the value the kernel would have given, and the one
-        ``w @ table`` product sums the same table.  Rows are selected by
+        rises with u, so a row's values over the block lie between its
+        kernel at a's two ends.  ``_edges(d)`` gives, once per law
+        (``_skip_edges``), the edges past which Gaussian tail bounds hold
+        a kernel within d of 0 or 1: a pdf row past either edge, and a CDF
+        row below its lower edge, is dropped; a CDF row above its upper
+        edge counts as its weight.  Every value then moves by at most
+        sum(w) d = 1e-3 abs_tol, the share the mixing windows also give
+        up, and a CDF on sorted points stays nondecreasing up to the
+        rounding of its sum (a row only ever leaves the band upward, but a
+        sum over other rows rounds differently).  Rows are selected by
         index: scipy.special ufuncs called with ``where=`` segfault with
         numpy 2.4.6 and scipy 1.17.1.  Blocks of fewer than _SKIP_FROM
-        points (scalar calls, quantile grids) evaluate the whole table."""
-        x = self._x
+        points (scalar calls, quantile grids) sum every row."""
+        x, w = self._x, self._w
         if u.size < _SKIP_FROM:
-            return self._kernel(x, u, want_pdf)
+            return w @ self._kernel(x, u, want_pdf)
         lo, hi = self._argument(x, np.array([np.min(u), np.max(u)])).T
-        zero = hi <= -_ZERO
-        if want_pdf:
-            zero |= lo >= _ZERO
-            one = np.zeros_like(zero)
-        else:
-            one = lo >= _ONE
-        known = zero | one
-        if not known.any():
-            return self._kernel(x, u, want_pdf)
-        table = np.empty((x.size, u.size))
-        table[zero] = 0.0
-        table[one] = 1.0
-        rows = np.flatnonzero(~known)
-        table[rows] = self._kernel(x[rows], u, want_pdf)
-        return table
+        low, high = self._skip_edges[want_pdf]
+        past = lo >= high
+        band = np.flatnonzero(~(past | (hi <= low)))
+        out = w[band] @ self._kernel(x[band], u, want_pdf)
+        if not want_pdf:
+            out += w[past].sum()
+        return out
 
 
 def sharpness(p: MixtureParams) -> float:
@@ -429,6 +431,17 @@ class MeanMixture(_RuleLaw):
         z /= self._conditional(t)[1][:, None] * math.sqrt(2.0 * math.pi)
         return z
 
+    def _edges(self, d):
+        """Phi(z) <= d at z <= -A and 1 - Phi(z) <= d at z >= A, with
+        A = -ndtri(d); phi(z) / sd_k <= d at |z| >= A_k, with
+        A_k = sqrt(-2 log(d sd_k sqrt(2 pi))) (0 where that is negative)."""
+        a = -float(sp.ndtri(d))
+        sd = self._conditional(self._x)[1]
+        with np.errstate(divide="ignore"):
+            a_k = np.sqrt(np.maximum(
+                0.0, -2.0 * np.log(d * math.sqrt(2.0 * math.pi) * sd)))
+        return (-a, a), (-a_k, a_k)
+
     def support(self):
         # mean - 8.5 sd is concave in t and mean + 8.5 sd convex, so both
         # take their extremes at the window ends
@@ -519,6 +532,20 @@ class VarianceMixture(_RuleLaw):
         sp.ndtr(r, out=r)
         r -= sp.ndtr(below, out=below)
         return r
+
+    def _edges(self, d):
+        """With a = r - lambda0, the CDF kernel K = Phi(a) - Phi(-r -
+        lambda0) is at most Phi(a), and 1 - K at most 2 Phi(-a): K <= d at
+        a <= ndtri(d) and 1 - K <= d at a >= -ndtri(d/2).  For a > 0 the
+        pdf kernel [phi(a) + phi(r + lambda0)] / (2 r V_k) is at most
+        phi(a) / (a V_k), which falls to d at a = A_k; the pdf has no lower
+        edge, as it is unbounded where u/V -> 0.  A_k^2 solves
+        y + log y = 2 c_k, c_k = -log(d V_k sqrt(2 pi)), so it is
+        W(e^(2 c_k)), W the Lambert function (2 c_k is at most about 220:
+        d >= 1e-14 / sum(w) and V_k >= 1e-32)."""
+        c = -np.log(d * math.sqrt(2.0 * math.pi) * self._v(self._x))
+        return ((float(sp.ndtri(d)), -float(sp.ndtri(0.5 * d))),
+                (-np.inf, np.sqrt(sp.lambertw(np.exp(2.0 * c)).real)))
 
     def support(self):
         w_hi = ser.sqrt_mixing_upper(math.sqrt(self.lam),

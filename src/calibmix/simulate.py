@@ -407,9 +407,12 @@ def mc_statistic_distribution(p: MixtureParams, statistic: str, cfg: McConfig,
 
         def kernel(b0, b1, z, y):
             null = (b0 + b1 * p.mu_z) - dist_n
-            ybar = y.mean(axis=1)
-            s2 = y.var(axis=1, ddof=1)
-            return p.n * (ybar - null) ** 2 / s2
+            # y.mean and y.var's sums, with y centred once
+            ybar = y.mean(axis=1, keepdims=True)
+            d = y - ybar
+            d *= d
+            s2 = d.sum(axis=1) / (y.shape[1] - 1)
+            return p.n * (ybar[:, 0] - null) ** 2 / s2
     else:
         from .diagnostics import battery_batch
 

@@ -197,7 +197,7 @@ class TestBlindnessSuite:
         # t(Y) = sign(beta1_hat) t(Z) fails once the sign is dropped
         studentized = diagnostics.studentized_batch
         monkeypatch.setattr(diagnostics, "studentized_batch",
-                            lambda y: np.abs(studentized(y)))
+                            lambda y, *c: np.abs(studentized(y, *c)))
         p = MixtureParams(n=10, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
                           beta1=1.0, sigma1=1.0)
         report = blindness_suite(p, McConfig(replications=500, seed=1))

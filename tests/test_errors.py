@@ -102,6 +102,39 @@ def test_malformed_json_file_exits_2(shape, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+IDEAL = dict(PARAMS, sigma0=0, sigma1=0)
+
+
+@pytest.mark.parametrize("ideal", ["false", "true", 0, 1, None, []])
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_params_file_ideal_takes_json_booleans_only(ideal, sigma, tmp_path,
+                                                    capsys):
+    # bool() read "false" as ideal mode on: exit 0 at sigma0 = sigma1 = 0,
+    # and "ideal mode requires sigma0 = sigma1 = 0" otherwise
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(dict(PARAMS, sigma0=sigma, sigma1=sigma,
+                                    ideal=ideal)))
+    assert run(["moments", "--params-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert "field ideal: %r is not true or false" % (ideal,) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("payload,flags,ideal", [
+    (PARAMS, [], False), (dict(IDEAL, ideal=True), [], True),
+    (dict(PARAMS, ideal=False), [], False), (IDEAL, ["--ideal"], True),
+    (dict(IDEAL, ideal=False), ["--ideal"], True),
+], ids=["absent", "true", "false", "flag", "flag-over-false"])
+def test_params_file_ideal_booleans_are_read(payload, flags, ideal, tmp_path,
+                                             capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(payload))
+    assert run(["moments", "--params-file", str(path)] + flags) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["params"]["ideal"] is ideal
+
+
 @pytest.mark.parametrize("statistic", ["mean", "inconsistency"])
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_one_replication_exits_2(statistic, source, tmp_path, capsys):

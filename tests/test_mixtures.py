@@ -1254,27 +1254,119 @@ class TestInPlaceKernels:
         assert np.array_equal(vm._kernel(z, u, True), want)
 
 
+def skip_budget(law):
+    """d = 1e-3 abs_tol / sum(w): the most a skipped row's kernel may be
+    from its constant."""
+    return 1e-3 * law.quad.abs_tol / law._w.sum()
+
+
+# a dense grid of distances past an edge, out to 1e3
+PAST = np.concatenate([np.linspace(0.0, 50.0, 2001), np.geomspace(50.0, 1e3, 100)])
+
+
 class TestSaturationEdges:
-    """The edges past which the rule laws' kernels are written as constants,
-    against the installed scipy and numpy, on dense grids out to +-1e3."""
+    """Past each row-skip edge the rule laws' own kernels stay within
+    d = 1e-3 abs_tol / sum(w) of the constant the row is read as (0, or 1
+    for a CDF above its upper edge), wherever the kernel's argument, as the
+    kernel forms it, lies past the edge on dense grids out to 1e3 beyond
+    it; at the default tolerance and at the floor.  The edges are the
+    closed-form Gaussian tail bounds, so at the edge the bound is d."""
+
+    LAWS = [(params, quad) for params in (octane_params(), LOG_SPIKE)
+            for quad in (QuadSpec(), FLOOR)]
+
+    @staticmethod
+    def budget(law):
+        # at an edge a kernel is d up to the rounding of ndtri and its own
+        return skip_budget(law) * (1.0 + 1e-9)
+
+    @staticmethod
+    def mean_rows_past(law, edge, sign, want_pdf):
+        """Each node row's kernel wherever its argument z lies at or beyond
+        its edge (above for sign 1, below for -1) on a dense z grid."""
+        p, t = law._mix, law._x
+        sd = law._conditional(t)[1]
+        edge = np.broadcast_to(edge, t.shape)
+        for k in range(t.size):
+            row = t[k:k + 1]
+            u = p.beta0 + t[k] * p.mu_z + (edge[k] + sign * PAST) * sd[k]
+            u = u[sign * (law._argument(row, u)[0] - edge[k]) >= 0.0]
+            yield law._kernel(row, u, want_pdf)[0]
 
     def test_ndtr(self):
-        assert np.all(special.ndtr(np.linspace(mx._ONE, 1e3, 2_000_001)) == 1.0)
-        assert np.all(special.ndtr(np.linspace(-1e3, -mx._ZERO, 2_000_001))
-                      == 0.0)
+        # the mean law's CDF kernel Phi(z): within d of 0 at z <= -A and of
+        # 1 at z >= A, A = -ndtri(d)
+        for params, quad in self.LAWS:
+            law = mean_mixture(params, quad)
+            d = self.budget(law)
+            low, high = law._skip_edges[0]
+            assert low == -high == float(special.ndtri(skip_budget(law)))
+            for cdf in self.mean_rows_past(law, high, 1.0, False):
+                # a CDF kernel near 1 rounds to the spacing of doubles there
+                assert np.all(1.0 - cdf <= d + np.finfo(float).eps)
+            for cdf in self.mean_rows_past(law, low, -1.0, False):
+                assert np.all(cdf <= d)
 
     def test_gaussian_density(self):
-        # the mean pdf kernel's own arithmetic
-        z = np.concatenate([np.linspace(mx._ZERO, 1e3, 2_000_001),
-                            np.linspace(-1e3, -mx._ZERO, 2_000_001)])
-        z *= z
-        z *= -0.5
-        assert np.all(np.exp(z) == 0.0)
+        # the mean law's pdf kernel phi(z) / sd_k: within d of 0 at
+        # |z| >= A_k, where phi(A_k) / sd_k = d unless A_k = 0
+        for params, quad in self.LAWS:
+            law = mean_mixture(params, quad)
+            d = self.budget(law)
+            low, high = law._skip_edges[1]
+            assert np.array_equal(low, -high)
+            for edge, sign in ((high, 1.0), (low, -1.0)):
+                for pdf in self.mean_rows_past(law, edge, sign, True):
+                    assert np.all(pdf <= d)
+            at_edge = stats.norm.pdf(high) / law._conditional(law._x)[1]
+            assert np.allclose(at_edge[high > 0.0], skip_budget(law),
+                               rtol=1e-9, atol=0.0)
+
+    @staticmethod
+    def variance_past(law, edge, sign, want_pdf):
+        """The kernel of every node row over one dense geometric u grid, at
+        the (row, point) pairs whose argument a = sqrt(u/V) - lambda0 lies
+        at or beyond the row's edge and within 1e3 of it."""
+        v, lam0 = law._v(law._x), math.sqrt(law.lam)
+        edge = np.broadcast_to(edge, v.shape)
+        # the roots r = a + lambda0 of the rows' ranges (r >= 0)
+        r = np.maximum(edge + lam0 + sign * np.array([[0.0], [1e3]]), 0.0)
+        if r.max() == 0.0:
+            return np.empty(0)
+        u = np.geomspace(v.min() * max(r.min(), 1e-3 * r.max()) ** 2,
+                         v.max() * r.max() ** 2, 2001)
+        a = law._argument(law._x, u) - edge[:, None]
+        past = (sign * a >= 0.0) & (sign * a <= 1e3)
+        return law._kernel(law._x, u, want_pdf)[past]
 
     @pytest.mark.parametrize("lam0", np.linspace(0.0, 30.0, 31))
     def test_variance_cdf_kernel(self, lam0):
-        r = np.linspace(mx._ONE, 1e3, 200_001) + lam0
-        assert np.all(special.ndtr(r - lam0) - special.ndtr(-r - lam0) == 1.0)
+        # K = Phi(a) - Phi(-r - lambda0) <= Phi(a): within d of 0 at
+        # a <= ndtri(d); 1 - K <= 2 Phi(-a): within d of 1 at
+        # a >= -ndtri(d/2)
+        for quad in (QuadSpec(), FLOOR):
+            law = variance_mixture(10, lam0 * lam0, quad)
+            d = self.budget(law)
+            low, high = law._skip_edges[0]
+            assert low == float(special.ndtri(skip_budget(law)))
+            assert high == -float(special.ndtri(0.5 * skip_budget(law)))
+            assert np.all(1.0 - self.variance_past(law, high, 1.0, False)
+                          <= d + np.finfo(float).eps)
+            assert np.all(self.variance_past(law, low, -1.0, False) <= d)
+
+    @pytest.mark.parametrize("lam0", np.linspace(0.0, 30.0, 31))
+    def test_variance_pdf_kernel(self, lam0):
+        # for a > 0 the pdf kernel is at most phi(a) / (a V_k), which is d
+        # at a = A_k; no lower edge
+        for quad in (QuadSpec(), FLOOR):
+            law = variance_mixture(10, lam0 * lam0, quad)
+            low, high = law._skip_edges[1]
+            assert np.all(low == -np.inf) and np.all(high > 0.0)
+            assert np.all(self.variance_past(law, high, 1.0, True)
+                          <= self.budget(law))
+            v = law._v(law._x)
+            assert np.allclose(stats.norm.pdf(high) / (high * v),
+                               skip_budget(law), rtol=1e-9, atol=0.0)
 
 
 def test_t2_block_climbs_the_ladder_once(monkeypatch):
@@ -1677,36 +1769,99 @@ class TestThreadedBlocks:
         assert len(seen) == 6 and set(seen) == {"ignore"}
 
 
+def whole_kernel_sums(law, u, want_pdf):
+    """w @ kernel(x, u) over every node row, block by block."""
+    out = np.concatenate([law._w @ law._kernel(law._x, u[i:i + law._block],
+                                               want_pdf)
+                          for i in range(0, u.size, law._block)])
+    return out if want_pdf else np.clip(out, 0.0, 1.0)
+
+
+# the rounding of a rule law's node sum, relative to it: a sum over fewer
+# rows rounds differently (by up to 6 eps seen, on the pdf near a nu = 1
+# law's pole), and the CDF on sorted points may step down by as much where
+# the rows it sums change between blocks (2 eps seen)
+SUM_ROUNDING = 16.0 * np.finfo(float).eps
+
+
+def check_skipped_tables(law, u):
+    """The pdf and CDF tables of u, sorted and shuffled, within 1e-3
+    abs_tol of the whole-kernel sums, and the CDF nondecreasing on sorted
+    u, up to the rounding of the sums.  Returns the rows each kernel call
+    evaluated."""
+    kernel, rows = law._kernel, []
+
+    def spy(x, v, want_pdf):
+        rows.append(x.size)
+        return kernel(x, v, want_pdf)
+    budget = 1e-3 * law.quad.abs_tol
+    for grid in (u, np.random.default_rng(7).permutation(u)):
+        with mock.patch.object(law, "_kernel", spy):
+            pdf, cdf = law.pdf(grid), law.cdf(grid)
+        for want_pdf, table in ((True, pdf), (False, cdf)):
+            want = whole_kernel_sums(law, grid, want_pdf)
+            assert np.all(np.abs(table - want)
+                          <= budget + SUM_ROUNDING * np.abs(want))
+    assert np.all(np.diff(law.cdf(np.sort(u))) >= -SUM_ROUNDING)
+    return rows
+
+
 class TestRowSkip:
-    """Rule-law tables that skip their known rows equal the unskipped
-    w @ kernel(x, u) block by block, also on shuffled abscissae and on
-    blocks that straddle the edges or lie wholly past them."""
+    """Rule-law tables that drop the rows within d = 1e-3 abs_tol / sum(w)
+    of a constant stay within 1e-3 abs_tol of the whole-kernel sums block
+    by block, also on shuffled abscissae and on blocks that straddle the
+    edges or lie wholly past them, and the CDF stays nondecreasing."""
 
+    @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
     @pytest.mark.parametrize("build,lo,hi,log", [
-        (lambda: mean_mixture(octane_params()), 40.0, 135.0, False),
-        (SPIKE_LAW, -1.0, 6.0, False),
-        (lambda: variance_mixture(1, 0.5), 1e-12, 1e4, True),
-        (lambda: variance_mixture(10, OCT_LAM), 1e-4, 3e3, True),
+        (lambda q: mean_mixture(octane_params(), q), 40.0, 135.0, False),
+        (lambda q: mean_mixture(LOG_SPIKE, q), -1.0, 6.0, False),
+        (lambda q: variance_mixture(1, 0.5, q), 1e-12, 1e4, True),
+        (lambda q: variance_mixture(10, OCT_LAM, q), 1e-4, 3e3, True),
     ], ids=["mean", "spike", "variance-nu1", "variance-octane"])
-    def test_tables_equal_the_whole_kernel(self, build, lo, hi, log,
-                                           monkeypatch):
-        law = build()
-        kernel, rows = law._kernel, []
-
-        def spy(x, u, want_pdf):
-            rows.append(x.size)
-            return kernel(x, u, want_pdf)
-        monkeypatch.setattr(law, "_kernel", spy)
-        u = block_grid(law._block, lo, hi, log)
-        for grid in (u, np.random.default_rng(7).permutation(u)):
-            for want_pdf, table in ((True, law.pdf(grid)), (False, law.cdf(grid))):
-                want = np.concatenate([
-                    law._w @ kernel(law._x, grid[i:i + law._block], want_pdf)
-                    for i in range(0, grid.size, law._block)])
-                if not want_pdf:
-                    np.clip(want, 0.0, 1.0, out=want)
-                assert np.array_equal(table, want)
+    def test_tables_within_the_budget(self, build, lo, hi, log, quad):
+        law = build(quad)
+        rows = check_skipped_tables(law, block_grid(law._block, lo, hi, log))
         assert min(rows) < law._x.size        # some rows were skipped
+
+    @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.integers(2, 100), beta0=st.floats(-10.0, 10.0),
+           sigma0=log_uniform(1e-3, 10.0), mu_z=signed(log_uniform(1e-2, 1e2)),
+           sigma_z=log_uniform(1e-2, 10.0),
+           beta1=signed(log_uniform(1e-2, 1e2)), sigma1=log_uniform(1e-3, 10.0))
+    def test_mean_law_property(self, quad, n, beta0, sigma0, mu_z, sigma_z,
+                               beta1, sigma1):
+        law = mean_mixture(MixtureParams(n=n, beta0=beta0, sigma0=sigma0,
+                                         mu_z=mu_z, sigma_z=sigma_z,
+                                         beta1=beta1, sigma1=sigma1), quad)
+        lo, hi = law.support()
+        check_skipped_tables(law, np.linspace(lo, hi, 3 * law._block + 77))
+
+    @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
+    @settings(max_examples=6, deadline=None)
+    @given(nu=log_uniform(1.0, 1e3).map(round), lam=log_uniform(1e-3, 400.0))
+    def test_variance_law_property(self, quad, nu, lam):
+        law = variance_mixture(nu, lam, quad)
+        check_skipped_tables(law, np.geomspace(1e-6, law.support()[1],
+                                               3 * law._block + 77))
+
+    def test_dense_mean_tables_evaluate_few_rows(self):
+        # the octane table of the dense_grid benchmark: 30% (CDF) and 31%
+        # (pdf) of its blocks' rows x points are evaluated, against 57% and
+        # 79% when only rows exactly 0 or 1 in doubles were skipped
+        law = mean_mixture(octane_params())
+        u = np.linspace(*law.support(), 26_000)
+        kernel, evaluated = law._kernel, []
+
+        def spy(x, v, want_pdf):
+            evaluated.append(x.size * v.size)
+            return kernel(x, v, want_pdf)
+        with mock.patch.object(law, "_kernel", spy):
+            for table in (law.pdf, law.cdf):
+                evaluated.clear()
+                table(u)
+                assert sum(evaluated) <= 0.35 * law._x.size * u.size
 
 
 class TestThreadedTablesProperty:
