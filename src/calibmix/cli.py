@@ -190,7 +190,8 @@ def _cmd_density(args):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise _UsageError("bad --grid %r (expected lo:hi:count)" % args.grid) from exc
-    if count < 2 or not hi > lo:
+    # an infinite end or a span past the largest float makes NaN points
+    if count < 2 or not hi > lo or not np.isfinite(hi - lo):
         raise _UsageError("bad --grid %r" % args.grid)
     u = np.linspace(lo, hi, count)
     pdf = np.atleast_1d(dist.pdf(u))

@@ -31,22 +31,23 @@ phi = D/s beyond the series budget are evaluated through one exact kernel
 of the core, the Gaussian-root identity u = nu (g + phi)^2 / W, smooth at
 any parameter point where the series would need j ~ phi^2 terms.  (s, g)
 enter it only through v = g + D/s, so those draws collapse to one weighted
-rule in v, built once per evaluator; each evaluation sums a band of v-nodes
-per point, with the conditional CDF's upper incomplete gamma Q(nu/2, y) in
-closed form (a finite sum) wherever nu/2 is a moderate integer or
-half-integer.  The signed law reads that t^2 kernel at u^2: its
-extreme draws put less than Phi(-20) of their mass below 0.  The
-incomplete-beta CDF series run by recurrence from one betainc per point per
-block of terms, from the rung that certifies the block's smallest x; their
-derivatives sum one exp table per block of terms.  Every law evaluates its
-points in fixed blocks, and each block finishes its node x point or term x
-point table in place, so memory stays bounded whatever the grid size.  A
-rule law's block sums its kernel only on the node rows that Gaussian tail
-bounds do not hold within 1e-3 abs_tol / sum(w) of 0 or 1 over the block,
-and counts a CDF row held near 1 as its weight, so each value moves by at
-most 1e-3 abs_tol.  The blocks, fixed by the input alone, run on every
-CPU the process may use through ``parallel.thread_map`` (the Monte Carlo
-engine's helper too), so the tables are the same bits on any CPU count.
+rule in v, built once per evaluator, with the conditional CDF's upper
+incomplete gamma Q(nu/2, y) in closed form (a finite sum) wherever nu/2 is
+a moderate integer or half-integer.  The signed law reads that t^2 kernel
+at u^2: its extreme draws put less than Phi(-20) of their mass below 0.
+The incomplete-beta CDF series run by recurrence from one betainc per point
+per block of terms, from the rung that certifies the block's smallest x;
+their derivatives sum one exp table per block of terms.  Every law
+evaluates its points in fixed blocks, and each block finishes its node x
+point or term x point table in place, so memory stays bounded whatever the
+grid size.  The mean, variance and v-rules share one sum (``_NodeSum``):
+a block sums its kernel only on the node rows that closed-form tail bounds
+do not hold within 1e-3 abs_tol / (the rule's mixing mass) of 0 or 1 over
+the block, and counts a CDF row held near 1 as its weight, so each value
+moves by at most 1e-3 abs_tol.  The blocks, fixed by the input alone, run
+on every CPU the process may use through ``parallel.thread_map`` (the Monte
+Carlo engine's helper too), so the tables are the same bits on any CPU
+count.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ _PROBE_POINTS = 40
 _SLOPE_SIGMAS = 10.0
 _SLOPE_WINDOW = 2e-10
 # blocks from _SKIP_FROM points sum only the node rows whose kernels are not
-# within 1e-3 abs_tol / sum(w) of a constant over the block (_RuleLaw._sum)
+# within 1e-3 abs_tol / sum(w) of a constant over the block (_NodeSum._sum)
 _SKIP_FROM = 64
 # the variance law's largest lambda0 = sqrt(lambda), per unit of abs_tol:
 # W's sd is 2 lambda0, so its CDF rises by about 0.2 eps lambda0 between
@@ -258,17 +259,66 @@ _SKIP_FROM = 64
 _VAR_LAM0_PER_TOL = 1e15
 
 
-class _RuleLaw(_MixtureLaw):
+class _NodeSum:
+    """Weighted nodes ``_x``, ``_w`` carrying the mixing mass ``_mass``, and
+    a conditional kernel pair ``_kernel(x, u, want_pdf)`` (pdf or CDF, shape
+    (len(x), len(u))) of an argument ``_argument(x, u)`` that rises with u,
+    summed by ``_sum``: the rule laws and the noncentral-t v-rule."""
+
+    _skip_from = 0            # blocks of fewer points sum every row
+    _block_doubles = _TABLE   # the most doubles in one kernel table
+
+    @functools.cached_property
+    def _skip_edges(self):
+        """(CDF edges, pdf edges): ``_edges(d)`` at d = 1e-3 abs_tol /
+        _mass, computed once per law.  d stops at 0.5 (abs_tol past about
+        500), past which the CDF edges would cross."""
+        return self._edges(min(1e-3 * self.quad.abs_tol / self._mass, 0.5))
+
+    def _sum(self, u, want_pdf):
+        """w @ kernel(x, u), summing the kernel only on the band of node
+        rows that are not within d = 1e-3 abs_tol / _mass of a constant
+        over [min u, max u].
+
+        A row's arguments over the block lie between its values at the
+        block's two ends.  ``_edges(d)`` gives, once per law
+        (``_skip_edges``), the edges past which closed-form tail bounds
+        hold a kernel within d of 0 or 1: a pdf row past either edge, and
+        a CDF row below its lower edge, is dropped; a CDF row above its
+        upper edge counts as its weight.  Every value then moves by at most
+        sum(w) d <= 1e-3 abs_tol, and a CDF on sorted points stays
+        nondecreasing up to the rounding of its sum (a row only ever leaves
+        the band upward, but a sum over other rows rounds differently).
+        The band is summed in tables of at most _block_doubles doubles.
+        Rows are selected by index: scipy.special ufuncs called with
+        ``where=`` segfault with numpy 2.4.6 and scipy 1.17.1."""
+        x, w = self._x, self._w
+        if u.size < self._skip_from:
+            return w @ self._kernel(x, u, want_pdf)
+        lo, hi = self._argument(x, np.array([np.min(u), np.max(u)])).T
+        low, high = self._skip_edges[want_pdf]
+        past = lo >= high
+        band = np.flatnonzero(~(past | (hi <= low)))
+        out = np.full_like(u, 0.0 if want_pdf else w[past].sum())
+        step = max(1, self._block_doubles // u.size)
+        for i in range(0, band.size, step):
+            rows = band[i:i + step]
+            out += w[rows] @ self._kernel(x[rows], u, want_pdf)
+        return out
+
+
+class _RuleLaw(_NodeSum, _MixtureLaw):
     """One Gauss rule in the mixing variable x, built by local subdivision
     (``refine_panels``) and certified on the mixing mass, on the CDF at
     probe points ``cdf_u`` and on the pdf at ``pdf_u``, plus the law's
-    ``_mixing_pdf(x)``, ``_window``, ``_kernel(x, u, want_pdf)``
-    (conditional pdf or CDF, shape (len(x), len(u))) and the kernels'
-    argument ``_argument(x, u)``, which rises with u, and its row-skip
-    ``_edges`` (see ``_sum``).  The integrand is mixing_pdf(x) times
-    [1 | CDF kernels | pdf kernels], so that the builder sums the mass and
-    each probe per panel; each pdf probe holds to abs_tol or to rel_tol of
-    itself."""
+    ``_mixing_pdf(x)``, ``_window`` and ``_NodeSum`` kernels.  The
+    integrand is mixing_pdf(x) times [1 | CDF kernels | pdf kernels], so
+    that ``refine_panels`` sums the mass and each probe per panel; each
+    pdf probe holds to abs_tol or to rel_tol of itself.  The row-skip edges
+    come at the first block of _SKIP_FROM points, so that scalar and
+    ``ppf`` calls alone never pay for them."""
+
+    _skip_from = _SKIP_FROM
 
     def _refine(self, anchors, cdf_u, pdf_u):
         def integrand(x):
@@ -280,54 +330,15 @@ class _RuleLaw(_MixtureLaw):
                              split_at=tuple(anchors))
         self._x = rule.nodes
         self._w = rule.weights * self._mixing_pdf(rule.nodes)
+        self._mass = float(self._w.sum())
         self._block = min(_POINT_BLOCK, _BLOCK_SIZE // self._x.size)
         self._block_doubles = self._block * self._x.size
-
-    @functools.cached_property
-    def _skip_edges(self):
-        """(CDF edges, pdf edges): ``_edges(d)`` at d = 1e-3 abs_tol /
-        sum(w), computed once per law, at its first block that may skip
-        rows, so that a law that never meets one (scalar and ``ppf`` calls
-        only) does not pay for them.  d stops at 0.5 (abs_tol past about
-        500), past which the CDF edges would cross."""
-        return self._edges(min(1e-3 * self.quad.abs_tol / self._w.sum(), 0.5))
 
     def _pdf(self, u):
         return self._sum(u, True)
 
     def _cdf(self, u):
         return self._sum(u, False)
-
-    def _sum(self, u, want_pdf):
-        """w @ kernel(x, u), summing the kernel only on the band of node
-        rows that are not within d = 1e-3 abs_tol / sum(w) of a constant
-        over [min u, max u].
-
-        Both kernels are functions of an argument a (``_argument``) that
-        rises with u, so a row's values over the block lie between its
-        kernel at a's two ends.  ``_edges(d)`` gives, once per law
-        (``_skip_edges``), the edges past which Gaussian tail bounds hold
-        a kernel within d of 0 or 1: a pdf row past either edge, and a CDF
-        row below its lower edge, is dropped; a CDF row above its upper
-        edge counts as its weight.  Every value then moves by at most
-        sum(w) d = 1e-3 abs_tol, the share the mixing windows also give
-        up, and a CDF on sorted points stays nondecreasing up to the
-        rounding of its sum (a row only ever leaves the band upward, but a
-        sum over other rows rounds differently).  Rows are selected by
-        index: scipy.special ufuncs called with ``where=`` segfault with
-        numpy 2.4.6 and scipy 1.17.1.  Blocks of fewer than _SKIP_FROM
-        points (scalar calls, quantile grids) sum every row."""
-        x, w = self._x, self._w
-        if u.size < _SKIP_FROM:
-            return w @ self._kernel(x, u, want_pdf)
-        lo, hi = self._argument(x, np.array([np.min(u), np.max(u)])).T
-        low, high = self._skip_edges[want_pdf]
-        past = lo >= high
-        band = np.flatnonzero(~(past | (hi <= low)))
-        out = w[band] @ self._kernel(x[band], u, want_pdf)
-        if not want_pdf:
-            out += w[past].sum()
-        return out
 
 
 def sharpness(p: MixtureParams) -> float:
@@ -593,10 +604,42 @@ def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> Varian
 
 _G_EDGES = np.linspace(-8.6, 8.6, 17)   # panels of the Gaussian root g
 _G_ORDER = 10
-_ROOT_SNAP = 1e-13   # Q within this of 1 (or of 0) counts as 1 (or 0)
 # largest nu/2 whose Q takes the finite sums: they cost about 0.8 ns per
 # term and entry, gammaincc 200-290 ns per entry, so they cross near 300
 _Q_SUM_MAX = 256
+
+
+def _upper_gamma(nu, y):
+    """Q(nu/2, y), built in y's place.  Where nu/2 is an integer m,
+    Q = e^{-y} sum_{i<m} y^i/i!, and where it is m + 1/2,
+    Q = erfc(sqrt y) + e^{-y} sum_{i=1}^{m} y^{i-1/2}/Gamma(i + 1/2)
+    (DLMF 8.4), each sum by Horner from its last term, at y clipped to
+    1e3: there e^{-y} is 0 in doubles and Q below 1e-170, and the sums stay
+    finite however large y is.  These agree with gammaincc to about 5e-15
+    up to nu/2 = _Q_SUM_MAX and cost less; above it, or at a nu that is
+    not a whole number, gammaincc serves."""
+    a = 0.5 * nu
+    m = math.floor(a)
+    if a > _Q_SUM_MAX or nu != math.floor(nu):
+        return sp.gammaincc(a, y, out=y)
+    half = a - m
+    np.minimum(y, 1e3, out=y)
+    if half and m == 0:
+        return sp.erfc(np.sqrt(y, out=y), out=y)
+    s = np.ones_like(y)
+    for i in range(m - 1, 0, -1):     # 1 + y/(i + half) (1 + ...)
+        s *= y
+        s *= 1.0 / (i + half)
+        s += 1.0
+    if half:
+        root = np.sqrt(y)
+        s *= root
+        s *= 2.0 / math.sqrt(math.pi)     # 1/Gamma(3/2)
+    np.negative(y, out=y)
+    s *= np.exp(y, out=y)
+    if half:
+        s += sp.erfc(root, out=root)
+    return s
 
 
 # u = nu X / W with X = (g + phi)^2 = v^2, g ~ N(0,1), W ~ chi2_nu, so
@@ -604,93 +647,7 @@ _Q_SUM_MAX = 256
 #   f_cond(u) = E_g[ y^{nu/2} e^{-y} ] / (u Gamma(nu/2)),  y = nu v^2/(2u);
 # the v-integrand is smooth at every (u, phi), unlike the W-form whose
 # transition sharpens like sqrt(u).
-class _RootRule:
-    """A rule (v_k^2 = v2 ascending, weights h) of the Gaussian-root kernel
-    K at nu, with what every evaluation shares: the snap points of Q in y
-    and the weight below each node."""
-
-    def __init__(self, nu, v2, h):
-        self.nu, self.v2, self.h = nu, v2, h
-        self.y_lo = float(sp.gammainccinv(nu / 2.0, 1.0 - _ROOT_SNAP))
-        self.y_hi = float(sp.gammainccinv(nu / 2.0, _ROOT_SNAP))
-        self.log_gamma = float(sp.gammaln(nu / 2.0))
-        self.below = np.concatenate([[0.0], np.cumsum(h)])
-
-    def parts(self, u, want_pdf):
-        """sum_k h_k K(u; v_k) at u > 0, K the conditional t^2 pdf or CDF
-        above.  Each u sums only the band of nodes whose y lies between the
-        snap points of Q; the nodes below the band (Q within the snap of 1)
-        add their weight whole to the CDF.  The band x point tables are
-        built over chunks of points of at most _TABLE doubles."""
-        nu, v2 = self.nu, self.v2
-        with np.errstate(over="ignore"):      # an edge past the largest float
-            a = np.searchsorted(v2, (2.0 * self.y_lo / nu) * u, side="left")
-            b = np.searchsorted(v2, (2.0 * self.y_hi / nu) * u, side="right")
-        out = np.zeros_like(u) if want_pdf else self.below[a]
-        if self.h.size == 0:
-            return out
-        step = max(1, _TABLE // int(np.max(b - a, initial=1)))
-        for i in range(0, u.size, step):
-            at = slice(i, i + step)
-            out[at] += self._band(u[at], a[at], b[at], want_pdf)
-        return out
-
-    def _band(self, u, a, b, want_pdf):
-        """The band sums at u."""
-        nu = self.nu
-        k = a[:, None] + np.arange(int(np.max(b - a, initial=0)))
-        in_band = k < b[:, None]
-        np.minimum(k, self.h.size - 1, out=k)
-        hk = self.h[k]
-        hk[~in_band] = 0.0
-        y = self.v2[k]
-        del k
-        y *= 0.5 * nu
-        np.divide(y, u[:, None], out=y, where=in_band)    # finite off the band
-        if want_pdf:
-            t = np.log(y)
-            t *= 0.5 * nu
-            t -= y
-            t -= self.log_gamma
-            np.exp(t, out=t)
-        else:
-            y[~in_band] = 0.0     # the finite sums overflow far off the band
-            t = self._upper_gamma(y)
-        t *= hk
-        return np.sum(t, axis=1) / u if want_pdf else np.sum(t, axis=1)
-
-    def _upper_gamma(self, y):
-        """Q(nu/2, y), built in y's place.  Where nu/2 is an integer m,
-        Q = e^{-y} sum_{i<m} y^i/i!, and where it is m + 1/2,
-        Q = erfc(sqrt y) + e^{-y} sum_{i=1}^{m} y^{i-1/2}/Gamma(i + 1/2)
-        (DLMF 8.4), each sum by Horner from its last term.  Over
-        the snap band these agree with gammaincc to about 5e-15 up to
-        nu/2 = _Q_SUM_MAX and cost less; above it, or at a nu that is not
-        a whole number, gammaincc serves."""
-        a = 0.5 * self.nu
-        m = math.floor(a)
-        if a > _Q_SUM_MAX or self.nu != math.floor(self.nu):
-            return sp.gammaincc(a, y, out=y)
-        half = a - m
-        if half and m == 0:
-            return sp.erfc(np.sqrt(y, out=y), out=y)
-        s = np.ones_like(y)
-        for i in range(m - 1, 0, -1):     # 1 + y/(i + half) (1 + ...)
-            s *= y
-            s *= 1.0 / (i + half)
-            s += 1.0
-        if half:
-            root = np.sqrt(y)
-            s *= root
-            s *= 2.0 / math.sqrt(math.pi)     # 1/Gamma(3/2)
-        np.negative(y, out=y)
-        s *= np.exp(y, out=y)
-        if half:
-            s += sp.erfc(root, out=root)
-        return s
-
-
-class _ExtremeRule:
+class _ExtremeRule(_NodeSum):
     """The slope draws s in (s_lo, s_split] of the noncentral-t core, whose
     conditional noncentralities D/s exceed the series budget
     (D = |delta0| = sqrt(delta)).
@@ -709,15 +666,23 @@ class _ExtremeRule:
     bump in the window) the law is a ParamError, raised before any node is
     placed.  h at its nodes comes from the g-rule clipped to the tau
     window.  s_lo steps down from s_split by whole decades until P[s <
-    s_lo] <= 1e-3 tol, so the dropped far-tail mass stays below tol.  The
-    rule is built once, under a lock, by the first point block that
-    reaches its u-range: below it every node's conditional CDF is within
-    the snap of 0.
+    s_lo] <= 1e-3 tol, so the dropped far-tail mass stays below tol.
+
+    The rule is a ``_NodeSum`` on nodes v and weights h.  Its kernels at
+    the t^2 abscissa U are functions of y = nu v^2/(2U), argument -log y:
+    the CDF Q(nu/2, y), and U f(U) = y^{nu/2} e^{-y}/Gamma(nu/2), which the
+    t^2 law reads over U and the signed law as 2 u f(u^2) at U = u^2.  Its
+    mass P[s < s_split] is a closed form, so its edges, and ``_reach``,
+    where its lowest node leaves both lower edges, come before any node is
+    placed.  The first point block that reaches ``_reach`` builds the rule,
+    once, under a lock.
     """
 
-    def __init__(self, nu, root_d, lam0, s_split, tol):
-        self.nu, self.root_d, self.lam0 = nu, root_d, lam0
+    def __init__(self, nu, root_d, lam0, s_split, quad):
+        self.nu, self.root_d, self.lam0, self.quad = nu, root_d, lam0, quad
         self.s_split = self.s_lo = s_split
+        self._mass = float(sp.ndtr(s_split - lam0) - sp.ndtr(-s_split - lam0))
+        self._log_gamma = math.lgamma(0.5 * nu)
 
         def mass_below(x):
             # the density of s is at most 2 phi(lam0 - s), so on [0, x] at
@@ -725,14 +690,14 @@ class _ExtremeRule:
             return 2.0 * x * math.exp(-0.5 * max(lam0 - x, 0.0) ** 2) / math.sqrt(
                 2.0 * math.pi)
 
-        while self.s_lo > 0.0 and mass_below(self.s_lo) > 1e-3 * tol:
+        while self.s_lo > 0.0 and mass_below(self.s_lo) > 1e-3 * quad.abs_tol:
             self.s_lo /= 10.0
         self._reach = math.inf
         self._middle = 0      # log-graded panels between the shoulders
         if self.s_lo < s_split:
             v_min = root_d / s_split + _G_EDGES[0]     # > 0: D/s_split >= 20
-            self._reach = nu * v_min ** 2 / (
-                2.0 * float(sp.gammainccinv(nu / 2.0, _ROOT_SNAP)))
+            (cdf_low, _), (pdf_low, _) = self._skip_edges
+            self._reach = 0.5 * nu * v_min ** 2 * math.exp(min(cdf_low, pdf_low))
             z = _G_EDGES[-1]
             t_lo, t_hi = root_d / s_split + z, root_d / self.s_lo - z
             decades = math.log10(t_hi / t_lo) if t_hi > t_lo else 0.0
@@ -745,18 +710,11 @@ class _ExtremeRule:
                     "lambda0 = sqrt(lambda) = %g with |delta0| = sqrt(delta) "
                     "= %g would take %d panels in the noncentral-t v-rule, "
                     "above %d" % (lam0, root_d, bump, _MAX_PANELS))
-        self._built = None
+        self._x = self._w = None
         self._lock = threading.Lock()
 
-    def rule(self):
-        """The v-rule as a _RootRule, built on the first call."""
-        with self._lock:
-            if self._built is None:
-                self._built = _RootRule(self.nu, *self._nodes())
-        return self._built
-
     def _nodes(self):
-        """(v^2 ascending, weights h) of the v-rule."""
+        """(nodes v ascending, weights h) of the v-rule."""
         d, z = self.root_d, _G_EDGES[-1]
         t_lo, t_hi = d / self.s_split, d / self.s_lo
         middle = np.geomspace(t_lo + z, t_hi - z, self._middle + 1)[1:-1]
@@ -776,13 +734,48 @@ class _ExtremeRule:
             h += np.sum(half * wx * np.exp(-0.5 * g * g)
                         * ser.sqrt_ncchisq1_pdf(d / tau, self.lam0) / tau ** 2,
                         axis=1)
-        return v * v, wv * h * (d / math.sqrt(2.0 * math.pi))
+        return v, wv * h * (d / math.sqrt(2.0 * math.pi))
+
+    def _argument(self, v, u):
+        """-log y = log u - log(nu v^2/2), node x point."""
+        return np.log(u)[None, :] - np.log(0.5 * self.nu * v * v)[:, None]
+
+    def _kernel(self, v, u, want_pdf):
+        with np.errstate(over="ignore"):      # y past the largest float
+            y = np.divide.outer(0.5 * self.nu * v * v, u)
+        if not want_pdf:
+            return _upper_gamma(self.nu, y)
+        np.minimum(y, sys.float_info.max, out=y)    # U f(U) is 0 there
+        return np.exp(0.5 * self.nu * np.log(y) - y - self._log_gamma, out=y)
+
+    def _edges(self, d):
+        """With m = nu/2, Q(m, y) <= d at y >= gammainccinv(m, d) and
+        1 - Q <= d at y <= gammaincinv(m, d).  g(y) = y^m e^{-y}/Gamma(m),
+        unimodal about y = m, is d/2 at y = -m W_k(z), z = -e^{(log(d/2) +
+        lgamma(m))/m}/m, on the Lambert W branches k = 0 and -1 (z clipped
+        to the first double above -1/e, where they meet: scipy's W is NaN
+        at the double -1/e).  At U >= 1 both reads of g, the t^2 g/U
+        and the signed 2 g/sqrt(U), are at most 2 g; below, every node has
+        y > nu v_min^2/2 >= 65 nu (v_min = D/s_split - 8.6 >= 11.4), where
+        both are below 1e-27."""
+        m = 0.5 * self.nu
+        z = max(-math.exp((math.log(0.5 * d) + self._log_gamma) / m
+                          - math.log(m)), np.nextafter(-1.0 / math.e, 0.0))
+        y_lo, y_hi = -m * sp.lambertw(z, [0, -1]).real
+        return ((-math.log(sp.gammainccinv(m, d)), -math.log(sp.gammaincinv(m, d))),
+                (-math.log(y_hi), -math.log(y_lo)))
 
     def parts(self, u, want_pdf):
-        """The rule's share of the t^2 pdf or CDF at u > 0."""
+        """The rule's share of the t^2 pdf or CDF at u > 0, summed in
+        chunks of at most _POINT_BLOCK points."""
         if np.max(u, initial=0.0) < self._reach:
             return np.zeros_like(u)
-        return self.rule().parts(u, want_pdf)
+        with self._lock:
+            if self._w is None:
+                self._x, self._w = self._nodes()
+        out = np.concatenate([self._sum(u[i:i + _POINT_BLOCK], want_pdf)
+                              for i in range(0, u.size, _POINT_BLOCK)])
+        return out / u if want_pdf else out
 
 
 class _Sequence:
@@ -1059,7 +1052,7 @@ class _NoncentralT:
         # nodes rounded onto s = 0 (where lam0 or D/20 is subnormal) weigh
         # nothing; phi = 0 keeps them finite
         self.phi = np.divide(root_d, s, out=np.zeros_like(s), where=s > 0.0)
-        self.ext = _ExtremeRule(nu, root_d, lam0, s_split, quad.abs_tol)
+        self.ext = _ExtremeRule(nu, root_d, lam0, s_split, quad)
         self.m = _poisson_coefs(self.phi, w, quad.abs_tol)
 
     def pdf(self, args, log_scale, *parts):

@@ -263,6 +263,13 @@ class TestDensity:
         assert run(["density", "--dist", "variance", "--nu", "5", "--lam",
                     "1", "--grid", "oops"]) == 1
 
+    @pytest.mark.parametrize("grid", ["0:inf:5", "-inf:1:5", "-1e308:1e308:5"])
+    def test_grid_without_finite_points_exits_1(self, grid, capsys):
+        # np.linspace made NaNs of these, an input error (exit 2)
+        assert run(["density", "--dist", "variance", "--nu", "10", "--lam",
+                    "1", "--grid=" + grid]) == 1
+        assert "bad --grid" in capsys.readouterr().err
+
     def test_signed_t_density(self, capsys):
         payload = run_json(["density", "--dist", "signed-t", "--nu", "10",
                             "--delta0", "1.0", "--lambda0", "3.0",

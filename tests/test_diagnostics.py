@@ -14,6 +14,15 @@ from calibmix.casestudy import octane_params
 from calibmix.diagnostics import sample_from_csv
 from calibmix.simulate import _std_normal, substream
 
+def log_uniform(lo, hi):
+    return st.floats(np.log(lo), np.log(hi)).map(np.exp)
+
+
+def signed(magnitude):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitude).map(
+        lambda t: t[0] * t[1])
+
+
 finite_samples = st.lists(
     st.floats(-50.0, 50.0), min_size=4, max_size=24).filter(
     lambda xs: max(xs) - min(xs) > 1e-4)
@@ -191,6 +200,19 @@ class TestBlindnessSuite:
             sigma1=1.0)
         report = blindness_suite(p, McConfig(replications=20_000, seed=seed))
         assert max(report.max_rel_dev.values()) > 1e-10
+        assert report.identities_hold
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(4, 60), beta0=st.floats(-100.0, 100.0),
+           sigma0=log_uniform(1e-3, 1e2), mu_z=signed(log_uniform(1e-3, 1e2)),
+           sigma_z=log_uniform(1e-2, 1e2),
+           beta1=signed(log_uniform(1e-3, 1e2)),
+           sigma1=log_uniform(1e-3, 1e2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_identities_hold_under_either_slope_sign(
+            self, n, beta0, sigma0, mu_z, sigma_z, beta1, sigma1, seed):
+        p = MixtureParams(n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z,
+                          sigma_z=sigma_z, beta1=beta1, sigma1=sigma1)
+        report = blindness_suite(p, McConfig(replications=2000, seed=seed))
         assert report.identities_hold
 
     def test_broken_identity_is_caught(self, monkeypatch):

@@ -69,6 +69,15 @@ def per_node_gaussian_root_parts(u, nu, weights, root_phi, want_pdf):
     return out
 
 
+def node_rule(nu, v, h, quad=QuadSpec()):
+    """The v-rule, summed by the shared ``_NodeSum._sum``, on nodes v with
+    weights h: the rule of a law whose extreme draws carry all of the slope
+    mass, with its nodes replaced, so that its edges keep d = 1e-3 abs_tol."""
+    rule = tsq_mixture(nu, 1e8, 1.0, quad)._core.ext
+    rule._x, rule._w = np.asarray(v, dtype=float), np.asarray(h, dtype=float)
+    return rule
+
+
 def log_s_quad(f, lam0):
     """int f(s) [phi(s - lam0) + phi(s + lam0)] ds over s in [1e-14, lam0 + 9],
     by adaptive quadrature in log s.  A NaN from f counts as 0: scipy's
@@ -585,11 +594,9 @@ class TestSignedTMixture:
         y = u * u
         g, gw = std_gaussian_rule()
         for phi in (6.0, 15.0):
-            order = np.argsort((g + phi) ** 2)
-            v2, h = ((g + phi) ** 2)[order], gw[order]
-            rule = mx._RootRule(nu, v2, h)
-            pdf_k = rule.parts(y, want_pdf=True)
-            cdf_k = rule.parts(y, want_pdf=False)
+            rule = node_rule(nu, g + phi, gw)
+            pdf_k = rule._sum(y, True) / y
+            cdf_k = rule._sum(y, False)
             assert np.max(np.abs(pdf_k - stats.ncf.pdf(y, 1, nu, phi ** 2))) < 1e-9
             assert np.max(np.abs(cdf_k - ser.ncf_cdf(y, 1.0, nu, phi * phi))) < 1e-9
             both = stats.nct.pdf(u, nu, phi) + stats.nct.pdf(-u, nu, phi)
@@ -985,7 +992,7 @@ class TestChi2MixingRule:
         assert core.s.min() >= ext.s_split and ext.s_lo <= ext.s_split
         below = special.ndtr(ext.s_lo - lam0) - special.ndtr(-ext.s_lo - lam0)
         assert below <= 1e-3 * quad.abs_tol
-        h = ext.rule().h
+        h = ext._nodes()[1]
         assert core.w.sum() + h.sum() + below == pytest.approx(1.0, abs=quad.abs_tol)
 
 
@@ -1032,30 +1039,34 @@ class TestExtremeRule:
 
 
 class TestClosedFormQ:
-    """Q(nu/2, y) of the extreme band: finite sums for every integer and
+    """Q(nu/2, y) of the v-rule: finite sums for every integer and
     half-integer nu/2 up to _Q_SUM_MAX, gammaincc elsewhere."""
+
+    @staticmethod
+    def band(nu, snap, size):
+        """y between Q's 1 - snap and snap points."""
+        return np.linspace(special.gammainccinv(nu / 2.0, 1.0 - snap),
+                           special.gammainccinv(nu / 2.0, snap), size)
 
     def test_matches_gammaincc_over_the_snap_band(self):
         for nu in range(1, 2 * mx._Q_SUM_MAX + 1):
-            rule = mx._RootRule(float(nu), np.zeros(0), np.zeros(0))
-            y = np.linspace(rule.y_lo, rule.y_hi, 401)
+            y = self.band(nu, 1e-13, 401)
             want = special.gammaincc(nu / 2.0, y)
-            assert np.max(np.abs(rule._upper_gamma(y) - want)) <= 1e-14, nu
+            assert np.max(np.abs(mx._upper_gamma(float(nu), y) - want)) <= 1e-14, nu
 
     @pytest.mark.parametrize("nu", [10.5, 2.0 * mx._Q_SUM_MAX + 1.0])
     def test_gammaincc_serves_elsewhere(self, nu):
-        rule = mx._RootRule(nu, np.zeros(0), np.zeros(0))
-        y = np.linspace(rule.y_lo, rule.y_hi, 101)
-        assert np.array_equal(rule._upper_gamma(y.copy()),
+        y = self.band(nu, 1e-13, 101)
+        assert np.array_equal(mx._upper_gamma(nu, y.copy()),
                               special.gammaincc(nu / 2.0, y))
 
     @pytest.mark.parametrize("nu", [1.0, 2.0, 11.0, 200.0])
     def test_off_band_entries_stay_finite(self, nu):
-        # off the band y is v^2 nu/2 undivided, up to 5e13 here, where the
-        # sums overflow and e^{-y} is 0
+        # a block's band rows are read at all of its points: y is up to
+        # 1e20 here, where the sums would overflow and e^{-y} is 0
         v2 = np.geomspace(1e-3, 1e12, 400)
-        rule = mx._RootRule(nu, v2, np.full(v2.size, 1.0 / v2.size))
-        f = rule.parts(np.geomspace(1e-6, 1e14, 300), want_pdf=False)
+        rule = node_rule(nu, np.sqrt(v2), np.full(v2.size, 1.0 / v2.size))
+        f = rule._sum(np.geomspace(1e-6, 1e14, 300), want_pdf=False)
         assert np.all(np.isfinite(f)) and np.all((f >= 0.0) & (f <= 1.0 + 1e-12))
         assert np.all(np.diff(f) >= -1e-12)
 
@@ -1367,6 +1378,90 @@ class TestSaturationEdges:
             v = law._v(law._x)
             assert np.allclose(stats.norm.pdf(high) / (high * v),
                                skip_budget(law), rtol=1e-9, atol=0.0)
+
+
+# a dense grid of distances in log y past a v-rule edge, out to 600
+PAST_LOG = np.concatenate([np.linspace(0.0, 50.0, 2001),
+                           np.geomspace(50.0, 600.0, 100)])
+
+
+class TestVRuleEdges:
+    """Past each of the v-rule's row-skip edges its kernels stay within
+    d = 1e-3 abs_tol / P[s < s_split] of the constant the row is read as,
+    wherever the argument -log y, as ``_argument`` forms it from U, lies
+    past the edge on dense grids out to 600 beyond it; the pdf kernel
+    g = U f(U) in both of its reads, the t^2 pdf g/U and the signed
+    2 u f(u^2) = 2 g/sqrt(U).  At the edge each closed-form bound is d
+    (d/2 for g).  Below ``_reach`` every row lies below both lower edges,
+    so a law read only there never builds its v-rule."""
+
+    LAWS = [lambda q: tsq_mixture(10, 1.0, 0.0, q),
+            lambda q: tsq_mixture(1, 2.0, 0.5, q),
+            lambda q: tsq_mixture(200, 4.0, 1.0, q),
+            lambda q: signed_t_mixture(8, 1.2, 6.0, q)]
+
+    @staticmethod
+    def rows_past(ext, edge, sign, want_pdf):
+        """(U, kernel) of every 16th node row and the last, on a dense U
+        grid where the row's argument lies at or beyond ``edge`` (above for
+        sign 1, below for -1)."""
+        v = ext._nodes()[0]
+        for k in np.unique(np.r_[0:v.size:16, v.size - 1]):
+            with np.errstate(over="ignore", under="ignore"):
+                u = 0.5 * ext.nu * v[k] ** 2 * np.exp(edge + sign * PAST_LOG)
+            u = u[np.isfinite(u) & (u >= sys.float_info.min)]
+            u = u[sign * (ext._argument(v[k:k + 1], u)[0] - edge) >= 0.0]
+            yield u, ext._kernel(v[k:k + 1], u, want_pdf)[0]
+
+    @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
+    @pytest.mark.parametrize("make", LAWS, ids=["nu10", "nu1", "nu200", "signed"])
+    def test_bounds_hold_past_the_edges(self, make, quad):
+        ext = make(quad)._core.ext
+        d = 1e-3 * quad.abs_tol / ext._mass
+        budget = d * (1.0 + 1e-9)
+        m = ext.nu / 2.0
+        (cdf_low, cdf_high), (pdf_low, pdf_high) = ext._skip_edges
+        for _, q in self.rows_past(ext, cdf_low, -1.0, False):
+            assert np.all(q <= budget)
+        for _, q in self.rows_past(ext, cdf_high, 1.0, False):
+            # Q's finite sums round by up to 5e-15 (TestClosedFormQ)
+            assert np.all(1.0 - q <= budget + 5e-15)
+        for edge, sign in ((pdf_low, -1.0), (pdf_high, 1.0)):
+            for u, g in self.rows_past(ext, edge, sign, True):
+                assert np.all(g / u <= budget)
+                assert np.all(2.0 * g / np.sqrt(u) <= budget)
+        np.testing.assert_allclose(
+            [special.gammaincc(m, np.exp(-cdf_low)),
+             special.gammainc(m, np.exp(-cdf_high))], d, rtol=1e-9, atol=0.0)
+        y = np.exp(-np.array([pdf_low, pdf_high]))
+        g = np.exp(m * np.log(y) - y - special.gammaln(m))
+        np.testing.assert_allclose(g, 0.5 * d, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("nu", [1, 10, 1_000_000])
+    def test_pdf_edges_at_the_largest_d(self, nu):
+        # d = 0.5; at nu = 1 g's level d/2 is above its peak, and both
+        # edges sit at y = m (scipy's W was NaN there)
+        ext = tsq_mixture(nu, 1e8, 1.0, QuadSpec(abs_tol=1e3))._core.ext
+        low, high = ext._skip_edges[1]
+        assert np.isfinite([low, high]).all() and low < high + 1e-6
+        assert nu > 1 or high - low < 1e-6
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_reads_below_reach_build_nothing(self, signed):
+        law = (signed_t_mixture(10, 1.7, 3.2) if signed
+               else tsq_mixture(10, 3.0, 10.1))
+        ext = law._core.ext
+        top = ext._reach * (1.0 - 1e-9)
+        u = np.linspace(1e-3, top, 3000)
+        if signed:
+            u = np.sqrt(u)
+            u = np.concatenate([-u[::-1], u])
+        law.pdf(u), law.cdf(u), law.cdf(u[-1]), law.pdf(u[-1])
+        assert ext._w is None
+        law.cdf(np.sqrt(ext._reach) * (1.0 + 1e-9) if signed else ext._reach)
+        assert ext._w is not None
+        a = ext._argument(ext._x, np.array([top]))
+        assert np.all(a <= min(ext._skip_edges[0][0], ext._skip_edges[1][0]))
 
 
 def test_t2_block_climbs_the_ladder_once(monkeypatch):
@@ -1784,33 +1879,45 @@ def whole_kernel_sums(law, u, want_pdf):
 SUM_ROUNDING = 16.0 * np.finfo(float).eps
 
 
-def check_skipped_tables(law, u):
+def check_skipped_tables(law, u, rule=None, whole=whole_kernel_sums):
     """The pdf and CDF tables of u, sorted and shuffled, within 1e-3
-    abs_tol of the whole-kernel sums, and the CDF nondecreasing on sorted
-    u, up to the rounding of the sums.  Returns the rows each kernel call
-    evaluated."""
-    kernel, rows = law._kernel, []
+    abs_tol of the whole-row sums ``whole(law, grid, want_pdf)``, and the
+    CDF nondecreasing on sorted u, up to the rounding of the sums.  Returns
+    the share of the node x point entries of ``rule`` (the law itself by
+    default) that its kernel calls evaluated."""
+    rule = rule or law
+    kernel, entries = rule._kernel, []
 
     def spy(x, v, want_pdf):
-        rows.append(x.size)
+        entries.append(x.size * v.size)
         return kernel(x, v, want_pdf)
     budget = 1e-3 * law.quad.abs_tol
     for grid in (u, np.random.default_rng(7).permutation(u)):
-        with mock.patch.object(law, "_kernel", spy):
+        with mock.patch.object(rule, "_kernel", spy):
             pdf, cdf = law.pdf(grid), law.cdf(grid)
         for want_pdf, table in ((True, pdf), (False, cdf)):
-            want = whole_kernel_sums(law, grid, want_pdf)
+            want = whole(law, grid, want_pdf)
             assert np.all(np.abs(table - want)
                           <= budget + SUM_ROUNDING * np.abs(want))
     assert np.all(np.diff(law.cdf(np.sort(u))) >= -SUM_ROUNDING)
-    return rows
+    return sum(entries) / (4.0 * u.size * rule._x.size)
+
+
+def whole_v_rule_tables(law, u, want_pdf):
+    """The law's table with its v-rule summing every row at every point."""
+    ext = law._core.ext
+    every = ((-np.inf, np.inf), (-np.inf, np.inf))
+    with mock.patch.object(ext, "_skip_edges", every), \
+            mock.patch.object(ext, "_reach", 0.0):
+        return law.pdf(u) if want_pdf else law.cdf(u)
 
 
 class TestRowSkip:
-    """Rule-law tables that drop the rows within d = 1e-3 abs_tol / sum(w)
-    of a constant stay within 1e-3 abs_tol of the whole-kernel sums block
-    by block, also on shuffled abscissae and on blocks that straddle the
-    edges or lie wholly past them, and the CDF stays nondecreasing."""
+    """Rule-law and v-rule tables that drop the rows within d = 1e-3
+    abs_tol / mass of a constant stay within 1e-3 abs_tol of the whole-row
+    sums block by block, also on shuffled abscissae and on blocks that
+    straddle the edges or lie wholly past them, and the CDF stays
+    nondecreasing."""
 
     @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
     @pytest.mark.parametrize("build,lo,hi,log", [
@@ -1821,8 +1928,26 @@ class TestRowSkip:
     ], ids=["mean", "spike", "variance-nu1", "variance-octane"])
     def test_tables_within_the_budget(self, build, lo, hi, log, quad):
         law = build(quad)
-        rows = check_skipped_tables(law, block_grid(law._block, lo, hi, log))
-        assert min(rows) < law._x.size        # some rows were skipped
+        # some rows were skipped
+        assert check_skipped_tables(law, block_grid(law._block, lo, hi, log)) < 1.0
+
+    @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
+    @pytest.mark.parametrize("build,grid", [
+        (lambda q: tsq_mixture(10, 3.0, 10.1, q),
+         np.linspace(0.05, 60.0, 2048 + 77)),
+        (lambda q: tsq_mixture(10, 3.0, 10.1, q), np.geomspace(1e-3, 1e30, 2048)),
+        (lambda q: signed_t_mixture(10, 1.7, 3.2, q),
+         np.linspace(-20.0, 200.0, 2048 + 77)),
+        (lambda q: signed_t_mixture(10, 1.7, 3.2, q), np.concatenate(
+            [-np.geomspace(1e-3, 1e30, 1024)[::-1], np.geomspace(1e-3, 1e30, 1024)])),
+    ], ids=["tsq-dense", "tsq-geom", "signed-dense", "signed-geom"])
+    def test_v_rule_tables_within_the_budget(self, build, grid, quad):
+        # the dense grids' chunks straddle the rule's reach, and the
+        # geometric ones' chunks of 512 points span 8 decades; some rows
+        # are skipped
+        law = build(quad)
+        assert check_skipped_tables(law, grid, law._core.ext,
+                                    whole_v_rule_tables) < 1.0
 
     @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
     @settings(max_examples=6, deadline=None)
