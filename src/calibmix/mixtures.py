@@ -13,7 +13,9 @@
 
 Every law is a weighted set of mixing nodes plus a conditional pdf/CDF kernel
 pair, on Gauss-Legendre panels over analytically bounded windows; the mean
-and variance laws are one certified rule plus a closed-form kernel pair.
+and variance laws are one certified rule plus a closed-form kernel pair,
+each over a standardized coordinate (the slope in its sds; z =
+sqrt(nu/2) log(V/nu)), whose float grid depends on no unit or spread.
 CDFs mix the conditional CDFs over the same nodes, which equals integrating
 the mixture pdf from the support edge (Tonelli) but stays smooth where
 near-degenerate mixing components make the pointwise pdf too spiky to
@@ -61,7 +63,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import AccuracyError, ParamError, require_finite
-from .model import MixtureParams, derive_params
+from .model import MixtureParams
 from .quadrature import (_MAX_PANELS, QuadSpec, _leggauss, bisect_cdf,
                          gauss_legendre_nodes, refine_panels)
 from . import special as ser
@@ -243,12 +245,8 @@ class _MixtureLaw:
 
 _PROBE_POINTS = 40
 # the mean law's slope window is beta1 +/- _SLOPE_SIGMAS sigma1: the
-# Gaussian mass beyond it, 2 Phi(-10) ~ 1.5e-23, is far below any abs_tol.
-# Its least half-width over |beta1|: a narrower window holds too few floats
-# to place a rule's nodes on (an empty window, an AccuracyError or a
-# silently wrong CDF)
+# Gaussian mass beyond it, 2 Phi(-10) ~ 1.5e-23, is far below any abs_tol
 _SLOPE_SIGMAS = 10.0
-_SLOPE_WINDOW = 2e-10
 # blocks from _SKIP_FROM points sum only the node rows whose kernels are not
 # within 1e-3 abs_tol / sum(w) of a constant over the block (_NodeSum._sum)
 _SKIP_FROM = 64
@@ -346,8 +344,7 @@ def sharpness(p: MixtureParams) -> float:
     narrow, in slope sds, its sharpest conditional CDF turns over in t
     (inf at mu_z = 0, and where |mu_z| sigma1 underflows to 0 or the ratio
     overflows)."""
-    lo, hi = (p.beta1 + s * _SLOPE_SIGMAS * p.sigma1 for s in (-1.0, 1.0))
-    t = 0.0 if lo < 0.0 < hi else min(abs(lo), abs(hi))
+    t = max(abs(p.beta1) - _SLOPE_SIGMAS * p.sigma1, 0.0)
     sd = math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
     # a Python float: numpy warns where sd / scale overflows to inf
     scale = float(abs(p.mu_z) * p.sigma1)
@@ -360,27 +357,21 @@ class MeanMixture(_RuleLaw):
     T = t it is N(beta0 + t mu_z, t^2 sigma_z^2/n + sigma0^2), and given X
     the same kernel with (beta1, sigma1) and (mu_z, sigma_z/sqrt(n))
     swapped (Craig 1936).  The rule mixes over the factor of the larger
-    ``sharpness`` (its parameters ``_mix``), X only where its window passes
-    the float test below, on mean +/- k sd of that factor t.  Near t = 0
-    the component scale shrinks to sigma0, so a window holding 0 is split
-    there and graded by anchors at +/-10^k, stepping toward 0 by decades
-    while t is above sigma0 sqrt(n)/sigma_z and the mixing mass on [-t, t]
-    (at most 2t times its peak density there) exceeds 1e-3 abs_tol; the
-    probes add mean(t) +/- 2 sd(t) at each anchor.  The pdf is probed at
-    the same points but beta0, infinite at sigma0 = 0 when both windows
-    hold 0.  A slope window narrower than _SLOPE_WINDOW |beta1| each side
-    (sigma1 below 2e-11 |beta1|) is a ParamError."""
+    ``sharpness`` (its parameters ``_mix``), in its sds y, t = c + sigma1 y,
+    on y0 +/- k with density phi(y - y0), so a window of any width holds
+    enough doubles.  c is beta1, or 0 where the window beta1 +/- k sigma1
+    holds 0: there beta1 + sigma1 y would resolve t near 0 only to
+    eps |beta1|.  Near t = 0 the component scale shrinks to sigma0, so that
+    window is split at t = 0 and graded by anchors at t = +/-10^k, stepping
+    toward 0 by decades while t is above sigma0 sqrt(n)/sigma_z and the
+    mixing mass on [-t, t] (at most 2t/sigma1 times its peak density)
+    exceeds 1e-3 abs_tol; the probes add mean(t) +/- 2 sd(t) at each
+    anchor.  The pdf is probed at the same points but beta0, infinite at
+    sigma0 = 0 when both windows hold 0."""
 
     def __init__(self, params: MixtureParams, quad: QuadSpec = QuadSpec()):
         if params.ideal:
             raise ParamError("ideal-mode parameters make the mean law degenerate")
-        k = _SLOPE_SIGMAS
-        if k * params.sigma1 < _SLOPE_WINDOW * abs(params.beta1):
-            raise ParamError(
-                "sigma1 = %g is too small against beta1 = %g: the mean law's "
-                "slope window beta1 +- %g sigma1 must reach %g |beta1| either "
-                "side to be resolved in floats"
-                % (params.sigma1, params.beta1, k, _SLOPE_WINDOW))
         self.params = p = params
         self.quad = quad
         r = math.sqrt(p.n)
@@ -390,56 +381,60 @@ class MeanMixture(_RuleLaw):
                               sigma1=p.sigma_z / r)
         except ParamError:
             x = p
-        if (k * x.sigma1 >= _SLOPE_WINDOW * abs(x.beta1)
-                and sharpness(x) > sharpness(p)):
+        if sharpness(x) > sharpness(p):
             p = x
         self._mix = p
-        lo, hi = self._window = (p.beta1 - k * p.sigma1, p.beta1 + k * p.sigma1)
-        anchors = [0.0] if lo < 0.0 < hi else []
-        t = 10.0 ** math.floor(math.log10(max(-lo, hi)))
-        while anchors and t > p.sigma0 * math.sqrt(p.n) / p.sigma_z and (
-                2.0 * t * self._mixing_pdf(min(max(p.beta1, -t), t))
+        k = _SLOPE_SIGMAS
+        # c = 0 exactly where the window holds 0 (elsewhere |beta1| > 0)
+        self._c = 0.0 if abs(p.beta1) < k * p.sigma1 else p.beta1
+        y0 = self._y0 = (p.beta1 - self._c) / p.sigma1
+        self._window = (y0 - k, y0 + k)
+        anchors = [] if self._c else [0.0]
+        y = 10.0 ** math.floor(math.log10(abs(p.beta1) + k * p.sigma1))
+        y /= p.sigma1
+        while anchors and y * p.sigma1 > p.sigma0 * r / p.sigma_z and (
+                2.0 * y * self._mixing_pdf(min(max(y0, -y), y))
                 > 1e-3 * quad.abs_tol):
-            anchors += [-t, t]
-            t /= 10.0
+            anchors += [-y, y]
+            y /= 10.0
         mean, sd = self._conditional(np.array(anchors))
         u_lo, u_hi = self.support()
         probe_u = np.unique(np.concatenate([
             np.linspace(u_lo, u_hi, _PROBE_POINTS),
             mean - 2.0 * sd, mean + 2.0 * sd]))
         self._refine(anchors, probe_u, probe_u[probe_u != p.beta0])
-        d = derive_params(params)
-        self._line = (d.mu_y, math.sqrt(d.var_ybar))
+        self._line = (params.mu_y, math.sqrt(params.var_ybar))
 
-    def _mixing_pdf(self, t):
-        p = self._mix
-        z = (np.asarray(t, dtype=float) - p.beta1) / p.sigma1
-        return np.exp(-0.5 * z * z) / (p.sigma1 * math.sqrt(2.0 * math.pi))
+    def _mixing_pdf(self, y):
+        z = np.asarray(y, dtype=float) - self._y0
+        return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
-    def _conditional(self, t):
-        """Mean and standard deviation of the Gaussian component at draw t."""
+    def _conditional(self, y):
+        """Mean and sd of the Gaussian component at slope t = c + sigma1 y."""
         p = self._mix
+        t = self._c + p.sigma1 * y
         sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
         return p.beta0 + t * p.mu_z, sd
 
-    def _argument(self, t, u):
+    def _argument(self, y, u):
         """z = (u - mean(t)) / sd(t), node x point."""
         p = self._mix
+        t = self._c + p.sigma1 * y
         # u - beta0 first: exact near beta0, where sigma0 = 0 puts a spike
         z = np.subtract((u - p.beta0)[None, :], (t * p.mu_z)[:, None])
-        z /= self._conditional(t)[1][:, None]
+        z /= self._conditional(y)[1][:, None]
         return z
 
-    def _kernel(self, t, u, want_pdf):
+    def _kernel(self, y, u, want_pdf):
         # z is the block's one node x point array; the kernel finishes in it
-        z = self._argument(t, u)
+        z = self._argument(y, u)
         if not want_pdf:
             return sp.ndtr(z, out=z)
         with np.errstate(over="ignore"):    # |z| past 1e154: the pdf is 0
             z *= z
         z *= -0.5
         np.exp(z, out=z)
-        z /= self._conditional(t)[1][:, None] * math.sqrt(2.0 * math.pi)
+        z /= self._conditional(y)[1][:, None] * math.sqrt(2.0 * math.pi)
         return z
 
     def _edges(self, d):

@@ -167,6 +167,12 @@ class MixtureParams:
                 + self.sigma1 ** 2 * self.mu_z ** 2)
 
     @property
+    def var_ybar(self) -> float:
+        """Variance of the calibrated sample mean (at most var_y, as n >= 2)."""
+        return (self.kappa2 * self.sigma_z ** 2 / self.n + self.sigma0 ** 2
+                + self.sigma1 ** 2 * self.mu_z ** 2)
+
+    @property
     def mu_y(self) -> float:
         return self.beta0 + self.beta1 * self.mu_z
 
@@ -218,15 +224,13 @@ def derive_params(p: MixtureParams, mu_y0: float | None = None) -> DerivedParams
         delta = _finite(lambda: (p.mu_y - mu_y0) ** 2
                         / (p.sigma1 ** 2 * p.sigma_z ** 2),
                         "delta = (mu_y - mu_y0)^2 / (sigma1^2 sigma_z^2)")
-    var_ybar = (p.kappa2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2
-                + p.sigma1 ** 2 * p.mu_z ** 2)
     return DerivedParams(
         kappa2=p.kappa2,
         lam=lam,
         nu=p.n - 1,
         mu_y=p.mu_y,
         var_y=p.var_y,
-        var_ybar=var_ybar,
+        var_ybar=p.var_ybar,
         delta=delta,
     )
 

@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from calibmix.cli import run
 from calibmix.casestudy import OCTANE_U, OCTANE_X
@@ -296,14 +298,24 @@ class TestDensity:
         glued = run_json(args + [flag + "=" + value], capsys)
         assert run_json(args + [flag, value], capsys) == glued
 
-    def test_unresolvable_slope_window_exits_2(self, capsys):
-        # beta1 +- 10 sigma1 rounded to one float: a ValueError traceback
-        assert run(["density", "--dist", "mean", "--grid", "0:1:3", "--n", "5",
-                    "--beta0", "1", "--sigma0", "1", "--mu-z", "1",
-                    "--sigma-z", "1", "--beta1", "1e150", "--sigma1",
-                    "1e-10"]) == 2
+    def test_narrow_slope_window_ignores_lambda(self, capsys):
+        # beta1 +- 10 sigma1 rounds to one float, and lambda = (beta1 /
+        # sigma1)^2 overflows.  The mean law reads neither (over t it
+        # exited 2), and with so small a sigma1 it is normal, with mean
+        # mu_y and variance var_ybar
+        flags = ["--n", "5", "--beta0", "1", "--sigma0", "1", "--mu-z", "1",
+                 "--sigma-z", "1", "--beta1", "1e150", "--sigma1", "1e-10"]
+        res = run_json(["density", "--dist", "mean", "--grid", "0:1:3"]
+                       + flags, capsys)["result"]
+        # kappa2 sigma_z^2/n + sigma0^2 + sigma1^2 mu_z^2, in doubles
+        var_ybar = 1e300 / 5.0 + 1.0
+        want = special.ndtr((np.array(res["u"]) - (1.0 + 1e150))
+                            / math.sqrt(var_ybar))
+        assert np.max(np.abs(np.array(res["cdf"]) - want)) <= 1e-9
+        # the moments read lambda, so there it stays an input error
+        assert run(["moments"] + flags) == 2
         err = capsys.readouterr().err
-        assert err.startswith("input error:") and "sigma1" in err
+        assert err.startswith("input error:") and "lambda" in err
 
     def test_mean_density_uses_param_bundle(self, capsys):
         payload = run_json(["density", "--dist", "mean", "--grid",

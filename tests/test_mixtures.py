@@ -1231,19 +1231,28 @@ class TestAdaptiveRule:
         assert mm.pdf(u) == pytest.approx(ref.pdf(u), rel=1e-9, abs=1e-9)
 
 
+def mean_slopes(law):
+    """The slope t at each node of a mean law's rule in slope sds y:
+    t = c + sigma1 y, with c = 0 where the window beta1 +- 10 sigma1 holds
+    0 and beta1 elsewhere (on the parameters of the factor mixed over)."""
+    p = law._mix
+    c = 0.0 if abs(p.beta1) < 10.0 * p.sigma1 else p.beta1
+    return c + p.sigma1 * law._x
+
+
 class TestInPlaceKernels:
     @pytest.mark.parametrize("params", [octane_params(), SPIKE])
     def test_mean_kernel_is_the_plain_expression(self, params):
         # the spike bundle mixes over X: the kernel on the swapped parameters
         mm = mean_mixture(params)
         p = mm._mix
-        t = mm._x
+        y, t = mm._x, mean_slopes(mm)
         u = np.append(np.linspace(*mm.support(), 301), p.beta0)
         sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)[:, None]
         z = ((u - p.beta0)[None, :] - (t * p.mu_z)[:, None]) / sd
-        assert np.array_equal(mm._kernel(t, u, True),
+        assert np.array_equal(mm._kernel(y, u, True),
                               np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi)))
-        assert np.array_equal(mm._kernel(t, u, False), special.ndtr(z))
+        assert np.array_equal(mm._kernel(y, u, False), special.ndtr(z))
 
     @pytest.mark.parametrize("nu,lam", [(10, OCT_LAM), (1, 400.0), (3, 0.0)])
     def test_variance_kernels_are_the_plain_expressions(self, nu, lam):
@@ -1295,11 +1304,11 @@ class TestSaturationEdges:
     def mean_rows_past(law, edge, sign, want_pdf):
         """Each node row's kernel wherever its argument z lies at or beyond
         its edge (above for sign 1, below for -1) on a dense z grid."""
-        p, t = law._mix, law._x
-        sd = law._conditional(t)[1]
+        p, t = law._mix, mean_slopes(law)
+        sd = law._conditional(law._x)[1]
         edge = np.broadcast_to(edge, t.shape)
         for k in range(t.size):
-            row = t[k:k + 1]
+            row = law._x[k:k + 1]
             u = p.beta0 + t[k] * p.mu_z + (edge[k] + sign * PAST) * sd[k]
             u = u[sign * (law._argument(row, u)[0] - edge[k]) >= 0.0]
             yield law._kernel(row, u, want_pdf)[0]
@@ -1750,25 +1759,42 @@ class TestLargeNuPdf:
 
 
 class TestMeanWindow:
-    # beta1 +- 10 sigma1 rounded to one float at beta1 = 1e150, sigma1 = 1e-10
-    # and refine_panels raised ValueError (empty window); nearer the bound
-    # the rule raised AccuracyError or read a wrong CDF (0.42 for 0.32 at
-    # sigma1 = 1e-16 |beta1|)
-    @pytest.mark.parametrize("beta1,sigma1", [(1e150, 1e-10), (1.0, 1e-16),
-                                              (-3.7, 1e-11), (1.0, 0.0)])
-    def test_unresolvable_window_is_a_param_error(self, beta1, sigma1):
-        p = MixtureParams(n=5, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
-                          beta1=beta1, sigma1=max(sigma1, 5e-324))
-        with pytest.raises(ParamError, match="sigma1"):
-            mean_mixture(p)
+    """The rule over slope sds resolves a slope window beta1 +- 10 sigma1
+    of any width.  Over t, below sigma1 = 2e-11 |beta1| it was a ParamError
+    (at beta1 = 1e150, sigma1 = 1e-10 the window rounded to one float, and
+    nearer the bound the rule raised AccuracyError or read 0.42 for 0.32),
+    and at beta1 = 0, sigma1 = 1e-310 the mixing density 1/sigma1
+    overflowed (AccuracyError)."""
 
-    def test_bound_scales_with_the_window(self):
-        # the window is beta1 +- 10 sigma1, so the bound sits at sigma1 =
-        # 2e-11 |beta1|
+    @pytest.mark.parametrize("beta1,sigma1", [
+        (1e150, 1e-10), (1.0, 1e-16), (-3.7, 1e-11), (1.0, 5e-324),
+        (1.0, 1.9e-11), (1e5, 1e-12), (0.0, 1e-310)])
+    def test_narrow_window_certifies(self, beta1, sigma1):
         p = MixtureParams(n=5, beta0=1.0, sigma0=1.0, mu_z=1.0, sigma_z=1.0,
-                          beta1=1.0, sigma1=1.9e-11)
-        with pytest.raises(ParamError, match="beta1 \\+- 10 sigma1"):
-            mean_mixture(p)
+                          beta1=beta1, sigma1=sigma1)
+        law = mean_mixture(p)
+        assert law._mix is p and law._x.size <= 64
+        u = np.linspace(*law.support(), 25)
+        want = [mean_cdf_over_t(p, v) for v in u]
+        assert np.max(np.abs(law.cdf(u) - want)) <= 1e-9
+
+    @settings(max_examples=120, deadline=None)
+    @given(n=st.integers(2, 100), beta0=st.floats(-10.0, 10.0),
+           sigma0=log_uniform(1e-2, 10.0), mu_z=signed(log_uniform(1e-2, 1e2)),
+           sigma_z=log_uniform(1e-2, 10.0),
+           beta1=signed(log_uniform(1e-2, 1e2)), ratio=log_uniform(1e-16, 1e2))
+    def test_any_window_agrees_with_quadrature(self, n, beta0, sigma0, mu_z,
+                                               sigma_z, beta1, ratio):
+        # sigma1 / |beta1| over 18 decades; the oracle integrates over the
+        # factor that the law mixes over, T or (as the swapped slope) X
+        p = MixtureParams(n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z,
+                          sigma_z=sigma_z, beta1=beta1,
+                          sigma1=ratio * abs(beta1))
+        law = mean_mixture(p)
+        assume(sharpness(law._mix) >= 0.03)
+        u = np.linspace(*law.support(), 11)
+        want = [mean_cdf_over_t(law._mix, v) for v in u]
+        assert np.max(np.abs(law.cdf(u) - want)) <= 1e-9
 
 
 def block_grid(block, lo, hi, log=False):
@@ -2178,6 +2204,23 @@ def mean_cdf_over_x(p, u):
                           epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
 
+def mean_cdf_over_t(p, u):
+    """The mean-law CDF at u by scipy's adaptive quadrature over the slope
+    in its sds, T = beta1 + sigma1 z with z ~ N(0, 1), of
+    Phi((u - beta0 - mu_z t) / sd(t)), sd(t)^2 = t^2 sigma_z^2/n + sigma0^2
+    (smooth in z at any sigma1/beta1, with a breakpoint at t = 0)."""
+    def f(z):
+        t = p.beta1 + p.sigma1 * z
+        sd = math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
+        return (special.ndtr((u - p.beta0 - p.mu_z * t) / sd)
+                * math.exp(-0.5 * z * z))
+    z0 = -p.beta1 / p.sigma1
+    return integrate.quad(f, -12.0, 12.0,
+                          points=[z0] if abs(z0) < 12.0 else None,
+                          epsabs=1e-13, epsrel=1e-13,
+                          limit=200)[0] / math.sqrt(2.0 * math.pi)
+
+
 class TestMixingFactor:
     """The mean law mixes over whichever Gaussian factor, T or X, is the
     smoother: the same law by the symmetry of beta0 + T X + sigma0 E."""
@@ -2189,13 +2232,20 @@ class TestMixingFactor:
     def test_picks_the_larger_sharpness(self, params, factor):
         assert (mean_mixture(params)._mix is params) == (factor == "t")
 
-    def test_x_is_not_picked_on_an_unresolvable_window(self):
+    def test_x_is_picked_on_a_narrow_window(self):
         # X's window mu_z +- 10 sigma_z/sqrt(n) is narrower than 2e-10 |mu_z|
-        # either side, though its sharpness is far the larger
+        # either side, which the rule over x could not resolve; in X's sds
+        # it can, and X's sharpness is far the larger.  The oracle too
+        # integrates in X's sds: over x, quad warns that it cannot reach
+        # 1e-13 on so narrow a window.
         p = MixtureParams(n=4, beta0=0.0, sigma0=1e-3, mu_z=1.0,
                           sigma_z=1e-11, beta1=2.0, sigma1=1.0)
         assert sharpness(swapped(p)) > sharpness(p)
-        assert mean_mixture(p)._mix is p
+        law = mean_mixture(p)
+        assert law._mix is not p
+        u = np.linspace(*law.support(), 25)
+        want = [mean_cdf_over_t(swapped(p), v) for v in u]
+        assert np.max(np.abs(law.cdf(u) - want)) <= 1e-9
 
     def test_underflowing_scale_is_infinitely_smooth(self):
         # |mu_z| sigma1 rounds to 0 here: sharpness divided by it
