@@ -37,19 +37,21 @@ rule in v, built once per evaluator, with the conditional CDF's upper
 incomplete gamma Q(nu/2, y) in closed form (a finite sum) wherever nu/2 is
 a moderate integer or half-integer.  The signed law reads that t^2 kernel
 at u^2: its extreme draws put less than Phi(-20) of their mass below 0.
-The incomplete-beta CDF series run by recurrence from one betainc per point
-per block of terms, from the rung that certifies the block's smallest x;
-their derivatives sum one exp table per block of terms.  Every law
-evaluates its points in fixed blocks, and each block finishes its node x
-point or term x point table in place, so memory stays bounded whatever the
-grid size.  The mean, variance and v-rules share one sum (``_NodeSum``):
-a block sums its kernel only on the node rows that closed-form tail bounds
-do not hold within 1e-3 abs_tol / (the rule's mixing mass) of 0 or 1 over
-the block, and counts a CDF row held near 1 as its weight, so each value
-moves by at most 1e-3 abs_tol.  The blocks, fixed by the input alone, run
-on every CPU the process may use through ``parallel.thread_map`` (the Monte
-Carlo engine's helper too), so the tables are the same bits on any CPU
-count.
+The incomplete-beta CDF series run by recurrence from one I_x per point per
+block of terms, from the rung that certifies the block's smallest x: a
+finite sum at whole nu/2 up to 32 in blocks of at least 4 nu points, scipy's
+betainc elsewhere.  Their derivatives sum one exp table per block of terms.
+The v-rule sums each series block in runs of points bounded in log u by
+its kernel's edge width.  Every law evaluates its points in fixed blocks,
+and each block finishes its node x point or term x point table in place,
+so memory stays bounded whatever the grid size.  The mean, variance and
+v-rules share one sum (``_NodeSum``): a block sums its kernel only on the
+node rows that closed-form tail bounds do not hold within 1e-3 abs_tol /
+(the rule's mixing mass) of 0 or 1 over the block, and counts a CDF row
+held near 1 as its weight, so each value moves by at most 1e-3 abs_tol.
+The blocks, fixed by the input alone, run on every CPU the process may use
+through ``parallel.thread_map`` (the Monte Carlo engine's helper too), so
+the tables are the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -100,6 +102,10 @@ _TERM_BLOCK = 4096     # most series terms in one term x point rung
 # the law's coordinate around its start
 _GRID = np.arange(-2.0, 3.0)
 _LOG4 = math.log(4.0)
+# log of the smallest positive and of the largest double: the quantile
+# grids stay where u is a float
+_LOG_TINY = math.log(5e-324)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _log(u):
@@ -173,6 +179,11 @@ class _MixtureLaw:
         return float(f_hi - f_lo)
 
     def ppf(self, prob):
+        """Quantiles at the probabilities in (0, 1), solved by ``_invert``:
+        within its tolerances of where the computed CDF crosses p, or a
+        point whose CDF reads within 2^-52 of p where that CDF rounds to a
+        staircase wider than them, or the end of the float range of u
+        where the computed CDF does not reach p within it."""
         p = np.asarray(prob, dtype=float)
         if not np.all((p > 0.0) & (p < 1.0)):
             raise ParamError("probability must be in (0, 1), got %r" % (prob,))
@@ -183,57 +194,74 @@ class _MixtureLaw:
         """The abscissae within 1e-8 of where the CDF crosses each of
         ``probs``, with x within 1e-10: on [0, inf) u within 1e-10 of itself,
         and on the line within 1e-10 c cosh(x), so that the CDF holds at
-        small quantiles and where a narrow law's pdf is large.
+        small quantiles and where a narrow law's pdf is large.  Where the
+        computed CDF rounds to a staircase wider than that, the solve stops
+        between two of its steps (see ``quadrature.bisect_cdf``).
 
         Every probability is solved at once, one vector CDF call a round.
         The first call evaluates 5 points around each ``_start(p)``, looking
         for a bracket of p, spaced fourfold in u on [0, inf) and by log(4)/8
         in x on the line.  On a miss the next grid of that p starts at this
         one's far end and is twice as wide, so a quantile at distance d from
-        its start takes O(log d) calls.  ``quadrature.bisect_cdf`` then
-        solves all of them in x, where such CDFs are close to
-        probit-linear, from the grid points (see there: about three rounds,
-        at most _ITP_SLACK beyond bisection's count).  A failure names the
-        law, ``prob`` and the stage."""
+        its start takes O(log d) calls.  The grids stay where u is a float:
+        x within [log(5e-324), log(max)] on [0, inf), and |x| <= log(max) -
+        log(max(c, 1)) on the line.  Where the computed CDF does not reach p
+        at that range's end (say, p = 1 - 2^-53 on a CDF that reads 1 - 2^-52
+        at u = 1.8e308, or p = 5e-324 on a CDF above it at the smallest u),
+        the quantile is that end.  ``quadrature.bisect_cdf`` then solves the
+        others in x, where such CDFs are close to probit-linear, from the
+        grid points (see there: about three rounds, at most _ITP_SLACK
+        beyond bisection's count).  A failure names the law, ``prob`` and
+        the stage."""
         if self._line is None:
             u, step = np.exp, _LOG4
+            x_lo, x_hi = _LOG_TINY, _LOG_MAX
         else:
             m, c = self._line
             u, step = (lambda x: m + c * np.sinh(x)), _LOG4 / 8.0
+            x_hi = _LOG_MAX - math.log(max(c, 1.0))
+            x_lo = -x_hi
 
         def cdf(x):
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):    # m + c sinh(x) at |m| ~ max
                 return self.cdf(u(x))
 
-        x = np.add.outer([self._start(p) for p in probs], step * _GRID)
+        first, last = x_lo - step * _GRID[0], x_hi - step * _GRID[-1]
+        x = np.add.outer([min(max(self._start(p), first), last)
+                          for p in probs], step * _GRID)
         try:
             f = cdf(x)
             below = np.count_nonzero(f < probs[:, None], axis=1)
-            # within a few dozen grids an end reaches u = 0 or +-inf, where
-            # the CDF is 0 or 1, so the search ends
+            # within a few dozen grids an end reaches the end of the range,
+            # where a grid that still misses stops
             while True:
-                miss = np.flatnonzero((below == 0) | (below == _GRID.size))
+                miss = np.flatnonzero(((below == 0) & (x[:, 0] > x_lo)) | (
+                    (below == _GRID.size) & (x[:, -1] < x_hi)))
                 if not miss.size:
                     break
                 g = x[miss]
-                x[miss] = np.where(below[miss, None] > 0,
-                                   g[:, -1:] + 2.0 * (g - g[:, :1]),
-                                   g[:, :1] + 2.0 * (g - g[:, -1:]))
+                x[miss] = np.minimum(np.maximum(np.where(
+                    below[miss, None] > 0, g[:, -1:] + 2.0 * (g - g[:, :1]),
+                    g[:, :1] + 2.0 * (g - g[:, -1:])), x_lo), x_hi)
                 f[miss] = cdf(x[miss])
                 below[miss] = np.count_nonzero(f[miss] < probs[miss, None],
                                                axis=1)
         except AccuracyError as exc:
             raise self._failed(prob, "ppf bracket", exc) from exc
-        rows = np.arange(probs.size)
-        lo, hi = x[rows, below - 1], x[rows, below]
+        out = np.where(below == 0, x_lo, x_hi)    # the misses' quantiles
+        rows = np.flatnonzero((below > 0) & (below < _GRID.size))
+        lo, hi = x[rows, below[rows] - 1], x[rows, below[rows]]
         # du/dx is at most u_hi or c cosh(max |x|) on the bracket
         slope = np.exp(hi) if self._line is None else c * np.cosh(
             np.maximum(-lo, hi))
         try:
-            return u(bisect_cdf(cdf, probs, x, fx=f,
-                                xtol=np.minimum(1e-8 / slope, 1e-10)))
+            # xtol = min(1e-8 / slope, 1e-10), which a slope of 5e-324
+            # would overflow
+            out[rows] = bisect_cdf(cdf, probs[rows], x[rows], fx=f[rows],
+                                   xtol=1e-8 / np.maximum(slope, 100.0))
         except AccuracyError as exc:
             raise self._failed(prob, "ppf solve", exc) from exc
+        return u(out)
 
     def _failed(self, prob, stage, exc):
         return AccuracyError("%r: %s at prob=%r: %s" % (self, stage, prob, exc))
@@ -761,15 +789,30 @@ class _ExtremeRule(_NodeSum):
                 (-math.log(y_hi), -math.log(y_lo)))
 
     def parts(self, u, want_pdf):
-        """The rule's share of the t^2 pdf or CDF at u > 0, summed in
-        chunks of at most _POINT_BLOCK points."""
+        """The rule's share of the t^2 pdf or CDF at u > 0, summed in runs
+        of consecutive points: each run takes _POINT_BLOCK points (or the
+        rest), then every further point while its log u spans at most half
+        the kernel's edge width (``_skip_edges``), up to _SERIES_BLOCK
+        points.  A run's band of rows contains the band of every chunk of
+        points within it, so each value stays within the skip budget; on
+        a dense grid a run sums a few more rows per point than 512-point
+        chunks would, in fewer, larger tables, whose per-call cost
+        outweighed their arithmetic.  The runs are fixed by u alone."""
         if np.max(u, initial=0.0) < self._reach:
             return np.zeros_like(u)
         with self._lock:
             if self._w is None:
                 self._x, self._w = self._nodes()
-        out = np.concatenate([self._sum(u[i:i + _POINT_BLOCK], want_pdf)
-                              for i in range(0, u.size, _POINT_BLOCK)])
+        low, high = self._skip_edges[want_pdf]
+        log_u = np.log(u)
+        out, i = [], 0
+        while i < u.size:
+            run = log_u[i:i + _SERIES_BLOCK]
+            span = np.maximum.accumulate(run) - np.minimum.accumulate(run)
+            n = max(_POINT_BLOCK, np.count_nonzero(span <= 0.5 * (high - low)))
+            out.append(self._sum(u[i:i + n], want_pdf))
+            i += n
+        out = np.concatenate(out)
         return out / u if want_pdf else out
 
 
@@ -871,12 +914,44 @@ def _poisson_coefs(phi, w, tol):
                         np.sum(w))
 
 
-def _betainc(p, b, x, y):
-    """I_x(p, b) per point, from x up to x = 1/2 and as 1 - I_y(b, p) from
-    y = 1 - x above it, where x rounds too coarsely to tell nearby points
-    apart.  (scipy's betaincc takes about seven times as long.)"""
-    out = np.empty_like(x)
+# largest whole b = nu/2 whose I_x(p, b) takes the finite sum, and the fewest
+# points per unit of b of a block that takes it.  The sum costs about 2.2 us
+# per term and call, betainc about 0.42 us per point, so they cross near
+# 6 b points (4096 points at b = 5: 69 against 1820 us).  Up to b = 32 the
+# sum reads within 2.6e-15 of a 40-digit reference, betainc within 1.5e-13
+_BETA_SUM_MAX = 32
+_BETA_SUM_POINTS = 8
+
+
+def _betainc(p, b, x, y, block):
+    """I_x(p, b) per point, for a series block of ``block`` points.
+
+    Where b is a whole number m <= _BETA_SUM_MAX and the block holds at
+    least _BETA_SUM_POINTS m points, I_x(p, m) = x^p sum_{i<m} (p)_i/i! y^i
+    (DLMF 8.17.21 summed up from I_x(p, 1) = x^p), by Horner from its last
+    term, with x^p from log1p(-y) above x = 1/2.  Elsewhere scipy's betainc
+    serves, from x up to x = 1/2 and as 1 - I_y(b, p) from y = 1 - x above
+    it, where x rounds too coarsely to tell nearby points apart.  (scipy's
+    betaincc takes about seven times as long.)  y = 1 - x as the callers
+    form it."""
     near_one = x > 0.5
+    if b <= _BETA_SUM_MAX and b == math.floor(b) and block >= (
+            _BETA_SUM_POINTS * b):
+        coefs = [1.0]           # (p)_i / i!
+        for i in range(1, int(b)):
+            coefs.append(coefs[-1] * (p + i - 1.0) / i)
+        out = np.full_like(x, coefs[-1])
+        for c in coefs[-2::-1]:
+            out *= y
+            out += c
+        log_xp = np.empty_like(x)
+        with np.errstate(divide="ignore"):      # x = 0: x^p = 0
+            np.log(x, out=log_xp, where=~near_one)
+        np.log1p(-y, out=log_xp, where=near_one)
+        log_xp *= p
+        out *= np.exp(log_xp, out=log_xp)
+        return out
+    out = np.empty_like(x)
     out[~near_one] = sp.betainc(p, b, x[~near_one])
     out[near_one] = 1.0 - sp.betainc(b, p, y[near_one])
     return out
@@ -887,16 +962,16 @@ def _beta_series(coefs, a, b, x, y, tol, law):
     so the coefficient mass not yet reached times the next I_x bounds the
     tail.  y = 1 - x, formed directly by the callers, whose x comes near 1.
 
-    A block [j0, j1) needs one betainc per x, the I_{j1} = I_x(j1 + a, b)
-    that bounds the tail: the recurrence I_x(c, b) = I_x(c + 1, b) + t_c,
-    t_c = x^c y^b / (c B(c, b)), runs down from it, so
-    sum_j c_j I_j = I_{j1} sum_j c_j + sum_k t_k sum_{j <= k} c_j, a sum of
-    nonnegative terms over one exp table.  I_x rises in x, so no point
-    certifies at a rung of the ladder _MIN_TERMS, 2 _MIN_TERMS, ... below
-    the one that certifies the block's smallest x: the series climbs to
-    that rung first (up to _TERM_BLOCK terms), with one betainc per rung.
+    A block [j0, j1) needs one I_x per x (``_betainc``, by the size of x),
+    the I_{j1} = I_x(j1 + a, b) that bounds the tail: the recurrence
+    I_x(c, b) = I_x(c + 1, b) + t_c, t_c = x^c y^b / (c B(c, b)), runs down
+    from it, so sum_j c_j I_j = I_{j1} sum_j c_j + sum_k t_k sum_{j <= k}
+    c_j, a sum of nonnegative terms over one exp table.  I_x rises in x, so
+    no point certifies at a rung of the ladder _MIN_TERMS, 2 _MIN_TERMS, ...
+    below the one that certifies the block's smallest x: the series climbs
+    to that rung first (up to _TERM_BLOCK terms), with one I_x per rung.
     Each point so stops at the rung it would reach climbing alone, from one
-    betainc per point per block from that rung on."""
+    I_x per point per block from that rung on."""
     out = np.zeros_like(x)
     active = np.arange(x.size)
     with np.errstate(divide="ignore"):
@@ -905,7 +980,7 @@ def _beta_series(coefs, a, b, x, y, tol, law):
     lowest = np.argsort(x)[:1]          # none when x is empty
     j_hi = _MIN_TERMS
     while 2 * j_hi <= _TERM_BLOCK and np.any(
-            _betainc(j_hi + a, b, x[lowest], y[lowest])
+            _betainc(j_hi + a, b, x[lowest], y[lowest], x.size)
             * coefs.left_after(j_hi) > tol):
         j_hi *= 2
     j_done = 0
@@ -913,7 +988,7 @@ def _beta_series(coefs, a, b, x, y, tol, law):
         c = coefs.upto(j_hi)[j_done:]
         k = np.arange(j_done, j_hi) + a
         log_den = coefs.log_den(a, b).upto(j_hi)[j_done:, None]
-        end = _betainc(j_hi + a, b, x[active], y[active])
+        end = _betainc(j_hi + a, b, x[active], y[active], x.size)
         c_sum, c_cum = c.sum(), np.cumsum(c)
         step = max(1, _TABLE // k.size)      # points per table chunk
         for i in range(0, active.size, step):

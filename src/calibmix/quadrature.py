@@ -25,6 +25,7 @@ _MAX_PANELS = 8192
 _PANEL_BLOCK = 64  # panels per first evaluation: with halves, 3072 nodes
 _ITP_SLACK = 2     # n0: ITP rounds allowed beyond bisection's count
 _INTERP_POINTS = 4  # known points of a target's probit interpolation
+_EPS = 2.0 ** -52   # the spacing of doubles at 1
 # the least abs_tol.  The signed-t CDF series certify to 1e-3 abs_tol, and
 # far out, where I_x is about 1, only once the coefficient mass left reads
 # below that; the rounding of that mass reached 3.9e-15 over 1600 laws, so
@@ -188,8 +189,9 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
 
 
 class _Crossing:
-    """One target of ``bisect_cdf``: its bracket [lo, hi], ``near``, the
-    known points nearest the crossing as (x, z) pairs with z = ndtri(F) -
+    """One target of ``bisect_cdf``: its bracket [lo, hi] with the CDF
+    values ``f_lo`` < target < ``f_hi`` there, ``near``, the known points
+    nearest the crossing as (x, z) pairs with z = ndtri(F) -
     ndtri(target), and ``cap``, the width the bracket keeps within on ITP's
     schedule, halved every round.  ``result`` is set once it is solved."""
 
@@ -202,9 +204,11 @@ class _Crossing:
         if self.lo == -math.inf or self.hi == math.inf:
             raise AccuracyError("CDF inversion: [%g, %g] does not bracket "
                                 "target %g" % (min(x), max(x), target))
-        steps = max(math.ceil(math.log2((self.hi - self.lo) / xtol)), 0)
+        # in logs: the width over a subnormal xtol overflows
+        steps = max(math.ceil(math.log2(self.hi - self.lo) - math.log2(xtol)),
+                    0)
         self.cap = math.ldexp(xtol, steps + _ITP_SLACK)
-        self._keep(x, probit)
+        self._keep(x, probit, False)
 
     def points(self):
         """This round's points: the interpolated crossing, projected onto
@@ -231,32 +235,49 @@ class _Crossing:
 
     def update(self, x, f, probit):
         """Take this round's points x with their CDF values f and probits."""
+        ends = (self.f_lo, self.f_hi)
         if not self._take(x, f):
             self.cap *= 0.5
-            self._keep(x, probit)
+            self._keep(x, probit, all(fi in ends for fi in f))
 
     def _take(self, x, f):
         """Narrow the bracket to the points x with CDF values f; True, with
         the result set, at a point on the crossing."""
         for xi, fi in zip(x, f):
             if fi < self.target:
-                self.lo = max(self.lo, xi)
+                if xi > self.lo:
+                    self.lo, self.f_lo = xi, fi
             elif fi > self.target:
-                self.hi = min(self.hi, xi)
+                if xi < self.hi:
+                    self.hi, self.f_hi = xi, fi
             else:
                 self.result = xi
                 return True
         return False
 
-    def _keep(self, x, probit):
+    def _keep(self, x, probit, flat):
         """Keep the _INTERP_POINTS known points of finite, distinct z
-        nearest the crossing, the bracket ends first; solved once the
-        bracket is no wider than xtol, or holds no float between its ends."""
+        nearest the crossing, the bracket ends first.  Solved, at the
+        bracket's midpoint, once it is no wider than xtol, or holds no float
+        between its ends.  Solved at an end once the round was
+        ``flat``, every point reading a value the ends already read, and
+        that end reads within eps (2^-52) of the target: the CDF rounds to
+        a staircase there (a CDF formed as 1 - G steps by 2^-53 at any
+        size), and the end reads its step nearest the target; ends that
+        read the doubles next to the target stop so after one round.  A
+        step at F = 0 does not count: a CDF that reads 0 below the target
+        may still rise through values far below eps."""
         lo, hi = self.lo, self.hi
         mid = 0.5 * (lo + hi)
         if not (hi - lo > self.xtol and lo < mid < hi):
             self.result = mid
             return
+        if flat and 0.0 < self.f_lo:
+            step, end = min((self.target - self.f_lo, lo),
+                            (self.f_hi - self.target, hi))
+            if step <= _EPS:
+                self.result = end
+                return
         near = self.near + [(xi, pi - self.z_target)
                             for xi, pi in zip(x, probit)
                             if -math.inf < pi < math.inf]
@@ -326,8 +347,13 @@ def bisect_cdf(cdf, target, x, *, fx=None, xtol=1e-8):
     first bracket width.  The result is the midpoint of a bracket no wider
     than ``xtol`` (or than one float spacing, where that is wider), or a
     point where the CDF equals the target: a float for a float target,
-    else an array.  The function keeps the name it had as a bisection:
-    span tracing refers to it by that name.
+    else an array.  Where the computed CDF rounds to a staircase wider
+    than ``xtol``, no point comes closer to the target than its steps, so
+    a target also solves at a bracket end that reads within 2^-52 of it
+    once a round read only values the ends already read (see
+    ``_Crossing._keep``), so one round after its ends read the doubles
+    next to it.  The function keeps the name it had as a bisection: span
+    tracing refers to it by that name.
     """
     targets = np.atleast_1d(np.asarray(target, dtype=float))
     x = np.asarray(x, dtype=float)

@@ -174,6 +174,29 @@ class TestRegion:
         assert res["lower"] < 0.0 < res["upper"]
         assert res["achieved"] == pytest.approx(0.95, abs=1e-7)
 
+    @pytest.mark.parametrize("args", [
+        ["--dist", "tsq", "--nu", "10", "--delta", "2", "--lam", "1",
+         "--coverage", "0.9999999999999998"],
+        ["--dist", "signed-t", "--nu", "3", "--delta0", "0", "--lambda0",
+         "0", "--coverage", "0.99999999999999"],
+    ], ids=["tsq", "signed-t"])
+    def test_coverage_near_one(self, args, capsys):
+        # an upper end past where the computed CDF reaches 1 - alpha/2 is
+        # the largest u of the quantile grid, a float (a traceback once)
+        res = run_json(["region"] + args, capsys)["result"]
+        assert -math.inf < res["lower"] < res["upper"] < math.inf
+
+    @pytest.mark.xfail(strict=True, reason="the signed-t CDF's upper tail "
+                       "reads 1 - F near 1e-12 far out, so this upper end "
+                       "is the end of the float range, not t3's 60433")
+    def test_coverage_near_one_student_t3(self, capsys):
+        # signed-t at delta0 = lambda0 = 0 is Student's t3: its region is
+        # symmetric, as the lower end (-60612) nearly is
+        res = run_json(["region", "--dist", "signed-t", "--nu", "3",
+                        "--delta0", "0", "--lambda0", "0", "--coverage",
+                        "0.99999999999999"], capsys)["result"]
+        assert res["upper"] == pytest.approx(-res["lower"], rel=0.01)
+
 
 # --dist value -> its flags, a density grid, the law's keys in the config
 # echo, and what the usage error for a left-out last flag names (the

@@ -825,6 +825,18 @@ REACH_LAWS = {
 }
 
 
+EDGE_LAWS = {
+    "mean": lambda: mean_mixture(octane_params()),
+    "variance": lambda: variance_mixture(10, 10.0),
+    "tsq": lambda: tsq_mixture(10, 2.0, 1.0),
+    "tsq nu=1": lambda: tsq_mixture(1, 2.0, 1.0),
+    "signed_t": lambda: signed_t_mixture(10, 1.0, 1.0),
+    "signed_t mirror": lambda: signed_t_mixture(10, -1.0, 1.0),
+    "signed_t central": lambda: signed_t_mixture(3, 0.0, 0.0),
+    "signed_t nu=1": lambda: signed_t_mixture(1, 1.0, 1.0),
+}
+
+
 class TestInversionReach:
     @pytest.mark.parametrize("law", sorted(REACH_LAWS))
     @pytest.mark.parametrize("prob", [1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9])
@@ -843,6 +855,44 @@ class TestInversionReach:
         u = ev.ppf(0.975)
         assert len(calls) <= most
         assert abs(cdf(u) - 0.975) <= 1e-9
+
+    @pytest.mark.parametrize("law", sorted(EDGE_LAWS))
+    @pytest.mark.parametrize("prob", [5e-324, 1e-300, 1.0 - 1e-15,
+                                      1.0 - 2.0 ** -53])
+    def test_probabilities_near_0_and_1(self, law, prob):
+        # the grids stay where u is a float: no overflow, no NaN abscissa
+        ev = EDGE_LAWS[law]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u = ev.ppf(prob)
+        assert isinstance(u, float) and not math.isnan(u)
+
+    def test_quantile_past_the_float_range_is_its_end(self):
+        # the v-rule drops the slope draws below s_lo (less than 1e-3
+        # abs_tol of mass), so the computed CDF stays below 1 - 2^-53 up
+        # to the largest double; the quantile is the grid's end, u = e^x
+        # at x = log(max)
+        ev = tsq_mixture(10, 2.0, 1.0)
+        u = ev.ppf(1.0 - 2.0 ** -53)
+        assert u == math.exp(mx._LOG_MAX) and ev.cdf(u) < 1.0 - 2.0 ** -53
+        # and at the smallest positive double the CDF is above 5e-324
+        ev = tsq_mixture(1, 2.0, 1.0)
+        assert ev.ppf(5e-324) == 5e-324 and ev.cdf(5e-324) > 5e-324
+
+    @pytest.mark.parametrize("args,prob", [
+        ((270, -6.711634373064918, 0.23583019470800545), 4.883267771039262e-06),
+        ((34, -3.640117320882763, 0.8518348971512817), 2.7263531072613136e-06),
+    ], ids=["nu270", "nu34"])
+    def test_staircase_quantile_takes_few_cdf_calls(self, args, prob):
+        # the mirrored law's CDF, 1 - G, steps by 2^-53 over about 2e-11
+        # in x, where the x tolerance is 3e-15: 50 and 34 calls when the
+        # bracket narrowed to that tolerance
+        ev = signed_t_mixture(*args)
+        cdf, calls = ev.cdf, []
+        ev.cdf = lambda u: calls.append(u) or cdf(u)
+        u = ev.ppf(prob)
+        assert len(calls) <= 10
+        assert abs(cdf(u) - prob) <= 2.0 ** -52
 
     def test_failure_names_law_and_stage(self, monkeypatch):
         # a CDF series cut short in the first grid's CDF call
@@ -1021,6 +1071,35 @@ class TestExtremeRule:
             got = ext.parts(u, want_pdf)
             assert np.max(np.abs(got - self.per_node(ext, u, want_pdf))) < 1e-12
 
+    @pytest.mark.parametrize("grid,most", [
+        (np.linspace(0.05, 60.0, 34_000), 4096),       # dense: long runs
+        (np.geomspace(1e-3, 1e30, 4096), 512),          # 33 decades
+    ], ids=["dense", "geom"])
+    def test_runs_span_half_the_edge_width(self, grid, most):
+        law = tsq_mixture(10, 3.0, OCT_LAM)
+        ext = law._core.ext
+        total_sum, runs = ext._sum, []
+
+        def spy(u, want_pdf):
+            runs.append(u)
+            return total_sum(u, want_pdf)
+        with mock.patch.object(ext, "_sum", spy):
+            for want_pdf in (True, False):
+                runs.clear()
+                law.pdf(grid) if want_pdf else law.cdf(grid)
+                low, high = ext._skip_edges[want_pdf]
+                for u in runs:
+                    span = np.log(u.max()) - np.log(u.min())
+                    # at least 512 points (or a block's rest), then only
+                    # while the span stays within half the edge width
+                    assert u.size <= most and (u.size <= mx._POINT_BLOCK
+                                               or span <= 0.5 * (high - low))
+                # the runs (of blocks on any thread) cover the blocks that
+                # reach the rule
+                got = np.sort(np.concatenate(runs))
+                assert np.array_equal(got, grid[-got.size:])
+                assert max(u.size for u in runs) == most
+
     def test_no_rule_when_the_mass_below_split_is_negligible(self):
         # lam0 = 40 and s_split = D/20 = 0.5: P[s < s_split] is far below
         # 1e-3 abs_tol
@@ -1069,6 +1148,103 @@ class TestClosedFormQ:
         f = rule._sum(np.geomspace(1e-6, 1e14, 300), want_pdf=False)
         assert np.all(np.isfinite(f)) and np.all((f >= 0.0) & (f <= 1.0 + 1e-12))
         assert np.all(np.diff(f) >= -1e-12)
+
+
+def beta_points(b):
+    """x = u/(u + 2b) = 1 - y over u from 2.5e-3 to 3e3, both quotients
+    formed, as the t^2 law forms them."""
+    u = np.geomspace(2.5e-3, 3e3, 61)
+    return u / (u + 2.0 * b), 2.0 * b / (u + 2.0 * b)
+
+
+def scipy_betainc(p, b, x, y):
+    """I_x(p, b) by scipy's betainc, through 1 - I_y(b, p) above x = 1/2:
+    the route ``_betainc`` takes for odd nu, b > 32 and small blocks."""
+    return np.where(x > 0.5, 1.0 - special.betainc(b, p, y),
+                    special.betainc(p, b, x))
+
+
+SUM_ORDERS = [1, 2, 3, 5, 8, 16, 31, 32]
+SUM_INDICES = [0.5, 1.0, 20.5, 41.0, 320.5, 1001.0, 4096.5]
+
+
+class TestFiniteBeta:
+    """I_x(p, m) at whole m = nu/2 <= _BETA_SUM_MAX is the finite sum
+    x^p sum_{i<m} (p)_i/i! y^i in blocks of at least _BETA_SUM_POINTS m
+    points, scipy's betainc elsewhere."""
+
+    @pytest.mark.parametrize("m", SUM_ORDERS)
+    def test_sum_matches_a_40_digit_reference(self, m):
+        # the same finite sum in 40-digit decimals, from x below x = 1/2
+        # and from y above it, the doubles each route reads.  The sum
+        # reads within 2.6e-15 at every m <= 32 (the rounding of p log x,
+        # up to about 20 where I_x is of order 1), and betainc up to
+        # 1.5e-13 (m = 9, p = 320.5)
+        x, y = beta_points(m)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            for p in SUM_INDICES:
+                got = mx._betainc(p, float(m), x, y, 4096)
+                want = []
+                for xi, yi in zip(x, y):
+                    if xi <= 0.5:
+                        xd = decimal.Decimal(xi)
+                        yd = 1 - xd
+                    else:
+                        yd = decimal.Decimal(yi)
+                        xd = 1 - yd
+                    term = total = decimal.Decimal(1)      # (p)_i/i! y^i
+                    for i in range(1, m):
+                        term *= (decimal.Decimal(p) + i - 1) / i * yd
+                        total += term
+                    want.append(float(
+                        total * (xd.ln() * decimal.Decimal(p)).exp()))
+                assert np.max(np.abs(got - want)) <= 3e-15, (m, p)
+
+    @pytest.mark.parametrize("m", range(1, mx._BETA_SUM_MAX + 1))
+    def test_sum_matches_scipy(self, m):
+        # at the indices where betainc itself holds about 1e-15: past
+        # p ~ 300 it strays to 1.5e-13
+        x, y = beta_points(m)
+        for p in (0.5, 1.0, 2.5, 20.5, 41.0):
+            got = mx._betainc(p, float(m), x, y, 4096)
+            assert np.max(np.abs(got - scipy_betainc(p, m, x, y))) <= 1e-14
+
+    @pytest.mark.parametrize("b,block", [
+        (4.5, 4096),            # odd nu
+        (40.0, 4096),           # m above _BETA_SUM_MAX
+        (5.0, 39),              # a block of fewer than 8 m points
+    ])
+    def test_betainc_serves_elsewhere(self, b, block):
+        x, y = beta_points(b)
+        assert np.array_equal(mx._betainc(20.5, b, x, y, block),
+                              scipy_betainc(20.5, b, x, y))
+
+    def test_ends_of_the_unit_interval(self):
+        # x = 0 (the signed law at u = 0) and x = 1 (y underflowed)
+        x, y = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mx._betainc(3.5, 5.0, x, y, 64).tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("law,u", [
+        (lambda: tsq_mixture(10, 3.0, OCT_LAM), np.linspace(0.05, 60.0, 9000)),
+        (lambda: tsq_mixture(64, 4.0, 2.0), np.geomspace(1e-3, 1e6, 4096)),
+        (lambda: signed_t_mixture(10, 1.7, 3.2), np.linspace(-20.0, 200.0, 9000)),
+        (lambda: signed_t_mixture(2, -1.7, 3.2), np.linspace(-200.0, 20.0, 9000)),
+    ], ids=["tsq-10", "tsq-64", "signed-10", "signed-2-mirror"])
+    def test_tables_match_the_betainc_route(self, law, u, monkeypatch):
+        ev = law()
+        got = ev.cdf(u)
+        monkeypatch.setattr(mx, "_BETA_SUM_MAX", 0)
+        assert np.max(np.abs(got - law().cdf(u))) <= 1e-13
+
+    def test_dense_table_calls_no_betainc(self):
+        # the dense_grid t^2 table at nu = 10 (35k betainc values before)
+        ev = tsq_mixture(10, 3.0, OCT_LAM)
+        with mock.patch.object(mx.sp, "betainc",
+                               side_effect=AssertionError("betainc called")):
+            ev.cdf(np.linspace(0.05, 60.0, 34_000))
 
 
 class TestBetaSeries:

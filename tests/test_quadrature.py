@@ -130,6 +130,45 @@ class TestBisectCdf:
         assert x == pytest.approx(0.5, abs=1e-10)
         assert rounds(calls) <= 4
 
+    @pytest.mark.parametrize("cdf, target, x, xtol, most", [
+        # 1 - (1 - G) rounds G to steps of 2^-53 about 2.8e-11 wide in x,
+        # far wider than xtol; the target lies within a step.  15 rounds
+        # when the bracket had to narrow to xtol or a float spacing
+        (lambda x: 1.0 - (1.0 - 1e-5 * special.ndtr(x)), 5e-6 + 3e-19,
+         [-3.0, 3.0], 1e-15, 8),
+        # the ends read the doubles next to the target, so no point reads
+        # a value between them: one round sees the plateau
+        (lambda x: math.nextafter(0.3, 0.0) if x < 0.1
+         else math.nextafter(0.3, 1.0), 0.3, [-1.0, 1.0], 1e-12, 1),
+    ], ids=["rounding-steps", "adjacent-doubles"])
+    def test_stops_on_a_staircase(self, cdf, target, x, xtol, most):
+        f, calls = counted(cdf)
+        x = bisect_cdf(f, target, x, xtol=xtol)
+        assert abs(cdf(x) - target) <= 2.0 ** -52
+        assert rounds(calls) <= most
+
+    def test_solves_on_past_a_plateau_at_zero(self):
+        # F = 0 below 0.9 and far below eps above it: the first round
+        # reads only 0, the lower end's value, which is no staircase step
+        def cdf(x):
+            return 0.0 if x < 0.9 else 1e-300 * (1.0 + x)
+        f, _ = counted(cdf)
+        x = bisect_cdf(f, 1.95e-300, [-1.0, 1.0], xtol=1e-10)
+        assert x == pytest.approx(0.95, abs=1e-10)
+
+    def test_values_far_below_eps_solve_to_xtol(self):
+        # every value is within eps of the target, but no round reads only
+        # the ends' values: no staircase, so x still solves to xtol
+        f, _ = counted(lambda x: 1e-20 * special.ndtr(x))
+        x = bisect_cdf(f, 3e-21, [-5.0, 5.0], xtol=1e-10)
+        assert x == pytest.approx(special.ndtri(0.3), abs=1e-10)
+
+    def test_subnormal_xtol(self):
+        # the width over xtol overflows: the step count is taken in logs
+        f, _ = counted(special.ndtr)
+        x = bisect_cdf(f, 0.3, [-500.0, 500.0], xtol=5e-317)
+        assert x == pytest.approx(special.ndtri(0.3), abs=1e-15)
+
     def test_stops_at_adjacent_floats(self):
         # above ~6.7e7 neighbouring floats are more than xtol = 1e-8 apart,
         # so the bracket stops narrowing there (tsq_mixture(10, 1e6, 0)'s
