@@ -33,10 +33,12 @@ phi = D/s beyond the series budget are evaluated through one exact kernel
 of the core, the Gaussian-root identity u = nu (g + phi)^2 / W, smooth at
 any parameter point where the series would need j ~ phi^2 terms.  (s, g)
 enter it only through v = g + D/s, so those draws collapse to one weighted
-rule in v, built once per evaluator, with the conditional CDF's upper
-incomplete gamma Q(nu/2, y) in closed form (a finite sum) wherever nu/2 is
-a moderate integer or half-integer.  The signed law reads that t^2 kernel
-at u^2: its extreme draws put less than Phi(-20) of their mass below 0.
+rule in v, whose nodes are placed once per evaluator and whose weights are
+computed on demand, only as far in v as the reads reach, with the
+conditional CDF's upper incomplete gamma Q(nu/2, y) in closed form (a
+finite sum) wherever nu/2 is a moderate integer or half-integer.  The
+signed law reads that t^2 kernel at u^2: its extreme draws put less than
+Phi(-20) of their mass below 0.
 The incomplete-beta CDF series run by recurrence from one I_x per point per
 block of terms, from the rung that certifies the block's smallest x: a
 finite sum at whole nu/2 up to 32 in blocks of at least 4 nu points, scipy's
@@ -283,6 +285,11 @@ _SKIP_FROM = 64
 # adjacent floats of u, and the kernel's r - lambda0 rounds by about as
 # much (up to 6e-17 lambda0 seen at nu = 1, 10, 1000)
 _VAR_LAM0_PER_TOL = 1e15
+# below r = sqrt(u/V) = _VAR_SERIES_R / max(1, lambda0) the variance law's CDF
+# kernel Phi(r - lambda0) - Phi(-r - lambda0) = int_{-r}^{r} phi(t - lambda0) dt
+# cancels, and is 2 phi(lambda0) r (1 + (lambda0^2 - 1) r^2/6) instead: the
+# next term of that series is below 1e-32 of it
+_VAR_SERIES_R = 1e-8
 
 
 class _NodeSum:
@@ -317,8 +324,12 @@ class _NodeSum:
         the band upward, but a sum over other rows rounds differently).
         The band is summed in tables of at most _block_doubles doubles.
         Rows are selected by index: scipy.special ufuncs called with
-        ``where=`` segfault with numpy 2.4.6 and scipy 1.17.1."""
-        x, w = self._x, self._w
+        ``where=`` segfault with numpy 2.4.6 and scipy 1.17.1.  The weights
+        ``_w`` may cover a prefix of the nodes ``_x`` only (the v-rule
+        weights its nodes on demand, on other threads too): the sum reads
+        ``_w`` once and the nodes it weights."""
+        w = self._w
+        x = self._x[:w.size]
         if u.size < self._skip_from:
             return w @ self._kernel(x, u, want_pdf)
         lo, hi = self._argument(x, np.array([np.min(u), np.max(u)])).T
@@ -500,7 +511,8 @@ class VarianceMixture(_RuleLaw):
     1e-8, 1e-3 and 0.5 quantiles.  z is affine in log V and near N(0, 1) at
     large nu, where the density of log V cancels in floats.  The kernels
     are W's closed forms at u/V: F(u) = E_V[Phi(r - lambda0) - Phi(-r -
-    lambda0)], r = sqrt(u/V), and f(u) = E_V[f_W(u/V)/V]."""
+    lambda0)], r = sqrt(u/V) (its series in r where that cancels, below
+    _VAR_SERIES_R), and f(u) = E_V[f_W(u/V)/V]."""
 
     def __init__(self, nu: int, lam: float, quad: QuadSpec = QuadSpec()):
         require_finite(nu=nu, lam=lam)
@@ -542,7 +554,10 @@ class VarianceMixture(_RuleLaw):
 
     def _root(self, z, u):
         """r = sqrt(u/V) (0 at u <= 0), node x point, as both kernels form it."""
-        r = np.divide(np.clip(u, 0.0, None)[None, :], self._v(z)[:, None])
+        # u/V past the largest float (u near it, V < 1) is inf, where both
+        # kernels read their limits, CDF 1 and pdf 0
+        with np.errstate(over="ignore"):
+            r = np.divide(np.clip(u, 0.0, None)[None, :], self._v(z)[:, None])
         return np.sqrt(r, out=r)
 
     def _argument(self, z, u):
@@ -554,17 +569,31 @@ class VarianceMixture(_RuleLaw):
     def _kernel(self, z, u, want_pdf):
         if want_pdf:
             v = self._v(z)[:, None]
-            out = ser.nc_chisq1_pdf(u[None, :] / v, self.lam, overwrite_w=True)
+            with np.errstate(over="ignore"):    # as in _root: the pdf is 0
+                w = u[None, :] / v
+            out = ser.nc_chisq1_pdf(w, self.lam, overwrite_w=True)
             out /= v
             return out
         # r = sqrt(u/V) once per block; both tails finish in place
         r = self._root(z, u)
         lam0 = math.sqrt(self.lam)
+        # below r = cut the tails' difference cancels, and K takes its
+        # series in r instead (checked on u, so that blocks that cannot
+        # reach it pay nothing)
+        cut = _VAR_SERIES_R / max(1.0, lam0)
+        small = None
+        v_max = np.max(self._v(z), initial=0.0)
+        if np.min(u, initial=np.inf) < cut * cut * v_max:
+            small = r < cut
+            r_small = r[small]
         below = np.negative(r)
         below -= lam0
         r -= lam0
         sp.ndtr(r, out=r)
         r -= sp.ndtr(below, out=below)
+        if small is not None:
+            r[small] = (2.0 * math.exp(-0.5 * self.lam) / math.sqrt(2.0 * math.pi)
+                        * r_small * (1.0 + (self.lam - 1.0) / 6.0 * r_small ** 2))
         return r
 
     def _edges(self, d):
@@ -697,8 +726,14 @@ class _ExtremeRule(_NodeSum):
     t^2 law reads over U and the signed law as 2 u f(u^2) at U = u^2.  Its
     mass P[s < s_split] is a closed form, so its edges, and ``_reach``,
     where its lowest node leaves both lower edges, come before any node is
-    placed.  The first point block that reaches ``_reach`` builds the rule,
-    once, under a lock.
+    placed.  The first point block that reaches ``_reach`` places every
+    node, which is cheap, under a lock.  The weights h, 16 g-panels per
+    node, come on demand: a call weights the prefix of nodes, in ascending
+    v, whose argument at its largest abscissa lies above the lower of the
+    CDF and pdf low edges, extending under the lock what earlier calls
+    weighted.  Every node past that prefix is a row that ``_sum`` drops for
+    that call, so the sums are the whole rule's bits; ``_nodes`` is the
+    whole rule.
     """
 
     def __init__(self, nu, root_d, lam0, s_split, quad):
@@ -733,18 +768,26 @@ class _ExtremeRule(_NodeSum):
                     "lambda0 = sqrt(lambda) = %g with |delta0| = sqrt(delta) "
                     "= %g would take %d panels in the noncentral-t v-rule, "
                     "above %d" % (lam0, root_d, bump, _MAX_PANELS))
-        self._x = self._w = None
+        # the nodes v, their panel weights, and the weights of the prefix
+        # weighted so far, with the largest abscissa it serves (``_weigh``)
+        self._x = self._panel_w = self._w = None
+        self._top = -math.inf
         self._lock = threading.Lock()
 
-    def _nodes(self):
-        """(nodes v ascending, weights h) of the v-rule."""
-        d, z = self.root_d, _G_EDGES[-1]
-        t_lo, t_hi = d / self.s_split, d / self.s_lo
+    def _place(self):
+        """(nodes v ascending, Gauss-Legendre weights) of the v-rule."""
+        z = _G_EDGES[-1]
+        t_lo, t_hi = self.root_d / self.s_split, self.root_d / self.s_lo
         middle = np.geomspace(t_lo + z, t_hi - z, self._middle + 1)[1:-1]
         edges = np.unique(np.concatenate([np.linspace(t_lo - z, t_lo + z, 5),
                                           middle,
                                           np.linspace(t_hi - z, t_hi + z, 5)]))
-        v, wv = gauss_legendre_nodes(edges, 12)
+        return gauss_legendre_nodes(edges, 12)
+
+    def _weights(self, v, wv):
+        """wv h(v) at nodes v with panel weights wv, node by node."""
+        d = self.root_d
+        t_lo, t_hi = d / self.s_split, d / self.s_lo
         # h(v) = int phi(g) p(v - g) dg over g in [v - t_hi, v - t_lo], one
         # g-panel at a time
         x, wx = _leggauss(_G_ORDER)
@@ -757,7 +800,34 @@ class _ExtremeRule(_NodeSum):
             h += np.sum(half * wx * np.exp(-0.5 * g * g)
                         * ser.sqrt_ncchisq1_pdf(d / tau, self.lam0) / tau ** 2,
                         axis=1)
-        return v, wv * h * (d / math.sqrt(2.0 * math.pi))
+        return wv * h * (d / math.sqrt(2.0 * math.pi))
+
+    def _nodes(self):
+        """(nodes v ascending, weights h) of the whole v-rule."""
+        v, wv = self._place()
+        return v, self._weights(v, wv)
+
+    def _weigh(self, top):
+        """Weight, under the lock, the nodes up to the last whose argument
+        at U = top lies above the lower of the CDF and pdf low edges, past
+        the prefix already weighted.  ``_w`` is replaced whole, and before
+        ``_top``, so that ``_sum`` reads one array of weights, a prefix of
+        ``_x`` that covers every row any call up to ``_top`` sums."""
+        with self._lock:
+            if top <= self._top:
+                return
+            if self._x is None:
+                self._x, self._panel_w = self._place()
+                self._w = np.zeros(0)
+            low = min(self._skip_edges[0][0], self._skip_edges[1][0])
+            a = self._argument(self._x, np.array([top]))[:, 0]
+            reached = np.flatnonzero(a > low)
+            n = reached[-1] + 1 if reached.size else 0
+            w = self._w
+            if n > w.size:
+                self._w = np.concatenate([w, self._weights(
+                    self._x[w.size:n], self._panel_w[w.size:n])])
+            self._top = top
 
     def _argument(self, v, u):
         """-log y = log u - log(nu v^2/2), node x point."""
@@ -798,11 +868,11 @@ class _ExtremeRule(_NodeSum):
         a dense grid a run sums a few more rows per point than 512-point
         chunks would, in fewer, larger tables, whose per-call cost
         outweighed their arithmetic.  The runs are fixed by u alone."""
-        if np.max(u, initial=0.0) < self._reach:
+        top = np.max(u, initial=0.0)
+        if top < self._reach:
             return np.zeros_like(u)
-        with self._lock:
-            if self._w is None:
-                self._x, self._w = self._nodes()
+        if top > self._top:
+            self._weigh(top)
         low, high = self._skip_edges[want_pdf]
         log_u = np.log(u)
         out, i = [], 0

@@ -186,6 +186,15 @@ class TestRegion:
         res = run_json(["region"] + args, capsys)["result"]
         assert -math.inf < res["lower"] < res["upper"] < math.inf
 
+    def test_coverage_near_one_where_the_cdf_rounds_non_monotone(self, capsys):
+        # the variance CDF reads 1 - 8.9e-16 and then 1 - 1.1e-15 on either
+        # side of the upper end's probability (a traceback once)
+        res = run_json(["region", "--dist", "variance", "--nu", "3", "--lam",
+                        "4", "--coverage", "0.9999999999999993"],
+                       capsys)["result"]
+        assert 0.0 < res["lower"] < res["upper"] < math.inf
+        assert res["achieved"] == pytest.approx(0.9999999999999993, abs=1e-15)
+
     @pytest.mark.xfail(strict=True, reason="the signed-t CDF's upper tail "
                        "reads 1 - F near 1e-12 far out, so this upper end "
                        "is the end of the float range, not t3's 60433")

@@ -16,8 +16,8 @@ from scipy import integrate, special, stats
 
 from calibmix import (AccuracyError, MixtureParams, ParamError,
                       QuadSpec, mean_mixture,
-                      probability_region, signed_t_mixture, tsq_mixture,
-                      variance_mixture)
+                      probability_region, signed_t_mixture, tsq_critical,
+                      tsq_mixture, variance_mixture)
 from calibmix.casestudy import moment_table_params, octane_params
 from calibmix import mixtures as mx
 from calibmix.mixtures import sharpness
@@ -419,6 +419,31 @@ class TestVarianceMixture:
         u = vm.ppf(prob)
         assert len(calls) <= 16
         assert cdf(u) == pytest.approx(prob, abs=1e-9)
+
+    def test_lower_tail_is_the_sqrt_law(self):
+        # F(u) -> c sqrt(u) as u -> 0, with c = 2 phi(lambda0) E[V^-1/2] =
+        # 2 phi(lambda0) Gamma((nu - 1)/2) / (sqrt(2) Gamma(nu/2)).  The
+        # kernel's Phi(r - lambda0) - Phi(-r - lambda0) cancelled there:
+        # 1.41e-18 at u = 1e-30 and 0 at 1e-34
+        nu, lam = 10, 10.0
+        law = variance_mixture(nu, lam)
+        c = (2.0 * stats.norm.pdf(math.sqrt(lam)) / math.sqrt(2.0) * math.exp(
+            special.gammaln((nu - 1) / 2.0) - special.gammaln(nu / 2.0)))
+        for u in (1e-30, 1e-34):
+            assert law.cdf(u) == pytest.approx(c * math.sqrt(u), rel=1e-12,
+                                               abs=0.0)
+        # ppf holds u to 1e-10 of itself
+        p = 1e-150
+        assert law.ppf(p) == pytest.approx((p / c) ** 2, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("u", [1e308, 1.7e308])
+    def test_limits_at_the_largest_floats(self, u):
+        # u/V overflows to inf at nodes V < 1, where the kernels read their
+        # limits; that overflow warned
+        law = variance_mixture(3, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert law.cdf(u) == 1.0 and law.pdf(u) == 0.0
 
 
 class TestTsqMixture:
@@ -867,6 +892,13 @@ class TestInversionReach:
             u = ev.ppf(prob)
         assert isinstance(u, float) and not math.isnan(u)
 
+    def test_cdf_that_rounds_non_monotone_across_p(self):
+        # the bracket grid reads F = 1 - 8.9e-16 and then 1 - 1.1e-15 on
+        # either side of p: bisect_cdf's ends crossed (a ValueError)
+        law = variance_mixture(3, 4.0)
+        p = 1.0 - 3e-16
+        assert abs(law.cdf(law.ppf(p)) - p) <= 2.0 ** -52
+
     def test_quantile_past_the_float_range_is_its_end(self):
         # the v-rule drops the slope draws below s_lo (less than 1e-3
         # abs_tol of mass), so the computed CDF stays below 1 - 2^-53 up
@@ -1046,9 +1078,19 @@ class TestChi2MixingRule:
         assert core.w.sum() + h.sum() + below == pytest.approx(1.0, abs=quad.abs_tol)
 
 
+def weighted_whole(law):
+    """The law with its v-rule weighted whole before any read, as it was
+    before the weights came on demand."""
+    ext = law._core.ext
+    ext._x, ext._w = ext._nodes()
+    ext._top = math.inf
+    return law
+
+
 class TestExtremeRule:
     """The one-dimensional v-rule against the per-node kernel on log-graded
-    s-panels (6 per decade, 12 points) over the same (s_lo, s_split]."""
+    s-panels (6 per decade, 12 points) over the same (s_lo, s_split], and
+    its weights on demand against the whole rule's."""
 
     @staticmethod
     def per_node(ext, u, want_pdf):
@@ -1099,6 +1141,85 @@ class TestExtremeRule:
                 got = np.sort(np.concatenate(runs))
                 assert np.array_equal(got, grid[-got.size:])
                 assert max(u.size for u in runs) == most
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("make,signed", [
+        (lambda: tsq_mixture(10, 3.0, 10.1), False),
+        (lambda: signed_t_mixture(8, 1.2, 6.0), True)], ids=["tsq", "signed"])
+    def test_reads_weight_a_prefix_on_demand(self, make, signed, workers,
+                                             monkeypatch):
+        # a read just past the reach, a farther one, then a nearer one, in
+        # two point blocks: each table is the whole rule's bits, the prefix
+        # grows only with the farthest read, and its weights are the whole
+        # rule's
+        monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+        law, whole = make(), weighted_whole(make())
+        ext = law._core.ext
+        sizes = []
+        for far in (1.01, 1e4, 3.0):
+            u = ext._reach * np.linspace(0.5, far, mx._SERIES_BLOCK + 77)
+            if signed:
+                u = np.sqrt(u)
+            assert np.array_equal(law.pdf(u), whole.pdf(u))
+            assert np.array_equal(law.cdf(u), whole.cdf(u))
+            sizes.append(ext._w.size)
+        v, h = ext._nodes()
+        assert 0 < sizes[0] < sizes[1] == sizes[2] < v.size
+        assert np.array_equal(ext._x, v)
+        assert np.array_equal(ext._w, h[:sizes[1]])
+
+    def test_racing_reads_extend_one_prefix(self):
+        # reads of different reaches on more threads than CPUs, switching
+        # every microsecond: each share is the whole rule's bits, and the
+        # prefix holds the whole rule's weights however the threads interleave
+        make = lambda: tsq_mixture(10, 3.0, 10.1)
+        whole = weighted_whole(make())._core.ext
+        grids = [np.geomspace(0.5, top, 600) * whole._reach
+                 for top in (1.5, 30.0, 3.0, 1e3, 1e5, 10.0)]
+        want = [[whole.parts(u, p) for p in (True, False)] for u in grids]
+        h = whole._w
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ext = make()._core.ext
+                start = threading.Barrier(len(grids))
+                got = [None] * len(grids)
+
+                def read(i):
+                    start.wait(timeout=10.0)
+                    got[i] = [ext.parts(grids[i], p) for p in (True, False)]
+                threads = [threading.Thread(target=read, args=(i,))
+                           for i in range(len(grids))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                    assert not t.is_alive()
+                for g, w in zip(got, want):
+                    assert all(np.array_equal(a, b) for a, b in zip(g, w))
+                assert np.array_equal(ext._w, h[:ext._w.size])
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_weights_only_the_nodes_requests_reach(self):
+        # the signed_t benchmark's first request (nu 10, delta0 0.3,
+        # lambda0 1: an interval, a 0.95 region and a 200-point table over
+        # it) reaches under 60 of the rule's 816 nodes
+        ev = signed_t_mixture(10, 0.3, 1.0)
+        r = math.sqrt(tsq_critical(10, 0.05))
+        ev.interval_prob(-r, r)
+        region = probability_region(ev, 0.95)
+        u = np.linspace(region.lower, region.upper, 200)
+        ev.pdf(u), ev.cdf(u)
+        ext = ev._core.ext
+        assert ext._x.size == 816 and ext._w.size <= 64
+        # at nu = 1e6 a read to 1e7 reaches 26945 of 142656 nodes; weighting
+        # all of them took 1.37 s
+        law = tsq_mixture(10 ** 6, 4.0, 1.0)
+        law.cdf(1e7)
+        ext = law._core.ext
+        assert ext._w.size <= 0.2 * ext._x.size
 
     def test_no_rule_when_the_mass_below_split_is_negligible(self):
         # lam0 = 40 and s_split = D/20 = 0.5: P[s < s_split] is far below
@@ -2114,6 +2235,11 @@ def whole_v_rule_tables(law, u, want_pdf):
         return law.pdf(u) if want_pdf else law.cdf(u)
 
 
+# two series blocks of points, and a fixed shuffle of them
+TWO_BLOCKS = mx._SERIES_BLOCK + 77
+SHUFFLE = np.random.default_rng(3)
+
+
 class TestRowSkip:
     """Rule-law and v-rule tables that drop the rows within d = 1e-3
     abs_tol / mass of a constant stay within 1e-3 abs_tol of the whole-row
@@ -2150,6 +2276,30 @@ class TestRowSkip:
         law = build(quad)
         assert check_skipped_tables(law, grid, law._core.ext,
                                     whole_v_rule_tables) < 1.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("signed,grid", [
+        (False, np.linspace(0.05, 60.0, TWO_BLOCKS)),
+        (False, np.geomspace(1e-3, 1e30, TWO_BLOCKS)),
+        (False, SHUFFLE.permutation(np.geomspace(1e-3, 1e12, TWO_BLOCKS))),
+        (True, np.linspace(-20.0, 200.0, TWO_BLOCKS)),
+        (True, np.concatenate([-np.geomspace(1e-3, 1e30, 2048)[::-1],
+                               np.geomspace(1e-3, 1e30, TWO_BLOCKS - 2048)])),
+        (True, SHUFFLE.permutation(np.linspace(-20.0, 1e4, TWO_BLOCKS))),
+    ], ids=["tsq-dense", "tsq-geom", "tsq-shuffled", "signed-dense",
+            "signed-geom", "signed-shuffled"])
+    def test_v_rule_weights_on_demand_keep_the_bits(self, signed, grid,
+                                                    workers, monkeypatch):
+        # a v-rule row past the weighted prefix is one the band drops
+        monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
+
+        def build():
+            if signed:
+                return signed_t_mixture(10, 1.7, 3.2)
+            return tsq_mixture(10, 3.0, 10.1)
+        law, whole = build(), weighted_whole(build())
+        assert np.array_equal(law.pdf(grid), whole.pdf(grid))
+        assert np.array_equal(law.cdf(grid), whole.cdf(grid))
 
     @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
     @settings(max_examples=6, deadline=None)

@@ -147,6 +147,23 @@ class TestBisectCdf:
         assert abs(cdf(x) - target) <= 2.0 ** -52
         assert rounds(calls) <= most
 
+    @pytest.mark.parametrize("x", [[-1.0, 0.5, 1.5, 2.5], [2.5, 1.5, 0.5, -1.0],
+                                   [1.5, -1.0, 2.5, 0.5]],
+                             ids=["ascending", "descending", "shuffled"])
+    def test_one_ulp_dip_across_the_target(self, x):
+        # the CDF rounds non-monotone across the target: one ulp above it
+        # on [0, 1) and from 2, one ulp below elsewhere.  The ends stay in
+        # order whatever order the points come in (the lower end once
+        # passed the upper one, and the log of their width failed), and the
+        # solve stops on an end within 2^-52 of the target
+        def cdf(x):
+            above = 0.0 <= x < 1.0 or x >= 2.0
+            return math.nextafter(0.5, 1.0 if above else 0.0)
+        f, calls = counted(cdf)
+        got = bisect_cdf(f, 0.5, x, xtol=1e-12)
+        assert abs(cdf(got) - 0.5) <= 2.0 ** -52
+        assert rounds(calls) <= 1
+
     def test_solves_on_past_a_plateau_at_zero(self):
         # F = 0 below 0.9 and far below eps above it: the first round
         # reads only 0, the lower end's value, which is no staircase step
@@ -177,6 +194,33 @@ class TestBisectCdf:
         x = bisect_cdf(f, 0.3, [0.0, 2e9], xtol=1e-8)
         assert x == pytest.approx(1e9 + 10.0 * special.ndtri(0.3), abs=1e-6)
         assert rounds(calls) <= step_count_bound(0.0, 2e9, 1e-8)
+
+
+class TestLeggauss:
+    """The Newton-built rules against numpy's eigenvalue-built ones."""
+
+    @pytest.mark.parametrize("order", range(1, 65))
+    def test_matches_numpy(self, order):
+        x, w = qd._leggauss(order)
+        want_x, want_w = np.polynomial.legendre.leggauss(order)
+        # nodes within 2 ulp of numpy's; numpy's weights are themselves off
+        # by up to 14 eps at these orders (against a 40-digit reference),
+        # about 10 times the Newton rule's error
+        assert np.all(np.abs(x - want_x) <= 2.0 * np.spacing(np.abs(want_x)))
+        assert np.max(np.abs(w - want_w)) <= 32.0 * np.finfo(float).eps
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0.0)
+        # exact for x^k up to k = 2 order - 1 (the odd ones by symmetry)
+        k = np.arange(0, 2 * order, 2)
+        moments = (w * x ** k[:, None]).sum(axis=1)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(moments - 2.0 / (k + 1.0))) <= 8.0 * eps
+
+    def test_cached_and_read_only(self):
+        x, w = qd._leggauss(16)
+        assert qd._leggauss(16)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 1.0
 
 
 def bump(x, centre=0.3137, width=0.01):
