@@ -1168,6 +1168,11 @@ class _NoncentralT:
     the even part of the noncentral-t CDF series (Lenth 1989, AS 243; see
     SignedTMixture).  The draws s < s_split form the ``_ExtremeRule``:
     once D/20 >= s_hi that is the whole window, and the series is empty.
+    The draws s > s_hi, P[s > s_hi] = Phi(lam0 - s_hi) + Phi(-lam0 - s_hi)
+    (1e-3 abs_tol), add their mass to the last series node, where phi is
+    least; at D = 0 that is exact, so the law is Student t(nu) (or F(1,
+    nu)) out to its far tails, not short of 1 by that mass.  Where the
+    series is empty the mass stays dropped, 1e-3 below abs_tol.
     """
 
     def __init__(self, nu, root_d, lam0, quad):
@@ -1188,6 +1193,10 @@ class _NoncentralT:
         rule = refine_panels(mixdens, s_split, s_hi, quad, initial_panels=32,
                              split_at=(2.0 * lam0 - s_hi, lam0))
         s, w = rule.nodes, rule.weights * mixdens(rule.nodes)
+        if s.size:
+            # the mass above s_hi, in closed form, joins the last node, the
+            # one of least noncentrality: exact at D = 0, where phi is 0
+            w[-1] += sp.ndtr(lam0 - s_hi) + sp.ndtr(-lam0 - s_hi)
         self.s, self.w = s, w
         # nodes rounded onto s = 0 (where lam0 or D/20 is subnormal) weigh
         # nothing; phi = 0 keeps them finite

@@ -195,9 +195,10 @@ class TestRegion:
         assert 0.0 < res["lower"] < res["upper"] < math.inf
         assert res["achieved"] == pytest.approx(0.9999999999999993, abs=1e-15)
 
-    @pytest.mark.xfail(strict=True, reason="the signed-t CDF's upper tail "
-                       "reads 1 - F near 1e-12 far out, so this upper end "
-                       "is the end of the float range, not t3's 60433")
+    @pytest.mark.xfail(strict=True, reason="near p = 5e-15 the signed-t CDF "
+                       "is formed as 0.5 +- 0.5 I_x, whose doubles step by "
+                       "5.6e-17 to 1.1e-16, 1-2% of the tail, so the ends "
+                       "(-59993, 59153) are 1.4% apart")
     def test_coverage_near_one_student_t3(self, capsys):
         # signed-t at delta0 = lambda0 = 0 is Student's t3: its region is
         # symmetric, as the lower end (-60612) nearly is
@@ -205,6 +206,15 @@ class TestRegion:
                         "--delta0", "0", "--lambda0", "0", "--coverage",
                         "0.99999999999999"], capsys)["result"]
         assert res["upper"] == pytest.approx(-res["lower"], rel=0.01)
+
+    def test_coverage_near_one_student_t3_ends_are_finite(self, capsys):
+        # the upper end read 8.99e307, the end of the float range, while the
+        # law's upper tail stopped at 1 - F = 1e-12, the slope mass that its
+        # series rule dropped; t3's ends are -+60417
+        res = run_json(["region", "--dist", "signed-t", "--nu", "3",
+                        "--delta0", "0", "--lambda0", "0", "--coverage",
+                        "0.99999999999999"], capsys)["result"]
+        assert -1e6 < res["lower"] < res["upper"] < 1e6
 
 
 # --dist value -> its flags, a density grid, the law's keys in the config

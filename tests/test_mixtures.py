@@ -24,6 +24,11 @@ from calibmix.mixtures import sharpness
 from calibmix import parallel
 from calibmix import special as ser
 from calibmix.quadrature import _ABS_TOL_FLOOR, PanelRule, gauss_legendre_nodes
+from oracles import (accurate_betainc, gaussian_root_pdf_oracle,
+                     mean_cdf_oracle_sigma0_zero, mean_cdf_over_t,
+                     mean_cdf_over_x, ncf_cdf_oracle, ncf_pdf_oracle,
+                     nct_pdf_oracle, noncentral_t_oracle, variance_cdf_oracle,
+                     variance_cdf_over_v, variance_pdf_oracle)
 
 CRIT = 4.9646027437307145  # F(1,10) 0.95 quantile
 OCT_LAM = (1.8546 / 0.5837) ** 2
@@ -76,107 +81,6 @@ def node_rule(nu, v, h, quad=QuadSpec()):
     rule = tsq_mixture(nu, 1e8, 1.0, quad)._core.ext
     rule._x, rule._w = np.asarray(v, dtype=float), np.asarray(h, dtype=float)
     return rule
-
-
-def log_s_quad(f, lam0):
-    """int f(s) [phi(s - lam0) + phi(s + lam0)] ds over s in [1e-14, lam0 + 9],
-    by adaptive quadrature in log s.  A NaN from f counts as 0: scipy's
-    noncentral laws give NaN at noncentralities near 1e20 and beyond, where
-    the conditional kernels have underflowed."""
-    def integrand(ls):
-        s = np.exp(ls)
-        return np.nan_to_num(f(s)) * (stats.norm.pdf(s - lam0)
-                                      + stats.norm.pdf(s + lam0)) * s
-    return integrate.quad(integrand, np.log(1e-14), np.log(lam0 + 9.0),
-                          limit=4000, epsabs=0.0, epsrel=1e-12)[0]
-
-
-def variance_cdf_oracle(nu, lam, u):
-    """Variance-law CDF conditioned on the slope draw, E_s[P(V <= u/s^2)]
-    with V ~ chi2_nu, by quadrature in log s (graded toward s = 0, where
-    the mass near u = 0 sits)."""
-    return log_s_quad(lambda s: special.gammainc(nu / 2.0, u / (2.0 * s * s)),
-                      np.sqrt(lam))
-
-
-def variance_pdf_oracle(nu, lam, u):
-    """Density of u = W V, W ~ chi2_1(lam), V ~ chi2_nu, from the Poisson-
-    mixed Bessel-K product-density series (Wells, Anderson & Cell 1962):
-    sum_j pois(j; lam/2) (u/4)^((a+b)/2 - 1) K_(a-b)(sqrt u)
-    / (2 Gamma(a) Gamma(b)), a = j + 1/2, b = nu/2.  Sixty terms leave
-    less than 1e-30 of Poisson mass at lam <= 10.1."""
-    j = np.arange(61.0)
-    a, b = j + 0.5, nu / 2.0
-    log_terms = (stats.poisson.logpmf(j, lam / 2.0)
-                 + ((a + b) / 2.0 - 1.0) * np.log(u / 4.0)
-                 + np.log(special.kve(a - b, np.sqrt(u))) - np.sqrt(u)
-                 - special.gammaln(a) - special.gammaln(b))
-    return 0.5 * float(np.sum(np.exp(log_terms)))
-
-
-def mean_cdf_oracle_sigma0_zero(p, u):
-    """Mean-law CDF at sigma0 = 0, E_t[Phi((u - beta0 - t mu_z) /
-    (|t| sigma_z / sqrt(n)))], by quadrature in log |t| on either side of
-    t = 0, with a breakpoint where the components' transition sits."""
-    c = abs(u - p.beta0)
-
-    def side(sign):
-        def f(lt):
-            t = sign * np.exp(lt)
-            z = (u - p.beta0 - t * p.mu_z) / (abs(t) * p.sigma_z / np.sqrt(p.n))
-            return special.ndtr(z) * stats.norm.pdf(t, p.beta1, p.sigma1) * abs(t)
-        return integrate.quad(f, np.log(1e-16), np.log(abs(p.beta1) + 12 * p.sigma1),
-                              points=[np.log(c)], limit=4000,
-                              epsabs=1e-15, epsrel=1e-13)[0]
-    return side(-1.0) + side(1.0)
-
-
-def ncf_cdf_oracle(nu, delta, lam, u):
-    return log_s_quad(lambda s: special.ncfdtr(1, nu, delta / s ** 2, u),
-                      np.sqrt(lam))
-
-
-def ncf_pdf_oracle(nu, delta, lam, u):
-    return log_s_quad(lambda s: stats.ncf.pdf(u, 1, nu, delta / s ** 2),
-                      np.sqrt(lam))
-
-
-def nct_pdf_large_nu(t, nu, phi):
-    """Noncentral t pdf at large nu as E_W[W phi_N(t W - phi)], W =
-    sqrt(chi2_nu / nu), on a Gauss rule over W's mean +/- 12 sd (nu >=
-    1000).  scipy's nct.pdf raises OverflowError there from about phi = 15."""
-    sd = np.sqrt(0.5 / nu)
-    w, ww = gauss_legendre_nodes(np.linspace(1.0 - 12.0 * sd, 1.0 + 12.0 * sd,
-                                             97), 16)
-    dens = ww * stats.chi.pdf(w, nu, scale=1.0 / np.sqrt(nu)) * w
-    return float(stats.norm.pdf(t * w - phi) @ dens)
-
-
-def gaussian_root_pdf_oracle(nu, delta, lam, u):
-    """t^2 mixture pdf from the Gaussian-root kernel on a 2-D (s, g) rule:
-    y^{nu/2} e^{-y} / (u Gamma(nu/2)) with y = nu (g + phi)^2 / (2u),
-    phi = sqrt(delta)/s; the g-panels break at the kink g = -phi."""
-    lg = special.gammaln(nu / 2.0)
-
-    def cond(s):
-        phi = np.sqrt(delta) / s
-        edges = np.linspace(-9.0, 9.0, 37)
-        if -9.0 < -phi < 9.0:
-            edges = np.unique(np.append(edges, -phi))
-        g, gw = gauss_legendre_nodes(edges, 16)
-        y = nu * (g + phi) ** 2 / (2.0 * u)
-        with np.errstate(divide="ignore"):
-            kern = np.exp(0.5 * nu * np.log(y) - y - lg) / u
-        return (gw * stats.norm.pdf(g)) @ kern
-    return log_s_quad(cond, np.sqrt(lam))
-
-
-def accurate_betainc(p, q, x):
-    """I_x(p, q), through 1 - I_{1-x}(q, p) above x = 1/2: scipy's
-    betainc(1/2, 1/2, x) loses up to 3e-9 within 1e-15 of x = 1."""
-    with np.errstate(invalid="ignore"):
-        return np.where(x > 0.5, 1.0 - special.betainc(q, p, 1.0 - x),
-                        special.betainc(p, q, x))
 
 
 def betainc_series(coefs, a, b, x, tol, j_hi):
@@ -244,18 +148,8 @@ class TestMeanMixture:
     def test_octane_region_scipy_oracle(self):
         p = octane_params()
         mm = mean_mixture(p)
-
-        def oracle_cdf(u):
-            def f(t):
-                sd = np.sqrt(t * t / p.n + p.sigma0 ** 2)
-                return stats.norm.cdf(u, p.beta0 + t * p.mu_z, sd) * \
-                    stats.norm.pdf(t, p.beta1, p.sigma1)
-            v, _ = integrate.quad(f, p.beta1 - 12 * p.sigma1,
-                                  p.beta1 + 12 * p.sigma1, limit=300)
-            return v
-
         for u in (85.0, 86.037, 87.2818, 88.526, 90.0):
-            assert mm.cdf(u) == pytest.approx(oracle_cdf(u), abs=1e-9)
+            assert mm.cdf(u) == pytest.approx(mean_cdf_over_t(p, u), abs=1e-9)
 
     def test_degenerate_mixing_is_single_gaussian(self):
         p = MixtureParams(n=10, beta0=1.0, sigma0=0.5, mu_z=2.0, sigma_z=1.0,
@@ -329,16 +223,9 @@ class TestVarianceMixture:
     def test_cdf_against_scipy_oracle(self):
         nu, lam = 10, 4.0
         vm = variance_mixture(nu, lam)
-
-        def oracle(u):
-            f = lambda w: stats.gamma.cdf(u, nu / 2, scale=2 * w) * \
-                stats.ncx2.pdf(w, 1, lam)
-            v, _ = integrate.quad(f, 0, stats.ncx2.ppf(1 - 1e-13, 1, lam),
-                                  limit=400)
-            return v
-
         for u in (0.5, 5.0, 30.0, 120.0):
-            assert vm.cdf(u) == pytest.approx(oracle(u), abs=1e-8)
+            assert vm.cdf(u) == pytest.approx(variance_cdf_oracle(nu, lam, u),
+                                              abs=1e-8)
 
     @pytest.mark.parametrize("nu,lam", [(5, 2.0), (10, 0.0)])
     def test_mean_is_nu_one_plus_lambda(self, nu, lam):
@@ -367,26 +254,11 @@ class TestVarianceMixture:
     @pytest.mark.parametrize("prob", [0.02, 0.5, 0.98])
     def test_large_nu_against_chi2_quadrature(self, prob):
         # mixed over log V, the law lost its mixing density to cancellation
-        # in floats and raised AccuracyError after 0.5 s at nu = 1e7.  The
-        # oracle divides by its own mass: scipy's chi2 pdf at nu = 1e7
-        # integrates to 1 + 4e-9
-        nu, lam0 = 10 ** 7, 1.0
-        vm = variance_mixture(nu, lam0 ** 2)
+        # in floats and raised AccuracyError after 0.5 s at nu = 1e7
+        vm = variance_mixture(10 ** 7, 1.0)
         u = vm.ppf(prob)
-        half = 12.0 * math.sqrt(2.0 * nu)
-
-        def quad(g):
-            return integrate.quad(lambda v: stats.chi2.pdf(v, nu) * g(v),
-                                  nu - half, nu + half, epsabs=1e-14,
-                                  epsrel=1e-13, limit=400,
-                                  points=[nu - half / 3, nu, nu + half / 3])[0]
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            want = quad(lambda v: special.ndtr(math.sqrt(u / v) - lam0)
-                        - special.ndtr(-math.sqrt(u / v) - lam0))
-            want /= quad(lambda v: 1.0)
-        assert vm.cdf(u) == pytest.approx(want, abs=1e-9)
+        assert vm.cdf(u) == pytest.approx(variance_cdf_over_v(10 ** 7, 1.0, u),
+                                          abs=1e-9)
 
     @pytest.mark.parametrize("nu,lam,nodes", [
         (10, OCT_LAM, 128), (1, 0.0, 704), (3, 400.0, 992), (40, 10.0, 128),
@@ -463,19 +335,18 @@ class TestTsqMixture:
     def test_pdf_and_cdf_against_scipy_oracle(self):
         nu, d, lam = 10, 1.0, 4.0
         tm = tsq_mixture(nu, d, lam)
-        hi_t = stats.ncx2.ppf(1 - 1e-13, 1, lam)
-
-        def oracle_pdf(u):
-            f = lambda t: stats.ncf.pdf(u, 1, nu, d / t) * stats.ncx2.pdf(t, 1, lam)
-            return integrate.quad(f, 0, hi_t, limit=400)[0]
-
-        def oracle_cdf(u):
-            f = lambda t: stats.ncf.cdf(u, 1, nu, d / t) * stats.ncx2.pdf(t, 1, lam)
-            return integrate.quad(f, 0, hi_t, limit=400)[0]
-
         for u in (0.3, 2.0, CRIT, 25.0):
-            assert tm.pdf(u) == pytest.approx(oracle_pdf(u), abs=1e-8)
-            assert tm.cdf(u) == pytest.approx(oracle_cdf(u), abs=1e-8)
+            assert tm.pdf(u) == pytest.approx(ncf_pdf_oracle(nu, d, lam, u),
+                                              abs=1e-8)
+            assert tm.cdf(u) == pytest.approx(ncf_cdf_oracle(nu, d, lam, u),
+                                              abs=1e-8)
+
+    def test_central_f_far_tail(self):
+        # at delta = 0 the law is F(1, nu); the slope mass above the series
+        # rule's s_hi, 5e-13 here, was dropped: 5.0e-4 of F's tail at 1e-9
+        u = 467.5
+        assert 1.0 - tsq_mixture(10, 0.0, 1.0).cdf(u) == pytest.approx(
+            stats.f.sf(u, 1, 10), rel=2e-6, abs=0.0)
 
     def test_orderings(self):
         # nondecreasing in lambda at fixed delta; nonincreasing in delta
@@ -530,16 +401,9 @@ class TestTsqMixture:
         # with delta > 0 slope draws near zero give P[t0^2 > T] ~ c/sqrt(T);
         # the extreme-node kernel must track it far out
         tm = tsq_mixture(10, 1.0, 1.0)
-
-        def oracle_cdf(c):
-            def f(ls):
-                s = np.exp(ls)
-                return stats.ncf.cdf(c, 1, 10, 1.0 / s ** 2) * (
-                    stats.norm.pdf(s - 1.0) + stats.norm.pdf(s + 1.0)) * s
-            return integrate.quad(f, np.log(1e-8), np.log(8.2), limit=1000)[0]
-
         for c in (1e4, 1e6):
-            assert tm.cdf(c) == pytest.approx(oracle_cdf(c), abs=1e-9)
+            assert tm.cdf(c) == pytest.approx(ncf_cdf_oracle(10, 1.0, 1.0, c),
+                                              abs=1e-9)
         # the tail really is heavy: ratio of survival at 100x the point ~ 1/10
         s1, s2 = 1.0 - tm.cdf(1e4), 1.0 - tm.cdf(1e6)
         assert s1 / s2 == pytest.approx(10.0, rel=0.05)
@@ -565,29 +429,18 @@ class TestSignedTMixture:
     def test_pdf_against_scipy_oracle(self):
         nu, d0, l0 = 10, 1.0, 3.0
         st_ = signed_t_mixture(nu, d0, l0)
-
-        def oracle(u):
-            f = lambda s: stats.nct.pdf(u, nu, d0 / s) * (
-                stats.norm.pdf(s - l0) + stats.norm.pdf(s + l0))
-            return integrate.quad(f, 0, l0 + 9, limit=500)[0]
-
         for u in (-3.0, -0.5, 0.0, 1.2, 4.0):
-            assert st_.pdf(u) == pytest.approx(oracle(u), abs=1e-8)
+            assert st_.pdf(u) == pytest.approx(nct_pdf_oracle(nu, d0, l0, u),
+                                               abs=1e-8)
 
     def test_large_lambda0_brute_force_oracle(self):
         # concentrated mixing: law close to a plain noncentral t, and the
-        # brute-force quadrature oracle agrees tightly
+        # quadrature oracle, with its breakpoint at l0, agrees tightly
         nu, d0, l0 = 10, 3.0, 100.0
         st_ = signed_t_mixture(nu, d0, l0)
-
-        def oracle(u):
-            f = lambda s: stats.nct.pdf(u, nu, d0 / s) * (
-                stats.norm.pdf(s - l0) + stats.norm.pdf(s + l0))
-            return integrate.quad(f, l0 - 10, l0 + 10, limit=300)[0]
-
         u = np.linspace(-3.0, 3.0, 13)
         mine = st_.pdf(u)
-        ref = np.array([oracle(v) for v in u])
+        ref = np.array([nct_pdf_oracle(nu, d0, l0, v) for v in u])
         assert np.max(np.abs(mine - ref)) < 1e-9
         plain = stats.nct.pdf(u, nu, d0 / l0)
         assert np.max(np.abs(mine - plain)) < 1e-3
@@ -596,8 +449,16 @@ class TestSignedTMixture:
     def test_pdf_at_nu_200_against_nct_quadrature(self, u):
         # the conditional law's transition narrows like 1/sqrt(nu): the
         # extreme rule's panel density has to follow it
-        want = log_s_quad(lambda s: stats.nct.pdf(u, 200, 2.0 / s), 1.0)
+        want = nct_pdf_oracle(200, 2.0, 1.0, u)
         assert signed_t_mixture(200, 2.0, 1.0).pdf(u) == pytest.approx(want, rel=1e-9)
+
+    def test_student_t3_far_tails(self):
+        # at delta0 = 0 the law is Student t(nu); the slope mass above the
+        # series rule's s_hi, 1e-12, was dropped: 9.1e-4 of the upper tail
+        # at u = 1e3, and 1 - F read 1e-12 at u = 1e5 and 1e6
+        st_ = signed_t_mixture(3, 0.0, 0.0)
+        tail = pytest.approx(stats.t.sf(1e3, 3), rel=2e-6, abs=0.0)
+        assert 1.0 - st_.cdf(1e3) == tail and st_.cdf(-1e3) == tail
 
     def test_negative_delta0_mirrors(self):
         pos = signed_t_mixture(8, 1.5, 2.0)
@@ -673,21 +534,12 @@ class TestSignedTMixture:
             assert got == pytest.approx(tm.cdf(c), abs=1e-9)
 
     def test_conditional_cdf_oracle(self):
-        # F(u) = sum_s w_s E_W[Phi(u sqrt(W/nu) - delta0/s)], W ~ chi2_nu,
-        # on a tensor Gauss-Legendre rule of its own (log-graded in s)
+        # F(u) = E_s E_W[Phi(u sqrt(W/nu) - delta0/s)], W ~ chi2_nu
         nu, d0, l0 = 10, 1.0, 1.0
-        s_edges = np.concatenate([np.logspace(-9, -1, 81)[:-1],
-                                  np.linspace(0.1, l0 + 9.0, 81)])
-        s, ws = gauss_legendre_nodes(s_edges, 12)
-        ws = ws * (stats.norm.pdf(s - l0) + stats.norm.pdf(s + l0))
-        w_edges = np.linspace(stats.chi2.ppf(1e-15, nu),
-                              stats.chi2.ppf(1.0 - 1e-15, nu), 41)
-        w, ww = gauss_legendre_nodes(w_edges, 12)
-        ww = ww * stats.chi2.pdf(w, nu)
         st_ = signed_t_mixture(nu, d0, l0)
         for u in (-2.5, -0.3, 0.0, 1.1, 4.0, 30.0):
-            cond = special.ndtr(u * np.sqrt(w / nu)[None, :] - d0 / s[:, None])
-            assert st_.cdf(u) == pytest.approx(ws @ cond @ ww, abs=1e-9)
+            assert st_.cdf(u) == pytest.approx(
+                noncentral_t_oracle("signed", nu, d0, l0, u), abs=1e-9)
 
 
 class TestNormalizationGrid:
@@ -1830,43 +1682,6 @@ class TestHugeAbscissae:
         assert tm.cdf(u) == pytest.approx([1.0, 1.0], abs=tm.quad.abs_tol)
 
 
-_R16 = np.polynomial.legendre.leggauss(16)
-
-
-def noncentral_t_oracle(kind, nu, d, lam0, t):
-    """The t^2 (kind "tsq", at u = t) or signed-t CDF at t, as an E_W
-    quadrature of the closed form given s, mixed over s with density
-    phi(s - lam0) + phi(s + lam0) by scipy's adaptive quad in log s, with
-    breakpoints at lam0 and d/20.  Given s, with phi = d/s and r = sqrt(W)
-    ~ chi_nu, the t^2 CDF is E[Phi(sqrt(t/nu) r - phi) - Phi(-sqrt(t/nu) r
-    - phi)] and the signed-t CDF E[Phi(t r/sqrt(nu) - phi)]; each takes
-    16-point Gauss-Legendre panels in r that resolve both the chi density
-    and the step at r = phi/c, c the slope of r."""
-    r_lo, r_hi = stats.chi.ppf(1e-16, nu), stats.chi.isf(1e-16, nu)
-    log_norm = (0.5 * nu - 1.0) * math.log(2.0) + special.gammaln(0.5 * nu)
-    base = np.linspace(r_lo, r_hi, 9)
-    c = (math.sqrt(t) if kind == "tsq" else t) / math.sqrt(nu)
-
-    def given_log_s(x):
-        s = math.exp(x)
-        phi = d / s
-        lo, hi = max(r_lo, (phi - 10.0) / c), min(r_hi, (phi + 10.0) / c)
-        edges = np.union1d(base, np.linspace(lo, hi, 5)) if lo < hi else base
-        half = 0.5 * np.diff(edges)[:, None]
-        r = (edges[:-1, None] + half * (1.0 + _R16[0])).ravel()
-        wr = (half * _R16[1]).ravel() * np.exp(
-            (nu - 1.0) * np.log(r) - 0.5 * r * r - log_norm)
-        f = special.ndtr(c * r - phi)
-        if kind == "tsq":
-            f -= special.ndtr(-c * r - phi)
-        dens = math.exp(-0.5 * (s - lam0) ** 2) + math.exp(-0.5 * (s + lam0) ** 2)
-        return (wr @ f) * s * dens / math.sqrt(2.0 * math.pi)
-    lo, hi = math.log(1e-13), math.log(lam0 + 9.0)
-    points = [math.log(p) for p in (lam0, d / 20.0) if 1e-13 < p < lam0 + 9.0]
-    return integrate.quad(given_log_s, lo, hi, points=points, epsabs=1e-11,
-                          epsrel=0.0, limit=200)[0]
-
-
 class TestLargeNoncentrality:
     """D = |delta0| = sqrt(delta) past 20 s_hi, where the v-rule takes the
     whole slope window: the series nodes keep phi = D/s <= 20 at every D."""
@@ -2038,10 +1853,9 @@ class TestLargeNuPdf:
     def test_against_nct_quadrature(self, nu, d0, lam0):
         sm = signed_t_mixture(nu, d0, lam0)
         for t in (-1.0, 0.0, 1.0, 6.0):
-            want = log_s_quad(lambda s: nct_pdf_large_nu(t, nu, d0 / s), lam0)
+            want = nct_pdf_oracle(nu, d0, lam0, t)
             assert sm.pdf(t) == pytest.approx(want, abs=1e-9)
-        fold = sum(log_s_quad(lambda s: nct_pdf_large_nu(t, nu, d0 / s), lam0)
-                   for t in (-1.0, 1.0)) / 2.0
+        fold = sum(nct_pdf_oracle(nu, d0, lam0, t) for t in (-1.0, 1.0)) / 2.0
         assert tsq_mixture(nu, d0 ** 2, lam0 ** 2).pdf(1.0) == pytest.approx(
             fold, abs=1e-9)
 
@@ -2516,37 +2330,6 @@ def forced_rule(p, factor):
     return law
 
 
-def mean_cdf_over_x(p, u):
-    """The mean-law CDF at u by scipy's adaptive quadrature over
-    X ~ N(mu_z, sigma_z^2/n) of Phi((u - beta0 - beta1 x) / sd(x)),
-    sd(x)^2 = sigma1^2 x^2 + sigma0^2 (smooth in x away from x = 0)."""
-    sd_x = p.sigma_z / math.sqrt(p.n)
-
-    def f(x):
-        sd = math.sqrt(p.sigma1 ** 2 * x * x + p.sigma0 ** 2)
-        return (special.ndtr((u - p.beta0 - p.beta1 * x) / sd)
-                * stats.norm.pdf(x, p.mu_z, sd_x))
-    return integrate.quad(f, p.mu_z - 12.0 * sd_x, p.mu_z + 12.0 * sd_x,
-                          epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-
-
-def mean_cdf_over_t(p, u):
-    """The mean-law CDF at u by scipy's adaptive quadrature over the slope
-    in its sds, T = beta1 + sigma1 z with z ~ N(0, 1), of
-    Phi((u - beta0 - mu_z t) / sd(t)), sd(t)^2 = t^2 sigma_z^2/n + sigma0^2
-    (smooth in z at any sigma1/beta1, with a breakpoint at t = 0)."""
-    def f(z):
-        t = p.beta1 + p.sigma1 * z
-        sd = math.sqrt(t * t * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
-        return (special.ndtr((u - p.beta0 - p.mu_z * t) / sd)
-                * math.exp(-0.5 * z * z))
-    z0 = -p.beta1 / p.sigma1
-    return integrate.quad(f, -12.0, 12.0,
-                          points=[z0] if abs(z0) < 12.0 else None,
-                          epsabs=1e-13, epsrel=1e-13,
-                          limit=200)[0] / math.sqrt(2.0 * math.pi)
-
-
 class TestMixingFactor:
     """The mean law mixes over whichever Gaussian factor, T or X, is the
     smoother: the same law by the symmetry of beta0 + T X + sigma0 E."""
@@ -2562,15 +2345,14 @@ class TestMixingFactor:
         # X's window mu_z +- 10 sigma_z/sqrt(n) is narrower than 2e-10 |mu_z|
         # either side, which the rule over x could not resolve; in X's sds
         # it can, and X's sharpness is far the larger.  The oracle too
-        # integrates in X's sds: over x, quad warns that it cannot reach
-        # 1e-13 on so narrow a window.
+        # integrates in X's sds.
         p = MixtureParams(n=4, beta0=0.0, sigma0=1e-3, mu_z=1.0,
                           sigma_z=1e-11, beta1=2.0, sigma1=1.0)
         assert sharpness(swapped(p)) > sharpness(p)
         law = mean_mixture(p)
         assert law._mix is not p
         u = np.linspace(*law.support(), 25)
-        want = [mean_cdf_over_t(swapped(p), v) for v in u]
+        want = [mean_cdf_over_x(p, v) for v in u]
         assert np.max(np.abs(law.cdf(u) - want)) <= 1e-9
 
     def test_underflowing_scale_is_infinitely_smooth(self):
