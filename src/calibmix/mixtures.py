@@ -34,11 +34,10 @@ of the core, the Gaussian-root identity u = nu (g + phi)^2 / W, smooth at
 any parameter point where the series would need j ~ phi^2 terms.  (s, g)
 enter it only through v = g + D/s, so those draws collapse to one weighted
 rule in v, whose nodes are placed once per evaluator and whose weights are
-computed on demand, only as far in v as the reads reach, with the
-conditional CDF's upper incomplete gamma Q(nu/2, y) in closed form (a
-finite sum) wherever nu/2 is a moderate integer or half-integer.  The
-signed law reads that t^2 kernel at u^2: its extreme draws put less than
-Phi(-20) of their mass below 0.
+computed on demand, only as far in v as the reads reach; it and the
+variance law read their chi2_nu factor's closed forms from ``_GammaKernel``.
+The signed law reads that t^2 kernel at u^2: its extreme draws put less
+than Phi(-20) of their mass below 0.
 The incomplete-beta CDF series run by recurrence from one I_x per point per
 block of terms, from the rung that certifies the block's smallest x: a
 finite sum at whole nu/2 up to 32 in blocks of at least 4 nu points, scipy's
@@ -504,12 +503,76 @@ def mean_mixture(p: MixtureParams, quad: QuadSpec = QuadSpec()) -> MeanMixture:
     return MeanMixture(p, quad)
 
 
+# largest m = nu/2 whose Q takes the finite sums: 0.8 ns per term and
+# entry against gammaincc's 200-290 ns per entry cross near m = 300
+_Q_SUM_MAX = 256
+
+
+class _GammaKernel:
+    """The chi2_nu factor of the variance law and the v-rule as y ~ Gamma(m),
+    m = nu/2: the log density of w = log(y/m), Q(m, y), quantiles and edges.
+    w's density y^m e^{-y}/Gamma(m) is 1/2 log m - log(2 pi)/2 - R(m) -
+    m (expm1(w) - w), R Stirling's remainder (DLMF 5.11), so no term of
+    order m log m cancels; it rounds by about eps sqrt(m) per sd of w."""
+
+    def __init__(self, nu):
+        self.m = 0.5 * nu
+        self._log_peak = (0.5 * math.log(self.m) - ser._HALF_LOG_2PI
+                          - float(ser._stirling_remainder(self.m)))
+        # y with P[Y < y] = p, and with P[Y > y] = p
+        self.quantile = functools.partial(sp.gammaincinv, self.m)
+        self.isf = functools.partial(sp.gammainccinv, self.m)
+
+    def log_pdf(self, w):
+        return self._log_peak - self.m * (np.expm1(w) - w)
+
+    def upper(self, y):
+        """Q(m, y) in y's place: e^{-y} sum_{i<m} y^i/i! at whole m, erfc(sqrt
+        y) + e^{-y} sum_{i=1}^{k} y^{i-1/2}/Gamma(i + 1/2) at k + 1/2 (DLMF
+        8.4), by Horner at y clipped to 1e3 (Q < 1e-170 there): within 5e-15
+        of gammaincc and cheaper at whole 2m, m <= _Q_SUM_MAX; else gammaincc."""
+        a = self.m
+        k = math.floor(a)
+        if a > _Q_SUM_MAX or 2.0 * a != math.floor(2.0 * a):
+            return sp.gammaincc(a, y, out=y)
+        half = a - k
+        np.minimum(y, 1e3, out=y)
+        if half and k == 0:
+            return sp.erfc(np.sqrt(y, out=y), out=y)
+        s = np.ones_like(y)
+        for i in range(k - 1, 0, -1):     # 1 + y/(i + half) (1 + ...)
+            s *= y
+            s *= 1.0 / (i + half)
+            s += 1.0
+        if half:
+            root = np.sqrt(y)
+            s *= root
+            s *= 2.0 / math.sqrt(math.pi)     # 1/Gamma(3/2)
+        np.negative(y, out=y)
+        s *= np.exp(y, out=y)
+        if half:
+            s += sp.erfc(root, out=root)
+        return s
+
+    def log_edges(self, d):
+        """(log y_1, log y_2), (log y_3, log y_4): 1 - Q(m, y) <= d at y <=
+        y_1, Q <= d at y >= y_2, and y^m e^{-y}/Gamma(m) = d/2 at y_3 < y_4,
+        -m W_k(z), z = -e^{(log(d/2) + lgamma(m))/m}/m, on the Lambert W
+        branches 0 and -1 (z above -1/e: scipy's W is NaN at its double)."""
+        m = self.m
+        z = max(-math.exp((math.log(0.5 * d) + math.lgamma(m)) / m
+                          - math.log(m)), np.nextafter(-1.0 / math.e, 0.0))
+        y_lo, y_hi = -m * sp.lambertw(z, [0, -1]).real
+        return ((math.log(self.quantile(d)), math.log(self.isf(d))),
+                (math.log(y_lo), math.log(y_hi)))
+
+
 class VarianceMixture(_RuleLaw):
     """Evaluator of u = nu S_Y^2 / (sigma1^2 sigma_z^2) = W V (mean
     nu (1 + lambda)), mixed over z = sqrt(a) log(V / 2a), a = nu/2, between
     V's 1e-16 and 1 - 1e-16 quantiles, graded toward u = 0 by edges at its
-    1e-8, 1e-3 and 0.5 quantiles.  z is affine in log V and near N(0, 1) at
-    large nu, where the density of log V cancels in floats.  The kernels
+    1e-8, 1e-3 and 0.5 quantiles, all read from ``_GammaKernel``.  z is
+    affine in log V and near N(0, 1) at large nu.  The kernels
     are W's closed forms at u/V: F(u) = E_V[Phi(r - lambda0) - Phi(-r -
     lambda0)], r = sqrt(u/V) (its series in r where that cancels, below
     _VAR_SERIES_R), and f(u) = E_V[f_W(u/V)/V]."""
@@ -527,12 +590,11 @@ class VarianceMixture(_RuleLaw):
         self.nu = float(nu)
         self.lam = float(lam)
         self.quad = quad
-        a = self._a = nu / 2.0
-        # log of the normalizing constant of z's density
-        self._log_c = -ser._HALF_LOG_2PI - float(ser._stirling_remainder(a))
-        q = sp.gammaincinv(a, [1e-16, 1e-8, 1e-3, 0.5])
+        gamma = self._gamma = _GammaKernel(nu)
+        a = gamma.m
+        q = gamma.quantile([1e-16, 1e-8, 1e-3, 0.5])
         lo, *anchors = math.sqrt(a) * np.log(q / a)
-        self._window = (lo, math.sqrt(a) * math.log(sp.gammainccinv(a, 1e-16) / a))
+        self._window = (lo, math.sqrt(a) * math.log(gamma.isf(1e-16) / a))
         # probes from the window's lower end up: a probe's kernel turns over
         # near V = u / W, so each part of the window meets some probe
         # (at nu = 1 the CDF there still rises like sqrt(u), far above
@@ -542,15 +604,13 @@ class VarianceMixture(_RuleLaw):
         self._refine(anchors, probe_u, probe_u)
 
     def _mixing_pdf(self, z):
-        """Density of z = sqrt(a) log(V / 2a), V ~ chi2_nu: exp(-a (expm1(w)
-        - w) + _log_c) at w = z / sqrt(a), with lgamma(a) in Stirling's form
-        so that no term of order a log a cancels."""
-        w = np.asarray(z, dtype=float) / math.sqrt(self._a)
-        return np.exp(-self._a * _expm1_minus(w) + self._log_c)
+        """Density of z = sqrt(a) w: that of w = log(V / 2a) over sqrt(a)."""
+        a = self._gamma.m
+        return np.exp(self._gamma.log_pdf(z / math.sqrt(a)) - 0.5 * math.log(a))
 
     def _v(self, z):
-        """V = 2a e^w at the rule's coordinate z."""
-        return 2.0 * self._a * np.exp(np.asarray(z) / math.sqrt(self._a))
+        """V = 2a e^w = nu e^w at the rule's coordinate z."""
+        return self.nu * np.exp(np.asarray(z) / math.sqrt(self._gamma.m))
 
     def _root(self, z, u):
         """r = sqrt(u/V) (0 at u <= 0), node x point, as both kernels form it."""
@@ -625,26 +685,6 @@ class VarianceMixture(_RuleLaw):
         return _log(c * float(sp.gammaincinv(nu * (1.0 + lam) / c, prob)))
 
 
-# expm1(w) - w takes its Taylor series w^2/2! + ... + w^12/12! below
-# |w| = 0.25, where the difference would cancel (the next term is below
-# 1e-16 of the sum there)
-_EXPM1_SERIES_W = 0.25
-_EXPM1_COEFS = [1.0 / math.factorial(k) for k in range(12, 1, -1)]
-
-
-def _expm1_minus(w):
-    """expm1(w) - w on a 1-d array, without cancellation at small |w|."""
-    out = np.expm1(w) - w
-    small = np.abs(w) < _EXPM1_SERIES_W
-    ws = w[small]
-    series = np.zeros_like(ws)
-    for c in _EXPM1_COEFS:
-        series *= ws
-        series += c
-    out[small] = series * ws * ws
-    return out
-
-
 def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> VarianceMixture:
     """Evaluator of the scaled sample-variance mixture law."""
     return VarianceMixture(nu, lam, quad)
@@ -656,49 +696,8 @@ def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> Varian
 
 _G_EDGES = np.linspace(-8.6, 8.6, 17)   # panels of the Gaussian root g
 _G_ORDER = 10
-# largest nu/2 whose Q takes the finite sums: they cost about 0.8 ns per
-# term and entry, gammaincc 200-290 ns per entry, so they cross near 300
-_Q_SUM_MAX = 256
 
 
-def _upper_gamma(nu, y):
-    """Q(nu/2, y), built in y's place.  Where nu/2 is an integer m,
-    Q = e^{-y} sum_{i<m} y^i/i!, and where it is m + 1/2,
-    Q = erfc(sqrt y) + e^{-y} sum_{i=1}^{m} y^{i-1/2}/Gamma(i + 1/2)
-    (DLMF 8.4), each sum by Horner from its last term, at y clipped to
-    1e3: there e^{-y} is 0 in doubles and Q below 1e-170, and the sums stay
-    finite however large y is.  These agree with gammaincc to about 5e-15
-    up to nu/2 = _Q_SUM_MAX and cost less; above it, or at a nu that is
-    not a whole number, gammaincc serves."""
-    a = 0.5 * nu
-    m = math.floor(a)
-    if a > _Q_SUM_MAX or nu != math.floor(nu):
-        return sp.gammaincc(a, y, out=y)
-    half = a - m
-    np.minimum(y, 1e3, out=y)
-    if half and m == 0:
-        return sp.erfc(np.sqrt(y, out=y), out=y)
-    s = np.ones_like(y)
-    for i in range(m - 1, 0, -1):     # 1 + y/(i + half) (1 + ...)
-        s *= y
-        s *= 1.0 / (i + half)
-        s += 1.0
-    if half:
-        root = np.sqrt(y)
-        s *= root
-        s *= 2.0 / math.sqrt(math.pi)     # 1/Gamma(3/2)
-    np.negative(y, out=y)
-    s *= np.exp(y, out=y)
-    if half:
-        s += sp.erfc(root, out=root)
-    return s
-
-
-# u = nu X / W with X = (g + phi)^2 = v^2, g ~ N(0,1), W ~ chi2_nu, so
-#   F_cond(u) = E_g[ Q_nu( nu v^2 / (2u) ) ],  Q_nu = regularized upper gamma
-#   f_cond(u) = E_g[ y^{nu/2} e^{-y} ] / (u Gamma(nu/2)),  y = nu v^2/(2u);
-# the v-integrand is smooth at every (u, phi), unlike the W-form whose
-# transition sharpens like sqrt(u).
 class _ExtremeRule(_NodeSum):
     """The slope draws s in (s_lo, s_split] of the noncentral-t core, whose
     conditional noncentralities D/s exceed the series budget
@@ -720,27 +719,25 @@ class _ExtremeRule(_NodeSum):
     window.  s_lo steps down from s_split by whole decades until P[s <
     s_lo] <= 1e-3 tol, so the dropped far-tail mass stays below tol.
 
-    The rule is a ``_NodeSum`` on nodes v and weights h.  Its kernels at
-    the t^2 abscissa U are functions of y = nu v^2/(2U), argument -log y:
-    the CDF Q(nu/2, y), and U f(U) = y^{nu/2} e^{-y}/Gamma(nu/2), which the
-    t^2 law reads over U and the signed law as 2 u f(u^2) at U = u^2.  Its
+    The rule is a ``_NodeSum`` on nodes v and weights h, with U = nu v^2/W,
+    W ~ chi2_nu, smooth in v at every (U, phi).  Its kernels are the shared
+    ``_GammaKernel``'s at y = nu v^2/(2U), argument -log y: the CDF
+    Q(nu/2, y), and U f(U), the density of w = log(2y/nu), which the t^2
+    law reads over U and the signed law as 2 u f(u^2) at U = u^2.  Its
     mass P[s < s_split] is a closed form, so its edges, and ``_reach``,
     where its lowest node leaves both lower edges, come before any node is
     placed.  The first point block that reaches ``_reach`` places every
-    node, which is cheap, under a lock.  The weights h, 16 g-panels per
-    node, come on demand: a call weights the prefix of nodes, in ascending
-    v, whose argument at its largest abscissa lies above the lower of the
-    CDF and pdf low edges, extending under the lock what earlier calls
-    weighted.  Every node past that prefix is a row that ``_sum`` drops for
-    that call, so the sums are the whole rule's bits; ``_nodes`` is the
-    whole rule.
+    node, which is cheap, under a lock.  The weights h come on demand
+    (``_weigh``): every node past the prefix a call weights is a row that
+    ``_sum`` drops for that call, so the sums are the whole rule's bits;
+    ``_nodes`` is the whole rule.
     """
 
     def __init__(self, nu, root_d, lam0, s_split, quad):
         self.nu, self.root_d, self.lam0, self.quad = nu, root_d, lam0, quad
         self.s_split = self.s_lo = s_split
         self._mass = float(sp.ndtr(s_split - lam0) - sp.ndtr(-s_split - lam0))
-        self._log_gamma = math.lgamma(0.5 * nu)
+        self._gamma = _GammaKernel(nu)
 
         def mass_below(x):
             # the density of s is at most 2 phi(lam0 - s), so on [0, x] at
@@ -785,21 +782,24 @@ class _ExtremeRule(_NodeSum):
         return gauss_legendre_nodes(edges, 12)
 
     def _weights(self, v, wv):
-        """wv h(v) at nodes v with panel weights wv, node by node."""
+        """wv h(v) at nodes v with panel weights wv, in node x g-panel x
+        g-point tables of _TABLE doubles, each row's bits its own."""
         d = self.root_d
         t_lo, t_hi = d / self.s_split, d / self.s_lo
-        # h(v) = int phi(g) p(v - g) dg over g in [v - t_hi, v - t_lo], one
-        # g-panel at a time
+        # h(v) = int phi(g) p(v - g) dg over g in [v - t_hi, v - t_lo]
         x, wx = _leggauss(_G_ORDER)
-        h = np.zeros_like(v)
-        for lo, hi in zip(_G_EDGES[:-1], _G_EDGES[1:]):
-            a = np.clip(lo, v - t_hi, v - t_lo)[:, None]
-            half = 0.5 * (np.clip(hi, v - t_hi, v - t_lo)[:, None] - a)
-            g = a + half * (1.0 + x)
-            tau = v[:, None] - g
-            h += np.sum(half * wx * np.exp(-0.5 * g * g)
-                        * ser.sqrt_ncchisq1_pdf(d / tau, self.lam0) / tau ** 2,
-                        axis=1)
+        h = np.empty_like(v)
+        step = max(1, _TABLE // ((_G_EDGES.size - 1) * _G_ORDER))
+        for i in range(0, v.size, step):
+            vi = v[i:i + step, None, None]
+            ends = np.clip(_G_EDGES[:, None], vi - t_hi, vi - t_lo)
+            half = 0.5 * np.diff(ends, axis=1)
+            g = ends[:, :-1] + half * (1.0 + x)
+            tau = vi - g
+            h[i:i + step] = np.sum(
+                half * wx * np.exp(-0.5 * g * g)
+                * ser.sqrt_ncchisq1_pdf(d / tau, self.lam0) / tau ** 2,
+                axis=(1, 2))
         return wv * h * (d / math.sqrt(2.0 * math.pi))
 
     def _nodes(self):
@@ -834,29 +834,22 @@ class _ExtremeRule(_NodeSum):
         return np.log(u)[None, :] - np.log(0.5 * self.nu * v * v)[:, None]
 
     def _kernel(self, v, u, want_pdf):
-        with np.errstate(over="ignore"):      # y past the largest float
-            y = np.divide.outer(0.5 * self.nu * v * v, u)
-        if not want_pdf:
-            return _upper_gamma(self.nu, y)
-        np.minimum(y, sys.float_info.max, out=y)    # U f(U) is 0 there
-        return np.exp(0.5 * self.nu * np.log(y) - y - self._log_gamma, out=y)
+        # Q(m, y) at y = m v^2/U, or U f(U), the density of w = log(v^2/U):
+        # 0 where y, v^2/U (clipped) or m (e^w - 1 - w) pass the largest float
+        gamma = self._gamma
+        with np.errstate(over="ignore"):
+            if not want_pdf:
+                return gamma.upper(np.divide.outer(gamma.m * v * v, u))
+            w = np.minimum(np.divide.outer(v * v, u), sys.float_info.max)
+            return np.exp(gamma.log_pdf(np.log(w, out=w)), out=w)
 
     def _edges(self, d):
-        """With m = nu/2, Q(m, y) <= d at y >= gammainccinv(m, d) and
-        1 - Q <= d at y <= gammaincinv(m, d).  g(y) = y^m e^{-y}/Gamma(m),
-        unimodal about y = m, is d/2 at y = -m W_k(z), z = -e^{(log(d/2) +
-        lgamma(m))/m}/m, on the Lambert W branches k = 0 and -1 (z clipped
-        to the first double above -1/e, where they meet: scipy's W is NaN
-        at the double -1/e).  At U >= 1 both reads of g, the t^2 g/U
-        and the signed 2 g/sqrt(U), are at most 2 g; below, every node has
-        y > nu v_min^2/2 >= 65 nu (v_min = D/s_split - 8.6 >= 11.4), where
-        both are below 1e-27."""
-        m = 0.5 * self.nu
-        z = max(-math.exp((math.log(0.5 * d) + self._log_gamma) / m
-                          - math.log(m)), np.nextafter(-1.0 / math.e, 0.0))
-        y_lo, y_hi = -m * sp.lambertw(z, [0, -1]).real
-        return ((-math.log(sp.gammainccinv(m, d)), -math.log(sp.gammaincinv(m, d))),
-                (-math.log(y_hi), -math.log(y_lo)))
+        """The shared edges in log y at the argument -log y.  At U >= 1 both
+        reads of g = U f(U), the t^2 g/U and the signed 2 g/sqrt(U), are at
+        most 2 g; below, every node has y > nu v_min^2/2 >= 65 nu (v_min =
+        D/s_split - 8.6 >= 11.4), where both are below 1e-27."""
+        (q_lo, q_hi), (g_lo, g_hi) = self._gamma.log_edges(d)
+        return (-q_hi, -q_lo), (-g_hi, -g_lo)
 
     def parts(self, u, want_pdf):
         """The rule's share of the t^2 pdf or CDF at u > 0, summed in runs
@@ -1188,10 +1181,16 @@ class _NoncentralT:
         s_hi = ser.sqrt_mixing_upper(lam0, 1e-3 * quad.abs_tol)
         s_split = min(root_d / _NCT_SERIES_PHI_MAX, s_hi)
         # series nodes of s = sqrt(w), w ~ chi2_1(lam0^2), on [s_split, s_hi],
-        # weighted by the density phi(s - lam0) + phi(s + lam0)
+        # weighted by phi(s - lam0) + phi(s + lam0): refined on the mass alone,
+        # the rule resolves the series at anchors 4^k s_split and across the bump
         mixdens = functools.partial(ser.sqrt_ncchisq1_pdf, lambda0=lam0)
+        top = min(s_hi, max(1.0, 2.0 * lam0 - s_hi))
+        steps = (math.log(top) - math.log(s_split)) / _LOG4 if s_split else 0.0
+        anchors = (2.0 * lam0 - s_hi, lam0,
+                   *np.ldexp(s_split, 2 * np.arange(1, steps, dtype=int)),
+                   *np.linspace(max(2.0 * lam0 - s_hi, s_split), s_hi, 21)[1:-1])
         rule = refine_panels(mixdens, s_split, s_hi, quad, initial_panels=32,
-                             split_at=(2.0 * lam0 - s_hi, lam0))
+                             split_at=anchors)
         s, w = rule.nodes, rule.weights * mixdens(rule.nodes)
         if s.size:
             # the mass above s_hi, in closed form, joins the last node, the

@@ -40,17 +40,24 @@ def gauss_panels(edges):
 def log_s_quad(f, lam0):
     """int f(s) [phi(s - lam0) + phi(s + lam0)] ds over s in [1e-14, lam0 + 9]
     (s = sqrt(W), W ~ chi2_1(lam0^2)), by adaptive quadrature in log s with
-    a breakpoint at lam0, where the mixing density peaks.  A NaN from f
-    counts as 0: scipy's noncentral laws give NaN at noncentralities near
-    1e20 and beyond, where the conditional kernels have underflowed."""
+    breakpoints across the mixing density's bump (``_bump_points``).  A NaN
+    from f counts as 0: scipy's noncentral laws give NaN at noncentralities
+    near 1e20 and beyond, where the conditional kernels have underflowed."""
     def integrand(ls):
         s = math.exp(ls)
         return np.nan_to_num(f(s)) * (normal_pdf(s - lam0)
                                       + normal_pdf(s + lam0)) * s
     lo, hi = math.log(1e-14), math.log(lam0 + 9.0)
-    points = [math.log(lam0)] if lam0 > 1e-14 else None
-    return integrate.quad(integrand, lo, hi, points=points, limit=4000,
-                          epsabs=0.0, epsrel=1e-12)[0]
+    return integrate.quad(integrand, lo, hi, points=_bump_points(lam0, 1e-14),
+                          limit=4000, epsabs=0.0, epsrel=1e-12)[0]
+
+
+def _bump_points(lam0, lo, *more):
+    """log of lam0 - 9, lam0 - 3, lam0, lam0 + 3 and ``more``, those above
+    ``lo``: in log s the bump of phi(s - lam0) narrows like 1/lam0, and
+    from lam0 ~ 200 quad, given only log lam0, missed half of it."""
+    return [math.log(p) for p in (lam0 - 9.0, lam0 - 3.0, lam0, lam0 + 3.0,
+                                  *more) if lo < p < lam0 + 9.0]
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +225,12 @@ def noncentral_t_oracle(kind, nu, d, lam0, t):
     """The t^2 (kind "tsq", at u = t) or signed-t CDF at t, as an E_W
     quadrature of the closed form given s, mixed over s with density
     phi(s - lam0) + phi(s + lam0) by scipy's adaptive quad in log s, with
-    breakpoints at lam0 and d/20.  Given s, with phi = d/s and r = sqrt(W)
-    ~ chi_nu, the t^2 CDF is E[Phi(sqrt(t/nu) r - phi) - Phi(-sqrt(t/nu) r
-    - phi)] and the signed-t CDF E[Phi(t r/sqrt(nu) - phi)]; each takes
-    16-point Gauss-Legendre panels in r that resolve both the chi density
-    and the step at r = phi/c, c the slope of r."""
+    breakpoints across its bump (``_bump_points``) and at d/20.  Given s,
+    with phi = d/s and r = sqrt(W) ~ chi_nu, the t^2 CDF is
+    E[Phi(sqrt(t/nu) r - phi) - Phi(-sqrt(t/nu) r - phi)] and the signed-t
+    CDF E[Phi(t r/sqrt(nu) - phi)]; each takes 16-point Gauss-Legendre
+    panels in r that resolve both the chi density and the step at
+    r = phi/c, c the slope of r."""
     r_lo = math.sqrt(2.0 * special.gammaincinv(0.5 * nu, 1e-16))
     r_hi = math.sqrt(2.0 * special.gammainccinv(0.5 * nu, 1e-16))
     log_norm = (0.5 * nu - 1.0) * math.log(2.0) + special.gammaln(0.5 * nu)
@@ -245,7 +253,7 @@ def noncentral_t_oracle(kind, nu, d, lam0, t):
         dens = math.exp(-0.5 * (s - lam0) ** 2) + math.exp(-0.5 * (s + lam0) ** 2)
         return (wr @ f) * s * dens / _SQRT_2PI
     lo, hi = math.log(1e-13), math.log(lam0 + 9.0)
-    points = [math.log(p) for p in (lam0, d / 20.0) if 1e-13 < p < lam0 + 9.0]
+    points = _bump_points(lam0, 1e-13, d / 20.0)
     return integrate.quad(given_log_s, lo, hi, points=points, epsabs=1e-11,
                           epsrel=0.0, limit=200)[0]
 

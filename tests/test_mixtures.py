@@ -126,6 +126,38 @@ def dense_series_coefs(core, root_d, j):
                   -special.gammaln(j + 1.5)))
 
 
+# lgamma's Stirling series: B_2k / (2k (2k - 1)), k = 1..10
+STIRLING = [(1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
+            (-691, 360360), (1, 156), (-3617, 122400), (43867, 244188),
+            (-174611, 125400)]
+DECIMAL_PI = decimal.Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def decimal_lgamma(z):
+    """lgamma(z) in the current decimal context: Stirling's series at
+    z + n >= 60 (the next term is below 1e-36 there), less log z + ... +
+    log(z + n - 1)."""
+    z, shift = decimal.Decimal(z), decimal.Decimal(0)
+    while z < 60:
+        shift += z.ln()
+        z += 1
+    series = sum(decimal.Decimal(p) / q / z ** (2 * k + 1)
+                 for k, (p, q) in enumerate(STIRLING))
+    return ((z - decimal.Decimal("0.5")) * z.ln() - z
+            + (2 * DECIMAL_PI).ln() / 2 + series - shift)
+
+
+def gamma_density_error(m, w, log_density):
+    """|e^{log_density} / g - 1|, g the density of w = log(y/m), y ~ Gamma(m),
+    y^m e^{-y}/Gamma(m), at y = m e^w, in 50-digit decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        dm, dw = decimal.Decimal(m), decimal.Decimal(w)
+        log_g = dm * dm.ln() + dm * dw - dm * dw.exp() - decimal_lgamma(dm)
+        return abs(float((decimal.Decimal(log_density) - log_g).exp() - 1))
+
+
 def graded_norm(pdf, lo, hi, *, log_from=None, order=16):
     """Integrate a pdf over [lo, hi] on panels graded logarithmically near the
     lower edge when requested (resolves scale-proportional mixture spikes)."""
@@ -269,12 +301,24 @@ class TestVarianceMixture:
     @pytest.mark.parametrize("w", [-0.9, -0.25, -0.2499, -1e-3, -1e-9, 0.0,
                                    1e-12, 1e-4, 0.1, 0.2499, 0.25, 0.7, 3.0])
     def test_expm1_minus_w(self, w):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            d = decimal.Decimal(w)
-            want = float(d.exp() - 1 - d)
-        got = mx._expm1_minus(np.array([w]))[0]
-        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        # the density's one term in w, m (expm1(w) - w), at m = 5: a series
+        # took it below |w| = 0.25, where expm1(w) - w loses its relative
+        # accuracy but not the absolute accuracy the density needs
+        m = 5.0
+        got = mx._GammaKernel(2.0 * m).log_pdf(np.array([w]))[0]
+        assert gamma_density_error(m, w, got) <= 16.0 * math.sqrt(m) * 2.0 ** -52 + 1e-13
+
+    @pytest.mark.parametrize("m", [0.5, 5.0, 5e4, 5e5])
+    def test_log_density_against_decimal(self, m):
+        # w over +-8 sds (1/sqrt(m) each) where m (e^w - 1 - w) <= 32, a
+        # Gaussian's level at 8 sds (that clips w above only at small m);
+        # the lgamma form exp(m log y - y - lgamma(m)) read 1.2e-9 off at
+        # m = 5e5
+        w = np.linspace(-8.0, 8.0, 401) / math.sqrt(m)
+        w = w[m * (np.expm1(w) - w) <= 32.0]
+        got = mx._GammaKernel(2.0 * m).log_pdf(w)
+        err = max(gamma_density_error(m, wi, gi) for wi, gi in zip(w, got))
+        assert err <= 16.0 * math.sqrt(m) * 2.0 ** -52 + 1e-13
 
     def test_stochastic_ordering_in_lambda(self):
         cdfs = [variance_mixture(10, lam).cdf(20.0) for lam in (1.0, 4.0, 9.0)]
@@ -1073,6 +1117,25 @@ class TestExtremeRule:
         ext = law._core.ext
         assert ext._w.size <= 0.2 * ext._x.size
 
+    def test_pdf_kernel_against_decimal(self):
+        # U f(U) = y^m e^{-y}/Gamma(m) at m = 5e5, y = m v^2/U over m
+        # e^{+-8/sqrt(m)}, against its value at the exact y of each float
+        # (v, U); exp(m log y - y - lgamma(m)) read 1.2e-9 off
+        m = 5e5
+        ext = tsq_mixture(2.0 * m, 1e8, 1.0)._core.ext
+        v = 30.0
+        u = v * v / np.exp(np.linspace(-8.0, 8.0, 401) / math.sqrt(m))
+        got = ext._kernel(np.array([v]), u, True)[0]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            dm, lg = decimal.Decimal(m), decimal_lgamma(decimal.Decimal(m))
+            err = 0.0
+            for ui, gi in zip(u, got):
+                y = dm * decimal.Decimal(v) ** 2 / decimal.Decimal(ui)
+                g = (dm * y.ln() - y - lg).exp()
+                err = max(err, abs(float(decimal.Decimal(gi) / g - 1)))
+        assert err <= 1e-12
+
     def test_no_rule_when_the_mass_below_split_is_negligible(self):
         # lam0 = 40 and s_split = D/20 = 0.5: P[s < s_split] is far below
         # 1e-3 abs_tol
@@ -1104,12 +1167,12 @@ class TestClosedFormQ:
         for nu in range(1, 2 * mx._Q_SUM_MAX + 1):
             y = self.band(nu, 1e-13, 401)
             want = special.gammaincc(nu / 2.0, y)
-            assert np.max(np.abs(mx._upper_gamma(float(nu), y) - want)) <= 1e-14, nu
+            assert np.max(np.abs(mx._GammaKernel(float(nu)).upper(y) - want)) <= 1e-14, nu
 
     @pytest.mark.parametrize("nu", [10.5, 2.0 * mx._Q_SUM_MAX + 1.0])
     def test_gammaincc_serves_elsewhere(self, nu):
         y = self.band(nu, 1e-13, 101)
-        assert np.array_equal(mx._upper_gamma(nu, y.copy()),
+        assert np.array_equal(mx._GammaKernel(nu).upper(y.copy()),
                               special.gammaincc(nu / 2.0, y))
 
     @pytest.mark.parametrize("nu", [1.0, 2.0, 11.0, 200.0])
@@ -1336,8 +1399,42 @@ class TestAdaptiveRule:
 
     @pytest.mark.parametrize("delta0,lambda0", [(0.3, 1.0), (-0.5, 3.0)])
     def test_s_rule_keeps_1024_nodes(self, delta0, lambda0):
-        # the s-rule certifies its mass only, from 32 initial panels
-        assert signed_t_mixture(10, delta0, lambda0)._core.s.size == 1024
+        # the s-rule certifies its mass only, from 32 initial panels and its
+        # anchors: at most 1024 nodes, carrying the mass above s_split
+        core = signed_t_mixture(10, delta0, lambda0)._core
+        assert core.s.size <= 1024
+        assert core.w.sum() == pytest.approx(1.0 - core.ext._mass,
+                                             abs=QuadSpec().abs_tol)
+
+    @pytest.mark.parametrize("nu,delta0,lambda0,t", [
+        (10, 0.1, 0.0, 6.986), (10, 0.01, 0.0, 1.0), (3, 0.01, 0.0, 2.0),
+        (10, 0.03, 1.0, 3.0), (10, 1e-8, 1.0, 1.0), (10, 1e-6, 1.0, 1.0),
+        (10, 1e-4, 1.0, 1.0), (10, 1e-3, 1.0, 1.0)])
+    def test_s_rule_at_small_noncentrality(self, nu, delta0, lambda0, t):
+        # refined on the mass alone, the s-rule left the series coefficients
+        # unresolved near s_split: up to 1.9e-5 off at these points
+        law = signed_t_mixture(nu, delta0, lambda0)
+        assert law.cdf(t) == pytest.approx(
+            noncentral_t_oracle("signed", nu, delta0, lambda0, t), abs=1e-9)
+
+    def test_s_rule_at_small_noncentrality_tsq(self):
+        # F(1, 10)'s 95% point at delta = 1e-4 read 1.6e-6 off
+        law = tsq_mixture(10, 1e-4, 0.0)
+        assert law.cdf(CRIT) == pytest.approx(
+            noncentral_t_oracle("tsq", 10, 0.01, 0.0, CRIT), abs=1e-9)
+
+    def test_s_rule_on_a_seeded_sweep(self):
+        # 28 of these 40 points read more than 1e-9 off, the worst 1.7e-4
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            nu = int(rng.choice([1, 3, 10, 30, 100]))
+            d0 = float(np.exp(rng.uniform(math.log(1e-8), math.log(40.0))))
+            lam0 = (0.0 if rng.random() < 0.5 else
+                    float(np.exp(rng.uniform(math.log(0.01), math.log(100.0)))))
+            t = float(rng.uniform(-3.0, 8.0))
+            assert signed_t_mixture(nu, d0, lam0).cdf(t) == pytest.approx(
+                noncentral_t_oracle("signed", nu, d0, lam0, t), abs=1e-9), (
+                nu, d0, lam0, t)
 
     @pytest.mark.parametrize("params", [octane_params()] + moment_table_params()
                              + [LOG_SPIKE])

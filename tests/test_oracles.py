@@ -8,8 +8,9 @@ import types
 import pytest
 from scipy import integrate, special, stats
 
-from oracles import (mean_cdf_over_t, mean_cdf_over_x, noncentral_t_oracle,
-                     variance_cdf_oracle, variance_pdf_oracle)
+from oracles import (log_s_quad, mean_cdf_over_t, mean_cdf_over_x,
+                     noncentral_t_oracle, variance_cdf_oracle,
+                     variance_pdf_oracle)
 
 
 @pytest.mark.parametrize("t", [-3.0, 0.5, 2.0, 6.0])
@@ -23,6 +24,24 @@ def test_signed_t_at_zero_noncentrality_is_student_t(t):
 def test_tsq_at_zero_noncentrality_is_central_f(u):
     assert noncentral_t_oracle("tsq", 10, 0.0, 1.0, u) == pytest.approx(
         stats.f.cdf(u, 1, 10), abs=1e-12)
+
+
+@pytest.mark.parametrize("lam0", [0.0, 1.0, 100.0, 200.0, 1e3, 1e4, 1e6])
+def test_slope_quadrature_holds_the_mass(lam0):
+    # with a breakpoint at lam0 alone, quad missed half the bump from
+    # lam0 = 200 up
+    assert log_s_quad(lambda s: 1.0, lam0) == pytest.approx(1.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("lam0", [200.0, 1e3, 1e4])
+def test_zero_noncentrality_at_large_lam0(lam0):
+    # 0.46 and 0.47 off Student t(10) and F(1, 10) from lam0 = 200 up
+    for t in (-3.0, 0.5, 2.0, 6.0):
+        assert noncentral_t_oracle("signed", 10, 0.0, lam0, t) == pytest.approx(
+            stats.t.cdf(t, 10), abs=1e-11)
+    for u in (0.3, 4.96, 40.0):
+        assert noncentral_t_oracle("tsq", 10, 0.0, lam0, u) == pytest.approx(
+            stats.f.cdf(u, 1, 10), abs=1e-11)
 
 
 @pytest.mark.parametrize("oracle", [mean_cdf_over_t, mean_cdf_over_x])
