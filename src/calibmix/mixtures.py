@@ -45,14 +45,19 @@ betainc elsewhere.  Their derivatives sum one exp table per block of terms.
 The v-rule sums each series block in runs of points bounded in log u by
 its kernel's edge width.  Every law evaluates its points in fixed blocks,
 and each block finishes its node x point or term x point table in place,
-so memory stays bounded whatever the grid size.  The mean, variance and
+so memory stays bounded whatever the grid size.  The CDF and pdf series
+build each term x point table alike, as one (terms x 3) @ (3 x points)
+product of affine exponents (``_term_table``).  The mean, variance and
 v-rules share one sum (``_NodeSum``): a block sums its kernel only on the
 node rows that closed-form tail bounds do not hold within 1e-3 abs_tol /
 (the rule's mixing mass) of 0 or 1 over the block, and counts a CDF row
 held near 1 as its weight, so each value moves by at most 1e-3 abs_tol.
-The blocks, fixed by the input alone, run on every CPU the process may use
-through ``parallel.thread_map`` (the Monte Carlo engine's helper too), so
-the tables are the same bits on any CPU count.
+The mean and variance laws form the per-node constants their kernels read
+(t mu_z, sd(t) and sd(t) sqrt(2 pi); V) once per law, and a block reads
+those of its band rows.  The blocks, fixed by the input alone, run on the
+calling thread and the process's block workers through
+``parallel.thread_map`` (the Monte Carlo engine's helper too), so the
+tables are the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -295,10 +300,14 @@ class _NodeSum:
     """Weighted nodes ``_x``, ``_w`` carrying the mixing mass ``_mass``, and
     a conditional kernel pair ``_kernel(x, u, want_pdf)`` (pdf or CDF, shape
     (len(x), len(u))) of an argument ``_argument(x, u)`` that rises with u,
-    summed by ``_sum``: the rule laws and the noncentral-t v-rule."""
+    summed by ``_sum``: the rule laws and the noncentral-t v-rule.  The
+    kernels take x as node coordinates, or, where the law keeps them
+    (``_consts``), as the records of per-node constants they read, formed
+    once per law by ``_constants(x)``."""
 
     _skip_from = 0            # blocks of fewer points sum every row
     _block_doubles = _TABLE   # the most doubles in one kernel table
+    _consts = None            # per-node records, if any, in place of ``_x``
 
     @functools.cached_property
     def _skip_edges(self):
@@ -326,9 +335,11 @@ class _NodeSum:
         ``where=`` segfault with numpy 2.4.6 and scipy 1.17.1.  The weights
         ``_w`` may cover a prefix of the nodes ``_x`` only (the v-rule
         weights its nodes on demand, on other threads too): the sum reads
-        ``_w`` once and the nodes it weights."""
+        ``_w`` once and the nodes it weights.  The kernels read the band
+        rows of ``_consts`` where the law keeps them, so a block recomputes
+        no per-node constant."""
         w = self._w
-        x = self._x[:w.size]
+        x = (self._x if self._consts is None else self._consts)[:w.size]
         if u.size < self._skip_from:
             return w @ self._kernel(x, u, want_pdf)
         lo, hi = self._argument(x, np.array([np.min(u), np.max(u)])).T
@@ -352,7 +363,8 @@ class _RuleLaw(_NodeSum, _MixtureLaw):
     that ``refine_panels`` sums the mass and each probe per panel; each
     pdf probe holds to abs_tol or to rel_tol of itself.  The row-skip edges
     come at the first block of _SKIP_FROM points, so that scalar and
-    ``ppf`` calls alone never pay for them."""
+    ``ppf`` calls alone never pay for them.  The nodes' kernel constants
+    (``_constants``) are formed once, after the rule."""
 
     _skip_from = _SKIP_FROM
 
@@ -367,6 +379,7 @@ class _RuleLaw(_NodeSum, _MixtureLaw):
         self._x = rule.nodes
         self._w = rule.weights * self._mixing_pdf(rule.nodes)
         self._mass = float(self._w.sum())
+        self._consts = self._constants(self._x)
         self._block = min(_POINT_BLOCK, _BLOCK_SIZE // self._x.size)
         self._block_doubles = self._block * self._x.size
 
@@ -454,25 +467,39 @@ class MeanMixture(_RuleLaw):
         sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)
         return p.beta0 + t * p.mu_z, sd
 
+    _NODE = np.dtype([("shift", float), ("sd", float), ("scale", float)])
+
+    def _constants(self, y):
+        """What the kernels read of nodes y, as records (records pass as
+        they are): t mu_z, sd(t) and sd(t) sqrt(2 pi), t = c + sigma1 y."""
+        if y.dtype.names:
+            return y
+        p = self._mix
+        rows = np.empty(y.shape, self._NODE)
+        rows["shift"] = (self._c + p.sigma1 * y) * p.mu_z
+        rows["sd"] = self._conditional(y)[1]
+        rows["scale"] = rows["sd"] * math.sqrt(2.0 * math.pi)
+        return rows
+
     def _argument(self, y, u):
         """z = (u - mean(t)) / sd(t), node x point."""
-        p = self._mix
-        t = self._c + p.sigma1 * y
+        rows = self._constants(y)
         # u - beta0 first: exact near beta0, where sigma0 = 0 puts a spike
-        z = np.subtract((u - p.beta0)[None, :], (t * p.mu_z)[:, None])
-        z /= self._conditional(y)[1][:, None]
+        z = np.subtract((u - self._mix.beta0)[None, :], rows["shift"][:, None])
+        z /= rows["sd"][:, None]
         return z
 
     def _kernel(self, y, u, want_pdf):
         # z is the block's one node x point array; the kernel finishes in it
-        z = self._argument(y, u)
+        rows = self._constants(y)
+        z = self._argument(rows, u)
         if not want_pdf:
             return sp.ndtr(z, out=z)
         with np.errstate(over="ignore"):    # |z| past 1e154: the pdf is 0
             z *= z
         z *= -0.5
         np.exp(z, out=z)
-        z /= self._conditional(y)[1][:, None] * math.sqrt(2.0 * math.pi)
+        z /= rows["scale"][:, None]
         return z
 
     def _edges(self, d):
@@ -506,6 +533,14 @@ def mean_mixture(p: MixtureParams, quad: QuadSpec = QuadSpec()) -> MeanMixture:
 # largest m = nu/2 whose Q takes the finite sums: 0.8 ns per term and
 # entry against gammaincc's 200-290 ns per entry cross near m = 300
 _Q_SUM_MAX = 256
+# from m = nu/2 = _EXPM1_SERIES_M, expm1(w) - w takes its Taylor series
+# w^2/2! + ... + w^12/12! at |w| <= 0.25 (the next term is below 1e-16 of
+# the sum there): plain, it rounds by eps |w|, which m multiplies to eps
+# sqrt(m) per sd of w, and the variance rule refines on that noise at the
+# floor from nu ~ 1e13.  Below, the v-rule's pdf tables skip the series.
+_EXPM1_SERIES_M = 1e6
+_EXPM1_SERIES_W = 0.25
+_EXPM1_COEFS = [1.0 / math.factorial(k) for k in range(12, 1, -1)]
 
 
 class _GammaKernel:
@@ -513,7 +548,9 @@ class _GammaKernel:
     m = nu/2: the log density of w = log(y/m), Q(m, y), quantiles and edges.
     w's density y^m e^{-y}/Gamma(m) is 1/2 log m - log(2 pi)/2 - R(m) -
     m (expm1(w) - w), R Stirling's remainder (DLMF 5.11), so no term of
-    order m log m cancels; it rounds by about eps sqrt(m) per sd of w."""
+    order m log m cancels; it rounds by about eps sqrt(m) per sd of w, and
+    from m = _EXPM1_SERIES_M, where expm1(w) - w takes its Taylor series
+    near 0, by about eps per sd of w."""
 
     def __init__(self, nu):
         self.m = 0.5 * nu
@@ -524,7 +561,16 @@ class _GammaKernel:
         self.isf = functools.partial(sp.gammainccinv, self.m)
 
     def log_pdf(self, w):
-        return self._log_peak - self.m * (np.expm1(w) - w)
+        d = np.expm1(w) - w
+        if self.m >= _EXPM1_SERIES_M:
+            near = np.abs(w) <= _EXPM1_SERIES_W
+            wn = w[near]
+            series = np.zeros_like(wn)
+            for c in _EXPM1_COEFS:
+                series *= wn
+                series += c
+            d[near] = series * wn * wn
+        return self._log_peak - self.m * d
 
     def upper(self, y):
         """Q(m, y) in y's place: e^{-y} sum_{i<m} y^i/i! at whole m, erfc(sqrt
@@ -612,12 +658,24 @@ class VarianceMixture(_RuleLaw):
         """V = 2a e^w = nu e^w at the rule's coordinate z."""
         return self.nu * np.exp(np.asarray(z) / math.sqrt(self._gamma.m))
 
+    _NODE = np.dtype([("v", float)])
+
+    def _constants(self, z):
+        """What the kernels read of nodes z, as records (records pass as
+        they are): V."""
+        if z.dtype.names:
+            return z
+        rows = np.empty(z.shape, self._NODE)
+        rows["v"] = self._v(z)
+        return rows
+
     def _root(self, z, u):
         """r = sqrt(u/V) (0 at u <= 0), node x point, as both kernels form it."""
         # u/V past the largest float (u near it, V < 1) is inf, where both
         # kernels read their limits, CDF 1 and pdf 0
         with np.errstate(over="ignore"):
-            r = np.divide(np.clip(u, 0.0, None)[None, :], self._v(z)[:, None])
+            r = np.divide(np.clip(u, 0.0, None)[None, :],
+                          self._constants(z)["v"][:, None])
         return np.sqrt(r, out=r)
 
     def _argument(self, z, u):
@@ -627,22 +685,23 @@ class VarianceMixture(_RuleLaw):
         return r
 
     def _kernel(self, z, u, want_pdf):
+        rows = self._constants(z)
+        v = rows["v"]
         if want_pdf:
-            v = self._v(z)[:, None]
             with np.errstate(over="ignore"):    # as in _root: the pdf is 0
-                w = u[None, :] / v
+                w = u[None, :] / v[:, None]
             out = ser.nc_chisq1_pdf(w, self.lam, overwrite_w=True)
-            out /= v
+            out /= v[:, None]
             return out
         # r = sqrt(u/V) once per block; both tails finish in place
-        r = self._root(z, u)
+        r = self._root(rows, u)
         lam0 = math.sqrt(self.lam)
         # below r = cut the tails' difference cancels, and K takes its
         # series in r instead (checked on u, so that blocks that cannot
         # reach it pay nothing)
         cut = _VAR_SERIES_R / max(1.0, lam0)
         small = None
-        v_max = np.max(self._v(z), initial=0.0)
+        v_max = np.max(v, initial=0.0)
         if np.min(u, initial=np.inf) < cut * cut * v_max:
             small = r < cut
             r_small = r[small]
@@ -1020,6 +1079,14 @@ def _betainc(p, b, x, y, block):
     return out
 
 
+def _term_table(rows, cols):
+    """exp(rows @ cols): the series terms x points table of exponents
+    affine in a few per-point logs, (terms x k) @ (k x points) in one
+    product, then exp in place (about 5x faster than into a new array)."""
+    t = rows @ cols
+    return np.exp(t, out=t)
+
+
 def _beta_series(coefs, a, b, x, y, tol, law):
     """sum_j c_j I_x(j + a, b) per x, certified to tol: I_x falls as j grows,
     so the coefficient mass not yet reached times the next I_x bounds the
@@ -1037,8 +1104,14 @@ def _beta_series(coefs, a, b, x, y, tol, law):
     I_x per point per block from that rung on."""
     out = np.zeros_like(x)
     active = np.arange(x.size)
+    # log t_c = c log x + b log y - log(c B(c, b)): (c, 1, -log den) @ cols,
+    # with log x floored at x = 0, so that the product meets no inf there
+    cols = np.ones((3, x.size))             # log x, b log y, 1
     with np.errstate(divide="ignore"):
-        log_x, log_y = np.log(x), np.log(y)
+        np.log(x, out=cols[0])
+        np.log(y, out=cols[1])
+    np.maximum(cols[0], -1e300, out=cols[0])
+    cols[1] *= b
 
     lowest = np.argsort(x)[:1]          # none when x is empty
     j_hi = _MIN_TERMS
@@ -1050,16 +1123,16 @@ def _beta_series(coefs, a, b, x, y, tol, law):
     while True:
         c = coefs.upto(j_hi)[j_done:]
         k = np.arange(j_done, j_hi) + a
-        log_den = coefs.log_den(a, b).upto(j_hi)[j_done:, None]
+        rows = np.ones((k.size, 3))             # k, 1, -log den
+        rows[:, 0] = k
+        rows[:, 2] = -coefs.log_den(a, b).upto(j_hi)[j_done:]
         end = _betainc(j_hi + a, b, x[active], y[active], x.size)
         c_sum, c_cum = c.sum(), np.cumsum(c)
         step = max(1, _TABLE // k.size)      # points per table chunk
         for i in range(0, active.size, step):
-            cols = active[i:i + step]
-            t = np.multiply.outer(k, log_x[cols])      # log t_c, in place
-            t += b * log_y[cols]
-            t -= log_den
-            out[cols] += c_sum * end[i:i + step] + c_cum @ np.exp(t, out=t)
+            pts = active[i:i + step]
+            out[pts] += c_sum * end[i:i + step] + c_cum @ _term_table(
+                rows, cols[:, pts])
         active = active[end * coefs.left_after(j_hi) > tol]
         if active.size == 0:
             return out
@@ -1135,8 +1208,7 @@ def _beta_density(parts, b, args, lead, tol, rel_tol):
             step = max(1, _TABLE // len(rows))      # points per table chunk
             for at in range(0, active.size, step):
                 pts = active[at:at + step]
-                t = rows @ cols[:, pts]
-                np.exp(t, out=t)  # in place: about 5x faster than a new array
+                t = _term_table(rows, cols[:, pts])
                 for i, c_i in enumerate(c):
                     outs[i, pts] += c_i @ t[i::len(parts)]
             # each first-part sum will end below outs[0] + bound

@@ -166,8 +166,12 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
     interior = sorted(p for p in split_at if lo < p < hi)
     anchors = [lo] + interior + [hi]
     n = max(1, initial_panels // (len(anchors) - 1))
-    edges = np.unique(np.concatenate([np.linspace(a, b, n + 1)
-                                      for a, b in zip(anchors, anchors[1:])]))
+    # np.linspace(a, b, n + 1) on every segment [a, b] at once, in its
+    # arithmetic (k ((b - a)/n) + a, the last edge b), so in its bits
+    ends = np.array(anchors, dtype=float)
+    edges = np.arange(n + 1.0) * (np.diff(ends) / n)[:, None] + ends[:-1, None]
+    edges[:, -1] = ends[1:]
+    edges = np.unique(edges)
     x, w = _leggauss(_GL_ORDER)
 
     def measure_block(a, b, whole):

@@ -308,6 +308,28 @@ class TestVarianceMixture:
         got = mx._GammaKernel(2.0 * m).log_pdf(np.array([w]))[0]
         assert gamma_density_error(m, w, got) <= 16.0 * math.sqrt(m) * 2.0 ** -52 + 1e-13
 
+    @pytest.mark.parametrize("m", [1e6, 5e9, 5e15])
+    def test_log_density_at_huge_m_against_decimal(self, m):
+        # from m = 1e6, expm1(w) - w takes its Taylor series near 0: plain,
+        # it rounds by eps |w|, which m turns into eps sqrt(m) per sd of w
+        # (about 2e-10 at m = 5e9)
+        w = np.linspace(-8.0, 8.0, 201) / math.sqrt(m)
+        got = mx._GammaKernel(2.0 * m).log_pdf(w)
+        assert max(gamma_density_error(m, wi, gi)
+                   for wi, gi in zip(w, got)) <= 1e-13
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("abs_tol", [1e-11, 1e-10, 1e-9])
+    @pytest.mark.parametrize("nu", [10 ** k for k in range(12, 17)])
+    def test_huge_nu_certifies_on_few_nodes(self, nu, abs_tol):
+        # the rule refined on the rounding of plain expm1(w) - w: past 8192
+        # panels at nu = 1e16 and abs_tol 1e-10 or 1e-11
+        vm = variance_mixture(nu, 1.0, QuadSpec(abs_tol=abs_tol))
+        assert vm._x.size <= 256
+        for u in vm.ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
+            assert vm.cdf(u) == pytest.approx(
+                variance_cdf_over_v(nu, 1.0, u), abs=1e-9)
+
     @pytest.mark.parametrize("m", [0.5, 5.0, 5e4, 5e5])
     def test_log_density_against_decimal(self, m):
         # w over +-8 sds (1/sqrt(m) each) where m (e^w - 1 - w) <= 32, a
@@ -1299,6 +1321,33 @@ class TestBetaSeries:
         want = betainc_series(coefs(), a, nu / 2.0, x, 1e-12, mx._MIN_TERMS)
         assert np.max(np.abs(got - want)) <= 1e-13
 
+    @staticmethod
+    def three_passes(rows, cols):
+        """exp of the CDF terms' exponents formed as k (x) log x, then
+        + b log y, then - log den (rows (k, 1, -log den), cols (log x,
+        b log y, 1))."""
+        t = np.multiply.outer(rows[:, 0], cols[0])
+        t += cols[1]
+        t += rows[:, 2:]
+        return np.exp(t, out=t)
+
+    @pytest.mark.parametrize("build,grid", [
+        (lambda: tsq_mixture(10, 3.0, 8.0), np.linspace(0.05, 60.0, 34000)),
+        (lambda: tsq_mixture(10, 3.0, 8.0, FLOOR), np.linspace(0.05, 60.0, 34000)),
+        (lambda: tsq_mixture(9, 3.0, 8.0), np.linspace(0.05, 60.0, 34000)),
+        (lambda: tsq_mixture(80, 3.0, 8.0), np.linspace(0.05, 60.0, 34000)),
+        (lambda: tsq_mixture(10, 3.0, 8.0), np.linspace(0.05, 1e6, 20000)),
+        (lambda: signed_t_mixture(10, 1.7, 3.2), np.linspace(-20.0, 200.0, 20000)),
+    ], ids=["tsq", "tsq-floor", "tsq-odd", "tsq-nu80", "tsq-wide", "signed"])
+    def test_term_table_in_one_product(self, build, grid):
+        # the CDF series build their term table as the pdf series do, one
+        # (terms x 3) @ (3 x points) product, which rounds unlike the three
+        # passes (by up to 2.2e-16 seen)
+        law = build()
+        cdf = law.cdf(grid)
+        with mock.patch.object(mx, "_term_table", self.three_passes):
+            assert np.max(np.abs(law.cdf(grid) - cdf)) <= 1e-15
+
 
 class TestSeriesCoefs:
     @settings(max_examples=30, deadline=None)
@@ -1518,6 +1567,31 @@ class TestInPlaceKernels:
         with np.errstate(divide="ignore", invalid="ignore"):
             want = np.where(w > 0, half_normal / (2.0 * root), 0.0) / v
         assert np.array_equal(vm._kernel(z, u, True), want)
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["dense", "shuffled"])
+    @pytest.mark.parametrize("build", [
+        lambda: mean_mixture(octane_params()), lambda: mean_mixture(SPIKE),
+        lambda: variance_mixture(10, OCT_LAM), lambda: variance_mixture(1, 400.0),
+        lambda: variance_mixture(3, 0.0)],
+        ids=["octane", "spike", "variance-octane", "variance-1-400",
+             "variance-3-0"])
+    def test_sums_on_node_constants_keep_the_bits(self, build, shuffled):
+        # the kernels read the per-node constants formed once per law: a
+        # block that sums every row is w @ kernel(x, u) on the coordinates,
+        # and one that skips rows the sum that forms them again per block
+        law = build()
+        u = np.linspace(*law.support(), 3 * law._block + 77)
+        if shuffled:
+            u = np.random.default_rng(11).permutation(u)
+        blocks = [u[i:i + law._block] for i in range(0, u.size, law._block)]
+        few = u[:law._skip_from - 1]
+        for want_pdf in (True, False):
+            assert np.array_equal(law._sum(few, want_pdf),
+                                  law._w @ law._kernel(law._x, few, want_pdf))
+            got = [law._sum(b, want_pdf) for b in blocks]
+            with mock.patch.object(law, "_consts", None):
+                want = [law._sum(b, want_pdf) for b in blocks]
+            assert all(map(np.array_equal, got, want))
 
 
 def skip_budget(law):

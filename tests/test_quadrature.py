@@ -298,6 +298,26 @@ class TestRefinePanels:
         with pytest.raises(ValueError):
             refine_panels(bump, 1.0, -1.0, self.quad)
 
+    def test_first_panels_are_linspace_bits(self):
+        # the segments' first edges come in one expression, in np.linspace's
+        # arithmetic: the bits of one linspace per segment, on 2000 random
+        # anchor sets (a constant integrand keeps the first panels, whose
+        # halves the rule returns)
+        rng = np.random.default_rng(37)
+        for _ in range(2000):
+            n, segments = int(rng.integers(1, 40)), int(rng.integers(1, 26))
+            anchors = rng.uniform(-1e3, 1e3) + np.cumsum(
+                10.0 ** rng.uniform(-5.0, 5.0, segments + 1))
+            edges = np.unique(np.concatenate([
+                np.linspace(a, b, n + 1)
+                for a, b in zip(anchors, anchors[1:])]))
+            a, b = edges[:-1], edges[1:]
+            rule = refine_panels(np.ones_like, anchors[0], anchors[-1],
+                                 self.quad, initial_panels=n * segments,
+                                 split_at=tuple(anchors[1:-1]))
+            assert np.array_equal(rule.edges, np.unique(
+                np.concatenate([a, 0.5 * (a + b), b])))
+
     def test_raises_at_panel_cap(self, monkeypatch):
         monkeypatch.setattr(qd, "_MAX_PANELS", 32)
         with pytest.raises(AccuracyError, match="32 panels"):
