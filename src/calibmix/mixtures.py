@@ -52,12 +52,12 @@ v-rules share one sum (``_NodeSum``): a block sums its kernel only on the
 node rows that closed-form tail bounds do not hold within 1e-3 abs_tol /
 (the rule's mixing mass) of 0 or 1 over the block, and counts a CDF row
 held near 1 as its weight, so each value moves by at most 1e-3 abs_tol.
-The mean and variance laws form the per-node constants their kernels read
-(t mu_z, sd(t) and sd(t) sqrt(2 pi); V) once per law, and a block reads
-those of its band rows.  The blocks, fixed by the input alone, run on the
-calling thread and the process's block workers through
-``parallel.thread_map`` (the Monte Carlo engine's helper too), so the
-tables are the same bits on any CPU count.
+The mean and variance laws keep, as their nodes, the per-node constants
+their kernels read (t mu_z, sd(t) and sd(t) sqrt(2 pi); V), formed once
+per law, and a block reads those of its band rows.  The blocks, fixed by
+the input alone, run on the calling thread and the process's block
+workers through ``parallel.thread_map`` (the Monte Carlo engine's helper
+too), so the tables are the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -300,14 +300,11 @@ class _NodeSum:
     """Weighted nodes ``_x``, ``_w`` carrying the mixing mass ``_mass``, and
     a conditional kernel pair ``_kernel(x, u, want_pdf)`` (pdf or CDF, shape
     (len(x), len(u))) of an argument ``_argument(x, u)`` that rises with u,
-    summed by ``_sum``: the rule laws and the noncentral-t v-rule.  The
-    kernels take x as node coordinates, or, where the law keeps them
-    (``_consts``), as the records of per-node constants they read, formed
-    once per law by ``_constants(x)``."""
+    summed by ``_sum``: the rule laws and the noncentral-t v-rule.  ``_x``
+    is what the kernels read."""
 
     _skip_from = 0            # blocks of fewer points sum every row
     _block_doubles = _TABLE   # the most doubles in one kernel table
-    _consts = None            # per-node records, if any, in place of ``_x``
 
     @functools.cached_property
     def _skip_edges(self):
@@ -335,11 +332,9 @@ class _NodeSum:
         ``where=`` segfault with numpy 2.4.6 and scipy 1.17.1.  The weights
         ``_w`` may cover a prefix of the nodes ``_x`` only (the v-rule
         weights its nodes on demand, on other threads too): the sum reads
-        ``_w`` once and the nodes it weights.  The kernels read the band
-        rows of ``_consts`` where the law keeps them, so a block recomputes
-        no per-node constant."""
+        ``_w`` once and the nodes it weights."""
         w = self._w
-        x = (self._x if self._consts is None else self._consts)[:w.size]
+        x = self._x[:w.size]
         if u.size < self._skip_from:
             return w @ self._kernel(x, u, want_pdf)
         lo, hi = self._argument(x, np.array([np.min(u), np.max(u)])).T
@@ -363,23 +358,25 @@ class _RuleLaw(_NodeSum, _MixtureLaw):
     that ``refine_panels`` sums the mass and each probe per panel; each
     pdf probe holds to abs_tol or to rel_tol of itself.  The row-skip edges
     come at the first block of _SKIP_FROM points, so that scalar and
-    ``ppf`` calls alone never pay for them.  The nodes' kernel constants
-    (``_constants``) are formed once, after the rule."""
+    ``ppf`` calls alone never pay for them.  The rule's nodes are kept as
+    the per-node constants its kernels read (``_constants``: records for
+    the mean law, V for the variance law), formed once per law; the
+    integrand forms them for each panel's nodes."""
 
     _skip_from = _SKIP_FROM
 
     def _refine(self, anchors, cdf_u, pdf_u):
         def integrand(x):
+            rows = self._constants(x)
             return self._mixing_pdf(x)[:, None] * np.hstack([
-                np.ones((x.size, 1)), self._kernel(x, cdf_u, False),
-                self._kernel(x, pdf_u, True)])
+                np.ones((x.size, 1)), self._kernel(rows, cdf_u, False),
+                self._kernel(rows, pdf_u, True)])
 
         rule = refine_panels(integrand, *self._window, self.quad,
                              split_at=tuple(anchors))
-        self._x = rule.nodes
+        self._x = self._constants(rule.nodes)
         self._w = rule.weights * self._mixing_pdf(rule.nodes)
         self._mass = float(self._w.sum())
-        self._consts = self._constants(self._x)
         self._block = min(_POINT_BLOCK, _BLOCK_SIZE // self._x.size)
         self._block_doubles = self._block * self._x.size
 
@@ -470,10 +467,8 @@ class MeanMixture(_RuleLaw):
     _NODE = np.dtype([("shift", float), ("sd", float), ("scale", float)])
 
     def _constants(self, y):
-        """What the kernels read of nodes y, as records (records pass as
-        they are): t mu_z, sd(t) and sd(t) sqrt(2 pi), t = c + sigma1 y."""
-        if y.dtype.names:
-            return y
+        """What the kernels read of nodes y, as records: t mu_z, sd(t) and
+        sd(t) sqrt(2 pi), t = c + sigma1 y."""
         p = self._mix
         rows = np.empty(y.shape, self._NODE)
         rows["shift"] = (self._c + p.sigma1 * y) * p.mu_z
@@ -481,17 +476,15 @@ class MeanMixture(_RuleLaw):
         rows["scale"] = rows["sd"] * math.sqrt(2.0 * math.pi)
         return rows
 
-    def _argument(self, y, u):
+    def _argument(self, rows, u):
         """z = (u - mean(t)) / sd(t), node x point."""
-        rows = self._constants(y)
         # u - beta0 first: exact near beta0, where sigma0 = 0 puts a spike
         z = np.subtract((u - self._mix.beta0)[None, :], rows["shift"][:, None])
         z /= rows["sd"][:, None]
         return z
 
-    def _kernel(self, y, u, want_pdf):
+    def _kernel(self, rows, u, want_pdf):
         # z is the block's one node x point array; the kernel finishes in it
-        rows = self._constants(y)
         z = self._argument(rows, u)
         if not want_pdf:
             return sp.ndtr(z, out=z)
@@ -507,7 +500,7 @@ class MeanMixture(_RuleLaw):
         A = -ndtri(d); phi(z) / sd_k <= d at |z| >= A_k, with
         A_k = sqrt(-2 log(d sd_k sqrt(2 pi))) (0 where that is negative)."""
         a = -float(sp.ndtri(d))
-        sd = self._conditional(self._x)[1]
+        sd = self._x["sd"]
         with np.errstate(divide="ignore"):
             a_k = np.sqrt(np.maximum(
                 0.0, -2.0 * np.log(d * math.sqrt(2.0 * math.pi) * sd)))
@@ -658,35 +651,23 @@ class VarianceMixture(_RuleLaw):
         """V = 2a e^w = nu e^w at the rule's coordinate z."""
         return self.nu * np.exp(np.asarray(z) / math.sqrt(self._gamma.m))
 
-    _NODE = np.dtype([("v", float)])
+    _constants = _v     # what the kernels read of nodes z: V itself
 
-    def _constants(self, z):
-        """What the kernels read of nodes z, as records (records pass as
-        they are): V."""
-        if z.dtype.names:
-            return z
-        rows = np.empty(z.shape, self._NODE)
-        rows["v"] = self._v(z)
-        return rows
-
-    def _root(self, z, u):
+    def _root(self, v, u):
         """r = sqrt(u/V) (0 at u <= 0), node x point, as both kernels form it."""
         # u/V past the largest float (u near it, V < 1) is inf, where both
         # kernels read their limits, CDF 1 and pdf 0
         with np.errstate(over="ignore"):
-            r = np.divide(np.clip(u, 0.0, None)[None, :],
-                          self._constants(z)["v"][:, None])
+            r = np.divide(np.clip(u, 0.0, None)[None, :], v[:, None])
         return np.sqrt(r, out=r)
 
-    def _argument(self, z, u):
+    def _argument(self, v, u):
         """r - lambda0, node x point."""
-        r = self._root(z, u)
+        r = self._root(v, u)
         r -= math.sqrt(self.lam)
         return r
 
-    def _kernel(self, z, u, want_pdf):
-        rows = self._constants(z)
-        v = rows["v"]
+    def _kernel(self, v, u, want_pdf):
         if want_pdf:
             with np.errstate(over="ignore"):    # as in _root: the pdf is 0
                 w = u[None, :] / v[:, None]
@@ -694,7 +675,7 @@ class VarianceMixture(_RuleLaw):
             out /= v[:, None]
             return out
         # r = sqrt(u/V) once per block; both tails finish in place
-        r = self._root(rows, u)
+        r = self._root(v, u)
         lam0 = math.sqrt(self.lam)
         # below r = cut the tails' difference cancels, and K takes its
         # series in r instead (checked on u, so that blocks that cannot
@@ -725,7 +706,7 @@ class VarianceMixture(_RuleLaw):
         y + log y = 2 c_k, c_k = -log(d V_k sqrt(2 pi)), so it is
         W(e^(2 c_k)), W the Lambert function (2 c_k is at most about 220:
         d >= 1e-14 / sum(w) and V_k >= 1e-32)."""
-        c = -np.log(d * math.sqrt(2.0 * math.pi) * self._v(self._x))
+        c = -np.log(d * math.sqrt(2.0 * math.pi) * self._x)
         return ((float(sp.ndtri(d)), -float(sp.ndtri(0.5 * d))),
                 (-np.inf, np.sqrt(sp.lambertw(np.exp(2.0 * c)).real)))
 

@@ -8,9 +8,11 @@ kernels release the GIL, so threads overlap in the arithmetic.
 
 A call's blocks are pulled, one index at a time, from a shared counter by
 the calling thread and by up to cpu_count() - 1 helper threads of one
-``ThreadPoolExecutor`` per process.  The pool is made on first need, kept
-for the process's life, and made afresh in a forked child, whose copy of
-it has no threads.  A block costs a lock and a counter step, not a
+``ThreadPoolExecutor`` per process.  The pool is made on first need with
+cpu_count() - 1 threads (at least the helpers that first call asks for)
+and keeps that size for the process's life (a process whose CPU set grows
+later runs on the threads it has); a forked child, whose copy of it has no
+threads, makes its own.  A block costs a lock and a counter step, not a
 ``Future`` and a wake-up of the caller, and the caller waits only for a
 block that a helper is still running once no block is left to start.
 """
@@ -22,7 +24,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-# the process's helper pool and its thread count, made on first need
+# the process's helper pool, made on first need
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -46,19 +48,18 @@ def cpu_count() -> int:
 
 
 def _start_helpers(work, n):
-    """``work`` submitted n times to the process's pool, which has at least
-    n threads (cpu_count() - 1 when made; made anew, larger, should a call
-    ask for more).  A submission the pool refuses (a pool replaced by then,
-    or the interpreter exiting) is left out: the caller runs the blocks."""
+    """``work`` submitted n times to the process's pool, made by the first
+    call with cpu_count() - 1 threads (n at least, should the CPU set have
+    shrunk since that call counted it) and never resized: helpers past its
+    threads wait behind busy ones, to find no block left or be cancelled.
+    A submission the pool refuses (the interpreter exiting) is left out:
+    the caller runs the blocks."""
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[1] < n:
-            if _pool is not None:
-                _pool[0].shutdown(wait=False)
-            size = max(n, cpu_count() - 1)
-            _pool = (ThreadPoolExecutor(
-                size, thread_name_prefix="calibmix-block"), size)
-        pool = _pool[0]
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(n, cpu_count() - 1),
+                                       thread_name_prefix="calibmix-block")
+        pool = _pool
     futures = []
     for _ in range(n):
         try:

@@ -318,7 +318,6 @@ class TestVarianceMixture:
         assert max(gamma_density_error(m, wi, gi)
                    for wi, gi in zip(w, got)) <= 1e-13
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("abs_tol", [1e-11, 1e-10, 1e-9])
     @pytest.mark.parametrize("nu", [10 ** k for k in range(12, 17)])
     def test_huge_nu_certifies_on_few_nodes(self, nu, abs_tol):
@@ -1526,39 +1525,47 @@ class TestAdaptiveRule:
         assert mm.pdf(u) == pytest.approx(ref.pdf(u), rel=1e-9, abs=1e-9)
 
 
-def mean_slopes(law):
-    """The slope t at each node of a mean law's rule in slope sds y:
+def mean_slopes(law, y):
+    """The slope t at coordinates y of a mean law's rule in slope sds:
     t = c + sigma1 y, with c = 0 where the window beta1 +- 10 sigma1 holds
     0 and beta1 elsewhere (on the parameters of the factor mixed over)."""
     p = law._mix
     c = 0.0 if abs(p.beta1) < 10.0 * p.sigma1 else p.beta1
-    return c + p.sigma1 * law._x
+    return c + p.sigma1 * y
 
 
 class TestInPlaceKernels:
+    """The rule laws' kernels, on the per-node constants ``_constants`` forms
+    of a grid of coordinates over the rule's window, are the plain
+    expressions of those coordinates, bit for bit; a block of few points
+    sums them on every node the law keeps."""
+
     @pytest.mark.parametrize("params", [octane_params(), SPIKE])
     def test_mean_kernel_is_the_plain_expression(self, params):
         # the spike bundle mixes over X: the kernel on the swapped parameters
         mm = mean_mixture(params)
         p = mm._mix
-        y, t = mm._x, mean_slopes(mm)
+        y = np.linspace(*mm._window, 400)
+        t = mean_slopes(mm, y)
+        rows = mm._constants(y)
         u = np.append(np.linspace(*mm.support(), 301), p.beta0)
         sd = np.sqrt(t ** 2 * p.sigma_z ** 2 / p.n + p.sigma0 ** 2)[:, None]
         z = ((u - p.beta0)[None, :] - (t * p.mu_z)[:, None]) / sd
-        assert np.array_equal(mm._kernel(y, u, True),
+        assert np.array_equal(mm._kernel(rows, u, True),
                               np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi)))
-        assert np.array_equal(mm._kernel(y, u, False), special.ndtr(z))
+        assert np.array_equal(mm._kernel(rows, u, False), special.ndtr(z))
 
     @pytest.mark.parametrize("nu,lam", [(10, OCT_LAM), (1, 400.0), (3, 0.0)])
     def test_variance_kernels_are_the_plain_expressions(self, nu, lam):
         # the rule's coordinate is z = sqrt(nu/2) log(V/nu)
         vm = variance_mixture(nu, lam)
-        z = vm._x
+        z = np.linspace(*vm._window, 400)
+        rows = vm._constants(z)
         u = np.concatenate([[-1.0, 0.0], np.geomspace(1e-10, vm.support()[1], 300)])
         v = nu * np.exp(z / np.sqrt(nu / 2.0))[:, None]
         lam0 = np.sqrt(lam)
         r = np.sqrt(np.clip(u, 0.0, None)[None, :] / v)
-        assert np.array_equal(vm._kernel(z, u, False),
+        assert np.array_equal(vm._kernel(rows, u, False),
                               special.ndtr(r - lam0) - special.ndtr(-r - lam0))
         w = u[None, :] / v
         root = np.sqrt(np.maximum(w, 0.0))
@@ -1566,7 +1573,7 @@ class TestInPlaceKernels:
             np.exp(-0.5 * (root - lam0) ** 2) + np.exp(-0.5 * (root + lam0) ** 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             want = np.where(w > 0, half_normal / (2.0 * root), 0.0) / v
-        assert np.array_equal(vm._kernel(z, u, True), want)
+        assert np.array_equal(vm._kernel(rows, u, True), want)
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["dense", "shuffled"])
     @pytest.mark.parametrize("build", [
@@ -1576,22 +1583,16 @@ class TestInPlaceKernels:
         ids=["octane", "spike", "variance-octane", "variance-1-400",
              "variance-3-0"])
     def test_sums_on_node_constants_keep_the_bits(self, build, shuffled):
-        # the kernels read the per-node constants formed once per law: a
-        # block that sums every row is w @ kernel(x, u) on the coordinates,
-        # and one that skips rows the sum that forms them again per block
+        # the kernels read the per-node records the law keeps as its nodes:
+        # a block that sums every row is w @ kernel(x, u) on them
         law = build()
         u = np.linspace(*law.support(), 3 * law._block + 77)
         if shuffled:
             u = np.random.default_rng(11).permutation(u)
-        blocks = [u[i:i + law._block] for i in range(0, u.size, law._block)]
         few = u[:law._skip_from - 1]
         for want_pdf in (True, False):
             assert np.array_equal(law._sum(few, want_pdf),
                                   law._w @ law._kernel(law._x, few, want_pdf))
-            got = [law._sum(b, want_pdf) for b in blocks]
-            with mock.patch.object(law, "_consts", None):
-                want = [law._sum(b, want_pdf) for b in blocks]
-            assert all(map(np.array_equal, got, want))
 
 
 def skip_budget(law):
@@ -1624,12 +1625,11 @@ class TestSaturationEdges:
     def mean_rows_past(law, edge, sign, want_pdf):
         """Each node row's kernel wherever its argument z lies at or beyond
         its edge (above for sign 1, below for -1) on a dense z grid."""
-        p, t = law._mix, mean_slopes(law)
-        sd = law._conditional(law._x)[1]
-        edge = np.broadcast_to(edge, t.shape)
-        for k in range(t.size):
+        beta0, shift, sd = law._mix.beta0, law._x["shift"], law._x["sd"]
+        edge = np.broadcast_to(edge, sd.shape)
+        for k in range(sd.size):
             row = law._x[k:k + 1]
-            u = p.beta0 + t[k] * p.mu_z + (edge[k] + sign * PAST) * sd[k]
+            u = beta0 + shift[k] + (edge[k] + sign * PAST) * sd[k]
             u = u[sign * (law._argument(row, u)[0] - edge[k]) >= 0.0]
             yield law._kernel(row, u, want_pdf)[0]
 
@@ -1658,7 +1658,7 @@ class TestSaturationEdges:
             for edge, sign in ((high, 1.0), (low, -1.0)):
                 for pdf in self.mean_rows_past(law, edge, sign, True):
                     assert np.all(pdf <= d)
-            at_edge = stats.norm.pdf(high) / law._conditional(law._x)[1]
+            at_edge = stats.norm.pdf(high) / law._x["sd"]
             assert np.allclose(at_edge[high > 0.0], skip_budget(law),
                                rtol=1e-9, atol=0.0)
 
@@ -1667,7 +1667,7 @@ class TestSaturationEdges:
         """The kernel of every node row over one dense geometric u grid, at
         the (row, point) pairs whose argument a = sqrt(u/V) - lambda0 lies
         at or beyond the row's edge and within 1e3 of it."""
-        v, lam0 = law._v(law._x), math.sqrt(law.lam)
+        v, lam0 = law._x, math.sqrt(law.lam)
         edge = np.broadcast_to(edge, v.shape)
         # the roots r = a + lambda0 of the rows' ranges (r >= 0)
         r = np.maximum(edge + lam0 + sign * np.array([[0.0], [1e3]]), 0.0)
@@ -1704,8 +1704,7 @@ class TestSaturationEdges:
             assert np.all(low == -np.inf) and np.all(high > 0.0)
             assert np.all(self.variance_past(law, high, 1.0, True)
                           <= self.budget(law))
-            v = law._v(law._x)
-            assert np.allclose(stats.norm.pdf(high) / (high * v),
+            assert np.allclose(stats.norm.pdf(high) / (high * law._x),
                                skip_budget(law), rtol=1e-9, atol=0.0)
 
 

@@ -89,6 +89,48 @@ def test_calls_start_no_threads(workers, monkeypatch):
     assert set(threading.enumerate()) <= threads
 
 
+def test_a_pool_smaller_than_the_call_keeps_its_size(monkeypatch):
+    # a pool made at 2 workers has one thread; a call at 3 workers queues
+    # its second helper behind the first, and the pool is not replaced
+    monkeypatch.setattr(parallel, "_pool", None)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    assert list(parallel.thread_map(sleepy_square, range(4))) == [0, 1, 4, 9]
+    pool = parallel._pool
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 3)
+    lock, running, runs = threading.Lock(), [0], []
+
+    def block(i):
+        with lock:
+            running[0] += 1
+            runs.append(i)
+        time.sleep(0.002)
+        with lock:
+            running[0] -= 1
+        return i * i
+    try:
+        got = list(parallel.thread_map(block, range(40)))
+        assert running[0] == 0
+        time.sleep(0.02)
+        assert got == [i * i for i in range(40)]
+        assert sorted(runs) == list(range(40))
+        assert parallel._pool is pool
+    finally:
+        pool.shutdown()
+
+
+def test_a_cpu_set_shrunk_before_the_pool_is_made(monkeypatch):
+    # the call counts 2 CPUs, the pool's maker 1: the pool still gets the
+    # one thread the call asks for
+    counts = iter([2])
+    monkeypatch.setattr(parallel, "_pool", None)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: next(counts, 1))
+    try:
+        assert list(parallel.thread_map(sleepy_square, range(4))) == [0, 1, 4, 9]
+        assert parallel._pool._max_workers == 1
+    finally:
+        parallel._pool.shutdown()
+
+
 def run_within(seconds, fn):
     """fn() on a daemon thread, which must finish within ``seconds``."""
     out = []

@@ -389,10 +389,17 @@ RULE_LAWS = {
 }
 
 
-def rule_of(law):
-    if hasattr(law, "_core"):
-        return law._core.s, law._core.w
-    return law._x, law._w
+def rules_built(build, builder, monkeypatch):
+    """Every rule ``builder`` hands back while ``build`` makes its law."""
+    rules = []
+
+    def recording(*args, **kwargs):
+        rules.append(builder(*args, **kwargs))
+        return rules[-1]
+
+    monkeypatch.setattr(mx, "refine_panels", recording)
+    build()
+    return rules
 
 
 class TestKeptHalves:
@@ -401,12 +408,14 @@ class TestKeptHalves:
 
     @pytest.mark.parametrize("name", sorted(RULE_LAWS))
     def test_rules_equal_the_reference_builder(self, name, monkeypatch):
-        nodes, weights = rule_of(RULE_LAWS[name]())
-        monkeypatch.setattr(mx, "refine_panels", reference_refine_panels)
-        ref_nodes, ref_weights = rule_of(RULE_LAWS[name]())
-        assert nodes.size > 64
-        assert np.array_equal(nodes, ref_nodes)
-        assert np.array_equal(weights, ref_weights)
+        rules = rules_built(RULE_LAWS[name], refine_panels, monkeypatch)
+        refs = rules_built(RULE_LAWS[name], reference_refine_panels,
+                           monkeypatch)
+        assert len(rules) == len(refs) > 0
+        assert max(rule.nodes.size for rule in rules) > 64
+        for rule, ref in zip(rules, refs):
+            assert np.array_equal(rule.nodes, ref.nodes)
+            assert np.array_equal(rule.weights, ref.weights)
 
     def test_new_panels_take_their_halves_only(self):
         # 16 first panels at 48 nodes (whole and halves); each split makes
