@@ -8,8 +8,8 @@
   w ~ chi2_1(lambda).
 * SignedTMixture: law of t0; noncentral t(nu, delta0/s) mixed over
   s = sqrt(w) ~ |N(lambda0, 1)|.  With delta0 = sqrt(delta) and
-  lambda0 = sqrt(lambda), t0^2 is its square, so both laws are built on one
-  noncentral-t core and the t^2 law is the signed law's fold.
+  lambda0 = sqrt(lambda), t0^2 is its square, so both laws subclass one
+  noncentral-t base, ``_NoncentralT``, and the t^2 law is the signed fold.
 
 Every law is a weighted set of mixing nodes plus a conditional pdf/CDF kernel
 pair, on Gauss-Legendre panels over analytically bounded windows; the mean
@@ -19,9 +19,10 @@ sqrt(nu/2) log(V/nu)), whose float grid depends on no unit or spread.
 CDFs mix the conditional CDFs over the same nodes, which equals integrating
 the mixture pdf from the support edge (Tonelli) but stays smooth where
 near-degenerate mixing components make the pointwise pdf too spiky to
-quadrate.  The noncentral-t core weights its nodes in s = sqrt(w) by
+quadrate.  The noncentral-t base weights its nodes in s = sqrt(w) by
 phi(s - lambda0) + phi(s + lambda0) and collapses them into series
-coefficients once per evaluator, so each evaluation is one series in j.
+coefficients once per evaluator, each kept with the Beta indices it is
+summed at, so each evaluation is one series in j.
 Series start from one fixed minimum term count, then escalate until a
 computable tail bound drops below abs_tol; exceeding the hard cap raises
 AccuracyError, never truncating silently.
@@ -30,7 +31,7 @@ With delta > 0 the t^2 / signed-t laws have genuinely heavy far tails (slope
 draws near zero inflate the conditional noncentrality, and
 P[t0^2 > T] decays only like 1/sqrt(T)).  Slope draws with noncentralities
 phi = D/s beyond the series budget are evaluated through one exact kernel
-of the core, the Gaussian-root identity u = nu (g + phi)^2 / W, smooth at
+of the base, the Gaussian-root identity u = nu (g + phi)^2 / W, smooth at
 any parameter point where the series would need j ~ phi^2 terms.  (s, g)
 enter it only through v = g + D/s, so those draws collapse to one weighted
 rule in v, whose nodes are placed once per evaluator and whose weights are
@@ -731,7 +732,7 @@ def variance_mixture(nu: int, lam: float, quad: QuadSpec = QuadSpec()) -> Varian
 
 
 # ----------------------------------------------------------------------
-# series and extreme-node kernels of the noncentral-t core
+# series and extreme-node kernels of the noncentral-t laws
 # ----------------------------------------------------------------------
 
 _G_EDGES = np.linspace(-8.6, 8.6, 17)   # panels of the Gaussian root g
@@ -739,7 +740,7 @@ _G_ORDER = 10
 
 
 class _ExtremeRule(_NodeSum):
-    """The slope draws s in (s_lo, s_split] of the noncentral-t core, whose
+    """The slope draws s in (s_lo, s_split] of the noncentral-t base, whose
     conditional noncentralities D/s exceed the series budget
     (D = |delta0| = sqrt(delta)).
 
@@ -951,8 +952,9 @@ _TINY = sys.float_info.min   # smallest normal double; the pdf tolerance floor
 class _SeriesCoefs(_Sequence):
     """Mixed series coefficients c_j = sum_k w_k exp(-mu_k + j log mu_k + g(j))
     over the series nodes, extended on demand and kept, g(j+1) - g(j) <=
-    -log(j+1).  ``mass`` is sum_j c_j in closed form, so the mass not yet
-    reached bounds what the rest of the series can add.
+    -log(j+1), of a series summed at the Beta indices (j + a, b) alone.
+    ``mass`` is sum_j c_j in closed form, so the mass not yet reached bounds
+    what the rest can add; ``log_den`` is log((j + a) B(j + a, b)) over j.
 
     A block of j sums over the live nodes only.  Each node's step ratio
     mu_k e^{g(j+1) - g(j)} falls as j grows, so once its term (before the
@@ -962,7 +964,7 @@ class _SeriesCoefs(_Sequence):
     2 _LIVE_FLOOR abs_tol to the whole sequence.
     """
 
-    def __init__(self, mu, w, g, tol, mass):
+    def __init__(self, mu, w, g, tol, mass, a, b):
         # _block is overridden, not passed in: a stored bound method would
         # make a reference cycle that keeps each evaluator until the next
         # garbage collection
@@ -973,7 +975,8 @@ class _SeriesCoefs(_Sequence):
         self._mu, self._w, self._g = mu, w, g
         self._live = np.arange(w.size)
         self.mass = float(mass)
-        self._den = {}
+        self.a, self.b = a, b
+        self.log_den = _Sequence(lambda j: np.log(j + a) + ser.log_beta(j + a, b))
 
     def _block(self, j):
         live = self._live
@@ -999,22 +1002,6 @@ class _SeriesCoefs(_Sequence):
         r = np.max(self._mu, initial=0.0) / (j_hi + 1.0)
         return min(self.left_after(j_hi) + 1e-13 * self.mass, math.inf if r >= 1
                    else self.upto(j_hi)[-1] * r * (j_hi + 1.0) / j_hi / (1 - r))
-
-    def log_den(self, a, b):
-        """log((j + a) B(j + a, b)) over j, kept like the coefficients."""
-        den = self._den.get((a, b))
-        if den is None:
-            den = self._den.setdefault((a, b), _Sequence(
-                lambda j: np.log(j + a) + ser.log_beta(j + a, b)))
-        return den
-
-
-def _poisson_coefs(phi, w, tol):
-    """m_j = sum_s w_s pois(j; phi_s^2/2), the Poisson mixture of the
-    noncentral-t CDF series."""
-    half_sq = 0.5 * phi ** 2
-    return _SeriesCoefs(half_sq, w, lambda j: -sp.gammaln(j + 1.0), tol,
-                        np.sum(w))
 
 
 # largest whole b = nu/2 whose I_x(p, b) takes the finite sum, and the fewest
@@ -1068,10 +1055,11 @@ def _term_table(rows, cols):
     return np.exp(t, out=t)
 
 
-def _beta_series(coefs, a, b, x, y, tol, law):
-    """sum_j c_j I_x(j + a, b) per x, certified to tol: I_x falls as j grows,
-    so the coefficient mass not yet reached times the next I_x bounds the
-    tail.  y = 1 - x, formed directly by the callers, whose x comes near 1.
+def _beta_series(coefs, x, y, tol, law):
+    """sum_j c_j I_x(j + a, b) per x, at the indices (a, b) of ``coefs``,
+    certified to tol: I_x falls as j grows, so the coefficient mass not yet
+    reached times the next I_x bounds the tail.  y = 1 - x, formed directly
+    by the callers, whose x comes near 1.
 
     A block [j0, j1) needs one I_x per x (``_betainc``, by the size of x),
     the I_{j1} = I_x(j1 + a, b) that bounds the tail: the recurrence
@@ -1083,6 +1071,7 @@ def _beta_series(coefs, a, b, x, y, tol, law):
     to that rung first (up to _TERM_BLOCK terms), with one I_x per rung.
     Each point so stops at the rung it would reach climbing alone, from one
     I_x per point per block from that rung on."""
+    a, b = coefs.a, coefs.b
     out = np.zeros_like(x)
     active = np.arange(x.size)
     # log t_c = c log x + b log y - log(c B(c, b)): (c, 1, -log den) @ cols,
@@ -1106,7 +1095,7 @@ def _beta_series(coefs, a, b, x, y, tol, law):
         k = np.arange(j_done, j_hi) + a
         rows = np.ones((k.size, 3))             # k, 1, -log den
         rows[:, 0] = k
-        rows[:, 2] = -coefs.log_den(a, b).upto(j_hi)[j_done:]
+        rows[:, 2] = -coefs.log_den.upto(j_hi)[j_done:]
         end = _betainc(j_hi + a, b, x[active], y[active], x.size)
         c_sum, c_cum = c.sum(), np.cumsum(c)
         step = max(1, _TABLE // k.size)      # points per table chunk
@@ -1138,22 +1127,24 @@ def _beta_args(s, log_s, nu):
     return x, y, log_x, log_y
 
 
-def _beta_density(parts, b, args, lead, tol, rel_tol):
-    """Per part (coefs, a), sum_j c_j x^{j+a-1/2} e^lead / B(j + a, b): the
-    Beta(j + a, b) density at x is the CDF recurrence's t_{j+a} times
-    (j + a)/(x y), so with lead = log(sqrt(x) y^b dx/du/(x y)) each is the
-    u-derivative of its CDF series.  The parts interleave in one exp table
-    per block of terms.  The terms' step ratio x (j + a + b)/(j + a) falls
-    in j through 1 at the mode j + a = x b/y, so past j_hi each is at most
-    the one at j_hi or at the mode beyond it; past a mode of e^690,
-    Gamma(c + b)/Gamma(c) <= (c + b)^b and x^j <= e^{-j y} bound it.  A point
-    stops once that times ``coefs.tail`` is within tol and rel_tol of the
-    first part's partial sum (nonnegative terms; floored at the smallest
-    normal float), and rungs where none could merge into the next table."""
+def _beta_density(parts, args, lead, tol, rel_tol):
+    """Per part, coefficients c_j at indices (a, b) (one b for all parts),
+    sum_j c_j x^{j+a-1/2} e^lead / B(j + a, b): the Beta(j + a, b) density
+    at x is the CDF recurrence's t_{j+a} times (j + a)/(x y), so with lead
+    = log(sqrt(x) y^b dx/du/(x y)) each is the u-derivative of its CDF
+    series.  The parts interleave in one exp table per block of terms.
+    The terms' step ratio x (j + a + b)/(j + a) falls in j through 1 at the
+    mode j + a = x b/y, so past j_hi each is at most the one at j_hi or at
+    the mode beyond it; past a mode of e^690, Gamma(c + b)/Gamma(c) <=
+    (c + b)^b and x^j <= e^{-j y} bound it.  A point stops once that times
+    ``coefs.tail`` is within tol and rel_tol of the first part's partial
+    sum (nonnegative terms; floored at the smallest normal float), and
+    rungs where none could merge into the next table."""
     log_x, log_y = np.maximum(args[2], -1e300), args[3]   # x = 0: x^0 = 1
+    b = parts[0].b
     log_mode = math.log(b) + log_x - log_y
     leads, tops = [], []
-    for _, a in parts:
+    for a in [coefs.a for coefs in parts]:
         leads.append(lead + (a - 0.5) * log_x)
         # the largest term, at a mode past j_hi (betaln will do for a bound)
         far = log_mode > math.log(_MIN_TERMS + a)
@@ -1172,19 +1163,19 @@ def _beta_density(parts, b, args, lead, tol, rel_tol):
                 "noncentral-t pdf series exceeded %d terms without "
                 "certifying abs_tol=%g" % (_MAX_J_TERMS, tol))
         bound = sum(coefs.tail(j_hi) * np.exp(np.where(
-            log_mode > math.log(j_hi + a), top, j_hi * log_x + lead_a
-            + math.log(j_hi + a) - coefs.log_den(a, b).upto(j_hi + 1)[j_hi]))
-            for (coefs, a), lead_a, top in zip(parts, leads, tops))
+            log_mode > math.log(j_hi + coefs.a), top, j_hi * log_x + lead_a
+            + math.log(j_hi + coefs.a) - coefs.log_den.upto(j_hi + 1)[j_hi]))
+            for coefs, lead_a, top in zip(parts, leads, tops))
         if (len(parts) * (2 * j_hi - j_done) > _TERM_BLOCK
                 or np.any(live & (bound <= most))):
             j = np.arange(j_done, j_hi, dtype=float)
             rows = np.ones((j.size, len(parts), 3))    # j + a - 1/2, 1, -log B
-            for i, (coefs, a) in enumerate(parts):
-                rows[:, i, 0] = j + (a - 0.5)
-                rows[:, i, 2] = (np.log(j + a)
-                                 - coefs.log_den(a, b).upto(j_hi)[j_done:])
+            for i, coefs in enumerate(parts):
+                rows[:, i, 0] = j + (coefs.a - 0.5)
+                rows[:, i, 2] = (np.log(j + coefs.a)
+                                 - coefs.log_den.upto(j_hi)[j_done:])
             rows = rows.reshape(-1, 3)
-            c = [coefs.upto(j_hi)[j_done:] for coefs, _ in parts]
+            c = [coefs.upto(j_hi)[j_done:] for coefs in parts]
             active = np.flatnonzero(live)
             step = max(1, _TABLE // len(rows))      # points per table chunk
             for at in range(0, active.size, step):
@@ -1201,27 +1192,33 @@ def _beta_density(parts, b, args, lead, tol, rel_tol):
 
 
 # ----------------------------------------------------------------------
-# noncentral-t core: the signed-t law and its fold, the t^2 law
+# noncentral-t base: the signed-t law and its fold, the t^2 law
 # ----------------------------------------------------------------------
 
-class _NoncentralT:
-    """Noncentral t(nu, D/s) mixed over s ~ |N(lam0, 1)| (D >= 0), in the
-    pieces that both the signed-t law and its fold, the t^2 law, read.
+class _NoncentralT(_MixtureLaw):
+    """Noncentral t(nu, D/s) mixed over s ~ |N(lam0, 1)| (D >= 0): the base
+    of the signed-t law and of its fold, the t^2 law, each of which sets
+    ``nu`` and ``quad``, then builds it (and checks nu) from D and lam0.
 
     The series nodes, s in [s_split, s_hi] with s_split = min(D/20, s_hi)
-    so that phi = D/s <= 20, are kept as ``s``, ``w`` and ``phi``, and
+    so that phi = D/s <= 20, are kept as ``_s``, ``_sw`` and ``_phi``, and
     collapse into m_j = E_s[pois(j; phi^2/2)], built on demand and kept:
     the even part of the noncentral-t CDF series (Lenth 1989, AS 243; see
-    SignedTMixture).  The draws s < s_split form the ``_ExtremeRule``:
-    once D/20 >= s_hi that is the whole window, and the series is empty.
-    The draws s > s_hi, P[s > s_hi] = Phi(lam0 - s_hi) + Phi(-lam0 - s_hi)
-    (1e-3 abs_tol), add their mass to the last series node, where phi is
-    least; at D = 0 that is exact, so the law is Student t(nu) (or F(1,
-    nu)) out to its far tails, not short of 1 by that mass.  Where the
+    SignedTMixture).  The draws s < s_split form the ``_ExtremeRule``
+    ``_ext``: once D/20 >= s_hi that is the whole window, and the series is
+    empty.  The draws s > s_hi, P[s > s_hi] = Phi(lam0 - s_hi) + Phi(-lam0
+    - s_hi) (1e-3 abs_tol), add their mass to the last series node, where
+    phi is least; at D = 0 that is exact, so the law is Student t(nu) (or
+    F(1, nu)) out to its far tails, not short of 1 by that mass.  Where the
     series is empty the mass stays dropped, 1e-3 below abs_tol.
     """
 
-    def __init__(self, nu, root_d, lam0, quad):
+    _block = _SERIES_BLOCK
+
+    def __init__(self, root_d, lam0):
+        nu, quad = self.nu, self.quad
+        if nu < 1:
+            raise ParamError("nu must be >= 1")
         if root_d > _NCT_D_MAX:
             raise ParamError("|delta0| = sqrt(delta) = %g is above the largest "
                              "noncentrality %g" % (root_d, _NCT_D_MAX))
@@ -1229,7 +1226,6 @@ class _NoncentralT:
             raise ParamError("lambda0 = sqrt(lambda) = %g is above the largest "
                              "slope noncentrality %g (1e17 abs_tol)"
                              % (lam0, _NCT_LAM0_PER_TOL * quad.abs_tol))
-        self.nu, self.quad = nu, quad
         # the mixing mass beyond s_hi stays 1e-3 below abs_tol
         s_hi = ser.sqrt_mixing_upper(lam0, 1e-3 * quad.abs_tol)
         s_split = min(root_d / _NCT_SERIES_PHI_MAX, s_hi)
@@ -1249,28 +1245,31 @@ class _NoncentralT:
             # the mass above s_hi, in closed form, joins the last node, the
             # one of least noncentrality: exact at D = 0, where phi is 0
             w[-1] += sp.ndtr(lam0 - s_hi) + sp.ndtr(-lam0 - s_hi)
-        self.s, self.w = s, w
+        self._s, self._sw = s, w
         # nodes rounded onto s = 0 (where lam0 or D/20 is subnormal) weigh
         # nothing; phi = 0 keeps them finite
-        self.phi = np.divide(root_d, s, out=np.zeros_like(s), where=s > 0.0)
-        self.ext = _ExtremeRule(nu, root_d, lam0, s_split, quad)
-        self.m = _poisson_coefs(self.phi, w, quad.abs_tol)
+        self._phi = np.divide(root_d, s, out=np.zeros_like(s), where=s > 0.0)
+        self._ext = _ExtremeRule(nu, root_d, lam0, s_split, quad)
+        # m_j = sum_s w_s pois(j; phi_s^2/2), summed at (j + 1/2, nu/2)
+        self._m = _SeriesCoefs(0.5 * self._phi ** 2, w,
+                               lambda j: -sp.gammaln(j + 1.0), quad.abs_tol,
+                               np.sum(w), 0.5, nu / 2.0)
 
-    def pdf(self, args, log_scale, *parts):
+    def _series_pdf(self, args, log_scale, *parts):
         """The pdf series sum_j c_j x^{j+a-1/2} L / B(j + a, nu/2) of each
-        part (coefs, a) times e^log_scale, certified 1e-3 below abs_tol and
+        of ``parts`` times e^log_scale, certified 1e-3 below abs_tol and
         rel_tol like the signed CDF: far inside what the s- and v-rules
         share.  The t^2 law passes m_j alone, the signed law also n_j."""
         lead = 0.5 * ((self.nu + 1.0) * args[3] - math.log(self.nu)) + log_scale
-        return _beta_density(parts, self.nu / 2.0, args, lead,
-                             1e-3 * self.quad.abs_tol, 1e-3 * self.quad.rel_tol)
+        return _beta_density(parts, args, lead, 1e-3 * self.quad.abs_tol,
+                             1e-3 * self.quad.rel_tol)
 
 
 # ----------------------------------------------------------------------
 # t^2 mixture
 # ----------------------------------------------------------------------
 
-class TsqMixture(_MixtureLaw):
+class TsqMixture(_NoncentralT):
     """Evaluator of the t0^2 mixture: noncentral t^2(nu, delta/w) over
     w ~ chi2_1(lambda).
 
@@ -1279,46 +1278,41 @@ class TsqMixture(_MixtureLaw):
     t = sqrt(u), with x = u/(u+nu).  In F(t) - F(-t) the signed law's cdf0
     and n_j terms cancel, leaving sum_j m_j I_x(j+1/2, nu/2), and in
     [f(t) + f(-t)]/(2t) its n_j part cancels, leaving the m_j part over t:
-    the law reads only the noncentral-t core.  The CDF series
+    the law reads only what the noncentral-t base builds.  The CDF series
     takes 1 - x = nu/(u+nu) as formed, not from x.  The slope draws near
     zero, which carry the law's heavy far tail, add the Gaussian-root
     kernel at u on the v-rule.  At delta = 0 only m_0 survives and the law
     is exactly central F(1, nu) for every lambda.
     """
 
-    _block = _SERIES_BLOCK
-
     def __init__(self, nu: int, delta: float, lam: float,
                  quad: QuadSpec = QuadSpec()):
         require_finite(nu=nu, delta=delta, lam=lam)
-        if nu < 1:
-            raise ParamError("nu must be >= 1")
         if delta < 0 or lam < 0:
             raise ParamError("delta and lambda must be nonnegative")
         self.nu = float(nu)
         self.delta = float(delta)
         self.lam = float(lam)
         self.quad = quad
-        self._core = _NoncentralT(self.nu, math.sqrt(self.delta),
-                                  math.sqrt(self.lam), quad)
+        super().__init__(math.sqrt(self.delta), math.sqrt(self.lam))
 
     def _pdf(self, u):
         out = np.zeros_like(u)
         pos = u > 0
         up = u[pos]
         log_u = np.log(up)
-        out[pos] = (self._core.pdf(_beta_args(up, log_u, self.nu), -0.5 * log_u,
-                                   (self._core.m, 0.5))[0]
-                    + self._core.ext.parts(up, want_pdf=True))
+        out[pos] = (self._series_pdf(_beta_args(up, log_u, self.nu),
+                                     -0.5 * log_u, self._m)[0]
+                    + self._ext.parts(up, want_pdf=True))
         return out
 
     def _cdf(self, u):
         out = np.zeros_like(u)
         pos = u > 0
         up = u[pos]
-        out[pos] = (self._core.ext.parts(up, want_pdf=False)
-                    + _beta_series(self._core.m, 0.5, self.nu / 2.0,
-                                   up / (up + self.nu), self.nu / (up + self.nu),
+        out[pos] = (self._ext.parts(up, want_pdf=False)
+                    + _beta_series(self._m, up / (up + self.nu),
+                                   self.nu / (up + self.nu),
                                    self.quad.abs_tol, "t^2 mixture"))
         return out
 
@@ -1338,11 +1332,11 @@ def tsq_mixture(nu: int, delta: float, lam: float,
 # signed-t mixture
 # ----------------------------------------------------------------------
 
-class SignedTMixture(_MixtureLaw):
+class SignedTMixture(_NoncentralT):
     """Evaluator of the t0 mixture: noncentral t(nu, delta0/s) mixed over the
     shifted half-normal law of s.
 
-    To the noncentral-t core's m_j the law adds, over the same series
+    To the noncentral-t base's m_j the law adds, over the same series
     nodes, cdf0 = E_s[Phi(-phi)] and, built on demand and kept,
     n_j = E_s[phi e^{-phi^2/2} (phi^2/2)^j / (sqrt(2) Gamma(j+3/2))].  With
     x = u^2/(u^2+nu) = 1 - y and L = y^{(nu+1)/2}/sqrt(nu), the nodes' CDF
@@ -1356,13 +1350,9 @@ class SignedTMixture(_MixtureLaw):
     for u > 0, on the shared v-rule.  Negative delta0 mirrors the law.
     """
 
-    _block = _SERIES_BLOCK
-
     def __init__(self, nu: int, delta0: float, lambda0: float,
                  quad: QuadSpec = QuadSpec()):
         require_finite(nu=nu, delta0=delta0, lambda0=lambda0)
-        if nu < 1:
-            raise ParamError("nu must be >= 1")
         if lambda0 < 0:
             raise ParamError("lambda0 must be nonnegative")
         self.nu = float(nu)
@@ -1370,30 +1360,30 @@ class SignedTMixture(_MixtureLaw):
         self.lambda0 = float(lambda0)
         self.quad = quad
         self._mirror = self.delta0 < 0
-        self._d0 = abs(self.delta0)
-        core = self._core = _NoncentralT(self.nu, self._d0, self.lambda0, quad)
-        phi, w = core.phi, core.w
+        super().__init__(abs(self.delta0), self.lambda0)
+        phi, w = self._phi, self._sw
         self._cdf0 = float(w @ sp.ndtr(-phi))
         self._n = _SeriesCoefs(0.5 * phi ** 2, w * phi / math.sqrt(2.0),
                                lambda j: -sp.gammaln(j + 1.5), quad.abs_tol,
-                               w @ sp.erf(phi / math.sqrt(2.0)))
+                               w @ sp.erf(phi / math.sqrt(2.0)), 1.0,
+                               self.nu / 2.0)
 
     def _args(self, u):      # (x, y, log x, log y) at s = u^2
         with np.errstate(over="ignore", divide="ignore"):
             return _beta_args(u * u, 2.0 * np.log(np.abs(u)), self.nu)
 
-    def _pdf_base(self, u):
-        """pdf of the law with noncentrality |delta0| (pre-mirror)."""
-        even, odd = self._core.pdf(self._args(u), 0.0, (self._core.m, 0.5),
-                                   (self._n, 1.0))
+    def _pdf(self, u):
+        if self._mirror:
+            u = -u
+        even, odd = self._series_pdf(self._args(u), 0.0, self._m, self._n)
         out = np.maximum(even + np.sign(u) * odd, 0.0)    # rounding at u < 0
         up = np.clip(u[u > 0], 1e-154, 1e154)
-        out[u > 0] += 2.0 * up * self._core.ext.parts(up * up, want_pdf=True)
+        out[u > 0] += 2.0 * up * self._ext.parts(up * up, want_pdf=True)
         return out
 
-    def _cdf_base(self, u):
-        """CDF of the law with noncentrality |delta0| (pre-mirror)."""
-        nu, core = self.nu, self._core
+    def _cdf(self, u):
+        if self._mirror:
+            u = -u
         # phi <= 20 keeps both series short, so certifying them 1e-3 below
         # abs_tol is cheap; it holds interval probabilities to the t^2
         # route far inside abs_tol
@@ -1401,23 +1391,13 @@ class SignedTMixture(_MixtureLaw):
         # 1 - x formed on its own: far out x rounds to a few values near 1
         x, y, _, _ = self._args(u)
         out = (self._cdf0
-               + 0.5 * np.sign(u) * _beta_series(core.m, 0.5, nu / 2.0, x, y,
-                                                 tol, "signed-t")
-               + 0.5 * _beta_series(self._n, 1.0, nu / 2.0, x, y, tol,
-                                    "signed-t"))
+               + 0.5 * np.sign(u) * _beta_series(self._m, x, y, tol, "signed-t")
+               + 0.5 * _beta_series(self._n, x, y, tol, "signed-t"))
         # u^2 kept a normal float: below 1e-308 no extreme draw reaches it,
         # and P[t0^2 > 1e308] is far below abs_tol
         up = np.clip(u[u > 0], 1e-154, 1e154)
-        out[u > 0] += core.ext.parts(up * up, want_pdf=False)
-        return out
-
-    def _pdf(self, u):
-        return self._pdf_base(-u if self._mirror else u)
-
-    def _cdf(self, u):
-        if self._mirror:
-            return 1.0 - self._cdf_base(-u)
-        return self._cdf_base(u)
+        out[u > 0] += self._ext.parts(up * up, want_pdf=False)
+        return 1.0 - out if self._mirror else out
 
     _line = (0.0, 1.0)
 
@@ -1430,4 +1410,3 @@ def signed_t_mixture(nu: int, delta0: float, lambda0: float,
                      quad: QuadSpec = QuadSpec()) -> SignedTMixture:
     """Evaluator of the signed t0 mixture law."""
     return SignedTMixture(nu, delta0, lambda0, quad)
-

@@ -198,10 +198,10 @@ class TestRegion:
     @pytest.mark.xfail(strict=True, reason="near p = 5e-15 the signed-t CDF "
                        "is formed as 0.5 +- 0.5 I_x, whose doubles step by "
                        "5.6e-17 to 1.1e-16, 1-2% of the tail, so the ends "
-                       "(-59993, 59153) are 1.4% apart")
+                       "(-60894, 59993) are 1.5% apart")
     def test_coverage_near_one_student_t3(self, capsys):
         # signed-t at delta0 = lambda0 = 0 is Student's t3: its region is
-        # symmetric, as the lower end (-60612) nearly is
+        # symmetric, as the lower end (-60894) nearly is
         res = run_json(["region", "--dist", "signed-t", "--nu", "3",
                         "--delta0", "0", "--lambda0", "0", "--coverage",
                         "0.99999999999999"], capsys)["result"]

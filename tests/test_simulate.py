@@ -464,6 +464,19 @@ class TestStatisticDistributions:
         ev = variance_mixture(9, 1.0)
         assert ks_distance(vals, ev) < ks_band(cfg.replications)
 
+    @pytest.mark.xfail(strict=True, reason="the variance law mixes over V "
+                       "alone and is certified only at its probe points; "
+                       "W ~ chi2_1(1e6) turns over within a small part of "
+                       "V's sd, so between them the CDF is off: D reads "
+                       "0.0182 against a band of 0.0115")
+    def test_s2_matches_variance_mixture_at_large_lambda(self):
+        # nu = n - 1 = 1000 and lambda = (beta1 / sigma1)^2 = 1e6
+        p = MixtureParams(n=1001, beta0=0, sigma0=1, mu_z=0, sigma_z=1,
+                          beta1=1000, sigma1=1)
+        vals = mc_statistic_distribution(p, "s2", McConfig(replications=20000,
+                                                           seed=3))
+        assert ks_distance(vals, variance_mixture(1000, 1e6)) < ks_band(20000)
+
     def test_mean_symmetry_at_zero_mu_z(self):
         cfg = McConfig(replications=50_000, seed=15)
         vals = mc_statistic_distribution(UNIT0, "mean", cfg)
