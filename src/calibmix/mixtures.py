@@ -748,11 +748,16 @@ class _ExtremeRule(_NodeSum):
     Fubini these draws add int h(v) K(u; v) dv, with h(v) = int p(tau)
     phi(v - tau) dtau the density of v over tau = D/s in [D/s_split,
     D/s_lo] and p(tau) = sqrt_ncchisq1_pdf(D/tau, lam0) D/tau^2.  The v-rule
-    has linear shoulder panels on tau_lo +/- 8.6 and tau_hi +/- 8.6 and
-    log-graded panels between: 6 per decade up to nu = 30 and lam0 = 8,
-    growing like sqrt(nu) and like lam0 beyond, because the conditional
-    law's transition in log v narrows like 1/sqrt(nu), and the bump of p
-    at tau = D/lam0, once the window holds it, like 1/lam0 in log tau.
+    has log-graded panels between tau_lo + 8.6 and tau_hi - 8.6: 6 per
+    decade up to nu = 30 and lam0 = 8, growing like sqrt(nu) and like lam0
+    beyond, because the conditional law's transition in log v narrows like
+    1/sqrt(nu), and the bump of p at tau = D/lam0, once the window holds
+    it, like 1/lam0 in log tau.  Its shoulders, tau_lo +/- 8.6 and tau_hi
+    +/- 8.6, have linear panels graded with nu alone, for the same
+    transition: 4 each, or more where a panel would be wider in log v, at
+    the shoulder's lowest v, than the middle's nu term makes them (past
+    nu = 31 at tau_lo = 20).  The lam0 term stays out of the shoulders:
+    with it, tsq_mixture(10, 1e12, 1e8) read further off.
     The panel count is planned up front: where the bump's panels alone
     come to more than _MAX_PANELS (8192; from about lam0 = 1e4 with the
     bump in the window) the law is a ParamError, raised before any node is
@@ -816,11 +821,13 @@ class _ExtremeRule(_NodeSum):
         """(nodes v ascending, Gauss-Legendre weights) of the v-rule."""
         z = _G_EDGES[-1]
         t_lo, t_hi = self.root_d / self.s_split, self.root_d / self.s_lo
-        middle = np.geomspace(t_lo + z, t_hi - z, self._middle + 1)[1:-1]
-        edges = np.unique(np.concatenate([np.linspace(t_lo - z, t_lo + z, 5),
-                                          middle,
-                                          np.linspace(t_hi - z, t_hi + z, 5)]))
-        return gauss_legendre_nodes(edges, 12)
+        edges = [np.geomspace(t_lo + z, t_hi - z, self._middle + 1)[1:-1]]
+        # the middle's panel width in log v from nu alone
+        width = math.log(10.0) / (6.0 * max(1.0, math.sqrt(self.nu / 30.0)))
+        for t in (t_lo, t_hi):
+            n = max(4, math.ceil(2.0 * z / (width * (t - z))))
+            edges.append(np.linspace(t - z, t + z, n + 1))
+        return gauss_legendre_nodes(np.unique(np.concatenate(edges)), 12)
 
     def _weights(self, v, wv):
         """wv h(v) at nodes v with panel weights wv, in node x g-panel x
@@ -1238,8 +1245,7 @@ class _NoncentralT(_MixtureLaw):
         anchors = (2.0 * lam0 - s_hi, lam0,
                    *np.ldexp(s_split, 2 * np.arange(1, steps, dtype=int)),
                    *np.linspace(max(2.0 * lam0 - s_hi, s_split), s_hi, 21)[1:-1])
-        rule = refine_panels(mixdens, s_split, s_hi, quad, initial_panels=32,
-                             split_at=anchors)
+        rule = refine_panels(mixdens, s_split, s_hi, quad, split_at=anchors)
         s, w = rule.nodes, rule.weights * mixdens(rule.nodes)
         if s.size:
             # the mass above s_hi, in closed form, joins the last node, the

@@ -119,27 +119,23 @@ def gauss_legendre_nodes(edges: np.ndarray, order: int = _GL_ORDER):
 
 
 class PanelRule:
-    """A panel rule: its edges, nodes and weights."""
+    """A panel rule: its edges, and their _GL_ORDER-point nodes and weights."""
 
-    def __init__(self, edges: np.ndarray, order: int = _GL_ORDER):
+    def __init__(self, edges: np.ndarray):
         self.edges = np.asarray(edges, dtype=float)
-        self.nodes, self.weights = gauss_legendre_nodes(self.edges, order)
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+        self.nodes, self.weights = gauss_legendre_nodes(self.edges)
 
 
 def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
-                  initial_panels: int = 1, split_at: tuple = ()) -> PanelRule:
+                  split_at: tuple = ()) -> PanelRule:
     """Build a panel rule on [lo, hi] by local subdivision (in the manner of
     QUADPACK's adaptive quadrature, Piessens et al. 1983): a panel is split
     only while its quadrature of ``f`` differs too much from the sum over
     its two halves.
 
     ``f`` maps nodes to values, or to an array of shape (len(nodes), k)
-    whose column 0 is the mass.  ``split_at`` lists interior points that
-    must coincide with panel edges; each segment between them starts as
-    ``initial_panels // segments`` equal panels, at least one.
+    whose column 0 is the mass.  The first panels run between consecutive
+    anchors: lo, the points of ``split_at`` inside (lo, hi), and hi.
 
     The first round evaluates every panel and its two halves in one array
     pass, and keeps each panel's difference between the whole and the
@@ -163,15 +159,8 @@ def refine_panels(f, lo: float, hi: float, quad: QuadSpec, *,
         return PanelRule(np.array([lo]))    # an empty window: no nodes
     if not hi > lo:
         raise ValueError("reversed quadrature window")
-    interior = sorted(p for p in split_at if lo < p < hi)
-    anchors = [lo] + interior + [hi]
-    n = max(1, initial_panels // (len(anchors) - 1))
-    # np.linspace(a, b, n + 1) on every segment [a, b] at once, in its
-    # arithmetic (k ((b - a)/n) + a, the last edge b), so in its bits
-    ends = np.array(anchors, dtype=float)
-    edges = np.arange(n + 1.0) * (np.diff(ends) / n)[:, None] + ends[:-1, None]
-    edges[:, -1] = ends[1:]
-    edges = np.unique(edges)
+    interior = [p for p in split_at if lo < p < hi]
+    edges = np.unique(np.array([lo, *interior, hi], dtype=float))
     x, w = _leggauss(_GL_ORDER)
 
     def measure_block(a, b, whole):

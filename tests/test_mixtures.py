@@ -392,13 +392,36 @@ class TestTsqMixture:
             assert np.max(np.abs(tm.cdf(u) - ref)) < 1e-10
         assert tsq_mixture(10, 0.0, 7.0).cdf(CRIT) == pytest.approx(0.950, abs=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="the v-rule's shoulder panels do "
-                       "not narrow with nu: at nu = 1e6 the law reads "
-                       "0.93807116 where the oracle reads 0.93748160")
     def test_v_rule_at_nu_1e6_against_ncf_oracle(self):
+        # with 4 shoulder panels at every nu the law read 0.93807116
         nu, delta, lam = 10 ** 6, 3.302 ** 2, 1.124 ** 2
         assert abs(tsq_mixture(nu, delta, lam).cdf(505.0) - ncf_cdf_oracle(
             nu, delta, lam, 505.0)) <= 1e-9
+
+    def test_v_rule_of_the_nu_1e5_table_against_ncf_oracle(self):
+        # a point of the CLI's nu = 1e5 table, where the v-rule carries the
+        # law: with 4 shoulder panels at every nu it read 1.8e-3 off
+        nu, delta, lam = 100_000, 1e4, 4.0
+        u = np.linspace(300.0, 30000.0, 20000)[282]
+        assert abs(tsq_mixture(nu, delta, lam).cdf(u) - ncf_cdf_oracle(
+            nu, delta, lam, u)) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="the v-rule's g-rule (16 panels "
+                       "of 10 points on g in +-8.6) does not resolve a slope "
+                       "bump of sd D/lambda0^2 = 0.04 in tau: the law reads "
+                       "0.500007 where the oracle reads 0.5252")
+    def test_v_rule_narrow_bump_against_ncf_oracle(self):
+        nu, delta, lam = 10, 4e4 ** 2, 1000.0 ** 2
+        assert abs(tsq_mixture(nu, delta, lam).cdf(1763.5) - ncf_cdf_oracle(
+            nu, delta, lam, 1763.5)) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason="the s-rule is refined on its "
+                       "mass alone: at nu = 1000 the law reads 0.910808503607 "
+                       "where the oracle reads 0.910808518894")
+    def test_s_rule_at_nu_1000_against_ncf_oracle(self):
+        nu, delta, lam = 1000, 3.302 ** 2, 1.124 ** 2
+        assert abs(tsq_mixture(nu, delta, lam).cdf(250.0) - ncf_cdf_oracle(
+            nu, delta, lam, 250.0)) <= 1e-9
 
     def test_table_values(self):
         assert tsq_mixture(10, 1.0, 1.0).cdf(CRIT) == pytest.approx(0.691, abs=1e-3)
@@ -1153,12 +1176,15 @@ class TestExtremeRule:
         ev.pdf(u), ev.cdf(u)
         ext = ev._ext
         assert ext._x.size == 816 and ext._w.size <= 64
-        # at nu = 1e6 a read to 1e7 reaches 26945 of 142656 nodes; weighting
-        # all of them took 1.37 s
+        # at nu = 1e6 a read to 1e7 reaches 35513 of 151224 nodes: the
+        # prefix ends at the last node whose argument at U = 1e7 lies above
+        # the lower of the CDF and pdf low edges
         law = tsq_mixture(10 ** 6, 4.0, 1.0)
         law.cdf(1e7)
         ext = law._ext
-        assert ext._w.size <= 0.2 * ext._x.size
+        low = min(ext._skip_edges[0][0], ext._skip_edges[1][0])
+        above = ext._argument(ext._x, np.array([1e7]))[:, 0] > low
+        assert ext._w.size == np.flatnonzero(above)[-1] + 1 < ext._x.size
 
     def test_pdf_kernel_against_decimal(self):
         # U f(U) = y^m e^{-y}/Gamma(m) at m = 5e5, y = m v^2/U over m
@@ -1443,7 +1469,7 @@ def test_large_rule_pdf_has_bounded_working_set():
 def fixed_rule(per_segment):
     """A stand-in for refine_panels: ``per_segment`` equal panels between
     the law's anchors, without refinement."""
-    def rule(f, lo, hi, quad, *, split_at=(), **_):
+    def rule(f, lo, hi, quad, *, split_at=()):
         anchors = [lo] + sorted(p for p in split_at if lo < p < hi) + [hi]
         return PanelRule(np.unique(np.concatenate(
             [np.linspace(a, b, per_segment + 1)

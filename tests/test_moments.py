@@ -54,7 +54,8 @@ def quadrature_moments(p: MixtureParams, quad: QuadSpec = QuadSpec()):
     def integrand(x):
         return mm.pdf(x)[:, None] * (x - p.mu_y)[:, None] ** np.arange(5)
 
-    rule = refine_panels(integrand, lo, hi, quad, initial_panels=32)
+    rule = refine_panels(integrand, lo, hi, quad,
+                         split_at=tuple(np.linspace(lo, hi, 33)[1:-1]))
     _, m1, m2, m3, m4 = rule.weights @ integrand(rule.nodes)
     return {"variance": m2, "skewness": m3 / m2 ** 1.5,
             "kurtosis": m4 / m2 ** 2}

@@ -233,7 +233,7 @@ def doubling_panels(f, lo, hi, tol, n=16):
     replaced)."""
     def integral(n):
         rule = qd.PanelRule(np.linspace(lo, hi, n + 1))
-        return rule.integrate(f(rule.nodes))
+        return rule.weights @ f(rule.nodes)
     while abs(integral(2 * n) - integral(n)) > tol:
         n *= 2
     return 2 * n
@@ -243,9 +243,10 @@ class TestRefinePanels:
     quad = QuadSpec()
 
     def test_certifies_narrow_bump_with_fewer_panels(self):
-        rule = refine_panels(bump, -1.0, 1.0, self.quad, initial_panels=16)
+        rule = refine_panels(bump, -1.0, 1.0, self.quad,
+                             split_at=tuple(np.linspace(-1.0, 1.0, 17)[1:-1]))
         exact = 0.01 * math.sqrt(2.0 * math.pi)
-        assert rule.integrate(bump(rule.nodes)) == pytest.approx(exact, abs=1e-9)
+        assert rule.weights @ bump(rule.nodes) == pytest.approx(exact, abs=1e-9)
         # the old builder's budget, 0.25 (abs_tol + rel_tol scale): 64 panels
         uniform = doubling_panels(bump, -1.0, 1.0, 0.25e-9 * (1.0 + exact))
         assert rule.edges.size - 1 < uniform
@@ -264,7 +265,8 @@ class TestRefinePanels:
         # budget
         f = lambda x: np.column_stack([np.ones_like(x), x * bump(x),
                                        x * x * bump(x)])
-        rule = refine_panels(f, -1.0, 1.0, self.quad, initial_panels=16)
+        rule = refine_panels(f, -1.0, 1.0, self.quad,
+                             split_at=tuple(np.linspace(-1.0, 1.0, 17)[1:-1]))
         _, m1, m2 = rule.weights @ f(rule.nodes)
         mass = 0.01 * math.sqrt(2.0 * math.pi)
         assert m1 == pytest.approx(0.3137 * mass, abs=1e-9)
@@ -293,30 +295,10 @@ class TestRefinePanels:
     def test_empty_window_has_no_nodes(self):
         # the noncentral-t series window [min(D/20, s_hi), s_hi] is empty
         # once D >= 20 s_hi; the integrand is never called
-        rule = refine_panels(None, 7.5, 7.5, self.quad, initial_panels=32)
+        rule = refine_panels(None, 7.5, 7.5, self.quad)
         assert rule.nodes.size == rule.weights.size == 0
         with pytest.raises(ValueError):
             refine_panels(bump, 1.0, -1.0, self.quad)
-
-    def test_first_panels_are_linspace_bits(self):
-        # the segments' first edges come in one expression, in np.linspace's
-        # arithmetic: the bits of one linspace per segment, on 2000 random
-        # anchor sets (a constant integrand keeps the first panels, whose
-        # halves the rule returns)
-        rng = np.random.default_rng(37)
-        for _ in range(2000):
-            n, segments = int(rng.integers(1, 40)), int(rng.integers(1, 26))
-            anchors = rng.uniform(-1e3, 1e3) + np.cumsum(
-                10.0 ** rng.uniform(-5.0, 5.0, segments + 1))
-            edges = np.unique(np.concatenate([
-                np.linspace(a, b, n + 1)
-                for a, b in zip(anchors, anchors[1:])]))
-            a, b = edges[:-1], edges[1:]
-            rule = refine_panels(np.ones_like, anchors[0], anchors[-1],
-                                 self.quad, initial_panels=n * segments,
-                                 split_at=tuple(anchors[1:-1]))
-            assert np.array_equal(rule.edges, np.unique(
-                np.concatenate([a, 0.5 * (a + b), b])))
 
     def test_raises_at_panel_cap(self, monkeypatch):
         monkeypatch.setattr(qd, "_MAX_PANELS", 32)
@@ -324,16 +306,12 @@ class TestRefinePanels:
             refine_panels(lambda x: np.sin(200.0 * x), 0.0, 10.0, self.quad)
 
 
-def reference_refine_panels(f, lo, hi, quad, *, initial_panels=1, split_at=()):
+def reference_refine_panels(f, lo, hi, quad, *, split_at=()):
     """The builder as it was before it kept the halves it had measured:
     every round evaluated each new panel whole and its two halves."""
     if hi == lo:
         return qd.PanelRule(np.array([lo]))
-    interior = sorted(p for p in split_at if lo < p < hi)
-    anchors = [lo] + interior + [hi]
-    n = max(1, initial_panels // (len(anchors) - 1))
-    edges = np.unique(np.concatenate([np.linspace(a, b, n + 1)
-                                      for a, b in zip(anchors, anchors[1:])]))
+    edges = np.unique([lo, *(p for p in split_at if lo < p < hi), hi])
     x, w = qd._leggauss(qd._GL_ORDER)
 
     def measure_block(a, b):
@@ -422,7 +400,8 @@ class TestKeptHalves:
         # two new panels at 32 nodes each (their halves)
         seen = []
         f = lambda x: seen.append(x.size) or bump(x)
-        rule = refine_panels(f, -1.0, 1.0, QuadSpec(), initial_panels=16)
+        rule = refine_panels(f, -1.0, 1.0, QuadSpec(),
+                             split_at=tuple(np.linspace(-1.0, 1.0, 17)[1:-1]))
         panels = (rule.edges.size - 1) // 2     # the rule keeps the halves
         assert panels > 16
         assert sum(seen) == 48 * 16 + 2 * 32 * (panels - 16)
