@@ -274,6 +274,9 @@ def _cmd_simulate(args):
                    "statistic": args.statistic}
 
     if args.statistic == "inconsistency":
+        if args.dump:
+            raise _UsageError("--dump takes per-replication values, which "
+                              "inconsistency does not return")
         grid = _int_list(args.n_grid or "", "--n-grid")
         if not grid:
             raise _UsageError("inconsistency needs --n-grid")

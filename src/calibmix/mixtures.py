@@ -76,7 +76,7 @@ from .model import MixtureParams
 from .quadrature import (_MAX_PANELS, QuadSpec, _leggauss, bisect_cdf,
                          gauss_legendre_nodes, refine_panels)
 from . import special as ser
-from .parallel import thread_map
+from .parallel import _TABLE, thread_map
 
 _Z_SUPPORT = 8.5       # Gaussian component half-width; Phi(-8.5) ~ 1e-17
 _MAX_J_TERMS = 120_000
@@ -90,20 +90,15 @@ _NCT_D_MAX = 1e100
 # mass by about 0.01 of that spacing (2e-18 lambda0; at most 0.52 abs_tol
 # up to this bound on an eighth-decade lambda scan at abs_tol 1e-11 to 1e-5)
 _NCT_LAM0_PER_TOL = 1e17
-# Points per evaluation block.  A rule law takes fewer points per block once
-# it has more than 4096 nodes, so that its node x point table holds at most
-# _BLOCK_SIZE doubles (16 MB).  The noncentral-t pdfs and CDFs take
+# Points per evaluation block.  The noncentral-t pdfs and CDFs take
 # _SERIES_BLOCK points, so that their per-block tail bounds and rung climbs
 # are shared by more points (a CDF block climbs to the rung of its smallest
-# x, so its size moves a point's CDF by rounding only).  They build
-# their term x point and band x point tables over chunks of points of at
-# most _TABLE doubles.  _BLOCK_SIZE is the budget of all block workers
-# together: a law runs at most _BLOCK_SIZE // (doubles of one block's
-# table) blocks at once.
+# x, so its size moves a point's CDF by rounding only).  Every law builds
+# its node x point, term x point and band x point tables over chunks of
+# at most parallel._TABLE doubles, so a block's memory depends on no rule
+# size (a rule law's blocks of under _SKIP_FROM points sum it whole).
 _POINT_BLOCK = 512
 _SERIES_BLOCK = 4096
-_BLOCK_SIZE = 2 ** 21
-_TABLE = 2 ** 15
 _TERM_BLOCK = 4096     # most series terms in one term x point rung
 # offsets of the first grid searched for a quantile's bracket, in steps of
 # the law's coordinate around its start
@@ -120,16 +115,15 @@ def _log(u):
     return math.log(max(u, sys.float_info.min))
 
 
-def _evaluate(f, u, at_inf, block, block_doubles):
+def _evaluate(f, u, at_inf, block):
     """(u is a scalar, f at u): f over the finite points of u in blocks of
     ``block`` points, ``at_inf`` at +inf and 0 at -inf.  A NaN in u is a
     ParamError.
 
     The blocks are fixed by u and ``block`` alone and run through
-    ``parallel.thread_map``, on every CPU the process may use but at most
-    _BLOCK_SIZE // block_doubles at once (``block_doubles`` bounds one
-    block's tables), so the values are the same bits on any CPU count.  A
-    single block runs in the caller's thread."""
+    ``parallel.thread_map``, on every CPU the process may use, so the
+    values are the same bits on any CPU count.  A single block runs in the
+    caller's thread."""
     u = np.asarray(u, dtype=float)
     scalar, u = u.ndim == 0, np.atleast_1d(u)
     if np.isnan(u).any():
@@ -139,8 +133,7 @@ def _evaluate(f, u, at_inf, block, block_doubles):
     u_fin = u[finite]
     vals = np.empty_like(u_fin)
     starts = range(0, u_fin.size, block)
-    blocks = thread_map(lambda i: f(u_fin[i:i + block]), starts,
-                        max(1, _BLOCK_SIZE // block_doubles))
+    blocks = thread_map(lambda i: f(u_fin[i:i + block]), starts)
     for i, block_vals in zip(starts, blocks):
         vals[i:i + block] = block_vals
     out[finite] = vals
@@ -158,10 +151,7 @@ class _MixtureLaw:
     abscissa or probability is a ParamError; at -inf and +inf the CDF is 0
     and 1 and the pdf 0.  The repr shows the public attributes."""
 
-    # points per block of the pdf and of the CDF, and the most doubles
-    # that one block's tables hold
-    _block = _POINT_BLOCK
-    _block_doubles = _TABLE
+    _block = _POINT_BLOCK     # points per block of the pdf and of the CDF
     _line = None
 
     def __repr__(self):
@@ -169,13 +159,11 @@ class _MixtureLaw:
             "%s=%r" % kv for kv in vars(self).items() if kv[0][0] != "_"))
 
     def pdf(self, u):
-        scalar, out = _evaluate(self._pdf, u, 0.0, self._block,
-                                self._block_doubles)
+        scalar, out = _evaluate(self._pdf, u, 0.0, self._block)
         return float(out[0]) if scalar else out
 
     def cdf(self, u):
-        scalar, out = _evaluate(self._cdf, u, 1.0, self._block,
-                                self._block_doubles)
+        scalar, out = _evaluate(self._cdf, u, 1.0, self._block)
         np.clip(out, 0.0, 1.0, out=out)
         return float(out[0]) if scalar else out
 
@@ -305,7 +293,6 @@ class _NodeSum:
     is what the kernels read."""
 
     _skip_from = 0            # blocks of fewer points sum every row
-    _block_doubles = _TABLE   # the most doubles in one kernel table
 
     @functools.cached_property
     def _skip_edges(self):
@@ -328,7 +315,8 @@ class _NodeSum:
         sum(w) d <= 1e-3 abs_tol, and a CDF on sorted points stays
         nondecreasing up to the rounding of its sum (a row only ever leaves
         the band upward, but a sum over other rows rounds differently).
-        The band is summed in tables of at most _block_doubles doubles.
+        The band is summed in tables of at most _TABLE doubles (one row
+        at least), so the block's memory depends on no rule size.
         Rows are selected by index: scipy.special ufuncs called with
         ``where=`` segfault with numpy 2.4.6 and scipy 1.17.1.  The weights
         ``_w`` may cover a prefix of the nodes ``_x`` only (the v-rule
@@ -343,7 +331,7 @@ class _NodeSum:
         past = lo >= high
         band = np.flatnonzero(~(past | (hi <= low)))
         out = np.full_like(u, 0.0 if want_pdf else w[past].sum())
-        step = max(1, self._block_doubles // u.size)
+        step = max(1, _TABLE // u.size)
         for i in range(0, band.size, step):
             rows = band[i:i + step]
             out += w[rows] @ self._kernel(x[rows], u, want_pdf)
@@ -378,8 +366,6 @@ class _RuleLaw(_NodeSum, _MixtureLaw):
         self._x = self._constants(rule.nodes)
         self._w = rule.weights * self._mixing_pdf(rule.nodes)
         self._mass = float(self._w.sum())
-        self._block = min(_POINT_BLOCK, _BLOCK_SIZE // self._x.size)
-        self._block_doubles = self._block * self._x.size
 
     def _pdf(self, u):
         return self._sum(u, True)

@@ -15,6 +15,11 @@ later runs on the threads it has); a forked child, whose copy of it has no
 threads, makes its own.  A block costs a lock and a counter step, not a
 ``Future`` and a wake-up of the caller, and the caller waits only for a
 block that a helper is still running once no block is left to start.
+
+``_TABLE`` is the package's one table budget: the mixture laws chunk their
+dense tables, and the Monte Carlo engine its row blocks of normals, at
+_TABLE doubles (256 KB), so a dense call's memory depends on the workers'
+count, not on the input's size.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+# the most doubles a block forms in one table: the mixture laws' node, term
+# and band tables and the Monte Carlo engine's row blocks of normals alike
+_TABLE = 2 ** 15
 # the process's helper pool, made on first need
 _pool = None
 _pool_lock = threading.Lock()
@@ -130,11 +138,10 @@ class _Blocks:
             self._cond.wait_for(lambda: self._running == 0)
 
 
-def thread_map(fn, items, most=None):
+def thread_map(fn, items):
     """fn(item) for each item, yielded in order, on the calling thread and up
-    to cpu_count() - 1 helper threads, with at most ``most`` blocks (a cap
-    set by the blocks' memory) running at once; a single block, or a single
-    worker, runs in the caller's thread alone.  Each result is yielded once
+    to cpu_count() - 1 helper threads; a single block, or a single worker,
+    runs in the caller's thread alone.  Each result is yielded once
     its block and every earlier one are done.  Each block runs in a copy of
     the caller's context, so it sees the caller's ``np.errstate`` (numpy 2
     keeps it in a context variable, which a pool thread would not inherit).
@@ -144,7 +151,7 @@ def thread_map(fn, items, most=None):
     returns, and so do the helpers that started: none is left working on
     the call."""
     items = list(items)
-    workers = min(len(items), most or len(items), cpu_count())
+    workers = min(len(items), cpu_count())
     if workers <= 1:
         yield from map(fn, items)
         return

@@ -41,10 +41,17 @@ class PowerCell:
 
 
 def tsq_critical(nu: int, alpha: float) -> float:
-    """(1 - alpha) quantile of central F(1, nu) = t^2(nu, 0)."""
+    """(1 - alpha) quantile of central F(1, nu) = t^2(nu, 0): the c with
+    P[F(1, nu) > c] = I_x(nu/2, 1/2) = alpha at x = nu/(nu + c), so
+    c = nu (1 - x)/x.  x and 1 - x come from one inversion each, every one
+    accurate where its result is small, so c holds in both tails
+    (fdtri(1, nu, 1 - alpha) rounds 1 - alpha: 2% low at nu = 10 and
+    alpha = 1e-16, and inf from 1e-17)."""
     if not 0.0 < alpha < 1.0:
         raise ParamError("alpha must be in (0, 1)")
-    return float(sp.fdtri(1, nu, 1.0 - alpha))
+    x = sp.betaincinv(0.5 * nu, 0.5, alpha)
+    with np.errstate(divide="ignore"):      # x is 0 where c overflows
+        return float(nu * sp.betainccinv(0.5, 0.5 * nu, alpha) / x)
 
 
 def operating_characteristics(nu: int, delta: float, lam: float, alpha: float,

@@ -23,8 +23,10 @@ Each replication shares a single (beta0_hat, beta1_hat) draw across its n
 projected values; that shared draw is the induced dependence under study.
 
 Every statistic runs over row blocks of that matrix (_map_blocks).  Block k
-holds rows [k R, (k + 1) R) with R = max(1, 2**15 // columns), about 256 KB
-of normals: the blocks are fixed by (rows, columns), never by the machine.
+holds rows [k R, (k + 1) R) with R = max(1, parallel._TABLE // columns),
+about 256 KB of normals (the package's one table budget, which the mixture
+laws' tables share): the blocks are fixed by (rows, columns), never by the
+machine.
 A block draws its uniforms from a clone of the stream's Philox generator
 skipped ahead to its first uniform (Philox is counter-based, so the skip
 costs no draws), reduces them to per-row results, and the results are
@@ -54,7 +56,7 @@ from .errors import DataError, ParamError, converted, require_finite
 from .io import decode_json, json_object, rows_to_csv_text, write_text
 from .model import MixtureParams, derive_params
 from .oneway import _sums_of_squares
-from .parallel import thread_map
+from .parallel import _TABLE, thread_map
 
 _STREAMS = {
     "sample": 0,
@@ -69,9 +71,6 @@ _STREAMS = {
 
 SCHEMA_VERSION = "1"
 
-# A Monte Carlo block holds about this many normals (256 KB): rows
-# max(1, _BLOCK_NORMALS // cols) of the pinned uniform matrix.
-_BLOCK_NORMALS = 2 ** 15
 # uint64 draws per Philox counter step
 _PHILOX_BUFFER = 4
 # seeds each block's Philox clone before the stream's state replaces it
@@ -250,11 +249,11 @@ def _map_blocks(rng: np.random.Generator, rows: int, cols: int, kernel):
     one _std_normal(rng, (rows, cols)) call would draw from rng, a fresh
     substream, results stacked.
 
-    Block k holds rows [k R, (k + 1) R), R = max(1, _BLOCK_NORMALS // cols):
-    the blocks depend on the shape only, so the output is the same on any
+    Block k holds rows [k R, (k + 1) R), R = max(1, _TABLE // cols): the
+    blocks depend on the shape only, so the output is the same on any
     number of CPUs.  Each block draws from a clone of rng skipped to its
     first uniform (``parallel.thread_map``); rng itself does not move."""
-    step = max(1, _BLOCK_NORMALS // cols)
+    step = max(1, _TABLE // cols)
     starts = range(0, rows, step)
     state = rng.bit_generator.state
 

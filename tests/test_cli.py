@@ -282,6 +282,14 @@ class TestPowerTable:
             got = [float(v) for v in row[1:3]]
             assert got == pytest.approx(list(non[i]), abs=0.0)  # identical reprs
 
+    def test_far_tail_alpha_is_strict_json(self, capsys):
+        # fdtri at 1 - 1e-17 = 1 read inf, which json wrote as Infinity
+        assert run(["power-table", "--nu", "10", "--delta", "0", "--lam", "1",
+                    "--alpha", "1e-17"]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["result"]["critical"] == pytest.approx(18967.508,
+                                                              rel=1e-7)
+
     def test_alpha_out_of_range_exits_2(self, capsys):
         assert run(["power-table", "--nu", "10", "--delta", "1", "--lam", "1",
                     "--alpha", "2"]) == 2
@@ -400,6 +408,13 @@ class TestMoments:
         assert run(["moments", "--n", "10"]) == 1
 
 
+def strict_json(text):
+    """The JSON text parsed, failing on Infinity, -Infinity and NaN."""
+    def refuse(name):
+        raise AssertionError("not JSON: %s" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestSimulate:
     def test_inconsistency_run(self, capsys):
         payload = run_json(
@@ -411,6 +426,18 @@ class TestSimulate:
         assert len(summaries) == 2
         assert summaries[0]["estimate"] == pytest.approx(
             2.2, abs=4 * summaries[0]["std_error"])
+
+    def test_inconsistency_dump_exits_1(self, tmp_path, capsys):
+        # the curve has no per-replication values to dump
+        dump = tmp_path / "f.csv"
+        assert run(["simulate", "--statistic", "inconsistency",
+                    "--replications", "100", "--seed", "7", "--n-grid", "5",
+                    "--dump", str(dump),
+                    "--n", "10", "--beta0", "1", "--sigma0", "1", "--mu-z", "1",
+                    "--sigma-z", "1", "--beta1", "1", "--sigma1", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--dump" in err
+        assert not dump.exists()
 
     def test_inconsistency_zero_n_exits_2(self, capsys):
         assert run(["simulate", "--statistic", "inconsistency",
@@ -533,6 +560,16 @@ class TestDiagnoseAnova:
         res = payload["result"]
         assert res["n"] == 12
         assert 0.0 <= res["shapiro_type_w"] <= 1.0
+
+    def test_diagnose_zero_leave_one_out_sd_is_null(self, tmp_path, capsys):
+        # leaving out the 5 leaves 1, 1, 1, of sd 0: R-Student is inf, which
+        # the report writes as null
+        path = tmp_path / "y.csv"
+        path.write_text("y\n1\n1\n1\n5\n")
+        assert run(["diagnose", "--input", str(path)]) == 0
+        r_student = strict_json(capsys.readouterr().out)["result"]["r_student"]
+        assert r_student[3] is None
+        assert all(math.isfinite(v) for v in r_student[:3])
 
     def test_anova(self, tmp_path, capsys):
         path = tmp_path / "g.csv"

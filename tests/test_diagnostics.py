@@ -243,7 +243,7 @@ class TestBlindnessSuite:
         # the suite rebuilt from one whole-matrix draw of each stream
         monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
         p = octane_params()
-        reps = 3 * (simulate._BLOCK_NORMALS // (2 + p.n)) + 17
+        reps = 3 * (parallel._TABLE // (2 + p.n)) + 17
         cfg = McConfig(replications=reps, seed=8)
         e = _std_normal(substream(8, simulate._STREAMS["diagnostics"]),
                         (reps, 2 + p.n))

@@ -1461,8 +1461,7 @@ LOG_SPIKE = MixtureParams(n=10, beta0=1.0, sigma0=0.0, mu_z=1.0, sigma_z=1.0,
 
 def test_large_rule_pdf_has_bounded_working_set():
     # the spike bundle's 512-point blocks of 27648 nodes peaked at 341 MB;
-    # fewer points per block of a large rule keep each temporary within
-    # 16 MB
+    # band chunks of at most _TABLE doubles keep each temporary small
     assert traced_pdf_peak(LOG_SPIKE, 20_000) < 64e6
 
 
@@ -2160,11 +2159,26 @@ class TestThreadedBlocks:
             for got, want in zip(tables[workers], tables[1]):
                 assert np.array_equal(got, want, equal_nan=True)
 
-    def test_large_rule_runs_its_blocks_one_at_a_time(self):
-        # a block of a 2848-node rule holds more than half of _BLOCK_SIZE
-        # doubles, the budget of all workers together
-        law = SPIKE_LAW()
-        assert law._block_doubles <= mx._BLOCK_SIZE < 2 * law._block_doubles
+    @pytest.mark.parametrize("build", [
+        SPIKE_LAW, lambda: variance_mixture(1, 1000.0)],
+        ids=["spike", "variance-nu1-lam1000"])
+    def test_large_rule_tables_hold_to_the_table_budget(self, build,
+                                                        monkeypatch):
+        # 2848 and 4832 nodes: each band x point table of a block holds at
+        # most _TABLE doubles, whatever the rule's size; the skip edges,
+        # built once per law, are left out of the peak
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        law = build()
+        law._skip_edges
+        u = np.linspace(*law.support(), 3 * law._block)
+        for f in (law.pdf, law.cdf):
+            tracemalloc.start()
+            try:
+                f(u)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * parallel._TABLE * 8
 
     def test_racing_threads_grow_the_serial_coefficients(self):
         # upto extends under a lock, and every caller climbs the rung
@@ -2215,7 +2229,7 @@ class TestThreadedBlocks:
             seen.append(np.geterr()["over"])
             return u
         with np.errstate(over="ignore"):
-            mx._evaluate(block, np.arange(3000.0), 1.0, 512, 1)
+            mx._evaluate(block, np.arange(3000.0), 1.0, 512)
         assert len(seen) == 6 and set(seen) == {"ignore"}
 
 

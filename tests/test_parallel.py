@@ -28,21 +28,6 @@ def test_one_block_runs_in_the_calling_thread(workers):
     assert threads == [threading.current_thread()]
 
 
-def test_most_caps_the_blocks_in_flight(workers):
-    lock, running, peak = threading.Lock(), [0], [0]
-
-    def block(i):
-        with lock:
-            running[0] += 1
-            peak[0] = max(peak[0], running[0])
-        time.sleep(0.005)
-        with lock:
-            running[0] -= 1
-        return i
-    assert list(parallel.thread_map(block, range(8), most=2)) == list(range(8))
-    assert peak[0] <= min(2, workers)
-
-
 def test_a_failing_block_raises_when_reached(workers):
     def block(i):
         if i == 3:

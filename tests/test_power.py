@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from calibmix import (PowerCell, operating_characteristics, ordering_probe,
                       power_table, tsq_critical, tsq_mixture)
@@ -41,6 +42,13 @@ class TestTsqCritical:
 
     def test_alpha_to_one_gives_zero(self):
         assert tsq_critical(10, 0.999999) == pytest.approx(0.0, abs=1e-3)
+
+    @pytest.mark.parametrize("alpha", [0.999999, 0.05, 1e-17, 1e-100])
+    def test_holds_in_both_tails(self, alpha):
+        # c from I_x and 1 - x, not from fdtri at 1 - alpha, which reads 2%
+        # low at 1e-16 and inf from 1e-17
+        c = tsq_critical(10, alpha)
+        assert special.fdtrc(1, 10, c) == pytest.approx(alpha, rel=1e-14, abs=0)
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):

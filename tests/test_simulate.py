@@ -293,7 +293,7 @@ def test_coefficient_mode_streams_rebuild_by_hand(stat, octane):
 
 def three_blocks_and_17(cols):
     """A row count that ends in a partial block: 3 whole blocks + 17 rows."""
-    return 3 * max(1, simulate._BLOCK_NORMALS // cols) + 17
+    return 3 * max(1, parallel._TABLE // cols) + 17
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
