@@ -190,8 +190,8 @@ class DiagnosticReport:
     r_student: tuple
 
     def to_dict(self):
-        """The report as JSON values: an infinite R-Student (its
-        leave-one-out sd is 0) is None, which JSON writes as null."""
+        """The report's fields; an R-Student is inf where its leave-one-out
+        sd is 0 (the JSON output writes it as null)."""
         return {
             "n": self.n,
             "von_neumann_ratio": self.von_neumann_ratio,
@@ -199,8 +199,7 @@ class DiagnosticReport:
             "b1": self.b1,
             "b2": self.b2,
             "studentized": list(self.studentized),
-            "r_student": [v if math.isfinite(v) else None
-                          for v in self.r_student],
+            "r_student": list(self.r_student),
         }
 
 

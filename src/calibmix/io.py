@@ -12,7 +12,9 @@ fields only, and ``merged`` lays flags over values read from a file,
 noting each override on stderr.
 
 Floats are written with full repr precision in both formats, so the JSON
-and CSV outputs of one run carry identical numeric content.
+and CSV outputs of one run carry identical numeric content.  JSON output is
+strict: a non-finite float (an infinite critical value or R-Student) is
+written as null, where CSV writes its repr.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import sys
 
 from .errors import DataError
@@ -113,14 +116,32 @@ def rows_to_csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _json_value(obj):
+    """``obj`` with every non-finite float (inf, -inf, nan) as None, which
+    JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(v) for v in obj]
+    return obj
+
+
+def _json_text(obj, **kwargs) -> str:
+    """Strict JSON: a non-finite float is null, never Infinity or NaN."""
+    return json.dumps(_json_value(obj), allow_nan=False, sort_keys=True,
+                      **kwargs)
+
+
 def payload_text(payload, fmt, table=None) -> str:
     """The payload as JSON, or as CSV: a ``# config:`` line plus ``table``
     (header, rows) when given, else the payload flattened to key,value
-    rows."""
+    rows.  JSON is strict: every non-finite float in it is null."""
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload, indent=2) + "\n"
     if table is not None:
-        return ("# config: %s\n" % json.dumps(payload["config"], sort_keys=True)
+        return ("# config: %s\n" % _json_text(payload["config"])
                 + rows_to_csv_text(*table))
     rows = []
 

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ParamError, require_finite
 from .io import read_csv
 from .model import MixtureParams
-from .special import ncf_cdf
+from .special import f_critical, ncf_cdf
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,7 @@ def f_power(design: OneWayDesign, alpha: float) -> FPower:
     mubar = float(np.sum(ns * mus) / np.sum(ns))
     lam_f = float(np.sum(ns * (mus - mubar) ** 2) / omega ** 2)
     d1, d2 = design.k - 1, design.n - design.k
-    crit = float(sp.fdtri(d1, d2, 1.0 - alpha))
+    crit = f_critical(d1, d2, alpha)
     power = 1.0 - float(ncf_cdf(crit, d1, d2, lam_f))
     return FPower(lambda_f=lam_f, power=power, critical=crit)
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ParamError
 from .mixtures import tsq_mixture, variance_mixture
 from .quadrature import QuadSpec
+from .special import f_critical
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,9 @@ class PowerCell:
 
 
 def tsq_critical(nu: int, alpha: float) -> float:
-    """(1 - alpha) quantile of central F(1, nu) = t^2(nu, 0): the c with
-    P[F(1, nu) > c] = I_x(nu/2, 1/2) = alpha at x = nu/(nu + c), so
-    c = nu (1 - x)/x.  x and 1 - x come from one inversion each, every one
-    accurate where its result is small, so c holds in both tails
-    (fdtri(1, nu, 1 - alpha) rounds 1 - alpha: 2% low at nu = 10 and
-    alpha = 1e-16, and inf from 1e-17)."""
-    if not 0.0 < alpha < 1.0:
-        raise ParamError("alpha must be in (0, 1)")
-    x = sp.betaincinv(0.5 * nu, 0.5, alpha)
-    with np.errstate(divide="ignore"):      # x is 0 where c overflows
-        return float(nu * sp.betainccinv(0.5, 0.5 * nu, alpha) / x)
+    """(1 - alpha) quantile of central F(1, nu) = t^2(nu, 0), from
+    ``special.f_critical``: it holds in both tails."""
+    return f_critical(1, nu, alpha)
 
 
 def operating_characteristics(nu: int, delta: float, lam: float, alpha: float,

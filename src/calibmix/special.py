@@ -4,7 +4,9 @@ The chi-squared(1) mixing law has closed forms: sqrt(W) for W ~
 chi2_1(lambda0^2) has the shifted half-normal density phi(s - lambda0) +
 phi(s + lambda0), and the density of W itself follows by the change of
 variables.  scipy.special supplies the scalar primitives (gammaln, betainc,
-gammainc, ndtr/ndtri) and, whole, the noncentral F CDF (ncfdtr).  log_beta
+gammainc, ndtr/ndtri) and, whole, the noncentral F CDF (ncfdtr); the
+central F critical value comes from two incomplete-beta inversions, each
+accurate where its result is small, so it holds in the far tail.  log_beta
 keeps log B(a, b) accurate at the large indices where gammaln differences
 cancel: the noncentral-t series of the mixture evaluators take their terms,
 CDF and pdf alike, from it in logs, so large degrees of freedom and large
@@ -101,3 +103,17 @@ def ncf_cdf(x, d1, d2, nc):
         raise ParamError("noncentrality must be nonnegative")
     out = sp.ncfdtr(d1, d2, nc, np.maximum(x, 0.0))
     return float(out) if np.ndim(out) == 0 else out
+
+
+def f_critical(d1, d2, alpha: float) -> float:
+    """(1 - alpha) quantile of central F(d1, d2): the c with P[F > c] =
+    I_x(d2/2, d1/2) = alpha at x = d2/(d2 + d1 c), so c = d2 (1 - x)/(d1 x).
+    x and 1 - x come from one inversion each, every one accurate where its
+    result is small, so c holds in both tails (fdtri(d1, d2, 1 - alpha)
+    rounds 1 - alpha: at d1 = 1, d2 = 10 it is 2% low at alpha = 1e-16,
+    and inf from 1e-17).  c is inf only where it passes the largest float."""
+    if not 0.0 < alpha < 1.0:
+        raise ParamError("alpha must be in (0, 1)")
+    x = sp.betaincinv(0.5 * d2, 0.5 * d1, alpha)
+    with np.errstate(divide="ignore"):      # x is 0 where c overflows
+        return float(d2 * sp.betainccinv(0.5 * d1, 0.5 * d2, alpha) / (d1 * x))

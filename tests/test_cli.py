@@ -290,6 +290,15 @@ class TestPowerTable:
         assert payload["result"]["critical"] == pytest.approx(18967.508,
                                                               rel=1e-7)
 
+    def test_overflowing_critical_is_null(self, capsys):
+        # F(1, 1)'s critical value at alpha = 1e-300 passes the largest
+        # float: JSON writes the inf as null, not as Infinity
+        assert run(["power-table", "--nu", "1", "--delta", "0", "--lam", "1",
+                    "--alpha", "1e-300"]) == 0
+        result = strict_json(capsys.readouterr().out)["result"]
+        assert result["critical"] is None
+        assert result["nonrejection"] == [[1.0]]
+
     def test_alpha_out_of_range_exits_2(self, capsys):
         assert run(["power-table", "--nu", "10", "--delta", "1", "--lam", "1",
                     "--alpha", "2"]) == 2
@@ -587,6 +596,19 @@ class TestDiagnoseAnova:
              "--group-sizes", "3,3", "--group-means", "0,1",
              "--group-omegas", "1,1"], capsys)
         assert payload["result"]["f_power"]["lambda_f"] == pytest.approx(1.5)
+
+    def test_anova_far_tail_power_alpha_is_strict_json(self, tmp_path, capsys):
+        # F(2, 12)'s critical value is (d2/2)(alpha^(-2/d2) - 1); fdtri at
+        # 1 - 1e-17 = 1 read inf, which json wrote as Infinity
+        path = tmp_path / "g.csv"
+        path.write_text("group,y\n" + "".join(
+            "%s,%d\n" % (g, i) for g in "abc" for i in range(5)))
+        assert run(["anova", "--input", str(path), "--power-alpha", "1e-17",
+                    "--group-sizes", "5,5,5", "--group-means", "0,1,2",
+                    "--group-omegas", "1,1,1"]) == 0
+        f_power = strict_json(capsys.readouterr().out)["result"]["f_power"]
+        assert f_power["critical"] == pytest.approx(
+            6.0 * math.expm1(17.0 * math.log(10.0) / 6.0), rel=1e-14)
 
     def test_anova_power_alpha_out_of_range_exits_2(self, tmp_path, capsys):
         path = tmp_path / "g.csv"

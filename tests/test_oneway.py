@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +95,15 @@ class TestFPower:
                                   omegas=(1.0, 1.0))
             powers.append(f_power(design, 0.05).power)
         assert all(a < b for a, b in zip(powers, powers[1:]))
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-16, 1e-17, 1e-100, 1e-300])
+    def test_critical_holds_in_the_far_tail(self, alpha):
+        # at d1 = 2 the F critical value is (d2/2)(alpha^(-2/d2) - 1); fdtri
+        # at 1 - alpha read 2730.84 for 2778.95 at 1e-16, and inf from 1e-17
+        design = OneWayDesign(sizes=(5, 5, 5), means=(0.0, 1.0, 2.0),
+                              omegas=(1.0, 1.0, 1.0))
+        want = 6.0 * math.expm1(-math.log(alpha) / 6.0)
+        assert f_power(design, alpha).critical == pytest.approx(want, rel=1e-14)
 
     def test_heteroscedastic_rejected(self):
         design = OneWayDesign(sizes=(3, 3), means=(0.0, 1.0), omegas=(1.0, 2.0))
