@@ -96,7 +96,7 @@ _NCT_LAM0_PER_TOL = 1e17
 # x, so its size moves a point's CDF by rounding only).  Every law builds
 # its node x point, term x point and band x point tables over chunks of
 # at most parallel._TABLE doubles, so a block's memory depends on no rule
-# size (a rule law's blocks of under _SKIP_FROM points sum it whole).
+# size.
 _POINT_BLOCK = 512
 _SERIES_BLOCK = 4096
 _TERM_BLOCK = 4096     # most series terms in one term x point rung
@@ -315,25 +315,29 @@ class _NodeSum:
         sum(w) d <= 1e-3 abs_tol, and a CDF on sorted points stays
         nondecreasing up to the rounding of its sum (a row only ever leaves
         the band upward, but a sum over other rows rounds differently).
-        The band is summed in tables of at most _TABLE doubles (one row
-        at least), so the block's memory depends on no rule size.
-        Rows are selected by index: scipy.special ufuncs called with
+        A call of fewer than ``_skip_from`` points sums every row.  Either
+        way the rows are summed in slices of at most _TABLE // len(u) rows
+        (one row at least), so a call's memory depends on no rule size; a
+        rule of at most that many rows is one slice, w @ kernel(x, u).
+        Band rows are selected by index: scipy.special ufuncs called with
         ``where=`` segfault with numpy 2.4.6 and scipy 1.17.1.  The weights
         ``_w`` may cover a prefix of the nodes ``_x`` only (the v-rule
         weights its nodes on demand, on other threads too): the sum reads
         ``_w`` once and the nodes it weights."""
         w = self._w
         x = self._x[:w.size]
-        if u.size < self._skip_from:
-            return w @ self._kernel(x, u, want_pdf)
-        lo, hi = self._argument(x, np.array([np.min(u), np.max(u)])).T
-        low, high = self._skip_edges[want_pdf]
-        past = lo >= high
-        band = np.flatnonzero(~(past | (hi <= low)))
-        out = np.full_like(u, 0.0 if want_pdf else w[past].sum())
         step = max(1, _TABLE // u.size)
-        for i in range(0, band.size, step):
-            rows = band[i:i + step]
+        if u.size < self._skip_from:
+            out = np.zeros_like(u)
+            chunks = [slice(i, i + step) for i in range(0, w.size, step)]
+        else:
+            lo, hi = self._argument(x, np.array([np.min(u), np.max(u)])).T
+            low, high = self._skip_edges[want_pdf]
+            past = lo >= high
+            band = np.flatnonzero(~(past | (hi <= low)))
+            out = np.full_like(u, 0.0 if want_pdf else w[past].sum())
+            chunks = [band[i:i + step] for i in range(0, band.size, step)]
+        for rows in chunks:
             out += w[rows] @ self._kernel(x[rows], u, want_pdf)
         return out
 
@@ -761,8 +765,9 @@ class _ExtremeRule(_NodeSum):
     placed.  The first point block that reaches ``_reach`` places every
     node, which is cheap, under a lock.  The weights h come on demand
     (``_weigh``): every node past the prefix a call weights is a row that
-    ``_sum`` drops for that call, so the sums are the whole rule's bits;
-    ``_nodes`` is the whole rule.
+    ``_sum`` drops for that call, so each table is the whole rule's bits
+    in whatever order, and on whatever threads, the reads come.  Reads
+    that stay below ``_reach`` place and weigh nothing.
     """
 
     def __init__(self, nu, root_d, lam0, s_split, quad):
@@ -835,11 +840,6 @@ class _ExtremeRule(_NodeSum):
                 * ser.sqrt_ncchisq1_pdf(d / tau, self.lam0) / tau ** 2,
                 axis=(1, 2))
         return wv * h * (d / math.sqrt(2.0 * math.pi))
-
-    def _nodes(self):
-        """(nodes v ascending, weights h) of the whole v-rule."""
-        v, wv = self._place()
-        return v, self._weights(v, wv)
 
     def _weigh(self, top):
         """Weight, under the lock, the nodes up to the last whose argument

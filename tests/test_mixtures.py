@@ -36,24 +36,15 @@ OCT_S1SQ = 0.5837 ** 2
 FLOOR = QuadSpec(abs_tol=_ABS_TOL_FLOOR, rel_tol=_ABS_TOL_FLOOR)
 
 
-def std_gaussian_rule():
-    """Panel rule with standard-normal weights on [-8.6, 8.6]."""
-    nodes, weights = gauss_legendre_nodes(np.linspace(-8.6, 8.6, 17), 10)
-    return nodes, weights * stats.norm.pdf(nodes)
-
-
-def per_node_gaussian_root_parts(u, nu, weights, root_phi, want_pdf):
-    """Reference for the extreme-node kernel: each mixing node (weight,
-    sqrt(phi)) integrated against the Gaussian g-rule on its own band of u
-    (the per-node form the one-dimensional v-rule replaced)."""
-    out = np.zeros_like(u)
-    order = np.argsort(u)
-    us = u[order]
+def per_node_gaussian_root_parts(us, nu, weights, root_phi, want_pdf):
+    """Reference for the extreme-node kernel at ascending us: each mixing
+    node (weight, sqrt(phi)) integrated against the Gaussian g-rule on its
+    own band of u (the per-node form the one-dimensional v-rule replaced)."""
     res = np.zeros_like(us)
-    g, gw = std_gaussian_rule()
-    snap = 1e-13
-    y_lo = float(special.gammainccinv(nu / 2.0, 1.0 - snap))
-    y_hi = float(special.gammainccinv(nu / 2.0, snap))
+    g, gw = gauss_legendre_nodes(np.linspace(-8.6, 8.6, 17), 10)
+    gw = gw * stats.norm.pdf(g)
+    # y between Q's 1 - 1e-13 and 1e-13 points
+    y_lo, y_hi = special.gammainccinv(nu / 2.0, [1.0 - 1e-13, 1e-13])
     lg = float(special.gammaln(nu / 2.0))
     for w_i, sq_i in zip(weights, root_phi):
         v = g + sq_i
@@ -70,17 +61,58 @@ def per_node_gaussian_root_parts(u, nu, weights, root_phi, want_pdf):
                 res[a:b] += w_i * (gw @ special.gammaincc(nu / 2.0, y))
         if not want_pdf:
             res[b:] += w_i
-    out[order] = res
-    return out
+    return res
 
 
-def node_rule(nu, v, h, quad=QuadSpec()):
-    """The v-rule, summed by the shared ``_NodeSum._sum``, on nodes v with
-    weights h: the rule of a law whose extreme draws carry all of the slope
-    mass, with its nodes replaced, so that its edges keep d = 1e-3 abs_tol."""
-    rule = tsq_mixture(nu, 1e8, 1.0, quad)._ext
-    rule._x, rule._w = np.asarray(v, dtype=float), np.asarray(h, dtype=float)
-    return rule
+def v_rule(law):
+    """All the tests read of a noncentral-t law's v-rule, the rule of its
+    extreme slope draws: ``rule``, with its kernels and row-skip edges;
+    ``reach``, the least U whose read weighs any of it (inf without nodes);
+    and ``every_row()``, a context in which it sums every row everywhere."""
+    rule, every = law._ext, ((-np.inf, np.inf),) * 2
+    return types.SimpleNamespace(rule=rule, reach=rule._reach, every_row=(
+        lambda: mock.patch.multiple(rule, _skip_edges=every, _reach=0.0)))
+
+
+def weighing_work(monkeypatch):
+    """A list of the entries of each ``special.sqrt_ncchisq1_pdf`` call from
+    now on: the v-rule's weighing work (laws built before this bind their
+    s-rule's density, and no read of a noncentral-t law calls it else)."""
+    work, density = [], ser.sqrt_ncchisq1_pdf
+
+    def counting(s, lambda0):
+        work.append(np.size(s))
+        return density(s, lambda0)
+    monkeypatch.setattr(ser, "sqrt_ncchisq1_pdf", counting)
+    return work
+
+
+def race(calls):
+    """Run ``calls`` at once, each on its own thread (more threads than
+    CPUs), with the interpreter switching threads every microsecond."""
+    start = threading.Barrier(len(calls))
+
+    def run(f):
+        start.wait(timeout=10.0)
+        f()
+    threads = [threading.Thread(target=run, args=(f,)) for f in calls]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def weighed_whole(law):
+    """The law after a read far past every v-rule node's lower edges (U =
+    1e150 or 1e300), which weighs the whole rule for every later read."""
+    law.cdf(1e150)
+    return law
 
 
 def betainc_series(coefs, a, b, x, tol, j_hi):
@@ -565,20 +597,20 @@ class TestSignedTMixture:
 
     def test_gaussian_root_kernel_consistent_with_series(self):
         # the extreme-node kernel against the t^2 series at noncentralities
-        # inside the series budget, on the v-rule of one mixing node
-        # (v = g + phi over the Gaussian g-rule): pdf against the
-        # noncentral-F density, CDF against the noncentral-F series,
-        # and 2u f_t2(u^2) against the signed density f_t(u) + f_t(-u).  At
-        # phi = 6 the root g + phi crosses 0 inside the g-rule, so u starts
-        # where that stays resolved (in use the kernel serves only phi >= 20).
+        # inside the series budget, over one mixing node's v = g + phi on
+        # the Gaussian g-rule: pdf and CDF against the noncentral F's, and
+        # 2u f_t2(u^2) against f_t(u) + f_t(-u).  At phi = 6 the root g +
+        # phi crosses 0 inside the g-rule, so u starts where that stays
+        # resolved (in use the kernel serves only phi >= 20).
         nu = 10.0
         u = np.linspace(0.5, 8.0, 31)
         y = u * u
-        g, gw = std_gaussian_rule()
+        g, gw = gauss_legendre_nodes(np.linspace(-8.6, 8.6, 17), 10)
+        gw = gw * stats.norm.pdf(g)
+        kernel = v_rule(tsq_mixture(nu, 1e8, 1.0)).rule._kernel
         for phi in (6.0, 15.0):
-            rule = node_rule(nu, g + phi, gw)
-            pdf_k = rule._sum(y, True) / y
-            cdf_k = rule._sum(y, False)
+            pdf_k = gw @ kernel(g + phi, y, True) / y
+            cdf_k = gw @ kernel(g + phi, y, False)
             assert np.max(np.abs(pdf_k - stats.ncf.pdf(y, 1, nu, phi ** 2))) < 1e-9
             assert np.max(np.abs(cdf_k - ser.ncf_cdf(y, 1.0, nu, phi * phi))) < 1e-9
             both = stats.nct.pdf(u, nu, phi) + stats.nct.pdf(-u, nu, phi)
@@ -1025,34 +1057,20 @@ class TestChi2MixingRule:
     @pytest.mark.parametrize("lam", [0.0, 1e-4, 25.0, 400.0])
     @pytest.mark.parametrize("s_split", [0.0158, 1.0])
     def test_extreme_nodes_carry_the_mass_below_split(self, lam, s_split):
-        # the series nodes cover [s_split, s_hi] and the extreme v-rule
-        # (s_lo, s_split]; the half-normal mass below s_lo is known in
-        # closed form and stays below 1e-3 abs_tol
+        # the series nodes cover [s_split, s_hi] and the v-rule (s_lo,
+        # s_split], the mass below s_lo under 1e-3 abs_tol: at |u| = 1e150
+        # the CDF reads 0 and 1 (P[s < s_split] is 0.68 at s_split = 1)
         quad = QuadSpec()
-        lam0 = np.sqrt(lam)
-        law = signed_t_mixture(10.0, 20.0 * s_split, lam0, quad)
-        ext = law._ext
-        assert ext.s_split == pytest.approx(s_split, rel=1e-15)
-        assert law._s.min() >= ext.s_split and ext.s_lo <= ext.s_split
-        below = special.ndtr(ext.s_lo - lam0) - special.ndtr(-ext.s_lo - lam0)
-        assert below <= 1e-3 * quad.abs_tol
-        h = ext._nodes()[1]
-        assert law._sw.sum() + h.sum() + below == pytest.approx(1.0, abs=quad.abs_tol)
-
-
-def weighted_whole(law):
-    """The law with its v-rule weighted whole before any read, as it was
-    before the weights came on demand."""
-    ext = law._ext
-    ext._x, ext._w = ext._nodes()
-    ext._top = math.inf
-    return law
+        law = signed_t_mixture(10.0, 20.0 * s_split, np.sqrt(lam), quad)
+        assert law._s.min() >= s_split * (1.0 - 1e-15)
+        assert law.cdf([-1e150, 1e150]) == pytest.approx([0.0, 1.0],
+                                                         abs=quad.abs_tol)
 
 
 class TestExtremeRule:
     """The one-dimensional v-rule against the per-node kernel on log-graded
     s-panels (6 per decade, 12 points) over the same (s_lo, s_split], and
-    its weights on demand against the whole rule's."""
+    its weights on demand against a law that weighed the whole rule."""
 
     @staticmethod
     def per_node(ext, u, want_pdf):
@@ -1068,7 +1086,7 @@ class TestExtremeRule:
         lambda: tsq_mixture(19, 2.0, 0.94), lambda: signed_t_mixture(10, 1.0, 1.0),
         lambda: signed_t_mixture(8, 1.2, 6.0)])
     def test_matches_per_node_kernel(self, law):
-        ext = law()._ext
+        ext = v_rule(law()).rule
         assert ext.s_lo < ext.s_split
         u = np.logspace(-1.0, 18.0, 120)
         for want_pdf in (True, False):
@@ -1081,7 +1099,7 @@ class TestExtremeRule:
     ], ids=["dense", "geom"])
     def test_runs_span_half_the_edge_width(self, grid, most):
         law = tsq_mixture(10, 3.0, OCT_LAM)
-        ext = law._ext
+        ext = v_rule(law).rule
         total_sum, runs = ext._sum, []
 
         def spy(u, want_pdf):
@@ -1110,88 +1128,77 @@ class TestExtremeRule:
         (lambda: signed_t_mixture(8, 1.2, 6.0), True)], ids=["tsq", "signed"])
     def test_reads_weight_a_prefix_on_demand(self, make, signed, workers,
                                              monkeypatch):
-        # a read just past the reach, a farther one, then a nearer one, in
-        # two point blocks: each table is the whole rule's bits, the prefix
-        # grows only with the farthest read, and its weights are the whole
-        # rule's
+        # reads just past the reach, farther, then nearer, in two point
+        # blocks: each table is the bits of a fresh law's and of the whole
+        # rule's; the first weighs a part of the rule, the second more but
+        # not all of it, the third nothing
         monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
-        law, whole = make(), weighted_whole(make())
-        ext = law._ext
-        sizes = []
-        for far in (1.01, 1e4, 3.0):
-            u = ext._reach * np.linspace(0.5, far, mx._SERIES_BLOCK + 77)
+        law, whole, fresh = make(), make(), [make() for _ in range(3)]
+        work = weighing_work(monkeypatch)
+        weighed_whole(whole)
+        total = sum(work)
+        reach, grown = v_rule(law).reach, []
+        for far, other in zip((1.01, 1e4, 3.0), fresh):
+            u = reach * np.linspace(0.5, far, mx._SERIES_BLOCK + 77)
             if signed:
                 u = np.sqrt(u)
-            assert np.array_equal(law.pdf(u), whole.pdf(u))
-            assert np.array_equal(law.cdf(u), whole.cdf(u))
-            sizes.append(ext._w.size)
-        v, h = ext._nodes()
-        assert 0 < sizes[0] < sizes[1] == sizes[2] < v.size
-        assert np.array_equal(ext._x, v)
-        assert np.array_equal(ext._w, h[:sizes[1]])
+            work.clear()
+            tables = law.pdf(u), law.cdf(u)
+            grown.append(sum(work))
+            for ref in (other, whole):
+                assert all(np.array_equal(a, b) for a, b in zip(
+                    tables, (ref.pdf(u), ref.cdf(u))))
+        assert 0 < grown[0] < grown[0] + grown[1] < total and grown[2] == 0
 
     def test_racing_reads_extend_one_prefix(self):
-        # reads of different reaches on more threads than CPUs, switching
-        # every microsecond: each share is the whole rule's bits, and the
-        # prefix holds the whole rule's weights however the threads interleave
+        # reads of different reaches raced on threads: each table, and a
+        # farther read after the race, is the whole rule's bits however
+        # the threads interleave
         make = lambda: tsq_mixture(10, 3.0, 10.1)
-        whole = weighted_whole(make())._ext
-        grids = [np.geomspace(0.5, top, 600) * whole._reach
-                 for top in (1.5, 30.0, 3.0, 1e3, 1e5, 10.0)]
-        want = [[whole.parts(u, p) for p in (True, False)] for u in grids]
-        h = whole._w
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                ext = make()._ext
-                start = threading.Barrier(len(grids))
-                got = [None] * len(grids)
+        whole = weighed_whole(make())
+        reach = v_rule(whole).reach
+        grids = [np.geomspace(0.5, top, 600) * reach
+                 for top in (1.5, 30.0, 3.0, 1e3, 1e5, 10.0, 1e8)]
+        want = [[whole.pdf(u), whole.cdf(u)] for u in grids]
+        for _ in range(20):
+            law, got = make(), {}
 
-                def read(i):
-                    start.wait(timeout=10.0)
-                    got[i] = [ext.parts(grids[i], p) for p in (True, False)]
-                threads = [threading.Thread(target=read, args=(i,))
-                           for i in range(len(grids))]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30.0)
-                    assert not t.is_alive()
-                for g, w in zip(got, want):
-                    assert all(np.array_equal(a, b) for a, b in zip(g, w))
-                assert np.array_equal(ext._w, h[:ext._w.size])
-        finally:
-            sys.setswitchinterval(switch)
+            def read(i):
+                got[i] = [law.pdf(grids[i]), law.cdf(grids[i])]
+            race([functools.partial(read, i) for i in range(len(grids) - 1)])
+            read(len(grids) - 1)
+            for i, w in enumerate(want):
+                assert all(np.array_equal(a, b) for a, b in zip(got[i], w))
 
-    def test_weights_only_the_nodes_requests_reach(self):
+    def test_weights_only_the_nodes_requests_reach(self, monkeypatch):
         # the signed_t benchmark's first request (nu 10, delta0 0.3,
         # lambda0 1: an interval, a 0.95 region and a 200-point table over
-        # it) reaches under 60 of the rule's 816 nodes
-        ev = signed_t_mixture(10, 0.3, 1.0)
-        r = math.sqrt(tsq_critical(10, 0.05))
-        ev.interval_prob(-r, r)
-        region = probability_region(ev, 0.95)
-        u = np.linspace(region.lower, region.upper, 200)
-        ev.pdf(u), ev.cdf(u)
-        ext = ev._ext
-        assert ext._x.size == 816 and ext._w.size <= 64
-        # at nu = 1e6 a read to 1e7 reaches 35513 of 151224 nodes: the
-        # prefix ends at the last node whose argument at U = 1e7 lies above
-        # the lower of the CDF and pdf low edges
-        law = tsq_mixture(10 ** 6, 4.0, 1.0)
-        law.cdf(1e7)
-        ext = law._ext
-        low = min(ext._skip_edges[0][0], ext._skip_edges[1][0])
-        above = ext._argument(ext._x, np.array([1e7]))[:, 0] > low
-        assert ext._w.size == np.flatnonzero(above)[-1] + 1 < ext._x.size
+        # it) weighs 59 of the rule's 816 nodes, under 8% of the work, and
+        # at nu = 1e6 a read to 1e7 35513 of 151224, under 24%: in bits the
+        # whole rule's
+        def request(ev):
+            r = math.sqrt(tsq_critical(10, 0.05))
+            region = probability_region(ev, 0.95)
+            u = np.linspace(region.lower, region.upper, 200)
+            return ev.interval_prob(-r, r), ev.pdf(u), ev.cdf(u)
+        for law, whole, read, share in (
+                (signed_t_mixture(10, 0.3, 1.0), signed_t_mixture(10, 0.3, 1.0),
+                 request, 0.08),
+                (tsq_mixture(10 ** 6, 4.0, 1.0), tsq_mixture(10 ** 6, 4.0, 1.0),
+                 lambda ev: (ev.pdf(1e7), ev.cdf(1e7)), 0.24)):
+            work = weighing_work(monkeypatch)
+            got, part = read(law), sum(work)
+            weighed_whole(whole)
+            assert 0 < part <= share * (sum(work) - part)
+            assert all(np.array_equal(a, b) for a, b in zip(got, read(whole)))
+            monkeypatch.undo()
 
     def test_pdf_kernel_against_decimal(self):
         # U f(U) = y^m e^{-y}/Gamma(m) at m = 5e5, y = m v^2/U over m
         # e^{+-8/sqrt(m)}, against its value at the exact y of each float
         # (v, U); exp(m log y - y - lgamma(m)) read 1.2e-9 off
         m = 5e5
-        ext = tsq_mixture(2.0 * m, 1e8, 1.0)._ext
+        ext = v_rule(tsq_mixture(2.0 * m, 1e8, 1.0)).rule
         v = 30.0
         u = v * v / np.exp(np.linspace(-8.0, 8.0, 401) / math.sqrt(m))
         got = ext._kernel(np.array([v]), u, True)[0]
@@ -1205,12 +1212,15 @@ class TestExtremeRule:
                 err = max(err, abs(float(decimal.Decimal(gi) / g - 1)))
         assert err <= 1e-12
 
-    def test_no_rule_when_the_mass_below_split_is_negligible(self):
+    def test_no_rule_when_the_mass_below_split_is_negligible(self,
+                                                             monkeypatch):
         # lam0 = 40 and s_split = D/20 = 0.5: P[s < s_split] is far below
-        # 1e-3 abs_tol
-        ext = tsq_mixture(10, 100.0, 1600.0)._ext
-        assert ext.s_lo == ext.s_split
-        assert np.all(ext.parts(np.logspace(-1.0, 30.0, 50), False) == 0.0)
+        # 1e-3 abs_tol, so the law has no v-rule for a read to reach
+        law = tsq_mixture(10, 100.0, 1600.0)
+        work = weighing_work(monkeypatch)
+        u = np.logspace(-1.0, 30.0, 50)
+        law.pdf(u), law.cdf(u)
+        assert math.isinf(v_rule(law).reach) and sum(work) == 0
 
     @pytest.mark.parametrize("law", [lambda: tsq_mixture(10, 1.0, 0.0),
                                      lambda: signed_t_mixture(10, 70.0, 0.0)])
@@ -1246,13 +1256,14 @@ class TestClosedFormQ:
 
     @pytest.mark.parametrize("nu", [1.0, 2.0, 11.0, 200.0])
     def test_off_band_entries_stay_finite(self, nu):
-        # a block's band rows are read at all of its points: y is up to
-        # 1e20 here, where the sums would overflow and e^{-y} is 0
-        v2 = np.geomspace(1e-3, 1e12, 400)
-        rule = node_rule(nu, np.sqrt(v2), np.full(v2.size, 1.0 / v2.size))
-        f = rule._sum(np.geomspace(1e-6, 1e14, 300), want_pdf=False)
-        assert np.all(np.isfinite(f)) and np.all((f >= 0.0) & (f <= 1.0 + 1e-12))
-        assert np.all(np.diff(f) >= -1e-12)
+        # a block's band rows are read at all of its points: y = m v^2/U
+        # in [1e-17 m, 1e18 m] for v^2 in [1e-3, 1e12] and U in [1e-6,
+        # 1e14]; past y ~ 1e3 the sums would overflow, and e^{-y} is 0
+        y = np.geomspace(1e-17, 1e18, 701) * (nu / 2.0)
+        q = mx._GammaKernel(nu).upper(y.copy())
+        assert np.all(np.isfinite(q)) and np.all((q >= 0.0) & (q <= 1.0 + 1e-12))
+        assert np.all(np.diff(q) <= 1e-12)
+        assert np.max(np.abs(q - special.gammaincc(nu / 2.0, y))) <= 1e-14
 
 
 def beta_points(b):
@@ -1397,6 +1408,10 @@ class TestBetaSeries:
             assert np.max(np.abs(law.cdf(grid) - cdf)) <= 1e-15
 
 
+# the rungs of the noncentral-t series, j_hi = 20, 40, ..., 1280
+LADDER = [mx._MIN_TERMS * 2 ** k for k in range(7)]
+
+
 class TestSeriesCoefs:
     @settings(max_examples=30, deadline=None)
     @given(nu=st.floats(1.0, 200.0),
@@ -1410,13 +1425,10 @@ class TestSeriesCoefs:
         law = signed_t_mixture(nu, root_d, lam0, quad)
         seqs = (law._m, law._n)
         # grown by the blocks the series take, so nodes leave between them
-        reached = [mx._MIN_TERMS]
-        while reached[-1] < 1280:
-            reached.append(min(2 * reached[-1], reached[-1] + 4096))
-        for j_hi in reached:
+        for j_hi in LADDER:
             for c in seqs:
                 c.upto(j_hi)
-        j = np.arange(reached[-1], dtype=float)
+        j = np.arange(LADDER[-1], dtype=float)
         refs = dense_series_coefs(law, root_d, j)
         floor = 2e-15 * quad.abs_tol
         for c, ref in zip(seqs, refs):
@@ -1424,21 +1436,25 @@ class TestSeriesCoefs:
         # what is left never reads below the dense remainder, up to the
         # rounding of the two sums
         for c, ref in zip(seqs, refs):
-            for j_hi in reached:
+            for j_hi in LADDER:
                 left = max(c.mass - float(ref[:j_hi].sum()), 0.0)
                 assert c.left_after(j_hi) >= left - 4.0 * np.spacing(c.mass)
+
+
+def traced_peak(f, u):
+    """(f(u), the peak traced bytes of that call)."""
+    tracemalloc.start()
+    try:
+        return f(u), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def traced_pdf_peak(params, points):
     """Peak traced bytes of a pdf over ``points`` abscissae of the support."""
     mm = mean_mixture(params)
     u = np.linspace(*mm.support(), points)
-    tracemalloc.start()
-    try:
-        pdf = mm.pdf(u)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    pdf, peak = traced_peak(mm.pdf, u)
     assert pdf.shape == u.shape
     return peak
 
@@ -1495,11 +1511,13 @@ class TestAdaptiveRule:
     @pytest.mark.parametrize("delta0,lambda0", [(0.3, 1.0), (-0.5, 3.0)])
     def test_s_rule_keeps_1024_nodes(self, delta0, lambda0):
         # the s-rule certifies its mass only, from 32 initial panels and its
-        # anchors: at most 1024 nodes, carrying the mass above s_split
+        # anchors: at most 1024 nodes, carrying the mass above s_split =
+        # |delta0|/20
         law = signed_t_mixture(10, delta0, lambda0)
+        s_split = abs(delta0) / 20.0
+        below = special.ndtr(s_split - lambda0) - special.ndtr(-s_split - lambda0)
         assert law._s.size <= 1024
-        assert law._sw.sum() == pytest.approx(1.0 - law._ext._mass,
-                                              abs=QuadSpec().abs_tol)
+        assert law._sw.sum() == pytest.approx(1.0 - below, abs=QuadSpec().abs_tol)
 
     @pytest.mark.parametrize("nu,delta0,lambda0,t", [
         (10, 0.1, 0.0, 6.986), (10, 0.01, 0.0, 1.0), (3, 0.01, 0.0, 2.0),
@@ -1602,9 +1620,10 @@ class TestInPlaceKernels:
                               np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi)))
         assert np.array_equal(mm._kernel(rows, u, False), special.ndtr(z))
 
-    @pytest.mark.parametrize("nu,lam", [(10, OCT_LAM), (1, 400.0), (3, 0.0)])
+    @pytest.mark.parametrize("nu,lam", [(10, OCT_LAM), (1, 1.0), (3, 0.0)])
     def test_variance_kernels_are_the_plain_expressions(self, nu, lam):
-        # the rule's coordinate is z = sqrt(nu/2) log(V/nu)
+        # the rule's coordinate is z = sqrt(nu/2) log(V/nu); each law mixes
+        # over V (r = sqrt(2 nu / lambda) >= 1)
         vm = variance_mixture(nu, lam)
         z = np.linspace(*vm._window, 400)
         rows = vm._constants(z)
@@ -1631,15 +1650,18 @@ class TestInPlaceKernels:
              "variance-3-0"])
     def test_sums_on_node_constants_keep_the_bits(self, build, shuffled):
         # the kernels read the per-node records the law keeps as its nodes:
-        # a block that sums every row is w @ kernel(x, u) on them
+        # a block that sums every row is w @ kernel(x, u) on them, in
+        # slices of _TABLE // len(u) rows (520: variance-1-400 takes 7)
         law = build()
         u = np.linspace(*law.support(), 3 * law._block + 77)
         if shuffled:
             u = np.random.default_rng(11).permutation(u)
         few = u[:law._skip_from - 1]
+        step, w, x = parallel._TABLE // few.size, law._w, law._x
         for want_pdf in (True, False):
-            assert np.array_equal(law._sum(few, want_pdf),
-                                  law._w @ law._kernel(law._x, few, want_pdf))
+            assert np.array_equal(law._sum(few, want_pdf), sum(
+                w[i:i + step] @ law._kernel(x[i:i + step], few, want_pdf)
+                for i in range(0, w.size, step)))
 
 
 def skip_budget(law):
@@ -1767,8 +1789,8 @@ class TestVRuleEdges:
     past the edge on dense grids out to 600 beyond it; the pdf kernel
     g = U f(U) in both of its reads, the t^2 pdf g/U and the signed
     2 u f(u^2) = 2 g/sqrt(U).  At the edge each closed-form bound is d
-    (d/2 for g).  Below ``_reach`` every row lies below both lower edges,
-    so a law read only there never builds its v-rule."""
+    (d/2 for g).  Below its reach every row lies below both lower edges,
+    so a law read only there never weighs its v-rule."""
 
     LAWS = [lambda q: tsq_mixture(10, 1.0, 0.0, q),
             lambda q: tsq_mixture(1, 2.0, 0.5, q),
@@ -1777,11 +1799,13 @@ class TestVRuleEdges:
 
     @staticmethod
     def rows_past(ext, edge, sign, want_pdf):
-        """(U, kernel) of every 16th node row and the last, on a dense U
-        grid where the row's argument lies at or beyond ``edge`` (above for
-        sign 1, below for -1)."""
-        v = ext._nodes()[0]
-        for k in np.unique(np.r_[0:v.size:16, v.size - 1]):
+        """(U, kernel) of 64 rows v spaced geometrically over the rule's
+        nodes, D/s_split - 8.6 to D/s_lo + 8.6, on a dense U grid where the
+        row's argument lies at or beyond ``edge`` (above for sign 1, below
+        for -1)."""
+        v = np.geomspace(ext.root_d / ext.s_split - 8.6,
+                         ext.root_d / ext.s_lo + 8.6, 64)
+        for k in range(v.size):
             with np.errstate(over="ignore", under="ignore"):
                 u = 0.5 * ext.nu * v[k] ** 2 * np.exp(edge + sign * PAST_LOG)
             u = u[np.isfinite(u) & (u >= sys.float_info.min)]
@@ -1791,7 +1815,7 @@ class TestVRuleEdges:
     @pytest.mark.parametrize("quad", [QuadSpec(), FLOOR], ids=["default", "floor"])
     @pytest.mark.parametrize("make", LAWS, ids=["nu10", "nu1", "nu200", "signed"])
     def test_bounds_hold_past_the_edges(self, make, quad):
-        ext = make(quad)._ext
+        ext = v_rule(make(quad)).rule
         d = 1e-3 * quad.abs_tol / ext._mass
         budget = d * (1.0 + 1e-9)
         m = ext.nu / 2.0
@@ -1816,27 +1840,32 @@ class TestVRuleEdges:
     def test_pdf_edges_at_the_largest_d(self, nu):
         # d = 0.5; at nu = 1 g's level d/2 is above its peak, and both
         # edges sit at y = m (scipy's W was NaN there)
-        ext = tsq_mixture(nu, 1e8, 1.0, QuadSpec(abs_tol=1e3))._ext
+        ext = v_rule(tsq_mixture(nu, 1e8, 1.0, QuadSpec(abs_tol=1e3))).rule
         low, high = ext._skip_edges[1]
         assert np.isfinite([low, high]).all() and low < high + 1e-6
         assert nu > 1 or high - low < 1e-6
 
     @pytest.mark.parametrize("signed", [False, True])
-    def test_reads_below_reach_build_nothing(self, signed):
-        law = (signed_t_mixture(10, 1.7, 3.2) if signed
-               else tsq_mixture(10, 3.0, 10.1))
-        ext = law._ext
-        top = ext._reach * (1.0 - 1e-9)
-        u = np.linspace(1e-3, top, 3000)
+    def test_reads_below_reach_build_nothing(self, signed, monkeypatch):
+        # reads below the reach weigh nothing, and drop only rows within
+        # the skip budget of every row's sum; a read past it (its lowest
+        # node lies a little above the reach's v) weighs some
+        make = lambda: (signed_t_mixture(10, 1.7, 3.2) if signed
+                        else tsq_mixture(10, 3.0, 10.1))
+        law, whole = make(), weighed_whole(make())
+        work, reach = weighing_work(monkeypatch), v_rule(law).reach
+        u = np.linspace(1e-3, reach * (1.0 - 1e-9), 3000)
         if signed:
-            u = np.sqrt(u)
-            u = np.concatenate([-u[::-1], u])
-        law.pdf(u), law.cdf(u), law.cdf(u[-1]), law.pdf(u[-1])
-        assert ext._w is None
-        law.cdf(np.sqrt(ext._reach) * (1.0 + 1e-9) if signed else ext._reach)
-        assert ext._w is not None
-        a = ext._argument(ext._x, np.array([top]))
-        assert np.all(a <= min(ext._skip_edges[0][0], ext._skip_edges[1][0]))
+            u = np.concatenate([-np.sqrt(u[::-1]), np.sqrt(u)])
+        reads = lambda ev: (ev.pdf(u), ev.cdf(u), ev.cdf(u[-1]), ev.pdf(u[-1]))
+        tables = reads(law)
+        assert sum(work) == 0
+        with v_rule(whole).every_row():
+            for got, ref in zip(tables, reads(whole)):
+                assert np.all(np.abs(got - ref) <= 1e-3 * law.quad.abs_tol
+                              + SUM_ROUNDING * np.abs(ref))
+        law.cdf(np.sqrt(1.5 * reach) if signed else 1.5 * reach)
+        assert sum(work) > 0
 
 
 def test_t2_block_climbs_the_ladder_once(monkeypatch):
@@ -1860,14 +1889,7 @@ def test_t2_block_climbs_the_ladder_once(monkeypatch):
 def test_large_nu_pdf_has_bounded_working_set():
     # the pdf's term x point tables are those of one 512-point block
     tm = tsq_mixture(5000, 25.0, 9.0)
-    u = np.linspace(0.5, 30.0, 2000)
-    tracemalloc.start()
-    try:
-        tm.pdf(u)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
+    assert traced_peak(tm.pdf, np.linspace(0.5, 30.0, 2000))[1] < 20e6
 
 
 def test_large_nu_pdf_sums_few_terms():
@@ -1975,15 +1997,18 @@ class TestVRuleBound:
         assert time.perf_counter() - start < 1.0
 
     def test_bound_admits_7211_panels(self):
-        # lambda0 = 1e4, D = 1e6: the bump's panels, 6 lambda0/8 per
-        # decade over 0.96 decades, plus the shoulders' 8
-        ext = tsq_mixture(10, 1e12, 1e8)._ext
-        assert ext._middle + 8 == 7211 <= mx._MAX_PANELS
+        # lambda0 = 1e4, D = 1e6: the bump's 6 lambda0/8 panels per decade
+        # over 0.96 decades and the shoulders' 8, 7211, build at once
+        start = time.perf_counter()
+        tsq_mixture(10, 1e12, 1e8)
+        assert time.perf_counter() - start < 1.0
 
     def test_large_nu_is_not_bounded_here(self):
-        # nu = 1e6 plans 11888 panels from its sqrt(nu/30) density
-        ext = tsq_mixture(1_000_000, 4.0, 1.0)._ext
-        assert ext._middle + 8 > mx._MAX_PANELS
+        # nu = 1e6 plans 11888 panels from its sqrt(nu/30) density, past
+        # the bound on the bump's panels: it builds, and its v-rule
+        # certifies the heavy tail
+        assert abs(tsq_mixture(10 ** 6, 4.0, 1.0).cdf(1e7) - ncf_cdf_oracle(
+            10 ** 6, 4.0, 1.0, 1e7)) <= 1e-9
 
 
 class TestLargeLambda:
@@ -2052,6 +2077,10 @@ class TestPdfIntegratesToCdf:
     @example(nu=1, d0=8.0, lam0=0.0)
     @example(nu=10 ** 6, d0=8.0, lam0=8.0)
     def test_both_laws(self, nu, d0, lam0):
+        self.check(nu, d0, lam0)
+
+    @staticmethod
+    def check(nu, d0, lam0):
         for law, lo, hi in ((tsq_mixture(nu, d0 ** 2, lam0 ** 2), 0.5, 30.0),
                             (signed_t_mixture(nu, d0, lam0), -5.0, 15.0)):
             u = np.linspace(lo, hi, 2001)
@@ -2077,13 +2106,7 @@ class TestLargeNuPdf:
             fold, abs=1e-9)
 
     def test_pdf_table_integrates_to_the_cdf(self, nu, d0, lam0):
-        for law, lo, hi in ((tsq_mixture(nu, d0 ** 2, lam0 ** 2), 0.5, 30.0),
-                            (signed_t_mixture(nu, d0, lam0), -5.0, 15.0)):
-            u = np.linspace(lo, hi, 2001)
-            f = law.pdf(u)
-            assert np.all(np.isfinite(f))
-            assert integrate.simpson(f, x=u) == pytest.approx(
-                law.cdf(hi) - law.cdf(lo), abs=1e-7)
+        TestPdfIntegratesToCdf.check(nu, d0, lam0)
 
 
 class TestMeanWindow:
@@ -2115,9 +2138,8 @@ class TestMeanWindow:
                                                sigma_z, beta1, ratio):
         # sigma1 / |beta1| over 18 decades; the oracle integrates over the
         # factor that the law mixes over, T or (as the swapped slope) X
-        p = MixtureParams(n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z,
-                          sigma_z=sigma_z, beta1=beta1,
-                          sigma1=ratio * abs(beta1))
+        p = MixtureParams(n, beta0, sigma0, mu_z, sigma_z, beta1,
+                          ratio * abs(beta1))
         law = mean_mixture(p)
         assume(sharpness(law._mix) >= 0.03)
         u = np.linspace(*law.support(), 11)
@@ -2131,6 +2153,9 @@ def block_grid(block, lo, hi, log=False):
 
 
 SPIKE_LAW = functools.cache(lambda: mean_mixture(LOG_SPIKE))
+# sigma0 = 1e-154 with both factors centred at 0: 31808 nodes
+TINY_SIGMA0_LAW = functools.cache(lambda: mean_mixture(
+    MixtureParams(2, 0.0, 1e-154, 0.0, 1.0, 0.0, 1.0)))
 
 
 class TestThreadedBlocks:
@@ -2166,59 +2191,42 @@ class TestThreadedBlocks:
                                                         monkeypatch):
         # 2848 and 4832 nodes: each band x point table of a block holds at
         # most _TABLE doubles, whatever the rule's size; the skip edges,
-        # built once per law, are left out of the peak
+        # built once per law at its first table, are left out of the peak
         monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
         law = build()
-        law._skip_edges
-        u = np.linspace(*law.support(), 3 * law._block)
+        u = np.linspace(*law.support(), 3 * 512)
         for f in (law.pdf, law.cdf):
-            tracemalloc.start()
-            try:
-                f(u)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 8 * parallel._TABLE * 8
+            f(u)
+            assert traced_peak(f, u)[1] < 8 * parallel._TABLE * 8
+
+    def test_small_calls_hold_to_the_table_budget(self):
+        # a call of fewer than 64 points sums every row of the tiny-sigma0
+        # law's 31808, in slices of _TABLE // 63 rows: summed whole, this
+        # pdf peaked at 16.2 MB
+        law = TINY_SIGMA0_LAW()
+        assert traced_peak(law.pdf, np.linspace(-8.0, 8.0, 63))[1] < (
+            8 * parallel._TABLE * 8)
 
     def test_racing_threads_grow_the_serial_coefficients(self):
         # upto extends under a lock, and every caller climbs the rung
         # ladder, so the sequences grow by the same blocks of j (and drop
         # the same live nodes) however the threads interleave: more threads
         # than CPUs, switching every microsecond
-        ladder = [mx._MIN_TERMS]
-        while ladder[-1] < 1280:
-            ladder.append(min(2 * ladder[-1], ladder[-1] + mx._TERM_BLOCK))
-
         def seqs():
             law = signed_t_mixture(10, 3.0, 3.2)
             return law._m, law._n
-        serial = seqs()
-        for j_hi in ladder:
-            for c in serial:
-                c.upto(j_hi)
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(50):
-                raced = seqs()
-                start = threading.Barrier(4)
 
-                def climb():
-                    start.wait(timeout=10.0)
-                    for j_hi in ladder:
-                        for c in raced:
-                            c.upto(j_hi)
-                threads = [threading.Thread(target=climb) for _ in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30.0)
-                    assert not t.is_alive()
-                for c, want in zip(raced, serial):
-                    assert np.array_equal(c.upto(ladder[-1]),
-                                          want.upto(ladder[-1]))
-        finally:
-            sys.setswitchinterval(switch)
+        def climb(cs):
+            for j_hi in LADDER:
+                for c in cs:
+                    c.upto(j_hi)
+        serial = seqs()
+        climb(serial)
+        for _ in range(50):
+            raced = seqs()
+            race([functools.partial(climb, raced)] * 4)
+            for c, want in zip(raced, serial):
+                assert np.array_equal(c.upto(LADDER[-1]), want.upto(LADDER[-1]))
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_blocks_see_the_callers_errstate(self, workers, monkeypatch):
@@ -2252,32 +2260,31 @@ def check_skipped_tables(law, u, rule=None, whole=whole_kernel_sums):
     """The pdf and CDF tables of u, sorted and shuffled, within 1e-3
     abs_tol of the whole-row sums ``whole(law, grid, want_pdf)``, and the
     CDF nondecreasing on sorted u, up to the rounding of the sums.  Returns
-    the share of the node x point entries of ``rule`` (the law itself by
-    default) that its kernel calls evaluated."""
+    the share of the whole-row sums' node x point entries of ``rule`` (the
+    law itself by default) that the tables' kernel calls evaluated."""
     rule = rule or law
-    kernel, entries = rule._kernel, []
+    kernel, entries, side = rule._kernel, {"tables": [], "whole": []}, ["tables"]
 
     def spy(x, v, want_pdf):
-        entries.append(x.size * v.size)
+        entries[side[0]].append(x.size * v.size)
         return kernel(x, v, want_pdf)
     budget = 1e-3 * law.quad.abs_tol
-    for grid in (u, np.random.default_rng(7).permutation(u)):
-        with mock.patch.object(rule, "_kernel", spy):
+    with mock.patch.object(rule, "_kernel", spy):
+        for grid in (u, np.random.default_rng(7).permutation(u)):
+            side[0] = "tables"
             pdf, cdf = law.pdf(grid), law.cdf(grid)
-        for want_pdf, table in ((True, pdf), (False, cdf)):
-            want = whole(law, grid, want_pdf)
-            assert np.all(np.abs(table - want)
-                          <= budget + SUM_ROUNDING * np.abs(want))
+            side[0] = "whole"
+            for want_pdf, table in ((True, pdf), (False, cdf)):
+                want = whole(law, grid, want_pdf)
+                assert np.all(np.abs(table - want)
+                              <= budget + SUM_ROUNDING * np.abs(want))
     assert np.all(np.diff(law.cdf(np.sort(u))) >= -SUM_ROUNDING)
-    return sum(entries) / (4.0 * u.size * rule._x.size)
+    return sum(entries["tables"]) / sum(entries["whole"])
 
 
 def whole_v_rule_tables(law, u, want_pdf):
     """The law's table with its v-rule summing every row at every point."""
-    ext = law._ext
-    every = ((-np.inf, np.inf), (-np.inf, np.inf))
-    with mock.patch.object(ext, "_skip_edges", every), \
-            mock.patch.object(ext, "_reach", 0.0):
+    with v_rule(law).every_row():
         return law.pdf(u) if want_pdf else law.cdf(u)
 
 
@@ -2320,7 +2327,7 @@ class TestRowSkip:
         # geometric ones' chunks of 512 points span 8 decades; some rows
         # are skipped
         law = build(quad)
-        assert check_skipped_tables(law, grid, law._ext,
+        assert check_skipped_tables(law, grid, v_rule(law).rule,
                                     whole_v_rule_tables) < 1.0
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -2338,12 +2345,9 @@ class TestRowSkip:
                                                     workers, monkeypatch):
         # a v-rule row past the weighted prefix is one the band drops
         monkeypatch.setattr(parallel, "cpu_count", lambda: workers)
-
-        def build():
-            if signed:
-                return signed_t_mixture(10, 1.7, 3.2)
-            return tsq_mixture(10, 3.0, 10.1)
-        law, whole = build(), weighted_whole(build())
+        build = lambda: (signed_t_mixture(10, 1.7, 3.2) if signed
+                         else tsq_mixture(10, 3.0, 10.1))
+        law, whole = build(), weighed_whole(build())
         assert np.array_equal(law.pdf(grid), whole.pdf(grid))
         assert np.array_equal(law.cdf(grid), whole.cdf(grid))
 
@@ -2355,9 +2359,8 @@ class TestRowSkip:
            beta1=signed(log_uniform(1e-2, 1e2)), sigma1=log_uniform(1e-3, 10.0))
     def test_mean_law_property(self, quad, n, beta0, sigma0, mu_z, sigma_z,
                                beta1, sigma1):
-        law = mean_mixture(MixtureParams(n=n, beta0=beta0, sigma0=sigma0,
-                                         mu_z=mu_z, sigma_z=sigma_z,
-                                         beta1=beta1, sigma1=sigma1), quad)
+        law = mean_mixture(MixtureParams(n, beta0, sigma0, mu_z, sigma_z,
+                                         beta1, sigma1), quad)
         lo, hi = law.support()
         check_skipped_tables(law, np.linspace(lo, hi, 3 * law._block + 77))
 
@@ -2410,9 +2413,8 @@ class TestThreadedTablesProperty:
            sigma_z=log_uniform(1e-2, 10.0),
            beta1=signed(log_uniform(1e-2, 1e2)), sigma1=log_uniform(1e-3, 10.0))
     def test_mean_law(self, n, beta0, sigma0, mu_z, sigma_z, beta1, sigma1):
-        law = mean_mixture(MixtureParams(n=n, beta0=beta0, sigma0=sigma0,
-                                         mu_z=mu_z, sigma_z=sigma_z,
-                                         beta1=beta1, sigma1=sigma1))
+        law = mean_mixture(MixtureParams(n, beta0, sigma0, mu_z, sigma_z,
+                                         beta1, sigma1))
         lo, hi = law.support()
         self.check(law, np.linspace(lo, hi, 2 * law._block + 77))
 
@@ -2427,7 +2429,7 @@ class TestThreadedTablesProperty:
     def reach(law, u_max):
         """A grid end past the extreme rule's reach (the band's closed-form
         Q runs there), or u_max where the law has no extreme rule."""
-        reach = law._ext._reach
+        reach = v_rule(law).reach
         return u_max if math.isinf(reach) else max(u_max, 4.0 * reach)
 
     @settings(max_examples=6, deadline=None)
@@ -2463,7 +2465,7 @@ class TestSignedIntervalProperty:
     def test_interval_is_the_tsq_cdf(self, nu, delta, lam):
         st_ = signed_t_mixture(nu, math.sqrt(delta), math.sqrt(lam))
         tm = tsq_mixture(nu, delta, lam)
-        reach = tm._ext._reach
+        reach = v_rule(tm).reach
         u = np.geomspace(1e-3, 1e4, 9)
         if math.isfinite(reach):
             u = np.concatenate([u, reach * np.array([0.5, 0.99, 1.01, 3.0, 1e3])])
@@ -2523,8 +2525,7 @@ class TestToleranceFloor:
            beta1=signed(log_uniform(1e-2, 1e2)), sigma1=log_uniform(1e-3, 10.0))
     def test_mean_law_default_agrees(self, n, beta0, sigma0, mu_z, sigma_z,
                                      beta1, sigma1):
-        p = MixtureParams(n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z,
-                          sigma_z=sigma_z, beta1=beta1, sigma1=sigma1)
+        p = MixtureParams(n, beta0, sigma0, mu_z, sigma_z, beta1, sigma1)
         law = mean_mixture(p)
         self.agree(law, mean_mixture(p, FLOOR), np.linspace(*law.support(), 201))
 
@@ -2622,8 +2623,7 @@ class TestMixingFactor:
     def test_both_factors_agree(self, n, beta0, sigma0, mu_z, sigma_z, beta1,
                                 sigma1):
         # a cross-route identity where both rules are smooth
-        p = MixtureParams(n=n, beta0=beta0, sigma0=sigma0, mu_z=mu_z,
-                          sigma_z=sigma_z, beta1=beta1, sigma1=sigma1)
+        p = MixtureParams(n, beta0, sigma0, mu_z, sigma_z, beta1, sigma1)
         assume(min(sharpness(p), sharpness(swapped(p))) >= 0.03)
         by_t, by_x = forced_rule(p, "t"), forced_rule(p, "x")
         lo = min(by_t.support()[0], by_x.support()[0])
