@@ -138,10 +138,9 @@ def f_power(design: OneWayDesign, alpha: float) -> FPower:
     """Noncentrality and power of the one-way F test under a common omega.
 
     lambda_F = sum n_i (mu_i - mubar)^2/omega^2 with the size-weighted grand
-    mean; power = P[F(k-1, n-k, lambda_F) > critical].
+    mean; power = P[F(k-1, n-k, lambda_F) > critical], with the critical
+    value from ``special.f_critical``, which checks alpha.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParamError("alpha must be in (0, 1)")
     omegas = set(design.omegas)
     if len(omegas) != 1:
         raise ParamError("f_power assumes a common omega across groups")
